@@ -10,6 +10,7 @@ Krasner constants all refuse to answer rather than guess.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -227,14 +228,14 @@ def minpoly_over_completion(a: AlgElement, budget) -> object:
             if not diff.coeffs:
                 # x matches the guide through its whole known support
                 cap = min(budget, diff.prec) if diff.prec is not None else budget
-                return Linear(PuiseuxSeries(f, x.ram, dict(x.coeffs), cap))
+                return Linear(PuiseuxSeries(f, x.ram, x.coeffs, cap))
             candidates = [mu for mu in candidates if mu == diff.val().q]
         solved = False
         for mu in sorted(candidates, reverse=True):
             if mu.denominator != 1:
                 continue
             if mu >= budget:
-                return Linear(PuiseuxSeries(f, x.ram, dict(x.coeffs), budget))
+                return Linear(PuiseuxSeries(f, x.ram, x.coeffs, budget))
             for c in _residue_roots(f, _residue_equation(Q, x, mu)):
                 if guide is not None and c != guide.coeff_at(mu):
                     continue
@@ -309,7 +310,7 @@ def _residue_roots(field: BaseField, phi: list) -> list:
     # char 0: clear denominators, try divisors of constant over divisors of lead
     den = 1
     for c in phi:
-        den = den * c.denominator // _gcd(den, c.denominator)
+        den = math.lcm(den, c.denominator)
     ints = [int(c * den) for c in phi]
     lo = next(i for i, c in enumerate(ints) if c != 0)
     ints = ints[lo:]  # factor out c = 0 roots; we want nonzero roots only
@@ -330,12 +331,6 @@ def _phi_eval(field, phi, c):
     for coef in reversed(phi):
         acc = field.add(field.mul(acc, c), coef)
     return acc
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n: int) -> list:

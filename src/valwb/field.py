@@ -7,6 +7,7 @@ series and polynomial layers never branch on the characteristic.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import ParseError, WorkbenchError
@@ -37,11 +38,19 @@ class BaseField:
             if not _is_prime(char):
                 raise WorkbenchError(f"characteristic {char} is not prime")
         self.char = char
+        # scalars are immutable, so one zero and one one serve every caller
+        self._zero = Fraction(0) if char == 0 else 0
+        self._one = Fraction(1) if char == 0 else 1
 
     # -- element construction -----------------------------------------
 
     def coerce(self, x):
-        """Accept int, Fraction, or exact-rational string."""
+        """Accept int, Fraction, or exact-rational string; never a float."""
+        if type(x) is Fraction and self.char == 0:
+            return x
+        if isinstance(x, float):
+            raise WorkbenchError(f"float scalar {x!r} is not exact; pass an int, "
+                                 "a Fraction or a rational string")
         if isinstance(x, str):
             x = Fraction(x)
         if self.char == 0:
@@ -53,10 +62,10 @@ class BaseField:
         return int(x) % self.char
 
     def zero(self):
-        return Fraction(0) if self.char == 0 else 0
+        return self._zero
 
     def one(self):
-        return Fraction(1) if self.char == 0 else 1
+        return self._one
 
     # -- arithmetic ----------------------------------------------------
 
@@ -76,7 +85,7 @@ class BaseField:
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero scalar")
         if self.char == 0:
-            return 1 / a
+            return self._one / a  # exact for int input too, never a float
         return pow(a, -1, self.char)
 
     def div(self, a, b):
@@ -90,7 +99,23 @@ class BaseField:
         return pow(a, n, self.char)
 
     def is_zero(self, a) -> bool:
-        return a == self.zero()
+        return not a
+
+    # -- integer images, for convolutions ---------------------------------
+
+    def as_integers(self, scalars) -> tuple:
+        """(ints, d) with scalars[i] = ints[i] / d: d is a common denominator
+        in characteristic 0 and 1 in characteristic p.  Sums of products of
+        such integers come back exactly through :meth:`from_integer`."""
+        if self.char:
+            return list(scalars), 1
+        scalars = list(scalars)
+        d = math.lcm(*[c.denominator for c in scalars])
+        return [c.numerator * (d // c.denominator) for c in scalars], d
+
+    def from_integer(self, n: int, d: int):
+        """The scalar n / d."""
+        return Fraction(n, d) if self.char == 0 else n % self.char
 
     # -- roots of unity --------------------------------------------------
 

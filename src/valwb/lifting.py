@@ -343,7 +343,7 @@ def _density_monomial(f: PolyX, g: PolyX, alpha: GroupVal,
     b1 = max(alpha.q - i * gamma.q for i in range(max(m, n) + 1))
     b2 = max(alpha.q + 2 * vg.q - mincd.q - k * gamma.q for k in range(m + n + 1))
     bound = max(b1, b2)
-    e = _lcm(bound.denominator, gamma.q.denominator)
+    e = math.lcm(bound.denominator, gamma.q.denominator)
     beta = Fraction(math.floor(bound * e) + 1, e) + 1  # minimal in (1/e)Z, +1 margin
     cutoff_terms = [beta, alpha.q, _gauss_value(f).q, _gauss_value(g).q,
                     f.leading().val().q, g.leading().val().q]
@@ -436,10 +436,6 @@ def _quotient_gap_exceeds(spec, f, g, f1, g1, vg, alpha) -> bool:
         return True
     target = alpha + vg + eval_spec(spec, g1)
     return _value_exceeds(spec, num, target)
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -206,7 +206,7 @@ def classify_generator(gen: PcsGenerator, ram_cap: int = DEFAULT_RAM_CAP):
         limit = elems[-1]
         cap = gammas[-1].q
         return CauchyWithLimit(PuiseuxSeries(limit.field, limit.ram,
-                                             dict(limit.coeffs), Fraction(cap)))
+                                             limit.coeffs, Fraction(cap)))
     raise HorizonExceeded("no classification criterion fired within the horizon")
 
 

@@ -15,6 +15,7 @@ valid in every characteristic.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -42,17 +43,13 @@ def elt_zero(field: BaseField, domain: str):
     return RatFunc.zero(field) if domain == RATFUNC else PuiseuxSeries.zero(field)
 
 
-def elt_val(c) -> GroupVal:
-    """Exact valuation; raises PrecisionExhausted for unknown-zero series."""
-    return c.val()
-
-
 def elt_as_series(c, prec=None) -> PuiseuxSeries:
     if isinstance(c, PuiseuxSeries):
         return c
     if c.is_polynomial():
         # exact embedding: a polynomial in t is exactly known
-        return PuiseuxSeries.from_terms(c.field, {i: x for i, x in enumerate(c.num)})
+        to_scalar = c.field.coerce
+        return PuiseuxSeries(c.field, 1, {i: to_scalar(x) for i, x in enumerate(c.num)}, None)
     return coerce(c, DEFAULT_PREC if prec is None else prec)
 
 
@@ -205,6 +202,10 @@ class PolyX:
         n = poly.degree()
         if n < 0:
             return []
+        exact_zero = a.is_exact_zero() if want_series else a.is_zero()
+        if exact_zero:
+            # every shifted term carries a power of the exact zero
+            return list(poly.coeffs)
         powers = [None] * (n + 1)
         if want_series:
             powers[0] = PuiseuxSeries.one(self.field)
@@ -212,14 +213,13 @@ class PolyX:
             powers[0] = RatFunc.one(self.field)
         for d in range(1, n + 1):
             powers[d] = powers[d - 1] * a
+        one = self.field.one()
         out = []
-        for i in range(n + 1):
+        for i, row in enumerate(_hasse_binomials(self.field, n)):
             acc = poly.coeffs[i]
-            for j in range(i + 1, n + 1):
-                b = self.field.coerce(math.comb(j, i))
-                if self.field.is_zero(b):
-                    continue
-                acc = acc + elt_scalar_mul(poly.coeffs[j] * powers[j - i], b)
+            for j, b in row:
+                term = poly.coeffs[j] * powers[j - i]
+                acc = acc + (term if b == one else elt_scalar_mul(term, b))
             out.append(acc)
         return out
 
@@ -304,7 +304,7 @@ class PolyX:
             if elt_is_unknown_zero(c):
                 unknown.append((i, Fraction(c.prec)))
             else:
-                known.append((i, elt_val(c).q))
+                known.append((i, c.val().q))
         hull = _lower_hull(known)
         # undecidable points must provably lie on or above the hull
         for i, lb in unknown:
@@ -340,6 +340,17 @@ class PolyX:
 
     def __repr__(self):
         return f"PolyX({self.to_text()})"
+
+
+@functools.lru_cache(maxsize=64)
+def _hasse_binomials(field: BaseField, n: int) -> tuple:
+    """Row i lists (j, C(j, i)) for i < j <= n, the binomials coerced into
+    the field and the ones that vanish there left out."""
+    rows = []
+    for i in range(n + 1):
+        row = ((j, field.coerce(math.comb(j, i))) for j in range(i + 1, n + 1))
+        rows.append(tuple((j, b) for j, b in row if b))
+    return tuple(rows)
 
 
 def _lower_hull(points):

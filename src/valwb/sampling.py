@@ -1,16 +1,31 @@
 """Seeded random generators for reproducible property harnesses.
 
 All sampling goes through a caller-supplied ``random.Random`` so that a
-fixed seed reproduces every verdict bit-for-bit.
+fixed seed reproduces every verdict bit-for-bit.  A sample whose verdict is
+undecidable at working precision is redrawn, a bounded number of times, and
+the harness reports the redraw count.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import HorizonExceeded, PrecisionExhausted
 from .field import BaseField
 from .polyx import PolyX
 from .series import PuiseuxSeries, RatFunc
+
+
+def _redraw(draw, use, limit: int = 2000):
+    """Run use(draw()) redrawing on undecidability; returns (result, redraws)."""
+    redraws = 0
+    while True:
+        try:
+            return use(draw()), redraws
+        except (PrecisionExhausted, HorizonExceeded):
+            redraws += 1
+            if redraws > limit:
+                raise
 
 
 def random_scalar(field: BaseField, rng, nonzero: bool = False):

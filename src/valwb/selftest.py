@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .errors import HorizonExceeded, PrecisionExhausted, UnsupportedKind, WorkbenchError
+from .errors import PrecisionExhausted, UnsupportedKind, WorkbenchError
 from .field import GF, QQ
 from .groupval import FIN0, GroupVal
 from .lifting import (
@@ -26,7 +26,7 @@ from .examples import artin_schreier_data, run_example
 from .pcs import exponential_generator, mixed_radix_generator
 from .polyx import PolyX, RATFUNC, SERIES
 from .report import Report, digest
-from .sampling import random_polyx, random_ratfunc, random_series
+from .sampling import _redraw, random_polyx, random_ratfunc, random_series
 from .series import PuiseuxSeries, RatFunc
 from .valuation import ValuationSpec, delta, eval_spec, is_pair_equivalent
 
@@ -74,18 +74,6 @@ def _spec_families():
         ("monomial tower @ (1, 0)", tower["spec"], tower["field"]),
         ("keypoly X^2 - t @ 1", keypoly, QQ),
     ]
-
-
-def _redraw(draw, use, limit: int = 2000):
-    """Run use(draw()) redrawing on undecidability; returns (result, redraws)."""
-    redraws = 0
-    while True:
-        try:
-            return use(draw()), redraws
-        except (PrecisionExhausted, HorizonExceeded):
-            redraws += 1
-            if redraws > limit:
-                raise
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +184,7 @@ def check_value_comparison_laws(rep: Report, seed: int, samples: int = 500) -> N
             return ok
 
         for _ in range(samples):
-            ok, redraws = _redraw(pool_wrap(pool, rng), use)
+            ok, redraws = _redraw(lambda: pool(rng), use)
             redraws_total += redraws
             if not ok:
                 failures += 1
@@ -209,10 +197,6 @@ def check_value_comparison_laws(rep: Report, seed: int, samples: int = 500) -> N
                   "value agreement under coarsening and digit valuations is "
                   "equivalent to the polygon delta comparison",
                   caveats=tuple(caveats))
-
-
-def pool_wrap(pool, rng):
-    return lambda: pool(rng)
 
 
 def _tower_partial_rf(field, p: int, m: int) -> RatFunc:

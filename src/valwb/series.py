@@ -43,7 +43,7 @@ DEFAULT_PREC = Fraction(64)
 # ---------------------------------------------------------------------------
 
 def tp_trim(field, c):
-    while c and field.is_zero(c[-1]):
+    while c and not c[-1]:
         c.pop()
     return c
 
@@ -57,54 +57,54 @@ def tp_deg(c):
 
 
 def tp_add(field, a, b):
-    n = max(len(a), len(b))
-    out = [field.zero()] * n
-    for i, x in enumerate(a):
-        out[i] = x
+    add = field.add
+    out = list(a) + [field.zero()] * (len(b) - len(a))
     for i, x in enumerate(b):
-        out[i] = field.add(out[i], x)
+        out[i] = add(out[i], x)
     return tp_trim(field, out)
 
 
 def tp_neg(field, a):
-    return [field.neg(x) for x in a]
-
-
-def tp_sub(field, a, b):
-    return tp_add(field, a, tp_neg(field, b))
+    neg = field.neg
+    return [neg(x) for x in a]
 
 
 def tp_mul(field, a, b):
     if not a or not b:
         return []
-    out = [field.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if field.is_zero(x):
+    xs, d1 = field.as_integers(a)
+    ys, d2 = field.as_integers(b)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(xs):
+        if not x:
             continue
-        for j, y in enumerate(b):
-            out[i + j] = field.add(out[i + j], field.mul(x, y))
-    return tp_trim(field, out)
+        for j, y in enumerate(ys):
+            out[i + j] += x * y
+    d = d1 * d2
+    return tp_trim(field, [field.from_integer(v, d) for v in out])
 
 
 def tp_scalar(field, a, s):
-    return tp_trim(field, [field.mul(x, s) for x in a])
+    mul = field.mul
+    return tp_trim(field, [mul(x, s) for x in a])
 
 
 def tp_divmod(field, a, b):
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
+    sub, mul = field.sub, field.mul
     r = list(a)
     q = [field.zero()] * max(0, len(a) - len(b) + 1)
     inv_lead = field.inv(b[-1])
     for i in range(len(a) - len(b), -1, -1):
         if len(r) < len(b) + i:
             continue
-        c = field.mul(r[len(b) + i - 1], inv_lead)
-        if field.is_zero(c):
+        c = mul(r[len(b) + i - 1], inv_lead)
+        if not c:
             continue
         q[i] = c
         for j, y in enumerate(b):
-            r[i + j] = field.sub(r[i + j], field.mul(c, y))
+            r[i + j] = sub(r[i + j], mul(c, y))
     return tp_trim(field, q), tp_trim(field, r)
 
 
@@ -120,7 +120,7 @@ def tp_gcd(field, a, b):
 def tp_ord(field, a) -> Optional[int]:
     """t-adic order; None for the zero polynomial."""
     for i, x in enumerate(a):
-        if not field.is_zero(x):
+        if x:
             return i
     return None
 
@@ -234,11 +234,12 @@ class RatFunc:
         num, den = tp_trim(field, list(num)), tp_trim(field, list(den))
         if tp_is_zero(den):
             raise ZeroDivisionError("zero denominator")
-        if tp_deg(den) > 0:
+        if tp_is_zero(num):
+            den = [field.one()]  # the zero element has one canonical form
+        elif tp_deg(den) > 0:
             g = tp_gcd(field, num, den)
-            if not tp_is_zero(num) and tp_deg(g) >= 0:
-                num = tp_divmod(field, num, g)[0]
-                den = tp_divmod(field, den, g)[0]
+            num = tp_divmod(field, num, g)[0]
+            den = tp_divmod(field, den, g)[0]
         if den[-1] != field.one():
             lead = field.inv(den[-1])
             num = tp_scalar(field, num, lead)
@@ -382,14 +383,10 @@ class PuiseuxSeries:
         self._normalize()
 
     def _normalize(self):
-        f = self.field
-        dead = [n for n, c in self.coeffs.items() if f.is_zero(c)]
-        for n in dead:
-            del self.coeffs[n]
-        if self.prec is not None:
-            dead = [n for n in self.coeffs if Fraction(n, self.ram) >= self.prec]
-            for n in dead:
-                del self.coeffs[n]
+        cap = math.inf if self.prec is None else _lattice_cap(self.prec, self.ram)
+        # a fresh dict: deleting in place would keep the table sized for
+        # every key the operation produced, not for the keys that survive
+        self.coeffs = {n: c for n, c in self.coeffs.items() if c and n < cap}
         if not self.coeffs:
             self.ram = 1
             return
@@ -502,18 +499,20 @@ class PuiseuxSeries:
     def __add__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         self._check(other)
         f = self.field
+        add = f.add
         e = self.ram * other.ram // math.gcd(self.ram, other.ram)
         s1, s2 = e // self.ram, e // other.ram
         coeffs = {n * s1: c for n, c in self.coeffs.items()}
         for n, c in other.coeffs.items():
             k = n * s2
-            coeffs[k] = f.add(coeffs.get(k, f.zero()), c)
+            coeffs[k] = add(coeffs[k], c) if k in coeffs else c
         prec = _min_prec(self.prec, other.prec)
         return PuiseuxSeries(f, e, coeffs, prec)
 
     def __neg__(self):
-        f = self.field
-        return PuiseuxSeries(f, self.ram, {n: f.neg(c) for n, c in self.coeffs.items()}, self.prec)
+        neg = self.field.neg
+        return PuiseuxSeries(self.field, self.ram,
+                             {n: neg(c) for n, c in self.coeffs.items()}, self.prec)
 
     def __sub__(self, other):
         return self + (-other)
@@ -530,23 +529,30 @@ class PuiseuxSeries:
         )
         e = self.ram * other.ram // math.gcd(self.ram, other.ram)
         s1, s2 = e // self.ram, e // other.ram
-        cap = None if prec is None else prec * e
-        coeffs = {}
-        for n1, c1 in self.coeffs.items():
-            for n2, c2 in other.coeffs.items():
-                k = n1 * s1 + n2 * s2
-                if cap is not None and k >= cap:
-                    continue
-                p = f.mul(c1, c2)
-                coeffs[k] = f.add(coeffs.get(k, f.zero()), p)
-        return PuiseuxSeries(f, e, coeffs, prec)
+        cap = math.inf if prec is None else _lattice_cap(prec, e)
+        # convolve integer images; one scalar is rebuilt per output key
+        xs, d1 = f.as_integers(self.coeffs.values())
+        ys, d2 = f.as_integers(other.coeffs.values())
+        terms2 = [(n2 * s2, y) for n2, y in zip(other.coeffs, ys)]
+        acc = {}
+        for n1, x in zip(self.coeffs, xs):
+            k1 = n1 * s1
+            for k2, y in terms2:
+                k = k1 + k2
+                if k < cap:
+                    acc[k] = acc.get(k, 0) + x * y
+        d = d1 * d2
+        lower = f.from_integer
+        return PuiseuxSeries(f, e, {k: lower(v, d) for k, v in acc.items()}, prec)
 
     def scalar_mul(self, c) -> "PuiseuxSeries":
         f = self.field
         c = f.coerce(c)
-        if f.is_zero(c):
+        if not c:
             return PuiseuxSeries.zero(f)
-        return PuiseuxSeries(f, self.ram, {n: f.mul(x, c) for n, x in self.coeffs.items()}, self.prec)
+        mul = f.mul
+        return PuiseuxSeries(f, self.ram, {n: mul(x, c) for n, x in self.coeffs.items()},
+                             self.prec)
 
     def shift(self, exp) -> "PuiseuxSeries":
         """Multiply by the exact monomial t^exp."""
@@ -575,7 +581,7 @@ class PuiseuxSeries:
         prec = Fraction(prec)
         if self.prec is not None and prec > self.prec:
             raise PrecisionExhausted(f"cannot extend precision {self.prec} to {prec}")
-        return PuiseuxSeries(self.field, self.ram, dict(self.coeffs), prec)
+        return PuiseuxSeries(self.field, self.ram, self.coeffs, prec)
 
     def __eq__(self, other):
         if not isinstance(other, PuiseuxSeries):
@@ -631,6 +637,12 @@ class PuiseuxSeries:
         return PuiseuxSeries.from_terms(field, terms, prec)
 
 
+def _lattice_cap(prec, e: int) -> int:
+    """ceil(prec * e): the least key n with n/e >= prec, so keys at or above
+    it lie beyond the cap O(t^prec) on the lattice (1/e)Z."""
+    return -(-prec.numerator * e // prec.denominator)
+
+
 def _min_prec(p1: Optional[Fraction], p2: Optional[Fraction]) -> Optional[Fraction]:
     if p1 is None:
         return p2
@@ -670,17 +682,18 @@ def invert(s: PuiseuxSeries, prec=None) -> PuiseuxSeries:
     shift0 = int(v0 * e)
     c0 = s.coeffs[shift0]
     inv_c0 = f.inv(c0)
-    u = {n - shift0: f.mul(c, inv_c0) for n, c in s.coeffs.items() if n != shift0}
+    add, mul = f.add, f.mul
+    u = {n - shift0: mul(c, inv_c0) for n, c in s.coeffs.items() if n != shift0}
     rel_keys = int(math.ceil((work_prec - v0) * e))  # relative lattice budget
     v_coeffs = {0: f.one()}
     for n in range(1, rel_keys):
         acc = f.zero()
         for k, uc in u.items():
             if 0 < k <= n and (n - k) in v_coeffs:
-                acc = f.add(acc, f.mul(uc, v_coeffs[n - k]))
-        if not f.is_zero(acc):
+                acc = add(acc, mul(uc, v_coeffs[n - k]))
+        if acc:
             v_coeffs[n] = f.neg(acc)
-    out = {n - shift0: f.mul(c, inv_c0) for n, c in v_coeffs.items()}
+    out = {n - shift0: mul(c, inv_c0) for n, c in v_coeffs.items()}
     return PuiseuxSeries(f, e, out, out_prec)
 
 
@@ -702,16 +715,17 @@ def coerce(r: RatFunc, prec) -> PuiseuxSeries:
     if nterms <= 0:
         return PuiseuxSeries.unknown_zero(f, prec)
     # power series long division num/den, den[0] != 0
+    sub, mul = f.sub, f.mul
     inv_d0 = f.inv(den[0])
     q = []
     rem = list(num) + [f.zero()] * max(0, nterms - len(num))
     for i in range(nterms):
-        c = f.mul(rem[i], inv_d0)
+        c = mul(rem[i], inv_d0)
         q.append(c)
-        if not f.is_zero(c):
+        if c:
             for j in range(1, min(len(den), nterms - i)):
-                rem[i + j] = f.sub(rem[i + j], f.mul(c, den[j]))
-    coeffs = {i + v0: c for i, c in enumerate(q) if not f.is_zero(c)}
+                rem[i + j] = sub(rem[i + j], mul(c, den[j]))
+    coeffs = {i + v0: c for i, c in enumerate(q) if c}
     return PuiseuxSeries(f, 1, coeffs, prec)
 
 
@@ -736,7 +750,3 @@ def truncate_to_ratfunc(s: PuiseuxSeries, cutoff) -> RatFunc:
         out[n] = c
     return RatFunc(f, out)
 
-
-def val_of_difference(s1: PuiseuxSeries, s2: PuiseuxSeries) -> GroupVal:
-    """val(s1 - s2); PrecisionExhausted when undecidable at the shared cap."""
-    return (s1 - s2).val()

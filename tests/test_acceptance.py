@@ -7,6 +7,7 @@ assert that no verdict in the produced report failed.
 """
 
 from fractions import Fraction
+from pathlib import Path
 
 from valwb.algnum import Linear, attach_minpoly, minpoly_over_completion
 from valwb.examples import artin_schreier_data, run_example
@@ -119,9 +120,22 @@ def test_conjugacy():
     fresh(check_conjugacy)
 
 
-# 11. byte-identical structured reports under a fixed seed
+GOLDEN = Path(__file__).parent / "golden" / "selftest_seed0.txt"
+
+
+# 11. byte-identical structured reports under a fixed seed, across commits:
+# the golden file is regenerated only when a verdict changes on purpose
 def test_selftest_determinism():
-    first = run_all(0)
-    second = run_all(0)
-    assert not first.failed(), first.to_human()
-    assert first.to_structured() == second.to_structured()
+    report = run_all(0)
+    assert not report.failed(), report.to_human()
+    assert report.to_structured() == GOLDEN.read_text(encoding="utf-8")
+
+
+def test_witness_search_redraws_undecidable_samples():
+    # seed 17 draws a polynomial whose value is undecidable at O(t^40)
+    rep = run_example("6.1", p=2, witness_samples=200, seed=17)
+    assert not rep.failed(), rep.to_human()
+    witness = rep.verdicts[-1]
+    assert witness.operation == "witness search"
+    assert witness.outcome == "ok: 200/200 sampled polynomials got a witness"
+    assert witness.caveats == ("1 undecidable redraws",)

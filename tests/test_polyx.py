@@ -6,7 +6,8 @@ import pytest
 from valwb.errors import PrecisionExhausted, ZeroPolynomial
 from valwb.field import GF, QQ
 from valwb.groupval import GroupVal
-from valwb.polyx import PolyX, polyx_from_text
+from valwb.polyx import PolyX, elt_as_series, polyx_from_text
+from valwb.sampling import random_polyx, random_ratfunc
 from valwb.series import PuiseuxSeries, RatFunc
 
 F2 = GF(2)
@@ -171,3 +172,24 @@ def test_from_text_forms():
     assert f == P(QQ, RatFunc(QQ, [0, -1]), 0, 1)
     g = polyx_from_text(GF(3), "X^3 - X + t")
     assert g.degree() == 3 and g.coeff(1) == -RatFunc.one(GF(3))
+
+
+def test_recenter_at_the_exact_zero_series_returns_the_coefficients():
+    rng = random.Random(5)
+    for field in (QQ, F2, GF(5)):
+        for deg in range(5):
+            f = random_polyx(field, rng, deg, domain="series", prec=Fraction(17, 2))
+            assert f.recenter_hasse(PuiseuxSeries.zero(field)) == list(f.coeffs)
+            g = random_polyx(field, rng, deg)
+            assert g.recenter_hasse(PuiseuxSeries.zero(field)) == list(g.to_series().coeffs)
+
+
+def test_elt_as_series_of_a_polynomial_matches_from_terms():
+    rng = random.Random(9)
+    for field in (QQ, F2, GF(7)):
+        for _ in range(30):
+            r = random_ratfunc(field, rng, deg=5)
+            want = PuiseuxSeries.from_terms(field, {i: x for i, x in enumerate(r.num)})
+            got = elt_as_series(r)
+            assert got == want and got.is_exact()
+            assert list(got.coeffs.items()) == list(want.coeffs.items())

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from math import factorial
@@ -9,6 +10,7 @@ from valwb.errors import (
     NegativeValuation,
     PrecisionExhausted,
     RamifiedInput,
+    WorkbenchError,
 )
 from valwb.field import GF, QQ
 from valwb.groupval import GroupVal
@@ -173,3 +175,97 @@ def test_ratfunc_round_trip_and_val():
     assert RatFunc.from_text(QQ, r.to_text()) == r
     assert RatFunc.t_power(QQ, -2).val() == GroupVal.fin(-2)
     assert RatFunc.zero(QQ).val().is_inf
+
+
+# -- kernels: integer lattice caps, shared scalars ---------------------------
+
+CAPS = [Fraction(7, 2), Fraction(-5, 2), Fraction(-4, 3), Fraction(0), Fraction(11, 6),
+        Fraction(5), Fraction(-7)]
+
+
+def exponents(s):
+    return {Fraction(n, s.ram): c for n, c in s.coeffs.items()}
+
+
+def test_normalize_cap_matches_the_fraction_definition():
+    for ram in (2, 3, 6):
+        keys = range(-50, 50)
+        for prec in CAPS:
+            s = PuiseuxSeries(QQ, ram, {n: Fraction(n or 1) for n in keys}, prec)
+            want = {Fraction(n, ram): Fraction(n or 1) for n in keys
+                    if not Fraction(n, ram) >= prec}
+            assert exponents(s) == want, (ram, prec)
+
+
+def test_keys_at_the_integer_cap_are_dropped_and_the_key_below_kept():
+    for ram in (2, 3, 6):
+        for prec in CAPS:
+            cap = math.ceil(prec * ram)
+            s = PuiseuxSeries(QQ, ram, {cap - 1: Fraction(1), cap: Fraction(1)}, prec)
+            assert exponents(s) == {Fraction(cap - 1, ram): 1}, (ram, prec)
+    # the cap can sit exactly on a key: -5/2 on the lattice (1/2)Z
+    s = PuiseuxSeries(QQ, 2, {-6: Fraction(1), -5: Fraction(1)}, Fraction(-5, 2))
+    assert exponents(s) == {Fraction(-3): 1}
+
+
+def test_mul_cap_matches_the_fraction_definition():
+    rng = random.Random(11)
+    for field in (QQ, GF(3)):
+        for _ in range(200):
+            r1, r2 = rng.choice((1, 2, 3, 6)), rng.choice((1, 2, 3, 6))
+            t1 = {Fraction(rng.randint(-12, 30), r1): rng.randint(1, 2) for _ in range(6)}
+            t2 = {Fraction(rng.randint(-12, 30), r2): rng.randint(1, 2) for _ in range(6)}
+            p1, p2 = rng.choice(CAPS + [None]), rng.choice(CAPS + [None])
+            a, b = S(field, t1, p1), S(field, t2, p2)
+            if a.is_exact_zero() or b.is_exact_zero():
+                continue
+            prod = a * b
+            v1, v2 = a.val_lower_bound(), b.val_lower_bound()
+            bounds = [p + v for p, v in ((a.prec, v2), (b.prec, v1)) if p is not None]
+            prec = min(bounds) if bounds else None
+            assert prod.prec == prec
+            want = {}
+            for e1, c1 in exponents(a).items():
+                for e2, c2 in exponents(b).items():
+                    want[e1 + e2] = field.add(want.get(e1 + e2, field.zero()),
+                                              field.mul(c1, c2))
+            want = {e: c for e, c in want.items()
+                    if not field.is_zero(c) and (prec is None or not e >= prec)}
+            assert exponents(prod) == want
+
+
+def test_is_zero_agrees_with_equality_to_zero():
+    samples = [Fraction(0), Fraction(3, 4), Fraction(-1), 0, 1]
+    for x in samples:
+        assert QQ.is_zero(x) == (x == 0)
+    for p in (2, 3, 7):
+        field = GF(p)
+        for x in range(p):
+            assert field.is_zero(x) == (x == 0)
+    assert QQ.zero() is QQ.zero() and GF(5).one() == 1
+
+
+def test_coerce_rejects_floats():
+    for field in (QQ, GF(5)):
+        with pytest.raises(WorkbenchError):
+            field.coerce(0.1)
+        with pytest.raises(WorkbenchError):
+            field.coerce(2.0)
+    assert QQ.coerce("0.1") == Fraction(1, 10)
+    assert GF(5).coerce(Fraction(1, 2)) == 3
+
+
+def test_ratfunc_zero_is_canonical():
+    for field in (QQ, F2):
+        x = RatFunc(field, [field.one()], [field.one(), field.one()])  # 1/(1+t)
+        d = x - x
+        assert d == RatFunc.zero(field)
+        assert hash(d) == hash(RatFunc.zero(field))
+        assert d.to_text() == "0"
+
+
+def test_inverse_over_q_stays_exact_for_int_input():
+    assert type(QQ.inv(2)) is Fraction and QQ.inv(2) == Fraction(1, 2)
+    r = RatFunc(QQ, [1], [1, 2])  # 1/(1 + 2t), made monic: (1/2) / (1/2 + t)
+    assert all(type(c) is Fraction for c in r.num + r.den)
+    assert r.den == [Fraction(1, 2), 1]
