@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from .algnum import AlgElement, Linear, attach_minpoly, krasner_constant, minpoly_over_completion
-from .config import WorkbenchConfig, load_config, parse_config
+from .config import WorkbenchConfig, load_config, parse_config, parse_number
 from .errors import (
     DeltaTooLarge,
     ParseError,
@@ -113,7 +113,7 @@ def _load_cfg(args) -> WorkbenchConfig:
     else:
         cfg = parse_config("")
     if args.prec:
-        cfg.precision = Fraction(args.prec)
+        cfg.precision = parse_number(Fraction, args.prec, "--prec")
         if cfg.precision <= 0:
             raise ParseError("--prec must be positive")
     if args.seed is not None:
@@ -226,7 +226,7 @@ def _run(args) -> tuple:
         spec = _need_spec(cfg)
         seq = _parse_seq(cfg, args.seq)
         center = _parse_center(cfg, args) if args.center else None
-        budget = Fraction(args.budget) if args.budget else cfg.precision
+        budget = parse_number(Fraction, args.budget, "--budget") if args.budget else cfg.precision
         lifted, note = lift_cskp(seq, spec, center=center, budget=budget,
                                  ram_cap=cfg.ram_cap)
         rep.add("lift-cskp", digest(spec.to_text(), args.seq), lifted.to_text(),

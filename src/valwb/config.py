@@ -33,15 +33,11 @@ from typing import Optional
 from .errors import ParseError, WorkbenchError
 from .field import GF, QQ, BaseField
 from .groupval import GroupVal
-from .pcs import builtin_generator
+from .pcs import DEFAULT_HORIZON, DEFAULT_RAM_CAP, DEFAULT_WINDOW, builtin_generator
 from .polyx import RATFUNC, polyx_from_text
-from .series import PuiseuxSeries
+from .series import DEFAULT_PREC as DEFAULT_PRECISION, PuiseuxSeries
 from .valuation import OVER_K, OVER_KHAT, ValuationSpec
 
-DEFAULT_PRECISION = Fraction(64)
-DEFAULT_RAM_CAP = 64
-DEFAULT_HORIZON = 12
-DEFAULT_WINDOW = 3
 DEFAULT_SEED = 0
 
 
@@ -58,6 +54,8 @@ class WorkbenchConfig:
     def __post_init__(self):
         if self.precision <= 0:
             raise WorkbenchError("precision must be positive")
+        if self.ram_cap < 1:
+            raise WorkbenchError("ram_cap must be at least 1")
         if self.horizon < 3:
             raise WorkbenchError("horizon must be at least 3")
         if self.window < 1:
@@ -89,26 +87,32 @@ def load_config(path: str, env=None) -> WorkbenchConfig:
         return parse_config(fh.read(), env)
 
 
-def _take(entries, key, default=None):
-    if key in entries:
-        return entries.pop(key)[1]
-    return default
+def parse_number(kind, text: str, what: str):
+    """``kind(text)`` for kind int or Fraction; malformed text is a ParseError."""
+    try:
+        return kind(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"{what} must be a number, got {text!r}") from None
 
 
 def build_config(entries: dict, env) -> WorkbenchConfig:
     entries = dict(entries)
-    char = int(_take(entries, "char", "0"))
+
+    def take(key, kind, default):
+        return parse_number(kind, entries.pop(key)[1], key) if key in entries else default
+
+    char = take("char", int, 0)
     field = QQ if char == 0 else GF(char)
-    precision = Fraction(_take(entries, "precision", str(DEFAULT_PRECISION)))
+    precision = take("precision", Fraction, DEFAULT_PRECISION)
     if "VALWB_PREC" in env:
-        precision = Fraction(env["VALWB_PREC"])
+        precision = parse_number(Fraction, env["VALWB_PREC"], "VALWB_PREC")
     cfg = WorkbenchConfig(
         field=field,
         precision=precision,
-        ram_cap=int(_take(entries, "ram_cap", str(DEFAULT_RAM_CAP))),
-        horizon=int(_take(entries, "horizon", str(DEFAULT_HORIZON))),
-        window=int(_take(entries, "window", str(DEFAULT_WINDOW))),
-        seed=int(_take(entries, "seed", str(DEFAULT_SEED))),
+        ram_cap=take("ram_cap", int, DEFAULT_RAM_CAP),
+        horizon=take("horizon", int, DEFAULT_HORIZON),
+        window=take("window", int, DEFAULT_WINDOW),
+        seed=take("seed", int, DEFAULT_SEED),
     )
     spec_entries = {k: v for k, v in entries.items() if k.startswith("spec.")}
     for k in spec_entries:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import ParseError, WorkbenchError
+from .errors import WorkbenchError
 
 MAX_PRIME = 2**31  # configured bound on positive characteristic
 
@@ -144,12 +144,6 @@ class BaseField:
 
     def scalar_text(self, a) -> str:
         return str(a)
-
-    def scalar_from_text(self, text: str):
-        try:
-            return self.coerce(Fraction(text.strip()))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad scalar {text!r}: {exc}") from None
 
     def __eq__(self, other):
         return isinstance(other, BaseField) and self.char == other.char

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .errors import HorizonExceeded, NotPcs, PrecisionExhausted, WorkbenchError
+from .errors import HorizonExceeded, NotPcs, ParseError, PrecisionExhausted, WorkbenchError
 from .field import BaseField
 from .groupval import GroupVal
 from .polyx import PolyX
@@ -185,9 +185,9 @@ def classify_generator(gen: PcsGenerator, ram_cap: int = DEFAULT_RAM_CAP):
 
     Evidence of transcendental type fires on exactly two patterns: support
     denominators exceeding the ramification cap, or gamma_m bounded above by
-    the declared value-group bound.  Otherwise, strictly increasing
-    unbounded gammas with stable denominators give a Cauchy verdict and the
-    materialized limit.  Verdicts are evidence, not proofs.
+    the declared value-group bound.  Otherwise stable denominators give a
+    Cauchy verdict and the materialized limit, and denominators still growing
+    within the cap raise HorizonExceeded.  Verdicts are evidence, not proofs.
     """
     gammas = gen.gammas()
     elems = gen.elements()
@@ -202,12 +202,11 @@ def classify_generator(gen: PcsGenerator, ram_cap: int = DEFAULT_RAM_CAP):
             "gamma bounded below the declared cofinality bound",
             f"gamma_{len(gammas) - 1} = {gammas[-1].to_text()} < "
             f"{gen.value_group_bound.to_text()}")
-    if rams[-1] == rams[0] or all(r <= ram_cap for r in rams):
-        limit = elems[-1]
-        cap = gammas[-1].q
-        return CauchyWithLimit(PuiseuxSeries(limit.field, limit.ram,
-                                             limit.coeffs, Fraction(cap)))
-    raise HorizonExceeded("no classification criterion fired within the horizon")
+    if rams[-1] != rams[0]:
+        raise HorizonExceeded(f"support denominators still grow within the cap: {rams}")
+    limit = elems[-1]
+    return CauchyWithLimit(PuiseuxSeries(limit.field, limit.ram, limit.coeffs,
+                                         Fraction(gammas[-1].q)))
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +244,8 @@ def mixed_radix_generator(p: int, q: int, horizon: int = DEFAULT_HORIZON) -> Pcs
     without bound, the signature pattern of transcendental type.
     """
     from .field import QQ
-    if not p < q:
-        raise WorkbenchError("mixed-radix sequence needs p < q")
+    if not 0 < p < q:
+        raise WorkbenchError("mixed-radix sequence needs 0 < p < q")
 
     def items(m):
         return PuiseuxSeries.from_terms(
@@ -261,9 +260,12 @@ def builtin_generator(name: str, horizon: int = DEFAULT_HORIZON) -> PcsGenerator
     name = name.strip()
     if name == "exponential":
         return exponential_generator(horizon)
-    if name.startswith("artin-schreier(") and name.endswith(")"):
-        return artin_schreier_generator(int(name[15:-1]), horizon)
-    if name.startswith("mixed-radix(") and name.endswith(")"):
-        p, q = name[12:-1].split(",")
-        return mixed_radix_generator(int(p), int(q), horizon)
+    try:
+        if name.startswith("artin-schreier(") and name.endswith(")"):
+            return artin_schreier_generator(int(name[15:-1]), horizon)
+        if name.startswith("mixed-radix(") and name.endswith(")"):
+            p, q = name[12:-1].split(",")
+            return mixed_radix_generator(int(p), int(q), horizon)
+    except ValueError:
+        raise ParseError(f"generator {name!r} needs integer arguments") from None
     raise WorkbenchError(f"unknown generator {name!r}")

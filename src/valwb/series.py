@@ -20,6 +20,7 @@ from zero at this precision" and is *not* zero.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import Optional
@@ -48,14 +49,6 @@ def tp_trim(field, c):
     return c
 
 
-def tp_is_zero(c):
-    return not c
-
-
-def tp_deg(c):
-    return len(c) - 1
-
-
 def tp_add(field, a, b):
     add = field.add
     out = list(a) + [field.zero()] * (len(b) - len(a))
@@ -64,24 +57,70 @@ def tp_add(field, a, b):
     return tp_trim(field, out)
 
 
-def tp_neg(field, a):
-    neg = field.neg
-    return [neg(x) for x in a]
-
-
 def tp_mul(field, a, b):
     if not a or not b:
         return []
     xs, d1 = field.as_integers(a)
     ys, d2 = field.as_integers(b)
-    out = [0] * (len(a) + len(b) - 1)
+    d, lower = d1 * d2, field.from_integer
+    return tp_trim(field, [lower(v, d) for v in convolve(xs, ys, len(a) + len(b) - 1)])
+
+
+def is_dense(pairs: int, slots: int) -> bool:
+    """Whether P term pairs into N output slots take the packed product: the
+    pair loop takes P steps, the packed product about N log2 N."""
+    return pairs > slots * slots.bit_length()
+
+
+def convolve(xs, ys, n: int) -> list:
+    """The first n coefficients (len(xs), len(ys) <= n < len(xs) + len(ys)) of
+    the product of integer polynomials.  Dense ones are packed as x_0 + x_1 2^b
+    + ... at a slot width b that no sum overflows, and one big-integer product
+    gives every coefficient (Kronecker substitution)."""
+    if is_dense(len(xs) * len(ys), len(xs) + len(ys) - 1):
+        bound = max(map(abs, xs)) * max(map(abs, ys)) * min(len(xs), len(ys))
+        nbytes = bound.bit_length() // 8 + 1  # a spare sign bit at least
+        bits, half = 8 * nbytes, 1 << (8 * nbytes - 1)
+        # half a slot added to each slot keeps it nonnegative, so no slot
+        # carries into the next and they read off as unsigned bytes
+        halves = int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
+        prod = _pack(xs, bits) * _pack(ys, bits) + halves
+        raw = (prod % (1 << (bits * n))).to_bytes(nbytes * n, "little")
+        return [int.from_bytes(raw[i:i + nbytes], "little") - half
+                for i in range(0, nbytes * n, nbytes)]
+    out = [0] * (len(xs) + len(ys) - 1)
     for i, x in enumerate(xs):
-        if not x:
-            continue
-        for j, y in enumerate(ys):
-            out[i + j] += x * y
-    d = d1 * d2
-    return tp_trim(field, [field.from_integer(v, d) for v in out])
+        if x:
+            for j, y in enumerate(ys):
+                out[i + j] += x * y
+    return out[:n]
+
+
+def _dense_product(c1, s1, xs, c2, s2, ys, cap):
+    """{k: sum of x*y over k = n1*s1 + n2*s2 < cap} for the keys n1 of c1 and
+    n2 of c2 by convolve, or None when the operands are sparse."""
+    if not (xs and ys and is_dense(len(xs) * len(ys), len(xs) + len(ys) - 1)):
+        return None  # too few pairs even for the fewest slots, n1 + n2 - 1
+    lo1, lo2 = min(c1) * s1, min(c2) * s2
+    slots = max(c1) * s1 - lo1 + max(c2) * s2 - lo2 + 1
+    n = min(slots, cap - lo1 - lo2)  # keys from lo1 + lo2 + n on lie beyond the cap
+    if n <= 0 or not is_dense(len(xs) * len(ys), slots):
+        return None
+    dense = [[0] * n, [0] * n]
+    for out, c, s, vs, lo in ((dense[0], c1, s1, xs, lo1), (dense[1], c2, s2, ys, lo2)):
+        for k, v in zip(c, vs):
+            if k * s - lo < n:
+                out[k * s - lo] = v
+    return {lo1 + lo2 + i: v for i, v in enumerate(convolve(*dense, n)) if v}
+
+
+def _pack(vs, bits) -> int:
+    """The sum of vs[i] * 2^(bits*i), built pairwise to halve the shifts."""
+    while len(vs) > 1:
+        pairs = iter(vs + [0])  # an unpaired last 0 drops out of the zip
+        vs = [x + (y << bits) for x, y in zip(pairs, pairs)]
+        bits *= 2
+    return vs[0]
 
 
 def tp_scalar(field, a, s):
@@ -183,12 +222,11 @@ def _parse_term(field, sign, body):
     m = _TERM_RE.match(body)
     if not m or (m.group("coef") is None and "t" not in body):
         raise ParseError(f"bad term {body!r}")
-    coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
-    if "t" in body:
-        es = m.group("pexp") or m.group("exp")
-        exp = Fraction(es) if es else Fraction(1)
-    else:
-        exp = Fraction(0)
+    try:
+        coef = Fraction(m.group("coef") or 1)
+        exp = Fraction(m.group("pexp") or m.group("exp") or int("t" in body))
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in term {body!r}") from None
     return exp, field.coerce(sign * coef)
 
 
@@ -232,11 +270,11 @@ class RatFunc:
         if den is None:
             den = [field.one()]
         num, den = tp_trim(field, list(num)), tp_trim(field, list(den))
-        if tp_is_zero(den):
+        if not den:
             raise ZeroDivisionError("zero denominator")
-        if tp_is_zero(num):
+        if not num:
             den = [field.one()]  # the zero element has one canonical form
-        elif tp_deg(den) > 0:
+        elif len(den) > 1:
             g = tp_gcd(field, num, den)
             num = tp_divmod(field, num, g)[0]
             den = tp_divmod(field, den, g)[0]
@@ -282,10 +320,10 @@ class RatFunc:
     # -- predicates -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return tp_is_zero(self.num)
+        return not self.num
 
     def is_polynomial(self) -> bool:
-        return tp_deg(self.den) == 0
+        return len(self.den) == 1
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -300,7 +338,7 @@ class RatFunc:
         return RatFunc(f, num, tp_mul(f, self.den, other.den))
 
     def __neg__(self):
-        return RatFunc(self.field, tp_neg(self.field, self.num), self.den)
+        return RatFunc(self.field, [self.field.neg(x) for x in self.num], self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -533,14 +571,16 @@ class PuiseuxSeries:
         # convolve integer images; one scalar is rebuilt per output key
         xs, d1 = f.as_integers(self.coeffs.values())
         ys, d2 = f.as_integers(other.coeffs.values())
-        terms2 = [(n2 * s2, y) for n2, y in zip(other.coeffs, ys)]
-        acc = {}
-        for n1, x in zip(self.coeffs, xs):
-            k1 = n1 * s1
-            for k2, y in terms2:
-                k = k1 + k2
-                if k < cap:
-                    acc[k] = acc.get(k, 0) + x * y
+        acc = _dense_product(self.coeffs, s1, xs, other.coeffs, s2, ys, cap)
+        if acc is None:
+            acc = {}
+            terms2 = [(n2 * s2, y) for n2, y in zip(other.coeffs, ys)]
+            for n1, x in zip(self.coeffs, xs):
+                k1 = n1 * s1
+                for k2, y in terms2:
+                    k = k1 + k2
+                    if k < cap:
+                        acc[k] = acc.get(k, 0) + x * y
         d = d1 * d2
         lower = f.from_integer
         return PuiseuxSeries(f, e, {k: lower(v, d) for k, v in acc.items()}, prec)
@@ -714,18 +754,23 @@ def coerce(r: RatFunc, prec) -> PuiseuxSeries:
     nterms = int(math.ceil(prec - v0))
     if nterms <= 0:
         return PuiseuxSeries.unknown_zero(f, prec)
-    # power series long division num/den, den[0] != 0
-    sub, mul = f.sub, f.mul
-    inv_d0 = f.inv(den[0])
-    q = []
-    rem = list(num) + [f.zero()] * max(0, nterms - len(num))
-    for i in range(nterms):
-        c = mul(rem[i], inv_d0)
-        q.append(c)
-        if c:
-            for j in range(1, min(len(den), nterms - i)):
-                rem[i + j] = sub(rem[i + j], mul(c, den[j]))
-    coeffs = {i + v0: c for i, c in enumerate(q) if c}
+    # fraction-free division of the images num = N/dn, den = D/dd: coefficient i of
+    # N/D is A_i / D_0^(i+1), A_i = N_i D_0^i - sum_j D_j D_0^(j-1) A_(i-j)
+    xs, dn = f.as_integers(num[:nterms] + [f.zero()] * (nterms - len(num)))
+    ys, dd = f.as_integers(den[:nterms])
+    p = f.char
+    if p:  # scale to D_0 = 1, so the residues need no division
+        inv_d0 = pow(ys[0], -1, p)
+        xs, ys = [x * inv_d0 % p for x in xs], [y * inv_d0 % p for y in ys]
+    d0 = ys[0]
+    ws = [y * d0**j for j, y in enumerate(ys[1:])]
+    A, coeffs, d0_i, lower = [], {}, 1, f.from_integer
+    for x in xs:
+        acc = x * d0_i - sum(map(operator.mul, ws, reversed(A)))
+        A.append(acc % p if p else acc)
+        d0_i *= d0
+        if A[-1]:
+            coeffs[len(A) - 1 + v0] = lower(acc * dd, dn * d0_i)
     return PuiseuxSeries(f, 1, coeffs, prec)
 
 

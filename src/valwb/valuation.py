@@ -17,6 +17,7 @@ as bounded falsifiers returning explicit verdicts, never as provers.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -221,6 +222,7 @@ class Counterexample:
 @dataclass
 class NoCounterexampleFound:
     tested: int
+    undecidable: int = 0  # samples whose delta ran out of precision: no evidence
 
 
 def is_key_polynomial(spec: ValuationSpec, Q: PolyX, samples: int,
@@ -230,36 +232,29 @@ def is_key_polynomial(spec: ValuationSpec, Q: PolyX, samples: int,
     The pool is (i) X - c for structured centers (truncations of the spec's
     center at its support breaks, plus supplied candidates) and (ii)
     ``samples`` random polynomials of each degree below deg Q.  A verdict of
-    NoCounterexampleFound is evidence, not proof.
+    NoCounterexampleFound is evidence, not proof; samples whose delta is
+    undecidable at working precision are counted apart as ``undecidable``.
     """
     from .sampling import random_polyx
     if not Q.is_monic():
         raise WorkbenchError("key polynomial candidate must be monic")
     dQ = delta(spec, Q)
     field = Q.field
-    tested = 0
     pool = []
     if Q.degree() > 1:
-        pool.extend(_center_truncations(spec))
-        pool.extend(extra_pool)
-        for c in pool:
-            fc = _x_minus(field, c)
-            try:
-                if delta(spec, fc) >= dQ:
-                    return Counterexample(fc)
-            except PrecisionExhausted:
-                pass
-            tested += 1
-    for d in range(1, Q.degree()):
-        for _ in range(samples):
-            f = random_polyx(field, rng, d, monic=True)
-            try:
-                if delta(spec, f) >= dQ:
-                    return Counterexample(f)
-            except PrecisionExhausted:
-                pass
-            tested += 1
-    return NoCounterexampleFound(tested)
+        pool = [_x_minus(field, c) for c in [*_center_truncations(spec), *extra_pool]]
+    draws = (random_polyx(field, rng, d, monic=True)
+             for d in range(1, Q.degree()) for _ in range(samples))
+    tested = undecidable = 0
+    for f in itertools.chain(pool, draws):
+        try:
+            if delta(spec, f) >= dQ:
+                return Counterexample(f)
+        except PrecisionExhausted:
+            undecidable += 1
+            continue
+        tested += 1
+    return NoCounterexampleFound(tested, undecidable)
 
 
 def _x_minus(field, c) -> PolyX:

@@ -10,6 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from valwb.algnum import Linear, attach_minpoly, minpoly_over_completion
+from valwb.errors import PrecisionExhausted
 from valwb.examples import artin_schreier_data, run_example
 from valwb.field import GF, QQ
 from valwb.groupval import GroupVal
@@ -139,3 +140,26 @@ def test_witness_search_redraws_undecidable_samples():
     assert witness.operation == "witness search"
     assert witness.outcome == "ok: 200/200 sampled polynomials got a witness"
     assert witness.caveats == ("1 undecidable redraws",)
+
+
+def test_pair_equivalence_reports_undecidable_samples(monkeypatch):
+    # samples whose values are undecidable count as neither agreement nor
+    # failure; the verdict says how many there were
+    import valwb.selftest as selftest
+    real = selftest.eval_spec
+
+    def eval_spec(spec, f):
+        if f.degree() == 2:  # only the equivalence block draws degree 2
+            raise PrecisionExhausted("undecidable by construction")
+        return real(spec, f)
+
+    monkeypatch.setattr(selftest, "eval_spec", eval_spec)
+    rep = fresh(check_pair_equivalence, 0, 6, 10)
+    pairs = rep.verdicts[0]
+    assert pairs.operation == "pair equivalence"
+    (caveat,) = pairs.caveats
+    n = int(caveat.split()[0])
+    assert 0 < n < 60 and caveat == f"{n} undecidable samples"
+    # with every sample decided there is no caveat
+    monkeypatch.setattr(selftest, "eval_spec", real)
+    assert fresh(check_pair_equivalence, 0, 6, 10).verdicts[0].caveats == ()

@@ -99,6 +99,17 @@ def test_classify_generator_all_three():
     assert c3.limit.coeffs  # the tower itself, materialized
 
 
+def test_growing_denominators_within_the_cap_are_not_cauchy():
+    # mixed-radix(2,3) has support denominators 2^m: below horizon 7 they stay
+    # within the cap 64 but still grow, which proves neither verdict
+    for horizon in (3, 4, 5, 6):
+        with pytest.raises(HorizonExceeded):
+            classify_generator(mixed_radix_generator(2, 3, horizon), ram_cap=64)
+    for horizon in (7, 8):
+        verdict = classify_generator(mixed_radix_generator(2, 3, horizon), ram_cap=64)
+        assert isinstance(verdict, TranscendentalTypeEvidence)
+
+
 def test_bounded_gamma_evidence():
     from valwb.pcs import PcsGenerator
     # gamma_m = 1 - 1/(m+1) stays below the declared bound 1

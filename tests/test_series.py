@@ -14,7 +14,15 @@ from valwb.errors import (
 )
 from valwb.field import GF, QQ
 from valwb.groupval import GroupVal
-from valwb.series import PuiseuxSeries, RatFunc, coerce, invert, truncate_to_ratfunc
+from valwb.series import (
+    PuiseuxSeries,
+    RatFunc,
+    coerce,
+    invert,
+    is_dense,
+    tp_mul,
+    truncate_to_ratfunc,
+)
 
 F2 = GF(2)
 
@@ -269,3 +277,169 @@ def test_inverse_over_q_stays_exact_for_int_input():
     r = RatFunc(QQ, [1], [1, 2])  # 1/(1 + 2t), made monic: (1/2) / (1/2 + t)
     assert all(type(c) is Fraction for c in r.num + r.den)
     assert r.den == [Fraction(1, 2), 1]
+
+
+# -- dense kernels: Kronecker product and fraction-free coerce ---------------
+#
+# The references below are the pair loop and the Fraction long division the
+# kernels replaced; every value, scalar type, ram, cap and exception of the
+# kernels must match them.
+
+FIELDS = [QQ, F2, GF(3), GF(7), GF(2**31 - 1)]
+
+
+def ref_mul(a, b):
+    a._check(b)
+    f = a.field
+    if a.is_exact_zero() or b.is_exact_zero():
+        return PuiseuxSeries.zero(f)
+    v1, v2 = a.val_lower_bound(), b.val_lower_bound()
+    bounds = [p + v for p, v in ((a.prec, v2), (b.prec, v1)) if p is not None]
+    prec = min(bounds) if bounds else None
+    e = a.ram * b.ram // math.gcd(a.ram, b.ram)
+    s1, s2 = e // a.ram, e // b.ram
+    cap = math.inf if prec is None else math.ceil(prec * e)
+    xs, d1 = f.as_integers(a.coeffs.values())
+    ys, d2 = f.as_integers(b.coeffs.values())
+    terms2 = [(n2 * s2, y) for n2, y in zip(b.coeffs, ys)]
+    acc = {}
+    for n1, x in zip(a.coeffs, xs):
+        k1 = n1 * s1
+        for k2, y in terms2:
+            k = k1 + k2
+            if k < cap:
+                acc[k] = acc.get(k, 0) + x * y
+    d = d1 * d2
+    return PuiseuxSeries(f, e, {k: f.from_integer(v, d) for k, v in acc.items()}, prec)
+
+
+def ref_coerce(r, prec):
+    f = r.field
+    prec = Fraction(prec)
+    if r.is_zero():
+        return PuiseuxSeries.zero(f)
+    a = next(i for i, x in enumerate(r.num) if x)
+    b = next(i for i, x in enumerate(r.den) if x)
+    num, den, v0 = r.num[a:], r.den[b:], a - b
+    nterms = int(math.ceil(prec - v0))
+    if nterms <= 0:
+        return PuiseuxSeries.unknown_zero(f, prec)
+    inv_d0 = f.inv(den[0])
+    q, rem = [], list(num) + [f.zero()] * max(0, nterms - len(num))
+    for i in range(nterms):
+        c = f.mul(rem[i], inv_d0)
+        q.append(c)
+        if c:
+            for j in range(1, min(len(den), nterms - i)):
+                rem[i + j] = f.sub(rem[i + j], f.mul(c, den[j]))
+    return PuiseuxSeries(f, 1, {i + v0: c for i, c in enumerate(q) if c}, prec)
+
+
+def ref_tp_mul(field, a, b):
+    xs, d1 = field.as_integers(a)
+    ys, d2 = field.as_integers(b)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(xs):
+        if not x:
+            continue
+        for j, y in enumerate(ys):
+            out[i + j] += x * y
+    out = [field.from_integer(v, d1 * d2) for v in out]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def outcome(fn, *args):
+    """Everything a caller can observe: values with their types, ram, cap."""
+    try:
+        s = fn(*args)
+    except Exception as exc:  # the exception itself is part of the outcome
+        return ("raised", type(exc), str(exc))
+    if isinstance(s, list):
+        return [(type(c), c) for c in s]
+    return (s.ram, type(s.prec), s.prec,
+            sorted((n, type(c), c) for n, c in s.coeffs.items()))
+
+
+def random_scalar(field, rng):
+    if field.char:
+        return rng.randrange(1, field.char)
+    big = rng.random() < 0.2  # numerators beyond 64 bits
+    num = rng.randint(-2**90, 2**90) if big else rng.randint(-9, 9)
+    return Fraction(num or 1, rng.choice((1, 1, 2, 3, 7, 12)))
+
+
+def random_series(field, rng, ram=None):
+    shape = rng.random()
+    if shape < 0.05:
+        return PuiseuxSeries.unknown_zero(field, Fraction(rng.randint(-8, 20), rng.choice((1, 2))))
+    ram = ram or rng.choice((1, 2, 3, 6))
+    lo = rng.randint(-15, 10)
+    if shape < 0.15:
+        keys = [lo]  # single term
+    elif shape < 0.3:  # every coefficient of the largest size: slot sums reach their bound
+        big = field.char - 1 if field.char else rng.choice((-1, 1)) * 2**rng.randint(0, 70)
+        return PuiseuxSeries(field, ram, {n: field.coerce(big) for n in
+                                          range(lo, lo + rng.randint(2, 140))}, None)
+    elif shape < 0.7:
+        keys = range(lo, lo + rng.randint(2, 100))  # dense
+    else:
+        keys = {rng.randint(lo, lo + 90) for _ in range(rng.randint(2, 12))}
+    coeffs = {n: random_scalar(field, rng) for n in keys}
+    if rng.random() < 0.3:
+        prec = None
+    else:  # often exactly on a key, so product keys land on the cap
+        prec = Fraction(rng.choice(list(keys)) + rng.randint(0, 3), ram)
+    return PuiseuxSeries(field, ram, coeffs, prec)
+
+
+def test_mul_kernel_matches_the_pair_loop():
+    rng = random.Random(6)
+    dense = sparse = at_cap = 0
+    for i in range(600):
+        field = FIELDS[i % len(FIELDS)]
+        ram = rng.choice((1, 2, 3, 6))
+        a, b = random_series(field, rng, ram), random_series(field, rng, rng.choice((ram, None)))
+        if rng.random() < 0.02:
+            b = random_series(FIELDS[(i + 1) % len(FIELDS)], rng)  # field mismatch
+        n1, n2 = len(a.coeffs), len(b.coeffs)
+        e = a.ram * b.ram // math.gcd(a.ram, b.ram)
+        if n1 and n2 and a.field == b.field:
+            slots = sum((max(s.coeffs) - min(s.coeffs)) * (e // s.ram) for s in (a, b)) + 1
+            dense += is_dense(n1 * n2, slots)
+            sparse += not is_dense(n1 * n2, slots)
+            prec = ref_mul(a, b).prec
+            at_cap += prec is not None and any(
+                Fraction(n1, a.ram) + Fraction(n2, b.ram) == prec
+                for n1 in a.coeffs for n2 in b.coeffs)
+        assert outcome(PuiseuxSeries.__mul__, a, b) == outcome(ref_mul, a, b), i
+    assert dense >= 50 and sparse >= 50 and at_cap >= 30, (dense, sparse, at_cap)
+
+
+def test_tp_mul_kernel_matches_the_pair_loop():
+    rng = random.Random(7)
+    for i in range(300):
+        field = FIELDS[i % len(FIELDS)]
+        a, b = ([random_scalar(field, rng) if rng.random() < 0.8 else field.zero()
+                 for _ in range(rng.randint(1, 40))] + [field.one()] for _ in range(2))
+        assert outcome(tp_mul, field, a, b) == outcome(ref_tp_mul, field, a, b), i
+
+
+def test_coerce_kernel_matches_the_long_division():
+    rng = random.Random(8)
+    for i in range(400):
+        field = FIELDS[i % len(FIELDS)]
+
+        def poly(deg):
+            return ([field.zero()] * rng.randint(0, 4)
+                    + [random_scalar(field, rng) for _ in range(deg)] + [field.one()])
+
+        num = [] if rng.random() < 0.03 else poly(rng.randint(0, 10))
+        r = RatFunc(field, num, poly(rng.randint(0, 4)))
+        prec = rng.choice((Fraction(rng.randint(-6, 70), rng.choice((1, 2, 3))),
+                           rng.randint(-3, 40), "17/2"))
+        assert outcome(coerce, r, prec) == outcome(ref_coerce, r, prec), i
+    for bad in ("x", None):
+        r = RatFunc(QQ, [1], [1, 1])
+        assert outcome(coerce, r, bad) == outcome(ref_coerce, r, bad)

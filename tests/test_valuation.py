@@ -166,6 +166,19 @@ def test_is_key_polynomial():
     assert isinstance(v3, NoCounterexampleFound)
 
 
+def test_is_key_polynomial_counts_undecidable_samples_apart():
+    # X - O(t^(1/4)) has an undecidable delta at this spec: no evidence
+    spec = ValuationSpec.monomial(PuiseuxSeries.t_power(QQ, Fraction(1, 2)),
+                                  GroupVal.fin(Fraction(3, 4)))
+    Q = polyx_from_text(QQ, "X^2 - t")
+    vague = PuiseuxSeries.from_text(QQ, "O(t^(1/4))")
+    base = is_key_polynomial(spec, Q, 5, random.Random(4))
+    verdict = is_key_polynomial(spec, Q, 5, random.Random(4), extra_pool=[vague])
+    assert isinstance(verdict, NoCounterexampleFound)
+    assert (verdict.tested, verdict.undecidable) == (base.tested, 1)
+    assert base.undecidable == 0
+
+
 def test_is_key_polynomial_positive_evidence():
     # weight 1/2 at center t^(1/2): X^2 - t reaches delta = 1/2 but linear
     # polynomials over K peak strictly below it

@@ -1,6 +1,7 @@
 """Report format, config parsing, CLI exit codes, and the worked pipelines."""
 
 import io
+import random
 from contextlib import redirect_stdout, redirect_stderr
 from fractions import Fraction
 
@@ -212,3 +213,95 @@ def test_run_example_mixed_radix():
 def test_run_example_unknown():
     with pytest.raises(WorkbenchError):
         run_example("9.9")
+
+
+# -- CLI robustness: malformed input ends as "error: ...", never a traceback --
+
+CLI_BASELINE = {  # valid arguments for every subcommand
+    "eval": ["--poly", "X + t"],
+    "delta": ["--poly", "X^2 - t"],
+    "classify": [],
+    "induce": [],
+    "cskp-check": ["--poly", "X + t", "--seq", "X @ 0"],
+    "lift-cskp": ["--seq", "X @ 0"],
+    "density": ["--f", "X + t", "--g", "X", "--alpha", "3"],
+    "same-delta": ["--poly", "X^2 - t", "--alpha", "3"],
+    "threshold": ["--poly", "X^2 + t", "--alpha", "3"],
+    "pcs-classify": ["--generator", "exponential"],
+    "kras": ["--center", "t^(1/2)", "--minpoly", "X^2 - t"],
+    "example": ["6.2"],
+    "selftest": [],
+}
+
+CLI_FAULTS = [
+    ("config", "char = abc"), ("config", "char = 4"), ("config", "char = 1/0"),
+    ("config", "precision = zz"), ("config", "precision = 1/0"),
+    ("config", "precision = -3"), ("config", "ram_cap = x"), ("config", "ram_cap = 1.5"),
+    ("config", "horizon = h"), ("config", "horizon = 2"), ("config", "window = w"),
+    ("config", "seed = s"), ("config", "no equals sign"), ("config", "spec.kind = bogus"),
+    ("config", "spec.kind = monomial\nspec.gamma = q"),
+    ("config", "spec.kind = monomial\nspec.center = t^(1/0)\nspec.gamma = 1"),
+    ("config", "spec.kind = pcslimit\nspec.generator = mixed-radix(2)"),
+    ("config", "spec.kind = pcslimit\nspec.generator = artin-schreier(x)"),
+    ("config", "spec.kind = keypoly\nspec.Q = X^^2\nspec.vQ = 1"),
+    ("env", "abc"), ("env", "1/0"), ("env", ""),
+    ("--prec", "zz"), ("--prec", "0"), ("--prec", "1/0"), ("--seed", "x"),
+    ("--config", "missing.cfg"), ("--format", "xml"), ("--budget", "zz"),
+    ("--budget", "1/0"), ("--generator", "mixed-radix(2)"),
+    ("--generator", "mixed-radix(a,b)"), ("--generator", "artin-schreier(x)"),
+    ("--generator", "mixed-radix(3,2)"), ("--generator", "mixed-radix(0,1)"),
+    ("--generator", "artin-schreier(0)"), ("--generator", "artin-schreier(-3)"),
+    ("config", "horizon = -5"), ("config", "window = 0"), ("config", "ram_cap = -1"),
+    ("config", "char = -7"), ("--poly", "X^"), ("--poly", "X^(1/2)"),
+    ("--poly", "(("), ("--seq", "X @"), ("--seq", "junk"), ("--alpha", "q"),
+    ("--alpha", "(1,"), ("--center", "t^(1/0)"), ("--center", "t^x"),
+    ("--minpoly", "X^2 -- "), ("--f", "X^^"), ("--p", "x"), ("--q", "0"),
+]
+
+
+COMMON_FLAGS = ("--config", "--prec", "--seed", "--out", "--format")
+
+# optional flags, read by the subcommands named here besides those above
+CLI_OPTIONAL = {"--budget": ["lift-cskp"], "--center": ["lift-cskp"],
+                "--minpoly": ["lift-cskp"], "--p": ["example"], "--q": ["example"]}
+
+
+def run_faulty_cli(tmp_path, monkeypatch, command, faults):
+    cfg_text, argv = "spec.kind = gauss\n", list(CLI_BASELINE[command])
+    monkeypatch.delenv("VALWB_PREC", raising=False)
+    for key, value in faults:
+        if key == "config":
+            cfg_text = value + "\n"
+        elif key == "env":
+            monkeypatch.setenv("VALWB_PREC", value)
+        elif key in argv:
+            argv[argv.index(key) + 1] = value
+        else:
+            argv += [key, str(tmp_path / value) if key == "--config" else value]
+    if "--config" not in argv:
+        argv += ["--config", write_cfg(tmp_path, cfg_text)]
+    try:
+        return run_cli([command] + argv)
+    except SystemExit as exc:  # argparse rejects the command line, exit 2
+        return exc.code, "", ""
+
+
+def test_cli_malformed_input_never_leaks_a_traceback(tmp_path, monkeypatch):
+    rng = random.Random(0)
+    commands = list(CLI_BASELINE)
+    runs = []
+    for fault in CLI_FAULTS:
+        if fault[0] in ("config", "env") or fault[0] in COMMON_FLAGS:
+            readers = commands  # every subcommand reads the config and common flags
+        else:  # the commands that read the flag, and two more that reject it
+            readers = [c for c in commands if fault[0] in CLI_BASELINE[c]]
+            readers += CLI_OPTIONAL.get(fault[0], []) + rng.sample(commands, 2)
+        runs += [(c, [fault]) for c in readers]
+    for command in commands:  # and every command under two random pairs of faults
+        runs += [(command, rng.sample(CLI_FAULTS, 2)) for _ in range(2)]
+    for command, faults in runs:
+        code, _, err = run_faulty_cli(tmp_path, monkeypatch, command, faults)
+        assert code in (0, 1, 2), (command, faults)
+        assert "Traceback" not in err, (command, faults)
+        if code == 1:
+            assert err.startswith("error: "), (command, faults, err)
