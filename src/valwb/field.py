@@ -173,4 +173,7 @@ QQ = BaseField(0)
 
 
 def GF(p: int) -> BaseField:
+    """F_p; p = 0 is refused, since BaseField(0) would quietly be Q."""
+    if p < 2:
+        raise WorkbenchError(f"characteristic {p} is not prime")
     return BaseField(p)

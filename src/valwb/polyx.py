@@ -23,7 +23,8 @@ from fractions import Fraction
 from .errors import ParseError, PrecisionExhausted, WorkbenchError, ZeroPolynomial
 from .field import BaseField
 from .groupval import GroupVal
-from .series import DEFAULT_PREC, PuiseuxSeries, RatFunc, coerce
+from .series import (DEFAULT_PREC, PuiseuxSeries, RatFunc, coerce, lattice_cap,
+                     lattice_product, min_prec, product_prec)
 
 RATFUNC = "ratfunc"
 SERIES = "series"
@@ -51,13 +52,6 @@ def elt_as_series(c, prec=None) -> PuiseuxSeries:
         to_scalar = c.field.coerce
         return PuiseuxSeries(c.field, 1, {i: to_scalar(x) for i, x in enumerate(c.num)}, None)
     return coerce(c, DEFAULT_PREC if prec is None else prec)
-
-
-def elt_scalar_mul(c, s):
-    """Multiply a coefficient by a base-field scalar."""
-    if isinstance(c, RatFunc):
-        return c * RatFunc.constant(c.field, s)
-    return c.scalar_mul(s)
 
 
 class PolyX:
@@ -191,7 +185,8 @@ class PolyX:
         """Coefficients C_i with f(X) = sum C_i (X - a)^i.
 
         Computed by the binomial (Hasse-derivative) formula, valid in every
-        characteristic; exact over RatFunc, precision-tracked over series.
+        characteristic; exact over RatFunc, precision-tracked over series
+        (:func:`_shift_series`).
         """
         want_series = isinstance(a, PuiseuxSeries) or self.domain == SERIES
         if want_series:
@@ -206,20 +201,18 @@ class PolyX:
         if exact_zero:
             # every shifted term carries a power of the exact zero
             return list(poly.coeffs)
-        powers = [None] * (n + 1)
         if want_series:
-            powers[0] = PuiseuxSeries.one(self.field)
-        else:
-            powers[0] = RatFunc.one(self.field)
-        for d in range(1, n + 1):
-            powers[d] = powers[d - 1] * a
+            return _shift_series(self.field, poly.coeffs, a)
+        powers = [RatFunc.one(self.field)]
+        for _ in range(n):
+            powers.append(powers[-1] * a)
         one = self.field.one()
         out = []
         for i, row in enumerate(_hasse_binomials(self.field, n)):
             acc = poly.coeffs[i]
             for j, b in row:
                 term = poly.coeffs[j] * powers[j - i]
-                acc = acc + (term if b == one else elt_scalar_mul(term, b))
+                acc = acc + (term if b == one else term * RatFunc.constant(self.field, b))
             out.append(acc)
         return out
 
@@ -353,6 +346,61 @@ def _hasse_binomials(field: BaseField, n: int) -> tuple:
     return tuple(rows)
 
 
+def _shift_series(field: BaseField, coeffs, a: PuiseuxSeries) -> list:
+    """C_i = sum over j of C(j, i) c_j a^(j-i), for series c_j and a center a
+    that is not the exact zero, computed on integer images.
+
+    The caps are those of the series arithmetic term by term: a^d = a^(d-1) a
+    and c_j a^d by the product rule, C_i the least cap of its summands.  They
+    come first, in closed form.  Every cap the term-by-term sum cuts at is at
+    least the final one, so each C_i is summed below its own cap and cut once
+    there, with the same values, ram and cap.  Each series keeps the keys of
+    its own lattice until a product moves them to the common one, (1/e)Z;
+    over Q the coefficients share one denominator and the center another,
+    over F_p the images are the residues.
+    """
+    n, p = len(coeffs) - 1, field.char
+    if n and a.field != field:
+        raise WorkbenchError("base field mismatch")
+    e = math.lcm(a.ram, *(c.ram for c in coeffs))
+    flat, dc = field.as_integers([x for c in coeffs for x in c.coeffs.values()])
+    flat = iter(flat)
+    images = [dict(zip(c.coeffs, flat)) for c in coeffs]
+    ys, da = field.as_integers(a.coeffs.values())
+    va, sa = a.val_lower_bound(), e // a.ram
+    powers = [({0: 1}, None, Fraction(0))]  # (image of a^d, its cap, its valuation bound)
+    for _ in range(n):
+        pw, prec, v = powers[-1]
+        prec = product_prec(prec, v, a.prec, va)
+        pw = lattice_product(pw, 1, list(pw.values()), a.coeffs, 1, ys, lattice_cap(prec, a.ram))
+        if p:  # residues, and the keys whose terms cancel mod p dropped
+            pw = {k: x % p for k, x in pw.items() if x % p}
+        powers.append((pw, prec, Fraction(min(pw), a.ram) if pw else prec))
+    out, lower = [], field.from_integer
+    for i, row in enumerate(_hasse_binomials(field, n)):
+        terms = [(j, b) for j, b in row if not coeffs[j].is_exact_zero()]
+        if not terms:  # adding exact zeros changes neither values nor the cap
+            out.append(coeffs[i])
+            continue
+        prec = coeffs[i].prec
+        for j, _ in terms:
+            c, (_, cap, v) = coeffs[j], powers[j - i]
+            prec = min_prec(prec, product_prec(c.prec, c.val_lower_bound(), cap, v))
+        cap = lattice_cap(prec, e)
+        m = terms[-1][0] - i  # C_i has the denominator dc * da^m
+        s = e // coeffs[i].ram
+        acc = {k * s: x * da**m for k, x in images[i].items() if k * s < cap}
+        for j, b in terms:
+            img, pw = images[j], powers[j - i][0]
+            w = int(b) * da**(m - j + i)
+            for k, x in lattice_product(img, e // coeffs[j].ram, [w * x for x in img.values()],
+                                        pw, sa, list(pw.values()), cap).items():
+                acc[k] = acc.get(k, 0) + x
+        d = dc * da**m
+        out.append(PuiseuxSeries(field, e, {k: lower(x, d) for k, x in acc.items() if x}, prec))
+    return out
+
+
 def _lower_hull(points):
     """Lower convex hull of (i, v) points sorted by i."""
     hull = []
@@ -369,11 +417,14 @@ def _lower_hull(points):
 
 
 def _hull_height(hull, x):
-    """Height of the hull's lower boundary at abscissa x (inf outside)."""
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        if x1 <= x <= x2:
-            return y1 + Fraction(y2 - y1, x2 - x1) * (x - x1)
-    return hull[0][1] if hull and x <= hull[0][0] else Fraction(-1) * 10**18
+    """Height of the hull's lower boundary at abscissa x.
+
+    :meth:`PolyX.newton_polygon` puts known points at both ends, the first
+    decidably nonzero index k and the degree n, and asks only about
+    undecidable indices between them, so x always lies inside the hull.
+    """
+    return next(y1 + Fraction(y2 - y1, x2 - x1) * (x - x1)
+                for (x1, y1), (x2, y2) in zip(hull, hull[1:]) if x1 <= x <= x2)
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,7 @@ def convolve(xs, ys, n: int) -> list:
         # carries into the next and they read off as unsigned bytes
         halves = int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
         prod = _pack(xs, bits) * _pack(ys, bits) + halves
-        raw = (prod % (1 << (bits * n))).to_bytes(nbytes * n, "little")
+        raw = (prod & ((1 << (bits * n)) - 1)).to_bytes(nbytes * n, "little")
         return [int.from_bytes(raw[i:i + nbytes], "little") - half
                 for i in range(0, nbytes * n, nbytes)]
     out = [0] * (len(xs) + len(ys) - 1)
@@ -112,6 +112,23 @@ def _dense_product(c1, s1, xs, c2, s2, ys, cap):
             if k * s - lo < n:
                 out[k * s - lo] = v
     return {lo1 + lo2 + i: v for i, v in enumerate(convolve(*dense, n)) if v}
+
+
+def lattice_product(c1, s1, xs, c2, s2, ys, cap) -> dict:
+    """{k: sum of x*y over k = n1*s1 + n2*s2 < cap} for the keys n1 of c1 and
+    n2 of c2, whose integer images are xs and ys: the packed product for dense
+    operands, the pair loop otherwise."""
+    acc = _dense_product(c1, s1, xs, c2, s2, ys, cap)
+    if acc is None:
+        acc = {}
+        terms2 = [(n2 * s2, y) for n2, y in zip(c2, ys)]
+        for n1, x in zip(c1, xs):
+            k1 = n1 * s1
+            for k2, y in terms2:
+                k = k1 + k2
+                if k < cap:
+                    acc[k] = acc.get(k, 0) + x * y
+    return acc
 
 
 def _pack(vs, bits) -> int:
@@ -421,7 +438,7 @@ class PuiseuxSeries:
         self._normalize()
 
     def _normalize(self):
-        cap = math.inf if self.prec is None else _lattice_cap(self.prec, self.ram)
+        cap = lattice_cap(self.prec, self.ram)
         # a fresh dict: deleting in place would keep the table sized for
         # every key the operation produced, not for the keys that survive
         self.coeffs = {n: c for n, c in self.coeffs.items() if c and n < cap}
@@ -544,7 +561,7 @@ class PuiseuxSeries:
         for n, c in other.coeffs.items():
             k = n * s2
             coeffs[k] = add(coeffs[k], c) if k in coeffs else c
-        prec = _min_prec(self.prec, other.prec)
+        prec = min_prec(self.prec, other.prec)
         return PuiseuxSeries(f, e, coeffs, prec)
 
     def __neg__(self):
@@ -560,27 +577,14 @@ class PuiseuxSeries:
         f = self.field
         if self.is_exact_zero() or other.is_exact_zero():
             return PuiseuxSeries.zero(f)
-        v1, v2 = self.val_lower_bound(), other.val_lower_bound()
-        prec = _min_prec(
-            None if self.prec is None else self.prec + v2,
-            None if other.prec is None else other.prec + v1,
-        )
+        prec = product_prec(self.prec, self.val_lower_bound(), other.prec, other.val_lower_bound())
         e = self.ram * other.ram // math.gcd(self.ram, other.ram)
         s1, s2 = e // self.ram, e // other.ram
-        cap = math.inf if prec is None else _lattice_cap(prec, e)
+        cap = lattice_cap(prec, e)
         # convolve integer images; one scalar is rebuilt per output key
         xs, d1 = f.as_integers(self.coeffs.values())
         ys, d2 = f.as_integers(other.coeffs.values())
-        acc = _dense_product(self.coeffs, s1, xs, other.coeffs, s2, ys, cap)
-        if acc is None:
-            acc = {}
-            terms2 = [(n2 * s2, y) for n2, y in zip(other.coeffs, ys)]
-            for n1, x in zip(self.coeffs, xs):
-                k1 = n1 * s1
-                for k2, y in terms2:
-                    k = k1 + k2
-                    if k < cap:
-                        acc[k] = acc.get(k, 0) + x * y
+        acc = lattice_product(self.coeffs, s1, xs, other.coeffs, s2, ys, cap)
         d = d1 * d2
         lower = f.from_integer
         return PuiseuxSeries(f, e, {k: lower(v, d) for k, v in acc.items()}, prec)
@@ -677,18 +681,27 @@ class PuiseuxSeries:
         return PuiseuxSeries.from_terms(field, terms, prec)
 
 
-def _lattice_cap(prec, e: int) -> int:
+def lattice_cap(prec, e: int):
     """ceil(prec * e): the least key n with n/e >= prec, so keys at or above
-    it lie beyond the cap O(t^prec) on the lattice (1/e)Z."""
+    it lie beyond the cap O(t^prec) on the lattice (1/e)Z; inf for no cap."""
+    if prec is None:
+        return math.inf
     return -(-prec.numerator * e // prec.denominator)
 
 
-def _min_prec(p1: Optional[Fraction], p2: Optional[Fraction]) -> Optional[Fraction]:
+def min_prec(p1: Optional[Fraction], p2: Optional[Fraction]) -> Optional[Fraction]:
+    """The cap of a sum; None is no cap."""
     if p1 is None:
         return p2
     if p2 is None:
         return p1
     return min(p1, p2)
+
+
+def product_prec(p1, v1, p2, v2) -> Optional[Fraction]:
+    """The cap of a product, min(p1 + v2, p2 + v1), for factors with caps p1
+    and p2 (None: exact) and valuation lower bounds v1 and v2."""
+    return min_prec(None if p1 is None else p1 + v2, None if p2 is None else p2 + v1)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,17 @@
 Each test drives the public library surface end to end and asserts exact
 values; the sampled harnesses are seeded, so every run checks the same
 instances.  Criteria that delegate to a selftest harness additionally
-assert that no verdict in the produced report failed.
+assert that no verdict in the produced report failed.  The harnesses run
+once, inside the seed-0 suite that the determinism criterion pins byte for
+byte, and each criterion inspects the verdicts its harness wrote there.
 """
 
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
+
+import valwb.selftest as selftest
 
 from valwb.algnum import Linear, attach_minpoly, minpoly_over_completion
 from valwb.errors import PrecisionExhausted
@@ -50,6 +56,39 @@ def fresh(checker, *args):
     return rep
 
 
+HARNESSES = ("check_valuation_axioms", "check_value_comparison_laws",
+             "check_pair_equivalence", "check_density", "check_same_delta",
+             "check_root_continuity", "check_conjugacy")
+
+
+@pytest.fixture(scope="module")
+def suite():
+    """run_all(0), run once: (the report, {harness: the verdicts it wrote})."""
+    written = {}
+
+    def recording(name, checker):
+        def run(rep, *args):
+            start = len(rep.verdicts)
+            checker(rep, *args)
+            written[name] = rep.verdicts[start:]
+        return run
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in HARNESSES:
+            mp.setattr(selftest, name, recording(name, getattr(selftest, name)))
+        report = run_all(0)
+    return report, written
+
+
+def harness(suite, checker):
+    """The verdicts ``checker`` wrote in the seed-0 suite; none may fail."""
+    rep = Report("acceptance")
+    rep.verdicts = suite[1][checker.__name__]
+    assert rep.verdicts, "the harness recorded no verdicts"
+    assert not rep.failed(), rep.to_human()
+    return rep
+
+
 # 1. char-p tower pipeline: delta table, classification, lift
 def test_tower_pipeline_both_characteristics():
     for p in (2, 3):
@@ -87,38 +126,38 @@ def test_mixed_radix_pipeline():
 
 
 # 4. valuation axioms on randomized inputs across the spec families
-def test_valuation_axioms():
-    fresh(check_valuation_axioms, 0)
+def test_valuation_axioms(suite):
+    harness(suite, check_valuation_axioms)
 
 
 # 5. comparison laws relating a spec to its truncations and key polynomials
-def test_value_comparison_laws():
-    fresh(check_value_comparison_laws, 0)
+def test_value_comparison_laws(suite):
+    harness(suite, check_value_comparison_laws)
 
 
 # 6. equivalent pairs define the same extension
-def test_pair_equivalence():
-    fresh(check_pair_equivalence, 0)
+def test_pair_equivalence(suite):
+    harness(suite, check_pair_equivalence)
 
 
 # 7. density of K(X) values below the cofinality obstruction
-def test_density():
-    fresh(check_density, 0)
+def test_density(suite):
+    harness(suite, check_density)
 
 
 # 8. same-degree same-delta approximation over K
-def test_same_delta():
-    fresh(check_same_delta, 0)
+def test_same_delta(suite):
+    harness(suite, check_same_delta)
 
 
 # 9. continuity of roots under small coefficient perturbations
-def test_root_continuity():
-    fresh(check_root_continuity, 0)
+def test_root_continuity(suite):
+    harness(suite, check_root_continuity)
 
 
 # 10. conjugate centers induce extensions of the same kind
-def test_conjugacy():
-    fresh(check_conjugacy)
+def test_conjugacy(suite):
+    harness(suite, check_conjugacy)
 
 
 GOLDEN = Path(__file__).parent / "golden" / "selftest_seed0.txt"
@@ -126,8 +165,8 @@ GOLDEN = Path(__file__).parent / "golden" / "selftest_seed0.txt"
 
 # 11. byte-identical structured reports under a fixed seed, across commits:
 # the golden file is regenerated only when a verdict changes on purpose
-def test_selftest_determinism():
-    report = run_all(0)
+def test_selftest_determinism(suite):
+    report = suite[0]
     assert not report.failed(), report.to_human()
     assert report.to_structured() == GOLDEN.read_text(encoding="utf-8")
 

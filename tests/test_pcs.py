@@ -140,3 +140,13 @@ def test_horizon_guard():
     with pytest.raises(HorizonExceeded):
         gen.element(6)
     assert gen.raised(9).element(9) is not None
+
+
+def test_artin_schreier_refuses_characteristic_zero():
+    # GF(0) used to be Q, so the sequence was built over Q and failed later
+    # with "consecutive elements 1, 2 coincide"
+    with pytest.raises(WorkbenchError, match="characteristic 0"):
+        builtin_generator("artin-schreier(0)")
+    with pytest.raises(WorkbenchError, match="characteristic 1"):
+        artin_schreier_generator(1)
+    assert builtin_generator("artin-schreier(3)").field == GF(3)

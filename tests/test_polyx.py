@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -193,3 +194,128 @@ def test_elt_as_series_of_a_polynomial_matches_from_terms():
             got = elt_as_series(r)
             assert got == want and got.is_exact()
             assert list(got.coeffs.items()) == list(want.coeffs.items())
+
+
+# -- recentering on integer images -------------------------------------------
+#
+# The reference is the term-by-term Hasse loop over PuiseuxSeries that the
+# integer kernel replaced; every value, scalar type, ram, cap and exception
+# of the kernel must match it.
+
+FIELDS = [QQ, F2, GF(3), GF(7), GF(2**31 - 1)]
+
+
+def ref_recenter(f, a):
+    a = elt_as_series(a) if isinstance(a, RatFunc) else a
+    poly = f.to_series(a.prec)
+    n = poly.degree()
+    if n < 0:
+        return []
+    if a.is_exact_zero():
+        return list(poly.coeffs)
+    powers = [PuiseuxSeries.one(f.field)]
+    for _ in range(n):
+        powers.append(powers[-1] * a)
+    one = f.field.one()
+    out = []
+    for i in range(n + 1):
+        acc = poly.coeffs[i]
+        for j in range(i + 1, n + 1):
+            b = f.field.coerce(math.comb(j, i))
+            if b:
+                term = poly.coeffs[j] * powers[j - i]
+                acc = acc + (term if b == one else term.scalar_mul(b))
+        out.append(acc)
+    return out
+
+
+def recentered(fn, f, a):
+    """Everything a caller can observe: values with their types, ram, cap."""
+    try:
+        C = fn(f, a)
+    except Exception as exc:  # the exception itself is part of the outcome
+        return ("raised", type(exc), str(exc))
+    return [(c.ram, type(c.prec), c.prec, sorted((n, type(x), x) for n, x in c.coeffs.items()))
+            for c in C]
+
+
+def nonzero_scalar(field, rng):
+    if field.char:
+        return rng.randrange(1, field.char)
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 2**rng.choice((3, 3, 70))),
+                    rng.choice((1, 1, 2, 3, 12)))
+
+
+def series_with_keys(field, rng, ram, keys, capped):
+    prec = Fraction(max(keys) + rng.randint(-2, 4), ram) if capped else None
+    return PuiseuxSeries(field, ram, {k: nonzero_scalar(field, rng) for k in keys}, prec)
+
+
+def random_center(field, rng, kind):
+    ram, capped = rng.choice((1, 2, 3, 6)), rng.random() < 0.5
+    if kind == "unknown zero":
+        return PuiseuxSeries.unknown_zero(field, Fraction(rng.randint(-4, 12), ram))
+    if kind == "pole":  # a RatFunc center, expanded at the default cap
+        return RatFunc(field, [nonzero_scalar(field, rng) for _ in range(rng.randint(1, 3))],
+                       [field.coerce(rng.choice((1, -2, 3))), field.one()])
+    lo = rng.randint(-4, -1) if kind == "negative" else rng.randint(0, 4)
+    width = 1 if kind == "one term" else rng.randint(2, 16)
+    return series_with_keys(field, rng, ram, range(lo, lo + width), capped)
+
+
+def random_coefficient(field, rng):
+    shape, ram = rng.random(), rng.choice((1, 2, 3, 6))
+    if shape < 0.12:
+        return PuiseuxSeries.zero(field)
+    if shape < 0.22:
+        return PuiseuxSeries.unknown_zero(field, Fraction(rng.randint(-6, 14), ram))
+    lo = rng.randint(-8, 6)  # negative keys about a third of the time
+    if shape < 0.6:
+        keys = range(lo, lo + rng.randint(1, 14))
+    else:
+        keys = sorted({rng.randint(lo, lo + 30) for _ in range(rng.randint(1, 5))})
+    return series_with_keys(field, rng, ram, keys, rng.random() < 0.6)
+
+
+def random_ratfunc_with_pole(field, rng):
+    num = [nonzero_scalar(field, rng) if rng.random() < 0.7 else field.zero()
+           for _ in range(rng.randint(1, 4))]
+    den = [field.zero()] * rng.randint(0, 2) + [nonzero_scalar(field, rng), field.one()]
+    return RatFunc(field, num, den)
+
+
+def test_recenter_kernel_matches_the_hasse_series_loop():
+    rng = random.Random(12)
+    kinds = ("one term", "dense", "negative", "unknown zero", "pole")
+    seen = {"raised": 0, "unknown-zero outputs": 0, "ratfunc": 0}
+    for i in range(325):
+        field = FIELDS[i % len(FIELDS)]
+        kind = kinds[i // len(FIELDS) % len(kinds)]
+        a = random_center(field, rng, kind)
+        deg = rng.randint(1, 8)
+        # a RatFunc polynomial at a RatFunc center would stay exact
+        if kind != "pole" and rng.random() < 0.3:
+            coeffs = [random_ratfunc_with_pole(field, rng) for _ in range(deg + 1)]
+            if coeffs[-1].is_zero():
+                coeffs[-1] = RatFunc.constant(field, nonzero_scalar(field, rng))
+            f = PolyX.from_ratfuncs(field, coeffs)
+            seen["ratfunc"] += 1
+        else:
+            k = rng.randint(-3, 3)
+            ram = rng.choice((1, 2, 3, 6))
+            lead = PuiseuxSeries(field, ram, {k: nonzero_scalar(field, rng)},
+                                 rng.choice((None, Fraction(k + rng.randint(1, 9), ram))))
+            coeffs = [random_coefficient(field, rng) for _ in range(deg)]
+            f = PolyX.from_series(field, coeffs + [lead])
+        if rng.random() < 0.03:
+            a = random_center(FIELDS[(i + 1) % len(FIELDS)], rng, kind)  # field mismatch
+        got = recentered(PolyX.recenter_hasse, f, a)
+        assert got == recentered(ref_recenter, f, a), (i, kind, f, a)
+        if got[0] == "raised":
+            seen["raised"] += 1
+        else:
+            seen["unknown-zero outputs"] += sum(1 for _, _, prec, c in got
+                                                if prec is not None and not c)
+    assert seen["raised"] >= 5 and seen["unknown-zero outputs"] >= 30, seen
+    assert seen["ratfunc"] >= 60, seen
+
