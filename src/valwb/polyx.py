@@ -364,7 +364,7 @@ def _shift_series(field: BaseField, coeffs, a: PuiseuxSeries) -> list:
         raise WorkbenchError("base field mismatch")
     e = math.lcm(a.ram, *(c.ram for c in coeffs))
     flat, dc = field.as_integers([x for c in coeffs for x in c.coeffs.values()])
-    flat = iter(flat)
+    flat = iter(flat)  # zip stops at the last key of c before it takes a value
     images = [dict(zip(c.coeffs, flat)) for c in coeffs]
     ys, da = field.as_integers(a.coeffs.values())
     va, sa = a.val_lower_bound(), e // a.ram

@@ -14,7 +14,6 @@ from pathlib import Path
 import pytest
 
 import valwb.selftest as selftest
-
 from valwb.algnum import Linear, attach_minpoly, minpoly_over_completion
 from valwb.errors import PrecisionExhausted
 from valwb.examples import artin_schreier_data, run_example
@@ -86,7 +85,6 @@ def harness(suite, checker):
     rep.verdicts = suite[1][checker.__name__]
     assert rep.verdicts, "the harness recorded no verdicts"
     assert not rep.failed(), rep.to_human()
-    return rep
 
 
 # 1. char-p tower pipeline: delta table, classification, lift
