@@ -45,7 +45,7 @@ from .pcs import (
 from .polyx import PolyX
 from .report import Report, digest
 from .sampling import _redraw, random_polyx
-from .series import PuiseuxSeries, RatFunc
+from .series import DEFAULT_PREC, PuiseuxSeries, RatFunc
 from .valuation import ValuationSpec, delta
 from .errors import WorkbenchError
 
@@ -116,12 +116,12 @@ def _example_tower(p: int, witness_samples: int, seed: int) -> Report:
     kind = classify_extension(spec)
     rep.check("classify", inp, kind == VALUE_TRANSCENDENTAL_UNIQUE_PAIR, kind,
               "the weight (1, 0) exceeds every rational, so the pair is unique")
-    res = minpoly_over_completion(data["a_alg"], Fraction(64))
+    res = minpoly_over_completion(data["a_alg"], DEFAULT_PREC)
     root_ok = isinstance(res, Linear) and not (res.root - data["a"]).coeffs
     rep.check("root in completion", inp, root_ok,
               res.root.to_text() if isinstance(res, Linear) else "no root",
               "digit recursion on the certificate finds the tower itself")
-    lifted, note = lift_cskp(seq, spec, center=data["a_alg"], budget=Fraction(64))
+    lifted, note = lift_cskp(seq, spec, center=data["a_alg"], budget=DEFAULT_PREC)
     qhat, dhat = lifted[-1]
     rep.check("lift sequence", inp,
               qhat.degree() == 1 and dhat == GAMMA_TOP and len(lifted) == len(seq),

@@ -26,6 +26,7 @@ from .errors import (
 )
 from .groupval import FIN0, GroupVal
 from .pcs import (
+    DEFAULT_RAM_CAP,
     CauchyWithLimit,
     StrictlyIncreasingAtHorizon,
     TranscendentalTypeEvidence,
@@ -33,7 +34,7 @@ from .pcs import (
     values_along,
 )
 from .polyx import RATFUNC, SERIES, PolyX
-from .series import PuiseuxSeries, RatFunc, truncate_to_ratfunc
+from .series import DEFAULT_PREC, PuiseuxSeries, RatFunc, truncate_to_ratfunc
 from .valuation import OVER_KHAT, ValuationSpec, delta, eval_spec, is_pair_equivalent
 
 # extension kinds
@@ -47,7 +48,7 @@ DENSITY_KINDS = (RESIDUE_TRANSCENDENTAL, VALUE_TRANSCENDENTAL_COFINAL,
                  VALUATION_ALGEBRAIC_TYPE_I)
 
 
-def classify_extension(spec: ValuationSpec, ram_cap: int = 64) -> str:
+def classify_extension(spec: ValuationSpec, ram_cap: int = DEFAULT_RAM_CAP) -> str:
     """Map a spec to its extension kind.
 
     Monomial weights in the embedded rationals give residue-transcendental
@@ -56,8 +57,6 @@ def classify_extension(spec: ValuationSpec, ram_cap: int = 64) -> str:
     generator's Cauchy/transcendental-type dichotomy.
     """
     if spec.kind in ("gauss", "monomial"):
-        if spec.gamma.is_inf:
-            raise WorkbenchError("a valuation weight cannot be infinite")
         if spec.gamma.is_torsion_mod_base():
             if spec.declared_cofinal:
                 return VALUE_TRANSCENDENTAL_COFINAL
@@ -71,7 +70,7 @@ def classify_extension(spec: ValuationSpec, ram_cap: int = 64) -> str:
     raise WorkbenchError(f"cannot classify a spec of kind {spec.kind!r}")
 
 
-def induce(spec: ValuationSpec, ram_cap: int = 64):
+def induce(spec: ValuationSpec, ram_cap: int = DEFAULT_RAM_CAP):
     """The induced extension on K-hat(X), with a provenance note.
 
     Monomial data carries over unchanged (the induced extension is uniquely
@@ -161,7 +160,7 @@ def cskp_check(seq: CskpSeq, f: PolyX, spec: ValuationSpec) -> object:
 
 
 def lift_cskp(seq: CskpSeq, spec: ValuationSpec, center: Optional[AlgElement] = None,
-              budget=Fraction(64), ram_cap: int = 64):
+              budget=DEFAULT_PREC, ram_cap: int = DEFAULT_RAM_CAP):
     """Lift a complete sequence over K to one over the completion.
 
     Cofinal and transcendental-type cases pass through unchanged.  In the
@@ -305,7 +304,7 @@ class DensityResult:
 
 
 def approximate_density(f: PolyX, g: PolyX, alpha: GroupVal,
-                        spec: ValuationSpec, ram_cap: int = 64) -> DensityResult:
+                        spec: ValuationSpec, ram_cap: int = DEFAULT_RAM_CAP) -> DensityResult:
     """Theorem-1.4-style approximation of f/g by a quotient over K.
 
     Selects the weight beta from the two inequality families (beta + i*gamma
@@ -466,7 +465,8 @@ def uniqueness_check(a, b, gamma: GroupVal, samples, spec_over=OVER_KHAT) -> dic
             "discrepancies": discrepancies}
 
 
-def conjugacy_check(a: AlgElement, gamma: GroupVal, m: int, ram_cap: int = 64) -> dict:
+def conjugacy_check(a: AlgElement, gamma: GroupVal, m: int,
+                    ram_cap: int = DEFAULT_RAM_CAP) -> dict:
     """Twist the center and compare certificates and classifications.
 
     The twisted center must satisfy the same minimal polynomial, and the

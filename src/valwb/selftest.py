@@ -28,7 +28,7 @@ from .pcs import exponential_generator, mixed_radix_generator
 from .polyx import PolyX, RATFUNC, SERIES
 from .report import Report, digest
 from .sampling import _redraw, random_polyx, random_ratfunc, random_series
-from .series import PuiseuxSeries, RatFunc
+from .series import DEFAULT_PREC, PuiseuxSeries, RatFunc
 from .valuation import ValuationSpec, delta, eval_spec, is_pair_equivalent
 
 
@@ -280,9 +280,9 @@ def check_density(rep: Report, seed: int) -> None:
         failures = 0
         for _ in range(n):
             f = random_polyx(QQ, rng, rng.randint(1, 2), domain=SERIES,
-                             monic=True, prec=Fraction(64))
+                             monic=True, prec=DEFAULT_PREC)
             g = random_polyx(QQ, rng, rng.randint(0, 2), domain=SERIES,
-                             monic=True, prec=Fraction(64))
+                             monic=True, prec=DEFAULT_PREC)
             alpha = GroupVal.fin(rng.randint(1, 3))
             try:
                 res = approximate_density(f, g, alpha, spec)
@@ -327,7 +327,7 @@ def check_same_delta(rep: Report, seed: int, samples: int = 100) -> None:
     failures = 0
     for _ in range(samples):
         f = random_polyx(QQ, rng, rng.randint(1, 2), domain=SERIES,
-                         monic=True, prec=Fraction(64))
+                         monic=True, prec=DEFAULT_PREC)
         try:
             out = approximate_same_delta(f, alpha, spec)
             ok = (out.domain == RATFUNC and out.degree() == f.degree()

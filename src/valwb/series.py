@@ -57,6 +57,14 @@ def tp_add(field, a, b):
     return tp_trim(field, out)
 
 
+def tp_sub(field, a, b):
+    sub = field.sub
+    out = list(a) + [field.zero()] * (len(b) - len(a))
+    for i, x in enumerate(b):
+        out[i] = sub(out[i], x)
+    return tp_trim(field, out)
+
+
 def tp_mul(field, a, b):
     if not a or not b:
         return []
@@ -348,9 +356,22 @@ class RatFunc:
         if self.field != other.field:
             raise WorkbenchError("base field mismatch")
 
+    @staticmethod
+    def _polynomial(field: BaseField, num: list) -> "RatFunc":
+        """The polynomial num, already trimmed; nothing left to normalize."""
+        out = object.__new__(RatFunc)
+        out.field, out.num, out.den = field, num, [field.one()]
+        return out
+
+    # Polynomial operands (den = [1], every RatFunc the suite draws) work on
+    # numerators alone: the general formulas would only multiply by the unit
+    # denominators and reduce by a gcd of 1.
+
     def __add__(self, other: "RatFunc") -> "RatFunc":
         self._check(other)
         f = self.field
+        if len(self.den) == 1 == len(other.den):
+            return RatFunc._polynomial(f, tp_add(f, self.num, other.num))
         num = tp_add(f, tp_mul(f, self.num, other.den), tp_mul(f, other.num, self.den))
         return RatFunc(f, num, tp_mul(f, self.den, other.den))
 
@@ -358,11 +379,17 @@ class RatFunc:
         return RatFunc(self.field, [self.field.neg(x) for x in self.num], self.den)
 
     def __sub__(self, other):
+        self._check(other)
+        f = self.field
+        if len(self.den) == 1 == len(other.den):
+            return RatFunc._polynomial(f, tp_sub(f, self.num, other.num))
         return self + (-other)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
         self._check(other)
         f = self.field
+        if len(self.den) == 1 == len(other.den):
+            return RatFunc._polynomial(f, tp_mul(f, self.num, other.num))
         return RatFunc(f, tp_mul(f, self.num, other.num), tp_mul(f, self.den, other.den))
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":

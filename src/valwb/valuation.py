@@ -32,7 +32,7 @@ from .errors import (
 )
 from .field import BaseField
 from .groupval import FIN0, GroupVal
-from .polyx import PolyX, elt_as_series, elt_is_decidably_zero, elt_is_unknown_zero
+from .polyx import PolyX, elt_as_series, elt_is_decidably_zero
 from .series import PuiseuxSeries, RatFunc
 
 OVER_K = "K"
@@ -67,6 +67,7 @@ class ValuationSpec:
 
     @staticmethod
     def monomial(center, gamma: GroupVal, over=OVER_K) -> "ValuationSpec":
+        _require_finite(gamma)
         if isinstance(center, RatFunc):
             center = elt_as_series(center)
         field = center.field
@@ -76,6 +77,7 @@ class ValuationSpec:
     def keypoly(Q: PolyX, vQ: GroupVal, base: "ValuationSpec", over=OVER_K) -> "ValuationSpec":
         if not Q.is_monic() or Q.degree() < 1:
             raise WorkbenchError("key polynomial must be monic of degree >= 1")
+        _require_finite(vQ)
         return ValuationSpec("keypoly", Q.field, Q=Q, vQ=vQ, base=base, over=over)
 
     @staticmethod
@@ -102,6 +104,11 @@ class ValuationSpec:
 
     def __repr__(self):
         return f"ValuationSpec({self.to_text()})"
+
+
+def _require_finite(weight: GroupVal) -> None:
+    if weight.is_inf:
+        raise WorkbenchError("a valuation weight cannot be infinite")
 
 
 # ---------------------------------------------------------------------------
@@ -141,27 +148,37 @@ def _min_weighted(C: list, gamma: GroupVal) -> GroupVal:
     """min(val C_i + i*gamma) with honest undecidability handling.
 
     Unknown-zero coefficients contribute only a lower bound; the minimum is
-    trusted iff every such bound sits at or above it.
+    trusted iff every such bound sits at or above it.  The weight is finite,
+    as the spec constructors demand, so the terms are reduced as plain (z, q)
+    pairs, which order as their GroupVals do.
     """
+    _require_finite(gamma)
+    gz, gq = gamma.z, gamma.q
     best = None
     pending = []
     for i, c in enumerate(C):
-        if elt_is_decidably_zero(c):
-            continue
-        if elt_is_unknown_zero(c):
-            pending.append(GroupVal.fin(Fraction(c.prec)) + i * gamma)
-            continue
-        term = c.val() + i * gamma
+        if isinstance(c, PuiseuxSeries):
+            if not c.coeffs:
+                if c.prec is not None:  # an unknown zero
+                    pending.append(i)
+                continue
+            term = (i * gz, Fraction(min(c.coeffs), c.ram) + i * gq)
+        else:
+            if elt_is_decidably_zero(c):
+                continue
+            v = c.val()
+            term = (v.z + i * gz, v.q + i * gq)
         if best is None or term < best:
             best = term
     if best is None:
         raise PrecisionExhausted("no decidable coefficient valuation survives")
-    for lb in pending:
-        if lb < best:
+    for i in pending:
+        bound = (i * gz, Fraction(C[i].prec) + i * gq)
+        if bound < best:
             raise PrecisionExhausted(
-                f"an undecidable coefficient (bound {lb.to_text()}) may cut "
-                f"below the decided minimum {best.to_text()}")
-    return best
+                f"an undecidable coefficient (bound {GroupVal(*bound).to_text()}) "
+                f"may cut below the decided minimum {GroupVal(*best).to_text()}")
+    return GroupVal(*best)
 
 
 def eval_rational(spec: ValuationSpec, f: PolyX, g: PolyX) -> GroupVal:

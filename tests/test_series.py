@@ -20,6 +20,7 @@ from valwb.series import (
     coerce,
     invert,
     is_dense,
+    tp_add,
     tp_mul,
     truncate_to_ratfunc,
 )
@@ -443,3 +444,61 @@ def test_coerce_kernel_matches_the_long_division():
     for bad in ("x", None):
         r = RatFunc(QQ, [1], [1, 1])
         assert outcome(coerce, r, bad) == outcome(ref_coerce, r, bad)
+
+
+# -- RatFunc ring operations: the polynomial fast path ------------------------
+#
+# The reference is the general fraction formula, which the fast path skips
+# when both denominators are 1; num, den and every scalar type must match.
+
+def ref_ratfunc_op(op, a, b):
+    a._check(b)
+    f = a.field
+    if op == "-":
+        return ref_ratfunc_op("+", a, -b)
+    if op == "+":
+        num = tp_add(f, tp_mul(f, a.num, b.den), tp_mul(f, b.num, a.den))
+        return RatFunc(f, num, tp_mul(f, a.den, b.den))
+    return RatFunc(f, tp_mul(f, a.num, b.num), tp_mul(f, a.den, b.den))
+
+
+def ratfunc_outcome(fn, *args):
+    try:
+        r = fn(*args)
+    except Exception as exc:  # the exception itself is part of the outcome
+        return ("raised", type(exc), str(exc))
+    return ([(type(c), c) for c in r.num], [(type(c), c) for c in r.den])
+
+
+def random_tpoly(field, rng, deg):
+    return [random_scalar(field, rng) if rng.random() < 0.7 else field.zero()
+            for _ in range(deg)] + [random_scalar(field, rng)]
+
+
+def random_ratfunc(field, rng, pole):
+    if rng.random() < 0.05:
+        return RatFunc.zero(field)
+    den = random_tpoly(field, rng, rng.randint(1, 4)) if pole else None
+    return RatFunc(field, random_tpoly(field, rng, rng.randint(0, 8)), den)
+
+
+def test_ratfunc_polynomial_fast_path_matches_the_general_formula():
+    rng = random.Random(12)
+    ops = {"+": RatFunc.__add__, "-": RatFunc.__sub__, "*": RatFunc.__mul__}
+    polynomial = poles = 0
+    for i in range(480):
+        field = (QQ, F2, GF(3), GF(7))[i % 4]
+        op = "+-*"[i % 3]
+        a = random_ratfunc(field, rng, pole=rng.random() < 0.3)
+        b = random_ratfunc(field, rng, pole=rng.random() < 0.3)
+        shape = rng.random()
+        if shape < 0.1:  # everything cancels
+            b = a if op == "-" else -a
+        elif shape < 0.2:  # all but a low term cancels, so the result is trimmed
+            b = (-a if op == "+" else a) + RatFunc.t_power(field, rng.randint(0, 2))
+        elif shape < 0.22:  # field mismatch
+            b = random_ratfunc((QQ, F2, GF(3), GF(7))[(i + 1) % 4], rng, False)
+        polynomial += a.is_polynomial() and b.is_polynomial() and a.field == b.field
+        poles += not (a.is_polynomial() and b.is_polynomial())
+        assert ratfunc_outcome(ops[op], a, b) == ratfunc_outcome(ref_ratfunc_op, op, a, b), i
+    assert polynomial >= 100 and poles >= 100, (polynomial, poles)

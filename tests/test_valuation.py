@@ -8,7 +8,7 @@ from valwb.errors import PrecisionExhausted, WorkbenchError, ZeroPolynomial
 from valwb.field import GF, QQ
 from valwb.groupval import FIN0, GroupVal
 from valwb.pcs import exponential_generator
-from valwb.polyx import PolyX, polyx_from_text
+from valwb.polyx import PolyX, elt_is_decidably_zero, elt_is_unknown_zero, polyx_from_text
 from valwb.series import PuiseuxSeries, RatFunc
 from valwb.valuation import (
     Counterexample,
@@ -16,6 +16,7 @@ from valwb.valuation import (
     NoneSmallerFound,
     Smaller,
     ValuationSpec,
+    _min_weighted,
     delta,
     eval_rational,
     eval_spec,
@@ -210,3 +211,80 @@ def test_spec_text():
     assert "gauss" in ValuationSpec.gauss(QQ).to_text()
     spec = ValuationSpec.monomial(PuiseuxSeries.zero(QQ), GroupVal.fin(1))
     assert "monomial" in spec.to_text() and "1" in spec.to_text()
+
+
+def test_spec_constructors_refuse_an_infinite_weight():
+    zero, inf = PuiseuxSeries.zero(QQ), GroupVal.posinf()
+    with pytest.raises(WorkbenchError, match="weight cannot be infinite"):
+        ValuationSpec.monomial(zero, inf)
+    with pytest.raises(WorkbenchError, match="weight cannot be infinite"):
+        ValuationSpec.keypoly(polyx_from_text(QQ, "X - t"), inf, ValuationSpec.gauss(QQ))
+
+
+# -- the weighted minimum on (z, q) pairs ------------------------------------
+#
+# The reference is the GroupVal loop the pair reduction replaced; values (with
+# the types of their parts) or exception types and messages must match it.
+
+def ref_min_weighted(C, gamma):
+    best = None
+    pending = []
+    for i, c in enumerate(C):
+        if elt_is_decidably_zero(c):
+            continue
+        if elt_is_unknown_zero(c):
+            pending.append(GroupVal.fin(Fraction(c.prec)) + i * gamma)
+            continue
+        term = c.val() + i * gamma
+        if best is None or term < best:
+            best = term
+    if best is None:
+        raise PrecisionExhausted("no decidable coefficient valuation survives")
+    for lb in pending:
+        if lb < best:
+            raise PrecisionExhausted(
+                f"an undecidable coefficient (bound {lb.to_text()}) may cut "
+                f"below the decided minimum {best.to_text()}")
+    return best
+
+
+def weighted_outcome(fn, C, gamma):
+    try:
+        v = fn(C, gamma)
+    except Exception as exc:  # the exception itself is part of the outcome
+        return ("raised", type(exc), str(exc))
+    return (v.inf, type(v.z), v.z, type(v.q), v.q)
+
+
+def random_coefficient(field, rng):
+    shape = rng.random()
+    if shape < 0.15:
+        return PuiseuxSeries.zero(field)
+    if shape < 0.3:
+        prec = Fraction(rng.randint(-6, 12), rng.choice((1, 2, 3)))
+        return PuiseuxSeries.unknown_zero(field, prec)
+    if shape < 0.4:  # exact, with a pole or a zero at t = 0, or the zero element
+        num = [field.zero()] * rng.randint(0, 3) + [field.one()]
+        den = [field.zero()] * rng.randint(0, 3) + [field.one()]
+        return RatFunc(field, [] if rng.random() < 0.2 else num, den)
+    ram = rng.choice((1, 2, 3, 6))
+    keys = {rng.randint(-12 * ram // 2, 10 * ram) for _ in range(rng.randint(1, 4))}
+    prec = None if rng.random() < 0.4 else Fraction(max(keys) + rng.randint(1, 4), ram)
+    return PuiseuxSeries(field, ram, {n: field.one() for n in keys}, prec)
+
+
+def test_min_weighted_matches_the_groupval_loop():
+    rng = random.Random(11)
+    seen = {"value": 0, "lex": 0, "none decided": 0, "cut below": 0}
+    for i in range(500):
+        field = (QQ, F2, GF(3))[i % 3]
+        C = [random_coefficient(field, rng) for _ in range(rng.randint(1, 7))]
+        q = Fraction(rng.randint(-6, 9), rng.choice((1, 2, 3, 4)))
+        gamma = GroupVal.lex(rng.choice((-1, 1, 2)), q) if rng.random() < 0.3 else GroupVal.fin(q)
+        got = weighted_outcome(_min_weighted, C, gamma)
+        assert got == weighted_outcome(ref_min_weighted, C, gamma), i
+        if got[0] == "raised":
+            seen["none decided" if "survives" in got[2] else "cut below"] += 1
+        else:
+            seen["lex" if got[2] else "value"] += 1
+    assert min(seen.values()) >= 30, seen

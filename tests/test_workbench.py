@@ -305,3 +305,19 @@ def test_cli_malformed_input_never_leaks_a_traceback(tmp_path, monkeypatch):
         assert "Traceback" not in err, (command, faults)
         if code == 1:
             assert err.startswith("error: "), (command, faults, err)
+
+
+@pytest.mark.parametrize("cfg_text", [
+    "spec.kind = monomial\nspec.gamma = inf\n",
+    "spec.kind = keypoly\nspec.Q = X - t\nspec.vQ = inf\n",
+    "spec.kind = keypoly\nspec.Q = X\nspec.vQ = 1\nspec.base.kind = monomial\n"
+    "spec.base.gamma = inf\n",
+])
+def test_cli_refuses_an_infinite_weight_at_every_config_reader(tmp_path, cfg_text):
+    cfg = write_cfg(tmp_path, cfg_text)
+    for command, argv in CLI_BASELINE.items():
+        if command == "example":  # runs built-in data and reads no config
+            continue
+        code, out, err = run_cli([command, "--config", cfg] + argv)
+        assert (code, out, err) == (1, "", "error: a valuation weight cannot be infinite\n"), \
+            command
