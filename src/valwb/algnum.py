@@ -25,7 +25,7 @@ from .errors import (
 from .field import BaseField
 from .groupval import GroupVal
 from .polyx import RATFUNC, PolyX
-from .series import DEFAULT_PREC, PuiseuxSeries, RatFunc
+from .series import PuiseuxSeries, RatFunc
 
 
 class AlgElement:
@@ -80,14 +80,9 @@ def attach_minpoly(s: PuiseuxSeries, Q: PolyX, irreducible: bool = False) -> Alg
     """
     if Q.domain != RATFUNC or not Q.is_monic():
         raise WorkbenchError("certificate must be a monic polynomial over K")
-    value = Q.evaluate(s)
-    if isinstance(value, PuiseuxSeries):
-        if value.coeffs:
-            raise NotARoot(
-                f"Q(s) has valuation {value.val().to_text()}, decidably nonzero")
-    else:
-        if not value.is_zero():
-            raise NotARoot(f"Q(s) = {value.to_text()} is a nonzero element of K")
+    value = Q.evaluate(s)  # a series, since s is one
+    if value.coeffs:
+        raise NotARoot(f"Q(s) has valuation {value.val().to_text()}, decidably nonzero")
     return AlgElement(s, Q, irreducible_certified=irreducible)
 
 
@@ -260,38 +255,25 @@ def _residue_equation(Q: PolyX, x: PuiseuxSeries, mu: Fraction) -> list:
     f = Q.field
     height = None
     vals = []
-    for i, ci in enumerate(C):
-        if isinstance(ci, PuiseuxSeries) and not ci.coeffs:
+    for i, ci in enumerate(C):  # series, since x is one
+        if not ci.coeffs:
             vals.append(None)
             continue
-        v = ci.val()
-        if v.is_inf:
-            vals.append(None)
-            continue
-        h = v.q + i * mu
-        vals.append((h, ci))
+        v = Fraction(min(ci.coeffs), ci.ram)
+        h = v + i * mu
+        vals.append((h, ci.coeff_at(v)))
         if height is None or h < height:
             height = h
     phi = [f.zero()] * len(C)
     for i, entry in enumerate(vals):
         if entry is None:
             continue
-        h, ci = entry
+        h, lead = entry
         if h == height:
-            lead = ci.coeff_at(ci.val().q) if isinstance(ci, PuiseuxSeries) else _ratfunc_lead(ci)
             phi[i] = lead
     while phi and f.is_zero(phi[-1]):
         phi.pop()
     return phi
-
-
-def _ratfunc_lead(r: RatFunc):
-    """Leading (lowest t-order) scalar of a nonzero rational function."""
-    from .series import tp_ord
-    f = r.field
-    a = tp_ord(f, r.num)
-    b = tp_ord(f, r.den)
-    return f.div(r.num[a], r.den[b])
 
 
 def _residue_roots(field: BaseField, phi: list) -> list:

@@ -19,7 +19,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .algnum import AlgElement, Linear, attach_minpoly, krasner_constant, minpoly_over_completion
+from .algnum import AlgElement, attach_minpoly, krasner_constant
 from .config import WorkbenchConfig, load_config, parse_config, parse_number
 from .errors import (
     DeltaTooLarge,
@@ -28,11 +28,9 @@ from .errors import (
     WorkbenchError,
 )
 from .examples import run_example
-from .field import QQ
 from .groupval import GroupVal
 from .lifting import (
     CskpSeq,
-    NoWitness,
     Witness,
     approximate_density,
     approximate_same_delta,
@@ -42,7 +40,7 @@ from .lifting import (
     lift_cskp,
     roots_matching_threshold,
 )
-from .pcs import CauchyWithLimit, TranscendentalTypeEvidence, builtin_generator, classify_generator
+from .pcs import CauchyWithLimit, builtin_generator, classify_generator
 from .polyx import RATFUNC, SERIES, PolyX, polyx_from_text
 from .report import Report, digest
 from .series import PuiseuxSeries

@@ -21,7 +21,7 @@ import random
 from fractions import Fraction
 from math import factorial
 
-from .algnum import AlgElement, Linear, attach_minpoly, minpoly_over_completion
+from .algnum import Linear, attach_minpoly, minpoly_over_completion
 from .field import GF, QQ
 from .groupval import GroupVal
 from .lifting import (
@@ -37,7 +37,6 @@ from .lifting import (
 )
 from .pcs import (
     TranscendentalTypeEvidence,
-    artin_schreier_generator,
     classify_generator,
     exponential_generator,
     mixed_radix_generator,

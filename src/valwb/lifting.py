@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Optional
 
-from .algnum import AlgElement, Linear, NoRootFound, galois_twist, minpoly_over_completion
+from .algnum import AlgElement, NoRootFound, galois_twist, minpoly_over_completion
 from .errors import (
     DeltaTooLarge,
     HorizonExceeded,
@@ -29,12 +29,11 @@ from .pcs import (
     DEFAULT_RAM_CAP,
     CauchyWithLimit,
     StrictlyIncreasingAtHorizon,
-    TranscendentalTypeEvidence,
     classify_generator,
     values_along,
 )
-from .polyx import RATFUNC, SERIES, PolyX
-from .series import DEFAULT_PREC, PuiseuxSeries, RatFunc, truncate_to_ratfunc
+from .polyx import RATFUNC, PolyX
+from .series import DEFAULT_PREC, PuiseuxSeries, truncate_to_ratfunc
 from .valuation import OVER_KHAT, ValuationSpec, delta, eval_spec, is_pair_equivalent
 
 # extension kinds
@@ -248,10 +247,12 @@ def verify_root_matching(f: PolyX, f2: PolyX, alpha: GroupVal,
 # approximation over K
 # ---------------------------------------------------------------------------
 
-def _truncate_coeff(c, cutoff: Fraction) -> RatFunc:
-    if isinstance(c, RatFunc):
-        return c
-    return truncate_to_ratfunc(c, cutoff)
+def _truncate_to_k(h: PolyX, cutoff: Fraction) -> PolyX:
+    """h itself when it is over K, else h with every coefficient cut below
+    cutoff, as an element of K."""
+    if h.domain == RATFUNC:
+        return h
+    return PolyX.from_ratfuncs(h.field, [truncate_to_ratfunc(c, cutoff) for c in h.coeffs])
 
 
 def approximate_same_delta(f: PolyX, alpha: GroupVal, spec: ValuationSpec) -> PolyX:
@@ -274,7 +275,7 @@ def approximate_same_delta(f: PolyX, alpha: GroupVal, spec: ValuationSpec) -> Po
     if vf.is_fin:
         terms.append(vf.q)
     cutoff = max(terms) + 1
-    out = PolyX.from_ratfuncs(f.field, [_truncate_coeff(c, cutoff) for c in f.coeffs])
+    out = _truncate_to_k(f, cutoff)
     if out.degree() != f.degree():
         raise WorkbenchError("truncation dropped the leading coefficient")
     if eval_spec(spec, out) != vf:
@@ -358,8 +359,7 @@ def _density_monomial(f: PolyX, g: PolyX, alpha: GroupVal,
         va = center.val().q
         cutoff_terms.extend(beta - j * va for j in range(1, max(m, n) + 1))
     cutoff = max(cutoff_terms) + 1
-    f1 = PolyX.from_ratfuncs(f.field, [_truncate_coeff(c, cutoff) for c in f.coeffs])
-    g1 = PolyX.from_ratfuncs(g.field, [_truncate_coeff(c, cutoff) for c in g.coeffs])
+    f1, g1 = _truncate_to_k(f, cutoff), _truncate_to_k(g, cutoff)
     _verify_density(f, g, f1, g1, alpha, spec, vf, vg)
     return DensityResult(f1, g1, beta, cutoff, "verified")
 
@@ -476,8 +476,7 @@ def conjugacy_check(a: AlgElement, gamma: GroupVal, m: int,
     shared = True
     if a.minpoly is not None:
         value = a.minpoly.evaluate(a1.expansion)
-        shared = isinstance(value, PuiseuxSeries) and not value.coeffs or (
-            isinstance(value, RatFunc) and value.is_zero())
+        shared = value.is_exact_zero() or value.is_unknown_zero()
     k0 = classify_extension(ValuationSpec.monomial(a.expansion, gamma), ram_cap)
     k1 = classify_extension(ValuationSpec.monomial(a1.expansion, gamma), ram_cap)
     return {"twisted_center": a1.expansion.to_text(),

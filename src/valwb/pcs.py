@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import HorizonExceeded, NotPcs, ParseError, PrecisionExhausted, WorkbenchError
 from .field import BaseField
 from .groupval import GroupVal
 from .polyx import PolyX
-from .series import PuiseuxSeries, RatFunc
+from .series import PuiseuxSeries
 
 DEFAULT_HORIZON = 12
 DEFAULT_WINDOW = 3

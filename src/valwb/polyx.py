@@ -1,10 +1,14 @@
 """Polynomials in X over exact rational functions or truncated series.
 
 Coefficients are homogeneous per polynomial (all :class:`RatFunc` or all
-:class:`PuiseuxSeries`); the ``domain`` marker records which.  Construction
-trims decidably-zero leading coefficients and fails with PrecisionExhausted
-if the leading coefficient is an unknown-zero, so a built polynomial always
-has a decidably nonzero leading coefficient (or is the zero polynomial).
+:class:`PuiseuxSeries`) and are used through the protocol both classes share
+(``is_exact_zero``, ``is_unknown_zero``, ``val``, ``zero``/``one``,
+``to_series``).  The ``domain`` marker is derived from the leading
+coefficient; the zero polynomial is exact and counts as "ratfunc".
+Construction trims exactly-zero leading coefficients and fails with
+PrecisionExhausted if the leading coefficient is an unknown-zero, so a built
+polynomial always has a decidably nonzero leading coefficient (or is the zero
+polynomial).
 
 The root-data tool of the workbench is :meth:`PolyX.newton_polygon`: the
 lower convex hull of (i, val C_i) after recentering, whose slopes give the
@@ -23,73 +27,54 @@ from fractions import Fraction
 from .errors import ParseError, PrecisionExhausted, WorkbenchError, ZeroPolynomial
 from .field import BaseField
 from .groupval import GroupVal
-from .series import (DEFAULT_PREC, PuiseuxSeries, RatFunc, coerce, lattice_cap,
+from .series import (PuiseuxSeries, RatFunc, _parse_term, _split_terms, invert, lattice_cap,
                      lattice_product, min_prec, product_prec)
+from .series import coerce  # noqa: F401  perfbench's tracer rebinds this name here
 
 RATFUNC = "ratfunc"
 SERIES = "series"
 
 
-def elt_is_decidably_zero(c) -> bool:
-    if isinstance(c, RatFunc):
-        return c.is_zero()
-    return c.is_exact_zero()
-
-
-def elt_is_unknown_zero(c) -> bool:
-    return isinstance(c, PuiseuxSeries) and not c.coeffs and c.prec is not None
-
-
-def elt_zero(field: BaseField, domain: str):
-    return RatFunc.zero(field) if domain == RATFUNC else PuiseuxSeries.zero(field)
-
-
-def elt_as_series(c, prec=None) -> PuiseuxSeries:
-    if isinstance(c, PuiseuxSeries):
-        return c
-    if c.is_polynomial():
-        # exact embedding: a polynomial in t is exactly known
-        to_scalar = c.field.coerce
-        return PuiseuxSeries(c.field, 1, {i: to_scalar(x) for i, x in enumerate(c.num)}, None)
-    return coerce(c, DEFAULT_PREC if prec is None else prec)
-
-
 class PolyX:
     """A polynomial in X with RatFunc or PuiseuxSeries coefficients."""
 
-    __slots__ = ("field", "domain", "coeffs")
+    __slots__ = ("field", "coeffs")
 
-    def __init__(self, field: BaseField, domain: str, coeffs):
-        if domain not in (RATFUNC, SERIES):
-            raise WorkbenchError(f"unknown coefficient domain {domain!r}")
+    def __init__(self, field: BaseField, coeffs):
         coeffs = list(coeffs)
-        while coeffs and elt_is_decidably_zero(coeffs[-1]):
+        while coeffs and coeffs[-1].is_exact_zero():
             coeffs.pop()
-        if coeffs and elt_is_unknown_zero(coeffs[-1]):
+        if coeffs and coeffs[-1].is_unknown_zero():
             raise PrecisionExhausted(
                 "leading coefficient is not decidably nonzero at this precision")
         self.field = field
-        self.domain = domain
         self.coeffs = coeffs
+
+    @property
+    def domain(self) -> str:
+        """SERIES for series coefficients; RATFUNC for exact ones and for 0."""
+        if self.coeffs and isinstance(self.coeffs[-1], PuiseuxSeries):
+            return SERIES
+        return RATFUNC
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
-    def zero(field: BaseField, domain: str = RATFUNC) -> "PolyX":
-        return PolyX(field, domain, [])
+    def zero(field: BaseField) -> "PolyX":
+        return PolyX(field, [])
 
     @staticmethod
     def from_ratfuncs(field: BaseField, coeffs) -> "PolyX":
-        return PolyX(field, RATFUNC, coeffs)
+        return PolyX(field, coeffs)
 
     @staticmethod
     def from_series(field: BaseField, coeffs) -> "PolyX":
-        return PolyX(field, SERIES, coeffs)
+        return PolyX(field, coeffs)
 
     @staticmethod
     def x_power(field: BaseField, k: int, domain: str = RATFUNC) -> "PolyX":
-        one = RatFunc.one(field) if domain == RATFUNC else PuiseuxSeries.one(field)
-        return PolyX(field, domain, [elt_zero(field, domain)] * k + [one])
+        one = PuiseuxSeries.one(field) if domain == SERIES else RatFunc.one(field)
+        return PolyX(field, [one.zero(field)] * k + [one])
 
     # -- structure ------------------------------------------------------------
 
@@ -107,20 +92,20 @@ class PolyX:
     def coeff(self, i: int):
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
-        return elt_zero(self.field, self.domain)
+        return (self.coeffs[-1] if self.coeffs else RatFunc).zero(self.field)
 
     def is_monic(self) -> bool:
         if self.is_zero():
             return False
         c = self.coeffs[-1]
-        if isinstance(c, RatFunc):
-            return c == RatFunc.one(self.field)
-        return c.ram == 1 and c.coeffs == {0: self.field.one()}
+        if self.domain == RATFUNC:
+            return c == c.one(self.field)
+        return c.ram == 1 and c.coeffs == {0: self.field.one()}  # 1 + O(t^p) counts too
 
     def to_series(self, prec=None) -> "PolyX":
         if self.domain == SERIES:
             return self
-        return PolyX(self.field, SERIES, [elt_as_series(c, prec) for c in self.coeffs])
+        return PolyX(self.field, [c.to_series(prec) for c in self.coeffs])
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -133,11 +118,11 @@ class PolyX:
 
     def __add__(self, other: "PolyX") -> "PolyX":
         a, b = self._unify(other)
-        n = max(len(a.coeffs), len(b.coeffs))
-        return PolyX(a.field, a.domain, [a.coeff(i) + b.coeff(i) for i in range(n)])
+        short, long = sorted((a.coeffs, b.coeffs), key=len)
+        return PolyX(a.field, [x + y for x, y in zip(short, long)] + long[len(short):])
 
     def __neg__(self):
-        return PolyX(self.field, self.domain, [-c for c in self.coeffs])
+        return PolyX(self.field, [-c for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other)
@@ -145,38 +130,39 @@ class PolyX:
     def __mul__(self, other: "PolyX") -> "PolyX":
         a, b = self._unify(other)
         if a.is_zero() or b.is_zero():
-            return PolyX.zero(a.field, a.domain)
-        out = [elt_zero(a.field, a.domain)] * (len(a.coeffs) + len(b.coeffs) - 1)
+            return PolyX.zero(a.field)
+        out = [a.coeffs[-1].zero(a.field)] * (len(a.coeffs) + len(b.coeffs) - 1)
         for i, x in enumerate(a.coeffs):
             for j, y in enumerate(b.coeffs):
                 out[i + j] = out[i + j] + x * y
-        return PolyX(a.field, a.domain, out)
+        return PolyX(a.field, out)
 
     def scale(self, c) -> "PolyX":
         """Multiply every coefficient by the coefficient-domain element c."""
-        return PolyX(self.field, self.domain, [x * c for x in self.coeffs])
+        return PolyX(self.field, [x * c for x in self.coeffs])
 
     def __eq__(self, other):
         if not isinstance(other, PolyX):
             return NotImplemented
-        return (self.field == other.field and self.domain == other.domain
-                and self.coeffs == other.coeffs)
+        return self.field == other.field and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.field, self.domain, tuple(self.coeffs)))
+        return hash((self.field, tuple(self.coeffs)))
 
     # -- evaluation and recentering ------------------------------------------------
 
+    def _with_point(self, a):
+        """(self, a) in one ring: K when both are exact elements of K, else
+        the completion, the coefficients expanded to the point's cap."""
+        if self.domain == RATFUNC and not isinstance(a, PuiseuxSeries):
+            return self, a
+        a = a.to_series()
+        return self.to_series(a.prec), a
+
     def evaluate(self, a):
         """Horner evaluation; the point may be RatFunc or PuiseuxSeries."""
-        want_series = isinstance(a, PuiseuxSeries) or self.domain == SERIES
-        if want_series:
-            a = elt_as_series(a) if isinstance(a, RatFunc) else a
-            poly = self.to_series(a.prec)
-            acc = PuiseuxSeries.zero(self.field)
-        else:
-            poly = self
-            acc = RatFunc.zero(self.field)
+        poly, a = self._with_point(a)
+        acc = a.zero(self.field)
         for c in reversed(poly.coeffs):
             acc = acc * a + c
         return acc
@@ -188,20 +174,14 @@ class PolyX:
         characteristic; exact over RatFunc, precision-tracked over series
         (:func:`_shift_series`).
         """
-        want_series = isinstance(a, PuiseuxSeries) or self.domain == SERIES
-        if want_series:
-            a = elt_as_series(a) if isinstance(a, RatFunc) else a
-            poly = self.to_series(a.prec)
-        else:
-            poly = self
+        poly, a = self._with_point(a)
         n = poly.degree()
         if n < 0:
             return []
-        exact_zero = a.is_exact_zero() if want_series else a.is_zero()
-        if exact_zero:
+        if a.is_exact_zero():
             # every shifted term carries a power of the exact zero
             return list(poly.coeffs)
-        if want_series:
+        if poly.domain == SERIES:
             return _shift_series(self.field, poly.coeffs, a)
         powers = [RatFunc.one(self.field)]
         for _ in range(n):
@@ -225,19 +205,20 @@ class PolyX:
         a, Q = self._unify(Q)
         dq = Q.degree()
         if a.degree() < dq:
-            return PolyX.zero(a.field, a.domain), a
+            return PolyX.zero(a.field), a
         r = list(a.coeffs)
         qlen = a.degree() - dq + 1
-        q = [elt_zero(a.field, a.domain)] * qlen
+        zero = r[-1].zero(a.field)
+        q = [zero] * qlen
         for i in range(qlen - 1, -1, -1):
             c = r[i + dq]
             q[i] = c
-            if elt_is_decidably_zero(c):
+            if c.is_exact_zero():
                 continue
             for j in range(dq + 1):
                 r[i + j] = r[i + j] - c * Q.coeffs[j]
-            r[i + dq] = elt_zero(a.field, a.domain)
-        return PolyX(a.field, a.domain, q), PolyX(a.field, a.domain, r[:dq])
+            r[i + dq] = zero
+        return PolyX(a.field, q), PolyX(a.field, r[:dq])
 
     def qadic_expand(self, Q: "PolyX") -> list:
         """Digits f_i with f = sum f_i Q^i and deg f_i < deg Q."""
@@ -249,17 +230,13 @@ class PolyX:
             rest, rem = rest.divmod_monic(Q)
             digits.append(rem)
         if not digits:
-            digits.append(PolyX.zero(self.field, self.domain))
+            digits.append(PolyX.zero(self.field))
         return digits
 
     def monic_part(self):
         """(leading unit, monic polynomial) with f = unit * monic."""
         lead = self.leading()
-        if isinstance(lead, RatFunc):
-            inv = RatFunc.one(self.field) / lead
-        else:
-            from .series import invert
-            inv = invert(lead)
+        inv = invert(lead) if self.domain == SERIES else lead.one(self.field) / lead
         return lead, self.scale(inv)
 
     # -- Newton polygon ------------------------------------------------------------
@@ -284,17 +261,17 @@ class PolyX:
             return []
         # leading zeros (exact roots at the center)
         k = 0
-        while k < n and elt_is_decidably_zero(C[k]):
+        while k < n and C[k].is_exact_zero():
             k += 1
-        if elt_is_unknown_zero(C[k]):
+        if C[k].is_unknown_zero():
             raise PrecisionExhausted(
                 f"coefficient {k} of the recentered polynomial is undecidable")
         known, unknown = [], []
         for i in range(k, n + 1):
             c = C[i]
-            if elt_is_decidably_zero(c):
+            if c.is_exact_zero():
                 continue
-            if elt_is_unknown_zero(c):
+            if c.is_unknown_zero():
                 unknown.append((i, Fraction(c.prec)))
             else:
                 known.append((i, c.val().q))
@@ -318,8 +295,8 @@ class PolyX:
             return "0"
         parts = []
         for i in range(self.degree(), -1, -1):
-            c = self.coeff(i)
-            if elt_is_decidably_zero(c):
+            c = self.coeffs[i]
+            if c.is_exact_zero():
                 continue
             cs = c.to_text()
             xs = "" if i == 0 else ("X" if i == 1 else f"X^{i}")
@@ -434,38 +411,20 @@ def _hull_height(hull, x):
 _XPART_RE = re.compile(r"(?:^|\*)\s*X(?:\^(\d+))?\s*$")
 
 
-def _split_poly_terms(text):
-    """Top-level +/- split that respects [...] and (...)."""
-    terms, depth, cur, sign = [], 0, "", 1
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if depth == 0 and ch in "+-":
-            if cur.strip():
-                terms.append((sign, cur))
-                cur, sign = "", (1 if ch == "+" else -1)
-            else:
-                sign *= 1 if ch == "+" else -1
-            continue
-        cur += ch
-    if cur.strip():
-        terms.append((sign, cur))
-    return terms
-
-
 def polyx_from_text(field: BaseField, text: str, domain: str = RATFUNC, prec=None) -> PolyX:
     """Parse "t*X^2 + X + t^3" or "[1 + t]*X^2 + [t]*X + [2]".
 
     Bracketed coefficients are parsed in the requested domain ("ratfunc" or
     "series"); unbracketed factors must be rational scalars or t-monomials.
     """
+    if domain not in (RATFUNC, SERIES):
+        raise WorkbenchError(f"unknown coefficient domain {domain!r}")
     text = text.strip()
     if text == "0" or not text:
-        return PolyX.zero(field, domain)
+        return PolyX.zero(field)
+    one = PuiseuxSeries.one(field) if domain == SERIES else RatFunc.one(field)
     terms = {}
-    for sign, body in _split_poly_terms(text):
+    for sign, body in _split_terms(text):
         body = body.strip()
         m = _XPART_RE.search(body)
         if m:
@@ -481,16 +440,14 @@ def polyx_from_text(field: BaseField, text: str, domain: str = RATFUNC, prec=Non
                     c = c.truncate(prec)
             else:
                 c = RatFunc.from_text(field, inner)
-        elif not coef_body:
-            c = RatFunc.one(field) if domain == RATFUNC else PuiseuxSeries.one(field)
         else:
             # plain factor: rational scalar and/or t-power products
-            c = RatFunc.one(field) if domain == RATFUNC else PuiseuxSeries.one(field)
+            c = one
             for factor in coef_body.split("*"):
                 factor = factor.strip()
                 if not factor:
                     continue
-                exp, sc = _parse_simple_factor(field, factor)
+                exp, sc = _parse_term(field, 1, factor)
                 if domain == RATFUNC:
                     if exp.denominator != 1:
                         raise ParseError(f"fractional t-exponent needs series domain: {factor!r}")
@@ -500,11 +457,4 @@ def polyx_from_text(field: BaseField, text: str, domain: str = RATFUNC, prec=Non
         if sign < 0:
             c = -c
         terms[k] = terms[k] + c if k in terms else c
-    deg = max(terms)
-    coeffs = [terms.get(i, elt_zero(field, domain)) for i in range(deg + 1)]
-    return PolyX(field, domain, coeffs)
-
-
-def _parse_simple_factor(field, factor):
-    from .series import _parse_term
-    return _parse_term(field, 1, factor)
+    return PolyX(field, [terms.get(i, one.zero(field)) for i in range(max(terms) + 1)])

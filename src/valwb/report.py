@@ -11,7 +11,7 @@ acceptance criterion, so nothing time- or environment-dependent may appear.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .errors import ParseError
 

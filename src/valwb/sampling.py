@@ -83,4 +83,4 @@ def random_polyx(field: BaseField, rng, deg: int, domain: str = "ratfunc",
         coeffs = [random_series(field, rng, p) for _ in range(deg + 1)]
         coeffs[-1] = (PuiseuxSeries.one(field) if monic
                       else random_series(field, rng, p, nonzero=True))
-    return PolyX(field, domain, coeffs)
+    return PolyX(field, coeffs)

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import PrecisionExhausted, UnsupportedKind, WorkbenchError
 from .field import GF, QQ
-from .groupval import FIN0, GroupVal
+from .groupval import GroupVal
 from .lifting import (
     RESIDUE_TRANSCENDENTAL,
     approximate_density,
@@ -27,7 +27,7 @@ from .examples import artin_schreier_data, run_example
 from .pcs import exponential_generator, mixed_radix_generator
 from .polyx import PolyX, RATFUNC, SERIES
 from .report import Report, digest
-from .sampling import _redraw, random_polyx, random_ratfunc, random_series
+from .sampling import _redraw, random_polyx, random_series
 from .series import DEFAULT_PREC, PuiseuxSeries, RatFunc
 from .valuation import ValuationSpec, delta, eval_spec, is_pair_equivalent
 

@@ -222,19 +222,19 @@ _TERM_RE = re.compile(
 
 
 def _split_terms(text: str):
-    """Split on top-level + and -, keeping signs; parentheses are respected."""
+    """Split on top-level + and -, keeping signs; (...) and [...] are respected."""
     terms, depth, cur, sign = [], 0, "", 1
     for ch in text:
-        if ch == "(":
+        if ch in "([":
             depth += 1
-        elif ch == ")":
+        elif ch in ")]":
             depth -= 1
-        if depth == 0 and ch in "+-" and cur.strip():
-            terms.append((sign, cur))
-            cur, sign = "", (1 if ch == "+" else -1)
-            continue
-        if depth == 0 and ch in "+-" and not cur.strip():
-            sign *= 1 if ch == "+" else -1
+        if depth == 0 and ch in "+-":
+            if cur.strip():
+                terms.append((sign, cur))
+                cur, sign = "", (1 if ch == "+" else -1)
+            else:
+                sign *= 1 if ch == "+" else -1
             continue
         cur += ch
     if cur.strip():
@@ -294,7 +294,9 @@ class RatFunc:
     def __init__(self, field: BaseField, num, den=None):
         if den is None:
             den = [field.one()]
-        num, den = tp_trim(field, list(num)), tp_trim(field, list(den))
+        to_scalar = field.coerce  # canonical scalars: residues in [0, p), Fractions over Q
+        num = tp_trim(field, [to_scalar(x) for x in num])
+        den = tp_trim(field, [to_scalar(x) for x in den])
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
@@ -315,11 +317,11 @@ class RatFunc:
 
     @staticmethod
     def zero(field: BaseField) -> "RatFunc":
-        return RatFunc(field, [])
+        return RatFunc._polynomial(field, [])
 
     @staticmethod
     def one(field: BaseField) -> "RatFunc":
-        return RatFunc(field, [field.one()])
+        return RatFunc._polynomial(field, [field.one()])
 
     @staticmethod
     def constant(field: BaseField, c) -> "RatFunc":
@@ -346,6 +348,12 @@ class RatFunc:
 
     def is_zero(self) -> bool:
         return not self.num
+
+    is_exact_zero = is_zero  # the coefficient protocol's name for it
+
+    def is_unknown_zero(self) -> bool:
+        """Never: an element of K is known exactly."""
+        return False
 
     def is_polynomial(self) -> bool:
         return len(self.den) == 1
@@ -402,14 +410,7 @@ class RatFunc:
     def __pow__(self, n: int) -> "RatFunc":
         if n < 0:
             return RatFunc.one(self.field) / self ** (-n)
-        out = RatFunc.one(self.field)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return square_multiply(self, n, RatFunc.one(self.field))
 
     def __eq__(self, other):
         if not isinstance(other, RatFunc):
@@ -430,9 +431,13 @@ class RatFunc:
 
     # -- conversion -----------------------------------------------------------
 
-    def to_series(self, prec) -> "PuiseuxSeries":
-        """Series expansion to precision ``prec``; val is preserved exactly."""
-        return coerce(self, prec)
+    def to_series(self, prec=None) -> "PuiseuxSeries":
+        """The image in the completion, with the same val: a polynomial embeds
+        exactly, its scalars copied as they are; a fraction with a pole is
+        expanded to O(t^prec), by default O(t^DEFAULT_PREC)."""
+        if len(self.den) == 1:
+            return PuiseuxSeries(self.field, 1, dict(enumerate(self.num)), None)
+        return coerce(self, DEFAULT_PREC if prec is None else prec)
 
     def to_text(self) -> str:
         if self.is_polynomial():
@@ -528,6 +533,10 @@ class PuiseuxSeries:
 
     def is_exact_zero(self) -> bool:
         return not self.coeffs and self.prec is None
+
+    def is_unknown_zero(self) -> bool:
+        """Empty support under a finite cap: not known to be zero or nonzero."""
+        return not self.coeffs and self.prec is not None
 
     def is_exact(self) -> bool:
         return self.prec is None
@@ -638,14 +647,7 @@ class PuiseuxSeries:
     def __pow__(self, n: int) -> "PuiseuxSeries":
         if n < 0:
             return invert(self) ** (-n)
-        out = PuiseuxSeries.one(self.field)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return square_multiply(self, n, PuiseuxSeries.one(self.field))
 
     def truncate(self, prec) -> "PuiseuxSeries":
         """Weaken the precision cap to ``prec`` (must not exceed current prec)."""
@@ -684,6 +686,10 @@ class PuiseuxSeries:
             p = self.prec
             parts.append(f"O(t^({p}))" if p.denominator != 1 else f"O(t^{p})")
         return _join_signed(parts) if parts else "0"
+
+    def to_series(self, prec=None) -> "PuiseuxSeries":
+        """Already in the completion."""
+        return self
 
     def __repr__(self):
         return f"PuiseuxSeries({self.to_text()})"
@@ -735,6 +741,42 @@ def product_prec(p1, v1, p2, v2) -> Optional[Fraction]:
 # module operations
 # ---------------------------------------------------------------------------
 
+def square_multiply(base, n: int, one):
+    """base^n for n >= 0 by repeated squaring, starting from the unit one."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base
+        n >>= 1
+    return out
+
+
+def _quotient_terms(f: BaseField, num: list, den: list, nterms: int, shift: int) -> dict:
+    """{i + shift: q_i} for the nonzero q_i, i < nterms, of the power series
+    num/den over the scalars of f, where den[0] is nonzero.
+
+    Fraction-free on the integer images num = N/dn and den = D/dd:
+    q_i = A_i dd / (dn D_0^(i+1)), A_i = N_i D_0^i - sum_j D_j D_0^(j-1) A_(i-j).
+    """
+    xs, dn = f.as_integers(num[:nterms] + [f.zero()] * (nterms - len(num)))
+    ys, dd = f.as_integers(den[:nterms])
+    p = f.char
+    if p:  # scale to D_0 = 1, so the residues need no division
+        inv_d0 = pow(ys[0], -1, p)
+        xs, ys = [x * inv_d0 % p for x in xs], [y * inv_d0 % p for y in ys]
+    d0 = ys[0]
+    ws = [y * d0**j for j, y in enumerate(ys[1:])]
+    A, coeffs, d0_i, lower = [], {}, 1, f.from_integer
+    for x in xs:
+        acc = x * d0_i - sum(map(operator.mul, ws, reversed(A)))
+        A.append(acc % p if p else acc)
+        d0_i *= d0
+        if A[-1]:
+            coeffs[len(A) - 1 + shift] = lower(acc * dd, dn * d0_i)
+    return coeffs
+
+
 def invert(s: PuiseuxSeries, prec=None) -> PuiseuxSeries:
     """Multiplicative inverse with the guaranteed relative precision.
 
@@ -758,23 +800,15 @@ def invert(s: PuiseuxSeries, prec=None) -> PuiseuxSeries:
         work_prec = target + 2 * v0
         out_prec = target
     e = s.ram
-    # s = c * t^v0 * (1 + u); invert the unit by coefficient recursion
+    # s = t^v0 * (sum of d_k t^(k/e)); divide 1 by the d_k on the lattice index,
+    # always emitting the leading term 1/d_0
     shift0 = int(v0 * e)
-    c0 = s.coeffs[shift0]
-    inv_c0 = f.inv(c0)
-    add, mul = f.add, f.mul
-    u = {n - shift0: mul(c, inv_c0) for n, c in s.coeffs.items() if n != shift0}
-    rel_keys = int(math.ceil((work_prec - v0) * e))  # relative lattice budget
-    v_coeffs = {0: f.one()}
-    for n in range(1, rel_keys):
-        acc = f.zero()
-        for k, uc in u.items():
-            if 0 < k <= n and (n - k) in v_coeffs:
-                acc = add(acc, mul(uc, v_coeffs[n - k]))
-        if acc:
-            v_coeffs[n] = f.neg(acc)
-    out = {n - shift0: mul(c, inv_c0) for n, c in v_coeffs.items()}
-    return PuiseuxSeries(f, e, out, out_prec)
+    nterms = max(1, math.ceil((work_prec - v0) * e))
+    den = [f.zero()] * min(nterms, max(s.coeffs) - shift0 + 1)
+    for n, c in s.coeffs.items():
+        if n - shift0 < len(den):
+            den[n - shift0] = c
+    return PuiseuxSeries(f, e, _quotient_terms(f, [f.one()], den, nterms, -shift0), out_prec)
 
 
 def coerce(r: RatFunc, prec) -> PuiseuxSeries:
@@ -788,30 +822,11 @@ def coerce(r: RatFunc, prec) -> PuiseuxSeries:
         return PuiseuxSeries.zero(f)
     a = tp_ord(f, r.num)
     b = tp_ord(f, r.den)
-    num = r.num[a:]
-    den = r.den[b:]
     v0 = a - b
     nterms = int(math.ceil(prec - v0))
     if nterms <= 0:
         return PuiseuxSeries.unknown_zero(f, prec)
-    # fraction-free division of the images num = N/dn, den = D/dd: coefficient i of
-    # N/D is A_i / D_0^(i+1), A_i = N_i D_0^i - sum_j D_j D_0^(j-1) A_(i-j)
-    xs, dn = f.as_integers(num[:nterms] + [f.zero()] * (nterms - len(num)))
-    ys, dd = f.as_integers(den[:nterms])
-    p = f.char
-    if p:  # scale to D_0 = 1, so the residues need no division
-        inv_d0 = pow(ys[0], -1, p)
-        xs, ys = [x * inv_d0 % p for x in xs], [y * inv_d0 % p for y in ys]
-    d0 = ys[0]
-    ws = [y * d0**j for j, y in enumerate(ys[1:])]
-    A, coeffs, d0_i, lower = [], {}, 1, f.from_integer
-    for x in xs:
-        acc = x * d0_i - sum(map(operator.mul, ws, reversed(A)))
-        A.append(acc % p if p else acc)
-        d0_i *= d0
-        if A[-1]:
-            coeffs[len(A) - 1 + v0] = lower(acc * dd, dn * d0_i)
-    return PuiseuxSeries(f, 1, coeffs, prec)
+    return PuiseuxSeries(f, 1, _quotient_terms(f, r.num[a:], r.den[b:], nterms, v0), prec)
 
 
 def truncate_to_ratfunc(s: PuiseuxSeries, cutoff) -> RatFunc:

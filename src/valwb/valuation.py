@@ -22,18 +22,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import (
-    HorizonExceeded,
-    ParseError,
-    PrecisionExhausted,
-    Uncertified,
-    WorkbenchError,
-    ZeroPolynomial,
-)
+from .errors import HorizonExceeded, PrecisionExhausted, WorkbenchError, ZeroPolynomial
 from .field import BaseField
 from .groupval import FIN0, GroupVal
-from .polyx import PolyX, elt_as_series, elt_is_decidably_zero
-from .series import PuiseuxSeries, RatFunc
+from .polyx import PolyX
+from .series import PuiseuxSeries
 
 OVER_K = "K"
 OVER_KHAT = "Khat"
@@ -68,10 +61,8 @@ class ValuationSpec:
     @staticmethod
     def monomial(center, gamma: GroupVal, over=OVER_K) -> "ValuationSpec":
         _require_finite(gamma)
-        if isinstance(center, RatFunc):
-            center = elt_as_series(center)
-        field = center.field
-        return ValuationSpec("monomial", field, center=center, gamma=gamma, over=over)
+        center = center.to_series()
+        return ValuationSpec("monomial", center.field, center=center, gamma=gamma, over=over)
 
     @staticmethod
     def keypoly(Q: PolyX, vQ: GroupVal, base: "ValuationSpec", over=OVER_K) -> "ValuationSpec":
@@ -164,7 +155,7 @@ def _min_weighted(C: list, gamma: GroupVal) -> GroupVal:
                 continue
             term = (i * gz, Fraction(min(c.coeffs), c.ram) + i * gq)
         else:
-            if elt_is_decidably_zero(c):
+            if c.is_exact_zero():
                 continue
             v = c.val()
             term = (v.z + i * gz, v.q + i * gq)
@@ -212,11 +203,7 @@ def delta(spec: ValuationSpec, f: PolyX) -> GroupVal:
 
 def is_pair_equivalent(a, b, gamma: GroupVal) -> bool:
     """True iff v(a - b) >= gamma, i.e. (b, gamma) defines the same extension."""
-    if isinstance(a, RatFunc):
-        a = elt_as_series(a)
-    if isinstance(b, RatFunc):
-        b = elt_as_series(b)
-    d = a - b
+    d = a.to_series() - b.to_series()
     if d.coeffs:
         return d.val() >= gamma
     if d.prec is None:
@@ -275,9 +262,7 @@ def is_key_polynomial(spec: ValuationSpec, Q: PolyX, samples: int,
 
 
 def _x_minus(field, c) -> PolyX:
-    if isinstance(c, RatFunc):
-        return PolyX.from_ratfuncs(field, [-c, RatFunc.one(field)])
-    return PolyX.from_series(field, [-c, PuiseuxSeries.one(field)])
+    return PolyX(field, [-c, c.one(field)])
 
 
 def _center_truncations(spec: ValuationSpec) -> list:
@@ -316,8 +301,7 @@ def minimal_pair_search(a, gamma: GroupVal, candidate_pool=()) -> object:
     pool = list(_center_truncations(ValuationSpec.monomial(s, gamma)))
     pool.extend(candidate_pool)
     for b in pool:
-        bs = elt_as_series(b) if isinstance(b, RatFunc) else (
-            b.expansion if isinstance(b, AlgElement) else b)
+        bs = b.expansion if isinstance(b, AlgElement) else b.to_series()
         deg_b = _pool_degree(bs)
         tested += 1
         if deg_b is None or deg_b >= deg_a:

@@ -7,9 +7,9 @@ import pytest
 from valwb.errors import PrecisionExhausted, ZeroPolynomial
 from valwb.field import GF, QQ
 from valwb.groupval import GroupVal
-from valwb.polyx import PolyX, elt_as_series, polyx_from_text
+from valwb.polyx import RATFUNC, SERIES, PolyX, polyx_from_text
 from valwb.sampling import random_polyx, random_ratfunc
-from valwb.series import PuiseuxSeries, RatFunc
+from valwb.series import DEFAULT_PREC, PuiseuxSeries, RatFunc, coerce
 
 F2 = GF(2)
 
@@ -173,6 +173,15 @@ def test_from_text_forms():
     assert f == P(QQ, RatFunc(QQ, [0, -1]), 0, 1)
     g = polyx_from_text(GF(3), "X^3 - X + t")
     assert g.degree() == 3 and g.coeff(1) == -RatFunc.one(GF(3))
+    # the domain follows the leading coefficient; the zero polynomial is exact
+    s = polyx_from_text(QQ, "X^2 - t", SERIES)
+    assert (f.domain, s.domain) == (RATFUNC, SERIES) and s == f.to_series()
+    assert (s + f).domain == (f * s).domain == (f + s * f).domain == SERIES
+    assert s - f == PolyX.zero(QQ) and (s - f).domain == RATFUNC
+    zero = PolyX.from_series(QQ, [PuiseuxSeries.zero(QQ)])
+    assert zero == PolyX.from_series(QQ, []) == PolyX.zero(QQ) and zero.domain == RATFUNC
+    assert hash(zero) == hash(PolyX.zero(QQ)) and polyx_from_text(QQ, "0", SERIES) == zero
+    assert (zero + s) == s and (zero * s).is_zero() and (f + zero) == f
 
 
 def test_recenter_at_the_exact_zero_series_returns_the_coefficients():
@@ -185,15 +194,22 @@ def test_recenter_at_the_exact_zero_series_returns_the_coefficients():
             assert g.recenter_hasse(PuiseuxSeries.zero(field)) == list(g.to_series().coeffs)
 
 
-def test_elt_as_series_of_a_polynomial_matches_from_terms():
+def test_to_series_of_a_polynomial_matches_from_terms():
     rng = random.Random(9)
     for field in (QQ, F2, GF(7)):
         for _ in range(30):
             r = random_ratfunc(field, rng, deg=5)
             want = PuiseuxSeries.from_terms(field, {i: x for i, x in enumerate(r.num)})
-            got = elt_as_series(r)
-            assert got == want and got.is_exact()
+            got = r.to_series()
+            assert got == want and got.is_exact() and got.to_series() is got
             assert list(got.coeffs.items()) == list(want.coeffs.items())
+    # a pole is expanded by coerce: to O(t^DEFAULT_PREC) unless a cap is given
+    for field in (QQ, F2, GF(7)):
+        for r in (RatFunc(field, [1], [1, 1]), RatFunc(field, [0, 0, 1], [0, 2, 0, 1])):
+            assert r.to_series() == coerce(r, DEFAULT_PREC) and r.to_series().prec == DEFAULT_PREC
+            got = r.to_series(Fraction(7, 2))
+            assert got == coerce(r, Fraction(7, 2)) and got.prec == Fraction(7, 2)
+            assert got.val() == r.val()
 
 
 # -- recentering on integer images -------------------------------------------
@@ -206,7 +222,7 @@ FIELDS = [QQ, F2, GF(3), GF(7), GF(2**31 - 1)]
 
 
 def ref_recenter(f, a):
-    a = elt_as_series(a) if isinstance(a, RatFunc) else a
+    a = a.to_series()
     poly = f.to_series(a.prec)
     n = poly.degree()
     if n < 0:

@@ -273,6 +273,19 @@ def test_ratfunc_zero_is_canonical():
         assert d.to_text() == "0"
 
 
+def test_ratfunc_scalars_are_canonical():
+    F7 = GF(7)
+    assert RatFunc(F7, [7, 1]).val() == GroupVal.fin(1)  # 7 is 0 in F_7: the element is t
+    assert RatFunc(F7, [1], [7, 1]) == RatFunc.t_power(F7, -1)
+    assert RatFunc(F7, [10]) == RatFunc(F7, [3]) == RatFunc.constant(F7, 3)
+    assert RatFunc(F7, [Fraction(1, 2)]).num == [4]
+    assert all(type(c) is Fraction for c in RatFunc(QQ, [1, 2], [3]).num)
+    with pytest.raises(WorkbenchError, match="float"):
+        RatFunc(QQ, [0.5, 1])
+    with pytest.raises(WorkbenchError, match="float"):
+        RatFunc(QQ, [1], [1, 0.5])
+
+
 def test_inverse_over_q_stays_exact_for_int_input():
     assert type(QQ.inv(2)) is Fraction and QQ.inv(2) == Fraction(1, 2)
     r = RatFunc(QQ, [1], [1, 2])  # 1/(1 + 2t), made monic: (1/2) / (1/2 + t)
@@ -502,3 +515,82 @@ def test_ratfunc_polynomial_fast_path_matches_the_general_formula():
         poles += not (a.is_polynomial() and b.is_polynomial())
         assert ratfunc_outcome(ops[op], a, b) == ratfunc_outcome(ref_ratfunc_op, op, a, b), i
     assert polynomial >= 100 and poles >= 100, (polynomial, poles)
+
+
+# -- invert: the fraction-free division of coerce on the lattice index --------
+#
+# The reference is the Fraction recursion invert used before it shared
+# coerce's division; every value, scalar type, ram, cap and exception must
+# match it.
+
+def ref_invert(s, prec=None):
+    f = s.field
+    v = s.val()
+    if v.is_inf:
+        raise ZeroDivisionError("inverse of the exact zero series")
+    v0 = v.q
+    if s.is_exact() and len(s.coeffs) == 1:
+        n, c = next(iter(s.coeffs.items()))
+        return PuiseuxSeries.from_terms(f, {-Fraction(n, s.ram): f.inv(c)})
+    if s.prec is not None:
+        work_prec = s.prec
+        out_prec = s.prec - 2 * v0
+    else:
+        target = Fraction(64) if prec is None else Fraction(prec)
+        work_prec = target + 2 * v0
+        out_prec = target
+    e = s.ram
+    shift0 = int(v0 * e)
+    c0 = s.coeffs[shift0]
+    inv_c0 = f.inv(c0)
+    add, mul = f.add, f.mul
+    u = {n - shift0: mul(c, inv_c0) for n, c in s.coeffs.items() if n != shift0}
+    rel_keys = int(math.ceil((work_prec - v0) * e))
+    v_coeffs = {0: f.one()}
+    for n in range(1, rel_keys):
+        acc = f.zero()
+        for k, uc in u.items():
+            if 0 < k <= n and (n - k) in v_coeffs:
+                acc = add(acc, mul(uc, v_coeffs[n - k]))
+        if acc:
+            v_coeffs[n] = f.neg(acc)
+    out = {n - shift0: mul(c, inv_c0) for n, c in v_coeffs.items()}
+    return PuiseuxSeries(f, e, out, out_prec)
+
+
+def random_invert_case(field, rng):
+    ram, shape = rng.choice((1, 2, 3, 6)), rng.random()
+    if shape < 0.03:
+        return PuiseuxSeries.zero(field)
+    if shape < 0.06:
+        return PuiseuxSeries.unknown_zero(field, Fraction(rng.randint(-4, 8), ram))
+    lo = rng.randint(-6, 6)
+    if shape < 0.15:
+        keys = [lo]  # a monomial: inverted exactly when exact
+    elif shape < 0.6:
+        keys = range(lo, lo + rng.randint(2, 8))
+    else:
+        keys = {lo} | {rng.randint(lo, lo + 24) for _ in range(rng.randint(1, 5))}
+    coeffs = {n: random_scalar(field, rng) for n in keys}
+    # a cap at, just above or below the top key; below the least key it
+    # leaves an unknown zero
+    prec = None if rng.random() < 0.5 else Fraction(max(keys) + rng.randint(-3, 4), ram)
+    return PuiseuxSeries(field, ram, coeffs, prec)
+
+
+def test_invert_matches_the_fraction_recursion():
+    rng = random.Random(13)
+    targets = (None, 0, 3, 9, 20, -2, Fraction(7, 2), Fraction(-13, 6), "5/2", "x")
+    seen = {"raised": 0, "exact": 0, "capped": 0, "no term": 0}
+    for i in range(1000):
+        field = FIELDS[i % len(FIELDS)]
+        s = random_invert_case(field, rng)
+        target = rng.choice(targets)
+        got = outcome(invert, s, target)
+        assert got == outcome(ref_invert, s, target), (i, s, target)
+        if got[0] == "raised":
+            seen["raised"] += 1
+        else:
+            seen["exact" if s.prec is None else "capped"] += 1
+            seen["no term"] += not got[3]
+    assert min(seen.values()) >= 30, seen

@@ -8,7 +8,7 @@ from valwb.errors import PrecisionExhausted, WorkbenchError, ZeroPolynomial
 from valwb.field import GF, QQ
 from valwb.groupval import FIN0, GroupVal
 from valwb.pcs import exponential_generator
-from valwb.polyx import PolyX, elt_is_decidably_zero, elt_is_unknown_zero, polyx_from_text
+from valwb.polyx import PolyX, polyx_from_text
 from valwb.series import PuiseuxSeries, RatFunc
 from valwb.valuation import (
     Counterexample,
@@ -230,9 +230,9 @@ def ref_min_weighted(C, gamma):
     best = None
     pending = []
     for i, c in enumerate(C):
-        if elt_is_decidably_zero(c):
+        if c.is_exact_zero():
             continue
-        if elt_is_unknown_zero(c):
+        if c.is_unknown_zero():
             pending.append(GroupVal.fin(Fraction(c.prec)) + i * gamma)
             continue
         term = c.val() + i * gamma
