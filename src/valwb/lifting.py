@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Optional
 
 from .algnum import AlgElement, NoRootFound, galois_twist, minpoly_over_completion
@@ -32,9 +33,9 @@ from .pcs import (
     classify_generator,
     values_along,
 )
-from .polyx import RATFUNC, PolyX
+from .polyx import RATFUNC, PolyX, shifted_values
 from .series import DEFAULT_PREC, PuiseuxSeries, truncate_to_ratfunc
-from .valuation import OVER_KHAT, ValuationSpec, delta, eval_spec, is_pair_equivalent
+from .valuation import OVER_KHAT, ValuationSpec, _min_weighted, delta, eval_spec, is_pair_equivalent
 
 # extension kinds
 RESIDUE_TRANSCENDENTAL = "ResidueTranscendental"
@@ -395,8 +396,7 @@ def _density_via_stabilized_pair(f: PolyX, g: PolyX, alpha: GroupVal,
 
 
 def _min_recentered_value(h: PolyX, center) -> GroupVal:
-    from .valuation import _min_weighted
-    return _min_weighted(h.recenter_hasse(center), FIN0)
+    return _min_weighted(h.recentered_values(center), FIN0)
 
 
 def _verify_density(f, g, f1, g1, alpha, spec, vf, vg):
@@ -405,9 +405,9 @@ def _verify_density(f, g, f1, g1, alpha, spec, vf, vg):
         (g.degree() == g1.degree(), "deg g preserved"),
         (eval_spec(spec, f1) == vf, "v f preserved"),
         (eval_spec(spec, g1) == vg, "v g preserved"),
-        (_value_exceeds(spec, f - f1, alpha), "v(f - f') > alpha"),
-        (_value_exceeds(spec, g - g1, alpha), "v(g - g') > alpha"),
-        (_quotient_gap_exceeds(spec, f, g, f1, g1, vg, alpha),
+        (_difference_exceeds(spec, f, f1, alpha), "v(f - f') > alpha"),
+        (_difference_exceeds(spec, g, g1, alpha), "v(g - g') > alpha"),
+        (_difference_exceeds(spec, f * g1, f1 * g, alpha + vg + eval_spec(spec, g1)),
          "v(f/g - f'/g') > alpha"),
     ]
     for ok, label in checks:
@@ -415,26 +415,34 @@ def _verify_density(f, g, f1, g1, alpha, spec, vf, vg):
             raise WorkbenchError(f"density verification failed: {label}")
 
 
-def _value_exceeds(spec: ValuationSpec, h: PolyX, bound: GroupVal) -> bool:
-    """True iff v h > bound, accepting PosInf and horizon-capped evidence."""
-    if h.is_zero():
-        return True
-    try:
-        return eval_spec(spec, h) > bound
-    except HorizonExceeded:
-        if spec.kind == "pcslimit":
+def _difference_exceeds(spec: ValuationSpec, h: PolyX, h1: PolyX, bound: GroupVal) -> bool:
+    """True iff v(h - h1) > bound, PrecisionExhausted where undecided.  A limit
+    spec values the polynomial h - h1, accepting horizon-capped evidence.  Else
+    the difference (a cut that kept every term leaves no decidable lead) is
+    read off its value profile: all decided and cap terms above the bound."""
+    if spec.kind == "pcslimit":
+        h = h - h1
+        if h.is_zero():
+            return True
+        try:
+            return eval_spec(spec, h) > bound
+        except HorizonExceeded:
             _, trend = values_along(h, spec.gen)
             if isinstance(trend, StrictlyIncreasingAtHorizon):
                 return trend.last >= bound
-        raise
-
-
-def _quotient_gap_exceeds(spec, f, g, f1, g1, vg, alpha) -> bool:
-    num = f * g1 - f1 * g
-    if num.is_zero():
+            raise
+    h, h1 = h._unify(h1)
+    if h.domain == RATFUNC:  # exact (or zero): the difference has a decidable lead
+        d = (h - h1).to_series(spec.center.prec).coeffs
+    else:
+        d = [x - y for x, y in zip_longest(h.coeffs, h1.coeffs,
+                                           fillvalue=PuiseuxSeries.zero(h.field))]
+    e, rows = profile = shifted_values(h.field, d, spec.center)
+    gz, gq = spec.gamma.z, spec.gamma.q
+    if all(GroupVal(i * gz, (cap if k is None else Fraction(k, e)) + i * gq) > bound
+           for i, (k, cap) in enumerate(rows) if (k, cap) != (None, None)):
         return True
-    target = alpha + vg + eval_spec(spec, g1)
-    return _value_exceeds(spec, num, target)
+    return _min_weighted(profile, spec.gamma) > bound
 
 
 # ---------------------------------------------------------------------------

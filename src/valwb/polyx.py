@@ -14,7 +14,9 @@ The root-data tool of the workbench is :meth:`PolyX.newton_polygon`: the
 lower convex hull of (i, val C_i) after recentering, whose slopes give the
 exact multiset of valuations of center-to-root differences.  Recentering
 uses the integer binomial coefficients of the Hasse derivative, so it is
-valid in every characteristic.
+valid in every characteristic.  Over series one integer stage has two readers:
+:meth:`PolyX.recenter_hasse` builds the C_i, and the value profile
+:meth:`PolyX.recentered_values` keeps each C_i's least surviving key and cap.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ class PolyX:
         if coeffs and coeffs[-1].is_unknown_zero():
             raise PrecisionExhausted(
                 "leading coefficient is not decidably nonzero at this precision")
+        if len(set(map(type, coeffs))) > 1:
+            raise WorkbenchError("coefficients must be all RatFunc or all PuiseuxSeries")
         self.field = field
         self.coeffs = coeffs
 
@@ -172,17 +176,20 @@ class PolyX:
 
         Computed by the binomial (Hasse-derivative) formula, valid in every
         characteristic; exact over RatFunc, precision-tracked over series
-        (:func:`_shift_series`).
+        (:func:`_shift_stage`).
         """
         poly, a = self._with_point(a)
+        if poly.domain == SERIES:  # each C_i lowered to one scalar per surviving key
+            e, rows = _shift_stage(self.field, poly.coeffs, a)
+            lower = self.field.from_integer
+            return [c if row is None else
+                    PuiseuxSeries(self.field, e, {k: lower(x, row[1]) for k, x in row[0].items() if x},
+                                  row[2])
+                    for c, row in zip(poly.coeffs, rows)]
         n = poly.degree()
-        if n < 0:
-            return []
-        if a.is_exact_zero():
+        if n < 1 or a.is_exact_zero():
             # every shifted term carries a power of the exact zero
             return list(poly.coeffs)
-        if poly.domain == SERIES:
-            return _shift_series(self.field, poly.coeffs, a)
         powers = [RatFunc.one(self.field)]
         for _ in range(n):
             powers.append(powers[-1] * a)
@@ -195,6 +202,16 @@ class PolyX:
                 acc = acc + (term if b == one else term * RatFunc.constant(self.field, b))
             out.append(acc)
         return out
+
+    def recentered_values(self, a) -> tuple:
+        """The value profile (e, rows) of :meth:`recenter_hasse`'s C_i: row i is
+        (k, cap), val C_i = k/e for the least surviving key k, or k None when no
+        term survives below the cap (the exact zero if cap is None); no series."""
+        poly, a = self._with_point(a)
+        if poly.domain == SERIES:
+            return shifted_values(self.field, poly.coeffs, a)
+        return 1, [(None if c.is_exact_zero() else int(c.val().q), None)
+                   for c in poly.recenter_hasse(a)]
 
     # -- division ---------------------------------------------------------------
 
@@ -252,40 +269,30 @@ class PolyX:
         """
         if self.is_zero():
             raise ZeroPolynomial("Newton polygon of the zero polynomial")
-        if center is None:
-            C = list(self.coeffs)
-        else:
-            C = self.recenter_hasse(center)
-        n = len(C) - 1
+        e, rows = self.recentered_values(RatFunc.zero(self.field) if center is None else center)
+        n = len(rows) - 1
         if n == 0:
             return []
         # leading zeros (exact roots at the center)
         k = 0
-        while k < n and C[k].is_exact_zero():
+        while k < n and rows[k] == (None, None):
             k += 1
-        if C[k].is_unknown_zero():
+        if rows[k][0] is None and rows[k][1] is not None:
             raise PrecisionExhausted(
                 f"coefficient {k} of the recentered polynomial is undecidable")
-        known, unknown = [], []
-        for i in range(k, n + 1):
-            c = C[i]
-            if c.is_exact_zero():
-                continue
-            if c.is_unknown_zero():
-                unknown.append((i, Fraction(c.prec)))
-            else:
-                known.append((i, c.val().q))
-        hull = _lower_hull(known)
+        known = [(i, key) for i, (key, _) in enumerate(rows) if key is not None]
+        unknown = [(i, cap) for i, (key, cap) in enumerate(rows) if key is None and cap is not None]
+        hull = _lower_hull(known)  # heights in units of 1/e
         # undecidable points must provably lie on or above the hull
         for i, lb in unknown:
-            if lb < _hull_height(hull, i):
+            if lb * e < _hull_height(hull, i):
                 raise PrecisionExhausted(
                     f"coefficient {i} (known only to O(t^{lb})) may cut the Newton polygon")
         out = []
         if k > 0:
             out.append((GroupVal.posinf(), k))
         for (i1, v1), (i2, v2) in zip(hull, hull[1:]):
-            out.append((GroupVal.fin(Fraction(v1 - v2, i2 - i1)), i2 - i1))
+            out.append((GroupVal.fin(Fraction(v1 - v2, (i2 - i1) * e)), i2 - i1))
         return out
 
     # -- text -----------------------------------------------------------------------
@@ -323,9 +330,10 @@ def _hasse_binomials(field: BaseField, n: int) -> tuple:
     return tuple(rows)
 
 
-def _shift_series(field: BaseField, coeffs, a: PuiseuxSeries) -> list:
-    """C_i = sum over j of C(j, i) c_j a^(j-i), for series c_j and a center a
-    that is not the exact zero, computed on integer images.
+def _shift_stage(field: BaseField, coeffs, a: PuiseuxSeries) -> tuple:
+    """C_i = sum over j of C(j, i) c_j a^(j-i), for series c_j and a, on
+    integer images: (e, rows), row i None when C_i = c_i, else (acc, d, cap)
+    for C_i = sum of acc[k]/d t^(k/e) + O(t^cap).
 
     The caps are those of the series arithmetic term by term: a^d = a^(d-1) a
     and c_j a^d by the product rule, C_i the least cap of its summands.  They
@@ -337,9 +345,12 @@ def _shift_series(field: BaseField, coeffs, a: PuiseuxSeries) -> list:
     over F_p the images are the residues.
     """
     n, p = len(coeffs) - 1, field.char
-    if n and a.field != field:
-        raise WorkbenchError("base field mismatch")
     e = math.lcm(a.ram, *(c.ram for c in coeffs))
+    if n < 1 or a.is_exact_zero():
+        # every shifted term carries a power of the exact zero
+        return e, [None] * (n + 1)
+    if a.field != field:
+        raise WorkbenchError("base field mismatch")
     flat, dc = field.as_integers([x for c in coeffs for x in c.coeffs.values()])
     flat = iter(flat)  # zip stops at the last key of c before it takes a value
     images = [dict(zip(c.coeffs, flat)) for c in coeffs]
@@ -353,11 +364,11 @@ def _shift_series(field: BaseField, coeffs, a: PuiseuxSeries) -> list:
         if p:  # residues, and the keys whose terms cancel mod p dropped
             pw = {k: x % p for k, x in pw.items() if x % p}
         powers.append((pw, prec, Fraction(min(pw), a.ram) if pw else prec))
-    out, lower = [], field.from_integer
+    rows = []
     for i, row in enumerate(_hasse_binomials(field, n)):
         terms = [(j, b) for j, b in row if not coeffs[j].is_exact_zero()]
         if not terms:  # adding exact zeros changes neither values nor the cap
-            out.append(coeffs[i])
+            rows.append(None)
             continue
         prec = coeffs[i].prec
         for j, _ in terms:
@@ -373,9 +384,23 @@ def _shift_series(field: BaseField, coeffs, a: PuiseuxSeries) -> list:
             for k, x in lattice_product(img, e // coeffs[j].ram, [w * x for x in img.values()],
                                         pw, sa, list(pw.values()), cap).items():
                 acc[k] = acc.get(k, 0) + x
-        d = dc * da**m
-        out.append(PuiseuxSeries(field, e, {k: lower(x, d) for k, x in acc.items() if x}, prec))
-    return out
+        rows.append((acc, dc * da**m, prec))
+    return e, rows
+
+
+def shifted_values(field: BaseField, coeffs, a: PuiseuxSeries) -> tuple:
+    """:meth:`PolyX.recentered_values` for series c_j, the top one possibly an
+    unknown zero; a key survives if its integer is nonzero (mod p over F_p)."""
+    e, rows = _shift_stage(field, coeffs, a)
+    p, out = field.char, []
+    for c, row in zip(coeffs, rows):
+        if row is None:
+            k, cap = min(c.coeffs) * (e // c.ram) if c.coeffs else None, c.prec
+        else:
+            acc, _, cap = row
+            k = min((k for k, x in acc.items() if (x % p if p else x)), default=None)
+        out.append((k, cap))
+    return e, out
 
 
 def _lower_hull(points):

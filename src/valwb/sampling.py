@@ -13,7 +13,7 @@ from fractions import Fraction
 from .errors import HorizonExceeded, PrecisionExhausted
 from .field import BaseField
 from .polyx import PolyX
-from .series import PuiseuxSeries, RatFunc
+from .series import PuiseuxSeries, RatFunc, tp_trim
 
 
 def _redraw(draw, use, limit: int = 2000):
@@ -49,10 +49,9 @@ def random_ratfunc(field: BaseField, rng, deg: int = 3, poles: bool = False,
     num = random_tpoly(field, rng, rng.randint(0, deg))
     if nonzero and all(field.is_zero(c) for c in num):
         num[0] = field.one()
-    den = random_tpoly(field, rng, rng.randint(0, deg)) if poles else [field.one()]
-    if all(field.is_zero(c) for c in den):
-        den = [field.one()]
-    return RatFunc(field, num, den)
+    if not poles:  # canonical scalars over a unit denominator: nothing to normalize
+        return RatFunc._polynomial(field, tp_trim(field, num))
+    return RatFunc(field, num, random_tpoly(field, rng, rng.randint(0, deg)))
 
 
 def random_series(field: BaseField, rng, prec, ram: int = 1, depth: int = 6,

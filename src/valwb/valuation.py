@@ -111,8 +111,7 @@ def eval_spec(spec: ValuationSpec, f: PolyX) -> GroupVal:
     if f.is_zero():
         raise ZeroPolynomial("valuation of the zero polynomial")
     if spec.kind in ("gauss", "monomial"):
-        C = f.recenter_hasse(spec.center)
-        return _min_weighted(C, spec.gamma)
+        return _min_weighted(f.recentered_values(spec.center), spec.gamma)
     if spec.kind == "keypoly":
         digits = f.qadic_expand(spec.Q)
         best = None
@@ -135,40 +134,31 @@ def eval_spec(spec: ValuationSpec, f: PolyX) -> GroupVal:
     raise WorkbenchError(f"unknown spec kind {spec.kind!r}")
 
 
-def _min_weighted(C: list, gamma: GroupVal) -> GroupVal:
-    """min(val C_i + i*gamma) with honest undecidability handling.
+def _min_weighted(profile: tuple, gamma: GroupVal) -> GroupVal:
+    """min(val C_i + i*gamma) over the C_i's value profile, with honest
+    undecidability handling (see :meth:`PolyX.recentered_values`).
 
     Unknown-zero coefficients contribute only a lower bound; the minimum is
     trusted iff every such bound sits at or above it.  The weight is finite,
-    as the spec constructors demand, so the terms are reduced as plain (z, q)
-    pairs, which order as their GroupVals do.
+    as the spec constructors demand; with gamma.q = a/b, term i is the pair
+    (i*gamma.z, k*b + i*a*e) over e*b, which orders as the GroupVals do.
     """
     _require_finite(gamma)
+    e, rows = profile
     gz, gq = gamma.z, gamma.q
-    best = None
-    pending = []
-    for i, c in enumerate(C):
-        if isinstance(c, PuiseuxSeries):
-            if not c.coeffs:
-                if c.prec is not None:  # an unknown zero
-                    pending.append(i)
-                continue
-            term = (i * gz, Fraction(min(c.coeffs), c.ram) + i * gq)
-        else:
-            if c.is_exact_zero():
-                continue
-            v = c.val()
-            term = (v.z + i * gz, v.q + i * gq)
-        if best is None or term < best:
-            best = term
-    if best is None:
+    a, b = gq.numerator, gq.denominator
+    terms = [(i * gz, k * b + i * a * e) for i, (k, _) in enumerate(rows) if k is not None]
+    if not terms:
         raise PrecisionExhausted("no decidable coefficient valuation survives")
-    for i in pending:
-        bound = (i * gz, Fraction(C[i].prec) + i * gq)
-        if bound < best:
-            raise PrecisionExhausted(
-                f"an undecidable coefficient (bound {GroupVal(*bound).to_text()}) "
-                f"may cut below the decided minimum {GroupVal(*best).to_text()}")
+    z, n = min(terms)
+    best = (z, Fraction(n, e * b))
+    for i, (k, cap) in enumerate(rows):
+        if k is None and cap is not None:  # an unknown zero
+            bound = (i * gz, Fraction(cap) + i * gq)
+            if bound < best:
+                raise PrecisionExhausted(
+                    f"an undecidable coefficient (bound {GroupVal(*bound).to_text()}) "
+                    f"may cut below the decided minimum {GroupVal(*best).to_text()}")
     return GroupVal(*best)
 
 

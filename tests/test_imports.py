@@ -1,6 +1,8 @@
-"""Every module of the package uses every name it imports."""
+"""Every module of the package uses every name it imports, and every private
+module-level function of the package is referenced somewhere in it."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import valwb
@@ -38,3 +40,39 @@ def test_the_scan_sees_unused_and_used_imports(tmp_path):
     src.write_text("from __future__ import annotations\nimport os.path\n"
                    "from math import gcd, lcm as l\n\ndef f(x: gcd) -> int:\n    return 1\n")
     assert unused_imports(src) == [("m.py", "os", 2), ("m.py", "l", 3)]
+
+
+def dead_helpers(paths) -> list:
+    """Module-level functions named _x that no code in ``paths`` references,
+    references from the function's own body (recursion) not counted."""
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+
+    def names(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+
+    used = Counter(name for tree in trees.values() for name in names(tree))
+    return [(path.name, node.name, node.lineno) for path, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+            and not node.name.startswith("__")
+            and used[node.name] == Counter(names(node))[node.name]]
+
+
+def test_no_private_function_is_left_unreferenced():
+    modules = sorted(Path(valwb.__file__).parent.glob("*.py"))
+    assert not dead_helpers(modules), dead_helpers(modules)
+
+
+def test_the_scan_sees_dead_and_live_helpers(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def _called():\n    return 1\n\ndef _dead():\n    return _called()\n\n"
+        "def _recursive(n):\n    return _recursive(n - 1) if n else 0\n\n"
+        "def _attribute():\n    return 2\n\ndef __getattr__(name):\n    return name\n\n"
+        "def public():\n    return 3\n")
+    (tmp_path / "b.py").write_text("import a\n\nVALUE = a._attribute()\n")
+    found = dead_helpers(sorted(tmp_path.glob("*.py")))
+    assert found == [("a.py", "_dead", 4), ("a.py", "_recursive", 7)]

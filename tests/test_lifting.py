@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from valwb.algnum import attach_minpoly
-from valwb.errors import DeltaTooLarge, UnsupportedKind
+from valwb import selftest
+from valwb.errors import DeltaTooLarge, PrecisionExhausted, UnsupportedKind, WorkbenchError
 from valwb.field import GF, QQ
 from valwb.groupval import GroupVal
 from valwb.lifting import (
@@ -16,6 +17,7 @@ from valwb.lifting import (
     CskpSeq,
     NoWitness,
     Witness,
+    _difference_exceeds,
     approximate_density,
     approximate_same_delta,
     classify_extension,
@@ -34,6 +36,8 @@ from valwb.pcs import (
     mixed_radix_generator,
 )
 from valwb.polyx import PolyX, polyx_from_text
+from valwb.report import Report
+from valwb.selftest import check_density
 from valwb.series import PuiseuxSeries, RatFunc
 from valwb.valuation import ValuationSpec, delta, eval_spec
 
@@ -258,3 +262,65 @@ def test_conjugacy_check():
     rep = conjugacy_check(root, GroupVal.fin(1), 1)
     assert rep["shared_minpoly"] and rep["kinds_match"]
     assert rep["kind"] == rep["twisted_kind"]
+
+
+# -- density verification of a truncation that kept every term ------------------
+#
+# Both samples drew f and g whose every term lies below the cutoff, so each
+# coefficient of f - f' or g - g' is O(t^64): the difference has no decidable
+# lead, yet v(h - h') >= 64 > alpha is proven coefficient by coefficient.
+
+FULL_CUT_SAMPLES = [  # run_selftest(648), sample 92; run_selftest(661), sample 32
+    ("X + [4/3*t^3 + t^6 + O(t^64)]",
+     "X + [-5/4*t^19 - 2/3*t^30 - 1/2*t^33 + 5/2*t^43 + 5*t^53 + t^56 + O(t^64)]"),
+    ("X + [-1 + 3/4*t^10 + 3/2*t^35 + 2*t^43 + 1/3*t^57 + 3*t^62 + O(t^64)]",
+     "X^2 + [-1/2*t^3 + 3/4*t^6 + O(t^64)]*X + [-5/3*t^21 - 5*t^24 - 1/2*t^25"
+     " - 2*t^37 - 1/3*t^53 - 3/2*t^55 + O(t^64)]"),
+]
+
+
+def test_density_verifies_a_truncation_that_kept_every_term():
+    spec = ValuationSpec.monomial(PuiseuxSeries.t_power(QQ, Fraction(1, 2)),
+                                  GroupVal.fin(Fraction(3, 4)))
+    for ftext, gtext in FULL_CUT_SAMPLES:
+        f, g = (polyx_from_text(QQ, text, "series") for text in (ftext, gtext))
+        res = approximate_density(f, g, GroupVal.fin(3), spec)
+        assert res.note == "verified"
+        with pytest.raises(PrecisionExhausted):  # the difference as a polynomial
+            (f - res.f_prime, g - res.g_prime)
+    rep = Report("density")
+    check_density(rep, 661)
+    assert [(v.outcome.startswith("ok"), v.caveats) for v in rep.verdicts] == [(True, ())] * 4
+
+
+def test_difference_is_judged_by_its_value_profile():
+    gauss = ValuationSpec.gauss(QQ)
+    x = polyx_from_text(QQ, "X")
+    cut = polyx_from_text(QQ, "X + [O(t^2)]", "series")  # x - cut: O(t^2), no lead
+    assert _difference_exceeds(gauss, cut, x, GroupVal.fin(1))  # cap 2 > 1
+    with pytest.raises(PrecisionExhausted):  # cap 2 below 3, nothing decided
+        _difference_exceeds(gauss, cut, x, GroupVal.fin(3))
+    near = polyx_from_text(QQ, "X + [t + O(t^5)]", "series")
+    assert _difference_exceeds(gauss, near, x, GroupVal.fin(0))
+    assert not _difference_exceeds(gauss, near, x, GroupVal.fin(3))  # v = 1, decided
+    assert _difference_exceeds(gauss, x, x, GroupVal.fin(100))
+    limit = ValuationSpec.pcslimit(mixed_radix_generator(2, 3, 8))
+    with pytest.raises(PrecisionExhausted):  # a limit spec values the polynomial
+        _difference_exceeds(limit, cut, x, GroupVal.fin(1))
+
+
+def test_check_density_counts_undecidable_samples_apart(monkeypatch):
+    def fake(f, g, alpha, spec, **kw):
+        if classify_extension(spec) not in DENSITY_KINDS:
+            return approximate_density(f, g, alpha, spec)  # the refusals
+        if spec.kind == "monomial":
+            raise WorkbenchError("density verification failed: v(f - f') > alpha")
+        raise PrecisionExhausted("undecided")
+    monkeypatch.setattr(selftest, "approximate_density", fake)
+    rep = Report("density")
+    selftest.check_density(rep, 0)
+    assert [(v.outcome, v.caveats) for v in rep.verdicts] == [
+        ("ok: gauss: 100 samples, 0 failures", ("100 undecidable samples",)),
+        ("FAIL: monomial t^(1/2) @ 3/4: 100 samples, 100 failures", ()),
+        ("ok: mixed-radix limit: 25 samples, 0 failures", ("25 undecidable samples",)),
+        ("ok: 2/2 unsupported kinds refused", ())]

@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from valwb.errors import PrecisionExhausted, ZeroPolynomial
+from valwb.errors import PrecisionExhausted, WorkbenchError, ZeroPolynomial
 from valwb.field import GF, QQ
-from valwb.groupval import GroupVal
-from valwb.polyx import RATFUNC, SERIES, PolyX, polyx_from_text
+from valwb.groupval import FIN0, GroupVal
+from valwb.lifting import _min_recentered_value
+from valwb.polyx import RATFUNC, SERIES, PolyX, _hull_height, _lower_hull, polyx_from_text
 from valwb.sampling import random_polyx, random_ratfunc
 from valwb.series import DEFAULT_PREC, PuiseuxSeries, RatFunc, coerce
+from valwb.valuation import ValuationSpec, delta, eval_spec
 
 F2 = GF(2)
 
@@ -184,6 +186,19 @@ def test_from_text_forms():
     assert (zero + s) == s and (zero * s).is_zero() and (f + zero) == f
 
 
+def test_mixed_coefficients_are_refused():
+    t, one = RatFunc.t_power(QQ, 1), PuiseuxSeries.one(QQ)
+    s = PolyX(QQ, [PuiseuxSeries.t_power(QQ, 1), one])
+    with pytest.raises(WorkbenchError, match="all RatFunc or all PuiseuxSeries"):
+        PolyX(QQ, [t, one]) + s  # a bare AttributeError from + before
+    with pytest.raises(WorkbenchError, match="all RatFunc or all PuiseuxSeries"):
+        PolyX(QQ, [t, one]).recenter_hasse(one)  # and from recenter_hasse
+    with pytest.raises(WorkbenchError, match="all RatFunc or all PuiseuxSeries"):
+        PolyX(QQ, [one, RatFunc.one(QQ)])
+    # exact zeros above the lead are trimmed before the check
+    assert PolyX(QQ, [t, RatFunc.one(QQ), PuiseuxSeries.zero(QQ)]).domain == RATFUNC
+
+
 def test_recenter_at_the_exact_zero_series_returns_the_coefficients():
     rng = random.Random(5)
     for field in (QQ, F2, GF(5)):
@@ -335,3 +350,141 @@ def test_recenter_kernel_matches_the_hasse_series_loop():
     assert seen["raised"] >= 5 and seen["unknown-zero outputs"] >= 30, seen
     assert seen["ratfunc"] >= 60, seen
 
+
+
+# -- the value profile ----------------------------------------------------------
+#
+# eval_spec, delta and the density check read valuations off the shift's
+# integer rows (PolyX.recentered_values).  The references are the readers of
+# built coefficients they replaced: the weighted minimum and the Newton polygon
+# over recenter_hasse's series.  Values, with the types of their parts, or the
+# exception class and message must match.
+
+def ref_min_weighted(C, gamma):
+    gz, gq = gamma.z, gamma.q
+    best = None
+    pending = []
+    for i, c in enumerate(C):
+        if isinstance(c, PuiseuxSeries):
+            if not c.coeffs:
+                if c.prec is not None:
+                    pending.append(i)
+                continue
+            term = (i * gz, Fraction(min(c.coeffs), c.ram) + i * gq)
+        else:
+            if c.is_exact_zero():
+                continue
+            v = c.val()
+            term = (v.z + i * gz, v.q + i * gq)
+        if best is None or term < best:
+            best = term
+    if best is None:
+        raise PrecisionExhausted("no decidable coefficient valuation survives")
+    for i in pending:
+        bound = (i * gz, Fraction(C[i].prec) + i * gq)
+        if bound < best:
+            raise PrecisionExhausted(
+                f"an undecidable coefficient (bound {GroupVal(*bound).to_text()}) "
+                f"may cut below the decided minimum {GroupVal(*best).to_text()}")
+    return GroupVal(*best)
+
+
+def ref_newton_polygon(f, center=None):
+    if f.is_zero():
+        raise ZeroPolynomial("Newton polygon of the zero polynomial")
+    C = list(f.coeffs) if center is None else f.recenter_hasse(center)
+    n = len(C) - 1
+    if n == 0:
+        return []
+    k = 0
+    while k < n and C[k].is_exact_zero():
+        k += 1
+    if C[k].is_unknown_zero():
+        raise PrecisionExhausted(f"coefficient {k} of the recentered polynomial is undecidable")
+    known, unknown = [], []
+    for i in range(k, n + 1):
+        c = C[i]
+        if c.is_exact_zero():
+            continue
+        if c.is_unknown_zero():
+            unknown.append((i, Fraction(c.prec)))
+        else:
+            known.append((i, c.val().q))
+    hull = _lower_hull(known)
+    for i, lb in unknown:
+        if lb < _hull_height(hull, i):
+            raise PrecisionExhausted(
+                f"coefficient {i} (known only to O(t^{lb})) may cut the Newton polygon")
+    out = [(GroupVal.posinf(), k)] if k > 0 else []
+    for (i1, v1), (i2, v2) in zip(hull, hull[1:]):
+        out.append((GroupVal.fin(Fraction(v1 - v2, i2 - i1)), i2 - i1))
+    return out
+
+
+def ref_delta(spec, f):
+    best = None
+    for slope, _ in ref_newton_polygon(f, spec.center):
+        term = spec.gamma if slope.is_inf else min(spec.gamma, slope)
+        if best is None or term > best:
+            best = term
+    return best
+
+
+def outcome(fn, *args):
+    """A value with the types of its parts, a polygon, or the exception."""
+    try:
+        v = fn(*args)
+    except Exception as exc:  # the exception itself is part of the outcome
+        return ("raised", type(exc), str(exc))
+    if isinstance(v, list):
+        return [(s.inf, s.z, type(s.q), s.q, m) for s, m in v]
+    return (v.inf, type(v.z), v.z, type(v.q), v.q)
+
+
+def test_value_profile_matches_the_readers_of_built_series():
+    rng = random.Random(13)
+    kinds = ("one term", "dense", "negative", "unknown zero", "pole", "zero", "exact")
+    seen = {"value": 0, "raised": 0, "exact Hasse": 0, "polygon": 0, "unknown zero": 0}
+    for i in range(350):
+        field = FIELDS[i % len(FIELDS)]
+        kind = kinds[i // len(FIELDS) % len(kinds)]
+        deg = rng.randint(1, 5)
+        if kind in ("pole", "exact") or rng.random() < 0.25:
+            # small scalars: poles expanded to O(t^64) stay cheap; at an exact
+            # center the Hasse sum over K stays polynomial, as gcds are dear
+            poles = kind != "exact" and rng.random() < 0.5
+            coeffs = [random_ratfunc(field, rng, poles=poles) for _ in range(deg)]
+            f = PolyX.from_ratfuncs(field, coeffs + [random_ratfunc(field, rng, nonzero=True)])
+        else:
+            coeffs = [random_coefficient(field, rng) for _ in range(deg)]
+            k, ram = rng.randint(-3, 3), rng.choice((1, 2, 3, 6))
+            lead = PuiseuxSeries(field, ram, {k: nonzero_scalar(field, rng)},
+                                 rng.choice((None, Fraction(k + rng.randint(1, 9), ram))))
+            f = PolyX.from_series(field, coeffs + [lead])
+        if kind == "zero":
+            a = PuiseuxSeries.zero(field)
+        elif kind == "exact":  # an exact center of K keeps a RatFunc polynomial exact
+            a = RatFunc(field, [nonzero_scalar(field, rng) for _ in range(rng.randint(1, 3))])
+        else:
+            a = random_center(field, rng, kind)
+        q = Fraction(rng.randint(-4, 8), rng.choice((1, 2, 3, 4)))
+        gamma = GroupVal.lex(rng.choice((-1, 1)), q) if rng.random() < 0.2 else GroupVal.fin(q)
+        spec = ValuationSpec.gauss(field) if kind == "zero" else ValuationSpec.monomial(a, gamma)
+        got = [outcome(eval_spec, spec, f), outcome(delta, spec, f),
+               outcome(_min_recentered_value, f, a),
+               outcome(f.newton_polygon, None), outcome(f.newton_polygon, a)]
+        want = [outcome(lambda: ref_min_weighted(f.recenter_hasse(spec.center), spec.gamma)),
+                outcome(ref_delta, spec, f),
+                outcome(lambda: ref_min_weighted(f.recenter_hasse(a), FIN0)),
+                outcome(ref_newton_polygon, f, None), outcome(ref_newton_polygon, f, a)]
+        assert got == want, (i, kind, f, a, gamma)
+        seen["value"] += got[0][0] != "raised"
+        seen["raised"] += sum(x[0] == "raised" for x in got)
+        seen["polygon"] += isinstance(got[4], list)
+        seen["exact Hasse"] += f.domain == RATFUNC and kind == "exact"
+        try:
+            C = f.recenter_hasse(spec.center)
+        except PrecisionExhausted:
+            C = []
+        seen["unknown zero"] += any(c.is_unknown_zero() for c in C)
+    assert min(seen.values()) >= 30, seen

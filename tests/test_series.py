@@ -14,6 +14,7 @@ from valwb.errors import (
 )
 from valwb.field import GF, QQ
 from valwb.groupval import GroupVal
+from valwb import sampling
 from valwb.series import (
     PuiseuxSeries,
     RatFunc,
@@ -284,6 +285,31 @@ def test_ratfunc_scalars_are_canonical():
         RatFunc(QQ, [0.5, 1])
     with pytest.raises(WorkbenchError, match="float"):
         RatFunc(QQ, [1], [1, 0.5])
+
+
+def ref_random_ratfunc(field, rng, deg=3, poles=False, nonzero=False):
+    """random_ratfunc as it was, every draw through the normalizing constructor."""
+    num = sampling.random_tpoly(field, rng, rng.randint(0, deg))
+    if nonzero and all(field.is_zero(c) for c in num):
+        num[0] = field.one()
+    den = sampling.random_tpoly(field, rng, rng.randint(0, deg)) if poles else [field.one()]
+    if all(field.is_zero(c) for c in den):
+        den = [field.one()]
+    return RatFunc(field, num, den)
+
+
+def test_random_ratfunc_draws_what_the_constructor_builds():
+    shapes = random.Random(3)
+    for i in range(2000):
+        field = (QQ, F2, GF(3), GF(7))[i % 4]
+        kw = {"deg": shapes.randint(0, 5), "poles": shapes.random() < 0.3,
+              "nonzero": shapes.random() < 0.5}
+        rng, ref_rng = random.Random(i), random.Random(i)
+        got = sampling.random_ratfunc(field, rng, **kw)
+        want = ref_random_ratfunc(field, ref_rng, **kw)
+        assert (got.num, got.den) == (want.num, want.den), (i, kw)
+        assert [type(c) for c in got.num + got.den] == [type(c) for c in want.num + want.den]
+        assert rng.getstate() == ref_rng.getstate()  # the stream behind the golden bytes
 
 
 def test_inverse_over_q_stays_exact_for_int_input():

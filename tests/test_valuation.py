@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -223,8 +224,9 @@ def test_spec_constructors_refuse_an_infinite_weight():
 
 # -- the weighted minimum on (z, q) pairs ------------------------------------
 #
-# The reference is the GroupVal loop the pair reduction replaced; values (with
-# the types of their parts) or exception types and messages must match it.
+# The reference is the GroupVal loop over built coefficients that the integer
+# reduction of the value profile replaced; values (with the types of their
+# parts) or exception types and messages must match it.
 
 def ref_min_weighted(C, gamma):
     best = None
@@ -246,6 +248,14 @@ def ref_min_weighted(C, gamma):
                 f"an undecidable coefficient (bound {lb.to_text()}) may cut "
                 f"below the decided minimum {best.to_text()}")
     return best
+
+
+def value_profile(C):
+    """The value profile (e, [(k, cap)]) of built coefficients, exact or series."""
+    rows = [(None if c.is_zero() else int(c.val().q), None, 1) if isinstance(c, RatFunc)
+            else (min(c.coeffs) if c.coeffs else None, c.prec, c.ram) for c in C]
+    e = math.lcm(*(r for _, _, r in rows))
+    return e, [(k if k is None else k * (e // r), cap) for k, cap, r in rows]
 
 
 def weighted_outcome(fn, C, gamma):
@@ -281,7 +291,7 @@ def test_min_weighted_matches_the_groupval_loop():
         C = [random_coefficient(field, rng) for _ in range(rng.randint(1, 7))]
         q = Fraction(rng.randint(-6, 9), rng.choice((1, 2, 3, 4)))
         gamma = GroupVal.lex(rng.choice((-1, 1, 2)), q) if rng.random() < 0.3 else GroupVal.fin(q)
-        got = weighted_outcome(_min_weighted, C, gamma)
+        got = weighted_outcome(lambda C, g: _min_weighted(value_profile(C), g), C, gamma)
         assert got == weighted_outcome(ref_min_weighted, C, gamma), i
         if got[0] == "raised":
             seen["none decided" if "survives" in got[2] else "cut below"] += 1
