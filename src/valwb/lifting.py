@@ -34,7 +34,7 @@ from .pcs import (
     values_along,
 )
 from .polyx import RATFUNC, PolyX, shifted_values
-from .series import DEFAULT_PREC, PuiseuxSeries, truncate_to_ratfunc
+from .series import DEFAULT_PREC, PuiseuxSeries, RatFunc, truncate_to_ratfunc
 from .valuation import OVER_KHAT, ValuationSpec, _min_weighted, delta, eval_spec, is_pair_equivalent
 
 # extension kinds
@@ -407,7 +407,7 @@ def _verify_density(f, g, f1, g1, alpha, spec, vf, vg):
         (eval_spec(spec, g1) == vg, "v g preserved"),
         (_difference_exceeds(spec, f, f1, alpha), "v(f - f') > alpha"),
         (_difference_exceeds(spec, g, g1, alpha), "v(g - g') > alpha"),
-        (_difference_exceeds(spec, f * g1, f1 * g, alpha + vg + eval_spec(spec, g1)),
+        (_quotient_gap_exceeds(spec, f, g, f1, g1, vg, alpha),
          "v(f/g - f'/g') > alpha"),
     ]
     for ok, label in checks:
@@ -415,34 +415,42 @@ def _verify_density(f, g, f1, g1, alpha, spec, vf, vg):
             raise WorkbenchError(f"density verification failed: {label}")
 
 
-def _difference_exceeds(spec: ValuationSpec, h: PolyX, h1: PolyX, bound: GroupVal) -> bool:
-    """True iff v(h - h1) > bound, PrecisionExhausted where undecided.  A limit
-    spec values the polynomial h - h1, accepting horizon-capped evidence.  Else
-    the difference (a cut that kept every term leaves no decidable lead) is
-    read off its value profile: all decided and cap terms above the bound."""
-    if spec.kind == "pcslimit":
-        h = h - h1
-        if h.is_zero():
-            return True
-        try:
-            return eval_spec(spec, h) > bound
-        except HorizonExceeded:
+def _value_exceeds(spec: ValuationSpec, h: PolyX, bound: GroupVal) -> bool:
+    """True iff v h > bound, accepting PosInf and horizon-capped evidence."""
+    if h.is_zero():
+        return True
+    try:
+        return eval_spec(spec, h) > bound
+    except HorizonExceeded:
+        if spec.kind == "pcslimit":
             _, trend = values_along(h, spec.gen)
             if isinstance(trend, StrictlyIncreasingAtHorizon):
                 return trend.last >= bound
-            raise
-    h, h1 = h._unify(h1)
-    if h.domain == RATFUNC:  # exact (or zero): the difference has a decidable lead
-        d = (h - h1).to_series(spec.center.prec).coeffs
-    else:
-        d = [x - y for x, y in zip_longest(h.coeffs, h1.coeffs,
-                                           fillvalue=PuiseuxSeries.zero(h.field))]
+        raise
+
+
+def _difference_exceeds(spec: ValuationSpec, h: PolyX, h1: PolyX, bound: GroupVal) -> bool:
+    """True iff v(h - h1) > bound, PrecisionExhausted where undecided.  A series
+    difference (a cut that kept every term leaves no decidable lead) is read
+    off its value profile: all decided and cap terms above the bound prove it."""
+    if spec.kind == "pcslimit" or h.domain == h1.domain == RATFUNC:
+        return _value_exceeds(spec, h - h1, bound)
+    d = [x.to_series() - y.to_series()
+         for x, y in zip_longest(h.coeffs, h1.coeffs, fillvalue=RatFunc.zero(h.field))]
     e, rows = profile = shifted_values(h.field, d, spec.center)
     gz, gq = spec.gamma.z, spec.gamma.q
     if all(GroupVal(i * gz, (cap if k is None else Fraction(k, e)) + i * gq) > bound
            for i, (k, cap) in enumerate(rows) if (k, cap) != (None, None)):
         return True
     return _min_weighted(profile, spec.gamma) > bound
+
+
+def _quotient_gap_exceeds(spec, f, g, f1, g1, vg, alpha) -> bool:
+    num = f * g1 - f1 * g
+    if num.is_zero():
+        return True
+    target = alpha + vg + eval_spec(spec, g1)
+    return _value_exceeds(spec, num, target)
 
 
 # ---------------------------------------------------------------------------

@@ -181,11 +181,10 @@ class PolyX:
         poly, a = self._with_point(a)
         if poly.domain == SERIES:  # each C_i lowered to one scalar per surviving key
             e, rows = _shift_stage(self.field, poly.coeffs, a)
-            lower = self.field.from_integer
-            return [c if row is None else
-                    PuiseuxSeries(self.field, e, {k: lower(x, row[1]) for k, x in row[0].items() if x},
-                                  row[2])
-                    for c, row in zip(poly.coeffs, rows)]
+            f, lower = self.field, self.field.from_integer
+            return [c if acc is None else
+                    PuiseuxSeries(f, e, {k: lower(x, d) for k, x in acc.items() if x}, cap)
+                    for c, (acc, d, cap) in zip(poly.coeffs, rows)]
         n = poly.degree()
         if n < 1 or a.is_exact_zero():
             # every shifted term carries a power of the exact zero
@@ -332,8 +331,8 @@ def _hasse_binomials(field: BaseField, n: int) -> tuple:
 
 def _shift_stage(field: BaseField, coeffs, a: PuiseuxSeries) -> tuple:
     """C_i = sum over j of C(j, i) c_j a^(j-i), for series c_j and a, on
-    integer images: (e, rows), row i None when C_i = c_i, else (acc, d, cap)
-    for C_i = sum of acc[k]/d t^(k/e) + O(t^cap).
+    integer images: (e, rows), row i (acc, d, cap) for C_i = sum of acc[k]/d
+    t^(k/e) + O(t^cap), or (None, None, None) when C_i = c_i.
 
     The caps are those of the series arithmetic term by term: a^d = a^(d-1) a
     and c_j a^d by the product rule, C_i the least cap of its summands.  They
@@ -346,9 +345,8 @@ def _shift_stage(field: BaseField, coeffs, a: PuiseuxSeries) -> tuple:
     """
     n, p = len(coeffs) - 1, field.char
     e = math.lcm(a.ram, *(c.ram for c in coeffs))
-    if n < 1 or a.is_exact_zero():
-        # every shifted term carries a power of the exact zero
-        return e, [None] * (n + 1)
+    if n < 1 or a.is_exact_zero():  # every shifted term carries a power of 0
+        return e, [(None, None, None)] * (n + 1)
     if a.field != field:
         raise WorkbenchError("base field mismatch")
     flat, dc = field.as_integers([x for c in coeffs for x in c.coeffs.values()])
@@ -368,7 +366,7 @@ def _shift_stage(field: BaseField, coeffs, a: PuiseuxSeries) -> tuple:
     for i, row in enumerate(_hasse_binomials(field, n)):
         terms = [(j, b) for j, b in row if not coeffs[j].is_exact_zero()]
         if not terms:  # adding exact zeros changes neither values nor the cap
-            rows.append(None)
+            rows.append((None, None, None))
             continue
         prec = coeffs[i].prec
         for j, _ in terms:
@@ -393,11 +391,10 @@ def shifted_values(field: BaseField, coeffs, a: PuiseuxSeries) -> tuple:
     unknown zero; a key survives if its integer is nonzero (mod p over F_p)."""
     e, rows = _shift_stage(field, coeffs, a)
     p, out = field.char, []
-    for c, row in zip(coeffs, rows):
-        if row is None:
+    for c, (acc, _, cap) in zip(coeffs, rows):
+        if acc is None:
             k, cap = min(c.coeffs) * (e // c.ram) if c.coeffs else None, c.prec
         else:
-            acc, _, cap = row
             k = min((k for k, x in acc.items() if (x % p if p else x)), default=None)
         out.append((k, cap))
     return e, out

@@ -44,11 +44,8 @@ def random_tpoly(field: BaseField, rng, deg: int) -> list:
     return coeffs
 
 
-def random_ratfunc(field: BaseField, rng, deg: int = 3, poles: bool = False,
-                   nonzero: bool = False) -> RatFunc:
+def random_ratfunc(field: BaseField, rng, deg: int = 3, poles: bool = False) -> RatFunc:
     num = random_tpoly(field, rng, rng.randint(0, deg))
-    if nonzero and all(field.is_zero(c) for c in num):
-        num[0] = field.one()
     if not poles:  # canonical scalars over a unit denominator: nothing to normalize
         return RatFunc._polynomial(field, tp_trim(field, num))
     return RatFunc(field, num, random_tpoly(field, rng, rng.randint(0, deg)))
@@ -75,7 +72,7 @@ def random_polyx(field: BaseField, rng, deg: int, domain: str = "ratfunc",
     """A random degree-``deg`` polynomial in X, decidably nonzero lead."""
     if domain == "ratfunc":
         coeffs = [random_ratfunc(field, rng) for _ in range(deg + 1)]
-        lead = random_ratfunc(field, rng, nonzero=True)
+        lead = random_ratfunc(field, rng)  # nonzero, as random_tpoly's top coefficient is
         coeffs[-1] = RatFunc.one(field) if monic else lead
     else:
         p = Fraction(prec) if prec is not None else Fraction(24)

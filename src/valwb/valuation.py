@@ -135,8 +135,7 @@ def eval_spec(spec: ValuationSpec, f: PolyX) -> GroupVal:
 
 
 def _min_weighted(profile: tuple, gamma: GroupVal) -> GroupVal:
-    """min(val C_i + i*gamma) over the C_i's value profile, with honest
-    undecidability handling (see :meth:`PolyX.recentered_values`).
+    """min(val C_i + i*gamma) over their value profile, with honest undecidability.
 
     Unknown-zero coefficients contribute only a lower bound; the minimum is
     trusted iff every such bound sits at or above it.  The weight is finite,
@@ -144,8 +143,7 @@ def _min_weighted(profile: tuple, gamma: GroupVal) -> GroupVal:
     (i*gamma.z, k*b + i*a*e) over e*b, which orders as the GroupVals do.
     """
     _require_finite(gamma)
-    e, rows = profile
-    gz, gq = gamma.z, gamma.q
+    (e, rows), gz, gq = profile, gamma.z, gamma.q
     a, b = gq.numerator, gq.denominator
     terms = [(i * gz, k * b + i * a * e) for i, (k, _) in enumerate(rows) if k is not None]
     if not terms:
