@@ -16,7 +16,9 @@ exact multiset of valuations of center-to-root differences.  Recentering
 uses the integer binomial coefficients of the Hasse derivative, so it is
 valid in every characteristic.  Over series one integer stage has two readers:
 :meth:`PolyX.recenter_hasse` builds the C_i, and the value profile
-:meth:`PolyX.recentered_values` keeps each C_i's least surviving key and cap.
+:meth:`PolyX.recentered_values` keeps each C_i's least surviving key and cap;
+the center's powers are built once per center and degree.  A product of
+polynomials in t and X is one Kronecker product of integer images.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from fractions import Fraction
 from .errors import ParseError, PrecisionExhausted, WorkbenchError, ZeroPolynomial
 from .field import BaseField
 from .groupval import GroupVal
-from .series import (PuiseuxSeries, RatFunc, _parse_term, _split_terms, invert, lattice_cap,
-                     lattice_product, min_prec, product_prec)
+from .series import (PuiseuxSeries, RatFunc, _parse_term, _split_terms, convolve, invert,
+                     lattice_cap, lattice_product, min_prec, product_prec, tp_trim)
 from .series import coerce  # noqa: F401  perfbench's tracer rebinds this name here
 
 RATFUNC = "ratfunc"
@@ -133,13 +135,26 @@ class PolyX:
 
     def __mul__(self, other: "PolyX") -> "PolyX":
         a, b = self._unify(other)
+        f = a.field
         if a.is_zero() or b.is_zero():
-            return PolyX.zero(a.field)
-        out = [a.coeffs[-1].zero(a.field)] * (len(a.coeffs) + len(b.coeffs) - 1)
+            return PolyX.zero(f)
+        if a.domain == RATFUNC and all(len(c.den) == 1 for c in a.coeffs + b.coeffs):
+            # one Kronecker product in X and t: at the X-stride w no t-degree
+            # of a coefficient product reaches the next slot
+            zero, lower = f.zero(), f.from_integer
+            w = max(len(c.num) for c in a.coeffs) + max(len(c.num) for c in b.coeffs) - 1
+            (xs, da), (ys, db) = (f.as_integers([x for c in p.coeffs
+                                                 for x in c.num + [zero] * (w - len(c.num))])
+                                  for p in (a, b))
+            slots, d = convolve(xs, ys, len(xs) + len(ys) - w), da * db
+            return PolyX(f, [RatFunc._polynomial(f, tp_trim(f, [lower(v, d) if v else zero
+                                                                 for v in slots[i:i + w]]))
+                             for i in range(0, len(slots), w)])
+        out = [a.coeffs[-1].zero(f)] * (len(a.coeffs) + len(b.coeffs) - 1)
         for i, x in enumerate(a.coeffs):
             for j, y in enumerate(b.coeffs):
                 out[i + j] = out[i + j] + x * y
-        return PolyX(a.field, out)
+        return PolyX(f, out)
 
     def scale(self, c) -> "PolyX":
         """Multiply every coefficient by the coefficient-domain element c."""
@@ -329,6 +344,26 @@ def _hasse_binomials(field: BaseField, n: int) -> tuple:
     return tuple(rows)
 
 
+@functools.lru_cache(maxsize=64)
+def _center_powers(a: PuiseuxSeries, n: int) -> tuple:
+    """(powers, da): powers[d] is (image of a^d, its cap, its valuation bound)
+    for d <= n on a's lattice, over the common denominator da of a's scalars
+    (residues over F_p).  They depend on a's terms and cap alone, so equal
+    centers share one build, and callers must not change the shared dicts."""
+    field, p = a.field, a.field.char
+    ys, da = field.as_integers(a.coeffs.values())
+    va = a.val_lower_bound()
+    powers = [({0: 1}, None, Fraction(0))]
+    for _ in range(n):
+        pw, prec, v = powers[-1]
+        prec = product_prec(prec, v, a.prec, va)
+        pw = lattice_product(pw, 1, list(pw.values()), a.coeffs, 1, ys, lattice_cap(prec, a.ram))
+        if p:  # residues, and the keys whose terms cancel mod p dropped
+            pw = {k: x % p for k, x in pw.items() if x % p}
+        powers.append((pw, prec, Fraction(min(pw), a.ram) if pw else prec))
+    return tuple(powers), da
+
+
 def _shift_stage(field: BaseField, coeffs, a: PuiseuxSeries) -> tuple:
     """C_i = sum over j of C(j, i) c_j a^(j-i), for series c_j and a, on
     integer images: (e, rows), row i (acc, d, cap) for C_i = sum of acc[k]/d
@@ -343,7 +378,7 @@ def _shift_stage(field: BaseField, coeffs, a: PuiseuxSeries) -> tuple:
     over Q the coefficients share one denominator and the center another,
     over F_p the images are the residues.
     """
-    n, p = len(coeffs) - 1, field.char
+    n = len(coeffs) - 1
     e = math.lcm(a.ram, *(c.ram for c in coeffs))
     if n < 1 or a.is_exact_zero():  # every shifted term carries a power of 0
         return e, [(None, None, None)] * (n + 1)
@@ -352,16 +387,8 @@ def _shift_stage(field: BaseField, coeffs, a: PuiseuxSeries) -> tuple:
     flat, dc = field.as_integers([x for c in coeffs for x in c.coeffs.values()])
     flat = iter(flat)  # zip stops at the last key of c before it takes a value
     images = [dict(zip(c.coeffs, flat)) for c in coeffs]
-    ys, da = field.as_integers(a.coeffs.values())
-    va, sa = a.val_lower_bound(), e // a.ram
-    powers = [({0: 1}, None, Fraction(0))]  # (image of a^d, its cap, its valuation bound)
-    for _ in range(n):
-        pw, prec, v = powers[-1]
-        prec = product_prec(prec, v, a.prec, va)
-        pw = lattice_product(pw, 1, list(pw.values()), a.coeffs, 1, ys, lattice_cap(prec, a.ram))
-        if p:  # residues, and the keys whose terms cancel mod p dropped
-            pw = {k: x % p for k, x in pw.items() if x % p}
-        powers.append((pw, prec, Fraction(min(pw), a.ram) if pw else prec))
+    powers, da = _center_powers(a, n)
+    sa = e // a.ram
     rows = []
     for i, row in enumerate(_hasse_binomials(field, n)):
         terms = [(j, b) for j, b in row if not coeffs[j].is_exact_zero()]

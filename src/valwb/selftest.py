@@ -327,7 +327,7 @@ def check_same_delta(rep: Report, seed: int, samples: int = 100) -> None:
     spec = ValuationSpec.monomial(PuiseuxSeries.zero(QQ), GroupVal.fin(4))
     alpha = GroupVal.fin(6)
     rng = random.Random((seed, "same-delta").__repr__())
-    failures = 0
+    failures = undecidable = 0
     for _ in range(samples):
         f = random_polyx(QQ, rng, rng.randint(1, 2), domain=SERIES,
                          monic=True, prec=DEFAULT_PREC)
@@ -338,12 +338,15 @@ def check_same_delta(rep: Report, seed: int, samples: int = 100) -> None:
                   and delta(spec, out) == delta(spec, f))
             if not ok:
                 failures += 1
+        except PrecisionExhausted:
+            undecidable += 1
         except WorkbenchError:
             failures += 1
     rep.check("same-delta approximation", digest("same-delta", seed, samples),
               failures == 0, f"{samples} samples, {failures} failures",
               "truncating above the root-matching threshold preserves degree, "
-              "value and delta")
+              "value and delta",
+              caveats=(f"{undecidable} undecidable samples",) if undecidable else ())
 
 
 # ---------------------------------------------------------------------------

@@ -340,8 +340,10 @@ class RatFunc:
         text = text.strip()
         if " / " in text:
             num_s, den_s = text.split(" / ", 1)
-            return RatFunc(field, tp_parse(field, _strip_parens(num_s)),
-                           tp_parse(field, _strip_parens(den_s)))
+            den = tp_parse(field, _strip_parens(den_s))
+            if not den:
+                raise ParseError(f"zero denominator in {text!r}")
+            return RatFunc(field, tp_parse(field, _strip_parens(num_s)), den)
         return RatFunc(field, tp_parse(field, _strip_parens(text)))
 
     # -- predicates -------------------------------------------------------
@@ -435,8 +437,11 @@ class RatFunc:
         """The image in the completion, with the same val: a polynomial embeds
         exactly, its scalars copied as they are; a fraction with a pole is
         expanded to O(t^prec), by default O(t^DEFAULT_PREC)."""
-        if len(self.den) == 1:
-            return PuiseuxSeries(self.field, 1, dict(enumerate(self.num)), None)
+        if len(self.den) == 1:  # built as the normalising constructor would leave it
+            out = object.__new__(PuiseuxSeries)
+            out.field, out.ram, out.prec = self.field, 1, None
+            out.coeffs = {i: x for i, x in enumerate(self.num) if x}
+            return out
         return coerce(self, DEFAULT_PREC if prec is None else prec)
 
     def to_text(self) -> str:
@@ -702,7 +707,10 @@ class PuiseuxSeries:
         prec = None
         m = re.search(r"O\(\s*t(?:\^\(?(-?\d+(?:/\d+)?)\)?)?\s*\)\s*$", text)
         if m:
-            prec = Fraction(m.group(1)) if m.group(1) else Fraction(1)
+            try:
+                prec = Fraction(m.group(1)) if m.group(1) else Fraction(1)
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in {m.group(0)!r}") from None
             text = text[: m.start()].rstrip().rstrip("+").rstrip()
         terms = {}
         if text:

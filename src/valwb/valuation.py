@@ -273,6 +273,7 @@ class Smaller:
 @dataclass
 class NoneSmallerFound:
     tested: int
+    undecidable: int = 0  # candidates whose v(a - b) ran out of precision: no evidence
 
 
 def minimal_pair_search(a, gamma: GroupVal, candidate_pool=()) -> object:
@@ -280,26 +281,25 @@ def minimal_pair_search(a, gamma: GroupVal, candidate_pool=()) -> object:
 
     Pool: truncations of a's expansion at each support break, plus supplied
     candidates.  A candidate qualifies when its certified degree is smaller
-    and v(a - b) >= gamma.
+    and v(a - b) >= gamma; one whose v(a - b) is undecidable counts apart.
     """
     from .algnum import AlgElement
     deg_a = a.degree()
     s = a.expansion
-    tested = 0
+    tested = undecidable = 0
     pool = list(_center_truncations(ValuationSpec.monomial(s, gamma)))
     pool.extend(candidate_pool)
     for b in pool:
         bs = b.expansion if isinstance(b, AlgElement) else b.to_series()
         deg_b = _pool_degree(bs)
-        tested += 1
-        if deg_b is None or deg_b >= deg_a:
-            continue
         try:
-            if is_pair_equivalent(s, bs, gamma):
+            if deg_b is not None and deg_b < deg_a and is_pair_equivalent(s, bs, gamma):
                 return Smaller(bs)
         except PrecisionExhausted:
+            undecidable += 1
             continue
-    return NoneSmallerFound(tested)
+        tested += 1
+    return NoneSmallerFound(tested, undecidable)
 
 
 def _pool_degree(b: PuiseuxSeries) -> Optional[int]:

@@ -1,5 +1,6 @@
-"""Every module of the package uses every name it imports, and every private
-module-level function of the package is referenced somewhere in it."""
+"""Every module of the package uses every name it imports, every private
+module-level function of the package is referenced somewhere in it, and every
+functools cache in it is bounded."""
 
 import ast
 from collections import Counter
@@ -76,3 +77,54 @@ def test_the_scan_sees_dead_and_live_helpers(tmp_path):
     (tmp_path / "b.py").write_text("import a\n\nVALUE = a._attribute()\n")
     found = dead_helpers(sorted(tmp_path.glob("*.py")))
     assert found == [("a.py", "_dead", 4), ("a.py", "_recursive", 7)]
+
+
+def unbounded_caches(path: Path) -> list:
+    """Uses of functools.cache and functools.lru_cache without an explicit
+    integer maxsize: an unbounded cache grows for the life of the process."""
+    tree = ast.parse(path.read_text())
+    imported = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "functools"
+                for alias in node.names}
+
+    def functools_name(node):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            return node.attr if node.value.id == "functools" else None
+        return imported.get(node.id) if isinstance(node, ast.Name) else None
+
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    found = []
+    for node in ast.walk(tree):
+        name = functools_name(node)
+        if name not in ("cache", "lru_cache"):
+            continue
+        call, size = calls.get(id(node)), None
+        if name == "lru_cache" and call is not None:
+            given = call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"]
+            size = given[0] if given else None
+        if not (isinstance(size, ast.Constant) and type(size.value) is int):
+            found.append((path.name, name, node.lineno))
+    return sorted(found, key=lambda hit: hit[2])
+
+
+def test_every_cache_has_an_integer_bound():
+    modules = sorted(Path(valwb.__file__).parent.glob("*.py"))
+    found = [hit for path in modules for hit in unbounded_caches(path)]
+    assert not found, found
+
+
+def test_the_scan_sees_bounded_and_unbounded_caches(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "import functools\nfrom functools import cache, lru_cache as lc\n\nSIZE = 8\n\n"
+        "@functools.lru_cache(maxsize=64)\ndef a(x):\n    return x\n\n"
+        "@lc(32)\ndef b(x):\n    return x\n\n"
+        "@functools.lru_cache\ndef c(x):\n    return x\n\n"
+        "@functools.lru_cache(maxsize=None)\ndef d(x):\n    return x\n\n"
+        "@lc()\ndef e(x):\n    return x\n\n"
+        "@cache\ndef f(x):\n    return x\n\n"
+        "@functools.lru_cache(maxsize=SIZE)\ndef g(x):\n    return x\n\n"
+        "h = functools.cache(len)\n")
+    assert unbounded_caches(src) == [("m.py", "lru_cache", 14), ("m.py", "lru_cache", 18),
+                                     ("m.py", "lru_cache", 22), ("m.py", "cache", 26),
+                                     ("m.py", "lru_cache", 30), ("m.py", "cache", 34)]

@@ -324,3 +324,28 @@ def test_check_density_counts_undecidable_samples_apart(monkeypatch):
         ("FAIL: monomial t^(1/2) @ 3/4: 100 samples, 100 failures", ()),
         ("ok: mixed-radix limit: 25 samples, 0 failures", ("25 undecidable samples",)),
         ("ok: 2/2 unsupported kinds refused", ())]
+
+
+def test_check_same_delta_counts_undecidable_samples_apart(monkeypatch):
+    calls = []
+
+    def undecided_on_odd_calls(f, alpha, spec):
+        calls.append(f)
+        if len(calls) % 2:
+            raise PrecisionExhausted("undecided")
+        return approximate_same_delta(f, alpha, spec)
+
+    monkeypatch.setattr(selftest, "approximate_same_delta", undecided_on_odd_calls)
+    rep = Report("same-delta")
+    selftest.check_same_delta(rep, 0)
+    assert [(v.outcome, v.caveats) for v in rep.verdicts] == [
+        ("ok: 100 samples, 0 failures", ("50 undecidable samples",))]
+
+    def refused(f, alpha, spec):
+        raise WorkbenchError("no truncation keeps delta")
+
+    monkeypatch.setattr(selftest, "approximate_same_delta", refused)
+    rep = Report("same-delta")
+    selftest.check_same_delta(rep, 0)
+    assert [(v.outcome, v.caveats) for v in rep.verdicts] == [
+        ("FAIL: 100 samples, 100 failures", ())]

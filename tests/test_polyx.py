@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,8 +9,10 @@ from valwb.errors import PrecisionExhausted, WorkbenchError, ZeroPolynomial
 from valwb.field import GF, QQ
 from valwb.groupval import FIN0, GroupVal
 from valwb.lifting import _min_recentered_value
+from valwb import polyx
 from valwb.polyx import RATFUNC, SERIES, PolyX, _hull_height, _lower_hull, polyx_from_text
 from valwb.sampling import random_polyx, random_ratfunc
+from valwb.selftest import run_all
 from valwb.series import DEFAULT_PREC, PuiseuxSeries, RatFunc, coerce
 from valwb.valuation import ValuationSpec, delta, eval_spec
 
@@ -488,3 +491,85 @@ def test_value_profile_matches_the_readers_of_built_series():
             C = []
         seen["unknown zero"] += any(c.is_unknown_zero() for c in C)
     assert min(seen.values()) >= 30, seen
+
+
+# -- products, embeddings and center powers built once ------------------------
+#
+# The references are the code the fast paths replaced: the schoolbook product
+# through RatFunc + and *, and the normalising PuiseuxSeries constructor.
+
+def ref_product(f, g):
+    out = [RatFunc.zero(f.field)] * (len(f.coeffs) + len(g.coeffs) - 1)
+    for i, x in enumerate(f.coeffs):
+        for j, y in enumerate(g.coeffs):
+            out[i + j] = out[i + j] + x * y
+    return PolyX(f.field, out)
+
+
+def random_kx_operand(field, rng, poles):
+    """X-degree 0-4, t-degree 0-6, exact zeros between nonzero coefficients."""
+    deg = rng.randint(0, 4)
+    coeffs = []
+    for i in range(deg + 1):
+        if 0 < i < deg and rng.random() < 0.25:
+            coeffs.append(RatFunc.zero(field))
+            continue
+        num = [nonzero_scalar(field, rng) if rng.random() < 0.7 else field.zero()
+               for _ in range(rng.randint(0, 6))] + [nonzero_scalar(field, rng)]
+        den = [field.one()]
+        if poles and rng.random() < 0.5:
+            den = [nonzero_scalar(field, rng), field.one()]
+        coeffs.append(RatFunc(field, num, den))
+    return PolyX.from_ratfuncs(field, coeffs)
+
+
+def test_kx_product_matches_the_schoolbook_loop():
+    rng = random.Random(21)
+    paths = {"kronecker": 0, "with a pole": 0}
+    for i in range(550):
+        field = FIELDS[i % len(FIELDS)]
+        poles = i % 7 == 0
+        f, g = random_kx_operand(field, rng, poles), random_kx_operand(field, rng, False)
+        got, want = f * g, ref_product(f, g)
+        assert [(c.num, c.den) for c in got.coeffs] == [(c.num, c.den) for c in want.coeffs], i
+        assert ([type(x) for c in got.coeffs for x in c.num + c.den]
+                == [type(x) for c in want.coeffs for x in c.num + c.den]), i
+        assert g * f == got
+        paths["with a pole" if any(len(c.den) > 1 for c in f.coeffs) else "kronecker"] += 1
+    assert min(paths.values()) >= 30, paths
+
+
+def test_polynomial_embedding_matches_the_normalising_constructor():
+    rng = random.Random(22)
+    for i in range(2000):
+        field = FIELDS[i % len(FIELDS)]
+        r = random_ratfunc(field, rng, deg=rng.randint(0, 8))
+        if rng.random() < 0.3:  # exact zeros below the top, and the zero element
+            r = RatFunc._polynomial(field, [x if rng.random() < 0.5 else field.zero()
+                                            for x in r.num[:-1]] + r.num[-1:])
+        if i % 100 == 0:
+            r = RatFunc.zero(field)
+        got = r.to_series()
+        want = PuiseuxSeries(field, 1, dict(enumerate(r.num)), None)
+        assert (got.ram, got.prec, list(got.coeffs.items())) == \
+            (want.ram, want.prec, list(want.coeffs.items())), i
+        assert [type(x) for x in got.coeffs.values()] == [type(x) for x in want.coeffs.values()]
+
+
+def test_cached_center_powers_change_no_answer(monkeypatch):
+    # the acceptance suite checks run_all(0) on a cleared cache against the
+    # same golden file; here the cache is warm with another seed's centers
+    golden = (Path(__file__).parent / "golden" / "selftest_seed0.txt").read_text(encoding="utf-8")
+    real, built = polyx._center_powers, {}
+
+    def recording(a, n):
+        out = real(a, n)
+        built.setdefault(id(out), (out, tuple((dict(pw), cap, v) for pw, cap, v in out[0])))
+        return out
+
+    monkeypatch.setattr(polyx, "_center_powers", recording)
+    real.cache_clear()
+    run_all(1)
+    assert run_all(0).to_structured() == golden
+    assert real.cache_info().hits > real.cache_info().misses > 0
+    assert all(out[0] == before for out, before in built.values())  # read, never written

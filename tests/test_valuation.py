@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from valwb.algnum import attach_minpoly
+from valwb.algnum import AlgElement, attach_minpoly
 from valwb.errors import PrecisionExhausted, WorkbenchError, ZeroPolynomial
 from valwb.field import GF, QQ
 from valwb.groupval import FIN0, GroupVal
@@ -298,3 +298,11 @@ def test_min_weighted_matches_the_groupval_loop():
         else:
             seen["lex" if got[2] else "value"] += 1
     assert min(seen.values()) >= 30, seen
+
+
+def test_minimal_pair_search_counts_undecidable_candidates_apart():
+    # v(a - 1) is only known to be >= 2, below gamma = 3: no evidence either way
+    a = AlgElement(PuiseuxSeries.from_text(QQ, "1 + O(t^2)"),
+                   polyx_from_text(QQ, "X^3 - 2"), True)
+    res = minimal_pair_search(a, GroupVal.fin(3), [PuiseuxSeries.one(QQ)])
+    assert res == NoneSmallerFound(tested=2, undecidable=1)

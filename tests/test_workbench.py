@@ -321,3 +321,21 @@ def test_cli_refuses_an_infinite_weight_at_every_config_reader(tmp_path, cfg_tex
         code, out, err = run_cli([command, "--config", cfg] + argv)
         assert (code, out, err) == (1, "", "error: a valuation weight cannot be infinite\n"), \
             command
+
+
+@pytest.mark.parametrize("cfg_text, argv", [
+    ("spec.kind = gauss\n", ["eval", "--poly", "[t / 0]"]),
+    ("spec.kind = gauss\n", ["eval", "--poly", "[(1+t) / (t - t)]"]),
+    ("spec.kind = gauss\n", ["eval", "--poly", "[t + O(t^(1/0))]*X + 1"]),
+    ("spec.kind = monomial\nspec.center = t + O(t^(1/0))\nspec.gamma = 1\n",
+     ["eval", "--poly", "X + t"]),
+    ("spec.kind = keypoly\nspec.Q = [t / 0]*X + 1\nspec.vQ = 1\n", ["eval", "--poly", "X + t"]),
+    ("spec.kind = keypoly\nspec.Q = X + [(1+t) / (t - t)]\nspec.vQ = 1\n",
+     ["eval", "--poly", "X + t"]),
+    ("spec.kind = gauss\n", ["kras", "--center", "t^(1/2) + O(t^(3/0))", "--minpoly", "X^2 - t"]),
+], ids=["poly-zero", "poly-cancelled", "poly-O-term", "spec.center-O-term", "spec.Q-zero",
+        "spec.Q-cancelled", "kras-center-O-term"])
+def test_cli_refuses_a_zero_denominator_at_every_text_reader(tmp_path, cfg_text, argv):
+    code, out, err = run_cli([argv[0], "--config", write_cfg(tmp_path, cfg_text)] + argv[1:])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
