@@ -128,8 +128,11 @@ def _need_spec(cfg: WorkbenchConfig) -> ValuationSpec:
 def _parse_poly(cfg: WorkbenchConfig, text: str) -> PolyX:
     try:
         return polyx_from_text(cfg.field, text, RATFUNC)
-    except WorkbenchError:
-        return polyx_from_text(cfg.field, text, SERIES, prec=cfg.precision)
+    except WorkbenchError as exc:
+        try:
+            return polyx_from_text(cfg.field, text, SERIES, prec=cfg.precision)
+        except WorkbenchError as series_exc:  # K text is tried first, so its error leads
+            raise ParseError(f"{exc}; as series: {series_exc}") from None
 
 
 def _parse_seq(cfg: WorkbenchConfig, text: str) -> CskpSeq:

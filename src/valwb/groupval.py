@@ -170,32 +170,5 @@ class GroupVal:
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad value-group element {text!r}: {exc}") from None
 
-    def to_json(self) -> dict:
-        """Report serialization: {"fin": "p/q"}, {"lex": [z, "p/q"]} or {"inf": true}."""
-        if self.inf:
-            return {"inf": True}
-        if self.z == 0:
-            return {"fin": str(self.q)}
-        return {"lex": [self.z, str(self.q)]}
-
-    @staticmethod
-    def from_json(obj: dict) -> "GroupVal":
-        if obj.get("inf"):
-            return GroupVal.posinf()
-        if "fin" in obj:
-            return GroupVal.fin(Fraction(obj["fin"]))
-        if "lex" in obj:
-            z, q = obj["lex"]
-            return GroupVal.lex(int(z), Fraction(q))
-        raise ParseError(f"bad value-group serialization {obj!r}")
-
 
 FIN0 = GroupVal.fin(0)
-
-
-def gv_min(*values: GroupVal) -> GroupVal:
-    return min(values)
-
-
-def gv_max(*values: GroupVal) -> GroupVal:
-    return max(values)

@@ -14,11 +14,11 @@ The root-data tool of the workbench is :meth:`PolyX.newton_polygon`: the
 lower convex hull of (i, val C_i) after recentering, whose slopes give the
 exact multiset of valuations of center-to-root differences.  Recentering
 uses the integer binomial coefficients of the Hasse derivative, so it is
-valid in every characteristic.  Over series one integer stage has two readers:
-:meth:`PolyX.recenter_hasse` builds the C_i, and the value profile
-:meth:`PolyX.recentered_values` keeps each C_i's least surviving key and cap;
-the center's powers are built once per center and degree.  A product of
-polynomials in t and X is one Kronecker product of integer images.
+valid in every characteristic.  :meth:`PolyX.recentered_values` reads each
+C_i's least surviving key and cap off one Taylor shift on packed integers for
+polynomials in t at a Puiseux or polynomial center, else off the series stage
+that :meth:`PolyX.recenter_hasse` lowers.  A product of polynomials in t and X
+is one Kronecker product of integer images.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from fractions import Fraction
 from .errors import ParseError, PrecisionExhausted, WorkbenchError, ZeroPolynomial
 from .field import BaseField
 from .groupval import GroupVal
-from .series import (PuiseuxSeries, RatFunc, _parse_term, _split_terms, convolve, invert,
-                     lattice_cap, lattice_product, min_prec, product_prec, tp_trim)
+from .series import (PuiseuxSeries, RatFunc, _parse_term, _split_terms, convolve, lattice_cap,
+                     lattice_product, min_prec, product_prec, tp_ord, tp_trim)
 from .series import coerce  # noqa: F401  perfbench's tracer rebinds this name here
 
 RATFUNC = "ratfunc"
@@ -221,6 +221,9 @@ class PolyX:
         """The value profile (e, rows) of :meth:`recenter_hasse`'s C_i: row i is
         (k, cap), val C_i = k/e for the least surviving key k, or k None when no
         term survives below the cap (the exact zero if cap is None); no series."""
+        if self.domain == RATFUNC and all(len(c.den) == 1 for c in self.coeffs) and (
+                isinstance(a, PuiseuxSeries) or len(a.den) == 1):
+            return _packed_values(self.field, self.coeffs, a)
         poly, a = self._with_point(a)
         if poly.domain == SERIES:
             return shifted_values(self.field, poly.coeffs, a)
@@ -263,12 +266,6 @@ class PolyX:
         if not digits:
             digits.append(PolyX.zero(self.field))
         return digits
-
-    def monic_part(self):
-        """(leading unit, monic polynomial) with f = unit * monic."""
-        lead = self.leading()
-        inv = invert(lead) if self.domain == SERIES else lead.one(self.field) / lead
-        return lead, self.scale(inv)
 
     # -- Newton polygon ------------------------------------------------------------
 
@@ -425,6 +422,58 @@ def shifted_values(field: BaseField, coeffs, a: PuiseuxSeries) -> tuple:
             k = min((k for k, x in acc.items() if (x % p if p else x)), default=None)
         out.append((k, cap))
     return e, out
+
+
+def _packed_values(field: BaseField, coeffs, a) -> tuple:
+    """:meth:`PolyX.recentered_values` for c_j = N_j/dc in k[t] at a Puiseux or polynomial
+    center a = s^lo A(s)/da, s = t^(1/e), lo <= 0: one packed Taylor shift (README)."""
+    n, p = len(coeffs) - 1, field.char
+    e, prec, terms = ((1, None, {k: x for k, x in enumerate(a.num) if x})
+                      if isinstance(a, RatFunc) else (a.ram, a.prec, a.coeffs))
+    ords = [tp_ord(field, c.num) for c in coeffs]
+    direct = [(None if o is None else o * e, None) for o in ords]  # a row without terms is c_i
+    if n < 1 or a.is_exact_zero():  # every shifted term carries a power of 0
+        return e, direct
+    if a.field != field:
+        raise WorkbenchError("base field mismatch")
+    vn, vd = (min(terms), e) if terms else (prec.numerator, prec.denominator)  # val a
+    w = [math.inf if o is None else o * vd + j * vn for j, o in enumerate(ords)]
+    least = [min((w[j] for j, _ in row), default=math.inf) for row in _hasse_binomials(field, n)]
+    live = [None if m == math.inf else (cap := None if prec is None else Fraction(  # closed form
+        prec.numerator * vd + (m - (i + 1) * vn) * prec.denominator, prec.denominator * vd),
+        lattice_cap(cap, e)) for i, m in enumerate(least)]
+    lo, (ys, da) = min(0, min(terms, default=0)), field.as_integers(terms.values())
+    flat, _ = field.as_integers([x for c in coeffs for x in c.num])
+    l1 = (n + 1) * sum(map(abs, flat)) * da**n * (1 + sum(map(abs, ys)))**n  # bounds every output
+    b, xs = l1.bit_length() // 8 * 8 + 8, iter(flat)
+    M = [sum(x << b * e * k for k, x in zip(range(len(c.num)), xs) if x) * da**(n - j)
+         << b * -lo * (n - j) for j, c in enumerate(coeffs)]
+    limit = (max(row[1] - lo * (n - i) for i, row in enumerate(live) if row) if prec is not None
+             else 1 + max(e * len(c.num) - e - lo * (n - j) + j * (max(terms) - lo)
+                          for j, c in enumerate(coeffs) if c.num))  # every slot of every row
+    width = min(limit, e * ords[n] + n * (min(terms, default=lo) - lo) + 1)
+    while True:
+        mask = (1 << b * max(width, 0)) - 1
+        A = sum(y << b * (k - lo) for k, y in zip(terms, ys) if k - lo < width) & mask
+        S = [m & mask for m in M]
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                S[j] = (S[j] + A * S[j + 1]) & mask
+        rows = [(_least_key(S[i], b, p, lo * (n - i), row[1]), row[0]) if row else direct[i]
+                for i, row in enumerate(live)]
+        if width >= limit or all(k is not None for (k, _), row in zip(rows, live) if row):
+            return e, rows
+        width = min(2 * width, limit)
+
+
+def _least_key(v: int, b: int, p: int, lo: int, cap):
+    """lo + the least b-bit slot of v >= 0 nonzero (mod p) if below the key cap, else None."""
+    k = ((v & -v).bit_length() - 1) // b if v else math.inf
+    if p and v:  # the first slot nonzero mod p, read off the bytes
+        raw = (v >> b * k).to_bytes(v.bit_length() // 8 + 1, "little")
+        k += next((8 * i // b for i in range(0, len(raw), b // 8)
+                   if int.from_bytes(raw[i:i + b // 8], "little") % p), math.inf)
+    return k + lo if k + lo < cap else None
 
 
 def _lower_hull(points):

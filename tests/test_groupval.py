@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from valwb.groupval import FIN0, GroupVal, gv_max, gv_min
+from valwb.groupval import FIN0, GroupVal
 from valwb.errors import WorkbenchError
 
 
@@ -58,21 +58,8 @@ def test_scalar_multiple_and_negation():
         -GroupVal.posinf()
 
 
-def test_min_max_helpers():
-    vals = [GroupVal.fin(3), GroupVal.lex(1, 0), GroupVal.fin(Fraction(-1, 2))]
-    assert gv_min(*vals) == GroupVal.fin(Fraction(-1, 2))
-    assert gv_max(*vals) == GroupVal.lex(1, 0)
-
-
 def test_text_round_trip():
     for g in (GroupVal.fin(Fraction(7, 3)), GroupVal.lex(-2, Fraction(1, 2)),
               GroupVal.posinf(), FIN0):
         assert GroupVal.from_text(g.to_text()) == g
 
-
-def test_json_round_trip():
-    for g in (GroupVal.fin(Fraction(-7, 3)), GroupVal.lex(4, 0), GroupVal.posinf()):
-        assert GroupVal.from_json(g.to_json()) == g
-    assert GroupVal.fin(Fraction(1, 2)).to_json() == {"fin": "1/2"}
-    assert GroupVal.lex(1, 0).to_json() == {"lex": [1, "0"]}
-    assert GroupVal.posinf().to_json() == {"inf": True}

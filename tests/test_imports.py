@@ -1,6 +1,6 @@
-"""Every module of the package uses every name it imports, every private
-module-level function of the package is referenced somewhere in it, and every
-functools cache in it is bounded."""
+"""Every module of the package uses every name it imports, every module-level
+function of the package, private or public, is referenced somewhere in it, and
+every functools cache in it is bounded."""
 
 import ast
 from collections import Counter
@@ -43,9 +43,10 @@ def test_the_scan_sees_unused_and_used_imports(tmp_path):
     assert unused_imports(src) == [("m.py", "os", 2), ("m.py", "l", 3)]
 
 
-def dead_helpers(paths) -> list:
-    """Module-level functions named _x that no code in ``paths`` references,
-    references from the function's own body (recursion) not counted."""
+def dead_functions(paths, public: bool = False) -> list:
+    """Module-level functions named _x (with ``public``, the other names) that
+    no code in ``paths`` references, an import of the name included, references
+    from the function's own body (recursion) not counted."""
     trees = {path: ast.parse(path.read_text()) for path in paths}
 
     def names(tree):
@@ -54,18 +55,26 @@ def dead_helpers(paths) -> list:
                 yield node.id
             elif isinstance(node, ast.Attribute):
                 yield node.attr
+            elif isinstance(node, ast.alias):
+                yield node.name
 
     used = Counter(name for tree in trees.values() for name in names(tree))
     return [(path.name, node.name, node.lineno) for path, tree in trees.items()
             for node in tree.body
-            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_") != public
             and not node.name.startswith("__")
             and used[node.name] == Counter(names(node))[node.name]]
 
 
 def test_no_private_function_is_left_unreferenced():
     modules = sorted(Path(valwb.__file__).parent.glob("*.py"))
-    assert not dead_helpers(modules), dead_helpers(modules)
+    assert not dead_functions(modules), dead_functions(modules)
+
+
+def test_no_public_function_is_left_unreferenced():
+    # a public function counts as used if the package itself calls or exports it
+    modules = sorted(Path(valwb.__file__).parent.glob("*.py"))
+    assert not dead_functions(modules, public=True), dead_functions(modules, public=True)
 
 
 def test_the_scan_sees_dead_and_live_helpers(tmp_path):
@@ -75,8 +84,20 @@ def test_the_scan_sees_dead_and_live_helpers(tmp_path):
         "def _attribute():\n    return 2\n\ndef __getattr__(name):\n    return name\n\n"
         "def public():\n    return 3\n")
     (tmp_path / "b.py").write_text("import a\n\nVALUE = a._attribute()\n")
-    found = dead_helpers(sorted(tmp_path.glob("*.py")))
+    found = dead_functions(sorted(tmp_path.glob("*.py")))
     assert found == [("a.py", "_dead", 4), ("a.py", "_recursive", 7)]
+
+
+def test_the_scan_sees_dead_and_live_public_functions(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def called():\n    return 1\n\ndef dead():\n    return called()\n\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else 0\n\n"
+        "def exported():\n    return 2\n\ndef attribute():\n    return 3\n\n"
+        "def __getattr__(name):\n    return name\n\ndef _private():\n    return 4\n")
+    (tmp_path / "__init__.py").write_text("from .a import exported\n")
+    (tmp_path / "b.py").write_text("import a as m\n\nVALUE = m.attribute()\n")
+    found = dead_functions(sorted(tmp_path.glob("*.py")), public=True)
+    assert found == [("a.py", "dead", 4), ("a.py", "recursive", 7)]
 
 
 def unbounded_caches(path: Path) -> list:

@@ -157,14 +157,6 @@ def test_evaluate():
     assert val == a1 * a1
 
 
-def test_monic_part():
-    f = P(QQ, RatFunc(QQ, [0, 2]), 0, RatFunc.constant(QQ, 2))
-    lead, monic = f.monic_part()
-    assert lead == RatFunc.constant(QQ, 2)
-    assert monic.is_monic()
-    assert monic == P(QQ, RatFunc(QQ, [0, 1]), 0, 1)
-
-
 def test_text_round_trip():
     for f in (P(QQ, RatFunc(QQ, [0, -1]), 0, 1),
               P(QQ, 1, 1, 1),
@@ -491,6 +483,110 @@ def test_value_profile_matches_the_readers_of_built_series():
             C = []
         seen["unknown zero"] += any(c.is_unknown_zero() for c in C)
     assert min(seen.values()) >= 30, seen
+
+
+# -- the packed value profile --------------------------------------------------
+#
+# Polynomials in t at a Puiseux series or polynomial center take one Taylor
+# shift on packed integers.  The reference is the path they took before:
+# shifted_values on the to_series copy, or the exact Hasse sum over K and
+# c.val() at a RatFunc center.  Profiles, with the types of their caps, or
+# the exception class and message must match.
+
+def ref_profile(f, a):
+    if isinstance(a, RatFunc):
+        return 1, [(None if c.is_exact_zero() else int(c.val().q), None)
+                   for c in f.recenter_hasse(a)]
+    return polyx.shifted_values(f.field, f.to_series(a.prec).coeffs, a)
+
+
+def profile(fn, f, a):
+    try:
+        e, rows = fn(f, a)
+    except Exception as exc:  # the exception itself is part of the outcome
+        return ("raised", type(exc), str(exc))
+    return e, [(k, type(cap), cap) for k, cap in rows]
+
+
+def random_kt_poly(field, rng, deg):
+    """X-degree deg, t-degree 0-6, exact zeros between nonzero coefficients."""
+    coeffs = [RatFunc._polynomial(field, [nonzero_scalar(field, rng) if rng.random() < 0.7
+                                          else field.zero() for _ in range(rng.randint(0, 6))]
+                                  + [nonzero_scalar(field, rng)])
+              if i == deg or rng.random() < 0.75 else RatFunc.zero(field)
+              for i in range(deg + 1)]
+    return PolyX.from_ratfuncs(field, coeffs)
+
+
+def random_kt_center(field, rng, kind):
+    """A center of the kind; for "root" also the factor X - a (or X^e - a^e for a
+    ramified monomial), which has coefficients in k[t] and a for a root."""
+    ram, capped = rng.choice((1, 2, 3, 6)), rng.random() < 0.5
+    if kind in ("exact", "capped", "negative"):
+        lo = rng.randint(-4, -1) if kind == "negative" else rng.randint(0, 6)
+        keys = range(lo, lo + rng.randint(1, 12)) if rng.random() < 0.5 else \
+            sorted({rng.randint(lo, lo + 30) for _ in range(rng.randint(1, 4))} | {lo})
+        return series_with_keys(field, rng, ram, keys, kind == "capped" or
+                                (kind == "negative" and capped)), None
+    if kind == "zero":
+        return rng.choice((PuiseuxSeries.zero(field), RatFunc.zero(field))), None
+    if kind == "unknown zero":
+        return PuiseuxSeries.unknown_zero(field, Fraction(rng.randint(-4, 12), ram)), None
+    if kind == "inverse":  # 1/(1+t) expanded to O(t^64), scaled and shifted
+        s = coerce(RatFunc(field, [field.one()], [field.one(), field.one()]), 64)
+        return s.scalar_mul(nonzero_scalar(field, rng)).shift(Fraction(rng.randint(0, 3), ram)), None
+    if kind == "ratfunc":
+        return random_ratfunc(field, rng, deg=rng.randint(0, 5)), None
+    one, c = RatFunc.one(field), nonzero_scalar(field, rng)
+    if rng.random() < 0.3:  # a ramified monomial c t^(k/e), a root of X^e - c^e t^k
+        k = rng.randint(1, 5)
+        a = PuiseuxSeries.from_terms(field, {Fraction(k, ram): c})
+        factor = PolyX.from_ratfuncs(field, [-RatFunc._polynomial(
+            field, [field.zero()] * k + [field.pow(c, ram)])] + [RatFunc.zero(field)] * (ram - 1)
+            + [one])
+    else:
+        r = random_ratfunc(field, rng, deg=rng.randint(0, 4))
+        factor = PolyX.from_ratfuncs(field, [-r, one])
+        a = rng.choice((r, r.to_series()))
+    if capped and isinstance(a, PuiseuxSeries):  # the root known only below a cap
+        a = a.truncate(Fraction(rng.randint(0, 12), ram))
+    return a, factor
+
+
+def test_packed_profile_matches_the_series_and_exact_paths():
+    rng = random.Random(23)
+    kinds = ("exact", "capped", "zero", "unknown zero", "negative", "inverse", "ratfunc",
+             "root", "root")
+    seen = {"raised": 0, "exact zero rows": 0, "capped rows": 0, "undecided rows": 0}
+    for i in range(2250):
+        field = FIELDS[i % len(FIELDS)]
+        kind = kinds[i // len(FIELDS) % len(kinds)]
+        a, factor = random_kt_center(field, rng, kind)
+        f = random_kt_poly(field, rng, rng.randint(0, 8))
+        if factor is not None:
+            f = factor * random_kt_poly(field, rng, rng.randint(0, 8 - factor.degree()))
+        if rng.random() < 0.02:
+            a = random_kt_center(FIELDS[(i + 1) % len(FIELDS)], rng, "exact")[0]  # field mismatch
+        got = profile(PolyX.recentered_values, f, a)
+        assert got == profile(ref_profile, f, a), (i, kind, f, a)
+        if got[0] == "raised":
+            seen["raised"] += 1
+            continue
+        seen["exact zero rows"] += sum(1 for k, t, _ in got[1] if k is None and t is type(None))
+        seen["capped rows"] += sum(1 for k, t, _ in got[1] if k is not None and t is Fraction)
+        seen["undecided rows"] += sum(1 for k, t, _ in got[1] if k is None and t is Fraction)
+    assert min(seen.values()) >= 30, seen
+
+
+def test_packed_profile_windows_a_sparse_center():
+    # packed densely, t^(1/3) + t^(10^6) would span 3 * 10^6 slots per power
+    rng = random.Random(24)
+    for field in (QQ, GF(7)):
+        a = PuiseuxSeries.from_terms(field, {Fraction(1, 3): 1, 10**6: 1})
+        for _ in range(3):
+            f = random_kt_poly(field, rng, 8)
+            got = profile(PolyX.recentered_values, f, a)
+            assert got == profile(ref_profile, f, a) and got[0] == 3
 
 
 # -- products, embeddings and center powers built once ------------------------

@@ -339,3 +339,15 @@ def test_cli_refuses_a_zero_denominator_at_every_text_reader(tmp_path, cfg_text,
     code, out, err = run_cli([argv[0], "--config", write_cfg(tmp_path, cfg_text)] + argv[1:])
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("poly, k_error", [
+    ("[t / 0]", "zero denominator in 't / 0'"),
+    ("[(1+t) / (t - t)]*X + 1", "zero denominator in '(1+t) / (t - t)'"),
+])
+def test_cli_keeps_the_k_parser_message_when_both_parsers_fail(tmp_path, poly, k_error):
+    # the series parser fails too, on "bad term"; the K parser's reason comes first
+    cfg = write_cfg(tmp_path, "spec.kind = gauss\n")
+    code, out, err = run_cli(["eval", "--config", cfg, "--poly", poly])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {k_error}; as series: bad term ") and err.count("\n") == 1, err
