@@ -579,14 +579,16 @@ def test_packed_profile_matches_the_series_and_exact_paths():
 
 
 def test_packed_profile_windows_a_sparse_center():
-    # packed densely, t^(1/3) + t^(10^6) would span 3 * 10^6 slots per power
+    # packed densely, t^(1/3) + t^(10^6) would span 3 * 10^6 slots per power,
+    # exact or known to O(t^(10^6 + 1))
     rng = random.Random(24)
     for field in (QQ, GF(7)):
-        a = PuiseuxSeries.from_terms(field, {Fraction(1, 3): 1, 10**6: 1})
-        for _ in range(3):
-            f = random_kt_poly(field, rng, 8)
-            got = profile(PolyX.recentered_values, f, a)
-            assert got == profile(ref_profile, f, a) and got[0] == 3
+        for prec in (None, 10**6 + 1):
+            a = PuiseuxSeries.from_terms(field, {Fraction(1, 3): 1, 10**6: 1}, prec)
+            for _ in range(3):
+                f = random_kt_poly(field, rng, 8)
+                got = profile(PolyX.recentered_values, f, a)
+                assert got == profile(ref_profile, f, a) and got[0] == 3
 
 
 # -- products, embeddings and center powers built once ------------------------
