@@ -19,7 +19,7 @@ from .errors import HorizonExceeded, NotPcs, ParseError, PrecisionExhausted, Wor
 from .field import BaseField
 from .groupval import GroupVal
 from .polyx import PolyX
-from .series import PuiseuxSeries
+from .series import PuiseuxSeries, min_prec
 
 DEFAULT_HORIZON = 12
 DEFAULT_WINDOW = 3
@@ -68,24 +68,23 @@ class PcsGenerator:
 def validate_prefix(prefix: list) -> list:
     """Check the pseudo-Cauchy condition on a materialized prefix.
 
-    Returns the strictly increasing gamma_m = v(z_m - z_{m+1}); also checks
-    the triangle consequence v(z_m - z_r) = gamma_m for every m < r.
+    Returns the strictly increasing gamma_m = v(z_m - z_{m+1}).  They decide
+    v(z_m - z_r) = gamma_m for every m < r (Kaplansky, "Maximal fields with
+    valuations", Duke Math. J. 9 (1942), Lemma 1), caps included: for x <=
+    gamma_m every d_k = z_k - z_{k+1} with k >= m is decided at x, because
+    gamma_k < cap(d_k), and vanishes there for k > m.  So the coefficients of
+    z_m - z_r up to gamma_m telescope to those of d_m.
     """
     if len(prefix) < 3:
         raise WorkbenchError("a pseudo-Cauchy prefix needs at least 3 elements")
     gammas = []
     for m in range(len(prefix) - 1):
-        d = prefix[m] - prefix[m + 1]
-        g = d.val()  # PrecisionExhausted propagates; PosInf means equal elements
+        g = prefix[m].val_sub(prefix[m + 1])  # PrecisionExhausted propagates
         if g.is_inf:
             raise NotPcs(m, f"consecutive elements {m}, {m + 1} coincide")
         if gammas and g <= gammas[-1]:
             raise NotPcs(m, f"gamma_{m} = {g.to_text()} does not exceed gamma_{m - 1}")
         gammas.append(g)
-    for m in range(len(prefix) - 1):
-        for r in range(m + 2, len(prefix)):
-            if (prefix[m] - prefix[r]).val() != gammas[m]:
-                raise NotPcs(m, f"v(z_{m} - z_{r}) differs from gamma_{m}")
     return gammas
 
 
@@ -94,15 +93,14 @@ def is_limit(y: PuiseuxSeries, gen: PcsGenerator) -> bool:
     gammas = gen.gammas()
     elems = gen.elements()
     for m, g in enumerate(gammas):
-        d = y - elems[m]
-        if not d.coeffs and d.prec is not None:
-            # undecidable beyond y's precision; consistent iff gamma_m lies
-            # at or beyond the cap
-            if g >= GroupVal.fin(Fraction(d.prec)):
-                continue
-            return False
-        if d.val() != g:
-            return False
+        try:
+            if y.val_sub(elems[m]) != g:
+                return False
+        except PrecisionExhausted:
+            # undecidable beyond the cap of y - a_m; consistent iff gamma_m
+            # lies at or beyond it
+            if g < GroupVal.fin(min_prec(y.prec, elems[m].prec)):
+                return False
     return True
 
 
@@ -156,14 +154,15 @@ def values_along(f: PolyX, gen: PcsGenerator):
 
 def stabilized_delta(gen: PcsGenerator, f: PolyX) -> GroupVal:
     """delta(f) along the sequence: the stabilized delta under the monomial
-    spec at (a_m, gamma_m)."""
+    spec at (a_m, gamma_m), read on the last ``window`` indices."""
     from .valuation import ValuationSpec, delta
     gammas = gen.gammas()
     elems = gen.elements()
-    ds = [delta(ValuationSpec.monomial(elems[m], gammas[m]), f)
-          for m in range(len(gammas))]
     W = gen.window
-    tail = ds[-W:]
+    if len(gammas) < W:
+        raise HorizonExceeded("window exceeds the materialized horizon")
+    tail = [delta(ValuationSpec.monomial(elems[m], gammas[m]), f)
+            for m in range(len(gammas) - W, len(gammas))]
     if all(d == tail[0] for d in tail):
         return tail[0]
     raise HorizonExceeded("delta did not stabilize within the horizon")
@@ -219,7 +218,7 @@ def artin_schreier_generator(p: int, horizon: int = DEFAULT_HORIZON) -> PcsGener
     field = GF(p)
 
     def items(m):
-        return PuiseuxSeries.from_terms(field, {Fraction(p**n): 1 for n in range(m + 1)})
+        return PuiseuxSeries(field, 1, {p**n: field.one() for n in range(m + 1)}, None)
 
     return PcsGenerator(f"artin-schreier({p})", field, items, horizon)
 
@@ -231,8 +230,7 @@ def exponential_generator(horizon: int = DEFAULT_HORIZON) -> PcsGenerator:
     from .field import QQ
 
     def items(m):
-        return PuiseuxSeries.from_terms(
-            QQ, {Fraction(n): Fraction(1, factorial(n)) for n in range(m + 1)})
+        return PuiseuxSeries(QQ, 1, {n: Fraction(1, factorial(n)) for n in range(m + 1)}, None)
 
     return PcsGenerator("exponential", QQ, items, horizon)
 
@@ -247,9 +245,9 @@ def mixed_radix_generator(p: int, q: int, horizon: int = DEFAULT_HORIZON) -> Pcs
     if not 0 < p < q:
         raise WorkbenchError("mixed-radix sequence needs 0 < p < q")
 
-    def items(m):
-        return PuiseuxSeries.from_terms(
-            QQ, {Fraction(q**n, p**n): 1 for n in range(m + 1)})
+    def items(m):  # t^(q^n / p^n) at key q^n p^(m - n) on the lattice of p^m
+        return PuiseuxSeries(QQ, p**m, {q**n * p**(m - n): QQ.one() for n in range(m + 1)},
+                             None)
 
     return PcsGenerator(f"mixed-radix({p},{q})", QQ, items, horizon,
                         value_group_bound=None)

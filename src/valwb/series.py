@@ -571,6 +571,24 @@ class PuiseuxSeries:
         raise PrecisionExhausted(
             f"series indistinguishable from 0 at precision O(t^{self.prec})")
 
+    def val_sub(self, other: "PuiseuxSeries") -> GroupVal:
+        """(self - other).val() without building the difference: the least key
+        below the cap at which the supports differ on the common lattice."""
+        self._check(other)
+        e = self.ram * other.ram // math.gcd(self.ram, other.ram)
+        s1, s2, sub = e // self.ram, e // other.ram, self.field.sub
+        a = self.coeffs if s1 == 1 else {n * s1: c for n, c in self.coeffs.items()}
+        b = other.coeffs if s2 == 1 else {n * s2: c for n, c in other.coeffs.items()}
+        keys = a.keys() ^ b.keys()
+        keys.update(k for k in a.keys() & b.keys() if sub(a[k], b[k]))
+        prec = min_prec(self.prec, other.prec)
+        least = min(keys, default=math.inf)
+        if least < lattice_cap(prec, e):
+            return GroupVal.fin(Fraction(least, e))
+        if prec is None:
+            return GroupVal.posinf()
+        raise PrecisionExhausted(f"series indistinguishable from 0 at precision O(t^{prec})")
+
     def val_lower_bound(self) -> Optional[Fraction]:
         """A guaranteed lower bound for the valuation; None means +inf."""
         if self.coeffs:

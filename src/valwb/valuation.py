@@ -26,7 +26,7 @@ from .errors import HorizonExceeded, PrecisionExhausted, WorkbenchError, ZeroPol
 from .field import BaseField
 from .groupval import FIN0, GroupVal
 from .polyx import PolyX
-from .series import PuiseuxSeries
+from .series import PuiseuxSeries, min_prec
 
 OVER_K = "K"
 OVER_KHAT = "Khat"
@@ -191,15 +191,15 @@ def delta(spec: ValuationSpec, f: PolyX) -> GroupVal:
 
 def is_pair_equivalent(a, b, gamma: GroupVal) -> bool:
     """True iff v(a - b) >= gamma, i.e. (b, gamma) defines the same extension."""
-    d = a.to_series() - b.to_series()
-    if d.coeffs:
-        return d.val() >= gamma
-    if d.prec is None:
-        return True  # exact equality
-    if GroupVal.fin(Fraction(d.prec)) >= gamma:
+    a, b = a.to_series(), b.to_series()
+    try:
+        return a.val_sub(b) >= gamma  # PosInf on exact equality
+    except PrecisionExhausted:
+        prec = min_prec(a.prec, b.prec)
+    if GroupVal.fin(prec) >= gamma:
         return True  # v(a-b) >= prec >= gamma even though undecidable exactly
     raise PrecisionExhausted(
-        f"v(a - b) is only known to be >= {d.prec}, below gamma = {gamma.to_text()}")
+        f"v(a - b) is only known to be >= {prec}, below gamma = {gamma.to_text()}")
 
 
 # ---------------------------------------------------------------------------

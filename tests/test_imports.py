@@ -149,3 +149,28 @@ def test_the_scan_sees_bounded_and_unbounded_caches(tmp_path):
     assert unbounded_caches(src) == [("m.py", "lru_cache", 14), ("m.py", "lru_cache", 18),
                                      ("m.py", "lru_cache", 22), ("m.py", "cache", 26),
                                      ("m.py", "lru_cache", 30), ("m.py", "cache", 34)]
+
+
+def values_of_differences(path: Path) -> list:
+    """Calls of .val() directly on a subtraction, (a - b).val(): a reader that
+    needs only the value of a difference asks PuiseuxSeries.val_sub for it
+    instead of building the difference."""
+    tree = ast.parse(path.read_text())
+    return [(path.name, node.lineno) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "val" and isinstance(node.func.value, ast.BinOp)
+            and isinstance(node.func.value.op, ast.Sub)]
+
+
+def test_no_module_builds_a_difference_for_its_value():
+    modules = sorted(Path(valwb.__file__).parent.glob("*.py"))
+    found = [hit for path in modules for hit in values_of_differences(path)]
+    assert not found, found
+
+
+def test_the_scan_sees_values_of_differences(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("def f(a, b, c):\n    x = (a - b).val()\n    y = (a + b).val()\n"
+                   "    z = a.val_sub(b)\n    d = a - b\n    w = d.val()\n"
+                   "    return (a - (b - c)).val() + (a - b).val_lower_bound()\n")
+    assert values_of_differences(src) == [("m.py", 2), ("m.py", 7)]

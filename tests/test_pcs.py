@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from valwb.errors import HorizonExceeded, NotPcs, WorkbenchError
+from valwb.errors import HorizonExceeded, NotPcs, PrecisionExhausted, WorkbenchError
 from valwb.field import GF, QQ
 from valwb.groupval import GroupVal
 from valwb.pcs import (
@@ -55,7 +57,6 @@ def test_gammas_closed_forms():
 
 
 def test_is_limit():
-    from math import factorial
     gen = exponential_generator(8)
     y = PuiseuxSeries.from_terms(
         QQ, {Fraction(n): Fraction(1, factorial(n)) for n in range(12)},
@@ -150,3 +151,105 @@ def test_artin_schreier_refuses_characteristic_zero():
     with pytest.raises(WorkbenchError, match="characteristic 1"):
         artin_schreier_generator(1)
     assert builtin_generator("artin-schreier(3)").field == GF(3)
+
+
+def test_stabilized_delta_refuses_a_window_wider_than_the_horizon():
+    # horizon 3 gives 3 deltas and 4 values: both readers need `window` of them
+    gen = exponential_generator(3)
+    gen.window = 6
+    f = polyx_from_text(QQ, "X + 1")
+    with pytest.raises(HorizonExceeded, match="window exceeds the materialized horizon"):
+        stabilized_delta(gen, f)
+    with pytest.raises(HorizonExceeded, match="window exceeds the materialized horizon"):
+        values_along(f, gen)
+    # horizon 5: six values suffice for values_along, five deltas do not
+    gen = exponential_generator(5)
+    gen.window = 6
+    values_along(f, gen)
+    with pytest.raises(HorizonExceeded, match="window exceeds the materialized horizon"):
+        stabilized_delta(gen, f)
+    gen.window = 5
+    assert stabilized_delta(gen, f) == GroupVal.fin(0)
+
+
+def ref_validate_prefix(prefix):
+    """The former check: consecutive gaps, then v(z_m - z_r) = gamma_m for
+    every m < r by full subtraction."""
+    if len(prefix) < 3:
+        raise WorkbenchError("a pseudo-Cauchy prefix needs at least 3 elements")
+    gammas = []
+    for m in range(len(prefix) - 1):
+        g = (prefix[m] - prefix[m + 1]).val()
+        if g.is_inf:
+            raise NotPcs(m, f"consecutive elements {m}, {m + 1} coincide")
+        if gammas and g <= gammas[-1]:
+            raise NotPcs(m, f"gamma_{m} = {g.to_text()} does not exceed gamma_{m - 1}")
+        gammas.append(g)
+    for m in range(len(prefix) - 1):
+        for r in range(m + 2, len(prefix)):
+            if (prefix[m] - prefix[r]).val() != gammas[m]:
+                raise NotPcs(m, f"v(z_{m} - z_{r}) differs from gamma_{m}")
+    return gammas
+
+
+def random_increment(field, rng, lo):
+    """A series of valuation about lo: exact or capped, ramification 1 to 4."""
+    ram = rng.randint(1, 4)
+    n0 = lo * ram + rng.randint(-1, 1)
+    keys = {n0} | {n0 + rng.randint(1, 12) for _ in range(rng.randint(0, 4))}
+    coeffs = {n: field.coerce(rng.randint(1, 9)) for n in keys}
+    # caps often far above the support, sometimes at or below its top key
+    top = max(keys) + (rng.randint(-2, 4) if rng.random() < 0.2 else rng.randint(20, 120))
+    prec = None if rng.random() < 0.5 else Fraction(top, ram)
+    return PuiseuxSeries(field, ram, coeffs, prec)
+
+
+def test_consecutive_gaps_decide_every_later_difference():
+    # the triangle loop validate_prefix used to run checked a theorem: on
+    # running sums of random exact and capped series it never fires
+    rng = random.Random(1313)
+    valid = 0
+    for i in range(1500):
+        field = (QQ, GF(2), GF(5))[i % 3]
+        z = random_increment(field, rng, rng.randint(-3, 3))
+        prefix, lo = [z], rng.randint(-4, 2)
+        for _ in range(rng.randint(2, 7)):
+            lo += rng.choice((0, 1, 1, 2, 2, 3, 3, 4, 5, 6))
+            z = z + random_increment(field, rng, lo)
+            prefix.append(z)
+        try:
+            gammas = validate_prefix(prefix)
+        except (NotPcs, PrecisionExhausted) as exc:
+            with pytest.raises(type(exc)):
+                ref_validate_prefix(prefix)
+            continue
+        assert ref_validate_prefix(prefix) == gammas, (i, prefix)
+        for m in range(len(prefix) - 1):
+            for r in range(m + 1, len(prefix)):
+                assert (prefix[m] - prefix[r]).val() == gammas[m], (i, m, r)
+        valid += 1
+    assert valid >= 400, valid
+
+
+@pytest.mark.parametrize("name, reference", [
+    ("artin-schreier(2)", lambda m: PuiseuxSeries.from_terms(
+        GF(2), {Fraction(2**n): 1 for n in range(m + 1)})),
+    ("artin-schreier(3)", lambda m: PuiseuxSeries.from_terms(
+        GF(3), {Fraction(3**n): 1 for n in range(m + 1)})),
+    ("artin-schreier(5)", lambda m: PuiseuxSeries.from_terms(
+        GF(5), {Fraction(5**n): 1 for n in range(m + 1)})),
+    ("exponential", lambda m: PuiseuxSeries.from_terms(
+        QQ, {Fraction(n): Fraction(1, factorial(n)) for n in range(m + 1)})),
+    ("mixed-radix(2,3)", lambda m: PuiseuxSeries.from_terms(
+        QQ, {Fraction(3**n, 2**n): 1 for n in range(m + 1)})),
+    ("mixed-radix(3,5)", lambda m: PuiseuxSeries.from_terms(
+        QQ, {Fraction(5**n, 3**n): 1 for n in range(m + 1)})),
+])
+def test_builtin_generators_build_what_from_terms_builds(name, reference):
+    gen = builtin_generator(name, 15)
+    for m in range(16):
+        got, want = gen.element(m), reference(m)
+        assert got.ram == want.ram and got.prec is want.prec is None, (name, m)
+        assert list(got.coeffs.items()) == list(want.coeffs.items()), (name, m)
+        assert [type(c) for c in got.coeffs.values()] == \
+            [type(c) for c in want.coeffs.values()], (name, m)

@@ -620,3 +620,51 @@ def test_invert_matches_the_fraction_recursion():
             seen["exact" if s.prec is None else "capped"] += 1
             seen["no term"] += not got[3]
     assert min(seen.values()) >= 30, seen
+
+
+def val_outcome(fn, *args):
+    """The value, or the type and text of the exception raised."""
+    try:
+        return ("value", fn(*args))
+    except Exception as exc:  # the exception itself is part of the outcome
+        return ("raised", type(exc), str(exc))
+
+
+def random_val_sub_operand(field, rng):
+    shape = rng.random()
+    if shape < 0.04:
+        return PuiseuxSeries.zero(field)
+    if shape < 0.1:
+        return PuiseuxSeries.unknown_zero(field, Fraction(rng.randint(-6, 12), rng.randint(1, 6)))
+    ram, lo = rng.randint(1, 6), rng.randint(-12, 8)
+    keys = {rng.randint(lo, lo + 24) for _ in range(rng.randint(1, 8))}
+    # few scalars, so coefficients on shared keys often agree
+    coeffs = {n: field.coerce(rng.choice((1, 2, -1, Fraction(1, 5)))) for n in keys}
+    prec = None if rng.random() < 0.4 else Fraction(rng.randint(lo - 2, lo + 30), ram)
+    return PuiseuxSeries(field, ram, coeffs, prec)
+
+
+def test_val_sub_matches_the_value_of_the_difference():
+    rng = random.Random(1313)
+    fields = [QQ, F2, GF(3), GF(7)]
+    seen = {"value": 0, "posinf": 0, "unknown zero": 0, "mismatch": 0}
+    for i in range(4000):
+        field = fields[i % len(fields)]
+        a, shape = random_val_sub_operand(field, rng), rng.random()
+        if shape < 0.1:
+            b = a
+        elif shape < 0.45:  # a term, a tail or a lower cap away from a
+            b = a + rng.choice((random_val_sub_operand(field, rng), PuiseuxSeries.unknown_zero(
+                field, Fraction(rng.randint(-8, 30), rng.randint(1, 6)))))
+        elif shape < 0.5:
+            b = random_val_sub_operand(fields[(i + 1) % len(fields)], rng)
+        else:
+            b = random_val_sub_operand(field, rng)
+        got = val_outcome(a.val_sub, b)
+        assert got == val_outcome(lambda: (a - b).val()), (i, a, b)
+        if got[0] == "value":
+            seen["posinf" if got[1].is_inf else "value"] += 1
+        else:
+            seen["mismatch" if got[1] is WorkbenchError else "unknown zero"] += 1
+            assert got[1] in (WorkbenchError, PrecisionExhausted), got
+    assert min(seen.values()) >= 150, seen

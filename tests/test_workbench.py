@@ -150,6 +150,15 @@ def test_cli_eval_and_delta(tmp_path):
     assert code2 == 0 and "outcome: 0" in out2
 
 
+def test_cli_delta_refuses_a_window_wider_than_the_horizon(tmp_path):
+    # horizon 3 materializes three deltas; a window of six used to read them
+    # all and print "[delta] 0", while eval refused the same config
+    cfg = write_cfg(tmp_path, "char = 0\nhorizon = 3\nwindow = 6\n"
+                              "spec.kind = pcslimit\nspec.generator = exponential\n")
+    for cmd in ("delta", "eval"):
+        code, out, err = run_cli([cmd, "--config", cfg, "--poly", "X + 1"])
+        assert (code, out, err) == (1, "", "error: window exceeds the materialized horizon\n")
+
 def test_cli_classify_structured_deterministic(tmp_path):
     cfg = write_cfg(tmp_path, "spec.kind = pcslimit\nspec.generator = exponential\n")
     runs = [run_cli(["classify", "--config", cfg, "--format", "structured"])
