@@ -120,7 +120,8 @@ def values_along(f: PolyX, gen: PcsGenerator):
 
     UltimatelyConstant requires the last ``window`` entries to agree; a
     strictly increasing tail means f's value has not stabilized and is the
-    signature of f vanishing at the limit.
+    signature of f vanishing at the limit.  Both verdicts read ``window``
+    values, also when f(a_m) runs out of precision before the horizon.
     """
     vals = []
     capped = False
@@ -134,8 +135,9 @@ def values_along(f: PolyX, gen: PcsGenerator):
             capped = True
             break
     W = gen.window
-    if capped:
-        if len(vals) >= 2 and all(vals[j] < vals[j + 1] for j in range(max(0, len(vals) - W), len(vals) - 1)):
+    if capped:  # the same evidence as below: the last `window` values increase
+        if len(vals) >= max(W, 2) and all(vals[j] < vals[j + 1]
+                                          for j in range(len(vals) - W, len(vals) - 1)):
             return vals, StrictlyIncreasingAtHorizon(vals[-1])
         raise PrecisionExhausted(
             "f(a_m) undecidable at working precision before any trend emerged")

@@ -15,10 +15,13 @@ lower convex hull of (i, val C_i) after recentering, whose slopes give the
 exact multiset of valuations of center-to-root differences.  Recentering
 uses the integer binomial coefficients of the Hasse derivative, so it is
 valid in every characteristic.  :meth:`PolyX.recentered_values` reads each
-C_i's least surviving key and cap off one Taylor shift on packed integers for
-polynomials in t at a Puiseux or polynomial center, else off the series stage
-that :meth:`PolyX.recenter_hasse` lowers.  A product of polynomials in t and X
-is one Kronecker product of integer images.
+C_i's least surviving key and cap along one of three routes: coefficients in
+K, over the lcm of their denominators, at a Puiseux or polynomial center take
+one Taylor shift on packed integers, with the caps the series path would give
+a coefficient with a pole; series coefficients take the series stage that
+:meth:`PolyX.recenter_hasse` lowers; a `RatFunc` center with a pole takes the
+exact Hasse sum over K.  A product of polynomials in t and X is one Kronecker
+product of integer images.
 """
 
 from __future__ import annotations
@@ -26,17 +29,20 @@ from __future__ import annotations
 import functools
 import math
 import re
+from itertools import islice
 from fractions import Fraction
 
 from .errors import ParseError, PrecisionExhausted, WorkbenchError, ZeroPolynomial
 from .field import BaseField
 from .groupval import GroupVal
-from .series import (PuiseuxSeries, RatFunc, _parse_term, _split_terms, convolve, lattice_cap,
-                     lattice_product, min_prec, product_prec, tp_ord, tp_trim)
+from .series import (PuiseuxSeries, RatFunc, _parse_term, _split_terms, convolve,
+                     expansion_prec, lattice_cap, lattice_product, min_prec, product_prec,
+                     tp_divmod, tp_gcd, tp_mul, tp_ord, tp_trim)
 from .series import coerce  # noqa: F401  perfbench's tracer rebinds this name here
 
 RATFUNC = "ratfunc"
 SERIES = "series"
+LEAD_UNDECIDED = "leading coefficient is not decidably nonzero at this precision"
 
 
 class PolyX:
@@ -49,8 +55,7 @@ class PolyX:
         while coeffs and coeffs[-1].is_exact_zero():
             coeffs.pop()
         if coeffs and coeffs[-1].is_unknown_zero():
-            raise PrecisionExhausted(
-                "leading coefficient is not decidably nonzero at this precision")
+            raise PrecisionExhausted(LEAD_UNDECIDED)
         if len(set(map(type, coeffs))) > 1:
             raise WorkbenchError("coefficients must be all RatFunc or all PuiseuxSeries")
         self.field = field
@@ -221,14 +226,12 @@ class PolyX:
         """The value profile (e, rows) of :meth:`recenter_hasse`'s C_i: row i is
         (k, cap), val C_i = k/e for the least surviving key k, or k None when no
         term survives below the cap (the exact zero if cap is None); no series."""
-        if self.domain == RATFUNC and all(len(c.den) == 1 for c in self.coeffs) and (
-                isinstance(a, PuiseuxSeries) or len(a.den) == 1):
+        if self.domain == SERIES:
+            return shifted_values(self.field, self.coeffs, a.to_series())
+        if isinstance(a, PuiseuxSeries) or len(a.den) == 1:
             return _packed_values(self.field, self.coeffs, a)
-        poly, a = self._with_point(a)
-        if poly.domain == SERIES:
-            return shifted_values(self.field, poly.coeffs, a)
         return 1, [(None if c.is_exact_zero() else int(c.val().q), None)
-                   for c in poly.recenter_hasse(a)]
+                   for c in self.recenter_hasse(a)]
 
     # -- division ---------------------------------------------------------------
 
@@ -424,34 +427,96 @@ def shifted_values(field: BaseField, coeffs, a: PuiseuxSeries) -> tuple:
     return e, out
 
 
+def _over_lcm(field, coeffs) -> tuple:
+    """(images, L): L the monic lcm in k[t] of the denominators D_j of the c_j
+    with a pole (one at least), images[j] the integer image of M_j = c_j L at
+    one scale for all j (residues over F_p).  The cofactors L/D_j take one
+    division per distinct D_j but the largest (and a gcd where D_j does not
+    divide the lcm so far), none when D_j = L, and are L when D_j = 1."""
+    one = field.one()
+    dens = sorted({tuple(c.den) for c in coeffs if len(c.den) > 1}, key=len, reverse=True)
+    L, cofactor = list(dens[0]), {dens[0]: [one]}
+    for d in map(list, dens[1:]):
+        q, r = tp_divmod(field, L, d)
+        if r:  # L grows by d/g, and so does every cofactor; L/d = L_old/g
+            g = tp_gcd(field, L, d)
+            grow = tp_divmod(field, d, g)[0]
+            L, q = tp_mul(field, L, grow), tp_divmod(field, L, g)[0]
+            cofactor = {k: tp_mul(field, v, grow) for k, v in cofactor.items()}
+        cofactor[tuple(d)] = q
+    cofactor[(one,)] = L
+    ys, _ = field.as_integers([y for v in cofactor.values() for y in v])
+    ys = iter(ys)
+    ys = {k: list(islice(ys, len(v))) for k, v in cofactor.items()}
+    xs, _ = field.as_integers([x for c in coeffs for x in c.num])
+    xs, p, images = iter(xs), field.char, []
+    for c in coeffs:
+        x, y = list(islice(xs, len(c.num))), ys[tuple(c.den)]
+        m = convolve(x, y, len(x) + len(y) - 1) if x else []
+        images.append([v % p for v in m] if p else m)
+    return images, L
+
+
 def _packed_values(field: BaseField, coeffs, a) -> tuple:
-    """:meth:`PolyX.recentered_values` for c_j = N_j/dc in k[t] at a Puiseux or polynomial
-    center a = s^lo A(s)/da, s = t^(1/e), lo <= 0: one packed Taylor shift (README)."""
+    """:meth:`PolyX.recentered_values` for c_j = M_j/L, M_j and L in k[t], at a Puiseux or
+    polynomial center a = s^lo A(s)/da, s = t^(1/e), lo <= 0: one packed Taylor shift of
+    the M_j (README).  At a Puiseux center a pole c_j is known to O(t^P), the cap of its
+    expansion, as the series path sees it."""
     n, p = len(coeffs) - 1, field.char
     e, prec, terms = ((1, None, {k: x for k, x in enumerate(a.num) if x})
                       if isinstance(a, RatFunc) else (a.ram, a.prec, a.coeffs))
-    ords = [tp_ord(field, c.num) for c in coeffs]
-    direct = [(None if o is None else o * e, None) for o in ords]  # a row without terms is c_i
+    pole = P = None
+    ords = [tp_ord(field, c.num) for c in coeffs]  # v(c_j)
+    if any(len(c.den) > 1 for c in coeffs):
+        pole = [len(c.den) > 1 for c in coeffs]
+        ords = [o - tp_ord(field, c.den) if pl else o for o, c, pl in zip(ords, coeffs, pole)]
+        if not isinstance(a, RatFunc):
+            P = expansion_prec(prec)
+    # a row without terms is c_i; a pole c_i is an unknown zero from P on
+    direct = [(None if o is None else o * e, None) for o in ords]
+    if P is not None:
+        if pole[n] and ords[n] >= P:
+            raise PrecisionExhausted(LEAD_UNDECIDED)
+        direct = [(k if o < P else None, P) if pl else (k, cap)
+                  for o, pl, (k, cap) in zip(ords, pole, direct)]
     if n < 1 or a.is_exact_zero():  # every shifted term carries a power of 0
         return e, direct
     if a.field != field:
         raise WorkbenchError("base field mismatch")
     vn, vd = (min(terms), e) if terms else (prec.numerator, prec.denominator)  # val a
+    hasse = _hasse_binomials(field, n)
     w = [math.inf if o is None else o * vd + j * vn for j, o in enumerate(ords)]
-    least = [min((w[j] for j, _ in row), default=math.inf) for row in _hasse_binomials(field, n)]
-    live = [None if m == math.inf else (cap := None if prec is None else Fraction(  # closed form
-        prec.numerator * vd + (m - (i + 1) * vn) * prec.denominator, prec.denominator * vd),
+    least = [min((w[j] for j, _ in row), default=math.inf) for row in hasse]
+    base = prec  # row i's cap: ord c_j + Pa + (j - i - 1)v over its row, in closed form
+    if P is not None:  # a pole c_j adds P + (j - i)v to row i, and P to its own row
+        pw = [(j + 1) * vn if pl else math.inf for j, pl in enumerate(pole)]
+        cw = pw if prec is None else [min(x, y) for x, y in zip(w, pw)]
+        bounds = []  # inf for a row without terms, None for one without a cap
+        for i, (m, row) in enumerate(zip(least, hasse)):
+            c = min([pw[i]] + [cw[j] for j, _ in row])
+            bounds.append(m if m == math.inf else None if c == math.inf else c)
+        base, least = P, bounds
+    live = [None if m == math.inf else (cap := None if base is None or m is None else Fraction(
+        base.numerator * vd + (m - (i + 1) * vn) * base.denominator, base.denominator * vd),
         lattice_cap(cap, e)) for i, m in enumerate(least)]
+    if pole:
+        nums, L = _over_lcm(field, coeffs)
+        flat, shift = [x for m in nums for x in m], tp_ord(field, L)  # ord M_j = v(c_j) + shift
+    else:
+        nums, shift = [c.num for c in coeffs], 0
+        flat, _ = field.as_integers([x for m in nums for x in m])
     lo, (ys, da) = min(0, min(terms, default=0)), field.as_integers(terms.values())
-    flat, _ = field.as_integers([x for c in coeffs for x in c.num])
     l1 = (n + 1) * sum(map(abs, flat)) * da**n * (1 + sum(map(abs, ys)))**n  # bounds every output
     b, xs = l1.bit_length() // 8 * 8 + 8, iter(flat)
-    M = [sum(x << b * e * k for k, x in zip(range(len(c.num)), xs) if x) * da**(n - j)
-         << b * -lo * (n - j) for j, c in enumerate(coeffs)]
-    limit = (max(row[1] - lo * (n - i) for i, row in enumerate(live) if row) if prec is not None
-             else 1 + max(e * len(c.num) - e - lo * (n - j) + j * (max(terms) - lo)
-                          for j, c in enumerate(coeffs) if c.num))  # every slot of every row
-    width = min(limit, e * ords[n] + n * (min(terms, default=lo) - lo) + 1)
+    M = [sum(x << b * e * k for k, x in zip(range(len(m)), xs) if x) * da**(n - j)
+         << b * -lo * (n - j) for j, m in enumerate(nums)]
+    es = e * shift  # row i's slot 0 has the key lo(n - i) - es
+    limit = math.inf if base is None else max(row[1] - lo * (n - i) + es
+                                              for i, row in enumerate(live) if row)
+    if limit == math.inf:  # an uncapped row: every slot of every row
+        limit = 1 + max(e * len(m) - e - lo * (n - j) + j * (max(terms) - lo)
+                        for j, m in enumerate(nums) if m)
+    width = min(limit, e * (ords[n] + shift) + n * (min(terms, default=lo) - lo) + 1)
     while True:
         mask = (1 << b * max(width, 0)) - 1
         A = sum(y << b * (k - lo) for k, y in zip(terms, ys) if k - lo < width) & mask
@@ -459,7 +524,7 @@ def _packed_values(field: BaseField, coeffs, a) -> tuple:
         for i in range(n):
             for j in range(n - 1, i - 1, -1):
                 S[j] = (S[j] + A * S[j + 1]) & mask
-        rows = [(_least_key(S[i], b, p, lo * (n - i), row[1]), row[0]) if row else direct[i]
+        rows = [(_least_key(S[i], b, p, lo * (n - i) - es, row[1]), row[0]) if row else direct[i]
                 for i, row in enumerate(live)]
         if width >= limit or all(k is not None for (k, _), row in zip(rows, live) if row):
             return e, rows

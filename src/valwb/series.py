@@ -442,7 +442,7 @@ class RatFunc:
             out.field, out.ram, out.prec = self.field, 1, None
             out.coeffs = {i: x for i, x in enumerate(self.num) if x}
             return out
-        return coerce(self, DEFAULT_PREC if prec is None else prec)
+        return coerce(self, expansion_prec(prec))
 
     def to_text(self) -> str:
         if self.is_polynomial():
@@ -748,6 +748,12 @@ def lattice_cap(prec, e: int):
     return -(-prec.numerator * e // prec.denominator)
 
 
+def expansion_prec(prec) -> Fraction:
+    """The cap O(t^prec) of an exact expansion that is not a finite sum (an
+    element of K with a pole, an inverse): ``prec``, or DEFAULT_PREC for none."""
+    return DEFAULT_PREC if prec is None else Fraction(prec)
+
+
 def min_prec(p1: Optional[Fraction], p2: Optional[Fraction]) -> Optional[Fraction]:
     """The cap of a sum; None is no cap."""
     if p1 is None:
@@ -822,7 +828,7 @@ def invert(s: PuiseuxSeries, prec=None) -> PuiseuxSeries:
         work_prec = s.prec
         out_prec = s.prec - 2 * v0
     else:
-        target = DEFAULT_PREC if prec is None else Fraction(prec)
+        target = expansion_prec(prec)
         work_prec = target + 2 * v0
         out_prec = target
     e = s.ram

@@ -80,6 +80,21 @@ def test_values_along_trends():
     assert vals2[-1].is_inf  # exact root at the final element
 
 
+def test_values_along_reads_a_window_of_values_before_the_cap():
+    # f(a_m) = a_m - y runs out of y's precision at m = 2, after two values
+    y = PuiseuxSeries(QQ, 1, {0: Fraction(1), 1: Fraction(1), 2: Fraction(1, 2)}, Fraction(3))
+    f = x_minus(QQ, y)
+    gen = exponential_generator(12)
+    for window in (3, 6):
+        gen.window = window
+        with pytest.raises(PrecisionExhausted, match="before any trend emerged"):
+            values_along(f, gen)
+    gen.window = 2
+    vals, trend = values_along(f, gen)
+    assert vals == [GroupVal.fin(1), GroupVal.fin(2)]
+    assert trend == StrictlyIncreasingAtHorizon(GroupVal.fin(2))
+
+
 def test_stabilized_delta():
     gen = exponential_generator(10)
     f = x_minus(QQ, gen.element(2))

@@ -9,7 +9,7 @@ from valwb.errors import PrecisionExhausted, WorkbenchError, ZeroPolynomial
 from valwb.field import GF, QQ
 from valwb.groupval import FIN0, GroupVal
 from valwb.lifting import _min_recentered_value
-from valwb import polyx
+from valwb import polyx, series
 from valwb.polyx import RATFUNC, SERIES, PolyX, _hull_height, _lower_hull, polyx_from_text
 from valwb.sampling import random_polyx, random_ratfunc
 from valwb.selftest import run_all
@@ -518,6 +518,39 @@ def random_kt_poly(field, rng, deg):
     return PolyX.from_ratfuncs(field, coeffs)
 
 
+def small_scalar(field, rng):
+    return field.coerce(rng.choice((1, -1, 2, -2, 3)))
+
+
+def random_pole_kt_poly(field, rng, deg):
+    """Like random_kt_poly, but the coefficients share one denominator or take
+    products of up to three factors (t^k, a pole at t = 0, among them), and
+    half the time half of them have t-orders 58-70, about the expansion cap 64."""
+    one, zero = field.one(), field.zero()
+    factors = [[zero] * rng.randint(1, 3) + [one], [small_scalar(field, rng), one],
+               [small_scalar(field, rng), small_scalar(field, rng), one]]
+
+    def product(k):
+        d = RatFunc.one(field)
+        for factor in rng.sample(factors, k):
+            d = d * RatFunc(field, factor)
+        return d.num
+
+    dens = [product(rng.randint(1, 2))] if rng.random() < 0.5 else \
+        [product(rng.randint(0, 3)) for _ in range(3)]
+    deep, coeffs = rng.random() < 0.5, []
+    for i in range(deg + 1):
+        if i < deg and rng.random() < 0.25:
+            coeffs.append(RatFunc.zero(field))
+            continue
+        order = rng.randint(58, 70) if deep and rng.random() < 0.5 else rng.randint(0, 6)
+        num = [zero] * order + [nonzero_scalar(field, rng)] + [
+            nonzero_scalar(field, rng) if rng.random() < 0.5 else zero
+            for _ in range(rng.randint(0, 3))]
+        coeffs.append(RatFunc(field, num, rng.choice(dens)))
+    return PolyX.from_ratfuncs(field, coeffs)
+
+
 def random_kt_center(field, rng, kind):
     """A center of the kind; for "root" also the factor X - a (or X^e - a^e for a
     ramified monomial), which has coefficients in k[t] and a for a root."""
@@ -557,25 +590,54 @@ def test_packed_profile_matches_the_series_and_exact_paths():
     rng = random.Random(23)
     kinds = ("exact", "capped", "zero", "unknown zero", "negative", "inverse", "ratfunc",
              "root", "root")
-    seen = {"raised": 0, "exact zero rows": 0, "capped rows": 0, "undecided rows": 0}
+    seen = {"raised": 0, "exact zero rows": 0, "capped rows": 0, "undecided rows": 0,
+            "pole rows": 0, "leading refusals": 0}
     for i in range(2250):
         field = FIELDS[i % len(FIELDS)]
         kind = kinds[i // len(FIELDS) % len(kinds)]
         a, factor = random_kt_center(field, rng, kind)
-        f = random_kt_poly(field, rng, rng.randint(0, 8))
+        draw = random_pole_kt_poly if i % 3 == 0 else random_kt_poly
+        f = draw(field, rng, rng.randint(0, 8))
         if factor is not None:
-            f = factor * random_kt_poly(field, rng, rng.randint(0, 8 - factor.degree()))
+            f = factor * draw(field, rng, rng.randint(0, 8 - factor.degree()))
         if rng.random() < 0.02:
             a = random_kt_center(FIELDS[(i + 1) % len(FIELDS)], rng, "exact")[0]  # field mismatch
         got = profile(PolyX.recentered_values, f, a)
         assert got == profile(ref_profile, f, a), (i, kind, f, a)
         if got[0] == "raised":
             seen["raised"] += 1
+            seen["leading refusals"] += got[1:] == (PrecisionExhausted, polyx.LEAD_UNDECIDED)
             continue
+        seen["pole rows"] += sum(len(c.den) > 1 for c in f.coeffs)
         seen["exact zero rows"] += sum(1 for k, t, _ in got[1] if k is None and t is type(None))
         seen["capped rows"] += sum(1 for k, t, _ in got[1] if k is not None and t is Fraction)
         seen["undecided rows"] += sum(1 for k, t, _ in got[1] if k is None and t is Fraction)
     assert min(seen.values()) >= 30, seen
+
+
+def test_pole_coefficients_are_never_expanded_by_eval_or_delta(monkeypatch):
+    # eval_spec and delta read K-coefficients with a pole off the packed shift
+    # at gauss, exact and capped centers; expanding one into the completion
+    # (series.coerce, behind RatFunc.to_series) fails the call
+    rng = random.Random(26)
+    cases = []
+    for field in (QQ, GF(3), GF(7)):
+        exact = series_with_keys(field, rng, rng.choice((1, 2)), range(0, 3), False)
+        capped = series_with_keys(field, rng, 1, range(0, 4), True)
+        specs = [ValuationSpec.gauss(field)] + [
+            ValuationSpec.monomial(a, GroupVal.fin(Fraction(rng.randint(1, 8), 2)))
+            for a in (exact, capped)]
+        cases += [(spec, random_pole_kt_poly(field, rng, rng.randint(1, 6)))
+                  for spec in specs for _ in range(8)]
+    want = [(outcome(eval_spec, spec, f), outcome(delta, spec, f)) for spec, f in cases]
+
+    def expand(r, prec):
+        raise AssertionError("a coefficient with a pole was expanded")
+
+    monkeypatch.setattr(series, "coerce", expand)
+    assert [(outcome(eval_spec, spec, f), outcome(delta, spec, f)) for spec, f in cases] == want
+    assert sum(v[0] != "raised" for pair in want for v in pair) >= 30
+    assert sum(v[0] == "raised" for pair in want for v in pair) >= 5
 
 
 def test_packed_profile_windows_a_sparse_center():
