@@ -487,11 +487,12 @@ def test_value_profile_matches_the_readers_of_built_series():
 
 # -- the packed value profile --------------------------------------------------
 #
-# Polynomials in t at a Puiseux series or polynomial center take one Taylor
-# shift on packed integers.  The reference is the path they took before:
-# shifted_values on the to_series copy, or the exact Hasse sum over K and
-# c.val() at a RatFunc center.  Profiles, with the types of their caps, or
-# the exception class and message must match.
+# Polynomials over K, coefficients with a pole included, at a Puiseux series
+# or polynomial center take one Taylor shift on packed integers.  The
+# reference is the path they took before: shifted_values on the to_series
+# copy, or the exact Hasse sum over K and c.val() at a RatFunc center.
+# Profiles, with the types of their caps, or the exception class and message
+# must match.
 
 def ref_profile(f, a):
     if isinstance(a, RatFunc):
