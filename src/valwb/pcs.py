@@ -136,11 +136,13 @@ def values_along(f: PolyX, gen: PcsGenerator):
             break
     W = gen.window
     if capped:  # the same evidence as below: the last `window` values increase
-        if len(vals) >= max(W, 2) and all(vals[j] < vals[j + 1]
-                                          for j in range(len(vals) - W, len(vals) - 1)):
+        if len(vals) < max(W, 2):
+            raise PrecisionExhausted(f"f(a_m) undecidable at working precision after {len(vals)} "
+                                     f"values, fewer than the {max(W, 2)} a window of {W} reads")
+        if all(vals[j] < vals[j + 1] for j in range(len(vals) - W, len(vals) - 1)):
             return vals, StrictlyIncreasingAtHorizon(vals[-1])
-        raise PrecisionExhausted(
-            "f(a_m) undecidable at working precision before any trend emerged")
+        raise PrecisionExhausted(f"f(a_m) undecidable at working precision after {len(vals)} "
+                                 f"values, the last {W} not strictly increasing")
     if len(vals) < W:
         raise HorizonExceeded("window exceeds the materialized horizon")
     tail = vals[-W:]

@@ -15,13 +15,12 @@ lower convex hull of (i, val C_i) after recentering, whose slopes give the
 exact multiset of valuations of center-to-root differences.  Recentering
 uses the integer binomial coefficients of the Hasse derivative, so it is
 valid in every characteristic.  :meth:`PolyX.recentered_values` reads each
-C_i's least surviving key and cap along one of three routes: coefficients in
-K, over the lcm of their denominators, at a Puiseux or polynomial center take
-one Taylor shift on packed integers, with the caps the series path would give
-a coefficient with a pole; series coefficients take the series stage that
-:meth:`PolyX.recenter_hasse` lowers; a `RatFunc` center with a pole takes the
-exact Hasse sum over K.  A product of polynomials in t and X is one Kronecker
-product of integer images.
+C_i's least surviving key and cap along one of two routes: coefficients in K,
+over the lcm of their denominators, take one Taylor shift on packed integers
+at a center p/q (q = 1 at a Puiseux or polynomial center), with the caps of
+the series path at a capped center or a pole; series coefficients take the
+series stage that :meth:`PolyX.recenter_hasse` lowers.  A product of
+polynomials in t and X is one Kronecker product of integer images.
 """
 
 from __future__ import annotations
@@ -29,15 +28,14 @@ from __future__ import annotations
 import functools
 import math
 import re
-from itertools import islice
 from fractions import Fraction
 
 from .errors import ParseError, PrecisionExhausted, WorkbenchError, ZeroPolynomial
 from .field import BaseField
 from .groupval import GroupVal
-from .series import (PuiseuxSeries, RatFunc, _parse_term, _split_terms, convolve,
+from .series import (PuiseuxSeries, RatFunc, _pack, _parse_term, _split_terms, convolve,
                      expansion_prec, lattice_cap, lattice_product, min_prec, product_prec,
-                     tp_divmod, tp_gcd, tp_mul, tp_ord, tp_trim)
+                     tp_ord, tp_trim)
 from .series import coerce  # noqa: F401  perfbench's tracer rebinds this name here
 
 RATFUNC = "ratfunc"
@@ -228,10 +226,7 @@ class PolyX:
         term survives below the cap (the exact zero if cap is None); no series."""
         if self.domain == SERIES:
             return shifted_values(self.field, self.coeffs, a.to_series())
-        if isinstance(a, PuiseuxSeries) or len(a.den) == 1:
-            return _packed_values(self.field, self.coeffs, a)
-        return 1, [(None if c.is_exact_zero() else int(c.val().q), None)
-                   for c in self.recenter_hasse(a)]
+        return _packed_values(self.field, self.coeffs, a)
 
     # -- division ---------------------------------------------------------------
 
@@ -428,43 +423,66 @@ def shifted_values(field: BaseField, coeffs, a: PuiseuxSeries) -> tuple:
 
 
 def _over_lcm(field, coeffs) -> tuple:
-    """(images, L): L the monic lcm in k[t] of the denominators D_j of the c_j
-    with a pole (one at least), images[j] the integer image of M_j = c_j L at
-    one scale for all j (residues over F_p).  The cofactors L/D_j take one
-    division per distinct D_j but the largest (and a gcd where D_j does not
-    divide the lcm so far), none when D_j = L, and are L when D_j = 1."""
-    one = field.one()
-    dens = sorted({tuple(c.den) for c in coeffs if len(c.den) > 1}, key=len, reverse=True)
-    L, cofactor = list(dens[0]), {dens[0]: [one]}
-    for d in map(list, dens[1:]):
-        q, r = tp_divmod(field, L, d)
-        if r:  # L grows by d/g, and so does every cofactor; L/d = L_old/g
-            g = tp_gcd(field, L, d)
-            grow = tp_divmod(field, d, g)[0]
-            L, q = tp_mul(field, L, grow), tp_divmod(field, L, g)[0]
-            cofactor = {k: tp_mul(field, v, grow) for k, v in cofactor.items()}
-        cofactor[tuple(d)] = q
+    """(cofactors, L) on integers (residues over F_p): L an lcm in k[t] of the denominators
+    D_j of the c_j with a pole (one at least), cofactors[j] that of L/D_j at one scale for all j.
+    A D_j enters primitive over Q (monic over F_p), so each division by one is exact (Gauss's
+    lemma): one per distinct D_j but the largest, a gcd where D_j does not divide L so far."""
+    p, one = field.char, field.one()
+    dens = {tuple(c.den): field.as_integers(c.den) for c in coeffs if len(c.den) > 1}
+    first, *rest = sorted(dens, key=len, reverse=True)
+    L, cofactor = dens[first][0], {first: [dens[first][1]]}
+    for d in rest:  # the cofactor of D_j = y/s is s L/y, as c_j = N_j s/y
+        y, s = dens[d]
+        q = _divide(L, y, p)
+        if q is None:  # L grows by y/g, and so does every cofactor; L/y = L_old/g
+            g = _gcd(L, y, p)
+            grow, q = _divide(y, g, p), _divide(L, g, p)
+            L, cofactor = _mul(L, grow, p), {k: _mul(v, grow, p) for k, v in cofactor.items()}
+        cofactor[d] = [s * v for v in q]
     cofactor[(one,)] = L
-    ys, _ = field.as_integers([y for v in cofactor.values() for y in v])
-    ys = iter(ys)
-    ys = {k: list(islice(ys, len(v))) for k, v in cofactor.items()}
-    xs, _ = field.as_integers([x for c in coeffs for x in c.num])
-    xs, p, images = iter(xs), field.char, []
-    for c in coeffs:
-        x, y = list(islice(xs, len(c.num))), ys[tuple(c.den)]
-        m = convolve(x, y, len(x) + len(y) - 1) if x else []
-        images.append([v % p for v in m] if p else m)
-    return images, L
+    return [cofactor[tuple(c.den)] for c in coeffs], L
+
+
+def _mul(x, y, p) -> list:
+    """The product of integer polynomials (residues over F_p)."""
+    m = convolve(x, y, len(x) + len(y) - 1)
+    return [v % p for v in m] if p else m
+
+
+def _divide(a, b, p):
+    """a/b on integer images if b, primitive over Q (monic over F_p), divides a, else None."""
+    r, m, q = list(a), len(b) - 1, []
+    for i in range(len(a) - 1 - m, -1, -1):
+        q.append(r[i + m] % p if p else r[i + m] // b[-1])
+        r[i:i + m + 1] = [x - q[-1] * y for x, y in zip(r[i:i + m + 1], b)]
+    return None if any(x % p if p else x for x in r) else q[::-1]
+
+
+def _gcd(a, b, p) -> list:
+    """A gcd of integer images, primitive over Q (monic over F_p), by pseudo-remainders."""
+    while b:
+        r = a
+        while len(r) >= len(b):  # b_top r - r_top t^s b has a lower degree
+            s, top = len(r) - len(b), r[-1]
+            r = [x * b[-1] - (top * b[i - s] if i >= s else 0) for i, x in enumerate(r[:-1])]
+            r = tp_trim(None, [x % p for x in r] if p else r)
+        if r:  # the primitive part, or the monic associate
+            g = pow(r[-1], -1, p) if p else math.gcd(*r) * (1 if r[-1] > 0 else -1)
+            r = [x * g % p for x in r] if p else [x // g for x in r]
+        a, b = b, r
+    return a
 
 
 def _packed_values(field: BaseField, coeffs, a) -> tuple:
-    """:meth:`PolyX.recentered_values` for c_j = M_j/L, M_j and L in k[t], at a Puiseux or
-    polynomial center a = s^lo A(s)/da, s = t^(1/e), lo <= 0: one packed Taylor shift of
-    the M_j (README).  At a Puiseux center a pole c_j is known to O(t^P), the cap of its
-    expansion, as the series path sees it."""
+    """:meth:`PolyX.recentered_values` for c_j = M_j/L, M_j and L in k[t], at a center
+    a = s^lo A(s)/Q(s), s = t^(1/e), lo <= 0, Q(0) != 0: one packed Taylor shift of the
+    M_j Q^(n-j) by A (README).  Q is constant at a Puiseux or polynomial center, and
+    q/t^(ord q) at p/q in K or its expansion.  At a Puiseux center, an expansion included,
+    rows keep the caps of the series path, and a pole c_j is known to O(t^P)."""
     n, p = len(coeffs) - 1, field.char
-    e, prec, terms = ((1, None, {k: x for k, x in enumerate(a.num) if x})
-                      if isinstance(a, RatFunc) else (a.ram, a.prec, a.coeffs))
+    e, prec, terms, pq = (  # pq: a = p/q in K, when known
+        (1, None, {k: x for k, x in enumerate(a.num, -tp_ord(field, a.den)) if x}, a)
+        if isinstance(a, RatFunc) else (a.ram, a.prec, a.coeffs, a.source))
     pole = P = None
     ords = [tp_ord(field, c.num) for c in coeffs]  # v(c_j)
     if any(len(c.den) > 1 for c in coeffs):
@@ -499,24 +517,36 @@ def _packed_values(field: BaseField, coeffs, a) -> tuple:
     live = [None if m == math.inf else (cap := None if base is None or m is None else Fraction(
         base.numerator * vd + (m - (i + 1) * vn) * base.denominator, base.denominator * vd),
         lattice_cap(cap, e)) for i, m in enumerate(least)]
-    if pole:
-        nums, L = _over_lcm(field, coeffs)
-        flat, shift = [x for m in nums for x in m], tp_ord(field, L)  # ord M_j = v(c_j) + shift
+    nums, shift, dm = [c.num for c in coeffs], 0, 0  # dm bounds deg M_j Q^(n-j) - deg N_j
+    flat, _ = field.as_integers([x for m in nums for x in m])
+    if exact := pq is not None and len(pq.den) > 1:  # a pole: one pass, no window
+        tq = tp_ord(field, pq.den)  # t^(ord q) moves into lo; A and Q at one scale
+        terms = {k: x for k, x in enumerate(pq.num, -tq) if x}
+        ys, _ = field.as_integers([*terms.values(), *pq.den[tq:]])
+        ys, zs = ys[:len(terms)], ys[len(terms):]
+        q1, dm = sum(map(abs, zs)), n * e * (len(zs) - 1)
     else:
-        nums, shift = [c.num for c in coeffs], 0
-        flat, _ = field.as_integers([x for m in nums for x in m])
-    lo, (ys, da) = min(0, min(terms, default=0)), field.as_integers(terms.values())
-    l1 = (n + 1) * sum(map(abs, flat)) * da**n * (1 + sum(map(abs, ys)))**n  # bounds every output
-    b, xs = l1.bit_length() // 8 * 8 + 8, iter(flat)
-    M = [sum(x << b * e * k for k, x in zip(range(len(m)), xs) if x) * da**(n - j)
+        ys, q1 = field.as_integers(terms.values())
+    lo = min(0, min(terms, default=0))
+    l1 = (n + 1) * sum(map(abs, flat)) * q1**n * (1 + sum(map(abs, ys)))**n
+    if pole:  # M_j = N_j L/D_j, ord M_j = v(c_j) + shift
+        cofs, L = _over_lcm(field, coeffs)
+        l1, shift = l1 * max(sum(map(abs, c)) for c in cofs), tp_ord(field, L)
+        dm += e * len(L) - e
+    b, xs = l1.bit_length() // 8 * 8 + 8, iter(flat)  # l1 bounds every output
+    Q = _pack(zs, b * e) if exact else q1
+    M = [sum(x << b * e * k for k, x in zip(range(len(m)), xs) if x) * Q**(n - j)
          << b * -lo * (n - j) for j, m in enumerate(nums)]
+    if pole:
+        M = [v * _pack(c, b * e) for v, c in zip(M, cofs)]
     es = e * shift  # row i's slot 0 has the key lo(n - i) - es
     limit = math.inf if base is None else max(row[1] - lo * (n - i) + es
                                               for i, row in enumerate(live) if row)
-    if limit == math.inf:  # an uncapped row: every slot of every row
-        limit = 1 + max(e * len(m) - e - lo * (n - j) + j * (max(terms) - lo)
-                        for j, m in enumerate(nums) if m)
-    width = min(limit, e * (ords[n] + shift) + n * (min(terms, default=lo) - lo) + 1)
+    if limit == math.inf or exact:  # an uncapped row, or one pass at p/q: every slot at most
+        limit = min(limit, 1 + dm + max(e * len(m) - e - lo * (n - j) + j * (max(terms) - lo)
+                                        for j, m in enumerate(nums) if m))
+    width = limit if exact else min(
+        limit, e * (ords[n] + shift) + n * (min(terms, default=lo) - lo) + 1)
     while True:
         mask = (1 << b * max(width, 0)) - 1
         A = sum(y << b * (k - lo) for k, y in zip(terms, ys) if k - lo < width) & mask

@@ -435,14 +435,16 @@ class RatFunc:
 
     def to_series(self, prec=None) -> "PuiseuxSeries":
         """The image in the completion, with the same val: a polynomial embeds
-        exactly, its scalars copied as they are; a fraction with a pole is
-        expanded to O(t^prec), by default O(t^DEFAULT_PREC)."""
+        exactly, its scalars copied as they are; a fraction with a pole is expanded
+        to O(t^prec), by default O(t^DEFAULT_PREC), and kept as its ``source``."""
         if len(self.den) == 1:  # built as the normalising constructor would leave it
             out = object.__new__(PuiseuxSeries)
-            out.field, out.ram, out.prec = self.field, 1, None
+            out.field, out.ram, out.prec, out.source = self.field, 1, None, None
             out.coeffs = {i: x for i, x in enumerate(self.num) if x}
             return out
-        return coerce(self, expansion_prec(prec))
+        out = coerce(self, expansion_prec(prec))
+        out.source = self
+        return out
 
     def to_text(self) -> str:
         if self.is_polynomial():
@@ -463,15 +465,18 @@ class PuiseuxSeries:
     ``coeffs`` maps lattice keys n to nonzero scalars, the coefficient of
     t^(n/ram); every key satisfies n/ram < prec.  ``prec`` is a Fraction or
     None, None meaning infinite precision (exactly known element).
+    ``source`` is the element of K that :meth:`RatFunc.to_series` expanded;
+    None otherwise, as every operation that builds a new series drops it.
     """
 
-    __slots__ = ("field", "ram", "coeffs", "prec")
+    __slots__ = ("field", "ram", "coeffs", "prec", "source")
 
     def __init__(self, field: BaseField, ram: int, coeffs: dict, prec: Optional[Fraction]):
         self.field = field
         self.ram = ram
         self.coeffs = coeffs
         self.prec = prec
+        self.source = None
         self._normalize()
 
     def _normalize(self):

@@ -9,6 +9,7 @@ from valwb.field import GF, QQ
 from valwb.groupval import GroupVal
 from valwb.pcs import (
     CauchyWithLimit,
+    PcsGenerator,
     StrictlyIncreasingAtHorizon,
     TranscendentalTypeEvidence,
     UltimatelyConstant,
@@ -87,12 +88,33 @@ def test_values_along_reads_a_window_of_values_before_the_cap():
     gen = exponential_generator(12)
     for window in (3, 6):
         gen.window = window
-        with pytest.raises(PrecisionExhausted, match="before any trend emerged"):
+        with pytest.raises(PrecisionExhausted, match=f"after 2 values, fewer than the {window} "
+                                                     f"a window of {window} reads"):
             values_along(f, gen)
     gen.window = 2
     vals, trend = values_along(f, gen)
     assert vals == [GroupVal.fin(1), GroupVal.fin(2)]
     assert trend == StrictlyIncreasingAtHorizon(GroupVal.fin(2))
+
+
+def test_values_along_names_the_values_read_when_the_cap_stops_it():
+    # f(a_m) = a_m + O(t^5) is undecidable once v(a_m) reaches 5; the refusal
+    # names the values read against the window, and tells a run too short for
+    # the window from one whose last values do not increase
+    f = x_minus(QQ, PuiseuxSeries.unknown_zero(QQ, 5))
+
+    def along(*exps, window=3):
+        items = [PuiseuxSeries.t_power(QQ, k) for k in exps]
+        return values_along(f, PcsGenerator("explicit", QQ, items, len(items) - 1, window=window))
+
+    with pytest.raises(PrecisionExhausted, match="after 2 values, fewer than the 3 a window of 3"):
+        along(1, 2, 6, 7)
+    with pytest.raises(PrecisionExhausted, match="after 0 values, fewer than the 2 a window of 1"):
+        along(6, 7, 8, 9, window=1)
+    with pytest.raises(PrecisionExhausted, match="after 3 values, the last 3 not strictly increas"):
+        along(1, 3, 2, 6)
+    assert along(1, 2, 3, 6) == ([GroupVal.fin(1), GroupVal.fin(2), GroupVal.fin(3)],
+                                 StrictlyIncreasingAtHorizon(GroupVal.fin(3)))
 
 
 def test_stabilized_delta():

@@ -654,6 +654,168 @@ def test_packed_profile_windows_a_sparse_center():
                 assert got == profile(ref_profile, f, a) and got[0] == 3
 
 
+# -- the center p/q of K --------------------------------------------------------
+#
+# An element a = p/q of K with a pole, and its expansion a.to_series(), which
+# keeps a as its source, are shifted by p after the M_j are multiplied by
+# q^(n-j).  The references are the exact Hasse sum over K at a (ref_profile)
+# and the same expansion with its source removed, the truncated center the
+# packed shift read before.  Profiles, with the types of their caps, or the
+# exception class and message must match.
+
+def random_pq_center(field, rng):
+    """alpha/beta with a pole: beta of degree 1-3, with beta(0) = 0 a third of
+    the time; small scalars, so that the exact Hasse sum stays cheap."""
+    zero = field.zero()
+    while True:
+        beta = [zero] * rng.choice((0, 0, 0, 0, 1, 2)) + [
+            small_scalar(field, rng) for _ in range(rng.randint(1, 3))] + [field.one()]
+        alpha = [zero] * rng.choice((0, 0, 1, 2)) + [
+            small_scalar(field, rng) for _ in range(rng.randint(1, 4))]
+        if any(alpha):
+            a = RatFunc(field, alpha, beta)
+            if len(a.den) > 1:
+                return a
+
+
+def without_source(s):
+    out = PuiseuxSeries(s.field, s.ram, dict(s.coeffs), s.prec)
+    assert out == s and out.source is None
+    return out
+
+
+def random_pq_case(field, rng):
+    """(a, f): f of X-degree 0-8 over K, with a pole every third time, and a
+    root at a (f = (X - a) g) every fourth."""
+    a = random_pq_center(field, rng)
+    draw = random_pole_kt_poly if rng.random() < 0.35 else random_kt_poly
+    if rng.random() < 0.25:
+        g = draw(field, rng, rng.randint(0, 7))
+        return a, PolyX.from_ratfuncs(field, [-a, RatFunc.one(field)]) * g
+    return a, draw(field, rng, rng.randint(0, 8))
+
+
+def test_pq_center_matches_the_truncated_center_and_the_exact_sum():
+    rng = random.Random(27)
+    seen = {"raised": 0, "leading refusals": 0, "exact zero rows": 0, "undecided rows": 0,
+            "pole rows": 0, "pole at 0": 0, "unknown-zero centers": 0, "exact sums": 0}
+    for i in range(450):
+        field = FIELDS[i % len(FIELDS)]
+        a, f = random_pq_case(field, rng)
+        expansion = a.to_series() if rng.random() < 0.7 else a.to_series(rng.randint(-2, 12))
+        assert expansion.source is a
+        got = profile(PolyX.recentered_values, f, expansion)
+        assert got == profile(PolyX.recentered_values, f, without_source(expansion)), (i, f, a)
+        exact = profile(PolyX.recentered_values, f, a)
+        assert exact[0] != "raised" and all(cap is None for _, _, cap in exact[1])
+        if f.degree() <= (5 if field.char else 3):  # the Hasse sum runs a gcd per term
+            assert exact == profile(ref_profile, f, a), (i, f, a)
+            seen["exact sums"] += 1
+        seen["exact zero rows"] += sum(1 for k, _, _ in exact[1] if k is None)
+        seen["pole at 0"] += a.den[0] == 0
+        seen["unknown-zero centers"] += expansion.is_unknown_zero()
+        if got[0] == "raised":
+            seen["raised"] += 1
+            seen["leading refusals"] += got[1:] == (PrecisionExhausted, polyx.LEAD_UNDECIDED)
+            continue
+        seen["pole rows"] += sum(len(c.den) > 1 for c in f.coeffs)
+        seen["undecided rows"] += sum(1 for k, t, _ in got[1] if k is None and t is Fraction)
+    assert min(seen.values()) >= 20, seen
+
+
+def old_over_lcm(field, coeffs):
+    """polyx._over_lcm before it moved to integers: the lcm and its cofactors
+    divided out on field scalars, then lowered to integers at one scale."""
+    from itertools import islice
+    from valwb.series import tp_divmod, tp_gcd, tp_mul
+    one = field.one()
+    dens = sorted({tuple(c.den) for c in coeffs if len(c.den) > 1}, key=len, reverse=True)
+    L, cofactor = list(dens[0]), {dens[0]: [one]}
+    for d in map(list, dens[1:]):
+        q, r = tp_divmod(field, L, d)
+        if r:
+            g = tp_gcd(field, L, d)
+            grow = tp_divmod(field, d, g)[0]
+            L, q = tp_mul(field, L, grow), tp_divmod(field, L, g)[0]
+            cofactor = {k: tp_mul(field, v, grow) for k, v in cofactor.items()}
+        cofactor[tuple(d)] = q
+    cofactor[(one,)] = L
+    ys, _ = field.as_integers([y for v in cofactor.values() for y in v])
+    ys = iter(ys)
+    ys = {k: list(islice(ys, len(v))) for k, v in cofactor.items()}
+    return [ys[tuple(c.den)] for c in coeffs], L
+
+
+def test_integer_lcm_gives_the_profiles_of_the_scalar_lcm(monkeypatch):
+    rng = random.Random(28)
+    cases, grown = [], 0
+    for i in range(400):
+        field = FIELDS[i % len(FIELDS)]
+        f = random_pole_kt_poly(field, rng, rng.randint(1, 8))
+        if all(len(c.den) == 1 for c in f.coeffs):
+            continue
+        a = random_kt_center(field, rng, rng.choice(("exact", "capped", "negative")))[0]
+        if rng.random() < 0.3:
+            a = random_pq_center(field, rng)
+        cases.append((f, a))
+        L, want_L = polyx._over_lcm(field, f.coeffs)[1], old_over_lcm(field, f.coeffs)[1]
+        assert len(L) == len(want_L) and series.tp_ord(field, L) == series.tp_ord(field, want_L)
+        grown += len({tuple(c.den) for c in f.coeffs if len(c.den) > 1}) > 1 and \
+            len(L) > max(len(c.den) for c in f.coeffs)
+    got = [profile(PolyX.recentered_values, f, a) for f, a in cases]
+    monkeypatch.setattr(polyx, "_over_lcm", old_over_lcm)
+    assert got == [profile(PolyX.recentered_values, f, a) for f, a in cases]
+    assert len(cases) >= 200 and grown >= 30, (len(cases), grown)
+
+
+def test_pq_center_takes_one_window_pass_and_no_series_stage(monkeypatch):
+    # eval_spec and delta at a spec built from an element of K with a pole read
+    # p/q off the expansion: no center powers, no series stage, and one pass of
+    # the packed shift (each live row read once)
+    rng = random.Random(29)
+    cases = []
+    for i in range(60):
+        field = FIELDS[i % len(FIELDS)]
+        a, f = random_pq_case(field, rng)
+        if f.degree() < 1:
+            continue
+        spec = ValuationSpec.monomial(a, GroupVal.fin(Fraction(rng.randint(1, 8), 2)))
+        assert spec.center.source is a
+        cases.append((spec, f))
+    want = [(outcome(eval_spec, spec, f), outcome(delta, spec, f)) for spec, f in cases]
+    real_values, real_key, reads = polyx._packed_values, polyx._least_key, []
+
+    def counting(field, coeffs, a):
+        reads.append(0)
+        out = real_values(field, coeffs, a)
+        n = len(coeffs) - 1
+        live = sum(1 for row in polyx._hasse_binomials(field, n)
+                   if any(not coeffs[j].is_exact_zero() for j, _ in row))
+        reads[-1] -= live
+        return out
+
+    def key(*args):
+        reads[-1] += 1
+        return real_key(*args)
+
+    def fail(*args):
+        raise AssertionError("a K center with a pole reached the series stage")
+
+    monkeypatch.setattr(polyx, "_packed_values", counting)
+    monkeypatch.setattr(polyx, "_least_key", key)
+    monkeypatch.setattr(polyx, "_center_powers", fail)
+    monkeypatch.setattr(polyx, "shifted_values", fail)
+    assert [(outcome(eval_spec, spec, f), outcome(delta, spec, f)) for spec, f in cases] == want
+    shifted = [r for r in reads if r >= 0]  # calls that got past the early returns
+    assert len(shifted) >= 60 and not any(shifted), reads
+    assert sum(v[0] != "raised" for pair in want for v in pair) >= 30
+    # the truncated center, read before, doubles its window for some of them
+    reads.clear()
+    for spec, f in cases:
+        outcome(eval_spec, ValuationSpec.monomial(without_source(spec.center), spec.gamma), f)
+    assert sum(r > 0 for r in reads) >= 5, reads
+
+
 # -- products, embeddings and center powers built once ------------------------
 #
 # The references are the code the fast paths replaced: the schoolbook product
