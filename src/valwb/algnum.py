@@ -9,6 +9,8 @@ Krasner constants all refuse to answer rather than guess.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -25,7 +27,7 @@ from .errors import (
 from .field import BaseField
 from .groupval import GroupVal
 from .polyx import RATFUNC, PolyX
-from .series import PuiseuxSeries, RatFunc
+from .series import PuiseuxSeries, RatFunc, min_prec
 
 
 class AlgElement:
@@ -80,9 +82,9 @@ def attach_minpoly(s: PuiseuxSeries, Q: PolyX, irreducible: bool = False) -> Alg
     """
     if Q.domain != RATFUNC or not Q.is_monic():
         raise WorkbenchError("certificate must be a monic polynomial over K")
-    value = Q.evaluate(s)  # a series, since s is one
-    if value.coeffs:
-        raise NotARoot(f"Q(s) has valuation {value.val().to_text()}, decidably nonzero")
+    with contextlib.suppress(PrecisionExhausted):  # Q(s) is not built; 0 at s's cap certifies
+        if (value := Q.value_at(s)).is_fin:
+            raise NotARoot(f"Q(s) has valuation {value.to_text()}, decidably nonzero")
     return AlgElement(s, Q, irreducible_certified=irreducible)
 
 
@@ -219,12 +221,13 @@ def minpoly_over_completion(a: AlgElement, budget) -> object:
             return Linear(x)  # exact root
         candidates = [s.q for s, _ in polygon if not s.is_inf and s.q > last]
         if guide is not None:
-            diff = guide - x
-            if not diff.coeffs:
-                # x matches the guide through its whole known support
-                cap = min(budget, diff.prec) if diff.prec is not None else budget
-                return Linear(PuiseuxSeries(f, x.ram, x.coeffs, cap))
-            candidates = [mu for mu in candidates if mu == diff.val().q]
+            gap = GroupVal.posinf()  # also where guide - x is 0 at its cap
+            with contextlib.suppress(PrecisionExhausted):
+                gap = guide.val_sub(x)  # v(guide - x), the difference not built
+            if gap.is_inf:  # x matches the guide through its whole known support
+                cap = min_prec(guide.prec, x.prec)
+                return Linear(PuiseuxSeries(f, x.ram, x.coeffs, min_prec(budget, cap)))
+            candidates = [mu for mu in candidates if mu == gap.q]
         solved = False
         for mu in sorted(candidates, reverse=True):
             if mu.denominator != 1:
@@ -279,8 +282,9 @@ def _residue_equation(Q: PolyX, x: PuiseuxSeries, mu: Fraction) -> list:
 def _residue_roots(field: BaseField, phi: list) -> list:
     """Nonzero roots in k of the scalar polynomial phi, exact.
 
-    F_p: brute force (p is small in every supported configuration); Q:
-    rational-root search after clearing denominators.
+    F_p: brute force by Horner mod p (p is small in every supported configuration);
+    Q: the roots P/Q in lowest terms, P | constant and Q | lead of the cleared
+    integer polynomial, in the order of (|P|, Q), + before -.
     """
     if len(phi) < 2:
         return []
@@ -288,31 +292,17 @@ def _residue_roots(field: BaseField, phi: list) -> list:
         p = field.char
         if p > 10**6:
             raise WorkbenchError("residue-root search infeasible for this characteristic")
-        return [c for c in range(1, p) if _phi_eval(field, phi, c) == 0]
-    # char 0: clear denominators, try divisors of constant over divisors of lead
-    den = 1
-    for c in phi:
-        den = math.lcm(den, c.denominator)
+        return [c for c in range(1, p)
+                if not functools.reduce(lambda acc, x: (acc * c + x) % p, reversed(phi), 0)]
+    den = math.lcm(*(c.denominator for c in phi))
     ints = [int(c * den) for c in phi]
-    lo = next(i for i, c in enumerate(ints) if c != 0)
-    ints = ints[lo:]  # factor out c = 0 roots; we want nonzero roots only
-    if len(ints) < 2:
-        return []
-    roots = []
-    for pnum in _divisors(abs(ints[0])):
-        for qden in _divisors(abs(ints[-1])):
-            for cand in (Fraction(pnum, qden), Fraction(-pnum, qden)):
-                if cand not in roots and _phi_eval(field, phi, cand) == 0:
-                    roots.append(cand)
-    return roots
-
-
-def _phi_eval(field, phi, c):
-    c = field.coerce(c)
-    acc = field.zero()
-    for coef in reversed(phi):
-        acc = field.add(field.mul(acc, c), coef)
-    return acc
+    ints = ints[next(i for i, c in enumerate(ints) if c):]  # c = 0 is no nonzero root
+    m = len(ints) - 1
+    if m < 2:  # a linear phi solved directly
+        return [Fraction(-ints[0], ints[1])] if m else []
+    return [Fraction(sign * P, Q) for P in _divisors(abs(ints[0])) for Q in _divisors(abs(ints[-1]))
+            if math.gcd(P, Q) == 1 for sign in (1, -1)
+            if not sum(c * (sign * P)**i * Q**(m - i) for i, c in enumerate(ints))]
 
 
 def _divisors(n: int) -> list:

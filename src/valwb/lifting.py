@@ -9,6 +9,7 @@ output is re-verified by independent evaluation before it is returned.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -29,7 +30,7 @@ from .groupval import FIN0, GroupVal
 from .pcs import (
     DEFAULT_RAM_CAP,
     CauchyWithLimit,
-    StrictlyIncreasingAtHorizon,
+    UltimatelyConstant,
     classify_generator,
     values_along,
 )
@@ -416,17 +417,15 @@ def _verify_density(f, g, f1, g1, alpha, spec, vf, vg):
 
 
 def _value_exceeds(spec: ValuationSpec, h: PolyX, bound: GroupVal) -> bool:
-    """True iff v h > bound, accepting PosInf and horizon-capped evidence."""
+    """True iff v h > bound, accepting PosInf and horizon-capped evidence (one trend)."""
     if h.is_zero():
         return True
-    try:
+    if spec.kind != "pcslimit":
         return eval_spec(spec, h) > bound
-    except HorizonExceeded:
-        if spec.kind == "pcslimit":
-            _, trend = values_along(h, spec.gen)
-            if isinstance(trend, StrictlyIncreasingAtHorizon):
-                return trend.last >= bound
-        raise
+    _, trend = values_along(h, spec.gen)
+    if isinstance(trend, UltimatelyConstant):
+        return trend.value > bound
+    return trend.last >= bound
 
 
 def _difference_exceeds(spec: ValuationSpec, h: PolyX, h1: PolyX, bound: GroupVal) -> bool:
@@ -491,8 +490,9 @@ def conjugacy_check(a: AlgElement, gamma: GroupVal, m: int,
     a1 = galois_twist(a, m)
     shared = True
     if a.minpoly is not None:
-        value = a.minpoly.evaluate(a1.expansion)
-        shared = value.is_exact_zero() or value.is_unknown_zero()
+        images = a.minpoly.horner_images(a1.expansion.prec)  # a lost leading coefficient raises
+        with contextlib.suppress(PrecisionExhausted):  # 0 at the twist's precision: shared
+            shared = a.minpoly.value_at(a1.expansion, images).is_inf
     k0 = classify_extension(ValuationSpec.monomial(a.expansion, gamma), ram_cap)
     k1 = classify_extension(ValuationSpec.monomial(a1.expansion, gamma), ram_cap)
     return {"twisted_center": a1.expansion.to_text(),

@@ -123,12 +123,12 @@ def values_along(f: PolyX, gen: PcsGenerator):
     signature of f vanishing at the limit.  Both verdicts read ``window``
     values, also when f(a_m) runs out of precision before the horizon.
     """
-    vals = []
-    capped = False
+    vals, capped, images = [], False, {}
     for a in gen.elements():
-        value = f.evaluate(a)
+        if a.prec not in images:  # built once per cap, so once per call for exact a_m
+            images[a.prec] = f.horner_images(a.prec)
         try:
-            vals.append(value.val())
+            vals.append(f.value_at(a, images[a.prec]))  # no f(a_m) is built
         except PrecisionExhausted:
             # f(a_m) vanished beyond the working precision: the value grew
             # past everything representable, the increasing-tail signature

@@ -189,6 +189,54 @@ class PolyX:
             acc = acc * a + c
         return acc
 
+    def horner_images(self, prec) -> tuple:
+        """(c_j, images) for :meth:`value_at` at points with cap prec: the c_j in the completion,
+        their integer images over one denominator (residues over F_p) on their own keys."""
+        cs = self.to_series(prec).coeffs  # a leading coefficient lost at prec raises here
+        flat, _ = self.field.as_integers([x for c in cs for x in c.coeffs.values()])
+        flat = iter(flat)  # zip stops at the last key of c before it takes a value
+        return cs, [dict(zip(c.coeffs, flat)) for c in cs]
+
+    def value_at(self, a: PuiseuxSeries, images=None) -> GroupVal:
+        """``self.evaluate(a).val()`` at a series point, its value or its
+        PrecisionExhausted, off integer Horner images with the caps of the series
+        arithmetic; at an exact point first in a window of one key (README)."""
+        cs, imgs = images or self.horner_images(a.prec)
+        if cs and a.field != self.field:
+            raise WorkbenchError("base field mismatch")
+        if a.is_exact_zero():  # f(0) = c_0: every product is the exact zero
+            cs, imgs = cs[:1], imgs[:1]
+        n, p, e = len(cs) - 1, self.field.char, math.lcm(a.ram, *(c.ram for c in cs))
+        ys, da = self.field.as_integers(a.coeffs.values())
+        ka, va = [k * (e // a.ram) for k in a.coeffs], a.val_lower_bound()
+        lo = min(ka, default=0)
+
+        def horner(window):  # acc_j keeps its keys below window - j lo: they reach acc_0's
+            acc, cap = {}, None  # the exact zero, which times anything is the exact zero
+            for j in range(n, -1, -1):
+                if acc or cap is not None:
+                    cap = product_prec(cap, Fraction(min(acc), e) if acc else cap, a.prec, va)
+                cap, s, w = min_prec(cap, cs[j].prec), e // cs[j].ram, da ** (n - j)
+                top = min(lattice_cap(cap, e), window - j * lo)
+                acc = lattice_product(acc, 1, list(acc.values()), ka, 1, ys, top) if acc else {}
+                for k, x in imgs[j].items():
+                    if k * s < top:
+                        acc[k * s] = acc.get(k * s, 0) + x * w
+                acc = {k: v for k, x in acc.items() if (v := x % p if p else x)}
+            return acc, cap
+
+        acc = None  # an exact point's caps do not read v(acc): first a pass on the least
+        if a.prec is None and cs:  # key acc_0 can have, which is its value if it survives
+            acc, cap = horner(1 + min((min(g) * (e // c.ram) + j * lo for j, (c, g)
+                                       in enumerate(zip(cs, imgs)) if g), default=math.inf))
+        if not acc:  # then, as at a capped point, a pass to the cap
+            acc, cap = horner(math.inf)
+        if acc:
+            return GroupVal.fin(Fraction(min(acc), e))
+        if cap is None:
+            return GroupVal.posinf()
+        raise PrecisionExhausted(f"series indistinguishable from 0 at precision O(t^{cap})")
+
     def recenter_hasse(self, a) -> list:
         """Coefficients C_i with f(X) = sum C_i (X - a)^i.
 

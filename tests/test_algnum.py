@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,8 @@ from valwb.algnum import (
     AlgElement,
     Linear,
     NoRootFound,
+    _divisors,
+    _residue_roots,
     artin_schreier_translate,
     attach_minpoly,
     conjugates,
@@ -160,3 +164,91 @@ def test_minpoly_over_completion_rational_element():
     res = minpoly_over_completion(a, Fraction(64))
     assert isinstance(res, Linear)
     assert not (res.root - s).coeffs
+
+
+# -- residue roots on integers ---------------------------------------------------------
+
+def fraction_residue_roots(field, phi):
+    """The search _residue_roots replaced: every divisor pair P/Q of the cleared
+    polynomial tried on Fractions (residues over F_p), duplicates skipped."""
+    def at(c):
+        acc = field.zero()
+        for coef in reversed(phi):
+            acc = field.add(field.mul(acc, field.coerce(c)), coef)
+        return acc
+
+    if len(phi) < 2:
+        return []
+    if field.char:
+        return [c for c in range(1, field.char) if at(c) == 0]
+    den = math.lcm(*(c.denominator for c in phi))
+    ints = [int(c * den) for c in phi]
+    ints = ints[next(i for i, c in enumerate(ints) if c):]
+    roots = []
+    for P in _divisors(abs(ints[0])):
+        for Q in _divisors(abs(ints[-1])):
+            for cand in (Fraction(P, Q), Fraction(-P, Q)):
+                if len(ints) > 1 and cand not in roots and at(cand) == 0:
+                    roots.append(cand)
+    return roots
+
+
+def planted_phi(field, rng):
+    """lead * prod (c - r_i), r_i rational (0 and repeats among them), times c^2 + k
+    (no rational root for most k) at times: degree 1-4, trimmed at the top."""
+    small = [Fraction(n, d) for n in range(-6, 7) for d in (1, 2, 3, 4)] if not field.char \
+        else [Fraction(n) for n in range(field.char)]
+    deg = rng.randint(1, 4)
+    quad = deg >= 2 and rng.random() < 0.3
+    factors = [[field.coerce(-rng.choice(small)), field.one()] for _ in range(deg - 2 * quad)]
+    factors += [[field.coerce(rng.choice((1, 2, 3, 5))), field.zero(), field.one()]] * quad
+    phi = [field.coerce(rng.choice([x for x in small if x]))]
+    for factor in factors:
+        out = [field.zero()] * (len(phi) + len(factor) - 1)
+        for i, x in enumerate(phi):
+            for j, y in enumerate(factor):
+                out[i + j] = field.add(out[i + j], field.mul(x, y))
+        phi = out
+    return phi
+
+
+def test_integer_residue_roots_match_the_fraction_search():
+    rng = random.Random(41)
+    seen = {"linear": 0, "several roots": 0, "zero constant": 0, "no root": 0}
+    for i in range(1200):
+        field = (QQ, GF(2), GF(3), GF(5), GF(7))[i % 5]
+        phi = planted_phi(field, rng)
+        got = _residue_roots(field, phi)
+        assert got == fraction_residue_roots(field, phi), (field, phi)
+        assert [type(c) for c in got] == [type(c) for c in fraction_residue_roots(field, phi)]
+        seen["linear"] += len(phi) == 2
+        seen["several roots"] += len(got) > 1
+        seen["zero constant"] += len(phi) > 1 and not phi[0]
+        seen["no root"] += not got
+    assert min(seen.values()) >= 40, seen
+
+
+def sqrt_one_plus_t(n, prec):
+    c, terms = Fraction(1), {}
+    for k in range(n):
+        terms[Fraction(k)] = c
+        c = c * (Fraction(1, 2) - k) / (k + 1)
+    return PuiseuxSeries.from_terms(QQ, terms, prec)
+
+
+def test_minpoly_over_completion_answers_as_the_fraction_search_did():
+    Q = polyx_from_text(QQ, "X^2 - 1 - t")
+    for prec, budget, want in ((10, 64, 10), (40, 16, 16), (None, 12, 12)):
+        a = AlgElement(sqrt_one_plus_t(30 if prec is None else prec, prec), Q, True)
+        res = minpoly_over_completion(a, budget)
+        assert isinstance(res, Linear) and res.root == sqrt_one_plus_t(want, want)
+    for p, want in ((2, 16), (3, 64)):  # Artin-Schreier towers, guided by capped expansions
+        s = PuiseuxSeries.from_terms(GF(p), {Fraction(p**k): 1 for k in range(4)}, p**4)
+        a = AlgElement(s, polyx_from_text(GF(p), f"X^{p} - X + t"), True)
+        res = minpoly_over_completion(a, 64)
+        assert res.root == PuiseuxSeries.from_terms(
+            GF(p), {Fraction(p**k): 1 for k in range(4) if p**k < want}, want)
+    for a in (AlgElement(sqrt_t(), X2_MINUS_T, True),  # ramified: no root of ram 1
+              AlgElement(PuiseuxSeries.from_terms(F3, {Fraction(1, 2): 1}, 5),
+                         polyx_from_text(F3, "X^2 - t"), True)):
+        assert minpoly_over_completion(a, 64) == NoRootFound(Fraction(64))

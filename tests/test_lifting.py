@@ -1,10 +1,12 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from valwb.algnum import attach_minpoly
-from valwb import selftest
-from valwb.errors import DeltaTooLarge, PrecisionExhausted, UnsupportedKind, WorkbenchError
+from valwb import lifting, pcs, selftest
+from valwb.errors import (DeltaTooLarge, HorizonExceeded, PrecisionExhausted, UnsupportedKind,
+                          WorkbenchError)
 from valwb.field import GF, QQ
 from valwb.groupval import GroupVal
 from valwb.lifting import (
@@ -18,6 +20,7 @@ from valwb.lifting import (
     NoWitness,
     Witness,
     _difference_exceeds,
+    _value_exceeds,
     approximate_density,
     approximate_same_delta,
     classify_extension,
@@ -30,10 +33,12 @@ from valwb.lifting import (
     verify_root_matching,
 )
 from valwb.pcs import (
+    StrictlyIncreasingAtHorizon,
     artin_schreier_generator,
     classify_generator,
     exponential_generator,
     mixed_radix_generator,
+    values_along,
 )
 from valwb.polyx import PolyX, polyx_from_text
 from valwb.report import Report
@@ -349,3 +354,64 @@ def test_check_same_delta_counts_undecidable_samples_apart(monkeypatch):
     selftest.check_same_delta(rep, 0)
     assert [(v.outcome, v.caveats) for v in rep.verdicts] == [
         ("FAIL: 100 samples, 100 failures", ())]
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the exception itself is part of the outcome
+        return ("raised", type(exc), str(exc))
+
+
+def old_value_exceeds(spec, h, bound):
+    """_value_exceeds as it was: eval_spec, and on HorizonExceeded the trend again."""
+    if h.is_zero():
+        return True
+    try:
+        return eval_spec(spec, h) > bound
+    except HorizonExceeded:
+        if spec.kind == "pcslimit":
+            _, trend = lifting.values_along(h, spec.gen)
+            if isinstance(trend, StrictlyIncreasingAtHorizon):
+                return trend.last >= bound
+        raise
+
+
+def test_value_exceeds_reads_one_trend_per_call(monkeypatch):
+    calls = []
+
+    def counting(f, gen):
+        calls.append(f)
+        return values_along(f, gen)
+
+    monkeypatch.setattr(lifting, "values_along", counting)
+    monkeypatch.setattr(pcs, "values_along", counting)
+    exp = exponential_generator(12)
+    a20 = PuiseuxSeries.from_terms(QQ, {Fraction(n): Fraction(1, math.factorial(n))
+                                        for n in range(21)})
+    specs = [ValuationSpec.pcslimit(exp), ValuationSpec.pcslimit(mixed_radix_generator(2, 3, 8)),
+             ValuationSpec.pcslimit(artin_schreier_generator(2, 6))]
+    polys = [x_minus(QQ, a20),  # v f(a_m) = m + 1: increasing to 13 at the horizon
+             x_minus(QQ, a20) * x_minus(QQ, exp.elements()[3]),  # 5, 6, ... increasing
+             polyx_from_text(QQ, "X^2 + [1 + t]"),  # constant 0
+             x_minus(QQ, PuiseuxSeries.from_terms(QQ, {0: 1, 1: 1, 2: 1})),  # constant 2
+             x_minus(QQ, a20.truncate(9)),  # the cap stops it after 9 increasing values
+             x_minus(QQ, a20.truncate(2)),  # ... after 2 values: PrecisionExhausted
+             x_minus(QQ, a20 + PuiseuxSeries.t_power(QQ, 12)),  # 11, 12, 12: HorizonExceeded
+             PolyX.zero(QQ)]
+    seen = {"increasing": 0, "raised": 0}
+    for spec in specs:
+        field = spec.field
+        for f in polys if field == QQ else [x_minus(field, spec.gen.elements()[-1]),
+                                            polyx_from_text(field, "X + [t]")]:
+            for bound in (GroupVal.fin(0), GroupVal.fin(2), GroupVal.fin(12), GroupVal.fin(13),
+                          GroupVal.fin(14), GroupVal.lex(1, 0)):
+                del calls[:]
+                want = outcome(old_value_exceeds, spec, f, bound)
+                increasing = len(calls) == 2
+                del calls[:]
+                assert outcome(_value_exceeds, spec, f, bound) == want, (spec, f, bound)
+                assert len(calls) == (0 if f.is_zero() else 1)
+                seen["increasing"] += increasing
+                seen["raised"] += isinstance(want, tuple)
+    assert seen["increasing"] >= 20 and seen["raised"] >= 6, seen

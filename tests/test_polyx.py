@@ -5,11 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from valwb.errors import PrecisionExhausted, WorkbenchError, ZeroPolynomial
+from valwb.algnum import attach_minpoly
+from valwb.errors import NotARoot, PrecisionExhausted, WorkbenchError, ZeroPolynomial
 from valwb.field import GF, QQ
 from valwb.groupval import FIN0, GroupVal
-from valwb.lifting import _min_recentered_value
+from valwb.lifting import _min_recentered_value, conjugacy_check
 from valwb import polyx, series
+from valwb.pcs import (artin_schreier_generator, exponential_generator, mixed_radix_generator,
+                       values_along)
 from valwb.polyx import RATFUNC, SERIES, PolyX, _hull_height, _lower_hull, polyx_from_text
 from valwb.sampling import random_polyx, random_ratfunc
 from valwb.selftest import run_all
@@ -896,3 +899,131 @@ def test_cached_center_powers_change_no_answer(monkeypatch):
     assert run_all(0).to_structured() == golden
     assert real.cache_info().hits > real.cache_info().misses > 0
     assert all(out[0] == before for out, before in built.values())  # read, never written
+
+
+# -- v f(a) off integer Horner images ----------------------------------------------
+#
+# values_along, attach_minpoly and conjugacy_check read v f(a) with
+# PolyX.value_at instead of building f(a) by series Horner.  The reference is
+# the built series' own reader, evaluate(a).val(): the value with the types of
+# its parts, or the exception class and message, must match.
+
+def value_outcome(fn, *args):
+    try:
+        v = fn(*args)
+    except Exception as exc:  # the exception itself is part of the outcome
+        return ("raised", type(exc), str(exc))
+    return (v.inf, type(v.z), v.z, type(v.q), v.q)
+
+
+def series_value_poly(field, rng, deg):
+    """Series coefficients: exact and unknown zeros, exact and capped ones at ram
+    1, 2, 3 and 6; a decidably nonzero lead, exact or capped."""
+    k, ram = rng.randint(-3, 3), rng.choice((1, 2, 3, 6))
+    lead = PuiseuxSeries(field, ram, {k: nonzero_scalar(field, rng)},
+                         rng.choice((None, Fraction(k + rng.randint(1, 9), ram))))
+    return PolyX.from_series(field, [random_coefficient(field, rng) for _ in range(deg)] + [lead])
+
+
+def generator_points():
+    gens = [artin_schreier_generator(2), artin_schreier_generator(3), artin_schreier_generator(7),
+            exponential_generator(), mixed_radix_generator(2, 3, 8), mixed_radix_generator(3, 5, 6)]
+    return [(gen.field, a) for gen in gens for a in gen.elements()]
+
+
+def test_value_at_matches_the_value_of_the_built_series():
+    rng = random.Random(31)
+    fields = [QQ, F2, GF(3), GF(7)]
+    kinds = ("one term", "dense", "negative", "unknown zero", "pole", "exact zero")
+    draws = (random_kt_poly, random_pole_kt_poly, series_value_poly, series_value_poly)
+    seen = {"raised": 0, "exact zero": 0, "capped point": 0, "exact point": 0, "ram > 1": 0}
+    for i in range(1400):
+        field, kind = fields[i % 4], kinds[i // 4 % len(kinds)]
+        if kind == "exact zero":
+            a = PuiseuxSeries.zero(field)
+        else:
+            a = random_center(field, rng, kind).to_series()  # a pole: its O(t^64) expansion
+            if kind != "pole" and rng.random() < 0.4:
+                a = PuiseuxSeries(field, a.ram, a.coeffs, None)
+        f = draws[i % len(draws)](field, rng, rng.randint(0, 6))
+        if rng.random() < 0.15 and a.coeffs and f.domain == SERIES:  # a planted root
+            f = f * PolyX.from_series(field, [-a, PuiseuxSeries.one(field)])
+        if rng.random() < 0.02:
+            a = random_center(fields[(i + 1) % 4], rng, "dense")  # field mismatch
+        got = value_outcome(f.value_at, a)
+        assert got == value_outcome(lambda: f.evaluate(a).val()), (i, kind, f, a)
+        seen["raised" if got[0] == "raised" else "exact zero" if got[0] else
+             "capped point" if a.prec is not None else "exact point"] += 1
+        seen["ram > 1"] += a.ram > 1
+    assert min(seen.values()) >= 50, seen
+
+
+def test_value_at_matches_on_generator_elements_and_cancellation_mod_p():
+    rng = random.Random(32)
+    cases = []
+    for field, a in generator_points():
+        for draw in (random_kt_poly, random_pole_kt_poly, series_value_poly):
+            cases.append((draw(field, rng, rng.randint(1, 4)), a))
+        # a root at an element of the sequence: f(a) is 0, or its value is a gap sum
+        cases.append((X_minus_series(field, {}) * PolyX.from_series(
+            field, [-a, PuiseuxSeries.one(field)]), a))
+    for p in (2, 3, 7):  # X^p - (1 + t)^p at 1 + t + t^k: integer sums that vanish mod p
+        field = GF(p)
+        f = PolyX.from_series(field, [-PuiseuxSeries.from_terms(field, {0: 1, 1: 1}) ** p]
+                              + [PuiseuxSeries.zero(field)] * (p - 1) + [PuiseuxSeries.one(field)])
+        for k in (2, 5):
+            cases.append((f, PuiseuxSeries.from_terms(field, {0: 1, 1: 1, k: 1})))
+    cases.append((polyx_from_text(QQ, "[1 + t]*X"), PuiseuxSeries.zero(QQ)))  # f(0) = c_0 = 0
+    for f, a in cases:
+        assert value_outcome(f.value_at, a) == value_outcome(lambda: f.evaluate(a).val()), (f, a)
+    assert value_outcome(cases[-2][0].value_at, cases[-2][1])[4] == 5 * 7  # v((t^5)^7)
+
+
+def test_value_at_reads_an_exact_root_at_a_sparse_point():
+    # f = (X - a) g at a = t + t^500: f(a) is exactly 0 although its terms
+    # reach t^4000; a one-key window finds no key, the pass to the cap none
+    for field in (QQ, GF(3)):
+        rng = random.Random(33)
+        a = PuiseuxSeries.from_terms(field, {1: 1, 500: 1})
+        g = PolyX.from_series(field, [series_with_keys(field, rng, 1, range(rng.randint(0, 3), 9),
+                                                       False) for _ in range(8)])
+        f = PolyX.from_series(field, [-a, PuiseuxSeries.one(field)]) * g
+        assert f.value_at(a) == f.evaluate(a).val() == GroupVal.posinf()
+        for k in (0, 7, 499, 4001):  # off the root by t^k: the value k
+            h = f + PolyX.from_series(field, [PuiseuxSeries.t_power(field, k)])
+            assert h.value_at(a) == h.evaluate(a).val() == GroupVal.fin(k)
+
+
+def test_values_along_attach_minpoly_and_conjugacy_build_no_series(monkeypatch):
+    rng = random.Random(34)
+    gens = [artin_schreier_generator(2), artin_schreier_generator(3), exponential_generator(),
+            mixed_radix_generator(2, 3, 8)]
+    cases = [(gen, draw(gen.field, rng, rng.randint(1, 3)))
+             for gen in gens for draw in (random_kt_poly, random_pole_kt_poly, series_value_poly)]
+    cases += [(gen, PolyX.from_series(gen.field, [-gen.elements()[m], PuiseuxSeries.one(gen.field)]))
+              for gen in gens for m in (2, gen.horizon - 1)]
+
+    def along(gen, f):
+        try:
+            return values_along(f, gen)
+        except Exception as exc:  # the exception itself is part of the outcome
+            return ("raised", type(exc), str(exc))
+
+    before = [along(gen, f) for gen, f in cases]
+    for (gen, f), got in zip(cases, before):  # the values of the built f(a_m)
+        assert got[0] == "raised" or got[0] == [f.evaluate(a).val()
+                                                 for a in gen.elements()[:len(got[0])]]
+    twisted = PuiseuxSeries.from_terms(GF(7), {Fraction(1, 3): 1, Fraction(4, 3): 2})
+    minpoly = polyx_from_text(GF(7), "X^3 - t - 6*t^2 - 5*t^3 - t^4")  # (t^(1/3) + 2 t^(4/3))^3
+
+    def refuse(*_):
+        raise AssertionError("a series was built")
+
+    monkeypatch.setattr(PuiseuxSeries, "__mul__", refuse)
+    monkeypatch.setattr(PuiseuxSeries, "__add__", refuse)
+    assert [along(gen, f) for gen, f in cases] == before
+    assert sum(b[0] != "raised" for b in before) >= 15
+    a = attach_minpoly(twisted, minpoly)
+    assert conjugacy_check(a, GroupVal.fin(2), 1)["shared_minpoly"]
+    with pytest.raises(NotARoot):
+        attach_minpoly(twisted, polyx_from_text(GF(7), "X^3 - t"))
