@@ -908,14 +908,6 @@ def test_cached_center_powers_change_no_answer(monkeypatch):
 # the built series' own reader, evaluate(a).val(): the value with the types of
 # its parts, or the exception class and message, must match.
 
-def value_outcome(fn, *args):
-    try:
-        v = fn(*args)
-    except Exception as exc:  # the exception itself is part of the outcome
-        return ("raised", type(exc), str(exc))
-    return (v.inf, type(v.z), v.z, type(v.q), v.q)
-
-
 def series_value_poly(field, rng, deg):
     """Series coefficients: exact and unknown zeros, exact and capped ones at ram
     1, 2, 3 and 6; a decidably nonzero lead, exact or capped."""
@@ -950,8 +942,8 @@ def test_value_at_matches_the_value_of_the_built_series():
             f = f * PolyX.from_series(field, [-a, PuiseuxSeries.one(field)])
         if rng.random() < 0.02:
             a = random_center(fields[(i + 1) % 4], rng, "dense")  # field mismatch
-        got = value_outcome(f.value_at, a)
-        assert got == value_outcome(lambda: f.evaluate(a).val()), (i, kind, f, a)
+        got = outcome(f.value_at, a)
+        assert got == outcome(lambda: f.evaluate(a).val()), (i, kind, f, a)
         seen["raised" if got[0] == "raised" else "exact zero" if got[0] else
              "capped point" if a.prec is not None else "exact point"] += 1
         seen["ram > 1"] += a.ram > 1
@@ -975,8 +967,8 @@ def test_value_at_matches_on_generator_elements_and_cancellation_mod_p():
             cases.append((f, PuiseuxSeries.from_terms(field, {0: 1, 1: 1, k: 1})))
     cases.append((polyx_from_text(QQ, "[1 + t]*X"), PuiseuxSeries.zero(QQ)))  # f(0) = c_0 = 0
     for f, a in cases:
-        assert value_outcome(f.value_at, a) == value_outcome(lambda: f.evaluate(a).val()), (f, a)
-    assert value_outcome(cases[-2][0].value_at, cases[-2][1])[4] == 5 * 7  # v((t^5)^7)
+        assert outcome(f.value_at, a) == outcome(lambda: f.evaluate(a).val()), (f, a)
+    assert outcome(cases[-2][0].value_at, cases[-2][1])[4] == 5 * 7  # v((t^5)^7)
 
 
 def test_value_at_reads_an_exact_root_at_a_sparse_point():
