@@ -104,14 +104,15 @@ class BaseField:
     # -- integer images, for convolutions ---------------------------------
 
     def as_integers(self, scalars) -> tuple:
-        """(ints, d) with scalars[i] = ints[i] / d: d is a common denominator
-        in characteristic 0 and 1 in characteristic p.  Sums of products of
-        such integers come back exactly through :meth:`from_integer`."""
+        """(ints, d) with scalars[i] = ints[i] / d: d is a common denominator in
+        characteristic 0 and 1 in characteristic p; sums of products of such integers
+        come back exactly through :meth:`from_integer`.  Its callers map series scalars
+        (and the RatFunc constructor its input); a RatFunc keeps its own integers."""
         if self.char:
             return list(scalars), 1
-        scalars = list(scalars)
-        d = math.lcm(*[c.denominator for c in scalars])
-        return [c.numerator * (d // c.denominator) for c in scalars], d
+        pairs = [c.as_integer_ratio() for c in scalars]
+        d = math.lcm(*[q for _, q in pairs])
+        return [n * (d // q) for n, q in pairs], d
 
     def from_integer(self, n: int, d: int):
         """The scalar n / d."""

@@ -33,9 +33,9 @@ from fractions import Fraction
 from .errors import ParseError, PrecisionExhausted, WorkbenchError, ZeroPolynomial
 from .field import BaseField
 from .groupval import GroupVal
-from .series import (PuiseuxSeries, RatFunc, _pack, _parse_term, _split_terms, convolve,
-                     expansion_prec, lattice_cap, lattice_product, min_prec, product_prec,
-                     tp_ord, tp_trim)
+from .series import (PuiseuxSeries, RatFunc, _divide, _gcd, _mul, _pack, _parse_term,
+                     _split_terms, common_denominator, convolve, expansion_prec, lattice_cap,
+                     lattice_product, min_prec, product_prec, tp_ord)
 from .series import coerce  # noqa: F401  perfbench's tracer rebinds this name here
 
 RATFUNC = "ratfunc"
@@ -141,17 +141,14 @@ class PolyX:
         f = a.field
         if a.is_zero() or b.is_zero():
             return PolyX.zero(f)
-        if a.domain == RATFUNC and all(len(c.den) == 1 for c in a.coeffs + b.coeffs):
+        if a.domain == RATFUNC and all(c.is_polynomial() for c in a.coeffs + b.coeffs):
             # one Kronecker product in X and t: at the X-stride w no t-degree
             # of a coefficient product reaches the next slot
-            zero, lower = f.zero(), f.from_integer
-            w = max(len(c.num) for c in a.coeffs) + max(len(c.num) for c in b.coeffs) - 1
-            (xs, da), (ys, db) = (f.as_integers([x for c in p.coeffs
-                                                 for x in c.num + [zero] * (w - len(c.num))])
-                                  for p in (a, b))
+            w = max(len(c.nq[0]) for c in a.coeffs) + max(len(c.nq[0]) for c in b.coeffs) - 1
+            (xs, da), (ys, db) = (common_denominator([c.nq for c in p.coeffs]) for p in (a, b))
+            xs, ys = ([x for m in ms for x in m + [0] * (w - len(m))] for ms in (xs, ys))
             slots, d = convolve(xs, ys, len(xs) + len(ys) - w), da * db
-            return PolyX(f, [RatFunc._polynomial(f, tp_trim(f, [lower(v, d) if v else zero
-                                                                 for v in slots[i:i + w]]))
+            return PolyX(f, [RatFunc._polynomial(f, slots[i:i + w], d)
                              for i in range(0, len(slots), w)])
         out = [a.coeffs[-1].zero(f)] * (len(a.coeffs) + len(b.coeffs) - 1)
         for i, x in enumerate(a.coeffs):
@@ -193,22 +190,26 @@ class PolyX:
         """(c_j, images) for :meth:`value_at` at points with cap prec: the c_j in the completion,
         their integer images over one denominator (residues over F_p) on their own keys."""
         cs = self.to_series(prec).coeffs  # a leading coefficient lost at prec raises here
-        flat, _ = self.field.as_integers([x for c in cs for x in c.coeffs.values()])
-        flat = iter(flat)  # zip stops at the last key of c before it takes a value
-        return cs, [dict(zip(c.coeffs, flat)) for c in cs]
+        keys, pairs = [], []  # a polynomial in K brings its own ints, a series its scalars
+        for r, c in zip(self.coeffs, cs):
+            xs, d = r.nq if r is not c and r.is_polynomial() else (c.coeffs.values(), None)
+            keys.append([k for k, x in enumerate(xs) if x] if d else list(c.coeffs))
+            pairs.append(([x for x in xs if x], d) if d else self.field.as_integers(xs))
+        return cs, [dict(zip(k, x)) for k, x in zip(keys, common_denominator(pairs)[0])]
 
-    def value_at(self, a: PuiseuxSeries, images=None) -> GroupVal:
+    def value_at(self, a: PuiseuxSeries, images=None, point=None) -> GroupVal:
         """``self.evaluate(a).val()`` at a series point, its value or its
         PrecisionExhausted, off integer Horner images with the caps of the series
-        arithmetic; at an exact point first in a window of one key (README)."""
+        arithmetic; at an exact point first in a window of one key (README); ``point``
+        is :func:`point_images` of a."""
         cs, imgs = images or self.horner_images(a.prec)
         if cs and a.field != self.field:
             raise WorkbenchError("base field mismatch")
         if a.is_exact_zero():  # f(0) = c_0: every product is the exact zero
             cs, imgs = cs[:1], imgs[:1]
         n, p, e = len(cs) - 1, self.field.char, math.lcm(a.ram, *(c.ram for c in cs))
-        ys, da = self.field.as_integers(a.coeffs.values())
-        ka, va = [k * (e // a.ram) for k in a.coeffs], a.val_lower_bound()
+        keys, ys, da, va = point or point_images(a)
+        ka = [k * (e // a.ram) for k in keys]
         lo = min(ka, default=0)
 
         def horner(window):  # acc_j keeps its keys below window - j lo: they reach acc_0's
@@ -376,6 +377,12 @@ class PolyX:
         return f"PolyX({self.to_text()})"
 
 
+def point_images(a: PuiseuxSeries) -> tuple:
+    """(lattice keys, integers over one d (residues over F_p), val lower bound) of a point."""
+    ints, d = a.field.as_integers(a.coeffs.values())
+    return list(a.coeffs), ints, d, a.val_lower_bound()
+
+
 @functools.lru_cache(maxsize=64)
 def _hasse_binomials(field: BaseField, n: int) -> tuple:
     """Row i lists (j, C(j, i)) for i < j <= n, the binomials coerced into
@@ -473,10 +480,10 @@ def shifted_values(field: BaseField, coeffs, a: PuiseuxSeries) -> tuple:
 def _over_lcm(field, coeffs) -> tuple:
     """(cofactors, L) on integers (residues over F_p): L an lcm in k[t] of the denominators
     D_j of the c_j with a pole (one at least), cofactors[j] that of L/D_j at one scale for all j.
-    A D_j enters primitive over Q (monic over F_p), so each division by one is exact (Gauss's
+    A D_j is stored primitive over Q (monic over F_p), so each division by one is exact (Gauss's
     lemma): one per distinct D_j but the largest, a gcd where D_j does not divide L so far."""
-    p, one = field.char, field.one()
-    dens = {tuple(c.den): field.as_integers(c.den) for c in coeffs if len(c.den) > 1}
+    p = field.char
+    dens = {tuple(c.dq[0]): c.dq for c in coeffs if not c.is_polynomial()}
     first, *rest = sorted(dens, key=len, reverse=True)
     L, cofactor = dens[first][0], {first: [dens[first][1]]}
     for d in rest:  # the cofactor of D_j = y/s is s L/y, as c_j = N_j s/y
@@ -487,38 +494,8 @@ def _over_lcm(field, coeffs) -> tuple:
             grow, q = _divide(y, g, p), _divide(L, g, p)
             L, cofactor = _mul(L, grow, p), {k: _mul(v, grow, p) for k, v in cofactor.items()}
         cofactor[d] = [s * v for v in q]
-    cofactor[(one,)] = L
-    return [cofactor[tuple(c.den)] for c in coeffs], L
-
-
-def _mul(x, y, p) -> list:
-    """The product of integer polynomials (residues over F_p)."""
-    m = convolve(x, y, len(x) + len(y) - 1)
-    return [v % p for v in m] if p else m
-
-
-def _divide(a, b, p):
-    """a/b on integer images if b, primitive over Q (monic over F_p), divides a, else None."""
-    r, m, q = list(a), len(b) - 1, []
-    for i in range(len(a) - 1 - m, -1, -1):
-        q.append(r[i + m] % p if p else r[i + m] // b[-1])
-        r[i:i + m + 1] = [x - q[-1] * y for x, y in zip(r[i:i + m + 1], b)]
-    return None if any(x % p if p else x for x in r) else q[::-1]
-
-
-def _gcd(a, b, p) -> list:
-    """A gcd of integer images, primitive over Q (monic over F_p), by pseudo-remainders."""
-    while b:
-        r = a
-        while len(r) >= len(b):  # b_top r - r_top t^s b has a lower degree
-            s, top = len(r) - len(b), r[-1]
-            r = [x * b[-1] - (top * b[i - s] if i >= s else 0) for i, x in enumerate(r[:-1])]
-            r = tp_trim(None, [x % p for x in r] if p else r)
-        if r:  # the primitive part, or the monic associate
-            g = pow(r[-1], -1, p) if p else math.gcd(*r) * (1 if r[-1] > 0 else -1)
-            r = [x * g % p for x in r] if p else [x // g for x in r]
-        a, b = b, r
-    return a
+    cofactor[(1,)] = L
+    return [cofactor[tuple(c.dq[0])] for c in coeffs], L
 
 
 def _packed_values(field: BaseField, coeffs, a) -> tuple:
@@ -529,13 +506,13 @@ def _packed_values(field: BaseField, coeffs, a) -> tuple:
     rows keep the caps of the series path, and a pole c_j is known to O(t^P)."""
     n, p = len(coeffs) - 1, field.char
     e, prec, terms, pq = (  # pq: a = p/q in K, when known
-        (1, None, {k: x for k, x in enumerate(a.num, -tp_ord(field, a.den)) if x}, a)
+        (1, None, {k: x for k, x in enumerate(a.nq[0], -tp_ord(field, a.dq[0])) if x}, a)
         if isinstance(a, RatFunc) else (a.ram, a.prec, a.coeffs, a.source))
     pole = P = None
-    ords = [tp_ord(field, c.num) for c in coeffs]  # v(c_j)
-    if any(len(c.den) > 1 for c in coeffs):
-        pole = [len(c.den) > 1 for c in coeffs]
-        ords = [o - tp_ord(field, c.den) if pl else o for o, c, pl in zip(ords, coeffs, pole)]
+    ords = [tp_ord(field, c.nq[0]) for c in coeffs]  # v(c_j)
+    if any(len(c.dq[0]) > 1 for c in coeffs):
+        pole = [len(c.dq[0]) > 1 for c in coeffs]
+        ords = [o - tp_ord(field, c.dq[0]) if pl else o for o, c, pl in zip(ords, coeffs, pole)]
         if not isinstance(a, RatFunc):
             P = expansion_prec(prec)
     # a row without terms is c_i; a pole c_i is an unknown zero from P on
@@ -565,25 +542,25 @@ def _packed_values(field: BaseField, coeffs, a) -> tuple:
     live = [None if m == math.inf else (cap := None if base is None or m is None else Fraction(
         base.numerator * vd + (m - (i + 1) * vn) * base.denominator, base.denominator * vd),
         lattice_cap(cap, e)) for i, m in enumerate(least)]
-    nums, shift, dm = [c.num for c in coeffs], 0, 0  # dm bounds deg M_j Q^(n-j) - deg N_j
-    flat, _ = field.as_integers([x for m in nums for x in m])
-    if exact := pq is not None and len(pq.den) > 1:  # a pole: one pass, no window
-        tq = tp_ord(field, pq.den)  # t^(ord q) moves into lo; A and Q at one scale
-        terms = {k: x for k, x in enumerate(pq.num, -tq) if x}
-        ys, _ = field.as_integers([*terms.values(), *pq.den[tq:]])
-        ys, zs = ys[:len(terms)], ys[len(terms):]
+    nums, _ = common_denominator([c.nq for c in coeffs])  # the N_j over one denominator
+    shift = dm = 0  # dm bounds deg M_j Q^(n-j) - deg N_j
+    if exact := pq is not None and not pq.is_polynomial():  # a pole: one pass, no window
+        tq = tp_ord(field, pq.dq[0])  # t^(ord q) moves into lo; A and Q at one scale
+        terms = {k: x for k, x in enumerate(pq.nq[0], -tq) if x}
+        (ys, zs), _ = common_denominator([(list(terms.values()), pq.nq[1]),
+                                          (pq.dq[0][tq:], pq.dq[1])])
         q1, dm = sum(map(abs, zs)), n * e * (len(zs) - 1)
     else:
-        ys, q1 = field.as_integers(terms.values())
+        ys, q1 = (list(terms.values()), a.nq[1]) if pq is a else field.as_integers(terms.values())
     lo = min(0, min(terms, default=0))
-    l1 = (n + 1) * sum(map(abs, flat)) * q1**n * (1 + sum(map(abs, ys)))**n
+    l1 = (n + 1) * sum(sum(map(abs, m)) for m in nums) * q1**n * (1 + sum(map(abs, ys)))**n
     if pole:  # M_j = N_j L/D_j, ord M_j = v(c_j) + shift
         cofs, L = _over_lcm(field, coeffs)
         l1, shift = l1 * max(sum(map(abs, c)) for c in cofs), tp_ord(field, L)
         dm += e * len(L) - e
-    b, xs = l1.bit_length() // 8 * 8 + 8, iter(flat)  # l1 bounds every output
+    b = l1.bit_length() // 8 * 8 + 8  # l1 bounds every output
     Q = _pack(zs, b * e) if exact else q1
-    M = [sum(x << b * e * k for k, x in zip(range(len(m)), xs) if x) * Q**(n - j)
+    M = [sum(x << b * e * k for k, x in enumerate(m) if x) * Q**(n - j)
          << b * -lo * (n - j) for j, m in enumerate(nums)]
     if pole:
         M = [v * _pack(c, b * e) for v, c in zip(M, cofs)]

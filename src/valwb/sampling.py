@@ -8,12 +8,13 @@ the harness reports the redraw count.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import HorizonExceeded, PrecisionExhausted
 from .field import BaseField
 from .polyx import PolyX
-from .series import PuiseuxSeries, RatFunc, tp_trim
+from .series import PuiseuxSeries, RatFunc, _lowest
 
 
 def _redraw(draw, use, limit: int = 2000):
@@ -28,27 +29,36 @@ def _redraw(draw, use, limit: int = 2000):
                 raise
 
 
-def random_scalar(field: BaseField, rng, nonzero: bool = False):
+def _scalar_draw(field: BaseField, rng, nonzero: bool = False) -> tuple:
+    """A random scalar's draws, as (numerator, denominator)."""
     if field.char > 0:
-        lo = 1 if nonzero else 0
-        return rng.randrange(lo, field.char) % field.char
+        return rng.randrange(1 if nonzero else 0, field.char) % field.char, 1
     num = rng.randint(-6, 6)
     if nonzero and num == 0:
         num = 1 + rng.randint(0, 5)
-    return Fraction(num, rng.randint(1, 4))
+    return num, rng.randint(1, 4)
 
 
-def random_tpoly(field: BaseField, rng, deg: int) -> list:
-    coeffs = [random_scalar(field, rng) for _ in range(deg + 1)]
-    coeffs[-1] = random_scalar(field, rng, nonzero=True)
-    return coeffs
+def random_scalar(field: BaseField, rng, nonzero: bool = False):
+    num, den = _scalar_draw(field, rng, nonzero)
+    return Fraction(num, den) if field.char == 0 else num
+
+
+def random_tpoly(field: BaseField, rng, deg: int) -> tuple:
+    """A random polynomial in t of degree deg, its top scalar nonzero, as (ints, d): its
+    scalars are ints[i]/d, d the lcm of the drawn denominators (1 over F_p)."""
+    draws = [_scalar_draw(field, rng) for _ in range(deg + 1)]
+    draws[-1] = _scalar_draw(field, rng, nonzero=True)
+    d = math.lcm(*(den for _, den in draws))
+    return [num * (d // den) for num, den in draws], d
 
 
 def random_ratfunc(field: BaseField, rng, deg: int = 3, poles: bool = False) -> RatFunc:
-    num = random_tpoly(field, rng, rng.randint(0, deg))
-    if not poles:  # canonical scalars over a unit denominator: nothing to normalize
-        return RatFunc._polynomial(field, tp_trim(field, num))
-    return RatFunc(field, num, random_tpoly(field, rng, rng.randint(0, deg)))
+    xs, dx = random_tpoly(field, rng, rng.randint(0, deg))
+    if not poles:
+        return RatFunc._polynomial(field, xs, dx)
+    ys, dy = random_tpoly(field, rng, rng.randint(0, deg))
+    return RatFunc._of(field, *_lowest(field.char, [x * dy for x in xs], dx, ys))
 
 
 def random_series(field: BaseField, rng, prec, ram: int = 1, depth: int = 6,

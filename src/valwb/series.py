@@ -3,8 +3,8 @@ rational functions in t.
 
 Two element types live here:
 
-* :class:`RatFunc` -- an exact element of K = k(t), stored as a reduced
-  fraction of polynomials in t.  Its t-adic valuation is exact.
+* :class:`RatFunc` -- an exact element of K = k(t), a reduced fraction of polynomials in t,
+  each an integer list over one denominator as in FLINT's fmpq_poly; its val is exact.
 * :class:`PuiseuxSeries` -- a truncated element of k((t^(1/e))), stored as a
   sparse map from lattice exponents to nonzero scalars together with a hard
   precision cap.  Every operation computes the exact precision it can
@@ -50,28 +50,12 @@ def tp_trim(field, c):
 
 
 def tp_add(field, a, b):
+    """a + b for integer images at one scale (residues over F_p), in the field's arithmetic."""
     add = field.add
-    out = list(a) + [field.zero()] * (len(b) - len(a))
+    out = list(a) + [0] * (len(b) - len(a))
     for i, x in enumerate(b):
         out[i] = add(out[i], x)
     return tp_trim(field, out)
-
-
-def tp_sub(field, a, b):
-    sub = field.sub
-    out = list(a) + [field.zero()] * (len(b) - len(a))
-    for i, x in enumerate(b):
-        out[i] = sub(out[i], x)
-    return tp_trim(field, out)
-
-
-def tp_mul(field, a, b):
-    if not a or not b:
-        return []
-    xs, d1 = field.as_integers(a)
-    ys, d2 = field.as_integers(b)
-    d, lower = d1 * d2, field.from_integer
-    return tp_trim(field, [lower(v, d) for v in convolve(xs, ys, len(a) + len(b) - 1)])
 
 
 def is_dense(pairs: int, slots: int) -> bool:
@@ -148,37 +132,41 @@ def _pack(vs, bits) -> int:
     return vs[0]
 
 
-def tp_scalar(field, a, s):
-    mul = field.mul
-    return tp_trim(field, [mul(x, s) for x in a])
+def _mul(x, y, p) -> list:
+    """The product of integer polynomials (residues over F_p)."""
+    m = convolve(x, y, len(x) + len(y) - 1) if x and y else []
+    return [v % p for v in m] if p else m
 
 
-def tp_divmod(field, a, b):
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    sub, mul = field.sub, field.mul
-    r = list(a)
-    q = [field.zero()] * max(0, len(a) - len(b) + 1)
-    inv_lead = field.inv(b[-1])
-    for i in range(len(a) - len(b), -1, -1):
-        if len(r) < len(b) + i:
-            continue
-        c = mul(r[len(b) + i - 1], inv_lead)
-        if not c:
-            continue
-        q[i] = c
-        for j, y in enumerate(b):
-            r[i + j] = sub(r[i + j], mul(c, y))
-    return tp_trim(field, q), tp_trim(field, r)
+def _divide(a, b, p):
+    """a/b on integer images if b, primitive over Q (monic over F_p), divides a, else None."""
+    r, m, q = list(a), len(b) - 1, []
+    for i in range(len(a) - 1 - m, -1, -1):
+        q.append(r[i + m] % p if p else r[i + m] // b[-1])
+        r[i:i + m + 1] = [x - q[-1] * y for x, y in zip(r[i:i + m + 1], b)]
+    return None if any(x % p if p else x for x in r) else q[::-1]
 
 
-def tp_gcd(field, a, b):
-    a, b = list(a), list(b)
+def _gcd(a, b, p) -> list:
+    """A gcd of integer images, primitive over Q (monic over F_p), by pseudo-remainders:
+    b itself if it divides a, so b enters primitive (monic)."""
     while b:
-        a, b = b, tp_divmod(field, a, b)[1]
-    if a:
-        a = tp_scalar(field, a, field.inv(a[-1]))  # monic normal form
+        r = a
+        while len(r) >= len(b):  # b_top r - r_top t^s b has a lower degree
+            s, top = len(r) - len(b), r[-1]
+            r = [x * b[-1] - (top * b[i - s] if i >= s else 0) for i, x in enumerate(r[:-1])]
+            r = tp_trim(None, [x % p for x in r] if p else r)
+        if r:  # the primitive part, or the monic associate
+            g = pow(r[-1], -1, p) if p else math.gcd(*r) * (1 if r[-1] > 0 else -1)
+            r = [x * g % p for x in r] if p else [x // g for x in r]
+        a, b = b, r
     return a
+
+
+def common_denominator(pairs) -> tuple:
+    """([xs_j scaled to d], d) for pairs (xs_j, d_j) of integers over d_j, d the lcm of the d_j."""
+    d = math.lcm(*(dj for _, dj in pairs))
+    return [xs if dj == d else [x * (d // dj) for x in xs] for xs, dj in pairs], d
 
 
 def tp_ord(field, a) -> Optional[int]:
@@ -286,32 +274,66 @@ def tp_parse(field, text: str):
 # RatFunc: exact elements of K = k(t)
 # ---------------------------------------------------------------------------
 
-class RatFunc:
-    """A reduced fraction of polynomials in t; denominator monic and nonzero."""
+def _pair(p, xs, d=1) -> tuple:
+    """xs/d, xs a fresh integer list and d != 0, as RatFunc stores a polynomial in t: residues
+    over 1 over F_p, over Q over d > 0 prime to their content; trimmed, in place."""
+    if p:
+        u = pow(d, -1, p)
+        return tp_trim(None, [x * u % p for x in xs]), 1
+    xs = tp_trim(None, xs)
+    if d != 1 and (g := math.gcd(d, *xs) * (1 if d > 0 else -1)) != 1:
+        xs, d = [x // g for x in xs], d // g
+    return xs, d
 
-    __slots__ = ("field", "num", "den")
+
+def _scalars(field: BaseField, xs, d) -> list:
+    return list(xs) if field.char else [Fraction(x, d) for x in xs]
+
+
+def _lowest(p, xs, d, ys) -> tuple:
+    """The stored pairs (num, den) of xs/(d ys), xs and ys integer lists and d != 0: ys made
+    primitive with a positive top (monic over F_p), and the gcd of xs and ys divided out."""
+    ys = tp_trim(None, [y % p for y in ys] if p else ys)
+    if not ys:
+        raise ZeroDivisionError("zero denominator")
+    xs = tp_trim(None, [x % p for x in xs] if p else xs)
+    if not xs:
+        return ([], 1), ([1], 1)  # the zero element has one canonical form
+    u = ys[-1] if p else math.gcd(*ys) * (1 if ys[-1] > 0 else -1)
+    ys = _pair(p, ys, u)[0]  # ys = u ys', ys' primitive with a positive top (monic over F_p)
+    if len(ys) > 1 and len(g := _gcd(xs, ys, p)) > 1:
+        xs, ys = _divide(xs, g, p), _divide(ys, g, p)
+    return _pair(p, xs, d * u * ys[-1]), (ys, ys[-1])  # (xs/(d u top)) / (ys/top)
+
+
+class RatFunc:
+    """A reduced fraction of polynomials in t; denominator monic and nonzero.
+
+    Stored as two pairs (ints, d) in the layout of FLINT's fmpq_poly, numerator nq and
+    denominator dq: sum of ints[i]/d t^i, d > 0 prime to the content of ints (residues over
+    d = 1 over F_p), dq monic, so the form is canonical; num and den build the scalars."""
+
+    __slots__ = ("field", "nq", "dq", "_num")
 
     def __init__(self, field: BaseField, num, den=None):
-        if den is None:
-            den = [field.one()]
-        to_scalar = field.coerce  # canonical scalars: residues in [0, p), Fractions over Q
+        to_scalar = field.coerce  # canonical scalars; an int, a Fraction or a string, no float
         num = tp_trim(field, [to_scalar(x) for x in num])
-        den = tp_trim(field, [to_scalar(x) for x in den])
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not num:
-            den = [field.one()]  # the zero element has one canonical form
-        elif len(den) > 1:
-            g = tp_gcd(field, num, den)
-            num = tp_divmod(field, num, g)[0]
-            den = tp_divmod(field, den, g)[0]
-        if den[-1] != field.one():
-            lead = field.inv(den[-1])
-            num = tp_scalar(field, num, lead)
-            den = tp_scalar(field, den, lead)
-        self.field = field
-        self.num = num
-        self.den = den
+        (xs, dx), self.field = field.as_integers(num), field
+        if den is None:  # a polynomial, whose scalars are num
+            self.nq, self.dq, self._num = _pair(field.char, xs, dx), ([1], 1), num
+        else:
+            ys, dy = field.as_integers([to_scalar(x) for x in den])
+            self.nq, self.dq = _lowest(field.char, [x * dy for x in xs], dx, ys)
+            self._num = None
+
+    @property
+    def num(self) -> list:
+        """The numerator's scalars, Fractions over Q and residues over F_p, built once."""
+        if self._num is None:
+            self._num = _scalars(self.field, *self.nq)
+        return list(self._num)
+
+    den = property(lambda self: _scalars(self.field, *self.dq), doc="The den's scalars.")
 
     # -- constructors ---------------------------------------------------
 
@@ -321,7 +343,7 @@ class RatFunc:
 
     @staticmethod
     def one(field: BaseField) -> "RatFunc":
-        return RatFunc._polynomial(field, [field.one()])
+        return RatFunc._polynomial(field, [1])
 
     @staticmethod
     def constant(field: BaseField, c) -> "RatFunc":
@@ -329,9 +351,7 @@ class RatFunc:
 
     @staticmethod
     def t_power(field: BaseField, n: int) -> "RatFunc":
-        if n >= 0:
-            return RatFunc(field, [field.zero()] * n + [field.one()])
-        return RatFunc(field, [field.one()], [field.zero()] * (-n) + [field.one()])
+        return RatFunc._of(field, ([0] * max(n, 0) + [1], 1), ([0] * max(-n, 0) + [1], 1))
 
     @staticmethod
     def from_text(field: BaseField, text: str) -> "RatFunc":
@@ -349,7 +369,7 @@ class RatFunc:
     # -- predicates -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.num
+        return not self.nq[0]
 
     is_exact_zero = is_zero  # the coefficient protocol's name for it
 
@@ -358,7 +378,7 @@ class RatFunc:
         return False
 
     def is_polynomial(self) -> bool:
-        return len(self.den) == 1
+        return len(self.dq[0]) == 1
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -367,47 +387,56 @@ class RatFunc:
             raise WorkbenchError("base field mismatch")
 
     @staticmethod
-    def _polynomial(field: BaseField, num: list) -> "RatFunc":
-        """The polynomial num, already trimmed; nothing left to normalize."""
+    def _of(field: BaseField, nq: tuple, dq: tuple = ([1], 1)) -> "RatFunc":
+        """The element of the stored pairs nq and dq, already in their normal form."""
         out = object.__new__(RatFunc)
-        out.field, out.num, out.den = field, num, [field.one()]
+        out.field, out.nq, out.dq, out._num = field, nq, dq, None
         return out
 
-    # Polynomial operands (den = [1], every RatFunc the suite draws) work on
-    # numerators alone: the general formulas would only multiply by the unit
-    # denominators and reduce by a gcd of 1.
+    @staticmethod
+    def _polynomial(field: BaseField, xs: list, d: int = 1) -> "RatFunc":
+        """The polynomial xs/d for a fresh integer list xs and d > 0."""
+        return RatFunc._of(field, _pair(field.char, xs, d))
+
+    # Polynomial operands (dq = ([1], 1), every RatFunc the suite draws) work on numerators
+    # alone, sums over the lcm of the two d and products over their product, each reduced
+    # by one integer gcd; an operand with a pole takes the fraction formulas and _lowest.
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
         self._check(other)
-        f = self.field
-        if len(self.den) == 1 == len(other.den):
-            return RatFunc._polynomial(f, tp_add(f, self.num, other.num))
-        num = tp_add(f, tp_mul(f, self.num, other.den), tp_mul(f, other.num, self.den))
-        return RatFunc(f, num, tp_mul(f, self.den, other.den))
+        f, p = self.field, self.field.char
+        (xs, a), (ys, b), (us, c), (ws, d) = self.nq, other.nq, self.dq, other.dq
+        if len(us) == 1 == len(ws):
+            (xs, ys), m = common_denominator([self.nq, other.nq])
+            return RatFunc._of(f, _pair(p, tp_add(f, xs, ys), m))
+        num = tp_add(f, [x * c * b for x in _mul(xs, ws, p)], [y * d * a for y in _mul(ys, us, p)])
+        return RatFunc._of(f, *_lowest(p, num, a * b, _mul(us, ws, p)))  # over a b us ws
 
     def __neg__(self):
-        return RatFunc(self.field, [self.field.neg(x) for x in self.num], self.den)
+        neg = self.field.neg
+        return RatFunc._of(self.field, ([neg(x) for x in self.nq[0]], self.nq[1]), self.dq)
 
     def __sub__(self, other):
-        self._check(other)
-        f = self.field
-        if len(self.den) == 1 == len(other.den):
-            return RatFunc._polynomial(f, tp_sub(f, self.num, other.num))
-        return self + (-other)
+        return self + -other
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
         self._check(other)
-        f = self.field
-        if len(self.den) == 1 == len(other.den):
-            return RatFunc._polynomial(f, tp_mul(f, self.num, other.num))
-        return RatFunc(f, tp_mul(f, self.num, other.num), tp_mul(f, self.den, other.den))
+        p = self.field.char
+        (xs, a), (ys, b) = self.nq, other.nq
+        if len(self.dq[0]) == 1 == len(other.dq[0]):
+            return RatFunc._of(self.field, _pair(p, _mul(xs, ys, p), a * b))
+        (us, c), (ws, d) = self.dq, other.dq
+        num = [x * c * d for x in _mul(xs, ys, p)]
+        return RatFunc._of(self.field, *_lowest(p, num, a * b, _mul(us, ws, p)))
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        f = self.field
-        return RatFunc(f, tp_mul(f, self.num, other.den), tp_mul(f, self.den, other.num))
+        p = self.field.char
+        (xs, a), (ys, b), (us, c), (ws, d) = self.nq, other.nq, self.dq, other.dq
+        num = [x * c * b for x in _mul(xs, ws, p)]  # xs c/(a us) * b ws/(ys d)
+        return RatFunc._of(self.field, *_lowest(p, num, a * d, _mul(us, ys, p)))
 
     def __pow__(self, n: int) -> "RatFunc":
         if n < 0:
@@ -417,27 +446,27 @@ class RatFunc:
     def __eq__(self, other):
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return self.field == other.field and self.num == other.num and self.den == other.den
+        return self.field == other.field and self.nq == other.nq and self.dq == other.dq
 
     def __hash__(self):
-        return hash((self.field, tuple(self.num), tuple(self.den)))
+        return hash((self.field, tuple(self.nq[0]), self.nq[1], tuple(self.dq[0])))
 
     # -- valuation ----------------------------------------------------------
 
     def val(self) -> GroupVal:
         """Exact t-adic valuation; PosInf for the zero element."""
-        on = tp_ord(self.field, self.num)
+        on = tp_ord(self.field, self.nq[0])
         if on is None:
             return GroupVal.posinf()
-        return GroupVal.fin(on - tp_ord(self.field, self.den))
+        return GroupVal.fin(on - tp_ord(self.field, self.dq[0]))
 
     # -- conversion -----------------------------------------------------------
 
     def to_series(self, prec=None) -> "PuiseuxSeries":
         """The image in the completion, with the same val: a polynomial embeds
-        exactly, its scalars copied as they are; a fraction with a pole is expanded
+        exactly, its scalars built once, and a fraction with a pole is expanded
         to O(t^prec), by default O(t^DEFAULT_PREC), and kept as its ``source``."""
-        if len(self.den) == 1:  # built as the normalising constructor would leave it
+        if self.is_polynomial():  # built as the normalising constructor would leave it
             out = object.__new__(PuiseuxSeries)
             out.field, out.ram, out.prec, out.source = self.field, 1, None, None
             out.coeffs = {i: x for i, x in enumerate(self.num) if x}
@@ -789,15 +818,15 @@ def square_multiply(base, n: int, one):
     return out
 
 
-def _quotient_terms(f: BaseField, num: list, den: list, nterms: int, shift: int) -> dict:
+def _quotient_terms(f: BaseField, xs: list, dn: int, ys: list, dd: int, nterms: int,
+                    shift: int) -> dict:
     """{i + shift: q_i} for the nonzero q_i, i < nterms, of the power series
-    num/den over the scalars of f, where den[0] is nonzero.
+    num/den = (xs/dn)/(ys/dd), xs and ys integer images (residues over F_p), ys[0] nonzero.
 
-    Fraction-free on the integer images num = N/dn and den = D/dd:
+    Fraction-free, with N = xs and D = ys:
     q_i = A_i dd / (dn D_0^(i+1)), A_i = N_i D_0^i - sum_j D_j D_0^(j-1) A_(i-j).
     """
-    xs, dn = f.as_integers(num[:nterms] + [f.zero()] * (nterms - len(num)))
-    ys, dd = f.as_integers(den[:nterms])
+    xs, ys = xs[:nterms] + [0] * (nterms - len(xs)), ys[:nterms]
     p = f.char
     if p:  # scale to D_0 = 1, so the residues need no division
         inv_d0 = pow(ys[0], -1, p)
@@ -845,7 +874,8 @@ def invert(s: PuiseuxSeries, prec=None) -> PuiseuxSeries:
     for n, c in s.coeffs.items():
         if n - shift0 < len(den):
             den[n - shift0] = c
-    return PuiseuxSeries(f, e, _quotient_terms(f, [f.one()], den, nterms, -shift0), out_prec)
+    ys, dd = f.as_integers(den)
+    return PuiseuxSeries(f, e, _quotient_terms(f, [1], 1, ys, dd, nterms, -shift0), out_prec)
 
 
 def coerce(r: RatFunc, prec) -> PuiseuxSeries:
@@ -857,13 +887,13 @@ def coerce(r: RatFunc, prec) -> PuiseuxSeries:
     prec = Fraction(prec)
     if r.is_zero():
         return PuiseuxSeries.zero(f)
-    a = tp_ord(f, r.num)
-    b = tp_ord(f, r.den)
+    (xs, dn), (ys, dd) = r.nq, r.dq
+    a, b = tp_ord(f, xs), tp_ord(f, ys)
     v0 = a - b
     nterms = int(math.ceil(prec - v0))
     if nterms <= 0:
         return PuiseuxSeries.unknown_zero(f, prec)
-    return PuiseuxSeries(f, 1, _quotient_terms(f, r.num[a:], r.den[b:], nterms, v0), prec)
+    return PuiseuxSeries(f, 1, _quotient_terms(f, xs[a:], dn, ys[b:], dd, nterms, v0), prec)
 
 
 def truncate_to_ratfunc(s: PuiseuxSeries, cutoff) -> RatFunc:
@@ -878,12 +908,6 @@ def truncate_to_ratfunc(s: PuiseuxSeries, cutoff) -> RatFunc:
         raise NegativeSupport("support dips below 0; factor out the pole first")
     if s.prec is not None and cutoff > s.prec:
         raise PrecisionExhausted(f"cutoff {cutoff} exceeds precision {s.prec}")
-    f = s.field
-    kept = {n: c for n, c in s.coeffs.items() if n < cutoff}
-    if not kept:
-        return RatFunc.zero(f)
-    out = [f.zero()] * (max(kept) + 1)
-    for n, c in kept.items():
-        out[n] = c
-    return RatFunc(f, out)
+    top = max((n for n in s.coeffs if n < cutoff), default=-1)
+    return RatFunc(s.field, [s.coeffs.get(n, s.field.zero()) for n in range(top + 1)])
 

@@ -174,3 +174,30 @@ def test_the_scan_sees_values_of_differences(tmp_path):
                    "    z = a.val_sub(b)\n    d = a - b\n    w = d.val()\n"
                    "    return (a - (b - c)).val() + (a - b).val_lower_bound()\n")
     assert values_of_differences(src) == [("m.py", 2), ("m.py", 7)]
+
+
+def scalar_view_reads(path: Path) -> list:
+    """Reads of .num or .den, RatFunc's scalar views: only series.py, which defines
+    them, may build them, so that no path in the package goes back through Fraction."""
+    if path.name == "series.py":
+        return []
+    tree = ast.parse(path.read_text())
+    return [(path.name, node.attr, node.lineno) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("num", "den")]
+
+
+def test_no_module_reads_the_scalar_views_of_a_ratfunc():
+    modules = sorted(Path(valwb.__file__).parent.glob("*.py"))
+    found = [hit for path in modules for hit in scalar_view_reads(path)]
+    assert not found, found
+
+
+def test_the_scan_sees_reads_of_the_scalar_views(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("def f(r, q):\n    a = r.num\n    b = len(q.den) + r.numerator\n"
+                   "    c = r.nq, r.dq\n    return getattr(r, 'num'), a, b, c, r.den[0]\n")
+    assert scalar_view_reads(src) == [("m.py", "num", 2), ("m.py", "den", 3),
+                                      ("m.py", "den", 5)]
+    series = tmp_path / "series.py"
+    series.write_text(src.read_text())
+    assert scalar_view_reads(series) == []

@@ -7,7 +7,7 @@ import pytest
 
 from valwb.algnum import attach_minpoly
 from valwb.errors import NotARoot, PrecisionExhausted, WorkbenchError, ZeroPolynomial
-from valwb.field import GF, QQ
+from valwb.field import GF, QQ, BaseField
 from valwb.groupval import FIN0, GroupVal
 from valwb.lifting import _min_recentered_value, conjugacy_check
 from valwb import polyx, series
@@ -18,6 +18,8 @@ from valwb.sampling import random_polyx, random_ratfunc
 from valwb.selftest import run_all
 from valwb.series import DEFAULT_PREC, PuiseuxSeries, RatFunc, coerce
 from valwb.valuation import ValuationSpec, delta, eval_spec
+
+from fraction_ratfunc import FractionRatFunc
 
 F2 = GF(2)
 
@@ -514,9 +516,9 @@ def profile(fn, f, a):
 
 def random_kt_poly(field, rng, deg):
     """X-degree deg, t-degree 0-6, exact zeros between nonzero coefficients."""
-    coeffs = [RatFunc._polynomial(field, [nonzero_scalar(field, rng) if rng.random() < 0.7
-                                          else field.zero() for _ in range(rng.randint(0, 6))]
-                                  + [nonzero_scalar(field, rng)])
+    coeffs = [RatFunc(field, [nonzero_scalar(field, rng) if rng.random() < 0.7
+                              else field.zero() for _ in range(rng.randint(0, 6))]
+                      + [nonzero_scalar(field, rng)])
               if i == deg or rng.random() < 0.75 else RatFunc.zero(field)
               for i in range(deg + 1)]
     return PolyX.from_ratfuncs(field, coeffs)
@@ -578,7 +580,7 @@ def random_kt_center(field, rng, kind):
     if rng.random() < 0.3:  # a ramified monomial c t^(k/e), a root of X^e - c^e t^k
         k = rng.randint(1, 5)
         a = PuiseuxSeries.from_terms(field, {Fraction(k, ram): c})
-        factor = PolyX.from_ratfuncs(field, [-RatFunc._polynomial(
+        factor = PolyX.from_ratfuncs(field, [-RatFunc(
             field, [field.zero()] * k + [field.pow(c, ram)])] + [RatFunc.zero(field)] * (ram - 1)
             + [one])
     else:
@@ -730,7 +732,7 @@ def old_over_lcm(field, coeffs):
     """polyx._over_lcm before it moved to integers: the lcm and its cofactors
     divided out on field scalars, then lowered to integers at one scale."""
     from itertools import islice
-    from valwb.series import tp_divmod, tp_gcd, tp_mul
+    from fraction_ratfunc import tp_divmod, tp_gcd, tp_mul
     one = field.one()
     dens = sorted({tuple(c.den) for c in coeffs if len(c.den) > 1}, key=len, reverse=True)
     L, cofactor = list(dens[0]), {dens[0]: [one]}
@@ -769,6 +771,109 @@ def test_integer_lcm_gives_the_profiles_of_the_scalar_lcm(monkeypatch):
     monkeypatch.setattr(polyx, "_over_lcm", old_over_lcm)
     assert got == [profile(PolyX.recentered_values, f, a) for f, a in cases]
     assert len(cases) >= 200 and grown >= 30, (len(cases), grown)
+
+
+# -- integer coefficients against the Fraction-stored RatFunc -------------------
+#
+# The reference (tests/fraction_ratfunc.py) is RatFunc as it was stored before:
+# field scalars, normalised by the scalar gcd.  Products, Q-adic digits, value
+# profiles and the lcm of the denominators must come out as they do along that
+# route, values and scalar types alike.
+
+def fraction_twin(f):
+    return PolyX(f.field, [FractionRatFunc(f.field, c.num, c.den) for c in f.coeffs])
+
+
+def coefficient_views(f):
+    return [([(type(x), x) for x in c.num], [(type(x), x) for x in c.den]) for c in f.coeffs]
+
+
+def fraction_profile(f, a):
+    """recentered_values along the Fraction route: the exact Hasse sum at a in K, the
+    series stage on the Fraction expansions at a series a."""
+    field, cs = f.field, fraction_twin(f).coeffs
+    if isinstance(a, PuiseuxSeries):
+        return polyx.shifted_values(field, PolyX(field, [c.to_series(a.prec) for c in cs]).coeffs,
+                                    a)
+    a, n = FractionRatFunc(field, a.num, a.den), len(cs) - 1
+    powers = [FractionRatFunc.one(field)]
+    for _ in range(n):
+        powers.append(powers[-1] * a)
+    rows = []
+    for i in range(n + 1):
+        acc = cs[i]
+        for j in range(i + 1, n + 1):
+            acc = acc + cs[j] * powers[j - i] * FractionRatFunc(field, [math.comb(j, i)])
+        rows.append((None if acc.is_zero() else int(acc.val().q), None))
+    return 1, rows
+
+
+def test_integer_coefficients_give_the_results_of_the_fraction_route():
+    rng = random.Random(32)
+    kinds = ("exact", "capped", "negative", "inverse", "ratfunc", "root", "pq")
+    seen = {"kronecker": 0, "pole products": 0, "pole digits": 0, "pole rows": 0,
+            "K centers": 0, "series centers": 0, "grown lcm": 0, "raised": 0}
+    for i in range(350):
+        field = FIELDS[i % len(FIELDS)]
+        f = (random_pole_kt_poly if i % 2 else random_kt_poly)(field, rng, rng.randint(0, 5))
+        g = random_kx_operand(field, rng, poles=rng.random() < 0.3)
+        ff, fg = fraction_twin(f), fraction_twin(g)
+        want = [FractionRatFunc.zero(field)] * (len(f.coeffs) + len(g.coeffs) - 1)
+        for j, x in enumerate(ff.coeffs):
+            for k, y in enumerate(fg.coeffs):
+                want[j + k] = want[j + k] + x * y
+        assert coefficient_views(f * g) == coefficient_views(PolyX(field, want)), i
+        pole = not all(c.is_polynomial() for c in f.coeffs + g.coeffs)
+        seen["pole products" if pole else "kronecker"] += 1
+        Q = PolyX.from_ratfuncs(field, g.coeffs + [RatFunc.one(field)])
+        got = [coefficient_views(d) for d in f.qadic_expand(Q)]
+        assert got == [coefficient_views(d) for d in ff.qadic_expand(fraction_twin(Q))], i
+        seen["pole digits"] += pole
+        kind = kinds[i % len(kinds)]
+        a = random_pq_center(field, rng) if kind == "pq" else random_kt_center(field, rng, kind)[0]
+        got = profile(PolyX.recentered_values, f, a)
+        assert got == profile(fraction_profile, f, a), (i, kind, f, a)
+        seen["raised"] += got[0] == "raised"
+        seen["K centers" if isinstance(a, RatFunc) else "series centers"] += 1
+        if all(c.is_polynomial() for c in f.coeffs):
+            continue
+        seen["pole rows"] += sum(not c.is_polynomial() for c in f.coeffs)
+        (cofs, L), (old_cofs, old_L) = polyx._over_lcm(field, f.coeffs), old_over_lcm(field, ff.coeffs)
+        assert len(L) == len(old_L) and series.tp_ord(field, L) == series.tp_ord(field, old_L)
+        # the cofactors agree up to one scale for all of them: x * y0 == y * x0
+        x0, y0 = cofs[-1][-1], old_cofs[-1][-1]
+        for c, old in zip(cofs, old_cofs):
+            assert len(c) == len(old), i
+            assert all(field.mul(x, y0) == field.mul(y, x0) for x, y in zip(c, old)), i
+        seen["grown lcm"] += len(L) > max(len(c.den) for c in f.coeffs)
+    assert min(seen.values()) >= 5, seen
+
+
+def test_ratfunc_hot_paths_lower_no_scalar(monkeypatch):
+    # stored elements are read as integers: no image is built from scalars and
+    # none is lowered back, on the paths that replaced those round trips
+    rng = random.Random(33)
+    cases = []
+    for i in range(60):
+        field = FIELDS[i % len(FIELDS)]
+        f = (random_pole_kt_poly if i % 2 else random_kt_poly)(field, rng, rng.randint(1, 5))
+        g = random_kx_operand(field, rng, poles=i % 3 == 0)
+        a = random_pq_center(field, rng) if i % 4 == 0 else random_ratfunc(field, rng, deg=4)
+        cases.append((f, g, a, random_ratfunc(field, rng, poles=i % 2 == 0)))
+    def read(f, g, a, r):
+        # an expansion is lowered to scalars, a polynomial is not
+        images = None if any(not c.is_polynomial() for c in f.coeffs) else f.horner_images(None)[1]
+        return f * g, profile(PolyX.recentered_values, f, a), f.coeffs[-1] / r + r * r - a, images
+
+    want = [read(*case) for case in cases]
+    assert sum(w[-1] is not None for w in want) >= 20
+
+    def fail(*args):
+        raise AssertionError("a RatFunc went through field scalars")
+
+    monkeypatch.setattr(BaseField, "as_integers", fail)
+    monkeypatch.setattr(BaseField, "from_integer", fail)
+    assert want == [read(*case) for case in cases]
 
 
 def test_pq_center_takes_one_window_pass_and_no_series_stage(monkeypatch):
@@ -871,8 +976,8 @@ def test_polynomial_embedding_matches_the_normalising_constructor():
         field = FIELDS[i % len(FIELDS)]
         r = random_ratfunc(field, rng, deg=rng.randint(0, 8))
         if rng.random() < 0.3:  # exact zeros below the top, and the zero element
-            r = RatFunc._polynomial(field, [x if rng.random() < 0.5 else field.zero()
-                                            for x in r.num[:-1]] + r.num[-1:])
+            r = RatFunc(field, [x if rng.random() < 0.5 else field.zero()
+                                for x in r.num[:-1]] + r.num[-1:])
         if i % 100 == 0:
             r = RatFunc.zero(field)
         got = r.to_series()

@@ -21,10 +21,11 @@ from valwb.series import (
     coerce,
     invert,
     is_dense,
-    tp_add,
-    tp_mul,
+    tp_trim,
     truncate_to_ratfunc,
 )
+
+from fraction_ratfunc import FractionRatFunc, fraction_coerce, tp_add, tp_mul
 
 F2 = GF(2)
 
@@ -287,15 +288,34 @@ def test_ratfunc_scalars_are_canonical():
         RatFunc(QQ, [1], [1, 0.5])
 
 
+def old_random_scalar(field, rng, nonzero=False):
+    """sampling.random_scalar as it was."""
+    if field.char > 0:
+        lo = 1 if nonzero else 0
+        return rng.randrange(lo, field.char) % field.char
+    num = rng.randint(-6, 6)
+    if nonzero and num == 0:
+        num = 1 + rng.randint(0, 5)
+    return Fraction(num, rng.randint(1, 4))
+
+
+def old_random_tpoly(field, rng, deg):
+    """sampling.random_tpoly as it was: a list of field scalars."""
+    coeffs = [old_random_scalar(field, rng) for _ in range(deg + 1)]
+    coeffs[-1] = old_random_scalar(field, rng, nonzero=True)
+    return coeffs
+
+
 def ref_random_ratfunc(field, rng, deg=3, poles=False, nonzero=False):
-    """random_ratfunc as it was, every draw through the normalizing constructor."""
-    num = sampling.random_tpoly(field, rng, rng.randint(0, deg))
+    """random_ratfunc as it was, every draw through the normalizing constructor of the
+    Fraction-stored RatFunc."""
+    num = old_random_tpoly(field, rng, rng.randint(0, deg))
     if nonzero and all(field.is_zero(c) for c in num):
         num[0] = field.one()
-    den = sampling.random_tpoly(field, rng, rng.randint(0, deg)) if poles else [field.one()]
+    den = old_random_tpoly(field, rng, rng.randint(0, deg)) if poles else [field.one()]
     if all(field.is_zero(c) for c in den):
         den = [field.one()]
-    return RatFunc(field, num, den)
+    return FractionRatFunc(field, num, den)
 
 
 def test_random_ratfunc_draws_what_the_constructor_builds():
@@ -541,6 +561,117 @@ def test_ratfunc_polynomial_fast_path_matches_the_general_formula():
         poles += not (a.is_polynomial() and b.is_polynomial())
         assert ratfunc_outcome(ops[op], a, b) == ratfunc_outcome(ref_ratfunc_op, op, a, b), i
     assert polynomial >= 100 and poles >= 100, (polynomial, poles)
+
+
+# -- RatFunc's integer layout against the Fraction-stored RatFunc ---------------
+#
+# The reference (tests/fraction_ratfunc.py) is RatFunc as it was stored before:
+# lists of field scalars, normalised by the scalar gcd.  The num and den views,
+# their scalar types, every operation's result or exception, equality, val,
+# the text and the expansion must match it.
+
+def view(r):
+    return [(type(c), c) for c in r.num], [(type(c), c) for c in r.den]
+
+
+def ratfunc_view(fn, *args):
+    try:
+        r = fn(*args)
+    except Exception as exc:  # the exception itself is part of the outcome
+        return ("raised", type(exc), str(exc))
+    return view(r)
+
+
+def series_outcome(fn, *args):
+    out = outcome(fn, *args)
+    if out[0] == "raised":
+        return out
+    s = fn(*args)
+    source = s.source if isinstance(s, PuiseuxSeries) else None
+    return out, None if source is None else view(source)
+
+
+def scalar_lists(field, rng, pole):
+    """(num, den) scalar lists: big and small scalars, zeros below the top, a shared factor."""
+    def scalar():  # as random_scalar draws them, but numerators beyond 64 bits rarer
+        if field.char or rng.random() < 0.95:
+            return random_scalar(field, rng) if field.char else \
+                Fraction(rng.randint(-9, 9) or 1, rng.choice((1, 1, 2, 3, 7, 12)))
+        return Fraction(rng.randint(-2**90, 2**90))
+
+    def poly(deg):
+        return [scalar() if rng.random() < 0.7 else field.zero() for _ in range(deg)] + [scalar()]
+
+    shape = rng.random()
+    if shape < 0.05:
+        return [], poly(rng.randint(0, 3)) if pole else None
+    num = poly(rng.randint(0, 7))
+    if not pole:
+        return num, None if rng.random() < 0.5 else [scalar()]
+    den = poly(rng.randint(1, 4))
+    if shape < 0.4:  # a common factor for the gcd to divide out
+        g = poly(rng.randint(1, 3))
+        num, den = tp_mul(field, num, g), tp_mul(field, den, g)
+    return num, den
+
+
+def test_integer_ratfunc_matches_the_fraction_reference():
+    rng = random.Random(31)
+    seen = {"poles": 0, "polynomials": 0, "equal pairs": 0, "raised": 0, "gcd": 0}
+    for i in range(600):
+        field = FIELDS[i % len(FIELDS)]
+        pairs = []
+        for _ in range(2):
+            num, den = scalar_lists(field, rng, pole=rng.random() < 0.4)
+            pairs.append((RatFunc(field, num, den), FractionRatFunc(field, num, den)))
+            seen["gcd"] += den is not None and len(pairs[-1][1].den) < len(tp_trim(field, list(den)))
+        (a, fa), (b, fb) = pairs
+        shape = rng.random()
+        if shape < 0.1:  # the same element, built again from other lists
+            k = [random_scalar(field, rng), field.one()]
+            b = RatFunc(field, tp_mul(field, a.num, k), tp_mul(field, a.den, k))
+            fb = FractionRatFunc(field, tp_mul(field, fa.num, k), tp_mul(field, fa.den, k))
+        elif shape < 0.15:  # everything cancels in a - b
+            b, fb = a, fa
+        elif shape < 0.17:  # field mismatch
+            other = FIELDS[(i + 1) % len(FIELDS)]
+            b, fb = RatFunc.one(other), FractionRatFunc.one(other)
+        for r, fr in ((a, fa), (b, fb)):
+            assert view(r) == view(fr), i
+            assert r.val() == fr.val() and r.to_text() == fr.to_text(), i
+            assert r.is_zero() == fr.is_zero() and r.is_polynomial() == fr.is_polynomial()
+            for prec in (None, 5, Fraction(17, 2), -3) + ((64,) if i % 4 == 0 else ()):
+                assert series_outcome(r.to_series, prec) == series_outcome(fr.to_series, prec), i
+                if prec is not None:
+                    assert outcome(coerce, r, prec) == outcome(fraction_coerce, fr, prec), i
+            seen["poles" if not r.is_polynomial() else "polynomials"] += 1
+        for op in ("__add__", "__sub__", "__mul__", "__truediv__"):
+            got = ratfunc_view(getattr(RatFunc, op), a, b)
+            assert got == ratfunc_view(getattr(FractionRatFunc, op), fa, fb), (i, op)
+            seen["raised"] += got[0] == "raised"
+        for n in (-2, -1, 0, 1, 3) if i % 10 == 0 else (0, -1):
+            assert ratfunc_view(pow, a, n) == ratfunc_view(pow, fa, n), (i, n)
+        assert ratfunc_view(RatFunc.__neg__, a) == ratfunc_view(FractionRatFunc.__neg__, fa)
+        assert (a == b) == (fa == fb), i
+        if a == b:
+            assert hash(a) == hash(b), i
+            seen["equal pairs"] += 1
+    assert min(seen.values()) >= 40, seen
+
+
+def test_integer_ratfunc_raises_what_the_fraction_reference_raises():
+    for field in FIELDS:
+        for build in (RatFunc, FractionRatFunc):
+            with pytest.raises(ZeroDivisionError, match="zero denominator"):
+                build(field, [1, 2], [0, field.char])  # 0 and p are both zero
+            with pytest.raises(WorkbenchError, match="float"):
+                build(field, [1, 0.5])
+            with pytest.raises(WorkbenchError, match="float"):
+                build(field, [1], [1, 0.5])
+            with pytest.raises(ZeroDivisionError, match="division by zero rational function"):
+                build(field, [1], [1, 1]) / build.zero(field)
+        for num in (["1/3", 2], [Fraction(2, 7), "-5"], [10**20, "3/2"]):
+            assert ratfunc_view(RatFunc, field, num) == ratfunc_view(FractionRatFunc, field, num)
 
 
 # -- invert: the fraction-free division of coerce on the lattice index --------
