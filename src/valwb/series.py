@@ -328,12 +328,13 @@ class RatFunc:
 
     @property
     def num(self) -> list:
-        """The numerator's scalars, Fractions over Q and residues over F_p, built once."""
+        """A copy of the numerator's scalars, Fractions over Q and residues over F_p: built
+        once and kept, as series coefficients read off a truncation go back to series."""
         if self._num is None:
             self._num = _scalars(self.field, *self.nq)
         return list(self._num)
 
-    den = property(lambda self: _scalars(self.field, *self.dq), doc="The den's scalars.")
+    den = property(lambda self: _scalars(self.field, *self.dq), doc="The den's scalars, anew.")
 
     # -- constructors ---------------------------------------------------
 

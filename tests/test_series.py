@@ -674,6 +674,17 @@ def test_integer_ratfunc_raises_what_the_fraction_reference_raises():
             assert ratfunc_view(RatFunc, field, num) == ratfunc_view(FractionRatFunc, field, num)
 
 
+def test_ratfunc_views_are_copies_of_its_scalars():
+    for field in FIELDS:
+        for r in (RatFunc(field, [1, 2, 0]), RatFunc(field, [3], [1, 1]),
+                  RatFunc.one(field) * RatFunc(field, [2, 1])):
+            before, h = view(r), hash(r)
+            r.num.append(field.one())
+            r.den[-1] = field.zero()
+            r.to_series().coeffs[0] = field.zero()
+            assert view(r) == before and hash(r) == h and r == RatFunc(field, r.num, r.den)
+
+
 # -- invert: the fraction-free division of coerce on the lattice index --------
 #
 # The reference is the Fraction recursion invert used before it shared
