@@ -33,8 +33,8 @@ from fractions import Fraction
 from .errors import ParseError, PrecisionExhausted, WorkbenchError, ZeroPolynomial
 from .field import BaseField
 from .groupval import GroupVal
-from .series import (PuiseuxSeries, RatFunc, _divide, _gcd, _mul, _pack, _parse_term,
-                     _split_terms, common_denominator, convolve, expansion_prec, lattice_cap,
+from .series import (PuiseuxSeries, RatFunc, _divide, _gcd, _mul, _pack, _pair, _parse_term,
+                     _split_terms, common_denominator, expansion_prec, lattice_cap,
                      lattice_product, min_prec, product_prec, tp_ord)
 from .series import coerce  # noqa: F401  perfbench's tracer rebinds this name here
 
@@ -147,9 +147,9 @@ class PolyX:
             w = max(len(c.nq[0]) for c in a.coeffs) + max(len(c.nq[0]) for c in b.coeffs) - 1
             (xs, da), (ys, db) = (common_denominator([c.nq for c in p.coeffs]) for p in (a, b))
             xs, ys = ([x for m in ms for x in m + [0] * (w - len(m))] for ms in (xs, ys))
-            slots, d = convolve(xs, ys, len(xs) + len(ys) - w), da * db
-            return PolyX(f, [RatFunc._polynomial(f, slots[i:i + w], d)
-                             for i in range(0, len(slots), w)])
+            slots, d = _mul(xs, ys, f.char), da * db  # the top w - 1 slots are 0
+            return PolyX(f, [RatFunc._of(f, _pair(f.char, slots[i:i + w], d))
+                             for i in range(0, len(slots) - w + 1, w)])
         out = [a.coeffs[-1].zero(f)] * (len(a.coeffs) + len(b.coeffs) - 1)
         for i, x in enumerate(a.coeffs):
             for j, y in enumerate(b.coeffs):

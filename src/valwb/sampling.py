@@ -14,7 +14,7 @@ from fractions import Fraction
 from .errors import HorizonExceeded, PrecisionExhausted
 from .field import BaseField
 from .polyx import PolyX
-from .series import PuiseuxSeries, RatFunc, _lowest
+from .series import PuiseuxSeries, RatFunc, _lowest, _pair
 
 
 def _redraw(draw, use, limit: int = 2000):
@@ -49,14 +49,15 @@ def random_tpoly(field: BaseField, rng, deg: int) -> tuple:
     scalars are ints[i]/d, d the lcm of the drawn denominators (1 over F_p)."""
     draws = [_scalar_draw(field, rng) for _ in range(deg + 1)]
     draws[-1] = _scalar_draw(field, rng, nonzero=True)
-    d = math.lcm(*(den for _, den in draws))
-    return [num * (d // den) for num, den in draws], d
+    nums, dens = zip(*draws)
+    d = math.lcm(*dens)
+    return [num * (d // den) for num, den in draws] if d > 1 else list(nums), d
 
 
 def random_ratfunc(field: BaseField, rng, deg: int = 3, poles: bool = False) -> RatFunc:
     xs, dx = random_tpoly(field, rng, rng.randint(0, deg))
-    if not poles:
-        return RatFunc._polynomial(field, xs, dx)
+    if not poles:  # trimmed, and residues over F_p
+        return RatFunc._of(field, (xs, 1) if dx == 1 else _pair(field.char, xs, dx))
     ys, dy = random_tpoly(field, rng, rng.randint(0, deg))
     return RatFunc._of(field, *_lowest(field.char, [x * dy for x in xs], dx, ys))
 

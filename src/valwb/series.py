@@ -49,13 +49,12 @@ def tp_trim(field, c):
     return c
 
 
-def tp_add(field, a, b):
-    """a + b for integer images at one scale (residues over F_p), in the field's arithmetic."""
-    add = field.add
+def tp_zip(op, a, b) -> list:
+    """[a_i op b_i], trimmed, for integer lists padded with 0 and a field's add or sub."""
     out = list(a) + [0] * (len(b) - len(a))
     for i, x in enumerate(b):
-        out[i] = add(out[i], x)
-    return tp_trim(field, out)
+        out[i] = op(out[i], x)
+    return tp_trim(None, out)
 
 
 def is_dense(pairs: int, slots: int) -> bool:
@@ -275,19 +274,14 @@ def tp_parse(field, text: str):
 # ---------------------------------------------------------------------------
 
 def _pair(p, xs, d=1) -> tuple:
-    """xs/d, xs a fresh integer list and d != 0, as RatFunc stores a polynomial in t: residues
-    over 1 over F_p, over Q over d > 0 prime to their content; trimmed, in place."""
-    if p:
+    """xs/d as RatFunc stores it, xs a fresh integer list (residues if d = 1 over F_p) and
+    d != 0: residues over 1 over F_p, over Q over d > 0 prime to their content; trimmed."""
+    if d != 1 and p:
         u = pow(d, -1, p)
-        return tp_trim(None, [x * u % p for x in xs]), 1
-    xs = tp_trim(None, xs)
-    if d != 1 and (g := math.gcd(d, *xs) * (1 if d > 0 else -1)) != 1:
+        xs, d = [x * u % p for x in xs], 1
+    elif d != 1 and (g := math.gcd(d, *xs) * (1 if d > 0 else -1)) != 1:
         xs, d = [x // g for x in xs], d // g
-    return xs, d
-
-
-def _scalars(field: BaseField, xs, d) -> list:
-    return list(xs) if field.char else [Fraction(x, d) for x in xs]
+    return tp_trim(None, xs), d
 
 
 def _lowest(p, xs, d, ys) -> tuple:
@@ -328,23 +322,26 @@ class RatFunc:
 
     @property
     def num(self) -> list:
-        """A copy of the numerator's scalars, Fractions over Q and residues over F_p: built
-        once and kept, as series coefficients read off a truncation go back to series."""
+        """A copy of the numerator's scalars (Fractions over Q), built once: a truncation's
+        scalars go back to a series."""
         if self._num is None:
-            self._num = _scalars(self.field, *self.nq)
+            self._num = self._scalars(*self.nq)
         return list(self._num)
 
-    den = property(lambda self: _scalars(self.field, *self.dq), doc="The den's scalars, anew.")
+    den = property(lambda self: self._scalars(*self.dq), doc="The den's scalars, anew.")
+
+    def _scalars(self, xs, d) -> list:
+        return list(xs) if self.field.char else [Fraction(x, d) for x in xs]
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def zero(field: BaseField) -> "RatFunc":
-        return RatFunc._polynomial(field, [])
+        return RatFunc._of(field, ([], 1))
 
     @staticmethod
     def one(field: BaseField) -> "RatFunc":
-        return RatFunc._polynomial(field, [1])
+        return RatFunc._of(field, ([1], 1))
 
     @staticmethod
     def constant(field: BaseField, c) -> "RatFunc":
@@ -394,31 +391,32 @@ class RatFunc:
         out.field, out.nq, out.dq, out._num = field, nq, dq, None
         return out
 
-    @staticmethod
-    def _polynomial(field: BaseField, xs: list, d: int = 1) -> "RatFunc":
-        """The polynomial xs/d for a fresh integer list xs and d > 0."""
-        return RatFunc._of(field, _pair(field.char, xs, d))
-
     # Polynomial operands (dq = ([1], 1), every RatFunc the suite draws) work on numerators
     # alone, sums over the lcm of the two d and products over their product, each reduced
     # by one integer gcd; an operand with a pole takes the fraction formulas and _lowest.
 
-    def __add__(self, other: "RatFunc") -> "RatFunc":
+    def _sum(self, other: "RatFunc", op) -> "RatFunc":
+        """self + other or self - other, as op is the field's add or sub."""
         self._check(other)
-        f, p = self.field, self.field.char
+        p = self.field.char
         (xs, a), (ys, b), (us, c), (ws, d) = self.nq, other.nq, self.dq, other.dq
         if len(us) == 1 == len(ws):
-            (xs, ys), m = common_denominator([self.nq, other.nq])
-            return RatFunc._of(f, _pair(p, tp_add(f, xs, ys), m))
-        num = tp_add(f, [x * c * b for x in _mul(xs, ws, p)], [y * d * a for y in _mul(ys, us, p)])
-        return RatFunc._of(f, *_lowest(p, num, a * b, _mul(us, ws, p)))  # over a b us ws
+            if a != b:
+                (xs, ys), a = common_denominator([self.nq, other.nq])
+            num = tp_zip(op, xs, ys)  # trimmed, and reduced over F_p, where a = 1
+            return RatFunc._of(self.field, (num, 1) if a == 1 else _pair(p, num, a))
+        num = tp_zip(op, [x * c * b for x in _mul(xs, ws, p)], [y * d * a for y in _mul(ys, us, p)])
+        return RatFunc._of(self.field, *_lowest(p, num, a * b, _mul(us, ws, p)))  # / a b us ws
+
+    def __add__(self, other: "RatFunc") -> "RatFunc":
+        return self._sum(other, self.field.add)
 
     def __neg__(self):
         neg = self.field.neg
         return RatFunc._of(self.field, ([neg(x) for x in self.nq[0]], self.nq[1]), self.dq)
 
     def __sub__(self, other):
-        return self + -other
+        return self._sum(other, self.field.sub)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
         self._check(other)

@@ -838,7 +838,8 @@ def test_integer_coefficients_give_the_results_of_the_fraction_route():
         if all(c.is_polynomial() for c in f.coeffs):
             continue
         seen["pole rows"] += sum(not c.is_polynomial() for c in f.coeffs)
-        (cofs, L), (old_cofs, old_L) = polyx._over_lcm(field, f.coeffs), old_over_lcm(field, ff.coeffs)
+        cofs, L = polyx._over_lcm(field, f.coeffs)
+        old_cofs, old_L = old_over_lcm(field, ff.coeffs)
         assert len(L) == len(old_L) and series.tp_ord(field, L) == series.tp_ord(field, old_L)
         # the cofactors agree up to one scale for all of them: x * y0 == y * x0
         x0, y0 = cofs[-1][-1], old_cofs[-1][-1]

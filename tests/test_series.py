@@ -624,7 +624,8 @@ def test_integer_ratfunc_matches_the_fraction_reference():
         for _ in range(2):
             num, den = scalar_lists(field, rng, pole=rng.random() < 0.4)
             pairs.append((RatFunc(field, num, den), FractionRatFunc(field, num, den)))
-            seen["gcd"] += den is not None and len(pairs[-1][1].den) < len(tp_trim(field, list(den)))
+            reduced = den is not None and len(pairs[-1][1].den) < len(tp_trim(field, list(den)))
+            seen["gcd"] += reduced
         (a, fa), (b, fb) = pairs
         shape = rng.random()
         if shape < 0.1:  # the same element, built again from other lists
