@@ -273,6 +273,9 @@ def tp_parse(field, text: str):
 # RatFunc: exact elements of K = k(t)
 # ---------------------------------------------------------------------------
 
+_ONE = ([1], 1)  # the denominator of every polynomial, shared
+
+
 def _pair(p, xs, d=1) -> tuple:
     """xs/d as RatFunc stores it, xs a fresh integer list (residues if d = 1 over F_p) and
     d != 0: residues over 1 over F_p, over Q over d > 0 prime to their content; trimmed."""
@@ -292,7 +295,7 @@ def _lowest(p, xs, d, ys) -> tuple:
         raise ZeroDivisionError("zero denominator")
     xs = tp_trim(None, [x % p for x in xs] if p else xs)
     if not xs:
-        return ([], 1), ([1], 1)  # the zero element has one canonical form
+        return ([], 1), _ONE  # the zero element has one canonical form
     u = ys[-1] if p else math.gcd(*ys) * (1 if ys[-1] > 0 else -1)
     ys = _pair(p, ys, u)[0]  # ys = u ys', ys' primitive with a positive top (monic over F_p)
     if len(ys) > 1 and len(g := _gcd(xs, ys, p)) > 1:
@@ -307,28 +310,21 @@ class RatFunc:
     denominator dq: sum of ints[i]/d t^i, d > 0 prime to the content of ints (residues over
     d = 1 over F_p), dq monic, so the form is canonical; num and den build the scalars."""
 
-    __slots__ = ("field", "nq", "dq", "_num")
+    __slots__ = ("field", "nq", "dq")
 
     def __init__(self, field: BaseField, num, den=None):
         to_scalar = field.coerce  # canonical scalars; an int, a Fraction or a string, no float
         num = tp_trim(field, [to_scalar(x) for x in num])
         (xs, dx), self.field = field.as_integers(num), field
-        if den is None:  # a polynomial, whose scalars are num
-            self.nq, self.dq, self._num = _pair(field.char, xs, dx), ([1], 1), num
+        if den is None:
+            self.nq, self.dq = _pair(field.char, xs, dx), _ONE
         else:
             ys, dy = field.as_integers([to_scalar(x) for x in den])
             self.nq, self.dq = _lowest(field.char, [x * dy for x in xs], dx, ys)
-            self._num = None
 
-    @property
-    def num(self) -> list:
-        """A copy of the numerator's scalars (Fractions over Q), built once: a truncation's
-        scalars go back to a series."""
-        if self._num is None:
-            self._num = self._scalars(*self.nq)
-        return list(self._num)
-
-    den = property(lambda self: self._scalars(*self.dq), doc="The den's scalars, anew.")
+    # read-only views, built on each read: Fractions over Q, residues over F_p
+    num = property(lambda self: self._scalars(*self.nq))
+    den = property(lambda self: self._scalars(*self.dq))
 
     def _scalars(self, xs, d) -> list:
         return list(xs) if self.field.char else [Fraction(x, d) for x in xs]
@@ -385,10 +381,10 @@ class RatFunc:
             raise WorkbenchError("base field mismatch")
 
     @staticmethod
-    def _of(field: BaseField, nq: tuple, dq: tuple = ([1], 1)) -> "RatFunc":
+    def _of(field: BaseField, nq: tuple, dq: tuple = _ONE) -> "RatFunc":
         """The element of the stored pairs nq and dq, already in their normal form."""
         out = object.__new__(RatFunc)
-        out.field, out.nq, out.dq, out._num = field, nq, dq, None
+        out.field, out.nq, out.dq = field, nq, dq
         return out
 
     # Polynomial operands (dq = ([1], 1), every RatFunc the suite draws) work on numerators
