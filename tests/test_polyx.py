@@ -812,7 +812,7 @@ def test_integer_coefficients_give_the_results_of_the_fraction_route():
     rng = random.Random(32)
     kinds = ("exact", "capped", "negative", "inverse", "ratfunc", "root", "pq")
     seen = {"kronecker": 0, "pole products": 0, "pole digits": 0, "pole rows": 0,
-            "K centers": 0, "series centers": 0, "grown lcm": 0, "raised": 0}
+            "K centers": 0, "series centers": 0, "grown lcm": 0, "raised": 0, "roots": 0}
     for i in range(350):
         field = FIELDS[i % len(FIELDS)]
         f = (random_pole_kt_poly if i % 2 else random_kt_poly)(field, rng, rng.randint(0, 5))
@@ -830,7 +830,23 @@ def test_integer_coefficients_give_the_results_of_the_fraction_route():
         assert got == [coefficient_views(d) for d in ff.qadic_expand(fraction_twin(Q))], i
         seen["pole digits"] += pole
         kind = kinds[i % len(kinds)]
-        a = random_pq_center(field, rng) if kind == "pq" else random_kt_center(field, rng, kind)[0]
+        a, factor = (random_pq_center(field, rng), None) if kind == "pq" else \
+            random_kt_center(field, rng, kind)
+        if factor is not None:  # a root at a: v f(a) is read off images of one scale
+            f = factor * f
+            ff, s = fraction_twin(f), a.to_series() if isinstance(a, RatFunc) else a
+            want = outcome(lambda: PolyX(field, [c.to_series(s.prec) for c in ff.coeffs]
+                                         ).evaluate(s).val())
+            assert outcome(f.value_at, s) == want, (i, f, a)
+            seen["roots"] += 1
+        if kind == "pq" and i % 2:  # rational scalars, a non-monic denominator, a root at a
+            a = RatFunc.one(field)
+            while a.is_polynomial():
+                a = RatFunc(field, *([nonzero_scalar(field, rng) if field.char else
+                                      Fraction(rng.choice((1, -1, 2, 3)), rng.choice((1, 2, 3)))
+                                      for _ in range(rng.randint(1, 3))] for _ in range(2)))
+            f = PolyX.from_ratfuncs(field, [-a, RatFunc.one(field)]) * f
+            ff = fraction_twin(f)
         got = profile(PolyX.recentered_values, f, a)
         assert got == profile(fraction_profile, f, a), (i, kind, f, a)
         seen["raised"] += got[0] == "raised"
