@@ -402,7 +402,7 @@ class RatFunc:
             num = tp_zip(op, xs, ys)  # trimmed, and reduced over F_p, where a = 1
             return RatFunc._of(self.field, (num, 1) if a == 1 else _pair(p, num, a))
         num = tp_zip(op, [x * c * b for x in _mul(xs, ws, p)], [y * d * a for y in _mul(ys, us, p)])
-        return RatFunc._of(self.field, *_lowest(p, num, a * b, _mul(us, ws, p)))  # / a b us ws
+        return RatFunc._of(self.field, *_lowest(p, num, a * b, _mul(us, ws, p)))  # over a b us ws
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
         return self._sum(other, self.field.add)
@@ -459,7 +459,7 @@ class RatFunc:
 
     def to_series(self, prec=None) -> "PuiseuxSeries":
         """The image in the completion, with the same val: a polynomial embeds
-        exactly, its scalars built once, and a fraction with a pole is expanded
+        exactly, its scalars built from the integers; a fraction with a pole is expanded
         to O(t^prec), by default O(t^DEFAULT_PREC), and kept as its ``source``."""
         if self.is_polynomial():  # built as the normalising constructor would leave it
             out = object.__new__(PuiseuxSeries)
