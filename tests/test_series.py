@@ -373,26 +373,7 @@ def ref_mul(a, b):
     return PuiseuxSeries(f, e, {k: f.from_integer(v, d) for k, v in acc.items()}, prec)
 
 
-def ref_coerce(r, prec):
-    f = r.field
-    prec = Fraction(prec)
-    if r.is_zero():
-        return PuiseuxSeries.zero(f)
-    a = next(i for i, x in enumerate(r.num) if x)
-    b = next(i for i, x in enumerate(r.den) if x)
-    num, den, v0 = r.num[a:], r.den[b:], a - b
-    nterms = int(math.ceil(prec - v0))
-    if nterms <= 0:
-        return PuiseuxSeries.unknown_zero(f, prec)
-    inv_d0 = f.inv(den[0])
-    q, rem = [], list(num) + [f.zero()] * max(0, nterms - len(num))
-    for i in range(nterms):
-        c = f.mul(rem[i], inv_d0)
-        q.append(c)
-        if c:
-            for j in range(1, min(len(den), nterms - i)):
-                rem[i + j] = f.sub(rem[i + j], f.mul(c, den[j]))
-    return PuiseuxSeries(f, 1, {i + v0: c for i, c in enumerate(q) if c}, prec)
+ref_coerce = fraction_coerce  # the Fraction long division coerce replaced
 
 
 def ref_tp_mul(field, a, b):
