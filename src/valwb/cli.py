@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from .algnum import AlgElement, attach_minpoly, krasner_constant
-from .config import WorkbenchConfig, load_config, parse_config, parse_number
+from .config import WorkbenchConfig, k_then_series, load_config, parse_config, parse_number
 from .errors import (
     DeltaTooLarge,
     ParseError,
@@ -126,13 +126,8 @@ def _need_spec(cfg: WorkbenchConfig) -> ValuationSpec:
 
 
 def _parse_poly(cfg: WorkbenchConfig, text: str) -> PolyX:
-    try:
-        return polyx_from_text(cfg.field, text, RATFUNC)
-    except WorkbenchError as exc:
-        try:
-            return polyx_from_text(cfg.field, text, SERIES, prec=cfg.precision)
-        except WorkbenchError as series_exc:  # K text is tried first, so its error leads
-            raise ParseError(f"{exc}; as series: {series_exc}") from None
+    return k_then_series(lambda: polyx_from_text(cfg.field, text, RATFUNC),
+                         lambda: polyx_from_text(cfg.field, text, SERIES, prec=cfg.precision))
 
 
 def _parse_seq(cfg: WorkbenchConfig, text: str) -> CskpSeq:

@@ -10,7 +10,7 @@ Grammar (all keys optional unless a spec kind requires them):
     window = <int>                        # stabilization window (default 3)
     seed = <int>                          # RNG seed for sampled harnesses
     spec.kind = gauss | monomial | keypoly | pcslimit
-    spec.center = <series text>           # monomial
+    spec.center = <K or series text>      # monomial; K text is tried first
     spec.gamma = <value text>             # monomial; "p/q" or "(z, p/q)"
     spec.Q = <polynomial text>            # keypoly
     spec.vQ = <value text>                # keypoly
@@ -35,7 +35,7 @@ from .field import GF, QQ, BaseField
 from .groupval import GroupVal
 from .pcs import DEFAULT_HORIZON, DEFAULT_RAM_CAP, DEFAULT_WINDOW, builtin_generator
 from .polyx import RATFUNC, polyx_from_text
-from .series import DEFAULT_PREC as DEFAULT_PRECISION, PuiseuxSeries
+from .series import DEFAULT_PREC as DEFAULT_PRECISION, PuiseuxSeries, RatFunc
 from .valuation import OVER_K, OVER_KHAT, ValuationSpec
 
 DEFAULT_SEED = 0
@@ -95,6 +95,17 @@ def parse_number(kind, text: str, what: str):
         raise ParseError(f"{what} must be a number, got {text!r}") from None
 
 
+def k_then_series(as_k, as_series):
+    """as_k(), or as_series() where K text fails to parse; the K error leads the message."""
+    try:
+        return as_k()
+    except WorkbenchError as exc:
+        try:
+            return as_series()
+        except WorkbenchError as series_exc:
+            raise ParseError(f"{exc}; as series: {series_exc}") from None
+
+
 def build_config(entries: dict, env) -> WorkbenchConfig:
     entries = dict(entries)
 
@@ -138,7 +149,9 @@ def build_spec(fields: dict, cfg: WorkbenchConfig) -> ValuationSpec:
     if kind == "gauss":
         spec = ValuationSpec.gauss(cfg.field, over=over)
     elif kind == "monomial":
-        center = PuiseuxSeries.from_text(cfg.field, fields.pop("center", "0"))
+        text = fields.pop("center", "0")  # an element of K stays the spec center's source
+        center = k_then_series(lambda: RatFunc.from_text(cfg.field, text),
+                               lambda: PuiseuxSeries.from_text(cfg.field, text))
         gamma = GroupVal.from_text(_require(fields, "gamma"))
         spec = ValuationSpec.monomial(center, gamma, over=over)
     elif kind == "keypoly":

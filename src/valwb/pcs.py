@@ -18,7 +18,7 @@ from typing import Optional
 from .errors import HorizonExceeded, NotPcs, ParseError, PrecisionExhausted, WorkbenchError
 from .field import BaseField
 from .groupval import GroupVal
-from .polyx import PolyX, point_images
+from .polyx import PolyX
 from .series import PuiseuxSeries, min_prec
 
 DEFAULT_HORIZON = 12
@@ -41,7 +41,6 @@ class PcsGenerator:
         self.window = window
         self._elements = None
         self._gammas = None
-        self._points = None
 
     def element(self, m: int) -> PuiseuxSeries:
         if m > self.horizon:
@@ -54,12 +53,6 @@ class PcsGenerator:
         if self._elements is None:
             self._elements = [self.element(m) for m in range(self.horizon + 1)]
         return self._elements
-
-    def points(self) -> list:
-        """The elements' point_images, built once for every f :func:`values_along` reads."""
-        if self._points is None:
-            self._points = [point_images(a) for a in self.elements()]
-        return self._points
 
     def gammas(self) -> list:
         """gamma_m = v(a_m - a_{m+1}) for m < horizon; validates the prefix."""
@@ -131,11 +124,11 @@ def values_along(f: PolyX, gen: PcsGenerator):
     values, also when f(a_m) runs out of precision before the horizon.
     """
     vals, capped, images = [], False, {}
-    for a, point in zip(gen.elements(), gen.points()):
+    for a in gen.elements():  # each keeps its integer images in its center plan
         if a.prec not in images:  # built once per cap, so once per call for exact a_m
             images[a.prec] = f.horner_images(a.prec)
         try:
-            vals.append(f.value_at(a, images[a.prec], point))  # no f(a_m) is built
+            vals.append(f.value_at(a, images[a.prec]))  # no f(a_m) is built
         except PrecisionExhausted:
             # f(a_m) vanished beyond the working precision: the value grew
             # past everything representable, the increasing-tail signature

@@ -14,12 +14,13 @@ The root-data tool of the workbench is :meth:`PolyX.newton_polygon`: the
 lower convex hull of (i, val C_i) after recentering, whose slopes give the
 exact multiset of valuations of center-to-root differences.  Recentering
 uses the integer binomial coefficients of the Hasse derivative, so it is
-valid in every characteristic.  :meth:`PolyX.recentered_values` reads each
-C_i's least surviving key and cap along one of two routes: coefficients in K,
-over the lcm of their denominators, take one Taylor shift on packed integers
-at a center p/q (q = 1 at a Puiseux or polynomial center), with the caps of
-the series path at a capped center or a pole; series coefficients take the
-series stage that :meth:`PolyX.recenter_hasse` lowers.  A product of
+valid in every characteristic.  :meth:`PolyX.recentered_values` reads each C_i's least
+surviving key and cap along one of two routes: coefficients in K, over the lcm of their
+denominators, take one Taylor shift on packed integers at a center p/q (q = 1 at a Puiseux or
+polynomial center), with the caps of the series path at a capped center or a pole; series
+coefficients take the series stage that :meth:`PolyX.recenter_hasse` lowers.  All the shift
+reads of the center alone is its :class:`~valwb.series.CenterPlan`, which a series builds on
+first use and keeps, so a center valued at many f maps its scalars once.  A product of
 polynomials in t and X is one Kronecker product of integer images.
 """
 
@@ -34,7 +35,7 @@ from .errors import ParseError, PrecisionExhausted, WorkbenchError, ZeroPolynomi
 from .field import BaseField
 from .groupval import GroupVal
 from .series import (PuiseuxSeries, RatFunc, _divide, _gcd, _mul, _pack, _pair, _parse_term,
-                     _split_terms, common_denominator, expansion_prec, lattice_cap,
+                     _split_terms, common_denominator, lattice_cap,
                      lattice_product, min_prec, product_prec, tp_ord)
 from .series import coerce  # noqa: F401  perfbench's tracer rebinds this name here
 
@@ -197,18 +198,17 @@ class PolyX:
             pairs.append(([x for x in xs if x], d) if d else self.field.as_integers(xs))
         return cs, [dict(zip(k, x)) for k, x in zip(keys, common_denominator(pairs)[0])]
 
-    def value_at(self, a: PuiseuxSeries, images=None, point=None) -> GroupVal:
-        """``self.evaluate(a).val()`` at a series point, its value or its
-        PrecisionExhausted, off integer Horner images with the caps of the series
-        arithmetic; at an exact point first in a window of one key (README); ``point``
-        is :func:`point_images` of a."""
+    def value_at(self, a: PuiseuxSeries, images=None) -> GroupVal:
+        """``self.evaluate(a).val()`` at a series point, its value or its PrecisionExhausted,
+        off integer Horner images (the point's kept in its center plan) with the caps of the
+        series arithmetic; at an exact point first in a window of one key (README)."""
         cs, imgs = images or self.horner_images(a.prec)
         if cs and a.field != self.field:
             raise WorkbenchError("base field mismatch")
         if a.is_exact_zero():  # f(0) = c_0: every product is the exact zero
             cs, imgs = cs[:1], imgs[:1]
         n, p, e = len(cs) - 1, self.field.char, math.lcm(a.ram, *(c.ram for c in cs))
-        keys, ys, da, va = point or point_images(a)
+        keys, ys, da, va = a.center_plan().point
         ka = [k * (e // a.ram) for k in keys]
         lo = min(ka, default=0)
 
@@ -377,12 +377,6 @@ class PolyX:
         return f"PolyX({self.to_text()})"
 
 
-def point_images(a: PuiseuxSeries) -> tuple:
-    """(lattice keys, integers over one d (residues over F_p), val lower bound) of a point."""
-    ints, d = a.field.as_integers(a.coeffs.values())
-    return list(a.coeffs), ints, d, a.val_lower_bound()
-
-
 @functools.lru_cache(maxsize=64)
 def _hasse_binomials(field: BaseField, n: int) -> tuple:
     """Row i lists (j, C(j, i)) for i < j <= n, the binomials coerced into
@@ -400,9 +394,7 @@ def _center_powers(a: PuiseuxSeries, n: int) -> tuple:
     for d <= n on a's lattice, over the common denominator da of a's scalars
     (residues over F_p).  They depend on a's terms and cap alone, so equal
     centers share one build, and callers must not change the shared dicts."""
-    field, p = a.field, a.field.char
-    ys, da = field.as_integers(a.coeffs.values())
-    va = a.val_lower_bound()
+    p, (_, ys, da, va) = a.field.char, a.center_plan().point
     powers = [({0: 1}, None, Fraction(0))]
     for _ in range(n):
         pw, prec, v = powers[-1]
@@ -503,18 +495,15 @@ def _packed_values(field: BaseField, coeffs, a) -> tuple:
     a = s^lo A(s)/Q(s), s = t^(1/e), lo <= 0, Q(0) != 0: one packed Taylor shift of the
     M_j Q^(n-j) by A (README).  Q is constant at a Puiseux or polynomial center, and
     q/t^(ord q) at p/q in K or its expansion.  At a Puiseux center, an expansion included,
-    rows keep the caps of the series path, and a pole c_j is known to O(t^P)."""
+    rows keep the caps of the series path, and a pole c_j is known to O(t^P).  All that depends
+    on a alone is read off its :class:`~valwb.series.CenterPlan`."""
     n, p = len(coeffs) - 1, field.char
-    e, prec, terms, pq = (  # pq: a = p/q in K, when known
-        (1, None, {k: x for k, x in enumerate(a.nq[0], -tp_ord(field, a.dq[0])) if x}, a)
-        if isinstance(a, RatFunc) else (a.ram, a.prec, a.coeffs, a.source))
-    pole = P = None
-    ords = [tp_ord(field, c.nq[0]) for c in coeffs]  # v(c_j)
-    if any(len(c.dq[0]) > 1 for c in coeffs):
-        pole = [len(c.dq[0]) > 1 for c in coeffs]
+    e, prec, P, v, lo, keys, ys, hi, low, a1, q1, zs, dz, hr, _ = a.center_plan()
+    ords = [0 if (xs := c.nq[0]) and xs[0] else tp_ord(field, xs) for c in coeffs]  # v(c_j)
+    if any(pole := [len(c.dq[0]) > 1 for c in coeffs]):
         ords = [o - tp_ord(field, c.dq[0]) if pl else o for o, c, pl in zip(ords, coeffs, pole)]
-        if not isinstance(a, RatFunc):
-            P = expansion_prec(prec)
+    else:
+        pole = P = None
     # a row without terms is c_i; a pole c_i is an unknown zero from P on
     direct = [(None if o is None else o * e, None) for o in ords]
     if P is not None:
@@ -522,59 +511,53 @@ def _packed_values(field: BaseField, coeffs, a) -> tuple:
             raise PrecisionExhausted(LEAD_UNDECIDED)
         direct = [(k if o < P else None, P) if pl else (k, cap)
                   for o, pl, (k, cap) in zip(ords, pole, direct)]
-    if n < 1 or a.is_exact_zero():  # every shifted term carries a power of 0
+    if n < 1 or v is None:  # every shifted term carries a power of the exact zero
         return e, direct
     if a.field != field:
         raise WorkbenchError("base field mismatch")
-    vn, vd = (min(terms), e) if terms else (prec.numerator, prec.denominator)  # val a
-    hasse = _hasse_binomials(field, n)
+    vn, vd = v  # val a
+    hasse = hr.get(n) or hr.setdefault(n, [[j for j, _ in r] for r in _hasse_binomials(field, n)])
     w = [math.inf if o is None else o * vd + j * vn for j, o in enumerate(ords)]
-    least = [min((w[j] for j, _ in row), default=math.inf) for row in hasse]
+    least = [min(map(w.__getitem__, row), default=math.inf) for row in hasse]
     base = prec  # row i's cap: ord c_j + Pa + (j - i - 1)v over its row, in closed form
     if P is not None:  # a pole c_j adds P + (j - i)v to row i, and P to its own row
         pw = [(j + 1) * vn if pl else math.inf for j, pl in enumerate(pole)]
         cw = pw if prec is None else [min(x, y) for x, y in zip(w, pw)]
         bounds = []  # inf for a row without terms, None for one without a cap
         for i, (m, row) in enumerate(zip(least, hasse)):
-            c = min([pw[i]] + [cw[j] for j, _ in row])
+            c = min([pw[i]] + [cw[j] for j in row])
             bounds.append(m if m == math.inf else None if c == math.inf else c)
         base, least = P, bounds
     live = [None if m == math.inf else (cap := None if base is None or m is None else Fraction(
         base.numerator * vd + (m - (i + 1) * vn) * base.denominator, base.denominator * vd),
         lattice_cap(cap, e)) for i, m in enumerate(least)]
     nums, _ = common_denominator([c.nq for c in coeffs])  # the N_j over one denominator
-    shift = dm = 0  # dm bounds deg M_j Q^(n-j) - deg N_j
-    if exact := pq is not None and not pq.is_polynomial():  # a pole: one pass, no window
-        tq = tp_ord(field, pq.dq[0])  # t^(ord q) moves into lo; A and Q at one scale
-        terms = {k: x for k, x in enumerate(pq.nq[0], -tq) if x}
-        (ys, zs), _ = common_denominator([(list(terms.values()), pq.nq[1]),
-                                          (pq.dq[0][tq:], pq.dq[1])])
-        q1, dm = sum(map(abs, zs)), n * e * (len(zs) - 1)
-    else:
-        ys, q1 = (list(terms.values()), a.nq[1]) if pq is a else field.as_integers(terms.values())
-    lo = min(0, min(terms, default=0))
-    l1 = (n + 1) * sum(sum(map(abs, m)) for m in nums) * q1**n * (1 + sum(map(abs, ys)))**n
+    shift, dm = 0, n * dz  # dm bounds deg M_j Q^(n-j) - deg N_j
+    l1 = (n + 1) * sum(sum(map(abs, m)) for m in nums) * q1**n * a1**n
     if pole:  # M_j = N_j L/D_j, ord M_j = v(c_j) + shift
         cofs, L = _over_lcm(field, coeffs)
         l1, shift = l1 * max(sum(map(abs, c)) for c in cofs), tp_ord(field, L)
         dm += e * len(L) - e
     b = l1.bit_length() // 8 * 8 + 8  # l1 bounds every output
-    Q = _pack(zs, b * e) if exact else q1
-    M = [sum(x << b * e * k for k, x in enumerate(m) if x) * Q**(n - j)
-         << b * -lo * (n - j) for j, m in enumerate(nums)]
+    Q = q1 if zs is None else _pack(zs, b * e)  # at p/q with a pole: one pass, no window
+    M = []  # e slots of b bits to a power of t: a short N_j packed by Horner's rule, a long
+    for j, m in enumerate(nums):  # one, often sparse, term by term
+        x = 0 if len(m) < 16 else sum(y << b * e * k for k, y in enumerate(m) if y)
+        for y in reversed(m) if len(m) < 16 else ():
+            x = (x << b * e) + y
+        M.append(x * Q**(n - j) << b * -lo * (n - j))
     if pole:
         M = [v * _pack(c, b * e) for v, c in zip(M, cofs)]
     es = e * shift  # row i's slot 0 has the key lo(n - i) - es
     limit = math.inf if base is None else max(row[1] - lo * (n - i) + es
                                               for i, row in enumerate(live) if row)
-    if limit == math.inf or exact:  # an uncapped row, or one pass at p/q: every slot at most
-        limit = min(limit, 1 + dm + max(e * len(m) - e - lo * (n - j) + j * (max(terms) - lo)
+    if limit == math.inf or zs:  # an uncapped row, or one pass at p/q: every slot at most
+        limit = min(limit, 1 + dm + max(e * len(m) - e - lo * (n - j) + j * hi
                                         for j, m in enumerate(nums) if m))
-    width = limit if exact else min(
-        limit, e * (ords[n] + shift) + n * (min(terms, default=lo) - lo) + 1)
+    width = limit if zs else min(limit, e * (ords[n] + shift) + n * low + 1)
     while True:
         mask = (1 << b * max(width, 0)) - 1
-        A = sum(y << b * (k - lo) for k, y in zip(terms, ys) if k - lo < width) & mask
+        A = sum(y << b * (k - lo) for k, y in zip(keys, ys) if k - lo < width) & mask
         S = [m & mask for m in M]
         for i in range(n):
             for j in range(n - 1, i - 1, -1):

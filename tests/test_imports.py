@@ -201,3 +201,62 @@ def test_the_scan_sees_reads_of_the_scalar_views(tmp_path):
     series = tmp_path / "series.py"
     series.write_text(src.read_text())
     assert scalar_view_reads(series) == []
+
+
+
+SERIES_FIELDS = {"ram", "coeffs", "prec", "source", "plan"}
+
+
+def series_field_writes(path: Path) -> list:
+    """Writes to a series' fields (ram, coeffs, prec, source, plan) outside series.py: by
+    assignment, augmented or item assignment, del, setattr or delattr.  A series keeps the
+    center plan it built, which would go stale if they changed after it.  A class whose own
+    __slots__ declares a field of the same name may write it on self."""
+    if path.name == "series.py":
+        return []
+    tree = ast.parse(path.read_text())
+    own = set()  # self.<name> in a class whose __slots__ declares name
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        slots = {c.value for node in cls.body if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "__slots__" for t in node.targets)
+                 for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+        own |= {id(node) for node in ast.walk(cls) if isinstance(node, ast.Attribute)
+                and getattr(node.value, "id", None) == "self" and node.attr in slots}
+    found = []
+    for node in ast.walk(tree):
+        target = node if isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del)) else None
+        if isinstance(target, ast.Subscript):  # s.coeffs[k] = x changes the series too
+            target = target.value
+        if isinstance(target, ast.Attribute) and target.attr in SERIES_FIELDS \
+                and id(target) not in own:
+            found.append((path.name, target.attr, node.lineno))
+        if isinstance(node, ast.Call) and len(node.args) > 1 \
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) in (
+                    "setattr", "delattr", "__setattr__", "__delattr__") \
+                and isinstance(node.args[1], ast.Constant) and node.args[1].value in SERIES_FIELDS:
+            found.append((path.name, node.args[1].value, node.lineno))
+    return sorted(found, key=lambda hit: hit[2])
+
+
+def test_no_module_writes_the_fields_of_a_series():
+    modules = sorted(Path(valwb.__file__).parent.glob("*.py"))
+    found = [hit for path in modules for hit in series_field_writes(path)]
+    assert not found, found
+
+
+def test_the_scan_sees_writes_to_the_fields_of_a_series(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "class Poly:\n    __slots__ = ('field', 'coeffs')\n\n    def __init__(self, cs):\n"
+        "        self.coeffs = cs\n        self.prec = None\n\n"
+        "def f(s, t):\n    s.coeffs = {}\n    s.prec += 1\n    a = s.ram + t.source.ram\n"
+        "    t.ram, t.source = 1, None\n    s.coeffs[0] = 1\n    del s.plan\n"
+        "    setattr(s, 'plan', None)\n    object.__setattr__(t, 'prec', 0)\n"
+        "    return s.coeffs[1], getattr(s, 'plan'), a, self.coeffs\n")
+    assert series_field_writes(src) == [
+        ("m.py", "prec", 6), ("m.py", "coeffs", 9), ("m.py", "prec", 10), ("m.py", "ram", 12),
+        ("m.py", "source", 12), ("m.py", "coeffs", 13), ("m.py", "plan", 14),
+        ("m.py", "plan", 15), ("m.py", "prec", 16)]
+    series = tmp_path / "series.py"
+    series.write_text(src.read_text())
+    assert series_field_writes(series) == []

@@ -20,6 +20,7 @@ from valwb.series import DEFAULT_PREC, PuiseuxSeries, RatFunc, coerce
 from valwb.valuation import ValuationSpec, delta, eval_spec
 
 from fraction_ratfunc import FractionRatFunc
+from packed_reference import old_packed_values
 
 F2 = GF(2)
 
@@ -939,6 +940,114 @@ def test_pq_center_takes_one_window_pass_and_no_series_stage(monkeypatch):
     for spec, f in cases:
         outcome(eval_spec, ValuationSpec.monomial(without_source(spec.center), spec.gamma), f)
     assert sum(r > 0 for r in reads) >= 5, reads
+
+
+# -- the center plan ---------------------------------------------------------------
+#
+# What depends on the center alone (its integer images, key range, value, Hasse rows
+# and p/q scale) is built once per series and kept in its plan slot, and per call for
+# an element of K.  The reference is the packed shift that rebuilt all of it on every
+# call (tests/packed_reference.py): profiles, with the types of their caps, or the
+# exception class and message must match, with every center object reused.
+
+def random_plan_center(field, rng, kind):
+    """(a, factor) as random_kt_center gives them, and p/q centers with a pole and
+    their expansions, exact or capped, with X - a for a root half the time."""
+    if kind not in ("pq", "pq expansion"):
+        return random_kt_center(field, rng, kind)
+    a = random_pq_center(field, rng)
+    factor = PolyX.from_ratfuncs(field, [-a, RatFunc.one(field)]) if rng.random() < 0.5 else None
+    if kind == "pq expansion":  # capped at or below v(a) a third of the time: an unknown zero
+        a = rng.choice((a.to_series(), a.to_series(rng.randint(-2, 12)),
+                        a.to_series(a.val().q - rng.randint(0, 2))))
+    return a, factor
+
+
+def test_center_plan_gives_the_profiles_of_the_per_call_shift():
+    rng = random.Random(41)
+    kinds = ("exact", "capped", "zero", "unknown zero", "negative", "inverse", "ratfunc",
+             "root", "pq", "pq expansion")
+    seen = {"raised": 0, "leading refusals": 0, "mismatches": 0, "exact zero rows": 0,
+            "capped rows": 0, "undecided rows": 0, "pole rows": 0, "roots": 0,
+            "e = 2": 0, "e = 3": 0, "e = 6": 0, "K centers": 0, "expansions": 0}
+    cases = 0
+    for i in range(80):
+        field = FIELDS[i % len(FIELDS)]
+        kind = kinds[i // len(FIELDS) % len(kinds)]
+        a, factor = random_plan_center(field, rng, kind)
+        for j in range(20):  # one center object for every f
+            draw = random_pole_kt_poly if j % 3 == 0 else random_kt_poly
+            f = draw(field, rng, rng.randint(0, 8))
+            if factor is not None and j % 2:
+                f = factor * draw(field, rng, rng.randint(0, 8 - factor.degree()))
+                seen["roots"] += 1
+            if j == 19 and i % 4 == 0:  # the plan of a center from another field
+                f = random_kt_poly(FIELDS[(i + 1) % len(FIELDS)], rng, 2)
+                seen["mismatches"] += 1
+            got = profile(PolyX.recentered_values, f, a)
+            assert got == profile(lambda f, a: old_packed_values(f.field, f.coeffs, a), f, a), \
+                (i, j, kind, f, a)
+            cases += 1
+            if got[0] == "raised":
+                seen["raised"] += 1
+                seen["leading refusals"] += got[1:] == (PrecisionExhausted, polyx.LEAD_UNDECIDED)
+                continue
+            seen[f"e = {got[0]}"] = seen.get(f"e = {got[0]}", 0) + 1
+            seen["pole rows"] += sum(len(c.den) > 1 for c in f.coeffs)
+            seen["exact zero rows"] += sum(1 for k, t, _ in got[1] if k is None and t is type(None))
+            seen["capped rows"] += sum(1 for k, t, _ in got[1] if k is not None and t is Fraction)
+            seen["undecided rows"] += sum(1 for k, t, _ in got[1] if k is None and t is Fraction)
+            seen["K centers"] += isinstance(a, RatFunc)
+            seen["expansions"] += isinstance(a, PuiseuxSeries) and a.source is not None
+    assert cases >= 1500
+    assert min(seen.values()) >= 20, seen
+
+
+def test_a_center_maps_its_scalars_once(monkeypatch):
+    # 200 eval_spec calls under one monomial spec map the center's scalars to
+    # integers once; the polynomials over K bring their own integers
+    rng = random.Random(42)
+    centers = [PuiseuxSeries.from_text(QQ, "t^(1/2)"),
+               PuiseuxSeries.from_text(QQ, "1/2 + 3*t + t^2 - 5/3*t^3 + 7*t^4 + O(t^6)")]
+    for a in centers:
+        spec = ValuationSpec.monomial(a, GroupVal.fin(Fraction(3, 2)))
+        polys = [random_kt_poly(QQ, rng, rng.randint(1, 4)) for _ in range(200)]
+        calls, real = [], BaseField.as_integers
+
+        def counting(field, scalars):
+            calls.append(field)
+            return real(field, scalars)
+
+        monkeypatch.setattr(BaseField, "as_integers", counting)
+        values = [eval_spec(spec, f) for f in polys]
+        monkeypatch.setattr(BaseField, "as_integers", real)
+        assert len(calls) == 1, len(calls)
+        assert values == [eval_spec(ValuationSpec.monomial(without_source(a), spec.gamma), f)
+                          for f in polys]
+
+
+def test_values_along_reads_the_images_each_element_keeps(monkeypatch):
+    # values_along gives the values of the series Horner evaluations at the elements,
+    # and maps an element's scalars once, into its plan, for every f it values
+    rng = random.Random(43)
+    for gen in (artin_schreier_generator(3), exponential_generator(),
+                mixed_radix_generator(2, 3, 8)):
+        polys = [random_kt_poly(gen.field, rng, rng.randint(1, 4)) for _ in range(6)]
+        want = []
+        for f in polys:
+            want.append([])
+            for a in gen.elements():
+                try:
+                    want[-1].append(f.evaluate(a).val())
+                except PrecisionExhausted:
+                    break
+        calls, real = [], BaseField.as_integers
+        monkeypatch.setattr(BaseField, "as_integers",
+                            lambda field, scalars: calls.append(field) or real(field, scalars))
+        got = [values_along(f, gen)[0] for f in polys]
+        monkeypatch.setattr(BaseField, "as_integers", real)
+        assert got == want
+        assert 0 < len(calls) <= len(gen.elements()), len(calls)
 
 
 # -- products, embeddings and center powers built once ------------------------

@@ -13,7 +13,10 @@ from valwb.errors import ParseError, WorkbenchError
 from valwb.examples import run_example
 from valwb.field import GF, QQ
 from valwb.groupval import GroupVal
+from valwb.polyx import polyx_from_text
 from valwb.report import Report, Verdict, digest
+from valwb.series import PuiseuxSeries, RatFunc
+from valwb.valuation import ValuationSpec, eval_spec
 
 
 # -- report ------------------------------------------------------------------
@@ -360,3 +363,52 @@ def test_cli_keeps_the_k_parser_message_when_both_parsers_fail(tmp_path, poly, k
     code, out, err = run_cli(["eval", "--config", cfg, "--poly", poly])
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {k_error}; as series: bad term ") and err.count("\n") == 1, err
+
+
+# -- centers of K in the config --------------------------------------------------
+#
+# spec.center and spec.base.center are read as elements of K first, then as series,
+# as --poly is; an element of K stays the spec center's source.
+
+def test_config_center_of_k_answers_as_the_spec_at_the_element(tmp_path):
+    a = RatFunc.from_text(QQ, "1 / (1+t)")
+    monomial = "char = 0\nspec.kind = monomial\nspec.center = 1 / (1+t)\nspec.gamma = 2\n"
+    keypoly = ("char = 0\nspec.kind = keypoly\nspec.Q = X^2 - t\nspec.vQ = 3\n"
+               "spec.base.kind = monomial\nspec.base.center = 1 / (1+t)\nspec.base.gamma = 2\n")
+    want = ValuationSpec.monomial(a, GroupVal.fin(2))
+    for text in (monomial, keypoly):
+        spec = parse_config(text, env={}).spec
+        center = (spec.base if spec.kind == "keypoly" else spec).center
+        assert center.source == a and center == a.to_series()
+        want_spec = ValuationSpec.keypoly(polyx_from_text(QQ, "X^2 - t"), GroupVal.fin(3), want) \
+            if spec.kind == "keypoly" else want
+        cfg = write_cfg(tmp_path, text)
+        for poly in ("X + 1", "[1 + t]*X - 1", "X^3 + [t]*X + [t^3 / (1 + t^2)]"):
+            value = eval_spec(want_spec, polyx_from_text(QQ, poly))
+            assert eval_spec(spec, polyx_from_text(QQ, poly)) == value
+            code, out, err = run_cli(["eval", "--config", cfg, "--poly", poly])
+            assert (code, err) == (0, "") and f"[eval] {value.to_text()}\n" in out, (poly, out)
+
+
+@pytest.mark.parametrize("center", ["t^(1/2)", "2*t", "1 + t + O(t^5)", "0", "t^(-1) + 3/2"])
+def test_config_center_reads_series_text_as_before(center):
+    spec = parse_config(f"spec.kind = monomial\nspec.center = {center}\nspec.gamma = 1\n",
+                        env={}).spec
+    before = ValuationSpec.monomial(PuiseuxSeries.from_text(QQ, center), GroupVal.fin(1))
+    assert spec.to_text().encode() == before.to_text().encode()
+
+
+@pytest.mark.parametrize("cfg_text", [
+    "spec.kind = monomial\nspec.center = {}\nspec.gamma = 1\n",
+    "spec.kind = keypoly\nspec.Q = X\nspec.vQ = 1\nspec.base.kind = monomial\n"
+    "spec.base.center = {}\nspec.base.gamma = 1\n",
+], ids=["spec.center", "spec.base.center"])
+@pytest.mark.parametrize("center, message", [
+    ("1 / (1+", "error: bad term '(1+'; as series: bad term '1 / (1+'\n"),
+    ("1 / 0", "error: zero denominator in '1 / 0'; as series: bad term '1 / 0'\n"),
+    ("t^(1/2) / t", "error: polynomial exponent must be a nonnegative integer: 't^(1/2)'; "
+                    "as series: bad term 't^(1/2) / t'\n"),
+])
+def test_config_bad_center_ends_as_one_error_line(tmp_path, cfg_text, center, message):
+    cfg = write_cfg(tmp_path, cfg_text.format(center))
+    assert run_cli(["eval", "--config", cfg, "--poly", "X + 1"]) == (1, "", message)
