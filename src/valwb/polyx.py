@@ -14,13 +14,13 @@ The root-data tool of the workbench is :meth:`PolyX.newton_polygon`: the
 lower convex hull of (i, val C_i) after recentering, whose slopes give the
 exact multiset of valuations of center-to-root differences.  Recentering
 uses the integer binomial coefficients of the Hasse derivative, so it is
-valid in every characteristic.  :meth:`PolyX.recentered_values` reads each C_i's least
-surviving key and cap along one of two routes: coefficients in K, over the lcm of their
-denominators, take one Taylor shift on packed integers at a center p/q (q = 1 at a Puiseux or
-polynomial center), with the caps of the series path at a capped center or a pole; series
-coefficients take the series stage that :meth:`PolyX.recenter_hasse` lowers.  All the shift
-reads of the center alone is its :class:`~valwb.series.CenterPlan`, which a series builds on
-first use and keeps, so a center valued at many f maps its scalars once.  A product of
+valid in every characteristic.  :meth:`PolyX.recentered_values` reads each
+C_i's least surviving key and cap along one of two routes: coefficients in K,
+over the lcm of their denominators, take one Taylor shift on packed integers
+at a center p/q (q = 1 at a Puiseux or polynomial center), with the caps of
+the series path at a capped center or a pole; series coefficients take the
+series stage that :meth:`PolyX.recenter_hasse` lowers; a series center keeps
+what the shift reads of it alone, its ``ShiftPlan``, in its plan.  A product of
 polynomials in t and X is one Kronecker product of integer images.
 """
 
@@ -29,13 +29,14 @@ from __future__ import annotations
 import functools
 import math
 import re
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ParseError, PrecisionExhausted, WorkbenchError, ZeroPolynomial
 from .field import BaseField
 from .groupval import GroupVal
 from .series import (PuiseuxSeries, RatFunc, _divide, _gcd, _mul, _pack, _pair, _parse_term,
-                     _split_terms, common_denominator, lattice_cap,
+                     _split_terms, common_denominator, expansion_prec, lattice_cap,
                      lattice_product, min_prec, product_prec, tp_ord)
 from .series import coerce  # noqa: F401  perfbench's tracer rebinds this name here
 
@@ -199,16 +200,16 @@ class PolyX:
         return cs, [dict(zip(k, x)) for k, x in zip(keys, common_denominator(pairs)[0])]
 
     def value_at(self, a: PuiseuxSeries, images=None) -> GroupVal:
-        """``self.evaluate(a).val()`` at a series point, its value or its PrecisionExhausted,
-        off integer Horner images (the point's kept in its center plan) with the caps of the
-        series arithmetic; at an exact point first in a window of one key (README)."""
+        """``self.evaluate(a).val()`` at a series point, its value or its
+        PrecisionExhausted, off integer Horner images with the caps of the series
+        arithmetic; at an exact point first in a window of one key (README)."""
         cs, imgs = images or self.horner_images(a.prec)
         if cs and a.field != self.field:
             raise WorkbenchError("base field mismatch")
         if a.is_exact_zero():  # f(0) = c_0: every product is the exact zero
             cs, imgs = cs[:1], imgs[:1]
         n, p, e = len(cs) - 1, self.field.char, math.lcm(a.ram, *(c.ram for c in cs))
-        keys, ys, da, va = a.center_plan().point
+        keys, ys, da, va = point_images(a)
         ka = [k * (e // a.ram) for k in keys]
         lo = min(ka, default=0)
 
@@ -377,6 +378,12 @@ class PolyX:
         return f"PolyX({self.to_text()})"
 
 
+def point_images(a: PuiseuxSeries) -> tuple:
+    """(lattice keys, integers over one d (residues over F_p), d, val lower bound), kept."""
+    return a.kept("point", lambda a: (list(a.coeffs), *a.field.as_integers(a.coeffs.values()),
+                                      a.val_lower_bound()))
+
+
 @functools.lru_cache(maxsize=64)
 def _hasse_binomials(field: BaseField, n: int) -> tuple:
     """Row i lists (j, C(j, i)) for i < j <= n, the binomials coerced into
@@ -394,7 +401,7 @@ def _center_powers(a: PuiseuxSeries, n: int) -> tuple:
     for d <= n on a's lattice, over the common denominator da of a's scalars
     (residues over F_p).  They depend on a's terms and cap alone, so equal
     centers share one build, and callers must not change the shared dicts."""
-    p, (_, ys, da, va) = a.field.char, a.center_plan().point
+    p, (_, ys, da, va) = a.field.char, point_images(a)
     powers = [({0: 1}, None, Fraction(0))]
     for _ in range(n):
         pw, prec, v = powers[-1]
@@ -490,15 +497,45 @@ def _over_lcm(field, coeffs) -> tuple:
     return [cofactor[tuple(c.dq[0])] for c in coeffs], L
 
 
+# What _packed_values reads of a center a = s^lo A(s)/Q(s) alone: cap prec, P (a pole's cap),
+# v = (vn, vd) for v(a) (None at 0), A's keys and integers ys at one scale with Q's, hi and low the
+# largest and least key - lo, a1 = 1 + ||A||_1, Q (None at a constant q1 = ||Q||_1), dz = e deg Q.
+ShiftPlan = namedtuple("ShiftPlan", "e prec P v lo keys ys hi low a1 q1 Q dz")
+
+
+def _plan(e, prec, P, keys, ys, q1, Q=None) -> ShiftPlan:
+    lo = min(0, least := min(keys, default=0))
+    v = (least, e) if keys else None if prec is None else (prec.numerator, prec.denominator)
+    return ShiftPlan(e, prec, P, v, lo, keys, ys, max(keys, default=lo) - lo, least - lo,
+                     1 + sum(map(abs, ys)), q1, Q, e * len(Q) - e if Q else 0)
+
+
+def _series_plan(a: PuiseuxSeries) -> ShiftPlan:
+    s = _plan(a.ram, a.prec, expansion_prec(a.prec), *point_images(a)[:3])
+    return s if a.source is None else _shift_plan(a.source)._replace(prec=a.prec, P=s.P, v=s.v)
+
+
+def _shift_plan(a) -> ShiftPlan:
+    """a's plan: kept in a series' (p/q's A and Q at its expansion), built per call at p/q."""
+    if isinstance(a, PuiseuxSeries):
+        return a.kept("shift", _series_plan)
+    (xs, d), (zs, dd) = a.nq, a.dq
+    tq = tp_ord(a.field, zs)  # t^(ord q) moves into lo
+    keys, ys = [k for k, x in enumerate(xs, -tq) if x], [x for x in xs if x]
+    if len(zs) == 1:
+        return _plan(1, None, None, keys, ys, d)
+    (ys, zs), _ = common_denominator([(ys, d), (zs[tq:], dd)])  # A and Q at one scale
+    return _plan(1, None, None, keys, ys, sum(map(abs, zs)), zs)
+
+
 def _packed_values(field: BaseField, coeffs, a) -> tuple:
     """:meth:`PolyX.recentered_values` for c_j = M_j/L, M_j and L in k[t], at a center
     a = s^lo A(s)/Q(s), s = t^(1/e), lo <= 0, Q(0) != 0: one packed Taylor shift of the
     M_j Q^(n-j) by A (README).  Q is constant at a Puiseux or polynomial center, and
     q/t^(ord q) at p/q in K or its expansion.  At a Puiseux center, an expansion included,
-    rows keep the caps of the series path, and a pole c_j is known to O(t^P).  All that depends
-    on a alone is read off its :class:`~valwb.series.CenterPlan`."""
+    rows keep the caps of the series path, and a pole c_j is known to O(t^P)."""
     n, p = len(coeffs) - 1, field.char
-    e, prec, P, v, lo, keys, ys, hi, low, a1, q1, zs, dz, hr, _ = a.center_plan()
+    e, prec, P, v, lo, keys, ys, hi, low, a1, q1, zs, dz = _shift_plan(a)
     ords = [0 if (xs := c.nq[0]) and xs[0] else tp_ord(field, xs) for c in coeffs]  # v(c_j)
     if any(pole := [len(c.dq[0]) > 1 for c in coeffs]):
         ords = [o - tp_ord(field, c.dq[0]) if pl else o for o, c, pl in zip(ords, coeffs, pole)]
@@ -516,16 +553,16 @@ def _packed_values(field: BaseField, coeffs, a) -> tuple:
     if a.field != field:
         raise WorkbenchError("base field mismatch")
     vn, vd = v  # val a
-    hasse = hr.get(n) or hr.setdefault(n, [[j for j, _ in r] for r in _hasse_binomials(field, n)])
+    hasse = _hasse_binomials(field, n)
     w = [math.inf if o is None else o * vd + j * vn for j, o in enumerate(ords)]
-    least = [min(map(w.__getitem__, row), default=math.inf) for row in hasse]
+    least = [min((w[j] for j, _ in row), default=math.inf) for row in hasse]
     base = prec  # row i's cap: ord c_j + Pa + (j - i - 1)v over its row, in closed form
     if P is not None:  # a pole c_j adds P + (j - i)v to row i, and P to its own row
         pw = [(j + 1) * vn if pl else math.inf for j, pl in enumerate(pole)]
         cw = pw if prec is None else [min(x, y) for x, y in zip(w, pw)]
         bounds = []  # inf for a row without terms, None for one without a cap
         for i, (m, row) in enumerate(zip(least, hasse)):
-            c = min([pw[i]] + [cw[j] for j in row])
+            c = min([pw[i]] + [cw[j] for j, _ in row])
             bounds.append(m if m == math.inf else None if c == math.inf else c)
         base, least = P, bounds
     live = [None if m == math.inf else (cap := None if base is None or m is None else Fraction(
@@ -540,12 +577,8 @@ def _packed_values(field: BaseField, coeffs, a) -> tuple:
         dm += e * len(L) - e
     b = l1.bit_length() // 8 * 8 + 8  # l1 bounds every output
     Q = q1 if zs is None else _pack(zs, b * e)  # at p/q with a pole: one pass, no window
-    M = []  # e slots of b bits to a power of t: a short N_j packed by Horner's rule, a long
-    for j, m in enumerate(nums):  # one, often sparse, term by term
-        x = 0 if len(m) < 16 else sum(y << b * e * k for k, y in enumerate(m) if y)
-        for y in reversed(m) if len(m) < 16 else ():
-            x = (x << b * e) + y
-        M.append(x * Q**(n - j) << b * -lo * (n - j))
+    M = [sum(x << b * e * k for k, x in enumerate(m) if x) * Q**(n - j)
+         << b * -lo * (n - j) for j, m in enumerate(nums)]
     if pole:
         M = [v * _pack(c, b * e) for v, c in zip(M, cofs)]
     es = e * shift  # row i's slot 0 has the key lo(n - i) - es

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from collections import namedtuple
 from fractions import Fraction
 from typing import Optional
 
@@ -304,24 +303,6 @@ def _lowest(p, xs, d, ys) -> tuple:
     return _pair(p, xs, d * u * ys[-1]), (ys, ys[-1])  # (xs/(d u top)) / (ys/top)
 
 
-class CenterPlan(namedtuple("CenterPlan", "e prec P v lo keys ys hi low a1 q1 Q dz rows point")):
-    """What the packed Taylor shift of :mod:`valwb.polyx` reads of a center a = s^lo A(s)/Q(s),
-    s = t^(1/e), lo <= 0, Q(0) != 0, and :meth:`~valwb.polyx.PolyX.value_at` of a point: prec
-    (a's cap), P (a pole coefficient's expansion cap at a series), v = (vn, vd) for v(a) = vn/vd
-    (an unknown zero's cap; None for 0), A's keys k and integers ys at one scale with Q's, Q
-    (None at a constant Q = q1, else q1 = ||Q||_1), hi and low the largest and least k - lo,
-    a1 = 1 + ||A||_1, dz = e deg Q, rows (X-degree -> Hasse row index lists, filled by polyx)
-    and point, a series' (keys, integers over one d, d, val lower bound)."""
-    __slots__ = ()
-
-
-def _center_plan(e, prec, P, keys, ys, q1, Q=None, point=None) -> CenterPlan:
-    lo = min(0, least := min(keys, default=0))
-    v = (least, e) if keys else None if prec is None else (prec.numerator, prec.denominator)
-    return CenterPlan(e, prec, P, v, lo, keys, ys, max(keys, default=lo) - lo, least - lo,
-                      1 + sum(map(abs, ys)), q1, Q, e * len(Q) - e if Q else 0, {}, point)
-
-
 class RatFunc:
     """A reduced fraction of polynomials in t; denominator monic and nonzero.
 
@@ -489,16 +470,6 @@ class RatFunc:
         out.source = self
         return out
 
-    def center_plan(self) -> CenterPlan:
-        """The :class:`CenterPlan` at a = p/q, built on each call: t^(ord q) moves into lo."""
-        (xs, d), (zs, dd) = self.nq, self.dq
-        tq = tp_ord(self.field, zs)
-        keys, ys = [k for k, x in enumerate(xs, -tq) if x], [x for x in xs if x]
-        if len(zs) == 1:
-            return _center_plan(1, None, None, keys, ys, d)
-        (ys, zs), _ = common_denominator([(ys, d), (zs[tq:], dd)])  # A and Q at one scale
-        return _center_plan(1, None, None, keys, ys, sum(map(abs, zs)), zs)
-
     def to_text(self) -> str:
         if self.is_polynomial():
             return tp_text(self.field, self.num)
@@ -515,11 +486,12 @@ class RatFunc:
 class PuiseuxSeries:
     """Truncated series in t^(1/ram) with exact scalars and a precision cap.
 
-    ``coeffs`` maps lattice keys n to nonzero scalars, the coefficient of t^(n/ram); every key
-    satisfies n/ram < prec.  ``prec`` is a Fraction or None, None meaning infinite precision
-    (exactly known element).  ``source`` is the element of K that :meth:`RatFunc.to_series`
-    expanded; None otherwise, as every operation that builds a new series drops it.  ``plan``
-    is its :class:`CenterPlan` once :meth:`center_plan` has built it.
+    ``coeffs`` maps lattice keys n to nonzero scalars, the coefficient of
+    t^(n/ram); every key satisfies n/ram < prec.  ``prec`` is a Fraction or
+    None, None meaning infinite precision (exactly known element).
+    ``source`` is the element of K that :meth:`RatFunc.to_series` expanded;
+    None otherwise, as every operation that builds a new series drops it.
+    ``plan`` holds what :meth:`kept` has built of the series, None before.
     """
 
     __slots__ = ("field", "ram", "coeffs", "prec", "source", "plan")
@@ -772,16 +744,12 @@ class PuiseuxSeries:
         """Already in the completion."""
         return self
 
-    def center_plan(self) -> CenterPlan:
-        """The :class:`CenterPlan`, built on first use and kept in ``plan`` (a series is never
-        changed after construction); at an expansion of p/q, A and Q are those of p/q."""
-        if self.plan is None:
-            keys, (ys, d) = list(self.coeffs), self.field.as_integers(self.coeffs.values())
-            own = _center_plan(self.ram, self.prec, expansion_prec(self.prec), keys, ys, d,
-                               point=(keys, ys, d, self.val_lower_bound()))
-            self.plan = own if self.source is None else self.source.center_plan()._replace(
-                prec=own.prec, P=own.P, v=own.v, point=own.point)
-        return self.plan
+    def kept(self, part: str, build):
+        """``build(self)``, built once and kept in ``plan`` under ``part`` until the series dies."""
+        plan = self.plan = self.plan or {}
+        if (got := plan.get(part)) is None:
+            got = plan[part] = build(self)
+        return got
 
     def __repr__(self):
         return f"PuiseuxSeries({self.to_text()})"

@@ -1,6 +1,6 @@
 """The reference for the center plan: polyx._packed_values as it was before the work
-that depends on the center alone moved into series.CenterPlan, so that each call
-rebuilds the center's integer images, key range, Hasse rows and p/q scale itself.
+that depends on the center alone moved into polyx.ShiftPlan, so that each call
+rebuilds the center's integer images, key range, value and p/q scale itself.
 A helper module, not a test file: tests compare the kept kernel against it."""
 
 import math

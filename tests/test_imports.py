@@ -203,14 +203,13 @@ def test_the_scan_sees_reads_of_the_scalar_views(tmp_path):
     assert scalar_view_reads(series) == []
 
 
-
 SERIES_FIELDS = {"ram", "coeffs", "prec", "source", "plan"}
 
 
 def series_field_writes(path: Path) -> list:
     """Writes to a series' fields (ram, coeffs, prec, source, plan) outside series.py: by
     assignment, augmented or item assignment, del, setattr or delattr.  A series keeps the
-    center plan it built, which would go stale if they changed after it.  A class whose own
+    plan it built of itself, which would go stale if they changed after it.  A class whose own
     __slots__ declares a field of the same name may write it on self."""
     if path.name == "series.py":
         return []

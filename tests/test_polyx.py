@@ -944,9 +944,9 @@ def test_pq_center_takes_one_window_pass_and_no_series_stage(monkeypatch):
 
 # -- the center plan ---------------------------------------------------------------
 #
-# What depends on the center alone (its integer images, key range, value, Hasse rows
-# and p/q scale) is built once per series and kept in its plan slot, and per call for
-# an element of K.  The reference is the packed shift that rebuilt all of it on every
+# What depends on the center alone (its integer images, key range, value and p/q
+# scale) is built once per series and kept in its plan slot, and per call for an
+# element of K.  The reference is the packed shift that rebuilt all of it on every
 # call (tests/packed_reference.py): profiles, with the types of their caps, or the
 # exception class and message must match, with every center object reused.
 
