@@ -1022,6 +1022,7 @@ def test_a_center_maps_its_scalars_once(monkeypatch):
         values = [eval_spec(spec, f) for f in polys]
         monkeypatch.setattr(BaseField, "as_integers", real)
         assert len(calls) == 1, len(calls)
+        assert polyx._shift_plan(spec.center) is polyx._shift_plan(spec.center)  # kept, not rebuilt
         assert values == [eval_spec(ValuationSpec.monomial(without_source(a), spec.gamma), f)
                           for f in polys]
 
