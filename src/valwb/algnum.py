@@ -216,7 +216,8 @@ def minpoly_over_completion(a: AlgElement, budget) -> object:
     x = PuiseuxSeries.zero(f)
     last = Fraction(-1) * 10**9
     while True:
-        polygon = Q.newton_polygon(x)
+        C = Q.recenter_hasse(x)  # Q's polygon at x is that of sum C_i X^i at 0; C_i give phi
+        polygon = PolyX(f, C).newton_polygon()
         if any(s.is_inf for s, _ in polygon):
             return Linear(x)  # exact root
         candidates = [s.q for s, _ in polygon if not s.is_inf and s.q > last]
@@ -234,7 +235,7 @@ def minpoly_over_completion(a: AlgElement, budget) -> object:
                 continue
             if mu >= budget:
                 return Linear(PuiseuxSeries(f, x.ram, x.coeffs, budget))
-            for c in _residue_roots(f, _residue_equation(Q, x, mu)):
+            for c in _residue_roots(f, _residue_equation(f, C, mu)):
                 if guide is not None and c != guide.coeff_at(mu):
                     continue
                 x = x + PuiseuxSeries.from_terms(f, {mu: c})
@@ -247,15 +248,13 @@ def minpoly_over_completion(a: AlgElement, budget) -> object:
             return NoRootFound(budget)
 
 
-def _residue_equation(Q: PolyX, x: PuiseuxSeries, mu: Fraction) -> list:
-    """Coefficients of the residue polynomial phi(c) for slope mu at center x.
+def _residue_equation(f: BaseField, C: list, mu: Fraction) -> list:
+    """Coefficients of the residue polynomial phi(c) for slope mu, Q = sum C_i (X - x)^i.
 
     phi(c) = sum over the polygon points on the support line of the leading
     scalar of C_i times c^i; its nonzero roots are the admissible next
     digits.
     """
-    C = Q.recenter_hasse(x)
-    f = Q.field
     height = None
     vals = []
     for i, ci in enumerate(C):  # series, since x is one

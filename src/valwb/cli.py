@@ -43,7 +43,7 @@ from .lifting import (
 from .pcs import CauchyWithLimit, builtin_generator, classify_generator
 from .polyx import RATFUNC, SERIES, PolyX, polyx_from_text
 from .report import Report, digest
-from .series import PuiseuxSeries
+from .series import PuiseuxSeries, RatFunc
 from .valuation import ValuationSpec, delta, eval_spec
 from . import selftest as selftest_mod
 
@@ -146,7 +146,8 @@ def _parse_seq(cfg: WorkbenchConfig, text: str) -> CskpSeq:
 
 
 def _parse_center(cfg: WorkbenchConfig, args) -> AlgElement:
-    s = PuiseuxSeries.from_text(cfg.field, args.center)
+    s = k_then_series(lambda: RatFunc.from_text(cfg.field, args.center).to_series(),
+                      lambda: PuiseuxSeries.from_text(cfg.field, args.center))
     if getattr(args, "minpoly", None):
         return attach_minpoly(s, polyx_from_text(cfg.field, args.minpoly, RATFUNC),
                               irreducible=True)

@@ -34,7 +34,7 @@ from .pcs import (
     classify_generator,
     values_along,
 )
-from .polyx import RATFUNC, PolyX, shifted_values
+from .polyx import RATFUNC, PolyX, _packed_values
 from .series import DEFAULT_PREC, PuiseuxSeries, RatFunc, truncate_to_ratfunc
 from .valuation import OVER_KHAT, ValuationSpec, _min_weighted, delta, eval_spec, is_pair_equivalent
 
@@ -436,7 +436,7 @@ def _difference_exceeds(spec: ValuationSpec, h: PolyX, h1: PolyX, bound: GroupVa
         return _value_exceeds(spec, h - h1, bound)
     d = [x.to_series() - y.to_series()
          for x, y in zip_longest(h.coeffs, h1.coeffs, fillvalue=RatFunc.zero(h.field))]
-    e, rows = profile = shifted_values(h.field, d, spec.center)
+    e, rows = profile = _packed_values(h.field, d, spec.center)
     gz, gq = spec.gamma.z, spec.gamma.q
     if all(GroupVal(i * gz, (cap if k is None else Fraction(k, e)) + i * gq) > bound
            for i, (k, cap) in enumerate(rows) if (k, cap) != (None, None)):

@@ -12,16 +12,12 @@ polynomial).
 
 The root-data tool of the workbench is :meth:`PolyX.newton_polygon`: the
 lower convex hull of (i, val C_i) after recentering, whose slopes give the
-exact multiset of valuations of center-to-root differences.  Recentering
-uses the integer binomial coefficients of the Hasse derivative, so it is
-valid in every characteristic.  :meth:`PolyX.recentered_values` reads each
-C_i's least surviving key and cap along one of two routes: coefficients in K,
-over the lcm of their denominators, take one Taylor shift on packed integers
-at a center p/q (q = 1 at a Puiseux or polynomial center), with the caps of
-the series path at a capped center or a pole; series coefficients take the
-series stage that :meth:`PolyX.recenter_hasse` lowers; a series center keeps
-what the shift reads of it alone, its ``ShiftPlan``, in its plan.  A product of
-polynomials in t and X is one Kronecker product of integer images.
+exact multiset of valuations of center-to-root differences.  Recentering, in
+every characteristic, is one Taylor shift on packed integers at a center p/q
+(q = 1 at a Puiseux or polynomial center) of coefficients in K or in the
+completion, each with its own cap, whose rows :meth:`PolyX.recentered_values`
+reads as keys and caps and :meth:`PolyX.recenter_hasse` as series.  A product
+of polynomials in t and X is one Kronecker product of integer images.
 """
 
 from __future__ import annotations
@@ -240,23 +236,17 @@ class PolyX:
         raise PrecisionExhausted(f"series indistinguishable from 0 at precision O(t^{cap})")
 
     def recenter_hasse(self, a) -> list:
-        """Coefficients C_i with f(X) = sum C_i (X - a)^i.
-
-        Computed by the binomial (Hasse-derivative) formula, valid in every
-        characteristic; exact over RatFunc, precision-tracked over series
-        (:func:`_shift_stage`).
-        """
+        """C_i with f(X) = sum C_i (X - a)^i by the Hasse-derivative formula, valid in every
+        characteristic: exact over RatFunc, over series off the shift's slots (_packed_values)."""
         poly, a = self._with_point(a)
-        if poly.domain == SERIES:  # each C_i lowered to one scalar per surviving key
-            e, rows = _shift_stage(self.field, poly.coeffs, a)
-            f, lower = self.field, self.field.from_integer
-            return [c if acc is None else
-                    PuiseuxSeries(f, e, {k: lower(x, d) for k, x in acc.items() if x}, cap)
-                    for c, (acc, d, cap) in zip(poly.coeffs, rows)]
         n = poly.degree()
         if n < 1 or a.is_exact_zero():
             # every shifted term carries a power of the exact zero
             return list(poly.coeffs)
+        if poly.domain == SERIES:  # at the truncated center, whose plan has Q constant
+            a = a if a.source is None else PuiseuxSeries(a.field, a.ram, a.coeffs, a.prec)
+            e, rows = _packed_values(self.field, poly.coeffs, a, slots=True)
+            return [c if r is None else r for c, r in zip(poly.coeffs, rows)]
         powers = [RatFunc.one(self.field)]
         for _ in range(n):
             powers.append(powers[-1] * a)
@@ -274,8 +264,7 @@ class PolyX:
         """The value profile (e, rows) of :meth:`recenter_hasse`'s C_i: row i is
         (k, cap), val C_i = k/e for the least surviving key k, or k None when no
         term survives below the cap (the exact zero if cap is None); no series."""
-        if self.domain == SERIES:
-            return shifted_values(self.field, self.coeffs, a.to_series())
+        a = a if self.domain == RATFUNC else a.to_series()
         return _packed_values(self.field, self.coeffs, a)
 
     # -- division ---------------------------------------------------------------
@@ -395,87 +384,6 @@ def _hasse_binomials(field: BaseField, n: int) -> tuple:
     return tuple(rows)
 
 
-@functools.lru_cache(maxsize=64)
-def _center_powers(a: PuiseuxSeries, n: int) -> tuple:
-    """(powers, da): powers[d] is (image of a^d, its cap, its valuation bound)
-    for d <= n on a's lattice, over the common denominator da of a's scalars
-    (residues over F_p).  They depend on a's terms and cap alone, so equal
-    centers share one build, and callers must not change the shared dicts."""
-    p, (_, ys, da, va) = a.field.char, point_images(a)
-    powers = [({0: 1}, None, Fraction(0))]
-    for _ in range(n):
-        pw, prec, v = powers[-1]
-        prec = product_prec(prec, v, a.prec, va)
-        pw = lattice_product(pw, 1, list(pw.values()), a.coeffs, 1, ys, lattice_cap(prec, a.ram))
-        if p:  # residues, and the keys whose terms cancel mod p dropped
-            pw = {k: x % p for k, x in pw.items() if x % p}
-        powers.append((pw, prec, Fraction(min(pw), a.ram) if pw else prec))
-    return tuple(powers), da
-
-
-def _shift_stage(field: BaseField, coeffs, a: PuiseuxSeries) -> tuple:
-    """C_i = sum over j of C(j, i) c_j a^(j-i), for series c_j and a, on
-    integer images: (e, rows), row i (acc, d, cap) for C_i = sum of acc[k]/d
-    t^(k/e) + O(t^cap), or (None, None, None) when C_i = c_i.
-
-    The caps are those of the series arithmetic term by term: a^d = a^(d-1) a
-    and c_j a^d by the product rule, C_i the least cap of its summands.  They
-    come first, in closed form.  Every cap the term-by-term sum cuts at is at
-    least the final one, so each C_i is summed below its own cap and cut once
-    there, with the same values, ram and cap.  Each series keeps the keys of
-    its own lattice until a product moves them to the common one, (1/e)Z;
-    over Q the coefficients share one denominator and the center another,
-    over F_p the images are the residues.
-    """
-    n = len(coeffs) - 1
-    e = math.lcm(a.ram, *(c.ram for c in coeffs))
-    if n < 1 or a.is_exact_zero():  # every shifted term carries a power of 0
-        return e, [(None, None, None)] * (n + 1)
-    if a.field != field:
-        raise WorkbenchError("base field mismatch")
-    flat, dc = field.as_integers([x for c in coeffs for x in c.coeffs.values()])
-    flat = iter(flat)  # zip stops at the last key of c before it takes a value
-    images = [dict(zip(c.coeffs, flat)) for c in coeffs]
-    powers, da = _center_powers(a, n)
-    sa = e // a.ram
-    rows = []
-    for i, row in enumerate(_hasse_binomials(field, n)):
-        terms = [(j, b) for j, b in row if not coeffs[j].is_exact_zero()]
-        if not terms:  # adding exact zeros changes neither values nor the cap
-            rows.append((None, None, None))
-            continue
-        prec = coeffs[i].prec
-        for j, _ in terms:
-            c, (_, cap, v) = coeffs[j], powers[j - i]
-            prec = min_prec(prec, product_prec(c.prec, c.val_lower_bound(), cap, v))
-        cap = lattice_cap(prec, e)
-        m = terms[-1][0] - i  # C_i has the denominator dc * da^m
-        s = e // coeffs[i].ram
-        acc = {k * s: x * da**m for k, x in images[i].items() if k * s < cap}
-        for j, b in terms:
-            img, pw = images[j], powers[j - i][0]
-            w = int(b) * da**(m - j + i)
-            for k, x in lattice_product(img, e // coeffs[j].ram, [w * x for x in img.values()],
-                                        pw, sa, list(pw.values()), cap).items():
-                acc[k] = acc.get(k, 0) + x
-        rows.append((acc, dc * da**m, prec))
-    return e, rows
-
-
-def shifted_values(field: BaseField, coeffs, a: PuiseuxSeries) -> tuple:
-    """:meth:`PolyX.recentered_values` for series c_j, the top one possibly an
-    unknown zero; a key survives if its integer is nonzero (mod p over F_p)."""
-    e, rows = _shift_stage(field, coeffs, a)
-    p, out = field.char, []
-    for c, (acc, _, cap) in zip(coeffs, rows):
-        if acc is None:
-            k, cap = min(c.coeffs) * (e // c.ram) if c.coeffs else None, c.prec
-        else:
-            k = min((k for k, x in acc.items() if (x % p if p else x)), default=None)
-        out.append((k, cap))
-    return e, out
-
-
 def _over_lcm(field, coeffs) -> tuple:
     """(cofactors, L) on integers (residues over F_p): L an lcm in k[t] of the denominators
     D_j of the c_j with a pole (one at least), cofactors[j] that of L/D_j at one scale for all j.
@@ -528,78 +436,119 @@ def _shift_plan(a) -> ShiftPlan:
     return _plan(1, None, None, keys, ys, sum(map(abs, zs)), zs)
 
 
-def _packed_values(field: BaseField, coeffs, a) -> tuple:
-    """:meth:`PolyX.recentered_values` for c_j = M_j/L, M_j and L in k[t], at a center
-    a = s^lo A(s)/Q(s), s = t^(1/e), lo <= 0, Q(0) != 0: one packed Taylor shift of the
-    M_j Q^(n-j) by A (README).  Q is constant at a Puiseux or polynomial center, and
-    q/t^(ord q) at p/q in K or its expansion.  At a Puiseux center, an expansion included,
-    rows keep the caps of the series path, and a pole c_j is known to O(t^P)."""
-    n, p = len(coeffs) - 1, field.char
+def _packed_values(field: BaseField, coeffs, a, slots=False) -> tuple:
+    """:meth:`PolyX.recentered_values` for c_j in K or in the completion (the top one possibly 0
+    or an unknown zero) at a = s^lo A(s)/Q(s), s = t^(1/e), lo <= 0, Q(0) != 0: one packed Taylor
+    shift of the M_j Q^(n-j) by A (README), Q constant but at p/q.  Row i's cap: the least P_i and
+    product_prec(P_j, v(c_j), Pa + (d-1)v(a), d v(a)) on its Hasse row, d = j - i, P_j a series
+    c_j's cap or P for a pole.  ``slots`` (series c_j, Q constant): rows C_i, None for C_i = c_i."""
+    n, p, inf, pole, caps = len(coeffs) - 1, field.char, math.inf, None, None
     e, prec, P, v, lo, keys, ys, hi, low, a1, q1, zs, dz = _shift_plan(a)
-    ords = [0 if (xs := c.nq[0]) and xs[0] else tp_ord(field, xs) for c in coeffs]  # v(c_j)
-    if any(pole := [len(c.dq[0]) > 1 for c in coeffs]):
-        ords = [o - tp_ord(field, c.dq[0]) if pl else o for o, c, pl in zip(ords, coeffs, pole)]
+    if series := bool(coeffs) and isinstance(coeffs[-1], PuiseuxSeries):  # on (1/e)Z
+        if (s := math.lcm(e, *[c.ram for c in coeffs]) // e) > 1:  # the center's keys with them
+            e, lo, keys, hi, low, dz = e * s, lo * s, [k * s for k in keys], hi * s, low * s, dz * s
+        ks, caps = [min(c.coeffs) * (e // c.ram) if c.coeffs else None for c in coeffs], \
+            [c.prec for c in coeffs]
     else:
-        pole = P = None
-    # a row without terms is c_i; a pole c_i is an unknown zero from P on
-    direct = [(None if o is None else o * e, None) for o in ords]
-    if P is not None:
-        if pole[n] and ords[n] >= P:
-            raise PrecisionExhausted(LEAD_UNDECIDED)
-        direct = [(k if o < P else None, P) if pl else (k, cap)
-                  for o, pl, (k, cap) in zip(ords, pole, direct)]
+        ks = [0 if (xs := c.nq[0]) and xs[0] else tp_ord(field, xs) for c in coeffs]  # v(c_j)
+        if any(pl := [len(c.dq[0]) > 1 for c in coeffs]):
+            ks, pole = [o - tp_ord(field, c.dq[0]) if d else o
+                        for o, c, d in zip(ks, coeffs, pl)], pl
+            if P is not None:  # a pole c_j is known to O(t^P), an unknown zero from P on
+                caps, ks = [P if d else None for d in pole], [None if d and o >= P else o
+                                                              for o, d in zip(ks, pole)]
+                if ks[n] is None:
+                    raise PrecisionExhausted(LEAD_UNDECIDED)
+        if e > 1:
+            ks = [None if o is None else o * e for o in ks]
+    direct = list(zip(ks, caps)) if caps else [(k, None) for k in ks]  # a row without terms: c_i
     if n < 1 or v is None:  # every shifted term carries a power of the exact zero
         return e, direct
     if a.field != field:
         raise WorkbenchError("base field mismatch")
-    vn, vd = v  # val a
-    hasse = _hasse_binomials(field, n)
-    w = [math.inf if o is None else o * vd + j * vn for j, o in enumerate(ords)]
-    least = [min((w[j] for j, _ in row), default=math.inf) for row in hasse]
-    base = prec  # row i's cap: ord c_j + Pa + (j - i - 1)v over its row, in closed form
-    if P is not None:  # a pole c_j adds P + (j - i)v to row i, and P to its own row
-        pw = [(j + 1) * vn if pl else math.inf for j, pl in enumerate(pole)]
-        cw = pw if prec is None else [min(x, y) for x, y in zip(w, pw)]
-        bounds = []  # inf for a row without terms, None for one without a cap
-        for i, (m, row) in enumerate(zip(least, hasse)):
-            c = min([pw[i]] + [cw[j] for j, _ in row])
-            bounds.append(m if m == math.inf else None if c == math.inf else c)
-        base, least = P, bounds
-    live = [None if m == math.inf else (cap := None if base is None or m is None else Fraction(
-        base.numerator * vd + (m - (i + 1) * vn) * base.denominator, base.denominator * vd),
-        lattice_cap(cap, e)) for i, m in enumerate(least)]
-    nums, _ = common_denominator([c.nq for c in coeffs])  # the N_j over one denominator
-    shift, dm = 0, n * dz  # dm bounds deg M_j Q^(n-j) - deg N_j
-    l1 = (n + 1) * sum(sum(map(abs, m)) for m in nums) * q1**n * a1**n
-    if pole:  # M_j = N_j L/D_j, ord M_j = v(c_j) + shift
+    (vn, vd), hasse = v, _hasse_binomials(field, n)  # caps in units of 1/U, v(a) = vn/vd
+    if prec is None and not caps:  # no cap anywhere; else row i's (cap, key cap)
+        live = [None if all(ks[j] is None for j, _ in row) else (None, inf) for row in hasse]
+    else:
+        U = math.lcm(e, vd, *[c.denominator for c in [prec, *(caps or ())] if c is not None])
+        ue, vu = U // e, vn * (U // vd)
+        pa = inf if prec is None else prec.numerator * (U // prec.denominator) - vu  # Pa - v
+        rc, own = [None if k is None else pa + k * ue + j * vu for j, k in enumerate(ks)], None
+        if caps:  # in row i c_j's rc_j - iv, and with its own cap P_j also P_j + (j - i)v
+            own = [inf if c is None else c.numerator * (U // c.denominator) for c in caps]
+            rc = [None if r is None and o == inf else min(inf if r is None else r, o + j * vu)
+                  for j, (r, o) in enumerate(zip(rc, own))]
+        live = [None if (m := min([rc[j] for j, _ in row if rc[j] is not None], default=None))
+                is None else (None, inf) if (m := m - i * vu if own is None else
+                                             min(own[i], m - i * vu)) == inf
+                else (Fraction(m, U), -(-m * e // U)) for i, row in enumerate(hasse)]
+    es = 0  # row i's slot 0 has the key lo(n - i) - es; terms[j]: c_j's slots, integers, top
+    if series:  # a negative key k at the slot k + es; zip reads a key, then its integer
+        flat, dc = field.as_integers([x for c in coeffs for x in c.coeffs.values()])
+        es, flat = -min([0] + [k for k in ks if k is not None]), iter(flat)
+        terms = [(sl := [k * (e // c.ram) + es for k in c.coeffs],
+                  [x for _, x in zip(c.coeffs, flat)], max(sl, default=0)) for c in coeffs]
+    else:  # the N_j over one denominator, t^k at the slot e k
+        terms = [(range(0, e * len(m), e), m, e * len(m) - e)
+                 for m in common_denominator([c.nq for c in coeffs])[0]]
+    dm, l1 = n * dz, (n + 1) * sum(sum(map(abs, xs)) for _, xs, _ in terms) * q1**n * a1**n
+    if pole:  # M_j = N_j L/D_j, ord M_j = v(c_j) + ord L; dm bounds deg M_j Q^(n-j) - deg N_j
         cofs, L = _over_lcm(field, coeffs)
-        l1, shift = l1 * max(sum(map(abs, c)) for c in cofs), tp_ord(field, L)
+        l1, es = l1 * max(sum(map(abs, c)) for c in cofs), e * tp_ord(field, L)
         dm += e * len(L) - e
     b = l1.bit_length() // 8 * 8 + 8  # l1 bounds every output
     Q = q1 if zs is None else _pack(zs, b * e)  # at p/q with a pole: one pass, no window
-    M = [sum(x << b * e * k for k, x in enumerate(m) if x) * Q**(n - j)
-         << b * -lo * (n - j) for j, m in enumerate(nums)]
+    M = [sum(x << b * k for k, x in zip(sl, xs) if x) * Q**(n - j) << b * -lo * (n - j)
+         for j, (sl, xs, _) in enumerate(terms)]
     if pole:
         M = [v * _pack(c, b * e) for v, c in zip(M, cofs)]
-    es = e * shift  # row i's slot 0 has the key lo(n - i) - es
-    limit = math.inf if base is None else max(row[1] - lo * (n - i) + es
-                                              for i, row in enumerate(live) if row)
-    if limit == math.inf or zs:  # an uncapped row, or one pass at p/q: every slot at most
-        limit = min(limit, 1 + dm + max(e * len(m) - e - lo * (n - j) + j * hi
-                                        for j, m in enumerate(nums) if m))
-    width = limit if zs else min(limit, e * (ords[n] + shift) + n * low + 1)
+    limit = max((row[1] - lo * (n - i) + es for i, row in enumerate(live) if row), default=0)
+    if limit == inf or zs or slots:  # an uncapped row, one pass at p/q or all slots: at most
+        limit = min(limit, 1 + dm + max((t - lo * (n - j) + j * hi
+                                         for j, (_, xs, t) in enumerate(terms) if xs), default=0))
+    nt = lambda: sum(len(xs) - xs.count(0) for _, xs, _ in terms)  # the number of terms
+    width = limit if zs or slots else min(limit, max((ks[n] or 0) + es + n * low + 1,
+                                                     nt() if series else 0))
     while True:
         mask = (1 << b * max(width, 0)) - 1
-        A = sum(y << b * (k - lo) for k, y in zip(keys, ys) if k - lo < width) & mask
+        A = sum(y << b * (k - lo) for k, y in zip(keys, ys) if k - lo < width)  # signed, narrow
         S = [m & mask for m in M]
         for i in range(n):
             for j in range(n - 1, i - 1, -1):
                 S[j] = (S[j] + A * S[j + 1]) & mask
+        if slots:  # C_i off the signed slots of S_i = dc q1^(n - i) s^(es - lo(n - i)) C_i
+            return e, [row and _slot_series(field, e, S[i], b, max(width, 0), lo * (n - i) - es,
+                                             row, dc * q1**(n - i)) for i, row in enumerate(live)]
         rows = [(_least_key(S[i], b, p, lo * (n - i) - es, row[1]), row[0]) if row else direct[i]
                 for i, row in enumerate(live)]
         if width >= limit or all(k is not None for (k, _), row in zip(rows, live) if row):
             return e, rows
-        width = min(2 * width, limit)
+        missing = [i for i, row in enumerate(live)  # no key, below a cap the window has not
+                   if row and rows[i][0] is None and row[1] - lo * (n - i) + es > width]  # reached
+        if missing and not pole and limit > max(width, (n + 1) * len(keys) * nt()):  # the span
+            for i in [i for i in missing if live[i][0] is None]:  # wider than the term pairs of
+                cs = [coeffs[i]] + [coeffs[i].zero(field)] * (n - i)  # a sparse sum: an uncapped
+                for j, bj in hasse[i]:  # row is C_i = (D^i f)(a), exact, read off the sparse
+                    c = coeffs[j]  # Horner sum of D^i f = sum C(j, i) c_j X^(j - i) at a
+                    cs[j - i] = c if bj == 1 else c * type(c).constant(field, bj)
+                val = PolyX(field, cs).value_at(a.to_series())
+                live[i], direct[i] = None, (None if val.is_inf else int(val.q * e), None)
+                rows[i] = direct[i]
+            missing = [i for i in missing if live[i]]
+        if not missing:
+            return e, rows
+        width = limit if any(live[i][0] is None for i in missing) else min(2 * width, limit)
+
+
+def _slot_series(field, e, v: int, b: int, w: int, lo: int, row, d) -> PuiseuxSeries:
+    """Sum of x_k/d t^((lo + k)/e) + O(t^cap) over the signed b-bit slots x_k of v below the
+    key cap, row = (cap, key cap); the ell-1 bound keeps |x_k| < 2^(b-1)."""
+    nb, half, lower = b // 8, 1 << b - 1, field.from_integer
+    raw = ((v + int.from_bytes((bytes(nb - 1) + b"\x80") * w, "little")) & ((1 << b * w) - 1))
+    raw = raw.to_bytes(nb * w, "little")  # each slot lifted by half a slot: no borrow
+    xs = [int.from_bytes(raw[i:i + nb], "little") for i in range(0, nb * min(w, row[1] - lo), nb)]
+    return PuiseuxSeries(field, e, {lo + k: lower(x - half, d) for k, x in enumerate(xs)
+                                    if x != half}, row[0])
 
 
 def _least_key(v: int, b: int, p: int, lo: int, cap):

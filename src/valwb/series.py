@@ -464,7 +464,8 @@ class RatFunc:
         if self.is_polynomial():  # built as the normalising constructor would leave it
             out = object.__new__(PuiseuxSeries)
             out.field, out.ram, out.prec, out.source, out.plan = self.field, 1, None, None, None
-            out.coeffs = {i: x for i, x in enumerate(self.num) if x}
+            out.coeffs = {i: x if self.field.char else Fraction(x, self.nq[1])
+                          for i, x in enumerate(self.nq[0]) if x}
             return out
         out = coerce(self, expansion_prec(prec))
         out.source = self

@@ -1,7 +1,6 @@
 import math
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -15,12 +14,12 @@ from valwb.pcs import (artin_schreier_generator, exponential_generator, mixed_ra
                        values_along)
 from valwb.polyx import RATFUNC, SERIES, PolyX, _hull_height, _lower_hull, polyx_from_text
 from valwb.sampling import random_polyx, random_ratfunc
-from valwb.selftest import run_all
 from valwb.series import DEFAULT_PREC, PuiseuxSeries, RatFunc, coerce
 from valwb.valuation import ValuationSpec, delta, eval_spec
 
 from fraction_ratfunc import FractionRatFunc
 from packed_reference import old_packed_values
+from series_stage_reference import recentered_series, shifted_values
 
 F2 = GF(2)
 
@@ -504,7 +503,7 @@ def ref_profile(f, a):
     if isinstance(a, RatFunc):
         return 1, [(None if c.is_exact_zero() else int(c.val().q), None)
                    for c in f.recenter_hasse(a)]
-    return polyx.shifted_values(f.field, f.to_series(a.prec).coeffs, a)
+    return shifted_values(f.field, f.to_series(a.prec).coeffs, a)
 
 
 def profile(fn, f, a):
@@ -660,6 +659,113 @@ def test_packed_profile_windows_a_sparse_center():
                 assert got == profile(ref_profile, f, a) and got[0] == 3
 
 
+# -- series coefficients on the one stage ----------------------------------------
+#
+# Series coefficients take the packed shift too, each with its own cap.  The
+# reference is the series stage it replaced (tests/series_stage_reference.py):
+# value profiles with the types of their caps, recenter_hasse's series (ram, keys,
+# scalar types, caps) and the exception class and message must match.
+
+def random_series_list(field, rng, kind):
+    """Series c_j at ram 1, 2, 3 and 6, exact, capped, unknown zeros and 0, negative keys
+    among them; the top one as _difference_exceeds may pass it: decidably nonzero, capped,
+    an unknown zero or 0.  For "cancel" over F_p, X^p - b^p at a center near b."""
+    if kind == "cancel" and field.char and field.char < 10:
+        b = series_with_keys(field, rng, rng.choice((1, 2)), range(0, rng.randint(1, 4)), False)
+        c0 = -(b ** field.char)
+        return [c0] + [PuiseuxSeries.zero(field)] * (field.char - 1) + [PuiseuxSeries.one(field)], b
+    deg = rng.randint(1, 6)
+    coeffs = [random_coefficient(field, rng) for _ in range(deg)]
+    top = rng.random()
+    k, ram = rng.randint(-3, 3), rng.choice((1, 2, 3, 6))
+    if top < 0.6:
+        lead = PuiseuxSeries(field, ram, {k: nonzero_scalar(field, rng)},
+                             rng.choice((None, Fraction(k + rng.randint(1, 9), ram))))
+    elif top < 0.8:
+        lead = PuiseuxSeries.unknown_zero(field, Fraction(rng.randint(-2, 12), ram))
+    else:
+        lead = rng.choice((PuiseuxSeries.zero(field), random_coefficient(field, rng)))
+    return coeffs + [lead], None
+
+
+def list_profile(coeffs, a, values):
+    try:
+        e, rows = values(coeffs[0].field, coeffs, a)
+    except Exception as exc:  # the exception itself is part of the outcome
+        return ("raised", type(exc), str(exc))
+    return e, [(k, type(cap), cap) for k, cap in rows]
+
+
+def test_series_coefficients_take_the_packed_shift_as_the_series_stage_did():
+    rng = random.Random(44)
+    kinds = ("exact", "capped", "zero", "unknown zero", "negative", "pole", "cancel")
+    seen = {"raised": 0, "hasse": 0, "exact zero rows": 0, "capped rows": 0, "undecided rows": 0,
+            "unknown-zero top": 0, "cancel": 0, "ram > 1": 0}
+    for i in range(700):
+        field = FIELDS[i % len(FIELDS)]
+        kind = kinds[i // len(FIELDS) % len(kinds)]
+        coeffs, near = random_series_list(field, rng, kind)
+        if near is not None:  # b itself, or b + t^k: C_0 is 0 or t^(kp), the rest 0 mod p
+            a = near if rng.random() < 0.5 else near + PuiseuxSeries.t_power(field, rng.randint(1, 4))
+            seen["cancel"] += 1
+        elif kind in ("exact", "capped", "negative"):
+            lo = rng.randint(-4, -1) if kind == "negative" else rng.randint(0, 4)
+            a = series_with_keys(field, rng, rng.choice((1, 2, 3, 6)),
+                                 range(lo, lo + rng.randint(1, 8)), kind == "capped")
+        elif kind == "zero":
+            a = PuiseuxSeries.zero(field)
+        else:  # an unknown zero, or the expansion of 1/(1 + t) and the like, which keeps p/q
+            a = random_center(field, rng, kind).to_series()
+        if rng.random() < 0.02:
+            a = random_center(FIELDS[(i + 1) % len(FIELDS)], rng, "dense")  # field mismatch
+        got = list_profile(coeffs, a, polyx._packed_values)
+        assert got == list_profile(coeffs, a, shifted_values), (i, kind, coeffs, a)
+        if coeffs[-1].is_exact_zero() or coeffs[-1].is_unknown_zero():
+            seen["unknown-zero top"] += coeffs[-1].is_unknown_zero()
+        else:  # a polynomial: its series C_i as the series stage lowered them
+            f = PolyX.from_series(field, coeffs)
+            assert recentered(PolyX.recenter_hasse, f, a) == recentered(recentered_series, f, a), \
+                (i, kind, f, a)
+            seen["hasse"] += 1
+        if got[0] == "raised":
+            seen["raised"] += 1
+            continue
+        seen["ram > 1"] += got[0] > 1
+        seen["exact zero rows"] += sum(1 for k, t, _ in got[1] if k is None and t is type(None))
+        seen["capped rows"] += sum(1 for k, t, _ in got[1] if k is not None and t is Fraction)
+        seen["undecided rows"] += sum(1 for k, t, _ in got[1] if k is None and t is Fraction)
+    assert min(seen.values()) >= 12, seen
+
+
+def test_an_exact_zero_row_at_a_sparse_center_is_read_sparse(monkeypatch):
+    # f = (X - a) g at a = t + t^2000: C_0 = f(a) is exactly 0, and the full span of the
+    # rows is 2000 deg f slots; the window stops once it is far wider than the terms, and
+    # the row is read off a sparse evaluation of f at a
+    slots, real = [], polyx._least_key
+
+    def counting(v, b, p, lo, cap):
+        slots.append(v.bit_length() // b + 1)
+        return real(v, b, p, lo, cap)
+
+    monkeypatch.setattr(polyx, "_least_key", counting)
+    for field in (QQ, GF(3)):
+        rng = random.Random(45)
+        a, ak = PuiseuxSeries.from_terms(field, {1: 1, 2000: 1}), RatFunc.t_power(field, 2000)
+        g = [series_with_keys(field, rng, 1, range(rng.randint(0, 3), 9), False) for _ in range(8)]
+        cases = [PolyX.from_series(field, [-a, PuiseuxSeries.one(field)]) * PolyX(field, g),
+                 PolyX(field, [-(RatFunc.t_power(field, 1) + ak), RatFunc.one(field)])
+                 * random_kt_poly(field, rng, 7)]
+        for f in cases:
+            slots.clear()
+            got = profile(PolyX.recentered_values, f, a)
+            assert got == profile(ref_profile, f, a), (field, f.domain)
+            assert got[1][0] == (None, type(None), None)
+            assert sum(k is not None for k, _, _ in got[1]) == f.degree()
+            terms = sum(len(c.coeffs) for c in f.to_series().coeffs)
+            assert slots and max(slots) <= 4 * (f.degree() + 1) * len(a.coeffs) * terms, \
+                (field, f.domain, max(slots, default=None))
+
+
 # -- the center p/q of K --------------------------------------------------------
 #
 # An element a = p/q of K with a pole, and its expansion a.to_series(), which
@@ -794,8 +900,7 @@ def fraction_profile(f, a):
     series stage on the Fraction expansions at a series a."""
     field, cs = f.field, fraction_twin(f).coeffs
     if isinstance(a, PuiseuxSeries):
-        return polyx.shifted_values(field, PolyX(field, [c.to_series(a.prec) for c in cs]).coeffs,
-                                    a)
+        return shifted_values(field, PolyX(field, [c.to_series(a.prec) for c in cs]).coeffs, a)
     a, n = FractionRatFunc(field, a.num, a.den), len(cs) - 1
     powers = [FractionRatFunc.one(field)]
     for _ in range(n):
@@ -896,8 +1001,8 @@ def test_ratfunc_hot_paths_lower_no_scalar(monkeypatch):
 
 def test_pq_center_takes_one_window_pass_and_no_series_stage(monkeypatch):
     # eval_spec and delta at a spec built from an element of K with a pole read
-    # p/q off the expansion: no center powers, no series stage, and one pass of
-    # the packed shift (each live row read once)
+    # p/q off the expansion in one pass of the packed shift (each live row read
+    # once), the only recentering stage
     rng = random.Random(29)
     cases = []
     for i in range(60):
@@ -924,13 +1029,8 @@ def test_pq_center_takes_one_window_pass_and_no_series_stage(monkeypatch):
         reads[-1] += 1
         return real_key(*args)
 
-    def fail(*args):
-        raise AssertionError("a K center with a pole reached the series stage")
-
     monkeypatch.setattr(polyx, "_packed_values", counting)
     monkeypatch.setattr(polyx, "_least_key", key)
-    monkeypatch.setattr(polyx, "_center_powers", fail)
-    monkeypatch.setattr(polyx, "shifted_values", fail)
     assert [(outcome(eval_spec, spec, f), outcome(delta, spec, f)) for spec, f in cases] == want
     shifted = [r for r in reads if r >= 0]  # calls that got past the early returns
     assert len(shifted) >= 60 and not any(shifted), reads
@@ -1112,25 +1212,6 @@ def test_polynomial_embedding_matches_the_normalising_constructor():
         assert (got.ram, got.prec, list(got.coeffs.items())) == \
             (want.ram, want.prec, list(want.coeffs.items())), i
         assert [type(x) for x in got.coeffs.values()] == [type(x) for x in want.coeffs.values()]
-
-
-def test_cached_center_powers_change_no_answer(monkeypatch):
-    # the acceptance suite checks run_all(0) on a cleared cache against the
-    # same golden file; here the cache is warm with another seed's centers
-    golden = (Path(__file__).parent / "golden" / "selftest_seed0.txt").read_text(encoding="utf-8")
-    real, built = polyx._center_powers, {}
-
-    def recording(a, n):
-        out = real(a, n)
-        built.setdefault(id(out), (out, tuple((dict(pw), cap, v) for pw, cap, v in out[0])))
-        return out
-
-    monkeypatch.setattr(polyx, "_center_powers", recording)
-    real.cache_clear()
-    run_all(1)
-    assert run_all(0).to_structured() == golden
-    assert real.cache_info().hits > real.cache_info().misses > 0
-    assert all(out[0] == before for out, before in built.values())  # read, never written
 
 
 # -- v f(a) off integer Horner images ----------------------------------------------

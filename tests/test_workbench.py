@@ -390,6 +390,24 @@ def test_config_center_of_k_answers_as_the_spec_at_the_element(tmp_path):
             assert (code, err) == (0, "") and f"[eval] {value.to_text()}\n" in out, (poly, out)
 
 
+def test_cli_center_reads_k_text_first_as_the_config_does(tmp_path):
+    # --center is read as an element of K first, then as a series: a center with a
+    # pole reaches the command's own refusal instead of a parse error on its text
+    for minpoly, message in (("X^2 - t", "Q(s) has valuation 0, decidably nonzero"),
+                             ("X - [1 / (1 + t)]",
+                              "the Krasner constant needs an element of degree >= 2")):
+        code, out, err = run_cli(["kras", "--center", "1 / (1+t)", "--minpoly", minpoly])
+        assert (code, out, err) == (1, "", f"error: {message}\n"), minpoly
+    code, out, err = run_cli(["kras", "--center", "t^(1/2)", "--minpoly", "X^2 - t"])
+    assert (code, err) == (0, "") and "[kras] 1/2\n" in out
+    cfg = write_cfg(tmp_path, "char = 0\nspec.kind = gauss\n")
+    code, out, err = run_cli(["lift-cskp", "--config", cfg, "--seq", "X @ 0",
+                              "--center", "1 / (1+t)"])
+    assert (code, err) == (0, "") and "[lift-cskp] X @ 0\n" in out
+    code, _, err = run_cli(["kras", "--center", "1 / (1+", "--minpoly", "X^2 - t"])
+    assert (code, err) == (1, "error: bad term '(1+'; as series: bad term '1 / (1+'\n")
+
+
 @pytest.mark.parametrize("center", ["t^(1/2)", "2*t", "1 + t + O(t^5)", "0", "t^(-1) + 3/2"])
 def test_config_center_reads_series_text_as_before(center):
     spec = parse_config(f"spec.kind = monomial\nspec.center = {center}\nspec.gamma = 1\n",
