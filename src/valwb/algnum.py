@@ -26,7 +26,7 @@ from .errors import (
 )
 from .field import BaseField
 from .groupval import GroupVal
-from .polyx import RATFUNC, PolyX
+from .polyx import RATFUNC, PolyX, _packed_values, _polygon
 from .series import PuiseuxSeries, RatFunc, min_prec
 
 
@@ -205,6 +205,8 @@ def minpoly_over_completion(a: AlgElement, budget) -> object:
     are admissible (the root must have ramification 1), and each candidate
     coefficient must solve the residue equation of its polygon segment.
     When a's own expansion has ramification 1 it guides the branch choice.
+    Both are read off one keyed profile of the certificate at the partial sum
+    per step, whose rows carry each C_i's least key, cap and scalar there.
     Returns Linear(root) or NoRootFound(budget).
     """
     if a.minpoly is None:
@@ -212,12 +214,12 @@ def minpoly_over_completion(a: AlgElement, budget) -> object:
     budget = Fraction(budget)
     guide = a.expansion if a.expansion.ram == 1 else None
     f = a.field
-    Q = a.minpoly.to_series(budget + 8)
+    Q = a.minpoly.to_series(budget + 8).coeffs  # each keeps its integer images over the steps
     x = PuiseuxSeries.zero(f)
     last = Fraction(-1) * 10**9
     while True:
-        C = Q.recenter_hasse(x)  # Q's polygon at x is that of sum C_i X^i at 0; C_i give phi
-        polygon = PolyX(f, C).newton_polygon()
+        e, rows = _packed_values(f, Q, x, lead=True)  # Q = sum C_i (X - x)^i, row i of C_i
+        polygon = _polygon(e, rows)
         if any(s.is_inf for s, _ in polygon):
             return Linear(x)  # exact root
         candidates = [s.q for s, _ in polygon if not s.is_inf and s.q > last]
@@ -235,10 +237,17 @@ def minpoly_over_completion(a: AlgElement, budget) -> object:
                 continue
             if mu >= budget:
                 return Linear(PuiseuxSeries(f, x.ram, x.coeffs, budget))
-            for c in _residue_roots(f, _residue_equation(f, C, mu)):
+            # phi(c): the scalars of the C_i on the line of slope mu, at the least height
+            # k + i mu e in units of 1/e (mu is an integer here), up to the last such i
+            m = mu.numerator * e
+            h = [None if k is None else k + i * m for i, (k, _, _) in enumerate(rows)]
+            line = min(y for y in h if y is not None)
+            top = max(i for i, y in enumerate(h) if y == line)
+            phi = [lead if y == line else f.zero() for y, (_, _, lead) in zip(h[:top + 1], rows)]
+            for c in _residue_roots(f, phi):
                 if guide is not None and c != guide.coeff_at(mu):
                     continue
-                x = x + PuiseuxSeries.from_terms(f, {mu: c})
+                x = PuiseuxSeries(f, 1, {**x.coeffs, mu.numerator: c}, None)  # one key more
                 last = mu
                 solved = True
                 break
@@ -246,36 +255,6 @@ def minpoly_over_completion(a: AlgElement, budget) -> object:
                 break
         if not solved:
             return NoRootFound(budget)
-
-
-def _residue_equation(f: BaseField, C: list, mu: Fraction) -> list:
-    """Coefficients of the residue polynomial phi(c) for slope mu, Q = sum C_i (X - x)^i.
-
-    phi(c) = sum over the polygon points on the support line of the leading
-    scalar of C_i times c^i; its nonzero roots are the admissible next
-    digits.
-    """
-    height = None
-    vals = []
-    for i, ci in enumerate(C):  # series, since x is one
-        if not ci.coeffs:
-            vals.append(None)
-            continue
-        v = Fraction(min(ci.coeffs), ci.ram)
-        h = v + i * mu
-        vals.append((h, ci.coeff_at(v)))
-        if height is None or h < height:
-            height = h
-    phi = [f.zero()] * len(C)
-    for i, entry in enumerate(vals):
-        if entry is None:
-            continue
-        h, lead = entry
-        if h == height:
-            phi[i] = lead
-    while phi and f.is_zero(phi[-1]):
-        phi.pop()
-    return phi
 
 
 def _residue_roots(field: BaseField, phi: list) -> list:

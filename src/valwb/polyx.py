@@ -16,8 +16,10 @@ exact multiset of valuations of center-to-root differences.  Recentering, in
 every characteristic, is one Taylor shift on packed integers at a center p/q
 (q = 1 at a Puiseux or polynomial center) of coefficients in K or in the
 completion, each with its own cap, whose rows :meth:`PolyX.recentered_values`
-reads as keys and caps and :meth:`PolyX.recenter_hasse` as series.  A product
-of polynomials in t and X is one Kronecker product of integer images.
+reads as keys and caps; the root search in k((t)) reads them with each row's
+lowest scalar too, and no series.  :meth:`PolyX.recenter_hasse` builds the C_i
+by the Hasse sum in the coefficient ring.  A product of polynomials in t and X
+is one Kronecker product of integer images.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+import sys
 from collections import namedtuple
 from fractions import Fraction
 
@@ -237,17 +240,13 @@ class PolyX:
 
     def recenter_hasse(self, a) -> list:
         """C_i with f(X) = sum C_i (X - a)^i by the Hasse-derivative formula, valid in every
-        characteristic: exact over RatFunc, over series off the shift's slots (_packed_values)."""
+        characteristic, in the ring of (self, a): exact over RatFunc, over series term by term."""
         poly, a = self._with_point(a)
         n = poly.degree()
         if n < 1 or a.is_exact_zero():
             # every shifted term carries a power of the exact zero
             return list(poly.coeffs)
-        if poly.domain == SERIES:  # at the truncated center, whose plan has Q constant
-            a = a if a.source is None else PuiseuxSeries(a.field, a.ram, a.coeffs, a.prec)
-            e, rows = _packed_values(self.field, poly.coeffs, a, slots=True)
-            return [c if r is None else r for c, r in zip(poly.coeffs, rows)]
-        powers = [RatFunc.one(self.field)]
+        powers = [a.one(self.field)]
         for _ in range(n):
             powers.append(powers[-1] * a)
         one = self.field.one()
@@ -256,7 +255,7 @@ class PolyX:
             acc = poly.coeffs[i]
             for j, b in row:
                 term = poly.coeffs[j] * powers[j - i]
-                acc = acc + (term if b == one else term * RatFunc.constant(self.field, b))
+                acc = acc + (term if b == one else term * type(a).constant(self.field, b))
             out.append(acc)
         return out
 
@@ -317,31 +316,8 @@ class PolyX:
         """
         if self.is_zero():
             raise ZeroPolynomial("Newton polygon of the zero polynomial")
-        e, rows = self.recentered_values(RatFunc.zero(self.field) if center is None else center)
-        n = len(rows) - 1
-        if n == 0:
-            return []
-        # leading zeros (exact roots at the center)
-        k = 0
-        while k < n and rows[k] == (None, None):
-            k += 1
-        if rows[k][0] is None and rows[k][1] is not None:
-            raise PrecisionExhausted(
-                f"coefficient {k} of the recentered polynomial is undecidable")
-        known = [(i, key) for i, (key, _) in enumerate(rows) if key is not None]
-        unknown = [(i, cap) for i, (key, cap) in enumerate(rows) if key is None and cap is not None]
-        hull = _lower_hull(known)  # heights in units of 1/e
-        # undecidable points must provably lie on or above the hull
-        for i, lb in unknown:
-            if lb * e < _hull_height(hull, i):
-                raise PrecisionExhausted(
-                    f"coefficient {i} (known only to O(t^{lb})) may cut the Newton polygon")
-        out = []
-        if k > 0:
-            out.append((GroupVal.posinf(), k))
-        for (i1, v1), (i2, v2) in zip(hull, hull[1:]):
-            out.append((GroupVal.fin(Fraction(v1 - v2, (i2 - i1) * e)), i2 - i1))
-        return out
+        return _polygon(*self.recentered_values(RatFunc.zero(self.field) if center is None
+                                                else center))
 
     # -- text -----------------------------------------------------------------------
 
@@ -436,19 +412,23 @@ def _shift_plan(a) -> ShiftPlan:
     return _plan(1, None, None, keys, ys, sum(map(abs, zs)), zs)
 
 
-def _packed_values(field: BaseField, coeffs, a, slots=False) -> tuple:
+def _packed_values(field: BaseField, coeffs, a, lead=False) -> tuple:
     """:meth:`PolyX.recentered_values` for c_j in K or in the completion (the top one possibly 0
     or an unknown zero) at a = s^lo A(s)/Q(s), s = t^(1/e), lo <= 0, Q(0) != 0: one packed Taylor
     shift of the M_j Q^(n-j) by A (README), Q constant but at p/q.  Row i's cap: the least P_i and
     product_prec(P_j, v(c_j), Pa + (d-1)v(a), d v(a)) on its Hasse row, d = j - i, P_j a series
-    c_j's cap or P for a pole.  ``slots`` (series c_j, Q constant): rows C_i, None for C_i = c_i."""
-    n, p, inf, pole, caps = len(coeffs) - 1, field.char, math.inf, None, None
-    e, prec, P, v, lo, keys, ys, hi, low, a1, q1, zs, dz = _shift_plan(a)
+    c_j's cap or P for a pole.  ``lead`` (series c_j, Q constant): rows (key, cap, scalar), the
+    scalar C_i's at its least key (None without one), a row without a key read off the window."""
+    n, p, inf, pole, caps, s = len(coeffs) - 1, field.char, math.inf, None, None, 1
+    if zero := a.is_exact_zero():  # every shifted term carries a power of the exact zero: no plan
+        e, P = 1, expansion_prec(None) if isinstance(a, PuiseuxSeries) else None
+    else:
+        e, prec, P, v, lo, keys, ys, hi, low, a1, q1, zs, dz = _shift_plan(a)
     if series := bool(coeffs) and isinstance(coeffs[-1], PuiseuxSeries):  # on (1/e)Z
-        if (s := math.lcm(e, *[c.ram for c in coeffs]) // e) > 1:  # the center's keys with them
-            e, lo, keys, hi, low, dz = e * s, lo * s, [k * s for k in keys], hi * s, low * s, dz * s
-        ks, caps = [min(c.coeffs) * (e // c.ram) if c.coeffs else None for c in coeffs], \
-            [c.prec for c in coeffs]
+        s, least = math.lcm(e, *[c.ram for c in coeffs]) // e, [min(c.coeffs, default=None)
+                                                              for c in coeffs]
+        e, caps = e * s, [c.prec for c in coeffs]
+        ks = [None if m is None else m * (e // c.ram) for m, c in zip(least, coeffs)]
     else:
         ks = [0 if (xs := c.nq[0]) and xs[0] else tp_ord(field, xs) for c in coeffs]  # v(c_j)
         if any(pl := [len(c.dq[0]) > 1 for c in coeffs]):
@@ -462,10 +442,15 @@ def _packed_values(field: BaseField, coeffs, a, slots=False) -> tuple:
         if e > 1:
             ks = [None if o is None else o * e for o in ks]
     direct = list(zip(ks, caps)) if caps else [(k, None) for k in ks]  # a row without terms: c_i
-    if n < 1 or v is None:  # every shifted term carries a power of the exact zero
+    if lead:
+        direct = [(*r, None if m is None else c.coeffs[m]) for r, m, c in zip(direct, least,
+                                                                              coeffs)]
+    if n < 1 or zero:
         return e, direct
     if a.field != field:
         raise WorkbenchError("base field mismatch")
+    if s > 1:  # the center's keys with the coefficients'
+        lo, keys, hi, low, dz = lo * s, [k * s for k in keys], hi * s, low * s, dz * s
     (vn, vd), hasse = v, _hasse_binomials(field, n)  # caps in units of 1/U, v(a) = vn/vd
     if prec is None and not caps:  # no cap anywhere; else row i's (cap, key cap)
         live = [None if all(ks[j] is None for j, _ in row) else (None, inf) for row in hasse]
@@ -483,11 +468,11 @@ def _packed_values(field: BaseField, coeffs, a, slots=False) -> tuple:
                                              min(own[i], m - i * vu)) == inf
                 else (Fraction(m, U), -(-m * e // U)) for i, row in enumerate(hasse)]
     es = 0  # row i's slot 0 has the key lo(n - i) - es; terms[j]: c_j's slots, integers, top
-    if series:  # a negative key k at the slot k + es; zip reads a key, then its integer
-        flat, dc = field.as_integers([x for c in coeffs for x in c.coeffs.values()])
-        es, flat = -min([0] + [k for k in ks if k is not None]), iter(flat)
-        terms = [(sl := [k * (e // c.ram) + es for k in c.coeffs],
-                  [x for _, x in zip(c.coeffs, flat)], max(sl, default=0)) for c in coeffs]
+    if series:  # a negative key k at the slot k + es; each c_j keeps its integer images
+        imgs, dc = common_denominator([point_images(c)[1:3] for c in coeffs])
+        es = -min([0] + [k for k in ks if k is not None])
+        terms = [(sl := [k * (e // c.ram) + es for k in c.coeffs], xs, max(sl, default=0))
+                 for c, xs in zip(coeffs, imgs)]
     else:  # the N_j over one denominator, t^k at the slot e k
         terms = [(range(0, e * len(m), e), m, e * len(m) - e)
                  for m in common_denominator([c.nq for c in coeffs])[0]]
@@ -503,12 +488,12 @@ def _packed_values(field: BaseField, coeffs, a, slots=False) -> tuple:
     if pole:
         M = [v * _pack(c, b * e) for v, c in zip(M, cofs)]
     limit = max((row[1] - lo * (n - i) + es for i, row in enumerate(live) if row), default=0)
-    if limit == inf or zs or slots:  # an uncapped row, one pass at p/q or all slots: at most
+    if limit == inf or zs:  # an uncapped row or one pass at p/q: at most
         limit = min(limit, 1 + dm + max((t - lo * (n - j) + j * hi
                                          for j, (_, xs, t) in enumerate(terms) if xs), default=0))
     nt = lambda: sum(len(xs) - xs.count(0) for _, xs, _ in terms)  # the number of terms
-    width = limit if zs or slots else min(limit, max((ks[n] or 0) + es + n * low + 1,
-                                                     nt() if series else 0))
+    width = limit if zs else min(limit, max((ks[n] or 0) + es + n * low + 1,
+                                            nt() if series else 0))
     while True:
         mask = (1 << b * max(width, 0)) - 1
         A = sum(y << b * (k - lo) for k, y in zip(keys, ys) if k - lo < width)  # signed, narrow
@@ -516,39 +501,38 @@ def _packed_values(field: BaseField, coeffs, a, slots=False) -> tuple:
         for i in range(n):
             for j in range(n - 1, i - 1, -1):
                 S[j] = (S[j] + A * S[j + 1]) & mask
-        if slots:  # C_i off the signed slots of S_i = dc q1^(n - i) s^(es - lo(n - i)) C_i
-            return e, [row and _slot_series(field, e, S[i], b, max(width, 0), lo * (n - i) - es,
-                                             row, dc * q1**(n - i)) for i, row in enumerate(live)]
         rows = [(_least_key(S[i], b, p, lo * (n - i) - es, row[1]), row[0]) if row else direct[i]
                 for i, row in enumerate(live)]
-        if width >= limit or all(k is not None for (k, _), row in zip(rows, live) if row):
-            return e, rows
+        if width >= limit or all(r[0] is not None for r, row in zip(rows, live) if row):
+            break
         missing = [i for i, row in enumerate(live)  # no key, below a cap the window has not
                    if row and rows[i][0] is None and row[1] - lo * (n - i) + es > width]  # reached
-        if missing and not pole and limit > max(width, (n + 1) * len(keys) * nt()):  # the span
-            for i in [i for i in missing if live[i][0] is None]:  # wider than the term pairs of
-                cs = [coeffs[i]] + [coeffs[i].zero(field)] * (n - i)  # a sparse sum: an uncapped
-                for j, bj in hasse[i]:  # row is C_i = (D^i f)(a), exact, read off the sparse
-                    c = coeffs[j]  # Horner sum of D^i f = sum C(j, i) c_j X^(j - i) at a
+        if missing and not pole and not lead and limit * b > (  # the span's bits more than a
+                n + 1) * len(keys) * nt() * sys.int_info.bits_per_digit:  # Python int digit per
+            for i in [i for i in missing if live[i][0] is None]:  # term pair of a sparse sum:
+                cs = [coeffs[i]] + [coeffs[i].zero(field)] * (n - i)  # an uncapped row is
+                for j, bj in hasse[i]:  # C_i = (D^i f)(a), exact, read off the sparse Horner
+                    c = coeffs[j]  # sum of D^i f = sum C(j, i) c_j X^(j - i) at a
                     cs[j - i] = c if bj == 1 else c * type(c).constant(field, bj)
                 val = PolyX(field, cs).value_at(a.to_series())
                 live[i], direct[i] = None, (None if val.is_inf else int(val.q * e), None)
                 rows[i] = direct[i]
             missing = [i for i in missing if live[i]]
         if not missing:
-            return e, rows
+            break
         width = limit if any(live[i][0] is None for i in missing) else min(2 * width, limit)
+    if lead:  # C_i's least slot over its scale: S_i = dc q1^(n - i) s^(es - lo(n - i)) C_i
+        rows = [(*r, None if r[0] is None else field.from_integer(
+            _slot(S[i], b, r[0] - lo * (n - i) + es), dc * q1**(n - i))) if live[i] else r
+            for i, r in enumerate(rows)]
+    return e, rows
 
 
-def _slot_series(field, e, v: int, b: int, w: int, lo: int, row, d) -> PuiseuxSeries:
-    """Sum of x_k/d t^((lo + k)/e) + O(t^cap) over the signed b-bit slots x_k of v below the
-    key cap, row = (cap, key cap); the ell-1 bound keeps |x_k| < 2^(b-1)."""
-    nb, half, lower = b // 8, 1 << b - 1, field.from_integer
-    raw = ((v + int.from_bytes((bytes(nb - 1) + b"\x80") * w, "little")) & ((1 << b * w) - 1))
-    raw = raw.to_bytes(nb * w, "little")  # each slot lifted by half a slot: no borrow
-    xs = [int.from_bytes(raw[i:i + nb], "little") for i in range(0, nb * min(w, row[1] - lo), nb)]
-    return PuiseuxSeries(field, e, {lo + k: lower(x - half, d) for k, x in enumerate(xs)
-                                    if x != half}, row[0])
+def _slot(v: int, b: int, k: int) -> int:
+    """The signed b-bit slot k of v, all slots below it 0 or, over F_p, nonnegative: lifted by
+    half a slot, as the ell-1 bound keeps every slot below 2^(b-1) in size."""
+    half = 1 << b - 1
+    return ((v >> b * k) + half & 2 * half - 1) - half
 
 
 def _least_key(v: int, b: int, p: int, lo: int, cap):
@@ -559,6 +543,33 @@ def _least_key(v: int, b: int, p: int, lo: int, cap):
         k += next((8 * i // b for i in range(0, len(raw), b // 8)
                    if int.from_bytes(raw[i:i + b // 8], "little") % p), math.inf)
     return k + lo if k + lo < cap else None
+
+
+def _polygon(e: int, rows) -> list:
+    """:meth:`PolyX.newton_polygon` off a value profile: rows (key, cap, ...) in units of 1/e,
+    the top one decidably nonzero (else LEAD_UNDECIDED, as the constructor raises)."""
+    n = len(rows) - 1
+    if rows[n][0] is None and rows[n][1] is not None:
+        raise PrecisionExhausted(LEAD_UNDECIDED)
+    if n == 0:
+        return []
+    # leading zeros (exact roots at the center)
+    k = 0
+    while k < n and rows[k][0] is None and rows[k][1] is None:
+        k += 1
+    if rows[k][0] is None and rows[k][1] is not None:
+        raise PrecisionExhausted(f"coefficient {k} of the recentered polynomial is undecidable")
+    known = [(i, row[0]) for i, row in enumerate(rows) if row[0] is not None]
+    hull = _lower_hull(known)  # heights in units of 1/e
+    # undecidable points must provably lie on or above the hull
+    for i, (key, cap, *_) in enumerate(rows):
+        if key is None and cap is not None and cap * e < _hull_height(hull, i):
+            raise PrecisionExhausted(
+                f"coefficient {i} (known only to O(t^{cap})) may cut the Newton polygon")
+    out = [(GroupVal.posinf(), k)] if k > 0 else []
+    for (i1, v1), (i2, v2) in zip(hull, hull[1:]):
+        out.append((GroupVal.fin(Fraction(v1 - v2, (i2 - i1) * e)), i2 - i1))
+    return out
 
 
 def _lower_hull(points):
@@ -579,7 +590,7 @@ def _lower_hull(points):
 def _hull_height(hull, x):
     """Height of the hull's lower boundary at abscissa x.
 
-    :meth:`PolyX.newton_polygon` puts known points at both ends, the first
+    ``_polygon`` puts known points at both ends, the first
     decidably nonzero index k and the degree n, and asks only about
     undecidable indices between them, so x always lies inside the hull.
     """

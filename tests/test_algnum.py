@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+import root_search_reference as reference
+from valwb import algnum
 from valwb.algnum import (
     AlgElement,
     Linear,
@@ -252,3 +254,142 @@ def test_minpoly_over_completion_answers_as_the_fraction_search_did():
               AlgElement(PuiseuxSeries.from_terms(F3, {Fraction(1, 2): 1}, 5),
                          polyx_from_text(F3, "X^2 - t"), True)):
         assert minpoly_over_completion(a, 64) == NoRootFound(Fraction(64))
+
+
+# -- the root search off one keyed profile per step -----------------------------
+#
+# Each step reads the certificate's profile at the partial sum, with each C_i's
+# least key, cap and scalar.  The reference is the search as it was while it built
+# the C_i as series (tests/root_search_reference.py): the result type, the root's
+# ram, keys, scalars with their types and cap, NoRootFound's budget, or the
+# exception class and message must match.
+
+def search_outcome(search, a, budget):
+    try:
+        res = search(a, budget)
+    except Exception as exc:  # the exception itself is part of the outcome
+        return ("raised", type(exc), str(exc))
+    if isinstance(res, NoRootFound):
+        return (type(res), type(res.budget), res.budget)
+    r = res.root
+    return (type(res), r.ram, type(r.prec), r.prec,
+            sorted((k, type(x), x) for k, x in r.coeffs.items()))
+
+
+def sqrt_terms(field, c, n):
+    """The first n terms of sqrt(1 + c t) = sum binom(1/2, k) c^k t^k."""
+    b, terms = Fraction(1), {}
+    for k in range(n):
+        terms[Fraction(k)] = field.coerce(b * Fraction(c)**k)
+        b = b * (Fraction(1, 2) - k) / (k + 1)
+    return terms
+
+
+def small_scalar(field, rng):
+    if field.char:
+        return rng.randrange(1, field.char)
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.choice((1, 1, 2, 3)))
+
+
+def random_k_poly(field, rng, deg, poles=False):
+    """Monic of X-degree deg over K, small t-polynomials, a pole now and then."""
+    coeffs = []
+    for _ in range(deg):
+        num = [small_scalar(field, rng) if rng.random() < 0.6 else field.zero()
+               for _ in range(rng.randint(0, 4))]
+        den = [field.one(), small_scalar(field, rng)] if poles and rng.random() < 0.5 else [1]
+        coeffs.append(RatFunc(field, [field.zero()] * rng.randint(0, 3) + num, den))
+    return PolyX.from_ratfuncs(field, coeffs + [RatFunc.one(field)])
+
+
+def unguided(field, rng):
+    """An expansion of ramification 2: the search runs without a guide."""
+    return PuiseuxSeries.from_terms(field, {Fraction(1, 2): small_scalar(field, rng)})
+
+
+def root_search_cases(rng):
+    """(kind, AlgElement, budget) over Q, F_2, F_3, F_5 and F_7."""
+    fields = {p: GF(p) if p else QQ for p in (0, 2, 3, 5, 7)}
+    for i in range(24):  # sqrt(1 + c t): exact, capped and unguided expansions
+        field = fields[(0, 3, 5, 7)[i % 4]]
+        c, budget = small_scalar(field, rng), rng.randint(4, 20 if field.char else 12)
+        Q = PolyX.from_ratfuncs(field, [-RatFunc(field, [1, c]), RatFunc.zero(field),
+                                        RatFunc.one(field)])
+        shape, n = i // 4 % 3, rng.randint(2, budget + 6)
+        s = (PuiseuxSeries.from_terms(field, sqrt_terms(field, c, n)) if shape == 0 else
+             PuiseuxSeries.from_terms(field, sqrt_terms(field, c, n), n) if shape == 1 else
+             unguided(field, rng))
+        yield "sqrt", AlgElement(s, Q, True), budget
+    for p in (2, 3):  # X^p - X + t, guided by the tower or unguided
+        Q = polyx_from_text(fields[p], f"X^{p} - X + t")
+        for depth, budget in ((1, 4), (2, 8), (3, 20), (3, 64)):
+            yield "artin-schreier", AlgElement(tower_series(p, depth), Q, True), budget
+        yield "artin-schreier", AlgElement(unguided(fields[p], rng), Q, True), 12
+    for p, n in ((0, 2), (5, 2), (7, 3), (0, 3)):  # b + c t^(k/n): (X - b)^n - c^n t^k
+        field = fields[p]
+        for k in [k for k in range(1, 2 * n + 1) if math.gcd(k, n) == 1]:
+            b, c = small_scalar(field, rng), small_scalar(field, rng)
+            s = PuiseuxSeries.from_terms(field, {Fraction(0): b, Fraction(k, n): c})
+            xb = PolyX.from_ratfuncs(field, [RatFunc.constant(field, -b), RatFunc.one(field)])
+            Q = PolyX.x_power(field, 0)
+            for _ in range(n):
+                Q = Q * xb
+            Q = Q - PolyX.from_ratfuncs(field, [RatFunc.constant(field, c) ** n
+                                                * RatFunc.t_power(field, k)])
+            yield "no root", AlgElement(s, Q, True), rng.randint(4, 16)
+    for i in range(30):  # planted roots (X - r) g, r in k[t]: exact roots mid-search
+        field = fields[(0, 2, 3, 5, 7)[i % 5]]
+        r = {Fraction(k): small_scalar(field, rng) for k in sorted(rng.sample(range(8), 3))}
+        rk = RatFunc(field, [r.get(Fraction(k), 0) for k in range(8)])
+        Q = PolyX.from_ratfuncs(field, [-rk, RatFunc.one(field)]) * random_k_poly(
+            field, rng, rng.randint(1, 3), poles=i % 3 == 0)
+        shape = i // 5 % 3
+        s = (PuiseuxSeries.from_terms(field, r) if shape == 0 else
+             PuiseuxSeries.from_terms(field, r, rng.randint(1, 9)) if shape == 1 else
+             unguided(field, rng))
+        yield "planted", AlgElement(s, Q, True), rng.randint(4, 20)
+    for i in range(30):  # pole coefficients of high order: capped rows may cut the polygon
+        field = fields[(0, 3, 5, 7, 2)[i % 5]]
+        budget = rng.randint(4, 12)
+        coeffs = [RatFunc(field, [field.zero()] * rng.randint(0, 3 * budget)
+                          + [small_scalar(field, rng)], [field.one(), small_scalar(field, rng)])
+                  for _ in range(rng.randint(1, 3))]
+        if i % 3 == 2:  # C_0 known far above the cap of an unknown-zero C_1
+            coeffs = [RatFunc.t_power(field, 2 * budget + rng.randint(17, 20))] + coeffs
+        Q = PolyX.from_ratfuncs(field, coeffs + [RatFunc.one(field)])
+        s = unguided(field, rng) if i % 2 else PuiseuxSeries.zero(field)
+        yield "pole", AlgElement(s, Q, True), budget
+    field = fields[3]  # an undecidable leading coefficient
+    lead = RatFunc(field, [field.zero()] * 30 + [field.one()], [field.one(), field.one()])
+    yield "pole", AlgElement(unguided(field, rng), PolyX(field, [RatFunc.t_power(field, 1),
+                                                                 lead]), True), 6
+
+
+def test_root_search_answers_as_the_series_search_did():
+    seen = {"linear": 0, "exact root": 0, "none": 0, "raised": 0, "sqrt": 0, "no root": 0,
+            "planted": 0, "artin-schreier": 0, "pole": 0}
+    for kind, a, budget in root_search_cases(random.Random(20)):
+        got = search_outcome(minpoly_over_completion, a, budget)
+        assert got == search_outcome(reference.minpoly_over_completion, a, budget), \
+            (kind, a, budget)
+        seen[kind] += 1
+        if got[0] == "raised":
+            seen["raised"] += 1
+        elif got[0] is NoRootFound:
+            seen["none"] += 1
+        else:
+            seen["linear"] += 1
+            seen["exact root"] += got[3] is None
+    assert min(seen.values()) >= 5, seen
+
+
+def test_root_search_builds_no_series_coefficients(monkeypatch):
+    def fail(*args):
+        raise AssertionError("the root search recentered or took a polygon through PolyX")
+
+    cases = list(root_search_cases(random.Random(21)))
+    want = [search_outcome(minpoly_over_completion, a, budget) for _, a, budget in cases]
+    monkeypatch.setattr(PolyX, "recenter_hasse", fail)
+    monkeypatch.setattr(PolyX, "newton_polygon", fail)
+    assert [search_outcome(minpoly_over_completion, a, budget) for _, a, budget in cases] == want
+    assert not hasattr(algnum, "_residue_equation")

@@ -696,18 +696,18 @@ def list_profile(coeffs, a, values):
     return e, [(k, type(cap), cap) for k, cap in rows]
 
 
-def test_series_coefficients_take_the_packed_shift_as_the_series_stage_did():
+def series_list_cases():
+    """(i, kind, field, coeffs, a): 700 seeded lists of series coefficients and centers, kind
+    "near" for X^p - b^p at a center near b."""
     rng = random.Random(44)
     kinds = ("exact", "capped", "zero", "unknown zero", "negative", "pole", "cancel")
-    seen = {"raised": 0, "hasse": 0, "exact zero rows": 0, "capped rows": 0, "undecided rows": 0,
-            "unknown-zero top": 0, "cancel": 0, "ram > 1": 0}
     for i in range(700):
         field = FIELDS[i % len(FIELDS)]
         kind = kinds[i // len(FIELDS) % len(kinds)]
         coeffs, near = random_series_list(field, rng, kind)
         if near is not None:  # b itself, or b + t^k: C_0 is 0 or t^(kp), the rest 0 mod p
             a = near if rng.random() < 0.5 else near + PuiseuxSeries.t_power(field, rng.randint(1, 4))
-            seen["cancel"] += 1
+            kind = "near"
         elif kind in ("exact", "capped", "negative"):
             lo = rng.randint(-4, -1) if kind == "negative" else rng.randint(0, 4)
             a = series_with_keys(field, rng, rng.choice((1, 2, 3, 6)),
@@ -718,6 +718,14 @@ def test_series_coefficients_take_the_packed_shift_as_the_series_stage_did():
             a = random_center(field, rng, kind).to_series()
         if rng.random() < 0.02:
             a = random_center(FIELDS[(i + 1) % len(FIELDS)], rng, "dense")  # field mismatch
+        yield i, kind, field, coeffs, a
+
+
+def test_series_coefficients_take_the_packed_shift_as_the_series_stage_did():
+    seen = {"raised": 0, "hasse": 0, "exact zero rows": 0, "capped rows": 0, "undecided rows": 0,
+            "unknown-zero top": 0, "cancel": 0, "ram > 1": 0}
+    for i, kind, field, coeffs, a in series_list_cases():
+        seen["cancel"] += kind == "near"
         got = list_profile(coeffs, a, polyx._packed_values)
         assert got == list_profile(coeffs, a, shifted_values), (i, kind, coeffs, a)
         if coeffs[-1].is_exact_zero() or coeffs[-1].is_unknown_zero():
@@ -735,6 +743,117 @@ def test_series_coefficients_take_the_packed_shift_as_the_series_stage_did():
         seen["capped rows"] += sum(1 for k, t, _ in got[1] if k is not None and t is Fraction)
         seen["undecided rows"] += sum(1 for k, t, _ in got[1] if k is None and t is Fraction)
     assert min(seen.values()) >= 12, seen
+
+
+def lead_rows(field, coeffs, a):
+    """The keyed profile with each row's value k/e, cap and lead scalar, or the exception."""
+    try:
+        e, rows = polyx._packed_values(field, coeffs, a, lead=True)
+    except Exception as exc:  # the exception itself is part of the outcome
+        return ("raised", type(exc), str(exc))
+    return [(None if k is None else Fraction(k, e), type(cap), cap, type(x), x)
+            for k, cap, x in rows]
+
+
+def test_lead_rows_carry_the_least_coefficient_of_each_recentered_series():
+    # each row's (key, cap, scalar) is the least key, the cap and the coefficient
+    # there of the series stage's C_i; keys and caps are those of the plain profile
+    seen = {"rows": 0, "scalars": 0, "raised": 0, "live scalars": 0}
+    for i, kind, field, coeffs, a in series_list_cases():
+        a = a if a.source is None else without_source(a)  # the lead mode's Q is constant
+        got = lead_rows(field, coeffs, a)
+        plain = list_profile(coeffs, a, polyx._packed_values)
+        if got[0] == "raised":
+            assert got == plain, (i, kind, coeffs, a)
+            seen["raised"] += 1
+            continue
+        assert [(k, t, cap) for k, t, cap, _, _ in got] == \
+            [(None if k is None else Fraction(k, plain[0]), t, cap) for k, t, cap in plain[1]]
+        seen["rows"] += len(got)
+        if coeffs[-1].is_exact_zero() or coeffs[-1].is_unknown_zero():
+            continue
+        C = recentered_series(PolyX.from_series(field, coeffs), a)
+        want = [(Fraction(min(c.coeffs), c.ram), type(c.prec), c.prec,
+                 type(c.coeffs[min(c.coeffs)]), c.coeffs[min(c.coeffs)]) if c.coeffs
+                else (None, type(c.prec), c.prec, type(None), None) for c in C]
+        assert got == want, (i, kind, coeffs, a)
+        seen["scalars"] += sum(x is not None for *_, x in got)
+        seen["live scalars"] += sum(x is not None and c is not d for (*_, x), c, d
+                                    in zip(got, C, coeffs))
+    assert min(seen.values()) >= 10, seen
+
+
+def random_series_poly(field, rng, deg):
+    """X-degree deg over the completion, coefficients at ram 1, 2, 3 and 6."""
+    k, ram = rng.randint(-3, 3), rng.choice((1, 2, 3, 6))
+    lead = PuiseuxSeries(field, ram, {k: nonzero_scalar(field, rng)},
+                         rng.choice((None, Fraction(k + rng.randint(1, 9), ram))))
+    return PolyX.from_series(field, [random_coefficient(field, rng) for _ in range(deg)] + [lead])
+
+
+def test_a_zero_center_builds_no_shift_plan(monkeypatch):
+    # at None, RatFunc.zero and PuiseuxSeries.zero the profile is the coefficients' own:
+    # the same as the references' and built without a shift plan of the zero
+    def fail(a):
+        raise AssertionError("a shift plan was built at the zero center")
+
+    rng, seen = random.Random(46), {"raised": 0, "polygon": 0, "pole": 0}
+    monkeypatch.setattr(polyx, "_shift_plan", fail)
+    for field in (QQ, F2, GF(3), GF(7)):
+        for deg in range(5):
+            for f in (random_polyx(field, rng, deg, domain="series", prec=Fraction(17, 2)),
+                      random_series_poly(field, rng, deg), random_kt_poly(field, rng, deg),
+                      random_pole_kt_poly(field, rng, deg)):
+                for zero in (RatFunc.zero(field), PuiseuxSeries.zero(field)):
+                    want = profile(ref_profile, f, zero) if f.domain == RATFUNC else \
+                        profile(lambda f, a: shifted_values(field, f.coeffs, a.to_series()), f,
+                                zero)
+                    assert profile(PolyX.recentered_values, f, zero) == want, (f, zero)
+                    seen["raised"] += want[0] == "raised"
+                for center in (None, RatFunc.zero(field), PuiseuxSeries.zero(field)):
+                    got = outcome(f.newton_polygon, center)
+                    assert got == outcome(ref_newton_polygon, f, center), (f, center)
+                    seen["polygon"] += isinstance(got, list) and got != []
+                    seen["raised"] += isinstance(got, tuple)
+                seen["pole"] += any(not c.is_polynomial() for c in f.coeffs
+                                    if isinstance(c, RatFunc))
+    assert min(seen.values()) >= 5, seen
+
+
+def test_the_sparse_guard_weighs_the_slot_width(monkeypatch):
+    # at a = t + t^3 + t^9 + t^27 + t^81 over F_3 the exact zero row spans 82 slots of
+    # 16 bits, fewer bits than a digit per term pair of the sparse sum: the window reads
+    # it; at t + t^2000 the span is far wider, and the row is read off the sparse sum
+    sparse, real = [], PolyX.value_at
+
+    def counting(self, a, images=None):
+        sparse.append(a)
+        return real(self, a, images)
+
+    monkeypatch.setattr(PolyX, "value_at", counting)
+    F3 = GF(3)
+    tower = PuiseuxSeries.from_terms(F3, {3**k: 1 for k in range(5)})
+    factors = [PolyX.from_series(F3, [-PuiseuxSeries.from_terms(F3, {3**k: 1 for k in range(m)}),
+                                      PuiseuxSeries.one(F3)]) for m in (5, 3, 2)]
+    for f in (factors[0], factors[0] * factors[1], factors[1] * factors[0] * factors[2]):
+        got = profile(PolyX.recentered_values, f, tower)
+        assert got == profile(ref_profile, f, tower) and got[1][0] == (None, type(None), None)
+        assert not sparse, f
+    rng = random.Random(47)
+    for field in (QQ, F3):
+        a = PuiseuxSeries.from_terms(field, {1: 1, 2000: 1})
+        g = PolyX.from_series(field, [series_with_keys(field, rng, 1, range(0, 4), False)
+                                      for _ in range(3)])
+        f = PolyX.from_series(field, [-a, PuiseuxSeries.one(field)]) * g
+        sparse.clear()
+        got = profile(PolyX.recentered_values, f, a)
+        assert got == profile(ref_profile, f, a) and got[1][0] == (None, type(None), None)
+        assert len(sparse) == 1, field
+        # the keyed mode needs each row's scalar, which value_at does not give: the window
+        rows = lead_rows(field, f.coeffs, a)
+        assert [r[:3] for r in rows] == [(None if k is None else Fraction(k, got[0]), t, cap)
+                                         for k, t, cap in got[1]]
+        assert rows[0] == (None, type(None), None, type(None), None) and len(sparse) == 1
 
 
 def test_an_exact_zero_row_at_a_sparse_center_is_read_sparse(monkeypatch):
