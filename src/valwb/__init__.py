@@ -59,7 +59,7 @@ from .lifting import (
     uniqueness_check,
     verify_root_matching,
 )
-from .report import Report, Verdict
+from .report import Evidence, Report, Verdict
 from .config import WorkbenchConfig, load_config, parse_config
 from .examples import run_example
 from .selftest import run_all as run_selftest

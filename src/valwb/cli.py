@@ -214,10 +214,12 @@ def _run(args) -> tuple:
                     "a sequence entry of no larger degree computes the value "
                     "through its digits")
             return rep, False
+        if out.undecidable:  # an undecidable entry is no evidence of incompleteness
+            raise WorkbenchError(f"no witness among {out.tested} decided entries; "
+                                 f"{out.undecidable} undecidable, {out.notes[0]}")
         rep.check("cskp-check", inputs, False,
                   f"no witness among {out.tested} admissible entries",
-                  "the sequence is incomplete for this polynomial",
-                  caveats=tuple(out.caveats))
+                  "the sequence is incomplete for this polynomial")
         return rep, True
     if args.command == "lift-cskp":
         spec = _need_spec(cfg)

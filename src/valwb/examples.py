@@ -42,7 +42,7 @@ from .pcs import (
     mixed_radix_generator,
 )
 from .polyx import PolyX
-from .report import Report, digest
+from .report import Evidence, Report, digest
 from .sampling import _redraw, random_polyx
 from .series import DEFAULT_PREC, PuiseuxSeries, RatFunc
 from .valuation import ValuationSpec, delta
@@ -143,7 +143,7 @@ def _example_tower(p: int, witness_samples: int, seed: int) -> Report:
     rep.check("witness search", inp, found == witness_samples,
               f"{found}/{witness_samples} sampled polynomials got a witness",
               "the linear entries already compute v on low degrees",
-              caveats=(f"{redraws_total} undecidable redraws",) if redraws_total else ())
+              caveats=Evidence(witness_samples, redraws_total).caveats("redraws"))
     return rep
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Optional
@@ -35,6 +35,7 @@ from .pcs import (
     values_along,
 )
 from .polyx import RATFUNC, PolyX, _packed_values
+from .report import Evidence, search
 from .series import DEFAULT_PREC, PuiseuxSeries, RatFunc, truncate_to_ratfunc
 from .valuation import OVER_KHAT, ValuationSpec, _min_weighted, delta, eval_spec, is_pair_equivalent
 
@@ -130,34 +131,23 @@ class Witness:
     value: GroupVal
 
 
-@dataclass
-class NoWitness:
-    tested: int
-    caveats: list = dc_field(default_factory=list)
-
-
 def cskp_check(seq: CskpSeq, f: PolyX, spec: ValuationSpec) -> object:
     """First sequence entry computing v f through its digit expansion.
 
-    Returns Witness(index) for the first Q with deg Q <= deg f and
-    v_Q f = v f; NoWitness signals that the sequence is incomplete for f
-    at desk scale.
+    Returns Witness(index) for the first Q with deg Q <= deg f and v_Q f = v f,
+    or the Evidence of a miss, which with every entry decided shows the sequence
+    incomplete for f at desk scale (an undecidable entry's note: ``entry i: why``).
     """
     vf = eval_spec(spec, f)
-    caveats = []
-    tested = 0
-    for idx, (Q, _) in enumerate(seq):
-        if Q.degree() > max(f.degree(), 0):
-            continue
-        tested += 1
-        try:
-            vQ = eval_spec(spec, Q)
-            kp = ValuationSpec.keypoly(Q, vQ, base=spec, over=spec.over)
-            if eval_spec(kp, f) == vf:
-                return Witness(idx, vf)
-        except (PrecisionExhausted, HorizonExceeded) as exc:
-            caveats.append(f"entry {idx}: {exc}")
-    return NoWitness(tested, caveats)
+
+    def computes_vf(idx: int) -> bool:
+        Q = seq[idx][0]
+        kp = ValuationSpec.keypoly(Q, eval_spec(spec, Q), base=spec, over=spec.over)
+        return eval_spec(kp, f) == vf
+
+    admissible = (idx for idx, (Q, _) in enumerate(seq) if Q.degree() <= max(f.degree(), 0))
+    found = search(admissible, computes_vf, label=lambda idx: f"entry {idx}")
+    return found if isinstance(found, Evidence) else Witness(found, vf)
 
 
 def lift_cskp(seq: CskpSeq, spec: ValuationSpec, center: Optional[AlgElement] = None,
@@ -456,28 +446,26 @@ def _quotient_gap_exceeds(spec, f, g, f1, g1, vg, alpha) -> bool:
 # uniqueness and conjugacy checks
 # ---------------------------------------------------------------------------
 
-def uniqueness_check(a, b, gamma: GroupVal, samples, spec_over=OVER_KHAT) -> dict:
+def uniqueness_check(a, b, gamma: GroupVal, samples, spec_over=OVER_KHAT) -> tuple:
     """Equal evaluation under equivalent pairs (a, gamma) and (b, gamma).
 
-    ``samples`` is an iterable of polynomials; any discrepancy would falsify
-    the implementation, not the theorem, and is reported verbatim.
+    ``samples`` is an iterable of polynomials.  Returns (Evidence, discrepancies):
+    any discrepancy would falsify the implementation, not the theorem, and is
+    reported verbatim.
     """
     if not is_pair_equivalent(a, b, gamma):
         raise WorkbenchError("centers are not equivalent at this gamma")
     sa = ValuationSpec.monomial(a, gamma, over=spec_over)
     sb = ValuationSpec.monomial(b, gamma, over=spec_over)
-    checked, skipped, discrepancies = 0, [], []
-    for f in samples:
-        try:
-            va, vb = eval_spec(sa, f), eval_spec(sb, f)
-        except PrecisionExhausted as exc:
-            skipped.append(str(exc))
-            continue
-        checked += 1
+    discrepancies = []
+
+    def differs(f: PolyX) -> bool:
+        va, vb = eval_spec(sa, f), eval_spec(sb, f)
         if va != vb:
             discrepancies.append((f.to_text(), va.to_text(), vb.to_text()))
-    return {"checked": checked, "skipped": len(skipped),
-            "discrepancies": discrepancies}
+        return False  # every sample is evaluated
+
+    return search(samples, differs), discrepancies
 
 
 def conjugacy_check(a: AlgElement, gamma: GroupVal, m: int,

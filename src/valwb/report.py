@@ -13,10 +13,11 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .errors import HorizonExceeded, ParseError, PrecisionExhausted
 
 PLUMBING = "plumbing"
 FAIL = "FAIL"
+UNDECIDABLE = (PrecisionExhausted, HorizonExceeded)  # counted apart or redrawn, never evidence
 
 
 def digest(*parts) -> str:
@@ -38,6 +39,34 @@ class Verdict:
 
     def is_failure(self) -> bool:
         return self.outcome.startswith(FAIL)
+
+
+@dataclass
+class Evidence:
+    """What a bounded search that found nothing saw: ``tested`` candidates decided,
+    ``undecidable`` ones that were not (no evidence), and their reasons as ``notes``."""
+    tested: int
+    undecidable: int = 0
+    notes: tuple = ()
+
+    def caveats(self, what: str = "samples") -> tuple:
+        return (f"{self.undecidable} undecidable {what}",) if self.undecidable else ()
+
+
+def search(candidates, hit, label=None):
+    """The first candidate c with hit(c) true, or the Evidence of a miss.  A candidate
+    whose hit raises an UNDECIDABLE error counts apart, never as tested; its note is
+    the reason, after label(c) when a label is given."""
+    tested, notes = 0, []
+    for c in candidates:
+        try:
+            if hit(c):
+                return c
+        except UNDECIDABLE as exc:
+            notes.append(f"{label(c)}: {exc}" if label else str(exc))
+            continue
+        tested += 1
+    return Evidence(tested, len(notes), tuple(notes))
 
 
 class Report:

@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import HorizonExceeded, PrecisionExhausted
 from .field import BaseField
 from .polyx import PolyX
+from .report import UNDECIDABLE
 from .series import PuiseuxSeries, RatFunc, _lowest, _pair
 
 
@@ -23,7 +23,7 @@ def _redraw(draw, use, limit: int = 2000):
     while True:
         try:
             return use(draw()), redraws
-        except (PrecisionExhausted, HorizonExceeded):
+        except UNDECIDABLE:
             redraws += 1
             if redraws > limit:
                 raise

@@ -2,9 +2,9 @@
 
 Each criterion function appends pass/fail verdicts to a shared report; the
 suite is fully seeded, so two runs with the same seed produce byte-identical
-structured reports.  Samples whose verdicts are undecidable at working
-precision are redrawn (bounded) and the redraw count is recorded as a
-caveat — undecidable inputs cannot falsify or confirm an exact identity.
+structured reports.  A sample whose verdict is undecidable at working
+precision is redrawn (bounded) or counted apart, and Evidence words the count
+as a caveat — undecidable inputs cannot falsify or confirm an exact identity.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .errors import PrecisionExhausted, UnsupportedKind, WorkbenchError
+from .errors import UnsupportedKind, WorkbenchError
 from .field import GF, QQ
 from .groupval import GroupVal
 from .lifting import (
@@ -26,7 +26,7 @@ from .lifting import (
 from .examples import artin_schreier_data, run_example
 from .pcs import exponential_generator, mixed_radix_generator
 from .polyx import PolyX, RATFUNC, SERIES
-from .report import Report, digest
+from .report import UNDECIDABLE, Evidence, Report, digest, search
 from .sampling import _redraw, random_polyx, random_series
 from .series import DEFAULT_PREC, PuiseuxSeries, RatFunc
 from .valuation import ValuationSpec, delta, eval_spec, is_pair_equivalent
@@ -75,6 +75,31 @@ def _spec_families():
     ]
 
 
+def _redraws(samples: int, draw, use) -> tuple:
+    """(failures, Evidence) of use on ``samples`` draws, each redrawn while
+    its verdict is undecidable; the redraws are the undecidable count."""
+    failures = undecidable = 0
+    for _ in range(samples):
+        ok, redraws = _redraw(draw, use)
+        failures += not ok
+        undecidable += redraws
+    return failures, Evidence(samples, undecidable)
+
+
+def _tally(samples: int, trial) -> tuple:
+    """(failures, Evidence) of ``samples`` runs of trial(): an undecidable
+    verdict counts apart, any other refusal as a failure."""
+    failures = undecidable = 0
+    for _ in range(samples):
+        try:
+            failures += not trial()
+        except UNDECIDABLE:
+            undecidable += 1
+        except WorkbenchError:
+            failures += 1
+    return failures, Evidence(samples - undecidable, undecidable)
+
+
 # ---------------------------------------------------------------------------
 # valuation axioms
 # ---------------------------------------------------------------------------
@@ -83,8 +108,6 @@ def check_valuation_axioms(rep: Report, seed: int, pairs: int = 1000) -> None:
     """eval(f*g) = eval f + eval g; eval(f+g) >= min, equal when evals differ."""
     for name, spec, field in _spec_families():
         rng = random.Random((seed, "axioms", name).__repr__())
-        failures = 0
-        redraws_total = 0
 
         def draw():
             f = random_polyx(field, rng, rng.randint(0, 2))
@@ -105,16 +128,12 @@ def check_valuation_axioms(rep: Report, seed: int, pairs: int = 1000) -> None:
                 add_ok = add_ok and vs == min(vf, vg)
             return mult_ok and add_ok
 
-        for _ in range(pairs):
-            ok, redraws = _redraw(draw, use)
-            redraws_total += redraws
-            if not ok:
-                failures += 1
+        failures, evidence = _redraws(pairs, draw, use)
         rep.check("valuation axioms", digest("axioms", name, seed, pairs),
                   failures == 0,
                   f"{name}: {pairs} pairs, {failures} failures",
                   "multiplicativity and the ultrametric law on random pairs",
-                  caveats=(f"{redraws_total} undecidable redraws",) if redraws_total else ())
+                  caveats=evidence.caveats("redraws"))
 
 
 # ---------------------------------------------------------------------------
@@ -165,13 +184,9 @@ def check_value_comparison_laws(rep: Report, seed: int, samples: int = 500) -> N
         rng = random.Random((seed, "laws", name).__repr__())
         v_gamma = ValuationSpec.monomial(v.center, gamma, over=v.over)
         dq = delta(v, v_q.Q)
-        failures = 0
-        redraws_total = 0
         branches = [0, 0]
 
         def use(f):
-            if f.is_zero() or f.degree() < 1:
-                raise PrecisionExhausted("degenerate sample")  # redraw
             vf, vgf = eval_spec(v, f), eval_spec(v_gamma, f)
             d = delta(v, f)
             ok = vf >= vgf
@@ -182,20 +197,14 @@ def check_value_comparison_laws(rep: Report, seed: int, samples: int = 500) -> N
             branches[0 if d <= gamma else 1] += 1
             return ok
 
-        for _ in range(samples):
-            ok, redraws = _redraw(lambda: pool(rng), use)
-            redraws_total += redraws
-            if not ok:
-                failures += 1
-        caveats = [f"branch split {branches[0]}/{branches[1]}"]
-        if redraws_total:
-            caveats.append(f"{redraws_total} undecidable redraws")
+        failures, evidence = _redraws(samples, lambda: pool(rng), use)
         rep.check("comparison laws", digest("laws", name, seed, samples),
                   failures == 0 and min(branches) > 0,
                   f"{name}: {samples} samples, {failures} failures",
                   "value agreement under coarsening and digit valuations is "
                   "equivalent to the polygon delta comparison",
-                  caveats=tuple(caveats))
+                  caveats=(f"branch split {branches[0]}/{branches[1]}",
+                           *evidence.caveats("redraws")))
 
 
 def _tower_partial_rf(field, p: int, m: int) -> RatFunc:
@@ -214,7 +223,7 @@ def check_pair_equivalence(rep: Report, seed: int, triples: int = 100,
     """Centers within gamma of each other value every polynomial alike;
     centers farther apart are separated by X - b."""
     rng = random.Random((seed, "pairs").__repr__())
-    failures = undecidable = 0
+    failures = tested = undecidable = 0
     for i in range(triples):
         field = QQ if i % 2 == 0 else GF(5)
         g_int = rng.randint(1, 6)
@@ -228,20 +237,19 @@ def check_pair_equivalence(rep: Report, seed: int, triples: int = 100,
             continue
         sa = ValuationSpec.monomial(a, gamma)
         sb = ValuationSpec.monomial(b, gamma)
-        for _ in range(polys):
-            f = random_polyx(field, rng, rng.randint(0, 2))
-            try:
-                if eval_spec(sa, f) != eval_spec(sb, f):
-                    failures += 1
-                    break
-            except PrecisionExhausted:
-                undecidable += 1
+        found = search((random_polyx(field, rng, rng.randint(0, 2)) for _ in range(polys)),
+                       lambda f: eval_spec(sa, f) != eval_spec(sb, f))
+        if isinstance(found, Evidence):
+            tested += found.tested
+            undecidable += found.undecidable
+        else:
+            failures += 1
     rep.check("pair equivalence", digest("pairs", seed, triples, polys),
               failures == 0,
               f"{triples} equivalent triples x {polys} polynomials, {failures} failures",
               "v(a - b) >= gamma makes (b, gamma) a pair of definition for "
               "the same extension",
-              caveats=(f"{undecidable} undecidable samples",) if undecidable else ())
+              caveats=Evidence(tested, undecidable).caveats())
     failures = 0
     for i in range(triples):
         field = QQ if i % 2 == 0 else GF(5)
@@ -277,31 +285,25 @@ def check_density(rep: Report, seed: int) -> None:
     ]
     for name, spec, n in specs:
         rng = random.Random((seed, "density", name).__repr__())
-        failures = undecidable = 0
-        for _ in range(n):
+
+        def trial():
             f = random_polyx(QQ, rng, rng.randint(1, 2), domain=SERIES,
                              monic=True, prec=DEFAULT_PREC)
             g = random_polyx(QQ, rng, rng.randint(0, 2), domain=SERIES,
                              monic=True, prec=DEFAULT_PREC)
             alpha = GroupVal.fin(rng.randint(1, 3))
-            try:
-                res = approximate_density(f, g, alpha, spec)
-                # independent re-check of the quotient inequality
-                num = f * res.g_prime - res.f_prime * g
-                if not num.is_zero():
-                    gap = (eval_spec(spec, num) - eval_spec(spec, g)
-                           - eval_spec(spec, res.g_prime))
-                    if not gap > alpha:
-                        failures += 1
-            except PrecisionExhausted:
-                undecidable += 1
-            except WorkbenchError:
-                failures += 1
+            res = approximate_density(f, g, alpha, spec)
+            # independent re-check of the quotient inequality
+            num = f * res.g_prime - res.f_prime * g
+            return num.is_zero() or (eval_spec(spec, num) - eval_spec(spec, g)
+                                     - eval_spec(spec, res.g_prime)) > alpha
+
+        failures, evidence = _tally(n, trial)
         rep.check("density", digest("density", name, seed, n), failures == 0,
                   f"{name}: {n} samples, {failures} failures",
                   "a sharp enough coefficient truncation keeps degree, value "
                   "and the quotient within any target distance",
-                  caveats=(f"{undecidable} undecidable samples",) if undecidable else ())
+                  caveats=evidence.caveats())
     # provable impossibility cases
     rng = random.Random((seed, "density-unsupported").__repr__())
     f = random_polyx(QQ, rng, 1, domain=SERIES, monic=True, prec=Fraction(32))
@@ -327,26 +329,21 @@ def check_same_delta(rep: Report, seed: int, samples: int = 100) -> None:
     spec = ValuationSpec.monomial(PuiseuxSeries.zero(QQ), GroupVal.fin(4))
     alpha = GroupVal.fin(6)
     rng = random.Random((seed, "same-delta").__repr__())
-    failures = undecidable = 0
-    for _ in range(samples):
+
+    def trial():
         f = random_polyx(QQ, rng, rng.randint(1, 2), domain=SERIES,
                          monic=True, prec=DEFAULT_PREC)
-        try:
-            out = approximate_same_delta(f, alpha, spec)
-            ok = (out.domain == RATFUNC and out.degree() == f.degree()
-                  and eval_spec(spec, out) == eval_spec(spec, f)
-                  and delta(spec, out) == delta(spec, f))
-            if not ok:
-                failures += 1
-        except PrecisionExhausted:
-            undecidable += 1
-        except WorkbenchError:
-            failures += 1
+        out = approximate_same_delta(f, alpha, spec)
+        return (out.domain == RATFUNC and out.degree() == f.degree()
+                and eval_spec(spec, out) == eval_spec(spec, f)
+                and delta(spec, out) == delta(spec, f))
+
+    failures, evidence = _tally(samples, trial)
     rep.check("same-delta approximation", digest("same-delta", seed, samples),
               failures == 0, f"{samples} samples, {failures} failures",
               "truncating above the root-matching threshold preserves degree, "
               "value and delta",
-              caveats=(f"{undecidable} undecidable samples",) if undecidable else ())
+              caveats=evidence.caveats())
 
 
 # ---------------------------------------------------------------------------

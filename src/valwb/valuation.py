@@ -26,6 +26,7 @@ from .errors import HorizonExceeded, PrecisionExhausted, WorkbenchError, ZeroPol
 from .field import BaseField
 from .groupval import FIN0, GroupVal
 from .polyx import PolyX
+from .report import Evidence, search
 from .series import PuiseuxSeries, min_prec
 
 OVER_K = "K"
@@ -211,21 +212,15 @@ class Counterexample:
     f: PolyX
 
 
-@dataclass
-class NoCounterexampleFound:
-    tested: int
-    undecidable: int = 0  # samples whose delta ran out of precision: no evidence
-
-
 def is_key_polynomial(spec: ValuationSpec, Q: PolyX, samples: int,
                       rng, extra_pool=()) -> object:
     """Falsify "deg f < deg Q implies delta(f) < delta(Q)" on a bounded pool.
 
     The pool is (i) X - c for structured centers (truncations of the spec's
     center at its support breaks, plus supplied candidates) and (ii)
-    ``samples`` random polynomials of each degree below deg Q.  A verdict of
-    NoCounterexampleFound is evidence, not proof; samples whose delta is
-    undecidable at working precision are counted apart as ``undecidable``.
+    ``samples`` random polynomials of each degree below deg Q.  Returns a
+    Counterexample, or the Evidence of a miss: evidence, not proof, with
+    samples whose delta is undecidable at working precision counted apart.
     """
     from .sampling import random_polyx
     if not Q.is_monic():
@@ -234,23 +229,12 @@ def is_key_polynomial(spec: ValuationSpec, Q: PolyX, samples: int,
     field = Q.field
     pool = []
     if Q.degree() > 1:
-        pool = [_x_minus(field, c) for c in [*_center_truncations(spec), *extra_pool]]
+        pool = [PolyX(field, [-c, c.one(field)])
+                for c in [*_center_truncations(spec), *extra_pool]]
     draws = (random_polyx(field, rng, d, monic=True)
              for d in range(1, Q.degree()) for _ in range(samples))
-    tested = undecidable = 0
-    for f in itertools.chain(pool, draws):
-        try:
-            if delta(spec, f) >= dQ:
-                return Counterexample(f)
-        except PrecisionExhausted:
-            undecidable += 1
-            continue
-        tested += 1
-    return NoCounterexampleFound(tested, undecidable)
-
-
-def _x_minus(field, c) -> PolyX:
-    return PolyX(field, [-c, c.one(field)])
+    found = search(itertools.chain(pool, draws), lambda f: delta(spec, f) >= dQ)
+    return found if isinstance(found, Evidence) else Counterexample(found)
 
 
 def _center_truncations(spec: ValuationSpec) -> list:
@@ -270,36 +254,26 @@ class Smaller:
     b: object
 
 
-@dataclass
-class NoneSmallerFound:
-    tested: int
-    undecidable: int = 0  # candidates whose v(a - b) ran out of precision: no evidence
-
-
 def minimal_pair_search(a, gamma: GroupVal, candidate_pool=()) -> object:
     """Search for a strictly lower-degree equivalent center (desk-scale).
 
     Pool: truncations of a's expansion at each support break, plus supplied
     candidates.  A candidate qualifies when its certified degree is smaller
-    and v(a - b) >= gamma; one whose v(a - b) is undecidable counts apart.
+    and v(a - b) >= gamma.  Returns Smaller, or the Evidence of a miss, in
+    which a candidate whose v(a - b) is undecidable counts apart.
     """
     from .algnum import AlgElement
     deg_a = a.degree()
     s = a.expansion
-    tested = undecidable = 0
-    pool = list(_center_truncations(ValuationSpec.monomial(s, gamma)))
-    pool.extend(candidate_pool)
-    for b in pool:
-        bs = b.expansion if isinstance(b, AlgElement) else b.to_series()
-        deg_b = _pool_degree(bs)
-        try:
-            if deg_b is not None and deg_b < deg_a and is_pair_equivalent(s, bs, gamma):
-                return Smaller(bs)
-        except PrecisionExhausted:
-            undecidable += 1
-            continue
-        tested += 1
-    return NoneSmallerFound(tested, undecidable)
+    pool = [*_center_truncations(ValuationSpec.monomial(s, gamma)), *candidate_pool]
+
+    def smaller(b: PuiseuxSeries) -> bool:
+        deg_b = _pool_degree(b)
+        return deg_b is not None and deg_b < deg_a and is_pair_equivalent(s, b, gamma)
+
+    found = search((b.expansion if isinstance(b, AlgElement) else b.to_series()
+                    for b in pool), smaller)
+    return found if isinstance(found, Evidence) else Smaller(found)
 
 
 def _pool_degree(b: PuiseuxSeries) -> Optional[int]:

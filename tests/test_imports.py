@@ -1,12 +1,15 @@
 """Every module of the package uses every name it imports, every module-level
-function of the package, private or public, is referenced somewhere in it, and
-every functools cache in it is bounded."""
+function of the package, private or public, is referenced somewhere in it,
+every functools cache in it is bounded, and every WorkbenchError it catches
+without raising again is caught for a named reason."""
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
 import valwb
+from valwb.errors import WorkbenchError
 
 # Names kept on purpose though the module does not use them:
 # perfbench/test_perfbench.py::test_install_rebinds_names_imported_elsewhere_and_restores_them
@@ -259,3 +262,95 @@ def test_the_scan_sees_writes_to_the_fields_of_a_series(tmp_path):
     series = tmp_path / "series.py"
     series.write_text(src.read_text())
     assert series_field_writes(series) == []
+
+
+# Each function of the package that catches a WorkbenchError, or a subclass of it, without
+# raising again, and why the error is no answer to pass on there.
+SWALLOWED = {
+    ("report.py", "search"): "records the candidate as undecidable in its Evidence",
+    ("selftest.py", "_tally"): "records the trial in its Evidence: undecidable, or a failure",
+    ("selftest.py", "check_density"): "counts the UnsupportedKind refusals the verdict asks for",
+    ("sampling.py", "_redraw"): "redraws an undecidable sample, a bounded number of times",
+    ("pcs.py", "is_limit"): "an undecidable v(y - a_m) is consistent when gamma_m reaches its cap",
+    ("pcs.py", "values_along"): "f(a_m) vanishing past the precision is the increasing tail",
+    ("valuation.py", "is_pair_equivalent"): "v(a - b) known to reach gamma decides it",
+    ("algnum.py", "attach_minpoly"): "Q(s) indistinguishable from 0 at s's cap certifies",
+    ("algnum.py", "minpoly_over_completion"): "a guide matching x to its cap ends the search",
+    ("algnum.py", "krasner_constant"): "without conjugates the polygon route answers",
+    ("lifting.py", "_density_monomial"): "an undecidable delta only drops a cutoff guess",
+    ("lifting.py", "conjugacy_check"): "0 at the twist's precision shares the minimal polynomial",
+    ("config.py", "k_then_series"): "text that is no element of K is read again as a series",
+    ("cli.py", "main"): "an error ends the command as an error line or a failed verdict",
+}
+
+
+def workbench_error_names() -> set:
+    """Names under which the package binds WorkbenchError, its subclasses or a tuple of them,
+    and the names that catch every exception."""
+    names = {"Exception", "BaseException"}
+    for name, module in sys.modules.items():
+        if name != "valwb" and not name.startswith("valwb."):
+            continue
+        for key, value in vars(module).items():
+            members = value if isinstance(value, tuple) and value else (value,)
+            if all(isinstance(m, type) and issubclass(m, WorkbenchError) for m in members):
+                names.add(key)
+    return names
+
+
+def swallowed_errors(path: Path, caught: set) -> list:
+    """(module, enclosing function, line) of each except clause and contextlib.suppress that
+    catches a name in ``caught``, or everything, and does not end by raising."""
+    found = []
+
+    def catches(node) -> bool:
+        if node is None:  # a bare except
+            return True
+        parts = node.elts if isinstance(node, ast.Tuple) else [node]
+        return any(getattr(p, "id", getattr(p, "attr", None)) in caught for p in parts)
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}" if where else child.name
+            if isinstance(child, ast.ExceptHandler) and catches(child.type) \
+                    and not isinstance(child.body[-1], ast.Raise):
+                found.append((path.name, where or "<module>", child.lineno))
+            if isinstance(child, ast.Call) and getattr(
+                    child.func, "id", getattr(child.func, "attr", None)) == "suppress" \
+                    and any(catches(arg) for arg in child.args):
+                found.append((path.name, where or "<module>", child.lineno))
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text()), "")
+    return found
+
+
+def test_every_swallowed_workbench_error_has_a_named_reason():
+    modules = sorted(Path(valwb.__file__).parent.glob("*.py"))
+    caught = workbench_error_names()
+    assert {"WorkbenchError", "PrecisionExhausted", "UNDECIDABLE"} <= caught
+    found = {hit[:2] for path in modules for hit in swallowed_errors(path, caught)}
+    assert found == set(SWALLOWED), (sorted(found - set(SWALLOWED)),
+                                     sorted(set(SWALLOWED) - found))
+
+
+def test_the_scan_sees_swallowed_and_raised_errors(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "import contextlib\nfrom contextlib import suppress\n\n"
+        "def passes(f):\n    try:\n        return f()\n    except Oops:\n        return None\n\n"
+        "def converts(f):\n    try:\n        return f()\n    except (KeyError, Oops) as exc:\n"
+        "        raise TypeError(exc) from None\n\n"
+        "def other(f):\n    try:\n        return f()\n    except KeyError:\n        return None\n\n"
+        "def bare(f):\n    try:\n        return f()\n    except:\n        pass\n\n"
+        "class C:\n    def method(self, f):\n"
+        "        with contextlib.suppress(KeyError, Oops):\n            f()\n\n"
+        "def outer(f):\n    def inner():\n        with suppress(errors.Oops):\n            f()\n"
+        "    try:\n        inner()\n    except Exception:\n        f = None\n        raise\n"
+        "    try:\n        inner()\n    except (ValueError, Oops):\n"
+        "        if f:\n            raise\n")
+    assert swallowed_errors(src, {"Oops", "Exception"}) == [
+        ("m.py", "passes", 7), ("m.py", "bare", 25), ("m.py", "C.method", 30),
+        ("m.py", "outer.inner", 35), ("m.py", "outer", 44)]

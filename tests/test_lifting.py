@@ -17,7 +17,6 @@ from valwb.lifting import (
     VALUE_TRANSCENDENTAL_COFINAL,
     VALUE_TRANSCENDENTAL_UNIQUE_PAIR,
     CskpSeq,
-    NoWitness,
     Witness,
     _difference_exceeds,
     _value_exceeds,
@@ -41,7 +40,7 @@ from valwb.pcs import (
     values_along,
 )
 from valwb.polyx import PolyX, polyx_from_text
-from valwb.report import Report
+from valwb.report import Evidence, Report
 from valwb.selftest import check_density
 from valwb.series import PuiseuxSeries, RatFunc
 from valwb.valuation import ValuationSpec, delta, eval_spec
@@ -252,8 +251,15 @@ def test_uniqueness_check():
                                  Fraction(100))
     b = a + PuiseuxSeries.from_terms(F2, {Fraction(90): 1})
     samples = [polyx_from_text(F2, "X"), polyx_from_text(F2, "X + t")]
-    rep = uniqueness_check(a, b, GroupVal.fin(80), samples)
-    assert rep["discrepancies"] == [] and rep["checked"] == 2
+    evidence, discrepancies = uniqueness_check(a, b, GroupVal.fin(80), samples)
+    assert discrepancies == [] and evidence == Evidence(tested=2, undecidable=0, notes=())
+    # a sample known only to t^50 has an undecidable value at gamma = 80: counted apart
+    vague = PolyX.from_series(F2, [PuiseuxSeries.from_text(
+        F2, "t + t^2 + t^4 + t^8 + t^16 + t^32 + O(t^50)"), PuiseuxSeries.one(F2)])
+    evidence, discrepancies = uniqueness_check(a, b, GroupVal.fin(80), [vague, *samples])
+    assert discrepancies == [] and evidence == Evidence(
+        tested=2, undecidable=1,
+        notes=("an undecidable coefficient (bound 50) may cut below the decided minimum 80",))
     # a center differing below gamma is refused outright
     from valwb.errors import WorkbenchError
     b2 = a + PuiseuxSeries.from_terms(F2, {Fraction(3): 1})

@@ -8,13 +8,12 @@ from valwb.algnum import AlgElement, attach_minpoly
 from valwb.errors import PrecisionExhausted, WorkbenchError, ZeroPolynomial
 from valwb.field import GF, QQ
 from valwb.groupval import FIN0, GroupVal
-from valwb.pcs import exponential_generator
+from valwb.pcs import builtin_generator, exponential_generator
 from valwb.polyx import PolyX, polyx_from_text
+from valwb.report import Evidence
 from valwb.series import PuiseuxSeries, RatFunc
 from valwb.valuation import (
     Counterexample,
-    NoCounterexampleFound,
-    NoneSmallerFound,
     Smaller,
     ValuationSpec,
     _min_weighted,
@@ -162,10 +161,10 @@ def test_is_key_polynomial():
     assert verdict.f.degree() == 1
     # linear polynomials are vacuously key
     v2 = is_key_polynomial(spec, polyx_from_text(QQ, "X"), 20, rng)
-    assert isinstance(v2, NoCounterexampleFound)
+    assert v2 == Evidence(tested=0, undecidable=0, notes=())
     # X under gauss: no lower degree exists
     v3 = is_key_polynomial(ValuationSpec.gauss(QQ), polyx_from_text(QQ, "X"), 20, rng)
-    assert isinstance(v3, NoCounterexampleFound)
+    assert v3 == Evidence(tested=0, undecidable=0, notes=())
 
 
 def test_is_key_polynomial_counts_undecidable_samples_apart():
@@ -176,9 +175,22 @@ def test_is_key_polynomial_counts_undecidable_samples_apart():
     vague = PuiseuxSeries.from_text(QQ, "O(t^(1/4))")
     base = is_key_polynomial(spec, Q, 5, random.Random(4))
     verdict = is_key_polynomial(spec, Q, 5, random.Random(4), extra_pool=[vague])
-    assert isinstance(verdict, NoCounterexampleFound)
+    assert isinstance(verdict, Evidence)
     assert (verdict.tested, verdict.undecidable) == (base.tested, 1)
-    assert base.undecidable == 0
+    assert verdict.notes == ("coefficient 0 of the recentered polynomial is undecidable",)
+    assert (base.undecidable, base.notes) == (0, ())
+
+
+def test_is_key_polynomial_counts_a_horizon_refusal_apart():
+    # along the exponential sequence, delta(X - a_5) has not stabilized by horizon 6, so
+    # that candidate is undecidable; X - a_1 is decided, below delta((X - a_2)^2) = 3
+    gen = builtin_generator("exponential", 6)
+    a = gen.elements()
+    x_a2 = PolyX.from_series(QQ, [-a[2], PuiseuxSeries.one(QQ)])
+    verdict = is_key_polynomial(ValuationSpec.pcslimit(gen), x_a2 * x_a2, 0,
+                                random.Random(1), extra_pool=[a[5], a[1]])
+    assert verdict == Evidence(tested=1, undecidable=1,
+                               notes=("delta did not stabilize within the horizon",))
 
 
 def test_is_key_polynomial_positive_evidence():
@@ -188,8 +200,9 @@ def test_is_key_polynomial_positive_evidence():
                                   GroupVal.fin(Fraction(3, 4)))
     rng = random.Random(4)
     verdict = is_key_polynomial(spec, polyx_from_text(QQ, "X^2 - t"), 50, rng)
-    assert isinstance(verdict, NoCounterexampleFound)
+    assert isinstance(verdict, Evidence)
     assert verdict.tested > 50
+    assert (verdict.undecidable, verdict.notes) == (0, ())
 
 
 def test_minimal_pair_search():
@@ -204,8 +217,9 @@ def test_minimal_pair_search():
     # gamma = 3/4 exceeds every v(sqrt(t) - b) for b in K, so nothing smaller
     res2 = minimal_pair_search(a, GroupVal.fin(Fraction(3, 4)),
                                candidate_pool=[RatFunc.t_power(QQ, 1)])
-    assert isinstance(res2, NoneSmallerFound)
+    assert isinstance(res2, Evidence)
     assert res2.tested >= 2
+    assert (res2.undecidable, res2.notes) == (0, ())
 
 
 def test_spec_text():
@@ -305,4 +319,5 @@ def test_minimal_pair_search_counts_undecidable_candidates_apart():
     a = AlgElement(PuiseuxSeries.from_text(QQ, "1 + O(t^2)"),
                    polyx_from_text(QQ, "X^3 - 2"), True)
     res = minimal_pair_search(a, GroupVal.fin(3), [PuiseuxSeries.one(QQ)])
-    assert res == NoneSmallerFound(tested=2, undecidable=1)
+    assert res == Evidence(tested=2, undecidable=1,
+                           notes=("v(a - b) is only known to be >= 2, below gamma = 3",))

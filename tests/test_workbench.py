@@ -9,12 +9,12 @@ import pytest
 
 from valwb.cli import main
 from valwb.config import WorkbenchConfig, parse_config
-from valwb.errors import ParseError, WorkbenchError
+from valwb.errors import HorizonExceeded, ParseError, PrecisionExhausted, WorkbenchError
 from valwb.examples import run_example
 from valwb.field import GF, QQ
 from valwb.groupval import GroupVal
 from valwb.polyx import polyx_from_text
-from valwb.report import Report, Verdict, digest
+from valwb.report import Evidence, Report, Verdict, digest, search
 from valwb.series import PuiseuxSeries, RatFunc
 from valwb.valuation import ValuationSpec, eval_spec
 
@@ -67,6 +67,45 @@ def test_report_determinism():
     b = sample_report().to_structured()
     assert a == b
     assert "time" not in a.lower()
+
+
+def test_search_counts_an_undecidable_candidate_apart_with_its_note():
+    def hit(c):
+        if c == 1:
+            raise PrecisionExhausted("v(a - b) is only known to be >= 2")
+        if c == 3:
+            raise HorizonExceeded("delta did not stabilize within the horizon")
+        return False
+
+    assert search(range(5), hit) == Evidence(
+        tested=3, undecidable=2, notes=("v(a - b) is only known to be >= 2",
+                                        "delta did not stabilize within the horizon"))
+    assert search(range(2), hit, label=lambda c: f"entry {c}") == Evidence(
+        tested=1, undecidable=1, notes=("entry 1: v(a - b) is only known to be >= 2",))
+    assert search([], hit) == Evidence(tested=0, undecidable=0, notes=())
+
+
+def test_search_stops_at_the_first_hit_and_passes_other_errors_on():
+    drawn = []
+
+    def candidates():
+        for c in range(10):
+            drawn.append(c)
+            yield c
+
+    assert search(candidates(), lambda c: c == 4) == 4 and drawn == [0, 1, 2, 3, 4]
+
+    def refuses(c):
+        raise ParseError("not undecidable, a refusal")
+
+    with pytest.raises(ParseError):
+        search(range(3), refuses)
+
+
+def test_evidence_words_only_an_undecidable_count():
+    assert Evidence(3).caveats() == () and Evidence(3, 0, ()).caveats("redraws") == ()
+    assert Evidence(3, 2, ("a", "b")).caveats() == ("2 undecidable samples",)
+    assert Evidence(0, 1).caveats("redraws") == ("1 undecidable redraws",)
 
 
 # -- config ------------------------------------------------------------------
@@ -178,6 +217,32 @@ def test_cli_verdict_failure_exit_2(tmp_path):
                             "--g", "X", "--alpha", "3"])
     assert code == 2
     assert "FAIL" in out
+
+
+def test_cli_cskp_check_decided_miss_is_a_verdict_failure(tmp_path):
+    # under the monomial spec at t of weight 2, v(X - t) = 2 while the digits of X - t in
+    # X give 1: the one admissible entry is decided and no witness
+    cfg = write_cfg(tmp_path, "spec.kind = monomial\nspec.center = t\nspec.gamma = 2\n")
+    argv = ["cskp-check", "--config", cfg, "--poly", "X - t", "--seq", "X @ 1"]
+    assert run_cli(argv) == (2, "== cskp-check ==\n"
+                             "[cskp-check] FAIL: no witness among 1 admissible entries\n"
+                             "    because: the sequence is incomplete for this polynomial  "
+                             "(inputs 333ab24cbfaaefb3)\n-- FAIL: 1 verdicts --\n", "")
+    assert run_cli(argv + ["--format", "structured"]) == (
+        2, "report cskp-check\nversion 1\nverdict\n  operation: cskp-check\n"
+           "  inputs: 333ab24cbfaaefb3\n  outcome: FAIL: no witness among 1 admissible entries\n"
+           "  citation: the sequence is incomplete for this polynomial\nend\n"
+           "summary FAIL 1 verdicts\n", "")
+
+
+def test_cli_cskp_check_undecidable_entries_are_no_verdict(tmp_path):
+    # the center is known only to O(t^3), below the weight (1, 0): the one entry's value is
+    # undecidable, which is no evidence that the sequence is incomplete
+    cfg = write_cfg(tmp_path, "spec.kind = monomial\nspec.center = t + O(t^3)\n"
+                              "spec.gamma = (1, 0)\n")
+    assert run_cli(["cskp-check", "--config", cfg, "--poly", "X", "--seq", "X - t @ 1"]) == (
+        1, "", "error: no witness among 0 decided entries; 1 undecidable, entry 0: an "
+               "undecidable coefficient (bound 3) may cut below the decided minimum (1, 0)\n")
 
 
 def test_cli_input_error_exit_1(tmp_path):
