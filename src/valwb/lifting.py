@@ -37,7 +37,8 @@ from .pcs import (
 from .polyx import RATFUNC, PolyX, _packed_values
 from .report import Evidence, search
 from .series import DEFAULT_PREC, PuiseuxSeries, RatFunc, truncate_to_ratfunc
-from .valuation import OVER_KHAT, ValuationSpec, _min_weighted, delta, eval_spec, is_pair_equivalent
+from .valuation import (OVER_KHAT, ValuationSpec, _min_weighted, _profile_delta, delta, eval_spec,
+                        is_pair_equivalent)
 
 # extension kinds
 RESIDUE_TRANSCENDENTAL = "ResidueTranscendental"
@@ -197,18 +198,20 @@ def roots_matching_threshold(f: PolyX, alpha: GroupVal) -> GroupVal:
     """
     if not alpha.is_fin:
         raise WorkbenchError("the threshold needs a rational alpha")
-    n = f.degree()
-    if n < 1:
+    if f.degree() < 1:
         raise ZeroPolynomial("threshold needs a polynomial of positive degree")
-    v00 = _gauss_value(f)
-    vcn = f.leading().val()
+    return _threshold(f, alpha, _gauss_value(f))
+
+
+def _threshold(f: PolyX, alpha: GroupVal, v00: GroupVal) -> GroupVal:
+    """The bound of :func:`roots_matching_threshold` for f of Gauss value v00."""
+    n, vcn = f.degree(), f.leading().val()
     nn = n**n
     return GroupVal.fin(nn * alpha.q - 3 * nn * (v00.q - vcn.q) + vcn.q)
 
 
 def _gauss_value(f: PolyX) -> GroupVal:
-    spec = ValuationSpec.gauss(f.field)
-    return eval_spec(spec, f)
+    return eval_spec(ValuationSpec.gauss(f.field), f)
 
 
 def verify_root_matching(f: PolyX, f2: PolyX, alpha: GroupVal,
@@ -247,32 +250,48 @@ def _truncate_to_k(h: PolyX, cutoff: Fraction) -> PolyX:
     return PolyX.from_ratfuncs(h.field, [truncate_to_ratfunc(c, cutoff) for c in h.coeffs])
 
 
+def _read(spec: ValuationSpec, h: PolyX, profile=None) -> tuple:
+    """(profile, v h): off h's value profile, given or computed, at a gauss or monomial center."""
+    if profile is None and spec.kind in ("gauss", "monomial") and not h.is_zero():
+        profile = h.recentered_values(spec.center)
+    return profile, (eval_spec(spec, h) if profile is None else
+                     _min_weighted(profile, spec.gamma))
+
+
+def _delta(spec: ValuationSpec, h: PolyX, profile) -> GroupVal:
+    return delta(spec, h) if profile is None else _profile_delta(profile, spec.gamma)
+
+
 def approximate_same_delta(f: PolyX, alpha: GroupVal, spec: ValuationSpec) -> PolyX:
     """A polynomial over K with the same degree, value and delta as f.
 
     Requires delta(f) < alpha in the rationals; the coefficient cutoff comes
     from the continuity-of-roots threshold, and all three equalities are
-    re-verified before returning.
+    re-verified before returning.  Under a gauss or monomial spec, f's and
+    the output's value and delta are read off one value profile each.
     """
     if not alpha.is_fin:
         raise WorkbenchError("alpha must be a rational value")
-    d = delta(spec, f)
+    shaped = spec.kind in ("gauss", "monomial") and f.degree() >= 1  # delta refuses a constant
+    profile = f.recentered_values(spec.center) if shaped else None
+    d = _delta(spec, f, profile)
     if not d < alpha:
         raise DeltaTooLarge(f"delta(f) = {d.to_text()} is not below alpha = {alpha.to_text()}")
     if f.domain == RATFUNC:
         return f
-    vf = eval_spec(spec, f)
-    tau = roots_matching_threshold(f, alpha) if f.degree() >= 1 else alpha
-    terms = [tau.q, alpha.q, _gauss_value(f).q, f.leading().val().q]
+    _, vf = _read(spec, f, profile)
+    v00 = vf if spec.kind == "gauss" else _gauss_value(f)
+    terms = [_threshold(f, alpha, v00).q, alpha.q, v00.q, f.leading().val().q]
     if vf.is_fin:
         terms.append(vf.q)
     cutoff = max(terms) + 1
     out = _truncate_to_k(f, cutoff)
     if out.degree() != f.degree():
         raise WorkbenchError("truncation dropped the leading coefficient")
-    if eval_spec(spec, out) != vf:
+    out_profile, v_out = _read(spec, out)
+    if v_out != vf:
         raise WorkbenchError("truncation failed to preserve the value")
-    if delta(spec, out) != d:
+    if _delta(spec, out, out_profile) != d:
         raise WorkbenchError("truncation failed to preserve delta")
     return out
 
@@ -322,14 +341,16 @@ def approximate_density(f: PolyX, g: PolyX, alpha: GroupVal,
 
 
 def _density_monomial(f: PolyX, g: PolyX, alpha: GroupVal,
-                      spec: ValuationSpec) -> DensityResult:
+                      spec: ValuationSpec, profiles=(None, None)) -> DensityResult:
+    """At a gauss or monomial spec, off one profile each of f and g (passed or computed)."""
     if f.domain == RATFUNC and g.domain == RATFUNC:
         return DensityResult(f, g, Fraction(0), Fraction(0), "already over K")
     center, gamma = spec.center, spec.gamma
-    vf, vg = eval_spec(spec, f), eval_spec(spec, g)
+    pf, vf = _read(spec, f, profiles[0])
+    pg, vg = _read(spec, g, profiles[1])
     n, m = f.degree(), g.degree()
-    cmin = _min_recentered_value(f, center)
-    dmin = _min_recentered_value(g, center)
+    cmin = _min_weighted(pf, FIN0)
+    dmin = _min_weighted(pg, FIN0)
     mincd = min(cmin, dmin)
     # beta > alpha - i*gamma and beta > alpha + 2vg - min(C,D) - k*gamma
     b1 = max(alpha.q - i * gamma.q for i in range(max(m, n) + 1))
@@ -337,22 +358,19 @@ def _density_monomial(f: PolyX, g: PolyX, alpha: GroupVal,
     bound = max(b1, b2)
     e = math.lcm(bound.denominator, gamma.q.denominator)
     beta = Fraction(math.floor(bound * e) + 1, e) + 1  # minimal in (1/e)Z, +1 margin
-    cutoff_terms = [beta, alpha.q, _gauss_value(f).q, _gauss_value(g).q,
+    v00s = (cmin, dmin) if spec.kind == "gauss" else (_gauss_value(f), _gauss_value(g))
+    cutoff_terms = [beta, alpha.q, v00s[0].q, v00s[1].q,
                     f.leading().val().q, g.leading().val().q]
-    for h in (f, g):
+    for h, ph, v00 in zip((f, g), (pf, pg), v00s):
         if h.degree() >= 1:
-            try:
-                dh = delta(spec, h)
-                cutoff_terms.append(roots_matching_threshold(h, dh).q)
-            except PrecisionExhausted:
-                pass
-    va = None
+            with contextlib.suppress(PrecisionExhausted):  # an undecidable delta: no guess
+                cutoff_terms.append(_threshold(h, _profile_delta(ph, gamma), v00).q)
     if center.coeffs:
         va = center.val().q
         cutoff_terms.extend(beta - j * va for j in range(1, max(m, n) + 1))
     cutoff = max(cutoff_terms) + 1
     f1, g1 = _truncate_to_k(f, cutoff), _truncate_to_k(g, cutoff)
-    _verify_density(f, g, f1, g1, alpha, spec, vf, vg)
+    _verify_density(f, g, f1, g1, alpha, spec, vf, vg, (pf, pg))
     return DensityResult(f1, g1, beta, cutoff, "verified")
 
 
@@ -362,43 +380,40 @@ def _density_via_stabilized_pair(f: PolyX, g: PolyX, alpha: GroupVal,
 
     Picks the first index where the values of f and g have stabilized and
     the sequence weight exceeds a raised target alpha_0 > max(alpha, vf,
-    vg); runs the monomial construction there and re-verifies under the
-    original spec.
+    vg); runs the monomial construction there, on the profiles of f and g
+    that chose the index, and re-verifies under the original spec.
     """
-    gen = spec.gen
     vf, vg = eval_spec(spec, f), eval_spec(spec, g)
     alpha0 = GroupVal.fin(max(alpha.q, vf.q, vg.q) + 1)
-    gammas = gen.gammas()
-    elems = gen.elements()
-    chosen = None
-    for i, gm in enumerate(gammas):
+    for a, gm in zip(spec.gen.elements(), spec.gen.gammas()):
         if gm <= alpha0:
             continue
-        pair_spec = ValuationSpec.monomial(elems[i], gm, over=spec.over)
-        if eval_spec(pair_spec, f) == vf and eval_spec(pair_spec, g) == vg:
-            chosen = pair_spec
-            break
-    if chosen is None:
+        chosen = ValuationSpec.monomial(a, gm, over=spec.over)
+        pf, vf_i = _read(chosen, f)
+        if vf_i == vf:
+            pg, vg_i = _read(chosen, g)
+            if vg_i == vg:
+                break
+    else:
         raise HorizonExceeded(
             "no sequence index stabilizes f and g above the raised alpha")
-    res = _density_monomial(f, g, alpha0, chosen)
+    res = _density_monomial(f, g, alpha0, chosen, (pf, pg))
     _verify_density(f, g, res.f_prime, res.g_prime, alpha, spec, vf, vg)
     return res
 
 
-def _min_recentered_value(h: PolyX, center) -> GroupVal:
-    return _min_weighted(h.recentered_values(center), FIN0)
-
-
-def _verify_density(f, g, f1, g1, alpha, spec, vf, vg):
+def _verify_density(f, g, f1, g1, alpha, spec, vf, vg, profiles=(None, None)):
+    """Check every output condition; a truncation that kept f or g reads its passed profile."""
+    _, vf1 = _read(spec, f1, profiles[0] if f1 is f else None)
+    _, vg1 = _read(spec, g1, profiles[1] if g1 is g else None)
     checks = [
         (f.degree() == f1.degree(), "deg f preserved"),
         (g.degree() == g1.degree(), "deg g preserved"),
-        (eval_spec(spec, f1) == vf, "v f preserved"),
-        (eval_spec(spec, g1) == vg, "v g preserved"),
+        (vf1 == vf, "v f preserved"),
+        (vg1 == vg, "v g preserved"),
         (_difference_exceeds(spec, f, f1, alpha), "v(f - f') > alpha"),
         (_difference_exceeds(spec, g, g1, alpha), "v(g - g') > alpha"),
-        (_quotient_gap_exceeds(spec, f, g, f1, g1, vg, alpha),
+        (_quotient_gap_exceeds(spec, f, g, f1, g1, vg, vg1, alpha),
          "v(f/g - f'/g') > alpha"),
     ]
     for ok, label in checks:
@@ -434,12 +449,11 @@ def _difference_exceeds(spec: ValuationSpec, h: PolyX, h1: PolyX, bound: GroupVa
     return _min_weighted(profile, spec.gamma) > bound
 
 
-def _quotient_gap_exceeds(spec, f, g, f1, g1, vg, alpha) -> bool:
+def _quotient_gap_exceeds(spec, f, g, f1, g1, vg, vg1, alpha) -> bool:
     num = f * g1 - f1 * g
     if num.is_zero():
         return True
-    target = alpha + vg + eval_spec(spec, g1)
-    return _value_exceeds(spec, num, target)
+    return _value_exceeds(spec, num, alpha + vg + vg1)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Optional
 
 from .errors import HorizonExceeded, NotPcs, ParseError, PrecisionExhausted, WorkbenchError
-from .field import BaseField
+from .field import GF, QQ, BaseField
 from .groupval import GroupVal
 from .polyx import PolyX
 from .series import PuiseuxSeries, min_prec
@@ -156,22 +157,6 @@ def values_along(f: PolyX, gen: PcsGenerator):
     raise HorizonExceeded("value sequence neither constant nor increasing over the window")
 
 
-def stabilized_delta(gen: PcsGenerator, f: PolyX) -> GroupVal:
-    """delta(f) along the sequence: the stabilized delta under the monomial
-    spec at (a_m, gamma_m), read on the last ``window`` indices."""
-    from .valuation import ValuationSpec, delta
-    gammas = gen.gammas()
-    elems = gen.elements()
-    W = gen.window
-    if len(gammas) < W:
-        raise HorizonExceeded("window exceeds the materialized horizon")
-    tail = [delta(ValuationSpec.monomial(elems[m], gammas[m]), f)
-            for m in range(len(gammas) - W, len(gammas))]
-    if all(d == tail[0] for d in tail):
-        return tail[0]
-    raise HorizonExceeded("delta did not stabilize within the horizon")
-
-
 @dataclass
 class CauchyWithLimit:
     limit: PuiseuxSeries
@@ -218,7 +203,6 @@ def classify_generator(gen: PcsGenerator, ram_cap: int = DEFAULT_RAM_CAP):
 
 def artin_schreier_generator(p: int, horizon: int = DEFAULT_HORIZON) -> PcsGenerator:
     """a_m = sum of t^(p^n) for n <= m over F_p; gamma_m = p^(m+1)."""
-    from .field import GF
     field = GF(p)
 
     def items(m):
@@ -229,9 +213,6 @@ def artin_schreier_generator(p: int, horizon: int = DEFAULT_HORIZON) -> PcsGener
 
 def exponential_generator(horizon: int = DEFAULT_HORIZON) -> PcsGenerator:
     """a_m = sum of t^n / n! for n <= m over Q; gamma_m = m + 1."""
-    from math import factorial
-
-    from .field import QQ
 
     def items(m):
         return PuiseuxSeries(QQ, 1, {n: Fraction(1, factorial(n)) for n in range(m + 1)}, None)
@@ -245,7 +226,6 @@ def mixed_radix_generator(p: int, q: int, horizon: int = DEFAULT_HORIZON) -> Pcs
     Needs p < q so the gammas increase; the support denominators p^m grow
     without bound, the signature pattern of transcendental type.
     """
-    from .field import QQ
     if not 0 < p < q:
         raise WorkbenchError("mixed-radix sequence needs 0 < p < q")
 

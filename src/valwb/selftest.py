@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from .algnum import attach_minpoly
 from .errors import UnsupportedKind, WorkbenchError
 from .field import GF, QQ
 from .groupval import GroupVal
@@ -405,7 +406,6 @@ def check_root_continuity(rep: Report, seed: int, samples: int = 50,
 # ---------------------------------------------------------------------------
 
 def check_conjugacy(rep: Report) -> None:
-    from .algnum import attach_minpoly
     fixtures = []
     root_half = attach_minpoly(
         PuiseuxSeries.t_power(QQ, Fraction(1, 2)),

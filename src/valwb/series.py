@@ -604,16 +604,17 @@ class PuiseuxSeries:
 
     def val_sub(self, other: "PuiseuxSeries") -> GroupVal:
         """(self - other).val() without building the difference: the least key
-        below the cap at which the supports differ on the common lattice."""
+        below the cap at which the supports differ on the common lattice; shared keys are
+        compared, as field.py keeps scalars canonical (ints in [0, p), Fractions)."""
         self._check(other)
         e = self.ram * other.ram // math.gcd(self.ram, other.ram)
-        s1, s2, sub = e // self.ram, e // other.ram, self.field.sub
+        s1, s2 = e // self.ram, e // other.ram
         a = self.coeffs if s1 == 1 else {n * s1: c for n, c in self.coeffs.items()}
         b = other.coeffs if s2 == 1 else {n * s2: c for n, c in other.coeffs.items()}
-        keys = a.keys() ^ b.keys()
-        keys.update(k for k in a.keys() & b.keys() if sub(a[k], b[k]))
+        least = min(a.keys() ^ b.keys(), default=math.inf)
+        least = min((k for k in a.keys() & b.keys() if k < least and a[k] != b[k]),
+                    default=least)
         prec = min_prec(self.prec, other.prec)
-        least = min(keys, default=math.inf)
         if least < lattice_cap(prec, e):
             return GroupVal.fin(Fraction(least, e))
         if prec is None:

@@ -22,11 +22,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .algnum import AlgElement
 from .errors import HorizonExceeded, PrecisionExhausted, WorkbenchError, ZeroPolynomial
 from .field import BaseField
 from .groupval import FIN0, GroupVal
-from .polyx import PolyX
+from .pcs import PcsGenerator, UltimatelyConstant, values_along
+from .polyx import PolyX, _polygon
 from .report import Evidence, search
+from .sampling import random_polyx
 from .series import PuiseuxSeries, min_prec
 
 OVER_K = "K"
@@ -126,7 +129,6 @@ def eval_spec(spec: ValuationSpec, f: PolyX) -> GroupVal:
             raise ZeroPolynomial("all Q-adic digits vanish")
         return best
     if spec.kind == "pcslimit":
-        from .pcs import UltimatelyConstant, values_along
         _, trend = values_along(f, spec.gen)
         if isinstance(trend, UltimatelyConstant):
             return trend.value
@@ -176,18 +178,33 @@ def delta(spec: ValuationSpec, f: PolyX) -> GroupVal:
     if spec.kind in ("gauss", "monomial"):
         if f.degree() < 1:
             raise ZeroPolynomial("delta needs a polynomial with roots")
-        best = None
-        for slope, _ in f.newton_polygon(spec.center):
-            term = spec.gamma if slope.is_inf else min(spec.gamma, slope)
-            if best is None or term > best:
-                best = term
-        return best
+        return _profile_delta(f.recentered_values(spec.center), spec.gamma)
     if spec.kind == "pcslimit":
-        from .pcs import stabilized_delta
         return stabilized_delta(spec.gen, f)
     raise WorkbenchError(
         "delta is defined for monomial-shaped specs; rewrite a key-polynomial "
         "spec through its defining minimal pair first")
+
+
+def _profile_delta(profile: tuple, gamma: GroupVal) -> GroupVal:
+    """:func:`delta` off f's value profile at the center: max_j min(gamma, beta_j)
+    over the polygon's slopes, gamma itself for an exact root at the center."""
+    return max(gamma if slope.is_inf else min(gamma, slope) for slope, _ in _polygon(*profile))
+
+
+def stabilized_delta(gen: PcsGenerator, f: PolyX) -> GroupVal:
+    """delta(f) along the sequence: the stabilized delta under the monomial
+    spec at (a_m, gamma_m), read on the last ``window`` indices."""
+    gammas = gen.gammas()
+    elems = gen.elements()
+    W = gen.window
+    if len(gammas) < W:
+        raise HorizonExceeded("window exceeds the materialized horizon")
+    tail = [delta(ValuationSpec.monomial(elems[m], gammas[m]), f)
+            for m in range(len(gammas) - W, len(gammas))]
+    if all(d == tail[0] for d in tail):
+        return tail[0]
+    raise HorizonExceeded("delta did not stabilize within the horizon")
 
 
 def is_pair_equivalent(a, b, gamma: GroupVal) -> bool:
@@ -222,7 +239,6 @@ def is_key_polynomial(spec: ValuationSpec, Q: PolyX, samples: int,
     Counterexample, or the Evidence of a miss: evidence, not proof, with
     samples whose delta is undecidable at working precision counted apart.
     """
-    from .sampling import random_polyx
     if not Q.is_monic():
         raise WorkbenchError("key polynomial candidate must be monic")
     dQ = delta(spec, Q)
@@ -262,7 +278,6 @@ def minimal_pair_search(a, gamma: GroupVal, candidate_pool=()) -> object:
     and v(a - b) >= gamma.  Returns Smaller, or the Evidence of a miss, in
     which a candidate whose v(a - b) is undecidable counts apart.
     """
-    from .algnum import AlgElement
     deg_a = a.degree()
     s = a.expansion
     pool = [*_center_truncations(ValuationSpec.monomial(s, gamma)), *candidate_pool]

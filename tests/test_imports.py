@@ -1,7 +1,8 @@
-"""Every module of the package uses every name it imports, every module-level
-function of the package, private or public, is referenced somewhere in it,
-every functools cache in it is bounded, and every WorkbenchError it catches
-without raising again is caught for a named reason."""
+"""Every module of the package uses every name it imports and imports nothing
+inside a function, every module-level function of the package, private or
+public, is referenced somewhere in it, every functools cache in it is bounded,
+and every WorkbenchError it catches without raising again is caught for a
+named reason."""
 
 import ast
 import sys
@@ -44,6 +45,35 @@ def test_the_scan_sees_unused_and_used_imports(tmp_path):
     src.write_text("from __future__ import annotations\nimport os.path\n"
                    "from math import gcd, lcm as l\n\ndef f(x: gcd) -> int:\n    return 1\n")
     assert unused_imports(src) == [("m.py", "os", 2), ("m.py", "l", 3)]
+
+
+def function_level_imports(path: Path) -> list:
+    """(module, line) of each import inside a function body.  A function-level
+    ``from .pcs import x`` looks the module up in sys.modules at call time, so a
+    second copy of the package loaded in the same process would answer it."""
+    tree = ast.parse(path.read_text())
+    return sorted({(path.name, node.lineno) for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
+def test_no_function_imports_at_call_time():
+    modules = sorted(Path(valwb.__file__).parent.glob("*.py"))
+    found = [hit for path in modules for hit in function_level_imports(path)]
+    assert not found, found
+
+
+def test_the_scan_sees_imports_in_function_bodies(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "import os\nfrom math import gcd\n\n"
+        "def f():\n    from .pcs import values_along\n    return values_along\n\n"
+        "def g(x):\n    if x:\n        import json\n    def inner():\n"
+        "        from . import series\n        return series\n    return inner\n\n"
+        "class C:\n    import re\n\n    async def m(self):\n        import math\n"
+        "        return math\n")
+    assert function_level_imports(src) == [("m.py", 5), ("m.py", 10), ("m.py", 12),
+                                           ("m.py", 20)]
 
 
 def dead_functions(paths, public: bool = False) -> list:

@@ -1,10 +1,13 @@
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import lifting_reference as reference
 from valwb.algnum import attach_minpoly
-from valwb import lifting, pcs, selftest
+from valwb import lifting, polyx, selftest, valuation
 from valwb.errors import (DeltaTooLarge, HorizonExceeded, PrecisionExhausted, UnsupportedKind,
                           WorkbenchError)
 from valwb.field import GF, QQ
@@ -32,6 +35,7 @@ from valwb.lifting import (
     verify_root_matching,
 )
 from valwb.pcs import (
+    PcsGenerator,
     StrictlyIncreasingAtHorizon,
     artin_schreier_generator,
     classify_generator,
@@ -41,6 +45,7 @@ from valwb.pcs import (
 )
 from valwb.polyx import PolyX, polyx_from_text
 from valwb.report import Evidence, Report
+from valwb.sampling import random_polyx, random_scalar, random_series
 from valwb.selftest import check_density
 from valwb.series import PuiseuxSeries, RatFunc
 from valwb.valuation import ValuationSpec, delta, eval_spec
@@ -391,7 +396,7 @@ def test_value_exceeds_reads_one_trend_per_call(monkeypatch):
         return values_along(f, gen)
 
     monkeypatch.setattr(lifting, "values_along", counting)
-    monkeypatch.setattr(pcs, "values_along", counting)
+    monkeypatch.setattr(valuation, "values_along", counting)
     exp = exponential_generator(12)
     a20 = PuiseuxSeries.from_terms(QQ, {Fraction(n): Fraction(1, math.factorial(n))
                                         for n in range(21)})
@@ -421,3 +426,134 @@ def test_value_exceeds_reads_one_trend_per_call(monkeypatch):
                 seen["increasing"] += increasing
                 seen["raised"] += isinstance(want, tuple)
     assert seen["increasing"] >= 20 and seen["raised"] >= 6, seen
+
+
+# -- one value profile per polynomial and center -------------------------------------
+#
+# approximate_same_delta and approximate_density read each polynomial's value profile
+# at a center once per call: its value, its weight-0 minimum and its delta come off it.
+# The reference is the code that computed it again for each (tests/lifting_reference.py).
+
+def answer(fn, *args):
+    """The output's text, a DensityResult's fields, or the exception's class and text."""
+    try:
+        res = fn(*args)
+    except Exception as exc:  # the exception itself is part of the answer
+        return ("raised", type(exc), str(exc))
+    if isinstance(res, PolyX):
+        return (res.domain, res.to_text())
+    return (res.f_prime.domain, res.f_prime.to_text(), res.g_prime.domain,
+            res.g_prime.to_text(), res.beta, res.cutoff, res.note)
+
+
+def near_roots(field, rng, c, degree, prec):
+    """A monic series polynomial prod (X - c - s t^e (1 + t^2 r)) of roots near c, each
+    term capped at prec: delta and the value under a monomial spec at c in closed form."""
+    f = PolyX.x_power(field, 0, domain="series")
+    for _ in range(degree):
+        e = Fraction(rng.randint(0, 8), rng.choice((1, 2)))
+        shift = PuiseuxSeries.from_terms(field, {e: random_scalar(field, rng, nonzero=True),
+                                                 e + 2: random_scalar(field, rng)}, prec)
+        f = f * x_minus(field, c + shift)
+    return f
+
+
+def profile_case(rng, field):
+    """(f, g, spec) over field: f over the series or over K, the spec a gauss spec or a
+    monomial one at an exact, capped or ramified center, of value -1 or more, caps from 3
+    (undecidable values) to none."""
+    prec = rng.choice((None, Fraction(3), Fraction(6), Fraction(16), Fraction(40)))
+    ram = rng.choice((1, 1, 2, 3))
+    c = random_series(field, rng, rng.choice((4, 12, 30)), ram=ram, depth=rng.randint(1, 3),
+                      min_exp=rng.choice((0, 0, -1)))
+    if rng.random() < 0.3:
+        c = PuiseuxSeries(field, c.ram, c.coeffs, None)
+    spec = (ValuationSpec.gauss(field) if rng.random() < 0.3 else ValuationSpec.monomial(
+        c, GroupVal.fin(Fraction(rng.randint(1, 8), rng.choice((1, 2, 3))))))
+    center = spec.center if rng.random() < 0.7 else PuiseuxSeries.zero(field)
+    shape = rng.random()
+    if shape < 0.5:
+        f = near_roots(field, rng, center, rng.randint(1, 3), prec)
+    elif shape < 0.8:
+        f = random_polyx(field, rng, rng.randint(0, 3), "series", prec=prec or 24)
+    else:
+        f = random_polyx(field, rng, rng.randint(1, 3))
+    g = (random_polyx(field, rng, rng.randint(0, 2)) if rng.random() < 0.25 else
+         near_roots(field, rng, center, rng.randint(0, 2), prec))
+    return f, g, spec
+
+
+def mixed_radix_over(field, horizon):
+    """a_m = sum of t^(3^n / 2^n) for n <= m over field: transcendental type over F_p too."""
+    def items(m):
+        return PuiseuxSeries(field, 2**m, {3**n * 2**(m - n): field.one() for n in range(m + 1)},
+                             None)
+
+    return PcsGenerator(f"mixed-radix(2,3) over F_{field.char}", field, items, horizon)
+
+
+def test_profiles_read_once_answer_as_the_parent_did():
+    rng = random.Random(2222)
+    fields = (QQ, GF(3), GF(5))
+    seen = Counter()
+    for i in range(600):
+        field = fields[i % 3]
+        f, g, spec = profile_case(rng, field)
+        alpha = GroupVal.fin(Fraction(rng.randint(0, 12), rng.choice((1, 2))))
+        got = answer(approximate_same_delta, f, alpha, spec)
+        assert got == answer(reference.approximate_same_delta, f, alpha, spec), (i, f, spec)
+        seen["same-delta " + (got[1].__name__ if got[0] == "raised" else
+                              "kept" if f.domain == "ratfunc" else "cut")] += 1
+        if rng.random() < 0.25:
+            gen = (artin_schreier_generator(field.char, 5) if field.char and rng.random() < 0.2
+                   else mixed_radix_over(field, rng.choice((7, 8))))
+            spec = ValuationSpec.pcslimit(gen)
+            f, g = (random_polyx(field, rng, rng.randint(0, 2), "series", prec=48)
+                    if rng.random() < 0.7 else h for h in (f, g))
+        got = answer(approximate_density, f, g, alpha, spec)
+        assert got == answer(reference.approximate_density, f, g, alpha, spec), (i, f, g, spec)
+        seen[f"density {spec.kind} " + (got[1].__name__ if got[0] == "raised" else "ok")] += 1
+    assert all(seen[k] >= 10 for k in (
+        "same-delta kept", "same-delta cut", "same-delta DeltaTooLarge",
+        "same-delta PrecisionExhausted", "same-delta ZeroPolynomial", "density gauss ok",
+        "density monomial ok", "density pcslimit ok", "density monomial PrecisionExhausted",
+        "density gauss PrecisionExhausted", "density pcslimit PrecisionExhausted",
+        "density pcslimit UnsupportedKind")), seen
+
+
+def test_each_profile_is_computed_once_per_call(monkeypatch):
+    packed, calls, kept = polyx._packed_values, [], []
+
+    def counting(field, coeffs, a, *args):
+        kept.append((coeffs, a))  # alive to the end, so that no id is reused
+        calls.append((tuple(map(id, coeffs)), id(a)))
+        return packed(field, coeffs, a, *args)
+
+    monkeypatch.setattr(polyx, "_packed_values", counting)
+    monkeypatch.setattr(lifting, "_packed_values", counting)
+    f, g = density_inputs()
+    ctr = PuiseuxSeries.from_terms(QQ, {Fraction(1): 1, Fraction(5, 2): 3}, Fraction(30))
+    monomial = ValuationSpec.monomial(ctr, GroupVal.fin(3))
+    same = ValuationSpec.monomial(PuiseuxSeries.zero(QQ), GroupVal.fin(10))
+    c0 = PuiseuxSeries.from_terms(QQ, {Fraction(1): 1, Fraction(30): Fraction(1, 3)},
+                                  Fraction(64))
+    series_f = PolyX.from_series(QQ, [c0, PuiseuxSeries.zero(QQ), PuiseuxSeries.one(QQ)])
+    over_k = polyx_from_text(QQ, "X^2 + [1 + t]*X + [t^3]")
+    cases = [
+        (approximate_same_delta, series_f, GroupVal.fin(1), same),
+        (approximate_density, f, g, GroupVal.fin(6), ValuationSpec.gauss(QQ)),
+        (approximate_density, f, g, GroupVal.fin(5), monomial),
+        (approximate_density, over_k, g, GroupVal.fin(5), monomial),  # f' is f
+        (approximate_density, f, g, GroupVal.fin(2),
+         ValuationSpec.pcslimit(mixed_radix_generator(2, 3, 8))),
+    ]
+    counts = []
+    for fn, *args in cases:
+        for _ in range(2):
+            del calls[:]
+            fn(*args)
+            assert len(calls) == len(set(calls)), (fn.__name__, args[-1], calls)
+            counts.append(len(calls))
+    assert counts[0] == 3  # f at the center and at 0 for its Gauss value, the output
+    assert counts[::2] == counts[1::2]  # nothing kept: the second call computes them again
+    assert min(counts) >= 3, counts

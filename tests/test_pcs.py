@@ -19,12 +19,12 @@ from valwb.pcs import (
     exponential_generator,
     is_limit,
     mixed_radix_generator,
-    stabilized_delta,
     validate_prefix,
     values_along,
 )
 from valwb.polyx import PolyX, polyx_from_text
 from valwb.series import PuiseuxSeries
+from valwb.valuation import stabilized_delta
 
 
 def x_minus(field, c):

@@ -8,7 +8,7 @@ from valwb.algnum import attach_minpoly
 from valwb.errors import NotARoot, PrecisionExhausted, WorkbenchError, ZeroPolynomial
 from valwb.field import GF, QQ, BaseField
 from valwb.groupval import FIN0, GroupVal
-from valwb.lifting import _min_recentered_value, conjugacy_check
+from valwb.lifting import conjugacy_check
 from valwb import polyx, series
 from valwb.pcs import (artin_schreier_generator, exponential_generator, mixed_radix_generator,
                        values_along)
@@ -18,6 +18,7 @@ from valwb.series import DEFAULT_PREC, PuiseuxSeries, RatFunc, coerce
 from valwb.valuation import ValuationSpec, delta, eval_spec
 
 from fraction_ratfunc import FractionRatFunc
+from lifting_reference import _min_recentered_value
 from packed_reference import old_packed_values
 from series_stage_reference import recentered_series, shifted_values
 

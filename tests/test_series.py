@@ -792,3 +792,45 @@ def test_val_sub_matches_the_value_of_the_difference():
             seen["mismatch" if got[1] is WorkbenchError else "unknown zero"] += 1
             assert got[1] in (WorkbenchError, PrecisionExhausted), got
     assert min(seen.values()) >= 150, seen
+    # a long shared prefix, then a difference: consecutive elements of a sequence
+    seen = {"at a shared key": 0, "at a key of one": 0, "posinf": 0, "raised": 0}
+    for i in range(1500):
+        a, b = prefix_pair(fields[i % len(fields)], rng)
+        got = val_outcome(a.val_sub, b)
+        assert got == val_outcome(lambda: (a - b).val()), (i, a, b)
+        if got[0] == "value" and not got[1].is_inf:
+            k = got[1].q
+            shared = a.coeff_at(k) and b.coeff_at(k)
+            seen["at a shared key" if shared else "at a key of one"] += 1
+        else:
+            seen["posinf" if got[0] == "value" else "raised"] += 1
+    assert min(seen.values()) >= 50, seen
+
+
+def prefix_pair(field, rng):
+    """Two series equal on their first 4 to 60 terms: then b changes a scalar of a,
+    drops or adds a term, goes on to a tail of its own on a lattice up to 3 times
+    finer, or keeps a's; each capped or exact."""
+    ram, r, n = rng.randint(1, 4), rng.randint(1, 3), rng.randint(8, 60)
+    keys = sorted(rng.sample(range(-4, 3 * n), n))
+    split = rng.randrange(n // 2, n + 1)
+    scalar = lambda: field.coerce(rng.choice((1, 2, -1, Fraction(1, 5))))  # noqa: E731
+    a = {k * r: scalar() for k in keys}
+    b = {k * r: a[k * r] for k in keys[:split]}
+    shape = rng.random()
+    if shape < 0.3 and split < n:  # one shared key with another scalar, then a's tail
+        b.update({k * r: a[k * r] for k in keys[split + 1:]})
+        b[keys[split] * r] = field.add(a[keys[split] * r], field.one())
+    elif shape < 0.6:  # a tail of b's own, on the finer lattice
+        b.update({rng.randint(keys[split - 1] * r + 1, 3 * n * r): scalar()
+                  for _ in range(rng.randint(0, 6))})
+    else:  # a's tail, with one term dropped or added, or none
+        b.update({k * r: a[k * r] for k in keys[split:]})
+        change = rng.random()
+        if split < n and change < 0.3:
+            del b[keys[split] * r]
+        elif change < 0.6:
+            b[rng.randint(keys[0] * r, 3 * n * r)] = scalar()
+    cap = lambda: None if rng.random() < 0.5 else Fraction(  # noqa: E731
+        rng.randint(keys[n // 2], 3 * n + 4), ram)
+    return (PuiseuxSeries(field, ram * r, a, cap()), PuiseuxSeries(field, ram * r, b, cap()))
