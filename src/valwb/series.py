@@ -603,9 +603,9 @@ class PuiseuxSeries:
             f"series indistinguishable from 0 at precision O(t^{self.prec})")
 
     def val_sub(self, other: "PuiseuxSeries") -> GroupVal:
-        """(self - other).val() without building the difference: the least key
-        below the cap at which the supports differ on the common lattice; shared keys are
-        compared, as field.py keeps scalars canonical (ints in [0, p), Fractions)."""
+        """(self - other).val() without building the difference: the least key below the cap
+        at which the supports differ on the common lattice.  Below the least key of one support
+        alone, shared scalars are compared, canonical in field.py (ints in [0, p), Fractions)."""
         self._check(other)
         e = self.ram * other.ram // math.gcd(self.ram, other.ram)
         s1, s2 = e // self.ram, e // other.ram
