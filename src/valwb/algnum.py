@@ -207,11 +207,13 @@ def minpoly_over_completion(a: AlgElement, budget) -> object:
     When a's own expansion has ramification 1 it guides the branch choice.
     Both are read off one keyed profile of the certificate at the partial sum
     per step, whose rows carry each C_i's least key, cap and scalar there.
-    Returns Linear(root) or NoRootFound(budget).
+    Returns Linear(root) or NoRootFound(budget); a budget that is not positive is refused.
     """
     if a.minpoly is None:
         raise Uncertified("root search needs a polynomial certificate")
     budget = Fraction(budget)
+    if budget <= 0:
+        raise WorkbenchError(f"root search budget must be positive, got {budget}")
     guide = a.expansion if a.expansion.ram == 1 else None
     f = a.field
     Q = a.minpoly.to_series(budget + 8).coeffs  # each keeps its integer images over the steps

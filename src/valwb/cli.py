@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from .algnum import AlgElement, attach_minpoly, krasner_constant
@@ -110,12 +111,10 @@ def _load_cfg(args) -> WorkbenchConfig:
         cfg = load_config(args.config)
     else:
         cfg = parse_config("")
-    if args.prec:
-        cfg.precision = parse_number(Fraction, args.prec, "--prec")
-        if cfg.precision <= 0:
-            raise ParseError("--prec must be positive")
+    if args.prec:  # replace() runs the config's own checks on the new value
+        cfg = replace(cfg, precision=parse_number(Fraction, args.prec, "--prec"))
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg = replace(cfg, seed=args.seed)
     return cfg
 
 
@@ -191,13 +190,13 @@ def _run(args) -> tuple:
         return rep, False
     if args.command == "classify":
         spec = _need_spec(cfg)
-        kind = classify_extension(spec, cfg.ram_cap)
+        kind = classify_extension(spec)
         rep.add("classify", digest(spec.to_text()), kind,
                 "weight shape and generator dichotomy determine the kind")
         return rep, False
     if args.command == "induce":
         spec = _need_spec(cfg)
-        ind, note = induce(spec, cfg.ram_cap)
+        ind, note = induce(spec)
         rep.add("induce", digest(spec.to_text()), ind.to_text(),
                 "the extension over the completion is determined by the same "
                 "data", caveats=(note,))
@@ -226,8 +225,7 @@ def _run(args) -> tuple:
         seq = _parse_seq(cfg, args.seq)
         center = _parse_center(cfg, args) if args.center else None
         budget = parse_number(Fraction, args.budget, "--budget") if args.budget else cfg.precision
-        lifted, note = lift_cskp(seq, spec, center=center, budget=budget,
-                                 ram_cap=cfg.ram_cap)
+        lifted, note = lift_cskp(seq, spec, center=center, budget=budget)
         rep.add("lift-cskp", digest(spec.to_text(), args.seq), lifted.to_text(),
                 "entries of admissible degree survive; the completion's root "
                 "or limit supplies the final center", caveats=(note,))
@@ -236,7 +234,7 @@ def _run(args) -> tuple:
         spec = _need_spec(cfg)
         f, g = _parse_poly(cfg, args.f), _parse_poly(cfg, args.g)
         alpha = GroupVal.from_text(args.alpha)
-        res = approximate_density(f, g, alpha, spec, cfg.ram_cap)
+        res = approximate_density(f, g, alpha, spec)
         rep.add("density", digest(spec.to_text(), args.f, args.g, args.alpha),
                 f"f' = {res.f_prime.to_text()} ; g' = {res.g_prime.to_text()}",
                 "all output conditions re-verified by direct evaluation",
@@ -261,19 +259,20 @@ def _run(args) -> tuple:
         return rep, False
     if args.command == "pcs-classify":
         if args.generator:
-            gen = builtin_generator(args.generator, cfg.horizon)
+            gen = builtin_generator(args.generator, cfg.horizon, window=cfg.window,
+                                    ram_cap=cfg.ram_cap)
         else:
             spec = _need_spec(cfg)
             if spec.kind != "pcslimit":
                 raise ParseError("config spec is not a limit spec; pass --generator")
             gen = spec.gen
-        verdict = classify_generator(gen, cfg.ram_cap)
+        verdict = classify_generator(gen)
         if isinstance(verdict, CauchyWithLimit):
-            rep.add("pcs-classify", digest(gen.name, cfg.horizon),
+            rep.add("pcs-classify", digest(gen.name, gen.horizon),
                     f"Cauchy with limit {verdict.limit.to_text()}",
                     "gaps grow without bound and the partial sums stabilize")
         else:
-            rep.add("pcs-classify", digest(gen.name, cfg.horizon),
+            rep.add("pcs-classify", digest(gen.name, gen.horizon),
                     f"transcendental-type evidence: {verdict.criterion}",
                     "no polynomial value can stabilize along such a sequence",
                     caveats=(verdict.detail,))

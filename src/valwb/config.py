@@ -5,7 +5,7 @@ Grammar (all keys optional unless a spec kind requires them):
 
     char = 0 | <prime p>                  # base field: Q or F_p
     precision = <p/q>                     # working precision (default 64)
-    ram_cap = <int>                       # ramification cap (default 64)
+    ram_cap = <int>                       # a limit spec's ramification cap (default 64)
     horizon = <int>                       # sequence horizon (default 12)
     window = <int>                        # stabilization window (default 3)
     seed = <int>                          # RNG seed for sampled harnesses
@@ -33,12 +33,10 @@ from typing import Optional
 from .errors import ParseError, WorkbenchError
 from .field import GF, QQ, BaseField
 from .groupval import GroupVal
-from .pcs import DEFAULT_HORIZON, DEFAULT_RAM_CAP, DEFAULT_WINDOW, builtin_generator
+from .pcs import DEFAULT_HORIZON, DEFAULT_RAM_CAP, DEFAULT_WINDOW, builtin_generator, check_bounds
 from .polyx import RATFUNC, polyx_from_text
 from .series import DEFAULT_PREC as DEFAULT_PRECISION, PuiseuxSeries, RatFunc
 from .valuation import OVER_K, OVER_KHAT, ValuationSpec
-
-DEFAULT_SEED = 0
 
 
 @dataclass
@@ -48,18 +46,13 @@ class WorkbenchConfig:
     ram_cap: int = DEFAULT_RAM_CAP
     horizon: int = DEFAULT_HORIZON
     window: int = DEFAULT_WINDOW
-    seed: int = DEFAULT_SEED
+    seed: int = 0
     spec: Optional[ValuationSpec] = None
 
     def __post_init__(self):
         if self.precision <= 0:
             raise WorkbenchError("precision must be positive")
-        if self.ram_cap < 1:
-            raise WorkbenchError("ram_cap must be at least 1")
-        if self.horizon < 3:
-            raise WorkbenchError("horizon must be at least 3")
-        if self.window < 1:
-            raise WorkbenchError("window must be at least 1")
+        check_bounds(self.horizon, self.window, self.ram_cap)
 
 
 def parse_config(text: str, env=None) -> WorkbenchConfig:
@@ -108,23 +101,14 @@ def k_then_series(as_k, as_series):
 
 def build_config(entries: dict, env) -> WorkbenchConfig:
     entries = dict(entries)
-
-    def take(key, kind, default):
-        return parse_number(kind, entries.pop(key)[1], key) if key in entries else default
-
-    char = take("char", int, 0)
+    char = parse_number(int, entries.pop("char")[1], "char") if "char" in entries else 0
     field = QQ if char == 0 else GF(char)
-    precision = take("precision", Fraction, DEFAULT_PRECISION)
+    kinds = {"precision": Fraction, "ram_cap": int, "horizon": int, "window": int, "seed": int}
+    given = {key: parse_number(kind, entries.pop(key)[1], key)  # an absent key keeps
+             for key, kind in kinds.items() if key in entries}  # the WorkbenchConfig default
     if "VALWB_PREC" in env:
-        precision = parse_number(Fraction, env["VALWB_PREC"], "VALWB_PREC")
-    cfg = WorkbenchConfig(
-        field=field,
-        precision=precision,
-        ram_cap=take("ram_cap", int, DEFAULT_RAM_CAP),
-        horizon=take("horizon", int, DEFAULT_HORIZON),
-        window=take("window", int, DEFAULT_WINDOW),
-        seed=take("seed", int, DEFAULT_SEED),
-    )
+        given["precision"] = parse_number(Fraction, env["VALWB_PREC"], "VALWB_PREC")
+    cfg = WorkbenchConfig(field, **given)
     spec_entries = {k: v for k, v in entries.items() if k.startswith("spec.")}
     for k in spec_entries:
         entries.pop(k)
@@ -166,8 +150,8 @@ def build_spec(fields: dict, cfg: WorkbenchConfig) -> ValuationSpec:
         base = build_spec(base_fields, cfg)
         spec = ValuationSpec.keypoly(Q, vQ, base, over=over)
     elif kind == "pcslimit":
-        gen = builtin_generator(_require(fields, "generator"), cfg.horizon)
-        gen.window = cfg.window
+        gen = builtin_generator(_require(fields, "generator"), cfg.horizon, window=cfg.window,
+                                ram_cap=cfg.ram_cap)
         spec = ValuationSpec.pcslimit(gen, over=over)
     else:
         raise ParseError(f"unknown spec.kind {kind!r}")

@@ -82,14 +82,13 @@ def _linear_at(field, center) -> PolyX:
 
 
 def run_example(ident: str, p: int = None, q: int = None,
-                witness_samples: int = 20, seed: int = 0,
-                horizon: int = 12) -> Report:
+                witness_samples: int = 20, seed: int = 0) -> Report:
     if ident == "6.1":
         return _example_tower(2 if p is None else p, witness_samples, seed)
     if ident == "6.2":
         if p is not None or q is not None:
             raise WorkbenchError("this pipeline takes no parameters")
-        return _example_factorial(horizon)
+        return _example_factorial()
     if ident == "6.3":
         p = 2 if p is None else p
         q = 3 if q is None else q
@@ -147,17 +146,17 @@ def _example_tower(p: int, witness_samples: int, seed: int) -> Report:
     return rep
 
 
-def _example_factorial(horizon: int) -> Report:
+def _example_factorial() -> Report:
     rep = Report("pipeline 6.2 (factorial series)")
-    gen = exponential_generator(horizon)
+    gen = exponential_generator()
     spec = ValuationSpec.pcslimit(gen)
-    inp = digest("6.2", horizon)
+    inp = digest("6.2", gen.horizon)
     kind = classify_extension(spec)
     rep.check("classify", inp, kind == VALUATION_ALGEBRAIC_TYPE_II, kind,
               "gammas m+1 are unbounded and the limit is representable")
     induced, note = induce(spec)
     limit = induced.center
-    mmax = horizon - 2
+    mmax = gen.horizon - 2
     closed = PuiseuxSeries.from_terms(
         QQ, {Fraction(n): Fraction(1, factorial(n)) for n in range(int(limit.prec) + 1)})
     limit_ok = not (limit - closed.truncate(limit.prec)).coeffs
@@ -188,8 +187,7 @@ def _example_factorial(horizon: int) -> Report:
 
 def _example_mixed_radix(p: int, q: int) -> Report:
     rep = Report(f"pipeline 6.3 (mixed radix {p},{q})")
-    horizon = 10
-    gen = mixed_radix_generator(p, q, horizon)
+    gen = mixed_radix_generator(p, q, horizon=10)
     spec = ValuationSpec.pcslimit(gen)
     inp = digest("6.3", p, q)
     gammas = gen.gammas()

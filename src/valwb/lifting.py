@@ -28,7 +28,6 @@ from .errors import (
 )
 from .groupval import FIN0, GroupVal
 from .pcs import (
-    DEFAULT_RAM_CAP,
     CauchyWithLimit,
     UltimatelyConstant,
     classify_generator,
@@ -51,7 +50,7 @@ DENSITY_KINDS = (RESIDUE_TRANSCENDENTAL, VALUE_TRANSCENDENTAL_COFINAL,
                  VALUATION_ALGEBRAIC_TYPE_I)
 
 
-def classify_extension(spec: ValuationSpec, ram_cap: int = DEFAULT_RAM_CAP) -> str:
+def classify_extension(spec: ValuationSpec) -> str:
     """Map a spec to its extension kind.
 
     Monomial weights in the embedded rationals give residue-transcendental
@@ -66,14 +65,14 @@ def classify_extension(spec: ValuationSpec, ram_cap: int = DEFAULT_RAM_CAP) -> s
             return RESIDUE_TRANSCENDENTAL
         return VALUE_TRANSCENDENTAL_UNIQUE_PAIR
     if spec.kind == "pcslimit":
-        verdict = classify_generator(spec.gen, ram_cap)
+        verdict = classify_generator(spec.gen)
         if isinstance(verdict, CauchyWithLimit):
             return VALUATION_ALGEBRAIC_TYPE_II
         return VALUATION_ALGEBRAIC_TYPE_I
     raise WorkbenchError(f"cannot classify a spec of kind {spec.kind!r}")
 
 
-def induce(spec: ValuationSpec, ram_cap: int = DEFAULT_RAM_CAP):
+def induce(spec: ValuationSpec):
     """The induced extension on K-hat(X), with a provenance note.
 
     Monomial data carries over unchanged (the induced extension is uniquely
@@ -84,7 +83,7 @@ def induce(spec: ValuationSpec, ram_cap: int = DEFAULT_RAM_CAP):
     if spec.kind in ("gauss", "monomial"):
         return spec.retag(OVER_KHAT), "same pair of definition, retagged over the completion"
     if spec.kind == "pcslimit":
-        verdict = classify_generator(spec.gen, ram_cap)
+        verdict = classify_generator(spec.gen)
         if isinstance(verdict, CauchyWithLimit):
             ind = ValuationSpec.monomial(verdict.limit, GroupVal.lex(1, 0), over=OVER_KHAT)
             return ind, "Cauchy generator: unique-pair monomial spec at the limit"
@@ -152,7 +151,7 @@ def cskp_check(seq: CskpSeq, f: PolyX, spec: ValuationSpec) -> object:
 
 
 def lift_cskp(seq: CskpSeq, spec: ValuationSpec, center: Optional[AlgElement] = None,
-              budget=DEFAULT_PREC, ram_cap: int = DEFAULT_RAM_CAP):
+              budget=DEFAULT_PREC):
     """Lift a complete sequence over K to one over the completion.
 
     Cofinal and transcendental-type cases pass through unchanged.  In the
@@ -162,7 +161,7 @@ def lift_cskp(seq: CskpSeq, spec: ValuationSpec, center: Optional[AlgElement] = 
     root is found.  A Cauchy limit spec appends X - limit directly.
     Returns (lifted sequence, note).
     """
-    kind = classify_extension(spec, ram_cap)
+    kind = classify_extension(spec)
     if kind in (RESIDUE_TRANSCENDENTAL, VALUE_TRANSCENDENTAL_COFINAL,
                 VALUATION_ALGEBRAIC_TYPE_I):
         return seq, f"{kind}: sequence lifts unchanged"
@@ -179,7 +178,7 @@ def lift_cskp(seq: CskpSeq, spec: ValuationSpec, center: Optional[AlgElement] = 
         kept = [(q, d) for q, d in seq if q.degree() <= qhat.degree()]
         return CskpSeq(kept + [(qhat, spec.gamma)]), "unique pair: root found in the completion"
     # type II: the limit is the new final center
-    verdict = classify_generator(spec.gen, ram_cap)
+    verdict = classify_generator(spec.gen)
     limit = verdict.limit
     qhat = PolyX.from_series(limit.field, [-limit, PuiseuxSeries.one(limit.field)])
     kept = [(q, d) for q, d in seq if q.degree() <= 1]
@@ -316,7 +315,7 @@ class DensityResult:
 
 
 def approximate_density(f: PolyX, g: PolyX, alpha: GroupVal,
-                        spec: ValuationSpec, ram_cap: int = DEFAULT_RAM_CAP) -> DensityResult:
+                        spec: ValuationSpec) -> DensityResult:
     """Theorem-1.4-style approximation of f/g by a quotient over K.
 
     Selects the weight beta from the two inequality families (beta + i*gamma
@@ -328,7 +327,7 @@ def approximate_density(f: PolyX, g: PolyX, alpha: GroupVal,
     """
     if not alpha.is_fin:
         raise WorkbenchError("alpha must be a rational value")
-    kind = classify_extension(spec, ram_cap)
+    kind = classify_extension(spec)
     if kind not in DENSITY_KINDS:
         raise UnsupportedKind(
             f"density approximation is impossible for kind {kind}",
@@ -482,8 +481,7 @@ def uniqueness_check(a, b, gamma: GroupVal, samples, spec_over=OVER_KHAT) -> tup
     return search(samples, differs), discrepancies
 
 
-def conjugacy_check(a: AlgElement, gamma: GroupVal, m: int,
-                    ram_cap: int = DEFAULT_RAM_CAP) -> dict:
+def conjugacy_check(a: AlgElement, gamma: GroupVal, m: int) -> dict:
     """Twist the center and compare certificates and classifications.
 
     The twisted center must satisfy the same minimal polynomial, and the
@@ -495,8 +493,8 @@ def conjugacy_check(a: AlgElement, gamma: GroupVal, m: int,
         images = a.minpoly.horner_images(a1.expansion.prec)  # a lost leading coefficient raises
         with contextlib.suppress(PrecisionExhausted):  # 0 at the twist's precision: shared
             shared = a.minpoly.value_at(a1.expansion, images).is_inf
-    k0 = classify_extension(ValuationSpec.monomial(a.expansion, gamma), ram_cap)
-    k1 = classify_extension(ValuationSpec.monomial(a1.expansion, gamma), ram_cap)
+    k0 = classify_extension(ValuationSpec.monomial(a.expansion, gamma))
+    k1 = classify_extension(ValuationSpec.monomial(a1.expansion, gamma))
     return {"twisted_center": a1.expansion.to_text(),
             "shared_minpoly": bool(shared),
             "kind": k0, "twisted_kind": k1,

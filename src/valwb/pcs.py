@@ -27,19 +27,31 @@ DEFAULT_WINDOW = 3
 DEFAULT_RAM_CAP = 64
 
 
+def check_bounds(horizon: int, window: int, ram_cap: int) -> None:
+    """Refuse sequence bounds no verdict can be read under: the one check of all three."""
+    if ram_cap < 1:
+        raise WorkbenchError("ram_cap must be at least 1")
+    if horizon < 3:
+        raise WorkbenchError("horizon must be at least 3")
+    if window < 1:
+        raise WorkbenchError("window must be at least 1")
+
+
 class PcsGenerator:
-    """A closed-form or explicit pseudo-Cauchy sequence with a finite horizon."""
+    """A closed-form or explicit pseudo-Cauchy sequence and its bounds: the horizon,
+    the window its stabilization verdicts read and the ramification cap."""
 
     def __init__(self, name: str, field: BaseField, items, horizon: int = DEFAULT_HORIZON,
-                 value_group_bound: Optional[GroupVal] = None, window: int = DEFAULT_WINDOW):
-        if horizon < 3:
-            raise WorkbenchError("horizon must be at least 3")
+                 value_group_bound: Optional[GroupVal] = None, window: int = DEFAULT_WINDOW,
+                 ram_cap: int = DEFAULT_RAM_CAP):
+        check_bounds(horizon, window, ram_cap)
         self.name = name
         self.field = field
         self._items = items  # callable m -> PuiseuxSeries, or a list
         self.horizon = horizon
         self.value_group_bound = value_group_bound
         self.window = window
+        self.ram_cap = ram_cap
         self._elements = None
         self._gammas = None
 
@@ -60,10 +72,6 @@ class PcsGenerator:
         if self._gammas is None:
             self._gammas = validate_prefix(self.elements())
         return self._gammas
-
-    def raised(self, horizon: int) -> "PcsGenerator":
-        return PcsGenerator(self.name, self.field, self._items, horizon,
-                            self.value_group_bound, self.window)
 
 
 def validate_prefix(prefix: list) -> list:
@@ -168,11 +176,11 @@ class TranscendentalTypeEvidence:
     detail: str
 
 
-def classify_generator(gen: PcsGenerator, ram_cap: int = DEFAULT_RAM_CAP):
+def classify_generator(gen: PcsGenerator):
     """Desk-scale dichotomy for the sequence.
 
     Evidence of transcendental type fires on exactly two patterns: support
-    denominators exceeding the ramification cap, or gamma_m bounded above by
+    denominators exceeding gen.ram_cap, or gamma_m bounded above by
     the declared value-group bound.  Otherwise stable denominators give a
     Cauchy verdict and the materialized limit, and denominators still growing
     within the cap raise HorizonExceeded.  Verdicts are evidence, not proofs.
@@ -180,10 +188,10 @@ def classify_generator(gen: PcsGenerator, ram_cap: int = DEFAULT_RAM_CAP):
     gammas = gen.gammas()
     elems = gen.elements()
     rams = [a.ram for a in elems]
-    if max(rams) > ram_cap:
+    if max(rams) > gen.ram_cap:
         return TranscendentalTypeEvidence(
             "unbounded ramification denominators",
-            f"support denominators reach {max(rams)} > cap {ram_cap} "
+            f"support denominators reach {max(rams)} > cap {gen.ram_cap} "
             f"within horizon {gen.horizon}")
     if gen.value_group_bound is not None and all(g < gen.value_group_bound for g in gammas):
         return TranscendentalTypeEvidence(
@@ -201,26 +209,29 @@ def classify_generator(gen: PcsGenerator, ram_cap: int = DEFAULT_RAM_CAP):
 # built-in sequences
 # ---------------------------------------------------------------------------
 
-def artin_schreier_generator(p: int, horizon: int = DEFAULT_HORIZON) -> PcsGenerator:
+# Each factory passes its keyword ``bounds`` (window, ram_cap) on to PcsGenerator.
+
+def artin_schreier_generator(p: int, horizon: int = DEFAULT_HORIZON, **bounds) -> PcsGenerator:
     """a_m = sum of t^(p^n) for n <= m over F_p; gamma_m = p^(m+1)."""
     field = GF(p)
 
     def items(m):
         return PuiseuxSeries(field, 1, {p**n: field.one() for n in range(m + 1)}, None)
 
-    return PcsGenerator(f"artin-schreier({p})", field, items, horizon)
+    return PcsGenerator(f"artin-schreier({p})", field, items, horizon, **bounds)
 
 
-def exponential_generator(horizon: int = DEFAULT_HORIZON) -> PcsGenerator:
+def exponential_generator(horizon: int = DEFAULT_HORIZON, **bounds) -> PcsGenerator:
     """a_m = sum of t^n / n! for n <= m over Q; gamma_m = m + 1."""
 
     def items(m):
         return PuiseuxSeries(QQ, 1, {n: Fraction(1, factorial(n)) for n in range(m + 1)}, None)
 
-    return PcsGenerator("exponential", QQ, items, horizon)
+    return PcsGenerator("exponential", QQ, items, horizon, **bounds)
 
 
-def mixed_radix_generator(p: int, q: int, horizon: int = DEFAULT_HORIZON) -> PcsGenerator:
+def mixed_radix_generator(p: int, q: int, horizon: int = DEFAULT_HORIZON,
+                          **bounds) -> PcsGenerator:
     """a_m = sum of t^(q^n / p^n) for n <= m; gamma_m = (q/p)^(m+1).
 
     Needs p < q so the gammas increase; the support denominators p^m grow
@@ -233,21 +244,20 @@ def mixed_radix_generator(p: int, q: int, horizon: int = DEFAULT_HORIZON) -> Pcs
         return PuiseuxSeries(QQ, p**m, {q**n * p**(m - n): QQ.one() for n in range(m + 1)},
                              None)
 
-    return PcsGenerator(f"mixed-radix({p},{q})", QQ, items, horizon,
-                        value_group_bound=None)
+    return PcsGenerator(f"mixed-radix({p},{q})", QQ, items, horizon, **bounds)
 
 
-def builtin_generator(name: str, horizon: int = DEFAULT_HORIZON) -> PcsGenerator:
+def builtin_generator(name: str, horizon: int = DEFAULT_HORIZON, **bounds) -> PcsGenerator:
     """Resolve "artin-schreier(p)", "exponential", "mixed-radix(p,q)"."""
     name = name.strip()
     if name == "exponential":
-        return exponential_generator(horizon)
+        return exponential_generator(horizon, **bounds)
     try:
         if name.startswith("artin-schreier(") and name.endswith(")"):
-            return artin_schreier_generator(int(name[15:-1]), horizon)
+            return artin_schreier_generator(int(name[15:-1]), horizon, **bounds)
         if name.startswith("mixed-radix(") and name.endswith(")"):
             p, q = name[12:-1].split(",")
-            return mixed_radix_generator(int(p), int(q), horizon)
+            return mixed_radix_generator(int(p), int(q), horizon, **bounds)
     except ValueError:
         raise ParseError(f"generator {name!r} needs integer arguments") from None
     raise WorkbenchError(f"unknown generator {name!r}")

@@ -212,13 +212,13 @@ class PolyX:
         ka = [k * (e // a.ram) for k in keys]
         lo = min(ka, default=0)
 
-        def horner(window):  # acc_j keeps its keys below window - j lo: they reach acc_0's
+        def horner(reach):  # acc_j keeps its keys below reach - j lo: they reach acc_0's
             acc, cap = {}, None  # the exact zero, which times anything is the exact zero
             for j in range(n, -1, -1):
                 if acc or cap is not None:
                     cap = product_prec(cap, Fraction(min(acc), e) if acc else cap, a.prec, va)
                 cap, s, w = min_prec(cap, cs[j].prec), e // cs[j].ram, da ** (n - j)
-                top = min(lattice_cap(cap, e), window - j * lo)
+                top = min(lattice_cap(cap, e), reach - j * lo)
                 acc = lattice_product(acc, 1, list(acc.values()), ka, 1, ys, top) if acc else {}
                 for k, x in imgs[j].items():
                     if k * s < top:

@@ -12,7 +12,6 @@ from valwb.groupval import FIN0, GroupVal
 from valwb.lifting import (DENSITY_KINDS, UNIQUE_PAIR_DENSITY_OBSTRUCTION, DensityResult,
                            _difference_exceeds, _gauss_value, _truncate_to_k, _value_exceeds,
                            classify_extension, roots_matching_threshold)
-from valwb.pcs import DEFAULT_RAM_CAP
 from valwb.polyx import RATFUNC, PolyX
 from valwb.valuation import ValuationSpec, _min_weighted, delta, eval_spec
 
@@ -48,7 +47,7 @@ def approximate_same_delta(f: PolyX, alpha: GroupVal, spec: ValuationSpec) -> Po
 
 
 def approximate_density(f: PolyX, g: PolyX, alpha: GroupVal,
-                        spec: ValuationSpec, ram_cap: int = DEFAULT_RAM_CAP) -> DensityResult:
+                        spec: ValuationSpec) -> DensityResult:
     """Theorem-1.4-style approximation of f/g by a quotient over K.
 
     Selects the weight beta from the two inequality families (beta + i*gamma
@@ -60,7 +59,7 @@ def approximate_density(f: PolyX, g: PolyX, alpha: GroupVal,
     """
     if not alpha.is_fin:
         raise WorkbenchError("alpha must be a rational value")
-    kind = classify_extension(spec, ram_cap)
+    kind = classify_extension(spec)
     if kind not in DENSITY_KINDS:
         raise UnsupportedKind(
             f"density approximation is impossible for kind {kind}",

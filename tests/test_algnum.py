@@ -19,7 +19,7 @@ from valwb.algnum import (
     krasner_constant,
     minpoly_over_completion,
 )
-from valwb.errors import NotARoot, Uncertified
+from valwb.errors import NotARoot, Uncertified, WorkbenchError
 from valwb.field import GF, QQ
 from valwb.groupval import GroupVal
 from valwb.polyx import PolyX, polyx_from_text
@@ -156,6 +156,16 @@ def test_minpoly_over_completion_no_root():
     res = minpoly_over_completion(a, Fraction(64))
     assert isinstance(res, NoRootFound)
     assert res.budget == Fraction(64)
+
+
+def test_minpoly_over_completion_refuses_a_budget_that_is_not_positive():
+    # a budget of 0 used to return the root X + [O(t^0)], with no digit solved
+    Q = polyx_from_text(F2, "X^2 + X + t")
+    a = attach_minpoly(tower_series(2, 3), Q, irreducible=True)
+    for budget in (0, Fraction(-5), Fraction(-1, 2)):
+        with pytest.raises(WorkbenchError, match="root search budget must be positive"):
+            minpoly_over_completion(a, budget)
+    assert minpoly_over_completion(a, 3).root.to_text() == "t + t^2 + O(t^3)"
 
 
 def test_minpoly_over_completion_rational_element():

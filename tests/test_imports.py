@@ -294,6 +294,55 @@ def test_the_scan_sees_writes_to_the_fields_of_a_series(tmp_path):
     assert series_field_writes(series) == []
 
 
+SEQUENCE_BOUNDS = {"ram_cap", "horizon", "window"}
+
+
+def sequence_bound_routes(path: Path) -> list:
+    """Parameters named ram_cap, horizon or window, and writes to attributes of those names,
+    outside pcs.py.  A generator holds its three sequence bounds from construction, where
+    they are checked, so no other function takes one per call and no other module sets one
+    on a built generator."""
+    if path.name == "pcs.py":
+        return []
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            found += [(path.name, arg.arg, arg.lineno)
+                      for arg in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                      if arg is not None and arg.arg in SEQUENCE_BOUNDS]
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)) \
+                and node.attr in SEQUENCE_BOUNDS:
+            found.append((path.name, node.attr, node.lineno))
+        if isinstance(node, ast.Call) and len(node.args) > 1 \
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) in (
+                    "setattr", "__setattr__") and isinstance(node.args[1], ast.Constant) \
+                and node.args[1].value in SEQUENCE_BOUNDS:
+            found.append((path.name, node.args[1].value, node.lineno))
+    return sorted(found, key=lambda hit: hit[2])
+
+
+def test_no_module_but_pcs_takes_or_sets_a_sequence_bound():
+    modules = sorted(Path(valwb.__file__).parent.glob("*.py"))
+    found = [hit for path in modules for hit in sequence_bound_routes(path)]
+    assert not found, found
+
+
+def test_the_scan_sees_sequence_bound_parameters_and_writes(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "def f(spec, ram_cap=64):\n    return spec\n\n"
+        "def g(*, horizon, **bounds):\n    return lambda window: window\n\n"
+        "def h(gen, cfg):\n    gen.window = cfg.window\n    gen.horizon += 1\n"
+        "    setattr(gen, 'ram_cap', 0)\n    return gen.ram_cap, cfg.horizon, cfg.seed\n")
+    assert sequence_bound_routes(src) == [
+        ("m.py", "ram_cap", 1), ("m.py", "horizon", 4), ("m.py", "window", 5),
+        ("m.py", "window", 8), ("m.py", "horizon", 9), ("m.py", "ram_cap", 10)]
+    pcs = tmp_path / "pcs.py"
+    pcs.write_text(src.read_text())
+    assert sequence_bound_routes(pcs) == []
+
+
 # Each function of the package that catches a WorkbenchError, or a subclass of it, without
 # raising again, and why the error is no answer to pass on there.
 SWALLOWED = {

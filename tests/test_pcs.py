@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from valwb.config import parse_config
 from valwb.errors import HorizonExceeded, NotPcs, PrecisionExhausted, WorkbenchError
 from valwb.field import GF, QQ
 from valwb.groupval import GroupVal
@@ -129,7 +130,7 @@ def test_classify_generator_all_three():
     c = classify_generator(exponential_generator(10))
     assert isinstance(c, CauchyWithLimit)
     assert c.limit.prec == Fraction(10)  # known through the last gamma
-    c2 = classify_generator(mixed_radix_generator(2, 3, 10), ram_cap=64)
+    c2 = classify_generator(mixed_radix_generator(2, 3, 10, ram_cap=64))
     assert isinstance(c2, TranscendentalTypeEvidence)
     assert c2.criterion == "unbounded ramification denominators"
     c3 = classify_generator(artin_schreier_generator(3, horizon=5))
@@ -142,9 +143,9 @@ def test_growing_denominators_within_the_cap_are_not_cauchy():
     # within the cap 64 but still grow, which proves neither verdict
     for horizon in (3, 4, 5, 6):
         with pytest.raises(HorizonExceeded):
-            classify_generator(mixed_radix_generator(2, 3, horizon), ram_cap=64)
+            classify_generator(mixed_radix_generator(2, 3, horizon, ram_cap=64))
     for horizon in (7, 8):
-        verdict = classify_generator(mixed_radix_generator(2, 3, horizon), ram_cap=64)
+        verdict = classify_generator(mixed_radix_generator(2, 3, horizon, ram_cap=64))
         assert isinstance(verdict, TranscendentalTypeEvidence)
 
 
@@ -155,8 +156,8 @@ def test_bounded_gamma_evidence():
         return PuiseuxSeries.from_terms(
             QQ, {Fraction(n, n + 1): 1 for n in range(1, m + 2)})
     gen = PcsGenerator("bounded", QQ, items, horizon=6,
-                       value_group_bound=GroupVal.fin(1), window=3)
-    verdict = classify_generator(gen, ram_cap=10**6)
+                       value_group_bound=GroupVal.fin(1), window=3, ram_cap=10**6)
+    verdict = classify_generator(gen)
     assert isinstance(verdict, TranscendentalTypeEvidence)
     assert verdict.criterion == "gamma bounded below the declared cofinality bound"
 
@@ -177,7 +178,7 @@ def test_horizon_guard():
     gen = exponential_generator(5)
     with pytest.raises(HorizonExceeded):
         gen.element(6)
-    assert gen.raised(9).element(9) is not None
+    assert gen.element(5) is not None
 
 
 def test_artin_schreier_refuses_characteristic_zero():
@@ -188,6 +189,23 @@ def test_artin_schreier_refuses_characteristic_zero():
     with pytest.raises(WorkbenchError, match="characteristic 1"):
         artin_schreier_generator(1)
     assert builtin_generator("artin-schreier(3)").field == GF(3)
+
+
+def test_the_generator_refuses_its_bounds_with_the_config_messages():
+    # a window of 0 used to pass the generator: stabilized_delta on exponential_generator(6)
+    # then read tail[0] of an empty tail (IndexError), and values_along read every value
+    items = [PuiseuxSeries.t_power(QQ, k) for k in range(1, 5)]
+    for key, bad, message in (("horizon", 2, "horizon must be at least 3"),
+                              ("window", 0, "window must be at least 1"),
+                              ("ram_cap", 0, "ram_cap must be at least 1")):
+        with pytest.raises(WorkbenchError, match=f"^{message}$"):
+            PcsGenerator("explicit", QQ, items, **{"horizon": 3, key: bad})
+        with pytest.raises(WorkbenchError, match=f"^{message}$"):
+            parse_config(f"{key} = {bad}\n", env={})
+    with pytest.raises(WorkbenchError, match="^window must be at least 1$"):
+        exponential_generator(6, window=0)  # refused before stabilized_delta can read it
+    with pytest.raises(WorkbenchError, match="^ram_cap must be at least 1$"):
+        builtin_generator("mixed-radix(2,3)", 8, window=3, ram_cap=0)
 
 
 def test_stabilized_delta_refuses_a_window_wider_than_the_horizon():

@@ -245,6 +245,20 @@ def test_cli_cskp_check_undecidable_entries_are_no_verdict(tmp_path):
                "undecidable coefficient (bound 3) may cut below the decided minimum (1, 0)\n")
 
 
+def test_cli_lift_cskp_refuses_a_budget_that_is_not_positive(tmp_path):
+    # a budget of 0 used to print "X + [O(t^0)] @ (1, 0)" as a root found in the
+    # completion, and -5 "X + [O(t^-5)]", with no digit solved
+    cfg = write_cfg(tmp_path, "char = 2\nspec.kind = monomial\n"
+                              "spec.center = t + t^2 + t^4 + O(t^8)\nspec.gamma = (1, 0)\n")
+    argv = ["lift-cskp", "--config", cfg, "--seq", "X^2 + X + [t] @ (1, 0)",
+            "--center", "t + t^2 + t^4 + O(t^8)", "--minpoly", "X^2 + X + [t]"]
+    for budget in ("0", "-5"):
+        assert run_cli(argv + ["--budget", budget]) == (
+            1, "", f"error: root search budget must be positive, got {budget}\n")
+    code, out, _ = run_cli(argv + ["--budget", "8"])
+    assert code == 0 and "[lift-cskp] X + [t + t^2 + t^4 + O(t^8)] @ (1, 0)" in out
+
+
 def test_cli_input_error_exit_1(tmp_path):
     cfg = write_cfg(tmp_path, "spec.kind = gauss\n")
     code, _, err = run_cli(["eval", "--config", cfg, "--poly", "bogus ]]]"])
