@@ -26,7 +26,7 @@ from .errors import (
 )
 from .field import BaseField
 from .groupval import GroupVal
-from .polyx import RATFUNC, PolyX, _packed_values, _polygon
+from .polyx import RATFUNC, PolyX, ShiftRows, _polygon
 from .series import PuiseuxSeries, RatFunc, min_prec
 
 
@@ -216,11 +216,11 @@ def minpoly_over_completion(a: AlgElement, budget) -> object:
         raise WorkbenchError(f"root search budget must be positive, got {budget}")
     guide = a.expansion if a.expansion.ram == 1 else None
     f = a.field
-    Q = a.minpoly.to_series(budget + 8).coeffs  # each keeps its integer images over the steps
+    Q = ShiftRows(f, a.minpoly.to_series(budget + 8).coeffs)  # Q = sum C_i (X - x)^i
     x = PuiseuxSeries.zero(f)
     last = Fraction(-1) * 10**9
     while True:
-        e, rows = _packed_values(f, Q, x, lead=True)  # Q = sum C_i (X - x)^i, row i of C_i
+        e, rows = Q.e, Q.rows  # row i of C_i: its least key, cap and scalar there
         polygon = _polygon(e, rows)
         if any(s.is_inf for s, _ in polygon):
             return Linear(x)  # exact root
@@ -250,6 +250,7 @@ def minpoly_over_completion(a: AlgElement, budget) -> object:
                 if guide is not None and c != guide.coeff_at(mu):
                     continue
                 x = PuiseuxSeries(f, 1, {**x.coeffs, mu.numerator: c}, None)  # one key more
+                Q.shift(c, mu)
                 last = mu
                 solved = True
                 break

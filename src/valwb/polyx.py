@@ -412,23 +412,21 @@ def _shift_plan(a) -> ShiftPlan:
     return _plan(1, None, None, keys, ys, sum(map(abs, zs)), zs)
 
 
-def _packed_values(field: BaseField, coeffs, a, lead=False) -> tuple:
+def _packed_values(field: BaseField, coeffs, a) -> tuple:
     """:meth:`PolyX.recentered_values` for c_j in K or in the completion (the top one possibly 0
     or an unknown zero) at a = s^lo A(s)/Q(s), s = t^(1/e), lo <= 0, Q(0) != 0: one packed Taylor
     shift of the M_j Q^(n-j) by A (README), Q constant but at p/q.  Row i's cap: the least P_i and
     product_prec(P_j, v(c_j), Pa + (d-1)v(a), d v(a)) on its Hasse row, d = j - i, P_j a series
-    c_j's cap or P for a pole.  ``lead`` (series c_j, Q constant): rows (key, cap, scalar), the
-    scalar C_i's at its least key (None without one), a row without a key read off the window."""
+    c_j's cap or P for a pole (:func:`_row_caps`)."""
     n, p, inf, pole, caps, s = len(coeffs) - 1, field.char, math.inf, None, None, 1
     if zero := a.is_exact_zero():  # every shifted term carries a power of the exact zero: no plan
         e, P = 1, expansion_prec(None) if isinstance(a, PuiseuxSeries) else None
     else:
         e, prec, P, v, lo, keys, ys, hi, low, a1, q1, zs, dz = _shift_plan(a)
     if series := bool(coeffs) and isinstance(coeffs[-1], PuiseuxSeries):  # on (1/e)Z
-        s, least = math.lcm(e, *[c.ram for c in coeffs]) // e, [min(c.coeffs, default=None)
-                                                              for c in coeffs]
+        s = math.lcm(e, *[c.ram for c in coeffs]) // e
         e, caps = e * s, [c.prec for c in coeffs]
-        ks = [None if m is None else m * (e // c.ram) for m, c in zip(least, coeffs)]
+        ks = [min(c.coeffs) * (e // c.ram) if c.coeffs else None for c in coeffs]
     else:
         ks = [0 if (xs := c.nq[0]) and xs[0] else tp_ord(field, xs) for c in coeffs]  # v(c_j)
         if any(pl := [len(c.dq[0]) > 1 for c in coeffs]):
@@ -442,34 +440,17 @@ def _packed_values(field: BaseField, coeffs, a, lead=False) -> tuple:
         if e > 1:
             ks = [None if o is None else o * e for o in ks]
     direct = list(zip(ks, caps)) if caps else [(k, None) for k in ks]  # a row without terms: c_i
-    if lead:
-        direct = [(*r, None if m is None else c.coeffs[m]) for r, m, c in zip(direct, least,
-                                                                              coeffs)]
     if n < 1 or zero:
         return e, direct
     if a.field != field:
         raise WorkbenchError("base field mismatch")
     if s > 1:  # the center's keys with the coefficients'
         lo, keys, hi, low, dz = lo * s, [k * s for k in keys], hi * s, low * s, dz * s
-    (vn, vd), hasse = v, _hasse_binomials(field, n)  # caps in units of 1/U, v(a) = vn/vd
-    if prec is None and not caps:  # no cap anywhere; else row i's (cap, key cap)
-        live = [None if all(ks[j] is None for j, _ in row) else (None, inf) for row in hasse]
-    else:
-        U = math.lcm(e, vd, *[c.denominator for c in [prec, *(caps or ())] if c is not None])
-        ue, vu = U // e, vn * (U // vd)
-        pa = inf if prec is None else prec.numerator * (U // prec.denominator) - vu  # Pa - v
-        rc, own = [None if k is None else pa + k * ue + j * vu for j, k in enumerate(ks)], None
-        if caps:  # in row i c_j's rc_j - iv, and with its own cap P_j also P_j + (j - i)v
-            own = [inf if c is None else c.numerator * (U // c.denominator) for c in caps]
-            rc = [None if r is None and o == inf else min(inf if r is None else r, o + j * vu)
-                  for j, (r, o) in enumerate(zip(rc, own))]
-        live = [None if (m := min([rc[j] for j, _ in row if rc[j] is not None], default=None))
-                is None else (None, inf) if (m := m - i * vu if own is None else
-                                             min(own[i], m - i * vu)) == inf
-                else (Fraction(m, U), -(-m * e // U)) for i, row in enumerate(hasse)]
+    hasse = _hasse_binomials(field, n)
+    live = _row_caps(hasse, ks, caps, prec, v, e)
     es = 0  # row i's slot 0 has the key lo(n - i) - es; terms[j]: c_j's slots, integers, top
     if series:  # a negative key k at the slot k + es; each c_j keeps its integer images
-        imgs, dc = common_denominator([point_images(c)[1:3] for c in coeffs])
+        imgs = common_denominator([point_images(c)[1:3] for c in coeffs])[0]
         es = -min([0] + [k for k in ks if k is not None])
         terms = [(sl := [k * (e // c.ram) + es for k in c.coeffs], xs, max(sl, default=0))
                  for c, xs in zip(coeffs, imgs)]
@@ -507,7 +488,7 @@ def _packed_values(field: BaseField, coeffs, a, lead=False) -> tuple:
             break
         missing = [i for i, row in enumerate(live)  # no key, below a cap the window has not
                    if row and rows[i][0] is None and row[1] - lo * (n - i) + es > width]  # reached
-        if missing and not pole and not lead and limit * b > (  # the span's bits more than a
+        if missing and not pole and limit * b > (  # the span's bits more than a
                 n + 1) * len(keys) * nt() * sys.int_info.bits_per_digit:  # Python int digit per
             for i in [i for i in missing if live[i][0] is None]:  # term pair of a sparse sum:
                 cs = [coeffs[i]] + [coeffs[i].zero(field)] * (n - i)  # an uncapped row is
@@ -521,11 +502,92 @@ def _packed_values(field: BaseField, coeffs, a, lead=False) -> tuple:
         if not missing:
             break
         width = limit if any(live[i][0] is None for i in missing) else min(2 * width, limit)
-    if lead:  # C_i's least slot over its scale: S_i = dc q1^(n - i) s^(es - lo(n - i)) C_i
-        rows = [(*r, None if r[0] is None else field.from_integer(
-            _slot(S[i], b, r[0] - lo * (n - i) + es), dc * q1**(n - i))) if live[i] else r
-            for i, r in enumerate(rows)]
     return e, rows
+
+
+class ShiftRows:
+    """The value profile (e, rows) of f = sum C_i (X - x)^i for series c_j as an exact x grows by
+    monomials c t^mu, mu above x's keys, each row with C_i's scalar at its least key (README).
+    T_i = dc D^(n - i) C_i on b-bit slots from the key lam (n - i) - es, each slot below B_i in
+    size, dc the c_j's denominator and D the digits'; row caps by :func:`_row_caps` at v(x)."""
+
+    def __init__(self, field: BaseField, coeffs, ram: int = 1):
+        self.field, self.cs, self.T, self.D = field, coeffs, None, 1
+        self.e = math.lcm(ram, *[c.ram for c in coeffs])
+        self.ks = [min(c.coeffs) * (self.e // c.ram) if c.coeffs else None for c in coeffs]
+        self.rows = self.direct = [(k, c.prec, c.coeffs[min(c.coeffs)] if c.coeffs else None)
+                                   for k, c in zip(self.ks, coeffs)]  # at x = 0: the c_j's own
+
+    def shift(self, c, mu) -> None:
+        """x += c t^mu, mu in (1/e)Z: one Taylor shift by c = m/D, D = lcm(D, w) for c = u/w."""
+        f, n, p, k = self.field, len(self.cs) - 1, self.field.char, int(mu * self.e)
+        (u, w), slots, d = (c, 1) if p else c.as_integer_ratio(), None, self.D
+        D = math.lcm(d, w)
+        g, m = D // d, u * (D // w)
+
+        def grown(B):  # the rows' slot bounds after the shift: its passes on |m| and the B_j
+            B = [x * g**(n - j) for j, x in enumerate(B)]
+            for i in range(n):
+                for j in range(n - 1, i - 1, -1):
+                    B[j] += abs(m) * B[j + 1]
+            return B
+        if self.T is None:  # the first digit fixes v(x), the rows' caps and the least key lam
+            self.lam, self.es = min(0, k), -min([0] + [j for j in self.ks if j is not None])
+            self.live = _row_caps(_hasse_binomials(f, n), self.ks, [q.prec for q in self.cs],
+                                  None, (k, self.e), self.e)
+            imgs, self.dc = common_denominator([point_images(q)[1:3] for q in self.cs])
+            slots = [{j * (self.e // q.ram) + self.es - self.lam * (n - i): x for j, x
+                      in zip(q.coeffs, xs)} for i, (q, xs) in enumerate(zip(self.cs, imgs))]
+        elif max(B := grown(self.B)).bit_length() >= self.b:  # a slot could reach 2^(b - 1)
+            slots = [dict(enumerate(_slots(t, self.b))) for t in self.T]
+        if slots is not None:  # some digits' room above the bound, over F_p reduced mod p
+            slots = [{s: x % p for s, x in r.items()} for r in slots] if p else slots
+            B = grown([max(map(abs, r.values()), default=0) for r in slots])
+            self.b = (max(B).bit_length() + 64) // 8 * 8
+            self.T = [sum(x << self.b * s for s, x in r.items()) for r in slots]
+        self.B, self.D, T = B, D, [t * g**(n - j) for j, t in enumerate(self.T)]
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                T[j] += m * (T[j + 1] << self.b * (k - self.lam))
+        self.T, self.rows = T, list(self.direct)
+        for i, row in enumerate(self.live):
+            if row:  # a slot at or above a row's key cap reaches no row below it under that row's
+                lo = self.lam * (n - i) - self.es  # own cap (README): masked off, if finite
+                T[i] &= (1 << self.b * max(0, row[1] - lo)) - 1 if row[1] < math.inf else -1
+                key = _least_key(T[i], self.b, p, lo, row[1])
+                self.rows[i] = (key, row[0], None if key is None else f.from_integer(
+                    _slot(T[i], self.b, key - lo), self.dc * D**(n - i)))
+
+
+def _row_caps(hasse, ks, caps, prec, v, e) -> list:
+    """Row i's (cap, key cap) of a Taylor shift at a center of value v = (vn, vd) and cap prec, for
+    c_j of least keys ks (units of 1/e) and caps (None: K, all exact): the least P_i and
+    product_prec(P_j, v(c_j), Pa + (d-1)v(a), d v(a)) on its Hasse row, d = j - i; (None, inf) for
+    an exact row, None for a row that no c_j of its Hasse row reaches."""
+    inf, (vn, vd) = math.inf, v  # caps in units of 1/U, v(a) = vn/vd
+    if prec is None and not caps:  # no cap anywhere; else row i's (cap, key cap)
+        return [None if all(ks[j] is None for j, _ in row) else (None, inf) for row in hasse]
+    U = math.lcm(e, vd, *[c.denominator for c in [prec, *(caps or ())] if c is not None])
+    ue, vu = U // e, vn * (U // vd)
+    pa = inf if prec is None else prec.numerator * (U // prec.denominator) - vu  # Pa - v
+    rc, own = [None if k is None else pa + k * ue + j * vu for j, k in enumerate(ks)], None
+    if caps:  # in row i c_j's rc_j - iv, and with its own cap P_j also P_j + (j - i)v
+        own = [inf if c is None else c.numerator * (U // c.denominator) for c in caps]
+        rc = [None if r is None and o == inf else min(inf if r is None else r, o + j * vu)
+              for j, (r, o) in enumerate(zip(rc, own))]
+    return [None if (m := min([rc[j] for j, _ in row if rc[j] is not None], default=None))
+            is None else (None, inf) if (m := m - i * vu if own is None else
+                                         min(own[i], m - i * vu)) == inf
+            else (Fraction(m, U), -(-m * e // U)) for i, row in enumerate(hasse)]
+
+
+def _slots(v: int, b: int) -> list:
+    """The signed b-bit slots of v, least first."""
+    out, half = [], 1 << b - 1
+    while v:
+        out.append(x := (v + half & 2 * half - 1) - half)
+        v = v - x >> b
+    return out
 
 
 def _slot(v: int, b: int, k: int) -> int:

@@ -746,41 +746,55 @@ def test_series_coefficients_take_the_packed_shift_as_the_series_stage_did():
     assert min(seen.values()) >= 12, seen
 
 
-def lead_rows(field, coeffs, a):
-    """The keyed profile with each row's value k/e, cap and lead scalar, or the exception."""
+def lead_rows(field, coeffs, a, steps=None):
+    """The rows of polyx.ShiftRows at the exact center a, its terms shifted in one at a time
+    from the least, each row's value k/e, cap and lead scalar (at every partial sum into
+    ``steps``), or the exception."""
+    def read(state):
+        return [(None if k is None else Fraction(k, state.e), type(cap), cap, type(x), x)
+                for k, cap, x in state.rows]
     try:
-        e, rows = polyx._packed_values(field, coeffs, a, lead=True)
+        state, x = polyx.ShiftRows(field, coeffs, a.ram), {}
+        for k in [None] + sorted(a.coeffs):
+            if k is not None:
+                state.shift(a.coeffs[k], Fraction(k, a.ram))
+                x[k] = a.coeffs[k]
+            if steps is not None:
+                steps.append((PuiseuxSeries(field, a.ram, dict(x), None), read(state)))
     except Exception as exc:  # the exception itself is part of the outcome
         return ("raised", type(exc), str(exc))
-    return [(None if k is None else Fraction(k, e), type(cap), cap, type(x), x)
-            for k, cap, x in rows]
+    return read(state)
 
 
 def test_lead_rows_carry_the_least_coefficient_of_each_recentered_series():
-    # each row's (key, cap, scalar) is the least key, the cap and the coefficient
-    # there of the series stage's C_i; keys and caps are those of the plain profile
-    seen = {"rows": 0, "scalars": 0, "raised": 0, "live scalars": 0}
+    # at every partial sum of an exact center, each row's (key, cap, scalar) is the least
+    # key, the cap and the coefficient there of the series stage's C_i; keys and caps are
+    # those of the plain profile.  The row state grows an exact x over the coefficients'
+    # field, so a capped center or one over another field is not one of its inputs
+    seen = {"rows": 0, "scalars": 0, "steps": 0, "live scalars": 0, "not exact": 0}
     for i, kind, field, coeffs, a in series_list_cases():
-        a = a if a.source is None else without_source(a)  # the lead mode's Q is constant
-        got = lead_rows(field, coeffs, a)
-        plain = list_profile(coeffs, a, polyx._packed_values)
-        if got[0] == "raised":
-            assert got == plain, (i, kind, coeffs, a)
-            seen["raised"] += 1
+        if a.prec is not None or a.field != field:
+            seen["not exact"] += 1
             continue
-        assert [(k, t, cap) for k, t, cap, _, _ in got] == \
-            [(None if k is None else Fraction(k, plain[0]), t, cap) for k, t, cap in plain[1]]
-        seen["rows"] += len(got)
-        if coeffs[-1].is_exact_zero() or coeffs[-1].is_unknown_zero():
-            continue
-        C = recentered_series(PolyX.from_series(field, coeffs), a)
-        want = [(Fraction(min(c.coeffs), c.ram), type(c.prec), c.prec,
-                 type(c.coeffs[min(c.coeffs)]), c.coeffs[min(c.coeffs)]) if c.coeffs
-                else (None, type(c.prec), c.prec, type(None), None) for c in C]
-        assert got == want, (i, kind, coeffs, a)
-        seen["scalars"] += sum(x is not None for *_, x in got)
-        seen["live scalars"] += sum(x is not None and c is not d for (*_, x), c, d
-                                    in zip(got, C, coeffs))
+        steps = []
+        got = lead_rows(field, coeffs, a, steps)
+        assert got == steps[-1][1], (i, kind, coeffs, a)
+        for x, got in steps:
+            plain = list_profile(coeffs, x, polyx._packed_values)
+            assert [(k, t, cap) for k, t, cap, _, _ in got] == \
+                [(None if k is None else Fraction(k, plain[0]), t, cap) for k, t, cap in plain[1]]
+            seen["rows"] += len(got)
+            seen["steps"] += 1
+            if coeffs[-1].is_exact_zero() or coeffs[-1].is_unknown_zero():
+                continue
+            C = recentered_series(PolyX.from_series(field, coeffs), x)
+            want = [(Fraction(min(c.coeffs), c.ram), type(c.prec), c.prec,
+                     type(c.coeffs[min(c.coeffs)]), c.coeffs[min(c.coeffs)]) if c.coeffs
+                    else (None, type(c.prec), c.prec, type(None), None) for c in C]
+            assert got == want, (i, kind, coeffs, x)
+            seen["scalars"] += sum(x is not None for *_, x in got)
+            seen["live scalars"] += sum(x is not None and c is not d for (*_, x), c, d
+                                        in zip(got, C, coeffs))
     assert min(seen.values()) >= 10, seen
 
 
@@ -850,7 +864,7 @@ def test_the_sparse_guard_weighs_the_slot_width(monkeypatch):
         got = profile(PolyX.recentered_values, f, a)
         assert got == profile(ref_profile, f, a) and got[1][0] == (None, type(None), None)
         assert len(sparse) == 1, field
-        # the keyed mode needs each row's scalar, which value_at does not give: the window
+        # the root search's row state needs each row's scalar, which value_at does not give
         rows = lead_rows(field, f.coeffs, a)
         assert [r[:3] for r in rows] == [(None if k is None else Fraction(k, got[0]), t, cap)
                                          for k, t, cap in got[1]]
