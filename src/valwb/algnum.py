@@ -233,31 +233,26 @@ def minpoly_over_completion(a: AlgElement, budget) -> object:
                 cap = min_prec(guide.prec, x.prec)
                 return Linear(PuiseuxSeries(f, x.ram, x.coeffs, min_prec(budget, cap)))
             candidates = [mu for mu in candidates if mu == gap.q]
-        solved = False
-        for mu in sorted(candidates, reverse=True):
-            if mu.denominator != 1:
-                continue
-            if mu >= budget:
-                return Linear(PuiseuxSeries(f, x.ram, x.coeffs, budget))
-            # phi(c): the scalars of the C_i on the line of slope mu, at the least height
-            # k + i mu e in units of 1/e (mu is an integer here), up to the last such i
-            m = mu.numerator * e
-            h = [None if k is None else k + i * m for i, (k, _, _) in enumerate(rows)]
-            line = min(y for y in h if y is not None)
-            top = max(i for i, y in enumerate(h) if y == line)
-            phi = [lead if y == line else f.zero() for y, (_, _, lead) in zip(h[:top + 1], rows)]
-            for c in _residue_roots(f, phi):
-                if guide is not None and c != guide.coeff_at(mu):
-                    continue
-                x = PuiseuxSeries(f, 1, {**x.coeffs, mu.numerator: c}, None)  # one key more
-                Q.shift(c, mu)
-                last = mu
-                solved = True
-                break
-            if solved:
-                break
-        if not solved:
+        step = next(((mu, c) for mu in sorted(candidates, reverse=True) if mu.denominator == 1
+                     for c in _residue_roots(f, _residue_scalars(f, e, rows, mu))
+                     if guide is None or c == guide.coeff_at(mu)), None)
+        if step is None:
             return NoRootFound(budget)
+        mu, c = step
+        if mu >= budget:  # a digit at or above the budget: x is the root to O(t^budget)
+            return Linear(PuiseuxSeries(f, x.ram, x.coeffs, budget))
+        x = PuiseuxSeries(f, 1, {**x.coeffs, mu.numerator: c}, None)  # one key more
+        Q.shift(c, mu)
+        last = mu
+
+
+def _residue_scalars(field: BaseField, e: int, rows, mu: Fraction) -> list:
+    """phi(c): the scalars of the C_i on the line of slope mu, at the least height k + i mu e
+    in units of 1/e (mu is an integer here), up to the last such i."""
+    h = [None if k is None else k + i * mu.numerator * e for i, (k, _, _) in enumerate(rows)]
+    line = min(y for y in h if y is not None)
+    top = max(i for i, y in enumerate(h) if y == line)
+    return [lead if y == line else field.zero() for y, (_, _, lead) in zip(h[:top + 1], rows)]
 
 
 def _residue_roots(field: BaseField, phi: list) -> list:

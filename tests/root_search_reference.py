@@ -2,8 +2,9 @@
 and its residue equation as they were while each step built the recentered
 coefficients C_i as series (PolyX.recenter_hasse at the partial sum), took the
 Newton polygon of sum C_i X^i at 0 and solved the residue equation with
-coeff_at.  A helper module, not a test file: tests compare the keyed-profile
-search against it."""
+coeff_at.  A slope at or above the budget answers Linear only for a digit
+the search would take there, as in valwb.  A helper module, not a test file:
+tests compare the row-state search against it."""
 
 import contextlib
 from fractions import Fraction
@@ -52,11 +53,11 @@ def minpoly_over_completion(a: AlgElement, budget) -> object:
         for mu in sorted(candidates, reverse=True):
             if mu.denominator != 1:
                 continue
-            if mu >= budget:
-                return Linear(PuiseuxSeries(f, x.ram, x.coeffs, budget))
             for c in _residue_roots(f, _residue_equation(f, C, mu)):
                 if guide is not None and c != guide.coeff_at(mu):
                     continue
+                if mu >= budget:  # a digit the search would take, at or above the budget
+                    return Linear(PuiseuxSeries(f, x.ram, x.coeffs, budget))
                 x = x + PuiseuxSeries.from_terms(f, {mu: c})
                 last = mu
                 solved = True

@@ -158,6 +158,19 @@ def test_minpoly_over_completion_no_root():
     assert res.budget == Fraction(64)
 
 
+def test_a_slope_at_or_above_the_budget_needs_a_digit_in_k():
+    # X^2 - 2t^2: the segment of slope 1 asks for c^2 = 2, which has no root in Q.  At
+    # budgets 1/2 and 1 the search used to answer Linear(O(t^budget)) without solving it
+    a = AlgElement(sqrt_t(), polyx_from_text(QQ, "X^2 - [2*t^2]"), True)
+    for budget in (Fraction(1, 2), 1, 2, 64):
+        for search in (minpoly_over_completion, reference.minpoly_over_completion):
+            assert search(a, budget) == NoRootFound(Fraction(budget)), (search, budget)
+    # X^2 - 4t^2 has the root 2t: a budget at or below its exponent still answers Linear
+    a = AlgElement(sqrt_t(), polyx_from_text(QQ, "X^2 - [4*t^2]"), True)
+    for budget, root in ((Fraction(1, 2), "O(t^(1/2))"), (1, "O(t^1)"), (2, "2*t"), (64, "2*t")):
+        assert minpoly_over_completion(a, budget).root.to_text() == root
+
+
 def test_minpoly_over_completion_refuses_a_budget_that_is_not_positive():
     # a budget of 0 used to return the root X + [O(t^0)], with no digit solved
     Q = polyx_from_text(F2, "X^2 + X + t")
