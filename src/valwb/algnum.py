@@ -205,8 +205,9 @@ def minpoly_over_completion(a: AlgElement, budget) -> object:
     are admissible (the root must have ramification 1), and each candidate
     coefficient must solve the residue equation of its polygon segment.
     When a's own expansion has ramification 1 it guides the branch choice.
-    Both are read off one keyed profile of the certificate at the partial sum
-    per step, whose rows carry each C_i's least key, cap and scalar there.
+    Both are read off the rows of one polyx.ShiftRows, each C_i's least key,
+    cap and scalar at the partial sum, which each digit shifts by its monomial.
+    A slope at or above the budget ends the search only with a digit in k.
     Returns Linear(root) or NoRootFound(budget); a budget that is not positive is refused.
     """
     if a.minpoly is None:
@@ -214,14 +215,11 @@ def minpoly_over_completion(a: AlgElement, budget) -> object:
     budget = Fraction(budget)
     if budget <= 0:
         raise WorkbenchError(f"root search budget must be positive, got {budget}")
-    guide = a.expansion if a.expansion.ram == 1 else None
-    f = a.field
+    guide, f = a.expansion if a.expansion.ram == 1 else None, a.field
     Q = ShiftRows(f, a.minpoly.to_series(budget + 8).coeffs)  # Q = sum C_i (X - x)^i
-    x = PuiseuxSeries.zero(f)
-    last = Fraction(-1) * 10**9
+    x, last = PuiseuxSeries.zero(f), Fraction(-10**9)
     while True:
-        e, rows = Q.e, Q.rows  # row i of C_i: its least key, cap and scalar there
-        polygon = _polygon(e, rows)
+        polygon = _polygon(Q.e, Q.rows)  # row i of C_i: its least key, cap and scalar there
         if any(s.is_inf for s, _ in polygon):
             return Linear(x)  # exact root
         candidates = [s.q for s, _ in polygon if not s.is_inf and s.q > last]
@@ -233,17 +231,15 @@ def minpoly_over_completion(a: AlgElement, budget) -> object:
                 cap = min_prec(guide.prec, x.prec)
                 return Linear(PuiseuxSeries(f, x.ram, x.coeffs, min_prec(budget, cap)))
             candidates = [mu for mu in candidates if mu == gap.q]
-        step = next(((mu, c) for mu in sorted(candidates, reverse=True) if mu.denominator == 1
-                     for c in _residue_roots(f, _residue_scalars(f, e, rows, mu))
-                     if guide is None or c == guide.coeff_at(mu)), None)
-        if step is None:
+        mu, c = next(((mu, c) for mu in sorted(candidates, reverse=True) if mu.denominator == 1
+                      for c in _residue_roots(f, _residue_scalars(f, Q.e, Q.rows, mu))
+                      if guide is None or c == guide.coeff_at(mu)), (None, None))
+        if mu is None:  # no slope has a digit in k
             return NoRootFound(budget)
-        mu, c = step
         if mu >= budget:  # a digit at or above the budget: x is the root to O(t^budget)
             return Linear(PuiseuxSeries(f, x.ram, x.coeffs, budget))
-        x = PuiseuxSeries(f, 1, {**x.coeffs, mu.numerator: c}, None)  # one key more
+        x, last = PuiseuxSeries(f, 1, {**x.coeffs, mu.numerator: c}, None), mu  # one key more
         Q.shift(c, mu)
-        last = mu
 
 
 def _residue_scalars(field: BaseField, e: int, rows, mu: Fraction) -> list:
@@ -282,14 +278,5 @@ def _residue_roots(field: BaseField, phi: list) -> list:
 
 
 def _divisors(n: int) -> list:
-    if n == 0:
-        return []
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+    """The positive divisors of n, increasing; none for 0."""
+    return sorted({d for i in range(1, math.isqrt(n) + 1) if n % i == 0 for d in (i, n // i)})

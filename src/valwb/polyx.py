@@ -16,8 +16,8 @@ exact multiset of valuations of center-to-root differences.  Recentering, in
 every characteristic, is one Taylor shift on packed integers at a center p/q
 (q = 1 at a Puiseux or polynomial center) of coefficients in K or in the
 completion, each with its own cap, whose rows :meth:`PolyX.recentered_values`
-reads as keys and caps; the root search in k((t)) reads them with each row's
-lowest scalar too, and no series.  :meth:`PolyX.recenter_hasse` builds the C_i
+reads as keys and caps; the root search in k((t)) keeps them in a ShiftRows,
+one monomial shift per digit.  :meth:`PolyX.recenter_hasse` builds the C_i
 by the Hasse sum in the coefficient ring.  A product of polynomials in t and X
 is one Kronecker product of integer images.
 """
@@ -446,8 +446,7 @@ def _packed_values(field: BaseField, coeffs, a) -> tuple:
         raise WorkbenchError("base field mismatch")
     if s > 1:  # the center's keys with the coefficients'
         lo, keys, hi, low, dz = lo * s, [k * s for k in keys], hi * s, low * s, dz * s
-    hasse = _hasse_binomials(field, n)
-    live = _row_caps(hasse, ks, caps, prec, v, e)
+    live = _row_caps(hasse := _hasse_binomials(field, n), ks, caps, prec, v, e)
     es = 0  # row i's slot 0 has the key lo(n - i) - es; terms[j]: c_j's slots, integers, top
     if series:  # a negative key k at the slot k + es; each c_j keeps its integer images
         imgs = common_denominator([point_images(c)[1:3] for c in coeffs])[0]
@@ -506,10 +505,9 @@ def _packed_values(field: BaseField, coeffs, a) -> tuple:
 
 
 class ShiftRows:
-    """The value profile (e, rows) of f = sum C_i (X - x)^i for series c_j as an exact x grows by
-    monomials c t^mu, mu above x's keys, each row with C_i's scalar at its least key (README).
-    T_i = dc D^(n - i) C_i on b-bit slots from the key lam (n - i) - es, each slot below B_i in
-    size, dc the c_j's denominator and D the digits'; row caps by :func:`_row_caps` at v(x)."""
+    """The profile (e, rows) of f = sum C_i (X - x)^i for series c_j, each row with C_i's scalar at
+    its least key, as an exact x grows by monomials c t^mu above its keys (README): dc D^(n - i) C_i
+    = T_i, on b-bit slots below B_i from the key lam (n - i) - es; D the digits' denominator."""
 
     def __init__(self, field: BaseField, coeffs, ram: int = 1):
         self.field, self.cs, self.T, self.D = field, coeffs, None, 1
@@ -521,15 +519,14 @@ class ShiftRows:
     def shift(self, c, mu) -> None:
         """x += c t^mu, mu in (1/e)Z: one Taylor shift by c = m/D, D = lcm(D, w) for c = u/w."""
         f, n, p, k = self.field, len(self.cs) - 1, self.field.char, int(mu * self.e)
-        (u, w), slots, d = (c, 1) if p else c.as_integer_ratio(), None, self.D
-        D = math.lcm(d, w)
-        g, m = D // d, u * (D // w)
+        (u, w), slots = (c, 1) if p else c.as_integer_ratio(), None
+        D, passes = math.lcm(self.D, w), [j for i in range(n) for j in range(n - 1, i - 1, -1)]
+        g, m = D // self.D, u * (D // w)  # c = m/D: row j onto D^(n - j), then T_j += m T_j+1
 
         def grown(B):  # the rows' slot bounds after the shift: its passes on |m| and the B_j
             B = [x * g**(n - j) for j, x in enumerate(B)]
-            for i in range(n):
-                for j in range(n - 1, i - 1, -1):
-                    B[j] += abs(m) * B[j + 1]
+            for j in passes:
+                B[j] += abs(m) * B[j + 1]
             return B
         if self.T is None:  # the first digit fixes v(x), the rows' caps and the least key lam
             self.lam, self.es = min(0, k), -min([0] + [j for j in self.ks if j is not None])
@@ -538,17 +535,17 @@ class ShiftRows:
             imgs, self.dc = common_denominator([point_images(q)[1:3] for q in self.cs])
             slots = [{j * (self.e // q.ram) + self.es - self.lam * (n - i): x for j, x
                       in zip(q.coeffs, xs)} for i, (q, xs) in enumerate(zip(self.cs, imgs))]
+            slots = [[r.get(j, 0) for j in range(max(r, default=0) + 1)] for r in slots]
         elif max(B := grown(self.B)).bit_length() >= self.b:  # a slot could reach 2^(b - 1)
-            slots = [dict(enumerate(_slots(t, self.b))) for t in self.T]
+            slots = [_slots(t, self.b) for t in self.T]
         if slots is not None:  # some digits' room above the bound, over F_p reduced mod p
-            slots = [{s: x % p for s, x in r.items()} for r in slots] if p else slots
-            B = grown([max(map(abs, r.values()), default=0) for r in slots])
+            slots = [[x % p for x in r] for r in slots] if p else slots
+            B = grown([max(map(abs, r), default=0) for r in slots])
             self.b = (max(B).bit_length() + 64) // 8 * 8
-            self.T = [sum(x << self.b * s for s, x in r.items()) for r in slots]
+            self.T = [_pack(r, self.b) for r in slots]
         self.B, self.D, T = B, D, [t * g**(n - j) for j, t in enumerate(self.T)]
-        for i in range(n):
-            for j in range(n - 1, i - 1, -1):
-                T[j] += m * (T[j + 1] << self.b * (k - self.lam))
+        for j in passes:  # T_j's slot 0 at lam (n - j) - es, T_j+1 t^mu's at lam (n - j - 1) + k
+            T[j] += m * (T[j + 1] << self.b * (k - self.lam))
         self.T, self.rows = T, list(self.direct)
         for i, row in enumerate(self.live):
             if row:  # a slot at or above a row's key cap reaches no row below it under that row's
@@ -560,10 +557,9 @@ class ShiftRows:
 
 
 def _row_caps(hasse, ks, caps, prec, v, e) -> list:
-    """Row i's (cap, key cap) of a Taylor shift at a center of value v = (vn, vd) and cap prec, for
-    c_j of least keys ks (units of 1/e) and caps (None: K, all exact): the least P_i and
-    product_prec(P_j, v(c_j), Pa + (d-1)v(a), d v(a)) on its Hasse row, d = j - i; (None, inf) for
-    an exact row, None for a row that no c_j of its Hasse row reaches."""
+    """Row i's (cap, key cap) at a center of value v = (vn, vd) and cap prec, c_j of least keys ks
+    (units of 1/e) and caps (None: K): the least P_i and product_prec(P_j, v(c_j), Pa + (d-1)v(a),
+    d v(a)) on its Hasse row, d = j - i; (None, inf) exact, None where no c_j of the row reaches."""
     inf, (vn, vd) = math.inf, v  # caps in units of 1/U, v(a) = vn/vd
     if prec is None and not caps:  # no cap anywhere; else row i's (cap, key cap)
         return [None if all(ks[j] is None for j, _ in row) else (None, inf) for row in hasse]
@@ -582,12 +578,10 @@ def _row_caps(hasse, ks, caps, prec, v, e) -> list:
 
 
 def _slots(v: int, b: int) -> list:
-    """The signed b-bit slots of v, least first."""
-    out, half = [], 1 << b - 1
-    while v:
-        out.append(x := (v + half & 2 * half - 1) - half)
-        v = v - x >> b
-    return out
+    """The signed b-bit slots of v, least first: the bytes of v lifted by half a slot in each."""
+    n, half = v.bit_length() // b + 1, 1 << b - 1
+    raw = (v + half * ((1 << b * n) - 1) // ((1 << b) - 1)).to_bytes(b * n // 8, "little")
+    return [int.from_bytes(raw[i:i + b // 8], "little") - half for i in range(0, len(raw), b // 8)]
 
 
 def _slot(v: int, b: int, k: int) -> int:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import root_search_reference as reference
-from valwb import algnum
+from valwb import algnum, polyx
 from valwb.algnum import (
     AlgElement,
     Linear,
@@ -279,10 +279,11 @@ def test_minpoly_over_completion_answers_as_the_fraction_search_did():
         assert minpoly_over_completion(a, 64) == NoRootFound(Fraction(64))
 
 
-# -- the root search off one keyed profile per step -----------------------------
+# -- the root search off one row state per search ------------------------------
 #
-# Each step reads the certificate's profile at the partial sum, with each C_i's
-# least key, cap and scalar.  The reference is the search as it was while it built
+# Each step reads the certificate's rows at the partial sum, each C_i's least key,
+# cap and scalar, and each digit shifts them by one monomial (polyx.ShiftRows).
+# The reference is the search as it was while it built
 # the C_i as series (tests/root_search_reference.py): the result type, the root's
 # ram, keys, scalars with their types and cap, NoRootFound's budget, or the
 # exception class and message must match.
@@ -416,3 +417,136 @@ def test_root_search_builds_no_series_coefficients(monkeypatch):
     monkeypatch.setattr(PolyX, "newton_polygon", fail)
     assert [search_outcome(minpoly_over_completion, a, budget) for _, a, budget in cases] == want
     assert not hasattr(algnum, "_residue_equation")
+
+
+class RecordedRows(polyx.ShiftRows):
+    """The row state, recording (itself, x, rows, slot width) at every partial sum x."""
+    steps = []
+
+    def __init__(self, field, coeffs, ram=1):
+        super().__init__(field, coeffs, ram)
+        self.x = {}
+        RecordedRows.steps.append((self, {}, self.rows, None))
+
+    def shift(self, c, mu):
+        super().shift(c, mu)
+        self.x[mu] = c
+        RecordedRows.steps.append((self, dict(self.x), self.rows, self.b))
+
+
+def hasse_rows(state, x):
+    """(key, cap, scalar) of each C_i of PolyX.recenter_hasse at x, with their types."""
+    f = state.field
+    C = PolyX.from_series(f, state.cs).recenter_hasse(PuiseuxSeries.from_terms(f, x))
+    return [(Fraction(min(c.coeffs), c.ram), type(c.prec), c.prec, type(c.coeffs[min(c.coeffs)]),
+             c.coeffs[min(c.coeffs)]) if c.coeffs
+            else (None, type(c.prec), c.prec, type(None), None) for c in C]
+
+
+def row_values(state, rows):
+    return [(None if k is None else Fraction(k, state.e), type(cap), cap, type(x), x)
+            for k, cap, x in rows]
+
+
+def negative_cases():
+    """(kind, AlgElement, budget) with digits below t^0: t^-1 sqrt(1 + c t) for the certificate
+    X^2 - (1 + c t)/t^2, and planted roots r with a pole at 0, certificates (X - r) g."""
+    rng = random.Random(23)
+    for field in (QQ, GF(3), GF(5), GF(7)):
+        c = small_scalar(field, rng)
+        Q = PolyX.from_ratfuncs(field, [-RatFunc(field, [1, c], [0, 0, 1]), RatFunc.zero(field),
+                                        RatFunc.one(field)])
+        s = PuiseuxSeries.from_terms(field, sqrt_terms(field, c, 12)).shift(-1)
+        yield "negative", AlgElement(s, Q, True), 10
+        r = RatFunc(field, [small_scalar(field, rng) for _ in range(5)], [0, 0, 1])
+        Q = PolyX.from_ratfuncs(field, [-r, RatFunc.one(field)]) * random_k_poly(field, rng, 2)
+        yield "negative", AlgElement(unguided(field, rng), Q, True), 8
+
+
+def test_the_rows_are_the_recentered_coefficients_at_every_step(monkeypatch):
+    # at every partial sum of every search, row i is the least key, the cap and the scalar
+    # there of C_i as PolyX.recenter_hasse builds it in the completion
+    monkeypatch.setattr(algnum, "ShiftRows", RecordedRows)
+    seen = {"steps": 0, "digits": 0, "capped rows": 0, "scalars": 0, "negative keys": 0}
+    for kind, a, budget in [*root_search_cases(random.Random(20)), *negative_cases()]:
+        RecordedRows.steps.clear()
+        search_outcome(minpoly_over_completion, a, budget)
+        for state, x, rows, _ in RecordedRows.steps:
+            assert row_values(state, rows) == hasse_rows(state, x), (kind, a, budget, x)
+            seen["steps"] += 1
+            seen["digits"] += bool(x)
+            seen["capped rows"] += sum(cap is not None for _, cap, _ in rows)
+            seen["scalars"] += sum(s is not None for *_, s in rows)
+            seen["negative keys"] += any(mu < 0 for mu in x)
+    assert min(seen.values()) >= 20, seen
+
+
+def planted_additive(p, r, n):
+    """X^(p^r) - X - (a^(p^r) - a) over F_p, whose root a = t - t^2 + t^3 - ... has n terms."""
+    F = GF(p)
+    a = RatFunc(F, [0] + [(-1) ** k % p for k in range(n)])
+    return a, PolyX.from_ratfuncs(F, [-(a ** (p ** r) - a), -RatFunc.one(F)]
+                                  + [RatFunc.zero(F)] * (p ** r - 2) + [RatFunc.one(F)])
+
+
+def test_long_searches_widen_the_slots_and_reduce_them_mod_p(monkeypatch):
+    # sqrt(1 + c t) over Q: the digits' denominators grow like 4^k, and the slots widen.
+    # Over F_2 and F_3, at budget 64, the Artin-Schreier tower keeps its slots; additive
+    # certificates X^(p^r) - X - u of high degree outgrow them, and each repack reduces
+    # the slots mod p, so the width stays put
+    monkeypatch.setattr(algnum, "ShiftRows", RecordedRows)
+    repacked, real = [], polyx._slots
+    monkeypatch.setattr(polyx, "_slots", lambda v, b: repacked.append(max(real(v, b),
+                                                                          default=0)) or real(v, b))
+    for c, budget in ((1, 30), (Fraction(3, 2), 40), (-2, 48)):
+        Q = PolyX.from_ratfuncs(QQ, [-RatFunc(QQ, [1, c]), RatFunc.zero(QQ), RatFunc.one(QQ)])
+        for s in (unguided(QQ, random.Random(1)), PuiseuxSeries.from_terms(
+                QQ, sqrt_terms(QQ, c, budget + 3))):
+            RecordedRows.steps.clear()
+            res = minpoly_over_completion(AlgElement(s, Q, True), budget)
+            assert res.root == PuiseuxSeries.from_terms(QQ, sqrt_terms(QQ, c, budget), budget)
+            widths = [b for *_, b in RecordedRows.steps[1:]]
+            assert widths == sorted(widths) and widths[-1] > widths[0], (c, widths)
+            state, x, rows, _ = RecordedRows.steps[-1]
+            assert row_values(state, rows) == hasse_rows(state, x)
+    for p in (2, 3):  # the tower: few digits, the slots never repacked
+        repacked.clear()
+        Q = polyx_from_text(GF(p), f"X^{p} - X + t")
+        res = minpoly_over_completion(AlgElement(unguided(GF(p), random.Random(2)), Q, True), 64)
+        assert res.root == PuiseuxSeries.from_terms(
+            GF(p), {Fraction(p**k): 1 for k in range(7) if p**k < 64}, 64)
+        assert not repacked
+    for p, r in ((2, 4), (3, 3)):
+        a, Q = planted_additive(p, r, 70)
+        for s in (unguided(GF(p), random.Random(3)), a.to_series()):
+            RecordedRows.steps.clear()
+            repacked.clear()
+            res = minpoly_over_completion(AlgElement(s, Q, True), 64)
+            assert res.root == a.to_series().truncate(64)
+            widths = {b for *_, b in RecordedRows.steps[1:]}
+            assert max(repacked) >= p and len(widths) <= 2, (p, r, widths, repacked)
+            state, x, rows, _ = RecordedRows.steps[-1]
+            assert row_values(state, rows) == hasse_rows(state, x)
+
+
+def test_the_search_builds_the_point_images_once_and_no_profile(monkeypatch):
+    # Q's coefficients are mapped to integers once per search, at its first digit, and no
+    # step packs the certificate again through polyx._packed_values
+    def fail(*args):
+        raise AssertionError("the root search packed the certificate again")
+
+    built, real = [], polyx.point_images
+    monkeypatch.setattr(polyx, "_packed_values", fail)
+    monkeypatch.setattr(polyx, "point_images", lambda s: built.append(s) or real(s))
+    monkeypatch.setattr(algnum, "ShiftRows", RecordedRows)
+    seen = {"digits": 0, "none": 0}
+    for kind, a, budget in root_search_cases(random.Random(22)):
+        built.clear()
+        RecordedRows.steps.clear()
+        search_outcome(minpoly_over_completion, a, budget)
+        state = RecordedRows.steps[0][0] if RecordedRows.steps else None
+        digits = len(RecordedRows.steps) - 1
+        want = state.cs if digits > 0 else []
+        assert [id(s) for s in built] == [id(s) for s in want], (kind, a, budget)
+        seen["digits" if digits > 0 else "none"] += 1
+    assert min(seen.values()) >= 10, seen
