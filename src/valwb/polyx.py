@@ -544,7 +544,7 @@ class ShiftRows:
             self.b = (max(B).bit_length() + 64) // 8 * 8
             self.T = [_pack(r, self.b) for r in slots]
         self.B, self.D, T = B, D, [t * g**(n - j) for j, t in enumerate(self.T)]
-        for j in passes:  # T_j's slot 0 at lam (n - j) - es, T_j+1 t^mu's at lam (n - j - 1) + k
+        for j in passes:  # T_j+1 t^mu starts at lam (n - j - 1) - es + k: k - lam slots up
             T[j] += m * (T[j + 1] << self.b * (k - self.lam))
         self.T, self.rows = T, list(self.direct)
         for i, row in enumerate(self.live):
