@@ -494,10 +494,15 @@ def test_long_searches_widen_the_slots_and_reduce_them_mod_p(monkeypatch):
     # Over F_2 and F_3, at budget 64, the Artin-Schreier tower keeps its slots; additive
     # certificates X^(p^r) - X - u of high degree outgrow them, and each repack reduces
     # the slots mod p, so the width stays put
-    monkeypatch.setattr(algnum, "ShiftRows", RecordedRows)
     repacked, real = [], polyx._slots
-    monkeypatch.setattr(polyx, "_slots", lambda v, b: repacked.append(max(real(v, b),
-                                                                          default=0)) or real(v, b))
+
+    def unpack(v, b):  # records each repacked row's largest slot before any reduction
+        slots = real(v, b)
+        repacked.append(max(slots, default=0))
+        return slots
+
+    monkeypatch.setattr(algnum, "ShiftRows", RecordedRows)
+    monkeypatch.setattr(polyx, "_slots", unpack)
     for c, budget in ((1, 30), (Fraction(3, 2), 40), (-2, 48)):
         Q = PolyX.from_ratfuncs(QQ, [-RatFunc(QQ, [1, c]), RatFunc.zero(QQ), RatFunc.one(QQ)])
         for s in (unguided(QQ, random.Random(1)), PuiseuxSeries.from_terms(
