@@ -215,9 +215,11 @@ def minpoly_over_completion(a: AlgElement, budget) -> object:
     budget = Fraction(budget)
     if budget <= 0:
         raise WorkbenchError(f"root search budget must be positive, got {budget}")
-    guide, f = a.expansion if a.expansion.ram == 1 else None, a.field
+    guide = a.expansion if a.expansion.ram == 1 else None
+    f = a.field
     Q = ShiftRows(f, a.minpoly.to_series(budget + 8).coeffs)  # Q = sum C_i (X - x)^i
-    x, last = PuiseuxSeries.zero(f), Fraction(-10**9)
+    x = PuiseuxSeries.zero(f)
+    last = Fraction(-1) * 10**9
     while True:
         polygon = _polygon(Q.e, Q.rows)  # row i of C_i: its least key, cap and scalar there
         if any(s.is_inf for s, _ in polygon):
@@ -239,7 +241,7 @@ def minpoly_over_completion(a: AlgElement, budget) -> object:
         if mu >= budget:  # a digit at or above the budget: x is the root to O(t^budget)
             return Linear(PuiseuxSeries(f, x.ram, x.coeffs, budget))
         x, last = PuiseuxSeries(f, 1, {**x.coeffs, mu.numerator: c}, None), mu  # one key more
-        Q.shift(c, mu)
+        Q.shift(c, mu.numerator)
 
 
 def _residue_scalars(field: BaseField, e: int, rows, mu: Fraction) -> list:
@@ -278,5 +280,14 @@ def _residue_roots(field: BaseField, phi: list) -> list:
 
 
 def _divisors(n: int) -> list:
-    """The positive divisors of n, increasing; none for 0."""
-    return sorted({d for i in range(1, math.isqrt(n) + 1) if n % i == 0 for d in (i, n // i)})
+    if n == 0:
+        return []
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            if d != n // d:
+                out.append(n // d)
+        d += 1
+    return sorted(out)

@@ -426,7 +426,7 @@ def _packed_values(field: BaseField, coeffs, a) -> tuple:
     if series := bool(coeffs) and isinstance(coeffs[-1], PuiseuxSeries):  # on (1/e)Z
         s = math.lcm(e, *[c.ram for c in coeffs]) // e
         e, caps = e * s, [c.prec for c in coeffs]
-        ks = [min(c.coeffs) * (e // c.ram) if c.coeffs else None for c in coeffs]
+        ks = _least_keys(coeffs, e)
     else:
         ks = [0 if (xs := c.nq[0]) and xs[0] else tp_ord(field, xs) for c in coeffs]  # v(c_j)
         if any(pl := [len(c.dq[0]) > 1 for c in coeffs]):
@@ -449,10 +449,7 @@ def _packed_values(field: BaseField, coeffs, a) -> tuple:
     live = _row_caps(hasse := _hasse_binomials(field, n), ks, caps, prec, v, e)
     es = 0  # row i's slot 0 has the key lo(n - i) - es; terms[j]: c_j's slots, integers, top
     if series:  # a negative key k at the slot k + es; each c_j keeps its integer images
-        imgs = common_denominator([point_images(c)[1:3] for c in coeffs])[0]
-        es = -min([0] + [k for k in ks if k is not None])
-        terms = [(sl := [k * (e // c.ram) + es for k in c.coeffs], xs, max(sl, default=0))
-                 for c, xs in zip(coeffs, imgs)]
+        es, terms, _ = _series_slots(coeffs, e, ks)
     else:  # the N_j over one denominator, t^k at the slot e k
         terms = [(range(0, e * len(m), e), m, e * len(m) - e)
                  for m in common_denominator([c.nq for c in coeffs])[0]]
@@ -504,21 +501,35 @@ def _packed_values(field: BaseField, coeffs, a) -> tuple:
     return e, rows
 
 
+def _least_keys(coeffs, e: int) -> list:
+    """Each series c_j's least key in units of 1/e, None without terms."""
+    return [min(c.coeffs) * (e // c.ram) if c.coeffs else None for c in coeffs]
+
+
+def _series_slots(coeffs, e: int, ks) -> tuple:
+    """(es, terms, dc) for series c_j of least keys ks: each c_j's slots, its key k at k + es for
+    es = -min(0, ks), its integers over one denominator dc (residues over F_p) and its top slot."""
+    imgs, dc = common_denominator([point_images(c)[1:3] for c in coeffs])
+    es = -min([0] + [k for k in ks if k is not None])
+    return es, [(sl := [k * (e // c.ram) + es for k in c.coeffs], xs, max(sl, default=0))
+                for c, xs in zip(coeffs, imgs)], dc
+
+
 class ShiftRows:
     """The profile (e, rows) of f = sum C_i (X - x)^i for series c_j, each row with C_i's scalar at
     its least key, as an exact x grows by monomials c t^mu above its keys (README): dc D^(n - i) C_i
     = T_i, on b-bit slots below B_i from the key lam (n - i) - es; D the digits' denominator."""
 
-    def __init__(self, field: BaseField, coeffs, ram: int = 1):
+    def __init__(self, field: BaseField, coeffs):
         self.field, self.cs, self.T, self.D = field, coeffs, None, 1
-        self.e = math.lcm(ram, *[c.ram for c in coeffs])
-        self.ks = [min(c.coeffs) * (self.e // c.ram) if c.coeffs else None for c in coeffs]
+        self.e = math.lcm(*[c.ram for c in coeffs])
+        self.ks = _least_keys(coeffs, self.e)
         self.rows = self.direct = [(k, c.prec, c.coeffs[min(c.coeffs)] if c.coeffs else None)
                                    for k, c in zip(self.ks, coeffs)]  # at x = 0: the c_j's own
 
-    def shift(self, c, mu) -> None:
-        """x += c t^mu, mu in (1/e)Z: one Taylor shift by c = m/D, D = lcm(D, w) for c = u/w."""
-        f, n, p, k = self.field, len(self.cs) - 1, self.field.char, int(mu * self.e)
+    def shift(self, c, mu: int) -> None:
+        """x += c t^mu: one Taylor shift by c = m/D, D = lcm(D, w) for c = u/w."""
+        f, n, p, k = self.field, len(self.cs) - 1, self.field.char, mu * self.e
         (u, w), slots = (c, 1) if p else c.as_integer_ratio(), None
         D, passes = math.lcm(self.D, w), [j for i in range(n) for j in range(n - 1, i - 1, -1)]
         g, m = D // self.D, u * (D // w)  # c = m/D: row j onto D^(n - j), then T_j += m T_j+1
@@ -529,12 +540,12 @@ class ShiftRows:
                 B[j] += abs(m) * B[j + 1]
             return B
         if self.T is None:  # the first digit fixes v(x), the rows' caps and the least key lam
-            self.lam, self.es = min(0, k), -min([0] + [j for j in self.ks if j is not None])
+            self.lam = min(0, k)
             self.live = _row_caps(_hasse_binomials(f, n), self.ks, [q.prec for q in self.cs],
                                   None, (k, self.e), self.e)
-            imgs, self.dc = common_denominator([point_images(q)[1:3] for q in self.cs])
-            slots = [{j * (self.e // q.ram) + self.es - self.lam * (n - i): x for j, x
-                      in zip(q.coeffs, xs)} for i, (q, xs) in enumerate(zip(self.cs, imgs))]
+            self.es, terms, self.dc = _series_slots(self.cs, self.e, self.ks)
+            slots = [dict(zip([j - self.lam * (n - i) for j in sl], xs))  # row i's slot 0 at
+                     for i, (sl, xs, _) in enumerate(terms)]  # the key lam (n - i) - es
             slots = [[r.get(j, 0) for j in range(max(r, default=0) + 1)] for r in slots]
         elif max(B := grown(self.B)).bit_length() >= self.b:  # a slot could reach 2^(b - 1)
             slots = [_slots(t, self.b) for t in self.T]

@@ -423,8 +423,8 @@ class RecordedRows(polyx.ShiftRows):
     """The row state, recording (itself, x, rows, slot width) at every partial sum x."""
     steps = []
 
-    def __init__(self, field, coeffs, ram=1):
-        super().__init__(field, coeffs, ram)
+    def __init__(self, field, coeffs):
+        super().__init__(field, coeffs)
         self.x = {}
         RecordedRows.steps.append((self, {}, self.rows, None))
 

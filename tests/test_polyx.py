@@ -747,20 +747,20 @@ def test_series_coefficients_take_the_packed_shift_as_the_series_stage_did():
 
 
 def lead_rows(field, coeffs, a, steps=None):
-    """The rows of polyx.ShiftRows at the exact center a, its terms shifted in one at a time
+    """The rows of polyx.ShiftRows at the exact ram-1 center a, its terms shifted in one at a time
     from the least, each row's value k/e, cap and lead scalar (at every partial sum into
     ``steps``), or the exception."""
     def read(state):
         return [(None if k is None else Fraction(k, state.e), type(cap), cap, type(x), x)
                 for k, cap, x in state.rows]
     try:
-        state, x = polyx.ShiftRows(field, coeffs, a.ram), {}
+        state, x = polyx.ShiftRows(field, coeffs), {}
         for k in [None] + sorted(a.coeffs):
             if k is not None:
-                state.shift(a.coeffs[k], Fraction(k, a.ram))
+                state.shift(a.coeffs[k], k)
                 x[k] = a.coeffs[k]
             if steps is not None:
-                steps.append((PuiseuxSeries(field, a.ram, dict(x), None), read(state)))
+                steps.append((PuiseuxSeries(field, 1, dict(x), None), read(state)))
     except Exception as exc:  # the exception itself is part of the outcome
         return ("raised", type(exc), str(exc))
     return read(state)
@@ -769,12 +769,13 @@ def lead_rows(field, coeffs, a, steps=None):
 def test_lead_rows_carry_the_least_coefficient_of_each_recentered_series():
     # at every partial sum of an exact center, each row's (key, cap, scalar) is the least
     # key, the cap and the coefficient there of the series stage's C_i; keys and caps are
-    # those of the plain profile.  The row state grows an exact x over the coefficients'
-    # field, so a capped center or one over another field is not one of its inputs
-    seen = {"rows": 0, "scalars": 0, "steps": 0, "live scalars": 0, "not exact": 0}
+    # those of the plain profile.  The row state grows an exact x in k((t)) over the
+    # coefficients' field, as the root search does, so a capped center, one over another
+    # field or one of ramification above 1 is not one of its inputs
+    seen = {"rows": 0, "scalars": 0, "steps": 0, "live scalars": 0, "not an input": 0}
     for i, kind, field, coeffs, a in series_list_cases():
-        if a.prec is not None or a.field != field:
-            seen["not exact"] += 1
+        if a.prec is not None or a.field != field or a.ram > 1:
+            seen["not an input"] += 1
             continue
         steps = []
         got = lead_rows(field, coeffs, a, steps)
