@@ -9,6 +9,7 @@ Krasner constants all refuse to answer rather than guess.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import functools
 import itertools
@@ -216,31 +217,26 @@ def minpoly_over_completion(a: AlgElement, budget) -> object:
     if budget <= 0:
         raise WorkbenchError(f"root search budget must be positive, got {budget}")
     guide = a.expansion if a.expansion.ram == 1 else None
-    f = a.field
+    f, keys = a.field, sorted(guide.coeffs) if guide is not None else None
     Q = ShiftRows(f, a.minpoly.to_series(budget + 8).coeffs)  # Q = sum C_i (X - x)^i
-    x = PuiseuxSeries.zero(f)
-    last = Fraction(-1) * 10**9
+    digits, last = {}, Fraction(-1) * 10**9  # x = sum of the digits c t^mu, built on return
     while True:
         polygon = _polygon(Q.e, Q.rows)  # row i of C_i: its least key, cap and scalar there
         if any(s.is_inf for s, _ in polygon):
-            return Linear(x)  # exact root
+            return Linear(PuiseuxSeries(f, 1, digits, None))  # exact root
         candidates = [s.q for s, _ in polygon if not s.is_inf and s.q > last]
-        if guide is not None:
-            gap = GroupVal.posinf()  # also where guide - x is 0 at its cap
-            with contextlib.suppress(PrecisionExhausted):
-                gap = guide.val_sub(x)  # v(guide - x), the difference not built
-            if gap.is_inf:  # x matches the guide through its whole known support
-                cap = min_prec(guide.prec, x.prec)
-                return Linear(PuiseuxSeries(f, x.ram, x.coeffs, min_prec(budget, cap)))
-            candidates = [mu for mu in candidates if mu == gap.q]
+        if guide is not None:  # x is the guide's truncation: v(guide - x) is its next key
+            if (i := bisect.bisect_right(keys, last)) == len(keys):  # x is all of the guide
+                return Linear(PuiseuxSeries(f, 1, digits, min_prec(budget, guide.prec)))
+            candidates = [mu for mu in candidates if mu == keys[i]]
         mu, c = next(((mu, c) for mu in sorted(candidates, reverse=True) if mu.denominator == 1
                       for c in _residue_roots(f, _residue_scalars(f, Q.e, Q.rows, mu))
                       if guide is None or c == guide.coeff_at(mu)), (None, None))
         if mu is None:  # no slope has a digit in k
             return NoRootFound(budget)
         if mu >= budget:  # a digit at or above the budget: x is the root to O(t^budget)
-            return Linear(PuiseuxSeries(f, x.ram, x.coeffs, budget))
-        x, last = PuiseuxSeries(f, 1, {**x.coeffs, mu.numerator: c}, None), mu  # one key more
+            return Linear(PuiseuxSeries(f, 1, digits, budget))
+        digits[mu.numerator], last = c, mu
         Q.shift(c, mu.numerator)
 
 

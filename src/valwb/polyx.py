@@ -30,12 +30,13 @@ import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
+from itertools import compress, count
 
 from .errors import ParseError, PrecisionExhausted, WorkbenchError, ZeroPolynomial
 from .field import BaseField
 from .groupval import GroupVal
 from .series import (PuiseuxSeries, RatFunc, _divide, _gcd, _mul, _pack, _pair, _parse_term,
-                     _split_terms, common_denominator, expansion_prec, lattice_cap,
+                     _split_terms, _unpack, common_denominator, expansion_prec, lattice_cap,
                      lattice_product, min_prec, product_prec, tp_ord)
 from .series import coerce  # noqa: F401  perfbench's tracer rebinds this name here
 
@@ -447,30 +448,37 @@ def _packed_values(field: BaseField, coeffs, a) -> tuple:
     if s > 1:  # the center's keys with the coefficients'
         lo, keys, hi, low, dz = lo * s, [k * s for k in keys], hi * s, low * s, dz * s
     live = _row_caps(hasse := _hasse_binomials(field, n), ks, caps, prec, v, e)
-    es = 0  # row i's slot 0 has the key lo(n - i) - es; terms[j]: c_j's slots, integers, top
-    if series:  # a negative key k at the slot k + es; each c_j keeps its integer images
+    es, dm = 0, n * dz  # row i's slot 0 has the key lo(n - i) - es
+    if series:  # terms[j]: c_j's slots, integers, top; a negative key k at the slot k + es
         es, terms, _ = _series_slots(coeffs, e, ks)
     else:  # the N_j over one denominator, t^k at the slot e k
         terms = [(range(0, e * len(m), e), m, e * len(m) - e)
                  for m in common_denominator([c.nq for c in coeffs])[0]]
-    dm, l1 = n * dz, (n + 1) * sum(sum(map(abs, xs)) for _, xs, _ in terms) * q1**n * a1**n
     if pole:  # M_j = N_j L/D_j, ord M_j = v(c_j) + ord L; dm bounds deg M_j Q^(n-j) - deg N_j
         cofs, L = _over_lcm(field, coeffs)
-        l1, es = l1 * max(sum(map(abs, c)) for c in cofs), e * tp_ord(field, L)
-        dm += e * len(L) - e
-    b = l1.bit_length() // 8 * 8 + 8  # l1 bounds every output
-    Q = q1 if zs is None else _pack(zs, b * e)  # at p/q with a pole: one pass, no window
-    M = [sum(x << b * k for k, x in zip(sl, xs) if x) * Q**(n - j) << b * -lo * (n - j)
-         for j, (sl, xs, _) in enumerate(terms)]
-    if pole:
-        M = [v * _pack(c, b * e) for v, c in zip(M, cofs)]
+        es, dm = e * tp_ord(field, L), dm + e * len(L) - e
     limit = max((row[1] - lo * (n - i) + es for i, row in enumerate(live) if row), default=0)
+    nt = lambda terms=terms: sum(len(xs) - xs.count(0) for _, xs, _ in terms)  # of terms
+    if limit < inf and limit + lo * n <= dm + max(t for _, _, t in terms):  # a slot of N_j,
+        # L/D_j or Q^(n-j) at or above c = limit + lo (n - j) lands in M_j at or above limit,
+        terms = [(sl, xs, t) if t < (c := limit + lo * (n - j)) else  # which no row reads
+                 (sl, xs[:max(0, -(-c // e))], t) if not series else
+                 ([y for y in sl if y < c], [x for y, x in zip(sl, xs) if y < c], t)
+                 for j, (sl, xs, t) in enumerate(terms)]
+        if pole:
+            cofs = [q[:max(0, -(-(limit + lo * (n - j)) // e))] for j, q in enumerate(cofs)]
     if limit == inf or zs:  # an uncapped row or one pass at p/q: at most
         limit = min(limit, 1 + dm + max((t - lo * (n - j) + j * hi
                                          for j, (_, xs, t) in enumerate(terms) if xs), default=0))
-    nt = lambda: sum(len(xs) - xs.count(0) for _, xs, _ in terms)  # the number of terms
     width = limit if zs else min(limit, max((ks[n] or 0) + es + n * low + 1,
                                             nt() if series else 0))
+    b = ((n + 1) * sum(sum(map(abs, xs)) for _, xs, _ in terms) * q1**n * a1**n * (max(
+        sum(map(abs, c)) for c in cofs) if pole else 1)).bit_length() // 8 * 8 + 8  # l1 bound
+    Q = q1 if zs is None else _pack(zs, b * e)  # at p/q with a pole: one pass, no window
+    M = [(sum(x << b * k for k, x in zip(sl, xs)) if series else _pack(xs, b * e))
+         * Q**(n - j) << b * -lo * (n - j) for j, (sl, xs, _) in enumerate(terms)]
+    if pole:
+        M = [v * _pack(c, b * e) for v, c in zip(M, cofs)]
     while True:
         mask = (1 << b * max(width, 0)) - 1
         A = sum(y << b * (k - lo) for k, y in zip(keys, ys) if k - lo < width)  # signed, narrow
@@ -590,9 +598,7 @@ def _row_caps(hasse, ks, caps, prec, v, e) -> list:
 
 def _slots(v: int, b: int) -> list:
     """The signed b-bit slots of v, least first: the bytes of v lifted by half a slot in each."""
-    n, half = v.bit_length() // b + 1, 1 << b - 1
-    raw = (v + half * ((1 << b * n) - 1) // ((1 << b) - 1)).to_bytes(b * n // 8, "little")
-    return [int.from_bytes(raw[i:i + b // 8], "little") - half for i in range(0, len(raw), b // 8)]
+    return _unpack(v, b, v.bit_length() // b + 1)
 
 
 def _slot(v: int, b: int, k: int) -> int:
@@ -605,10 +611,9 @@ def _slot(v: int, b: int, k: int) -> int:
 def _least_key(v: int, b: int, p: int, lo: int, cap):
     """lo + the least b-bit slot of v >= 0 nonzero (mod p) if below the key cap, else None."""
     k = ((v & -v).bit_length() - 1) // b if v else math.inf
-    if p and v:  # the first slot nonzero mod p, read off the bytes
-        raw = (v >> b * k).to_bytes(v.bit_length() // 8 + 1, "little")
-        k += next((8 * i // b for i in range(0, len(raw), b // 8)
-                   if int.from_bytes(raw[i:i + b // 8], "little") % p), math.inf)
+    if p and k + lo < cap and ((v := v >> b * k) & (1 << b) - 1) % p == 0:  # read on, to the cap
+        v = _unpack(v, b, min(cap - lo - k, v.bit_length() // b + 1), False)
+        k += next(compress(count(), map(p.__rmod__, v)), math.inf)
     return k + lo if k + lo < cap else None
 
 

@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 import operator
 import re
+import sys
+from array import array
 from fractions import Fraction
 from typing import Optional
 
@@ -70,15 +72,8 @@ def convolve(xs, ys, n: int) -> list:
     gives every coefficient (Kronecker substitution)."""
     if is_dense(len(xs) * len(ys), len(xs) + len(ys) - 1):
         bound = max(map(abs, xs)) * max(map(abs, ys)) * min(len(xs), len(ys))
-        nbytes = bound.bit_length() // 8 + 1  # a spare sign bit at least
-        bits, half = 8 * nbytes, 1 << (8 * nbytes - 1)
-        # half a slot added to each slot keeps it nonnegative, so no slot
-        # carries into the next and they read off as unsigned bytes
-        halves = int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
-        prod = _pack(xs, bits) * _pack(ys, bits) + halves
-        raw = (prod & ((1 << (bits * n)) - 1)).to_bytes(nbytes * n, "little")
-        return [int.from_bytes(raw[i:i + nbytes], "little") - half
-                for i in range(0, nbytes * n, nbytes)]
+        bits = 8 * (bound.bit_length() // 8 + 1)  # a spare sign bit at least
+        return _unpack(_pack(xs, bits) * _pack(ys, bits), bits, n)
     out = [0] * (len(xs) + len(ys) - 1)
     for i, x in enumerate(xs):
         if x:
@@ -123,12 +118,56 @@ def lattice_product(c1, s1, xs, c2, s2, ys, cap) -> dict:
 
 
 def _pack(vs, bits) -> int:
-    """The sum of vs[i] * 2^(bits*i), built pairwise to halve the shifts."""
+    """The sum of vs[i] * 2^(bits*i), bits a multiple of 8: one shift per nonzero entry if there
+    are no more than a slot has bits; else, if the values fit k <= min(bits/8, 8) bytes (with a
+    sign bit if any is negative), 8-byte array items whose k low bytes go by k strided copies
+    into one buffer of bits/8-byte slots (F_p residues below 256: one byte stride), where the
+    sign bits, moved up k bytes, take off the 2^(8k) a negative slot reads as; else pairwise."""
+    if len(vs) - vs.count(0) <= bits:
+        v = 0
+        for i, x in enumerate(vs):
+            if x:
+                v += x << bits * i
+        return v
+    w, lo, hi = bits // 8, min(vs), max(vs)
+    k = (max(hi, ~lo).bit_length() + 8) // 8 if lo < 0 else (hi.bit_length() + 7) // 8
+    if k <= min(w, 8) and sys.byteorder == "little":
+        raw, buf = array("q" if lo < 0 else "Q", vs).tobytes(), bytearray(w * len(vs))
+        for j in range(k):
+            buf[j::w] = raw[j::8]
+        v = int.from_bytes(buf, "little")
+        if lo < 0:
+            ones = int.from_bytes((b"\x01" + bytes(w - 1)) * len(vs), "little")
+            v -= (v >> 8 * k - 1 & ones) << 8 * k
+        return v
     while len(vs) > 1:
         pairs = iter(vs + [0])  # an unpaired last 0 drops out of the zip
         vs = [x + (y << bits) for x, y in zip(pairs, pairs)]
         bits *= 2
     return vs[0]
+
+
+def _unpack(v, bits, n, signed=True):
+    """The first n bits-wide slots of v (bits a multiple of 8), least first: lifted by half a slot
+    each, so that none borrows from the next, in a list; or, all nonnegative, as they are, in a
+    sequence read as it is walked.  Strided byte copies space the slots to 1, 2, 4 or 8 bytes or
+    to whole words, joined after, for one memoryview cast; wider unsigned ones go one by one."""
+    w, half = bits // 8, 1 << bits - 1 if signed else 0
+    v += half and int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+    raw = (v & (1 << bits * n) - 1).to_bytes(w * n, "little")
+    size = 1 << (w - 1).bit_length() if w <= 8 else -(-w // 8) * 8
+    if sys.byteorder != "little" or size > 8 and not half:
+        xs = (int.from_bytes(raw[i:i + w], "little") for i in range(0, w * n, w))
+    else:
+        if size != w:
+            raw, spaced = bytearray(size * n), raw
+            for i in range(w):
+                raw[i::size] = spaced[i::w]
+        words, m = memoryview(raw).cast("BHIQ"[min(size, 8).bit_length() - 1]), max(1, size // 8)
+        xs = words[m - 1::m]
+        for j in range(m - 2, -1, -1):  # a wide slot's words, most significant first
+            xs = [x << 64 | y for x, y in zip(xs, words[j::m])]
+    return [x - half for x in xs] if half else xs
 
 
 def _mul(x, y, p) -> list:

@@ -1,6 +1,8 @@
 """The reference for the center plan: polyx._packed_values as it was before the work
 that depends on the center alone moved into polyx.ShiftPlan, so that each call
-rebuilds the center's integer images, key range, value and p/q scale itself.
+rebuilds the center's integer images, key range, value and p/q scale itself.  It
+packs every M_j in full, one shift per entry, with its own copies of the slot
+writer and reader as they were before they read and wrote slots in bulk.
 A helper module, not a test file: tests compare the kept kernel against it."""
 
 import math
@@ -8,9 +10,28 @@ from fractions import Fraction
 
 from valwb.errors import PrecisionExhausted, WorkbenchError
 from valwb.field import BaseField
-from valwb.polyx import LEAD_UNDECIDED, _hasse_binomials, _least_key, _over_lcm
-from valwb.series import (RatFunc, _pack, common_denominator, expansion_prec, lattice_cap,
-                          tp_ord)
+from valwb.polyx import LEAD_UNDECIDED, _hasse_binomials, _over_lcm
+from valwb.series import RatFunc, common_denominator, expansion_prec, lattice_cap, tp_ord
+
+
+def _pack(vs, bits) -> int:
+    """The sum of vs[i] * 2^(bits*i), built pairwise to halve the shifts."""
+    while len(vs) > 1:
+        pairs = iter(vs + [0])  # an unpaired last 0 drops out of the zip
+        vs = [x + (y << bits) for x, y in zip(pairs, pairs)]
+        bits *= 2
+    return vs[0]
+
+
+def _least_key(v: int, b: int, p: int, lo: int, cap):
+    """lo + the least b-bit slot of v >= 0 nonzero (mod p) if below the key cap, else None,
+    over F_p read off the bytes one slot at a time, to the end of v."""
+    k = ((v & -v).bit_length() - 1) // b if v else math.inf
+    if p and v:
+        raw = (v >> b * k).to_bytes(v.bit_length() // 8 + 1, "little")
+        k += next((8 * i // b for i in range(0, len(raw), b // 8)
+                   if int.from_bytes(raw[i:i + b // 8], "little") % p), math.inf)
+    return k + lo if k + lo < cap else None
 
 
 def old_packed_values(field: BaseField, coeffs, a) -> tuple:

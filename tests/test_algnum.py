@@ -419,6 +419,24 @@ def test_root_search_builds_no_series_coefficients(monkeypatch):
     assert not hasattr(algnum, "_residue_equation")
 
 
+def test_a_guided_search_reads_the_guide_off_its_keys(monkeypatch):
+    # every digit of a guided search is the guide's term at v(guide - x), so x is the
+    # guide's truncation and v(guide - x) its next key above the last digit: the search
+    # keeps its digits in one dict, answers as the series search did, and takes no
+    # difference of series
+    cases = [(kind, a, budget) for kind, a, budget in root_search_cases(random.Random(23))
+             if a.expansion.ram == 1]
+    want = [search_outcome(reference.minpoly_over_completion, a, budget) for _, a, budget in cases]
+
+    def fail(*args):
+        raise AssertionError("the guided search took v(guide - x) off the series")
+
+    monkeypatch.setattr(PuiseuxSeries, "val_sub", fail)
+    got = [search_outcome(minpoly_over_completion, a, budget) for _, a, budget in cases]
+    assert got == want
+    assert sum(g[0] is Linear and len(g[4]) > 1 for g in got) >= 20  # roots of several digits
+
+
 class RecordedRows(polyx.ShiftRows):
     """The row state, recording (itself, x, rows, slot width) at every partial sum x."""
     steps = []

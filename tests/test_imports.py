@@ -354,7 +354,6 @@ SWALLOWED = {
     ("pcs.py", "values_along"): "f(a_m) vanishing past the precision is the increasing tail",
     ("valuation.py", "is_pair_equivalent"): "v(a - b) known to reach gamma decides it",
     ("algnum.py", "attach_minpoly"): "Q(s) indistinguishable from 0 at s's cap certifies",
-    ("algnum.py", "minpoly_over_completion"): "a guide matching x to its cap ends the search",
     ("algnum.py", "krasner_constant"): "without conjugates the polygon route answers",
     ("lifting.py", "_density_monomial"): "an undecidable delta only drops a cutoff guess",
     ("lifting.py", "conjugacy_check"): "0 at the twist's precision shares the minimal polynomial",

@@ -1187,7 +1187,12 @@ def test_pq_center_takes_one_window_pass_and_no_series_stage(monkeypatch):
 
 def random_plan_center(field, rng, kind):
     """(a, factor) as random_kt_center gives them, and p/q centers with a pole and
-    their expansions, exact or capped, with X - a for a root half the time."""
+    their expansions, exact or capped, with X - a for a root half the time; and the
+    centers of perfbench's exact-eval, 1 + t, 1/(1 + t) and (1 + t + t^2)/(1 + t), in K
+    or expanded to O(t^64), as a monomial spec keeps them."""
+    if kind == "exact-eval":
+        a = RatFunc(field, *rng.choice((([1, 1], [1]), ([1], [1, 1]), ([1, 1, 1], [1, 1]))))
+        return rng.choice((a, a.to_series())), None
     if kind not in ("pq", "pq expansion"):
         return random_kt_center(field, rng, kind)
     a = random_pq_center(field, rng)
@@ -1198,21 +1203,82 @@ def random_plan_center(field, rng, kind):
     return a, factor
 
 
+def test_least_key_reads_no_slot_at_or_above_the_cap(monkeypatch):
+    # a row v = sum s_i 2^(b i): zero slots, then nonzero slots that p divides, then one
+    # that it does not, at h; the key cap cap - lo below, at and above the first nonzero
+    # slot and h.  Over Q the least nonzero slot is read off the trailing zeros, over F_p
+    # the slots from it on are read in bulk, none of them at or above the cap
+    rng, reads, real = random.Random(62), [], polyx._unpack
+    monkeypatch.setattr(polyx, "_unpack", lambda v, b, n, signed=True: reads.append(n) or
+                        real(v, b, n, signed))
+    seen = {"none": 0, "key": 0, "read": 0}
+    for i in range(400):
+        p = (0, 2, 3, 7, 251)[i % 5]
+        b, lo = 8 * rng.randint(1 if p < 128 else 2, 10), rng.randint(-5, 5)
+        first, h = rng.randint(0, 6), rng.randint(0, 12)
+        top = (1 << b - 1) - 1
+        slots = [0] * first + [rng.randint(1, top // max(p, 1)) * max(p, 1) for _ in range(h)] + [
+            rng.randint(1, top) if not p else rng.randrange(1, p) + p * rng.randint(0, top // p)]
+        slots += [rng.randint(0, top) for _ in range(rng.randint(0, 8))]
+        v = sum(x << b * i for i, x in enumerate(slots))
+        key = first + (h if p else 0)  # the least slot nonzero (mod p)
+        for cap in (lo + first - 1, lo + first, lo + first + 1, lo + key, lo + key + 1, math.inf):
+            reads.clear()
+            got = polyx._least_key(v, b, p, lo, cap)
+            assert got == (lo + key if lo + key < cap else None), (p, b, lo, slots, cap)
+            assert all(first + n <= cap - lo for n in reads) and (p or not reads), (cap, reads)
+            seen["none" if got is None else "key"] += 1
+            seen["read"] += bool(reads)
+    assert min(seen.values()) >= 100, seen
+
+
+def deep_kt_poly(field, rng, a):
+    """Shaped like exact-eval's inputs at its center a = p/q in K: X-degree n = 6-8, a pole
+    denominator D of degree 2 with D(0) != 0, and t-orders 52-78, about the cap 64 of a's
+    expansion, with a few shallow ones: sum_i c_i (X - a)^i / D with ord c_i drawn there, or
+    (X - a - r_1)...(X - a - r_n) / D with ord r_j drawn there, r_1 = 0 now and then (a root
+    at a), each built as (1 / D q^n) times a product of polynomials in t and X.  Over F_p
+    C_0's row then has many nonzero slots, but none nonzero mod p, below the cap 64."""
+    if isinstance(a, PuiseuxSeries):  # the spec's expansion: a itself, or 1 + t
+        a = a.source or RatFunc(field, [a.coeff_at(k) for k in range(max(a.coeffs) + 1)])
+    n, (p, q) = rng.randint(6, 8), (RatFunc(field, a.num), RatFunc(field, a.den))
+    nz = lambda: rng.randrange(1, field.char) if field.char else rng.choice((1, -1, 2, -3))
+    den = RatFunc(field, [nz(), small_scalar(field, rng), 1])
+    unit = lambda: RatFunc(field, [0] * (rng.randint(52, 78) if rng.random() < 0.8 else
+                                         rng.randint(0, 12)) + [nz(), 1])
+    qx = PolyX.from_ratfuncs(field, [-p, q])  # q (X - a)
+    g, power = PolyX.from_ratfuncs(field, [q ** n]), PolyX.x_power(field, 0)
+    if rng.random() < 0.5:  # sum_i c_i q^(n-i) (q (X - a))^i
+        g = PolyX.zero(field)
+        for i in range(n + 1):
+            g, power = g + power.scale(unit() * q ** (n - i)), power * qx
+    else:
+        g = PolyX.x_power(field, 0)
+        for j in range(n):  # q (X - a - r_j)
+            r = RatFunc.zero(field) if j == 0 and rng.random() < 0.3 else unit()
+            g = g * (qx - PolyX.from_ratfuncs(field, [q * r]))
+    return g.scale(RatFunc.one(field) / (den * q ** n))
+
+
 def test_center_plan_gives_the_profiles_of_the_per_call_shift():
     rng = random.Random(41)
     kinds = ("exact", "capped", "zero", "unknown zero", "negative", "inverse", "ratfunc",
-             "root", "pq", "pq expansion")
+             "root", "pq", "pq expansion", "exact-eval")
     seen = {"raised": 0, "leading refusals": 0, "mismatches": 0, "exact zero rows": 0,
             "capped rows": 0, "undecided rows": 0, "pole rows": 0, "roots": 0,
-            "e = 2": 0, "e = 3": 0, "e = 6": 0, "K centers": 0, "expansions": 0}
+            "e = 2": 0, "e = 3": 0, "e = 6": 0, "K centers": 0, "expansions": 0,
+            "deep inputs": 0, "F_p profiles undecided at 64": 0}
     cases = 0
-    for i in range(80):
+    for i in range(110):
         field = FIELDS[i % len(FIELDS)]
         kind = kinds[i // len(FIELDS) % len(kinds)]
         a, factor = random_plan_center(field, rng, kind)
         for j in range(20):  # one center object for every f
             draw = random_pole_kt_poly if j % 3 == 0 else random_kt_poly
             f = draw(field, rng, rng.randint(0, 8))
+            if kind == "exact-eval" and j % 4 == 1:
+                f = deep_kt_poly(field, rng, a)
+                seen["deep inputs"] += 1
             if factor is not None and j % 2:
                 f = factor * draw(field, rng, rng.randint(0, 8 - factor.degree()))
                 seen["roots"] += 1
@@ -1234,7 +1300,9 @@ def test_center_plan_gives_the_profiles_of_the_per_call_shift():
             seen["undecided rows"] += sum(1 for k, t, _ in got[1] if k is None and t is Fraction)
             seen["K centers"] += isinstance(a, RatFunc)
             seen["expansions"] += isinstance(a, PuiseuxSeries) and a.source is not None
-    assert cases >= 1500
+            seen["F_p profiles undecided at 64"] += field.char > 0 and got[1].count(
+                (None, Fraction, Fraction(64))) > 0
+    assert cases >= 2000
     assert min(seen.values()) >= 20, seen
 
 

@@ -14,10 +14,12 @@ from valwb.errors import (
 )
 from valwb.field import GF, QQ
 from valwb.groupval import GroupVal
-from valwb import sampling
+from valwb import sampling, series
 from valwb.series import (
     PuiseuxSeries,
     RatFunc,
+    _pack,
+    _unpack,
     coerce,
     invert,
     is_dense,
@@ -456,6 +458,53 @@ def test_mul_kernel_matches_the_pair_loop():
                 for n1 in a.coeffs for n2 in b.coeffs)
         assert outcome(PuiseuxSeries.__mul__, a, b) == outcome(ref_mul, a, b), i
     assert dense >= 50 and sparse >= 50 and at_cap >= 30, (dense, sparse, at_cap)
+
+
+# The slot writer and reader: _pack puts a list into bits-wide slots, one shift per
+# nonzero entry for a list with no more nonzero entries than a slot has bits, else in
+# bulk through one buffer when its values fit 8 bytes (F_p residues below 256 by one
+# byte stride), else pairwise; _unpack reads the first n slots back, signed (lifted by
+# half a slot) or, where every slot is nonnegative, as they are.
+
+def packed_lists(rng, bits):
+    """(kind, list) for b = bits: empty and all-zero lists, signed values up to
+    +-(2^(b-1) - 1), both extremes included, F_p residues for p in 2, 3, 7, 251 and
+    257, short and longer than a slot has bits, some sparse."""
+    top = (1 << bits - 1) - 1
+    yield "zero", []
+    for n in (3, 3 * bits):
+        yield "zero", [0] * n
+        yield "signed", [top, -top] + [rng.randint(-top, top) for _ in range(n)] + [-top]
+        yield "signed", [rng.choice((0, 0, 0, rng.randint(-top, top))) for _ in range(n)]
+        yield "small", [rng.randint(-9, 9) for _ in range(n)]  # 8-byte items, a sign bit
+        for p in (2, 3, 7, 251, 257):
+            yield p, [rng.randrange(p) for _ in range(n)] + [p - 1]
+
+
+def test_packed_slots_read_back_at_every_width(monkeypatch):
+    rng = random.Random(61)
+    written, real = [], series.array
+    monkeypatch.setattr(series, "array", lambda code, vs: written.append(code) or real(code, vs))
+    seen = {}
+    for w in range(1, 17):
+        bits = 8 * w
+        for kind, vs in packed_lists(rng, bits):
+            written.clear()
+            v = _pack(list(vs), bits)
+            assert v == sum(x << bits * i for i, x in enumerate(vs)), (w, kind, vs)
+            dense = len(vs) - vs.count(0) > bits
+            fits = max(map(abs, vs), default=0) < 1 << min(bits, 64) - (min(vs, default=0) < 0)
+            assert bool(written) == (dense and fits), (w, kind, written)
+            path = "bulk" if written else "pairwise" if dense else "shifts"
+            seen[path, kind] = seen.get((path, kind), 0) + 1
+            if kind == 257 and w == 1:  # 256 needs a second byte: no 1-byte slot holds it
+                continue
+            signed = kind not in (2, 3, 7, 251, 257)  # residues read as they are
+            above = rng.randint(-9 if signed else 0, 9) << bits * len(vs)  # slots past the n read
+            assert list(_unpack(v + above, bits, len(vs), signed)) == vs, (w, kind)
+    for p in (2, 3, 7, 251, 257, "signed", "small"):  # every kind takes the buffer somewhere
+        assert seen.get(("bulk", p)) and seen.get(("shifts", p)), (p, seen)
+    assert seen.get(("pairwise", "signed")), seen  # values wider than 8 bytes
 
 
 def test_tp_mul_kernel_matches_the_pair_loop():
