@@ -1247,9 +1247,8 @@ def deep_kt_poly(field, rng, a):
     unit = lambda: RatFunc(field, [0] * (rng.randint(52, 78) if rng.random() < 0.8 else
                                          rng.randint(0, 12)) + [nz(), 1])
     qx = PolyX.from_ratfuncs(field, [-p, q])  # q (X - a)
-    g, power = PolyX.from_ratfuncs(field, [q ** n]), PolyX.x_power(field, 0)
     if rng.random() < 0.5:  # sum_i c_i q^(n-i) (q (X - a))^i
-        g = PolyX.zero(field)
+        g, power = PolyX.zero(field), PolyX.x_power(field, 0)
         for i in range(n + 1):
             g, power = g + power.scale(unit() * q ** (n - i)), power * qx
     else:
