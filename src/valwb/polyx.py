@@ -458,7 +458,7 @@ def _packed_values(field: BaseField, coeffs, a) -> tuple:
         cofs, L = _over_lcm(field, coeffs)
         es, dm = e * tp_ord(field, L), dm + e * len(L) - e
     limit = max((row[1] - lo * (n - i) + es for i, row in enumerate(live) if row), default=0)
-    nt = lambda terms=terms: sum(len(xs) - xs.count(0) for _, xs, _ in terms)  # of terms
+    nt = lambda terms=terms: sum(len(xs) - xs.count(0) for _, xs, _ in terms)  # uncut terms
     if limit < inf and limit + lo * n <= dm + max(t for _, _, t in terms):  # a slot of N_j
         # or L/D_j at or above c = limit + lo (n - j) lands in M_j at or above limit, which no
         terms = [(sl, xs, t) if t < (c := limit + lo * (n - j)) else  # row reads: dropped
