@@ -60,8 +60,13 @@ def _add_common(sp):
     sp.add_argument("--format", choices=("text", "structured"), default="text")
 
 
+class _Parser(argparse.ArgumentParser):  # a rejected command line ends as any bad input does
+    def error(self, message):
+        self.exit(INPUT_ERROR, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="valwb",
         description="exact workbench for extensions of the t-adic valuation "
                     "to rational function fields and their completions")
@@ -147,10 +152,19 @@ def _parse_seq(cfg: WorkbenchConfig, text: str) -> CskpSeq:
 def _parse_center(cfg: WorkbenchConfig, args) -> AlgElement:
     s = k_then_series(lambda: RatFunc.from_text(cfg.field, args.center).to_series(),
                       lambda: PuiseuxSeries.from_text(cfg.field, args.center))
-    if getattr(args, "minpoly", None):
-        return attach_minpoly(s, polyx_from_text(cfg.field, args.minpoly, RATFUNC),
-                              irreducible=True)
+    if getattr(args, "minpoly", None):  # a root of Q, not yet certified as its minimal polynomial
+        return attach_minpoly(s, polyx_from_text(cfg.field, args.minpoly, RATFUNC))
     return AlgElement(s)
+
+
+def _is_minpoly(Q: PolyX, s: PuiseuxSeries) -> bool:
+    """Whether Q is s's minimal polynomial over K: deg Q is s's degree, 1 in K and e for an exact
+    series of tame ramification e (its norm from K(t^(1/e))), and Q(s) = 0 exactly (or raises)."""
+    if s.source is not None:  # an element of K with a pole, its expansion capped
+        return Q.degree() == 1 and Q.evaluate(s.source).is_zero()
+    p = s.field.char
+    return s.prec is None and (not p or s.ram % p > 0) and Q.degree() == s.ram and \
+        Q.value_at(s).is_inf
 
 
 def _emit(rep: Report, args) -> None:
@@ -279,6 +293,7 @@ def _run(args) -> tuple:
         return rep, False
     if args.command == "kras":
         a = _parse_center(cfg, args)
+        a.irreducible_certified = _is_minpoly(a.minpoly, a.expansion)
         v = krasner_constant(a)
         rep.add("kras", digest(args.center, args.minpoly), v.to_text(),
                 "maximal valuation of a difference of distinct conjugates")

@@ -18,7 +18,6 @@ Grammar (all keys optional unless a spec kind requires them):
     spec.base.center, spec.base.gamma     # when base.kind = monomial
     spec.generator = <generator name>     # pcslimit; e.g. "exponential"
     spec.over = K | Khat
-    spec.declared_cofinal = true | false
 
 The environment variable VALWB_PREC overrides ``precision``.
 """
@@ -129,7 +128,8 @@ def build_spec(fields: dict, cfg: WorkbenchConfig) -> ValuationSpec:
     over = fields.pop("over", OVER_K)
     if over not in (OVER_K, OVER_KHAT):
         raise ParseError(f"spec.over must be K or Khat, got {over!r}")
-    declared = fields.pop("declared_cofinal", "false").lower() == "true"
+    if "declared_cofinal" in fields:  # no flag stands in for a weight valwb cannot hold
+        raise ParseError("spec.declared_cofinal is gone: a cofinal kind needs an irrational weight")
     if kind == "gauss":
         spec = ValuationSpec.gauss(cfg.field, over=over)
     elif kind == "monomial":
@@ -157,7 +157,6 @@ def build_spec(fields: dict, cfg: WorkbenchConfig) -> ValuationSpec:
         raise ParseError(f"unknown spec.kind {kind!r}")
     if fields:
         raise ParseError(f"unknown spec key 'spec.{next(iter(fields))}'")
-    spec.declared_cofinal = declared
     return spec
 
 

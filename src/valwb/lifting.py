@@ -60,8 +60,6 @@ def classify_extension(spec: ValuationSpec) -> str:
     """
     if spec.kind in ("gauss", "monomial"):
         if spec.gamma.is_torsion_mod_base():
-            if spec.declared_cofinal:
-                return VALUE_TRANSCENDENTAL_COFINAL
             return RESIDUE_TRANSCENDENTAL
         return VALUE_TRANSCENDENTAL_UNIQUE_PAIR
     if spec.kind == "pcslimit":

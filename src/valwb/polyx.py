@@ -470,10 +470,10 @@ def _packed_values(field: BaseField, coeffs, a) -> tuple:
     if limit == inf or zs:  # an uncapped row or one pass at p/q: at most
         limit = min(limit, 1 + dm + max((t - lo * (n - j) + j * hi
                                          for j, (_, xs, t) in enumerate(terms) if xs), default=0))
-    width = limit if zs else min(limit, max((ks[n] or 0) + es + n * low + 1,
-                                            nt() if series else 0))
     b = ((n + 1) * sum(sum(map(abs, xs)) for _, xs, _ in terms) * q1**n * a1**n * (max(
         sum(map(abs, c)) for c in cofs) if pole else 1)).bit_length() // 8 * 8 + 8  # l1 bound
+    width = limit if zs or not _sparse(limit * b, n, len(keys), nt()) else min(  # dense: one
+        limit, max((ks[n] or 0) + es + n * low + 1, nt() if series else 0))  # pass at the span
     Q = q1 if zs is None else _pack(zs, b * e)  # at p/q with a pole: one pass, no window
     M = [(sum(x << b * k for k, x in zip(sl, xs)) if series else _pack(xs, b * e))
          * Q**(n - j) << b * -lo * (n - j) for j, (sl, xs, _) in enumerate(terms)]
@@ -492,10 +492,9 @@ def _packed_values(field: BaseField, coeffs, a) -> tuple:
             break
         missing = [i for i, row in enumerate(live)  # no key, below a cap the window has not
                    if row and rows[i][0] is None and row[1] - lo * (n - i) + es > width]  # reached
-        if missing and not pole and limit * b > (  # the span's bits more than a
-                n + 1) * len(keys) * nt() * sys.int_info.bits_per_digit:  # Python int digit per
-            for i in [i for i in missing if live[i][0] is None]:  # term pair of a sparse sum:
-                cs = [coeffs[i]] + [coeffs[i].zero(field)] * (n - i)  # an uncapped row is
+        if missing and not pole:  # a sparse span (the first pass was not the last): an
+            for i in [i for i in missing if live[i][0] is None]:  # uncapped row is
+                cs = [coeffs[i]] + [coeffs[i].zero(field)] * (n - i)
                 for j, bj in hasse[i]:  # C_i = (D^i f)(a), exact, read off the sparse Horner
                     c = coeffs[j]  # sum of D^i f = sum C(j, i) c_j X^(j - i) at a
                     cs[j - i] = c if bj == 1 else c * type(c).constant(field, bj)
@@ -507,6 +506,11 @@ def _packed_values(field: BaseField, coeffs, a) -> tuple:
             break
         width = limit if any(live[i][0] is None for i in missing) else min(2 * width, limit)
     return e, rows
+
+
+def _sparse(bits: int, n: int, keys: int, terms: int) -> bool:
+    """Whether a span's bits exceed a Python int digit per term pair of the sparse sum (README)."""
+    return bits > (n + 1) * keys * terms * sys.int_info.bits_per_digit
 
 
 def _least_keys(coeffs, e: int) -> list:

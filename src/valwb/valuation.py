@@ -39,11 +39,10 @@ OVER_KHAT = "Khat"
 class ValuationSpec:
     """Immutable description of an extension of the t-adic valuation to K(X)."""
 
-    __slots__ = ("kind", "field", "center", "gamma", "Q", "vQ", "base", "gen",
-                 "over", "declared_cofinal")
+    __slots__ = ("kind", "field", "center", "gamma", "Q", "vQ", "base", "gen", "over")
 
     def __init__(self, kind, field, center=None, gamma=None, Q=None, vQ=None,
-                 base=None, gen=None, over=OVER_K, declared_cofinal=False):
+                 base=None, gen=None, over=OVER_K):
         self.kind = kind
         self.field = field
         self.center = center
@@ -53,7 +52,6 @@ class ValuationSpec:
         self.base = base
         self.gen = gen
         self.over = over
-        self.declared_cofinal = declared_cofinal
 
     # -- constructors ------------------------------------------------------
 
@@ -81,8 +79,7 @@ class ValuationSpec:
 
     def retag(self, over) -> "ValuationSpec":
         return ValuationSpec(self.kind, self.field, self.center, self.gamma,
-                             self.Q, self.vQ, self.base, self.gen, over,
-                             self.declared_cofinal)
+                             self.Q, self.vQ, self.base, self.gen, over)
 
     # -- text ---------------------------------------------------------------
 

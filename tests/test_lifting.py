@@ -17,7 +17,6 @@ from valwb.lifting import (
     RESIDUE_TRANSCENDENTAL,
     VALUATION_ALGEBRAIC_TYPE_I,
     VALUATION_ALGEBRAIC_TYPE_II,
-    VALUE_TRANSCENDENTAL_COFINAL,
     VALUE_TRANSCENDENTAL_UNIQUE_PAIR,
     CskpSeq,
     Witness,
@@ -81,9 +80,12 @@ def test_classify_extension():
     half = PuiseuxSeries.t_power(QQ, Fraction(1, 2))
     assert classify_extension(ValuationSpec.monomial(half, GAMMA_TOP)) == \
         VALUE_TRANSCENDENTAL_UNIQUE_PAIR
-    cof = ValuationSpec("monomial", QQ, center=zero, gamma=GroupVal.fin(1),
-                        declared_cofinal=True)
-    assert classify_extension(cof) == VALUE_TRANSCENDENTAL_COFINAL
+    # a rational weight is residue-transcendental: no declaration makes it cofinal
+    assert classify_extension(ValuationSpec.monomial(zero, GroupVal.fin(1))) == \
+        RESIDUE_TRANSCENDENTAL
+    assert "declared_cofinal" not in ValuationSpec.__slots__
+    with pytest.raises(TypeError):
+        ValuationSpec("monomial", QQ, center=zero, gamma=GroupVal.fin(1), declared_cofinal=True)
     assert classify_extension(
         ValuationSpec.pcslimit(exponential_generator(12))) == \
         VALUATION_ALGEBRAIC_TYPE_II

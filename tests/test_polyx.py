@@ -875,7 +875,8 @@ def test_the_sparse_guard_weighs_the_slot_width(monkeypatch):
 def test_an_exact_zero_row_at_a_sparse_center_is_read_sparse(monkeypatch):
     # f = (X - a) g at a = t + t^2000: C_0 = f(a) is exactly 0, and the full span of the
     # rows is 2000 deg f slots; the window stops once it is far wider than the terms, and
-    # the row is read off a sparse evaluation of f at a
+    # the row is read off a sparse evaluation of f at a.  Capped rows over a sparse span
+    # keep the window too
     slots, real = [], polyx._least_key
 
     def counting(v, b, p, lo, cap):
@@ -899,6 +900,17 @@ def test_an_exact_zero_row_at_a_sparse_center_is_read_sparse(monkeypatch):
             terms = sum(len(c.coeffs) for c in f.to_series().coeffs)
             assert slots and max(slots) <= 4 * (f.degree() + 1) * len(a.coeffs) * terms, \
                 (field, f.domain, max(slots, default=None))
+        # capped rows over a sparse span keep the window: t^(1/3) + t^(10^6) known to
+        # O(t^(10^6 + 1)) caps every row near 3 (10^6 + 1) n slots, read from the lead key
+        a = PuiseuxSeries.from_terms(field, {Fraction(1, 3): 1, 10**6: 1}, 10**6 + 1)
+        f = random_kt_poly(field, rng, 7)
+        slots.clear()
+        got = profile(PolyX.recentered_values, f, a)
+        assert got == profile(ref_profile, f, a) and got[0] == 3
+        assert any(cap is not None for _, _, cap in got[1])
+        terms = sum(len(c.coeffs) for c in f.to_series().coeffs)
+        assert slots and max(slots) <= 4 * (f.degree() + 1) * len(a.coeffs) * terms, \
+            (field, max(slots, default=None))
 
 
 # -- the center p/q of K --------------------------------------------------------
@@ -1137,7 +1149,8 @@ def test_ratfunc_hot_paths_lower_no_scalar(monkeypatch):
 def test_pq_center_takes_one_window_pass_and_no_series_stage(monkeypatch):
     # eval_spec and delta at a spec built from an element of K with a pole read
     # p/q off the expansion in one pass of the packed shift (each live row read
-    # once), the only recentering stage
+    # once), the only recentering stage; at the truncated center too wherever the
+    # sparse guard calls the span dense
     rng = random.Random(29)
     cases = []
     for i in range(60):
@@ -1149,10 +1162,12 @@ def test_pq_center_takes_one_window_pass_and_no_series_stage(monkeypatch):
         assert spec.center.source is a
         cases.append((spec, f))
     want = [(outcome(eval_spec, spec, f), outcome(delta, spec, f)) for spec, f in cases]
-    real_values, real_key, reads = polyx._packed_values, polyx._least_key, []
+    real_values, real_key, real_sparse = polyx._packed_values, polyx._least_key, polyx._sparse
+    reads, sparse = [], []
 
     def counting(field, coeffs, a):
         reads.append(0)
+        sparse.append(None)
         out = real_values(field, coeffs, a)
         n = len(coeffs) - 1
         live = sum(1 for row in polyx._hasse_binomials(field, n)
@@ -1164,17 +1179,25 @@ def test_pq_center_takes_one_window_pass_and_no_series_stage(monkeypatch):
         reads[-1] += 1
         return real_key(*args)
 
+    def guard(*args):
+        sparse[-1] = real_sparse(*args)
+        return sparse[-1]
+
     monkeypatch.setattr(polyx, "_packed_values", counting)
     monkeypatch.setattr(polyx, "_least_key", key)
+    monkeypatch.setattr(polyx, "_sparse", guard)
     assert [(outcome(eval_spec, spec, f), outcome(delta, spec, f)) for spec, f in cases] == want
     shifted = [r for r in reads if r >= 0]  # calls that got past the early returns
     assert len(shifted) >= 60 and not any(shifted), reads
     assert sum(v[0] != "raised" for pair in want for v in pair) >= 30
-    # the truncated center, read before, doubles its window for some of them
-    reads.clear()
-    for spec, f in cases:
-        outcome(eval_spec, ValuationSpec.monomial(without_source(spec.center), spec.gamma), f)
-    assert sum(r > 0 for r in reads) >= 5, reads
+    # the truncated center, read before, whose capped rows once doubled the window
+    # from the lead key: a span the guard calls dense is read in one pass too
+    for value in (eval_spec, delta):
+        reads.clear(), sparse.clear()
+        for spec, f in cases:
+            outcome(value, ValuationSpec.monomial(without_source(spec.center), spec.gamma), f)
+        dense = [r for r, s in zip(reads, sparse) if s is False]
+        assert len(dense) >= 40 and not any(dense), (value, reads, sparse)
 
 
 # -- the center plan ---------------------------------------------------------------

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from valwb.cli import main
+from valwb.cli import build_parser, main
 from valwb.config import WorkbenchConfig, parse_config
 from valwb.errors import HorizonExceeded, ParseError, PrecisionExhausted, WorkbenchError
 from valwb.examples import run_example
@@ -371,10 +371,19 @@ def run_faulty_cli(tmp_path, monkeypatch, command, faults):
             argv += [key, str(tmp_path / value) if key == "--config" else value]
     if "--config" not in argv:
         argv += ["--config", write_cfg(tmp_path, cfg_text)]
+    return run_cli_or_parser_exit([command] + argv)
+
+
+def run_cli_or_parser_exit(argv):
+    """run_cli's (code, out, err), or the parser's exit code and error line, and whether
+    the parser rejected the command line."""
+    err = io.StringIO()
     try:
-        return run_cli([command] + argv)
-    except SystemExit as exc:  # argparse rejects the command line, exit 2
-        return exc.code, "", ""
+        with redirect_stderr(err):
+            build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code, "", err.getvalue(), True
+    return (*run_cli(argv), False)
 
 
 def test_cli_malformed_input_never_leaks_a_traceback(tmp_path, monkeypatch):
@@ -390,12 +399,30 @@ def test_cli_malformed_input_never_leaks_a_traceback(tmp_path, monkeypatch):
         runs += [(c, [fault]) for c in readers]
     for command in commands:  # and every command under two random pairs of faults
         runs += [(command, rng.sample(CLI_FAULTS, 2)) for _ in range(2)]
+    rejected = 0
     for command, faults in runs:
-        code, _, err = run_faulty_cli(tmp_path, monkeypatch, command, faults)
+        code, _, err, parser = run_faulty_cli(tmp_path, monkeypatch, command, faults)
         assert code in (0, 1, 2), (command, faults)
         assert "Traceback" not in err, (command, faults)
         if code == 1:
             assert err.startswith("error: "), (command, faults, err)
+        if parser:  # exit 2 is kept for a check that ran and failed
+            assert code == 1 and "usage:" not in err, (command, faults, err)
+            rejected += 1
+    assert rejected >= 30, rejected
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["kras", "--center", "t"], "the following arguments are required: --minpoly"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    (["eval", "--poly", "X", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    (["eval", "--poly", "X", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+])
+def test_cli_parser_rejections_end_as_input_errors(argv, message):
+    with pytest.raises(SystemExit) as exc, redirect_stderr(err := io.StringIO()):
+        main(argv)
+    assert exc.value.code == 1 and err.getvalue().startswith(f"error: {message}")
+    assert err.getvalue().count("\n") == 1
 
 
 @pytest.mark.parametrize("cfg_text", [
@@ -485,6 +512,40 @@ def test_cli_center_reads_k_text_first_as_the_config_does(tmp_path):
     assert (code, err) == (0, "") and "[lift-cskp] X @ 0\n" in out
     code, _, err = run_cli(["kras", "--center", "1 / (1+", "--minpoly", "X^2 - t"])
     assert (code, err) == (1, "error: bad term '(1+'; as series: bad term '1 / (1+'\n")
+
+
+@pytest.mark.parametrize("char, center, minpoly, want", [
+    # t + t^2 lies in K: a reducible Q of degree 2 certifies nothing, though a is its root
+    (0, "t + t^2", "X^2 - [t^2 + 2*t^3 + t^4]",
+     "error: no certified minimal polynomial and no pure-ramification route\n"),
+    (0, "t + t^2", "X - [t + t^2]",
+     "error: the Krasner constant needs an element of degree >= 2\n"),
+    # a capped expansion has no known degree
+    (0, "t^(1/3) + O(t^4)", "X^3 - t",
+     "error: no certified minimal polynomial and no pure-ramification route\n"),
+    # over F_3, X^3 - t = (X - t^(1/3))^3: a ramification of p is no degree
+    (3, "t^(1/3)", "X^3 - t",
+     "error: no certified minimal polynomial and no pure-ramification route\n"),
+    (0, "t^(1/3)", "X^3 - t", "[kras] 1/3\n"),
+    (0, "t^(1/3) + t^(5/3)", "X^3 - 3*t^2*X - [t + t^5]", "[kras] 1/3\n"),
+])
+def test_cli_kras_certifies_a_minpoly_only_of_the_centers_degree_with_an_exact_root(
+        tmp_path, char, center, minpoly, want):
+    code, out, err = run_cli(["kras", "--config", write_cfg(tmp_path, f"char = {char}\n"),
+                              "--center", center, "--minpoly", minpoly])
+    if want.startswith("error: "):
+        assert (code, out, err) == (1, "", want)
+    else:
+        assert (code, err) == (0, "") and want in out, (code, out, err)
+
+
+@pytest.mark.parametrize("flag", ["true", "false"])
+def test_config_refuses_a_declared_cofinal_kind(tmp_path, flag):
+    text = f"spec.kind = monomial\nspec.center = t\nspec.gamma = 1\nspec.declared_cofinal = {flag}\n"
+    with pytest.raises(ParseError, match="needs an irrational weight"):
+        parse_config(text, env={})
+    code, out, err = run_cli(["classify", "--config", write_cfg(tmp_path, text)])
+    assert (code, out) == (1, "") and err.startswith("error: spec.declared_cofinal"), err
 
 
 @pytest.mark.parametrize("center", ["t^(1/2)", "2*t", "1 + t + O(t^5)", "0", "t^(-1) + 3/2"])
