@@ -1193,7 +1193,8 @@ def test_pq_center_takes_one_window_pass_and_no_series_stage(monkeypatch):
     # the truncated center, read before, whose capped rows once doubled the window
     # from the lead key: a span the guard calls dense is read in one pass too
     for value in (eval_spec, delta):
-        reads.clear(), sparse.clear()
+        reads.clear()
+        sparse.clear()
         for spec, f in cases:
             outcome(value, ValuationSpec.monomial(without_source(spec.center), spec.gamma), f)
         dense = [r for r, s in zip(reads, sparse) if s is False]

@@ -371,19 +371,13 @@ def run_faulty_cli(tmp_path, monkeypatch, command, faults):
             argv += [key, str(tmp_path / value) if key == "--config" else value]
     if "--config" not in argv:
         argv += ["--config", write_cfg(tmp_path, cfg_text)]
-    return run_cli_or_parser_exit([command] + argv)
-
-
-def run_cli_or_parser_exit(argv):
-    """run_cli's (code, out, err), or the parser's exit code and error line, and whether
-    the parser rejected the command line."""
     err = io.StringIO()
-    try:
+    try:  # (code, out, err) and whether the parser rejected the command line
         with redirect_stderr(err):
-            build_parser().parse_args(argv)
+            build_parser().parse_args([command] + argv)
     except SystemExit as exc:
         return exc.code, "", err.getvalue(), True
-    return (*run_cli(argv), False)
+    return (*run_cli([command] + argv), False)
 
 
 def test_cli_malformed_input_never_leaks_a_traceback(tmp_path, monkeypatch):
