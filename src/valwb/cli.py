@@ -239,6 +239,8 @@ def _run(args) -> tuple:
         seq = _parse_seq(cfg, args.seq)
         center = _parse_center(cfg, args) if args.center else None
         budget = parse_number(Fraction, args.budget, "--budget") if args.budget else cfg.precision
+        if budget <= 0:  # also where the spec never reads it
+            raise WorkbenchError(f"root search budget must be positive, got {budget}")
         lifted, note = lift_cskp(seq, spec, center=center, budget=budget)
         rep.add("lift-cskp", digest(spec.to_text(), args.seq), lifted.to_text(),
                 "entries of admissible degree survive; the completion's root "

@@ -211,19 +211,14 @@ def _gauss_value(f: PolyX) -> GroupVal:
     return eval_spec(ValuationSpec.gauss(f.field), f)
 
 
-def verify_root_matching(f: PolyX, f2: PolyX, alpha: GroupVal,
-                         centers=(), paired_roots=None) -> bool:
+def verify_root_matching(f: PolyX, f2: PolyX, alpha: GroupVal, paired_roots=None) -> bool:
     """Check the threshold's promise on concrete data.
 
-    Polygon multisets of f and f2 must agree at 0 and at each supplied
-    center; when pre-factored roots are supplied, they must pair off with
-    differences of value above alpha.
+    The Newton polygons of f and f2 at 0 must agree; when pre-factored roots
+    are supplied, they must pair off with differences of value above alpha.
     """
     if f.newton_polygon() != f2.newton_polygon():
         return False
-    for c in centers:
-        if f.newton_polygon(c) != f2.newton_polygon(c):
-            return False
     if paired_roots is not None:
         for z1, z2 in paired_roots:
             d = z1 - z2
@@ -457,8 +452,8 @@ def _quotient_gap_exceeds(spec, f, g, f1, g1, vg, vg1, alpha) -> bool:
 # uniqueness and conjugacy checks
 # ---------------------------------------------------------------------------
 
-def uniqueness_check(a, b, gamma: GroupVal, samples, spec_over=OVER_KHAT) -> tuple:
-    """Equal evaluation under equivalent pairs (a, gamma) and (b, gamma).
+def uniqueness_check(a, b, gamma: GroupVal, samples) -> tuple:
+    """Equal evaluation under equivalent pairs (a, gamma) and (b, gamma) over K̂.
 
     ``samples`` is an iterable of polynomials.  Returns (Evidence, discrepancies):
     any discrepancy would falsify the implementation, not the theorem, and is
@@ -466,8 +461,8 @@ def uniqueness_check(a, b, gamma: GroupVal, samples, spec_over=OVER_KHAT) -> tup
     """
     if not is_pair_equivalent(a, b, gamma):
         raise WorkbenchError("centers are not equivalent at this gamma")
-    sa = ValuationSpec.monomial(a, gamma, over=spec_over)
-    sb = ValuationSpec.monomial(b, gamma, over=spec_over)
+    sa = ValuationSpec.monomial(a, gamma, over=OVER_KHAT)
+    sb = ValuationSpec.monomial(b, gamma, over=OVER_KHAT)
     discrepancies = []
 
     def differs(f: PolyX) -> bool:

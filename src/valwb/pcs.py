@@ -3,10 +3,11 @@
 A sequence {a_m} with strictly increasing gamma_m = v(a_m - a_{m+1}) is
 materialized up to a finite horizon; every "for all m" claim of the theory
 becomes "for all materialized m" with the horizon recorded in the verdict.
-Classification separates sequences that are Cauchy with a representable
-limit from those showing transcendental-type evidence (unbounded
-ramification denominators, or gamma bounded below a declared cofinality
-bound).
+Classification reads only the materialized elements: it separates sequences
+that are Cauchy with a representable limit from those showing
+transcendental-type evidence, support denominators that outgrow the
+ramification cap.  Gammas that strictly increase below a bound cannot stay on
+one lattice (1/e)Z, so they show up as growing denominators.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Optional
 
 from .errors import HorizonExceeded, NotPcs, ParseError, PrecisionExhausted, WorkbenchError
 from .field import GF, QQ, BaseField
@@ -42,14 +42,12 @@ class PcsGenerator:
     the window its stabilization verdicts read and the ramification cap."""
 
     def __init__(self, name: str, field: BaseField, items, horizon: int = DEFAULT_HORIZON,
-                 value_group_bound: Optional[GroupVal] = None, window: int = DEFAULT_WINDOW,
-                 ram_cap: int = DEFAULT_RAM_CAP):
+                 window: int = DEFAULT_WINDOW, ram_cap: int = DEFAULT_RAM_CAP):
         check_bounds(horizon, window, ram_cap)
         self.name = name
         self.field = field
         self._items = items  # callable m -> PuiseuxSeries, or a list
         self.horizon = horizon
-        self.value_group_bound = value_group_bound
         self.window = window
         self.ram_cap = ram_cap
         self._elements = None
@@ -179,9 +177,8 @@ class TranscendentalTypeEvidence:
 def classify_generator(gen: PcsGenerator):
     """Desk-scale dichotomy for the sequence.
 
-    Evidence of transcendental type fires on exactly two patterns: support
-    denominators exceeding gen.ram_cap, or gamma_m bounded above by
-    the declared value-group bound.  Otherwise stable denominators give a
+    Evidence of transcendental type fires on one pattern: support
+    denominators exceeding gen.ram_cap.  Otherwise stable denominators give a
     Cauchy verdict and the materialized limit, and denominators still growing
     within the cap raise HorizonExceeded.  Verdicts are evidence, not proofs.
     """
@@ -193,11 +190,6 @@ def classify_generator(gen: PcsGenerator):
             "unbounded ramification denominators",
             f"support denominators reach {max(rams)} > cap {gen.ram_cap} "
             f"within horizon {gen.horizon}")
-    if gen.value_group_bound is not None and all(g < gen.value_group_bound for g in gammas):
-        return TranscendentalTypeEvidence(
-            "gamma bounded below the declared cofinality bound",
-            f"gamma_{len(gammas) - 1} = {gammas[-1].to_text()} < "
-            f"{gen.value_group_bound.to_text()}")
     if rams[-1] != rams[0]:
         raise HorizonExceeded(f"support denominators still grow within the cap: {rams}")
     limit = elems[-1]

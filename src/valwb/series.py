@@ -65,55 +65,35 @@ def is_dense(pairs: int, slots: int) -> bool:
     return pairs > slots * slots.bit_length()
 
 
-def convolve(xs, ys, n: int) -> list:
-    """The first n coefficients (len(xs), len(ys) <= n < len(xs) + len(ys)) of
-    the product of integer polynomials.  Dense ones are packed as x_0 + x_1 2^b
-    + ... at a slot width b that no sum overflows, and one big-integer product
-    gives every coefficient (Kronecker substitution)."""
-    if is_dense(len(xs) * len(ys), len(xs) + len(ys) - 1):
+def convolve(xs, ys) -> list:
+    """The coefficients of the product of nonempty integer polynomials.  Dense
+    ones are packed as x_0 + x_1 2^b + ... at a slot width b that no sum
+    overflows, and one big-integer product gives every coefficient (Kronecker
+    substitution)."""
+    n = len(xs) + len(ys) - 1
+    if is_dense(len(xs) * len(ys), n):
         bound = max(map(abs, xs)) * max(map(abs, ys)) * min(len(xs), len(ys))
         bits = 8 * (bound.bit_length() // 8 + 1)  # a spare sign bit at least
         return _unpack(_pack(xs, bits) * _pack(ys, bits), bits, n)
-    out = [0] * (len(xs) + len(ys) - 1)
+    out = [0] * n
     for i, x in enumerate(xs):
         if x:
             for j, y in enumerate(ys):
                 out[i + j] += x * y
-    return out[:n]
-
-
-def _dense_product(c1, s1, xs, c2, s2, ys, cap):
-    """{k: sum of x*y over k = n1*s1 + n2*s2 < cap} for the keys n1 of c1 and
-    n2 of c2 by convolve, or None when the operands are sparse."""
-    if not (xs and ys and is_dense(len(xs) * len(ys), len(xs) + len(ys) - 1)):
-        return None  # too few pairs even for the fewest slots, n1 + n2 - 1
-    lo1, lo2 = min(c1) * s1, min(c2) * s2
-    slots = max(c1) * s1 - lo1 + max(c2) * s2 - lo2 + 1
-    n = min(slots, cap - lo1 - lo2)  # keys from lo1 + lo2 + n on lie beyond the cap
-    if n <= 0 or not is_dense(len(xs) * len(ys), slots):
-        return None
-    dense = [[0] * n, [0] * n]
-    for out, c, s, vs, lo in ((dense[0], c1, s1, xs, lo1), (dense[1], c2, s2, ys, lo2)):
-        for k, v in zip(c, vs):
-            if k * s - lo < n:
-                out[k * s - lo] = v
-    return {lo1 + lo2 + i: v for i, v in enumerate(convolve(*dense, n)) if v}
+    return out
 
 
 def lattice_product(c1, s1, xs, c2, s2, ys, cap) -> dict:
     """{k: sum of x*y over k = n1*s1 + n2*s2 < cap} for the keys n1 of c1 and
-    n2 of c2, whose integer images are xs and ys: the packed product for dense
-    operands, the pair loop otherwise."""
-    acc = _dense_product(c1, s1, xs, c2, s2, ys, cap)
-    if acc is None:
-        acc = {}
-        terms2 = [(n2 * s2, y) for n2, y in zip(c2, ys)]
-        for n1, x in zip(c1, xs):
-            k1 = n1 * s1
-            for k2, y in terms2:
-                k = k1 + k2
-                if k < cap:
-                    acc[k] = acc.get(k, 0) + x * y
+    n2 of c2, whose integer images are xs and ys, by the pair loop."""
+    acc = {}
+    terms2 = [(n2 * s2, y) for n2, y in zip(c2, ys)]
+    for n1, x in zip(c1, xs):
+        k1 = n1 * s1
+        for k2, y in terms2:
+            k = k1 + k2
+            if k < cap:
+                acc[k] = acc.get(k, 0) + x * y
     return acc
 
 
@@ -172,7 +152,7 @@ def _unpack(v, bits, n, signed=True):
 
 def _mul(x, y, p) -> list:
     """The product of integer polynomials (residues over F_p)."""
-    m = convolve(x, y, len(x) + len(y) - 1) if x and y else []
+    m = convolve(x, y) if x and y else []
     return [v % p for v in m] if p else m
 
 
@@ -711,7 +691,7 @@ class PuiseuxSeries:
         e = self.ram * other.ram // math.gcd(self.ram, other.ram)
         s1, s2 = e // self.ram, e // other.ram
         cap = lattice_cap(prec, e)
-        # convolve integer images; one scalar is rebuilt per output key
+        # multiply integer images; one scalar is rebuilt per output key
         xs, d1 = f.as_integers(self.coeffs.values())
         ys, d2 = f.as_integers(other.coeffs.values())
         acc = lattice_product(self.coeffs, s1, xs, other.coeffs, s2, ys, cap)

@@ -35,7 +35,7 @@ def tp_mul(field, a, b):
     xs, d1 = field.as_integers(a)
     ys, d2 = field.as_integers(b)
     d, lower = d1 * d2, field.from_integer
-    return tp_trim(field, [lower(v, d) for v in convolve(xs, ys, len(a) + len(b) - 1)])
+    return tp_trim(field, [lower(v, d) for v in convolve(xs, ys)])
 
 
 def tp_scalar(field, a, s):

@@ -151,15 +151,19 @@ def test_growing_denominators_within_the_cap_are_not_cauchy():
 
 def test_bounded_gamma_evidence():
     from valwb.pcs import PcsGenerator
-    # gamma_m = 1 - 1/(m+1) stays below the declared bound 1
+    # gamma_m = 1 - 1/(m+3) stays below 1, so the support denominators grow
+    # (to lcm(2, ..., 8) = 840 at horizon 6): the elements carry the evidence,
+    # and no bound is declared
     def items(m):
         return PuiseuxSeries.from_terms(
             QQ, {Fraction(n, n + 1): 1 for n in range(1, m + 2)})
-    gen = PcsGenerator("bounded", QQ, items, horizon=6,
-                       value_group_bound=GroupVal.fin(1), window=3, ram_cap=10**6)
-    verdict = classify_generator(gen)
+    with pytest.raises(TypeError):
+        PcsGenerator("bounded", QQ, items, horizon=6, value_group_bound=GroupVal.fin(1))
+    verdict = classify_generator(PcsGenerator("bounded", QQ, items, horizon=6, ram_cap=64))
     assert isinstance(verdict, TranscendentalTypeEvidence)
-    assert verdict.criterion == "gamma bounded below the declared cofinality bound"
+    assert verdict.criterion == "unbounded ramification denominators"
+    with pytest.raises(HorizonExceeded):
+        classify_generator(PcsGenerator("bounded", QQ, items, horizon=6, ram_cap=10**6))
 
 
 def test_builtin_generator_parsing():

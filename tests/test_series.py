@@ -437,7 +437,10 @@ def random_series(field, rng, ram=None):
     return PuiseuxSeries(field, ram, coeffs, prec)
 
 
-def test_mul_kernel_matches_the_pair_loop():
+def test_mul_kernel_matches_the_pair_loop(monkeypatch):
+    # series products take the pair loop on dense operands too: none packs them
+    packed, real = [], series.convolve
+    monkeypatch.setattr(series, "convolve", lambda *args: packed.append(args) or real(*args))
     rng = random.Random(6)
     dense = sparse = at_cap = 0
     for i in range(600):
@@ -458,6 +461,7 @@ def test_mul_kernel_matches_the_pair_loop():
                 for n1 in a.coeffs for n2 in b.coeffs)
         assert outcome(PuiseuxSeries.__mul__, a, b) == outcome(ref_mul, a, b), i
     assert dense >= 50 and sparse >= 50 and at_cap >= 30, (dense, sparse, at_cap)
+    assert not packed
 
 
 # The slot writer and reader: _pack puts a list into bits-wide slots, one shift per

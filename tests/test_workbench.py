@@ -257,6 +257,13 @@ def test_cli_lift_cskp_refuses_a_budget_that_is_not_positive(tmp_path):
             1, "", f"error: root search budget must be positive, got {budget}\n")
     code, out, _ = run_cli(argv + ["--budget", "8"])
     assert code == 0 and "[lift-cskp] X + [t + t^2 + t^4 + O(t^8)] @ (1, 0)" in out
+    # a spec that never reads the budget refuses it all the same
+    cfg = write_cfg(tmp_path, "spec.kind = monomial\nspec.center = t\nspec.gamma = 1/2\n",
+                    "monomial.cfg")
+    for budget in ("0", "-1"):
+        assert run_cli(["lift-cskp", "--config", cfg, "--seq", "X - [t] @ 1",
+                        "--budget", budget]) == (
+            1, "", f"error: root search budget must be positive, got {budget}\n")
 
 
 def test_cli_input_error_exit_1(tmp_path):
