@@ -54,7 +54,7 @@ INPUT_ERROR = 1
 
 def _add_common(sp):
     sp.add_argument("--config", help="config file path")
-    sp.add_argument("--prec", help="working precision override (rational)")
+    sp.add_argument("--prec", help="lift-cskp's default --budget; series text is read exactly")
     sp.add_argument("--seed", type=int, help="seed override for sampled harnesses")
     sp.add_argument("--out", help="write the report here instead of stdout")
     sp.add_argument("--format", choices=("text", "structured"), default="text")
@@ -131,7 +131,7 @@ def _need_spec(cfg: WorkbenchConfig) -> ValuationSpec:
 
 def _parse_poly(cfg: WorkbenchConfig, text: str) -> PolyX:
     return k_then_series(lambda: polyx_from_text(cfg.field, text, RATFUNC),
-                         lambda: polyx_from_text(cfg.field, text, SERIES, prec=cfg.precision))
+                         lambda: polyx_from_text(cfg.field, text, SERIES))
 
 
 def _parse_seq(cfg: WorkbenchConfig, text: str) -> CskpSeq:

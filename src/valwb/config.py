@@ -4,7 +4,7 @@ Config files are line-oriented ``key = value`` text with ``#`` comments.
 Grammar (all keys optional unless a spec kind requires them):
 
     char = 0 | <prime p>                  # base field: Q or F_p
-    precision = <p/q>                     # working precision (default 64)
+    precision = <p/q>                     # lift-cskp's default budget (default 64)
     ram_cap = <int>                       # a limit spec's ramification cap (default 64)
     horizon = <int>                       # sequence horizon (default 12)
     window = <int>                        # stabilization window (default 3)
@@ -19,7 +19,8 @@ Grammar (all keys optional unless a spec kind requires them):
     spec.generator = <generator name>     # pcslimit; e.g. "exponential"
     spec.over = K | Khat
 
-The environment variable VALWB_PREC overrides ``precision``.
+VALWB_PREC overrides ``precision``, which sets only lift-cskp's default --budget:
+series text in --poly, --seq, --f and --g is read exactly, as spec.center is.
 """
 
 from __future__ import annotations
@@ -74,9 +75,9 @@ def parse_config(text: str, env=None) -> WorkbenchConfig:
     return build_config(entries, env)
 
 
-def load_config(path: str, env=None) -> WorkbenchConfig:
+def load_config(path: str) -> WorkbenchConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), env)
+        return parse_config(fh.read())
 
 
 def parse_number(kind, text: str, what: str):

@@ -405,7 +405,7 @@ def _shift_plan(a) -> ShiftPlan:
     if isinstance(a, PuiseuxSeries):
         return a.kept("shift", _series_plan)
     (xs, d), (zs, dd) = a.nq, a.dq
-    tq = tp_ord(a.field, zs)  # t^(ord q) moves into lo
+    tq = tp_ord(zs)  # t^(ord q) moves into lo
     keys, ys = [k for k, x in enumerate(xs, -tq) if x], [x for x in xs if x]
     if len(zs) == 1:
         return _plan(1, None, None, keys, ys, d)
@@ -429,9 +429,9 @@ def _packed_values(field: BaseField, coeffs, a) -> tuple:
         e, caps = e * s, [c.prec for c in coeffs]
         ks = _least_keys(coeffs, e)
     else:
-        ks = [0 if (xs := c.nq[0]) and xs[0] else tp_ord(field, xs) for c in coeffs]  # v(c_j)
+        ks = [0 if (xs := c.nq[0]) and xs[0] else tp_ord(xs) for c in coeffs]  # v(c_j)
         if any(pl := [len(c.dq[0]) > 1 for c in coeffs]):
-            ks, pole = [o - tp_ord(field, c.dq[0]) if d else o
+            ks, pole = [o - tp_ord(c.dq[0]) if d else o
                         for o, c, d in zip(ks, coeffs, pl)], pl
             if P is not None:  # a pole c_j is known to O(t^P), an unknown zero from P on
                 caps, ks = [P if d else None for d in pole], [None if d and o >= P else o
@@ -456,7 +456,7 @@ def _packed_values(field: BaseField, coeffs, a) -> tuple:
                  for m in common_denominator([c.nq for c in coeffs])[0]]
     if pole:  # M_j = N_j L/D_j, ord M_j = v(c_j) + ord L; dm bounds deg M_j Q^(n-j) - deg N_j
         cofs, L = _over_lcm(field, coeffs)
-        es, dm = e * tp_ord(field, L), dm + e * len(L) - e
+        es, dm = e * tp_ord(L), dm + e * len(L) - e
     limit = max((row[1] - lo * (n - i) + es for i, row in enumerate(live) if row), default=0)
     nt = lambda terms=terms: sum(len(xs) - xs.count(0) for _, xs, _ in terms)  # uncut terms
     if limit < inf and limit + lo * n <= dm + max(t for _, _, t in terms):  # a slot of N_j
@@ -681,7 +681,7 @@ def _hull_height(hull, x):
 _XPART_RE = re.compile(r"(?:^|\*)\s*X(?:\^(\d+))?\s*$")
 
 
-def polyx_from_text(field: BaseField, text: str, domain: str = RATFUNC, prec=None) -> PolyX:
+def polyx_from_text(field: BaseField, text: str, domain: str = RATFUNC) -> PolyX:
     """Parse "t*X^2 + X + t^3" or "[1 + t]*X^2 + [t]*X + [2]".
 
     Bracketed coefficients are parsed in the requested domain ("ratfunc" or
@@ -706,8 +706,6 @@ def polyx_from_text(field: BaseField, text: str, domain: str = RATFUNC, prec=Non
             inner = coef_body[1:-1]
             if domain == SERIES:
                 c = PuiseuxSeries.from_text(field, inner)
-                if c.prec is None and prec is not None:
-                    c = c.truncate(prec)
             else:
                 c = RatFunc.from_text(field, inner)
         else:

@@ -45,7 +45,7 @@ DEFAULT_PREC = Fraction(64)
 # dense polynomials in t over the base field (internal plumbing for RatFunc)
 # ---------------------------------------------------------------------------
 
-def tp_trim(field, c):
+def tp_trim(c):
     while c and not c[-1]:
         c.pop()
     return c
@@ -56,7 +56,7 @@ def tp_zip(op, a, b) -> list:
     out = list(a) + [0] * (len(b) - len(a))
     for i, x in enumerate(b):
         out[i] = op(out[i], x)
-    return tp_trim(None, out)
+    return tp_trim(out)
 
 
 def is_dense(pairs: int, slots: int) -> bool:
@@ -173,7 +173,7 @@ def _gcd(a, b, p) -> list:
         while len(r) >= len(b):  # b_top r - r_top t^s b has a lower degree
             s, top = len(r) - len(b), r[-1]
             r = [x * b[-1] - (top * b[i - s] if i >= s else 0) for i, x in enumerate(r[:-1])]
-            r = tp_trim(None, [x % p for x in r] if p else r)
+            r = tp_trim([x % p for x in r] if p else r)
         if r:  # the primitive part, or the monic associate
             g = pow(r[-1], -1, p) if p else math.gcd(*r) * (1 if r[-1] > 0 else -1)
             r = [x * g % p for x in r] if p else [x // g for x in r]
@@ -187,7 +187,7 @@ def common_denominator(pairs) -> tuple:
     return [xs if dj == d else [x * (d // dj) for x in xs] for xs, dj in pairs], d
 
 
-def tp_ord(field, a) -> Optional[int]:
+def tp_ord(a) -> Optional[int]:
     """t-adic order; None for the zero polynomial."""
     for i, x in enumerate(a):
         if x:
@@ -285,7 +285,7 @@ def tp_parse(field, text: str):
     out = [field.zero()] * (max(coeffs) + 1)
     for n, sc in coeffs.items():
         out[n] = sc
-    return tp_trim(field, out)
+    return tp_trim(out)
 
 
 # ---------------------------------------------------------------------------
@@ -303,16 +303,16 @@ def _pair(p, xs, d=1) -> tuple:
         xs, d = [x * u % p for x in xs], 1
     elif d != 1 and (g := math.gcd(d, *xs) * (1 if d > 0 else -1)) != 1:
         xs, d = [x // g for x in xs], d // g
-    return tp_trim(None, xs), d
+    return tp_trim(xs), d
 
 
 def _lowest(p, xs, d, ys) -> tuple:
     """The stored pairs (num, den) of xs/(d ys), xs and ys integer lists and d != 0: ys made
     primitive with a positive top (monic over F_p), and the gcd of xs and ys divided out."""
-    ys = tp_trim(None, [y % p for y in ys] if p else ys)
+    ys = tp_trim([y % p for y in ys] if p else ys)
     if not ys:
         raise ZeroDivisionError("zero denominator")
-    xs = tp_trim(None, [x % p for x in xs] if p else xs)
+    xs = tp_trim([x % p for x in xs] if p else xs)
     if not xs:
         return ([], 1), _ONE  # the zero element has one canonical form
     u = ys[-1] if p else math.gcd(*ys) * (1 if ys[-1] > 0 else -1)
@@ -333,7 +333,7 @@ class RatFunc:
 
     def __init__(self, field: BaseField, num, den=None):
         to_scalar = field.coerce  # canonical scalars; an int, a Fraction or a string, no float
-        num = tp_trim(field, [to_scalar(x) for x in num])
+        num = tp_trim([to_scalar(x) for x in num])
         (xs, dx), self.field = field.as_integers(num), field
         if den is None:
             self.nq, self.dq = _pair(field.char, xs, dx), _ONE
@@ -469,10 +469,10 @@ class RatFunc:
 
     def val(self) -> GroupVal:
         """Exact t-adic valuation; PosInf for the zero element."""
-        on = tp_ord(self.field, self.nq[0])
+        on = tp_ord(self.nq[0])
         if on is None:
             return GroupVal.posinf()
-        return GroupVal.fin(on - tp_ord(self.field, self.dq[0]))
+        return GroupVal.fin(on - tp_ord(self.dq[0]))
 
     # -- conversion -----------------------------------------------------------
 
@@ -480,12 +480,10 @@ class RatFunc:
         """The image in the completion, with the same val: a polynomial embeds
         exactly, its scalars built from the integers; a fraction with a pole is expanded
         to O(t^prec), by default O(t^DEFAULT_PREC), and kept as its ``source``."""
-        if self.is_polynomial():  # built as the normalising constructor would leave it
-            out = object.__new__(PuiseuxSeries)
-            out.field, out.ram, out.prec, out.source, out.plan = self.field, 1, None, None, None
-            out.coeffs = {i: x if self.field.char else Fraction(x, self.nq[1])
-                          for i, x in enumerate(self.nq[0]) if x}
-            return out
+        if self.is_polynomial():
+            xs, d = self.nq
+            return PuiseuxSeries(self.field, 1, {i: x if self.field.char else Fraction(x, d)
+                                                 for i, x in enumerate(xs) if x}, None)
         out = coerce(self, expansion_prec(prec))
         out.source = self
         return out
@@ -554,16 +552,13 @@ class PuiseuxSeries:
         return PuiseuxSeries(field, 1, {}, Fraction(prec))
 
     @staticmethod
-    def one(field: BaseField, prec=None) -> "PuiseuxSeries":
-        return PuiseuxSeries.constant(field, field.one(), prec)
+    def one(field: BaseField) -> "PuiseuxSeries":
+        return PuiseuxSeries.constant(field, field.one())
 
     @staticmethod
-    def constant(field: BaseField, c, prec=None) -> "PuiseuxSeries":
+    def constant(field: BaseField, c) -> "PuiseuxSeries":
         c = field.coerce(c)
-        prec = None if prec is None else Fraction(prec)
-        if field.is_zero(c):
-            return PuiseuxSeries(field, 1, {}, prec)
-        return PuiseuxSeries(field, 1, {0: c}, prec)
+        return PuiseuxSeries(field, 1, {} if field.is_zero(c) else {0: c}, None)
 
     @staticmethod
     def from_terms(field: BaseField, terms: dict, prec=None) -> "PuiseuxSeries":
@@ -695,9 +690,9 @@ class PuiseuxSeries:
         xs, d1 = f.as_integers(self.coeffs.values())
         ys, d2 = f.as_integers(other.coeffs.values())
         acc = lattice_product(self.coeffs, s1, xs, other.coeffs, s2, ys, cap)
-        d = d1 * d2
-        lower = f.from_integer
-        return PuiseuxSeries(f, e, {k: lower(v, d) for k, v in acc.items()}, prec)
+        d, p, lower = d1 * d2, f.char, f.from_integer  # a sum ≡ 0 (mod p) builds no scalar
+        return PuiseuxSeries(f, e, {k: lower(v, d) for k, v in acc.items() if (v % p if p else v)},
+                             prec)
 
     def scalar_mul(self, c) -> "PuiseuxSeries":
         f = self.field
@@ -912,7 +907,7 @@ def coerce(r: RatFunc, prec) -> PuiseuxSeries:
     if r.is_zero():
         return PuiseuxSeries.zero(f)
     (xs, dn), (ys, dd) = r.nq, r.dq
-    a, b = tp_ord(f, xs), tp_ord(f, ys)
+    a, b = tp_ord(xs), tp_ord(ys)
     v0 = a - b
     nterms = int(math.ceil(prec - v0))
     if nterms <= 0:

@@ -9,8 +9,8 @@ from fractions import Fraction
 
 from valwb.errors import WorkbenchError
 from valwb.groupval import GroupVal
-from valwb.series import (PuiseuxSeries, convolve, expansion_prec, square_multiply, tp_ord,
-                          tp_text, tp_trim)
+from valwb.series import (PuiseuxSeries, expansion_prec, square_multiply, tp_ord, tp_text,
+                          tp_trim)
 
 
 def tp_add(field, a, b):
@@ -18,7 +18,7 @@ def tp_add(field, a, b):
     out = list(a) + [field.zero()] * (len(b) - len(a))
     for i, x in enumerate(b):
         out[i] = add(out[i], x)
-    return tp_trim(field, out)
+    return tp_trim(out)
 
 
 def tp_sub(field, a, b):
@@ -26,21 +26,23 @@ def tp_sub(field, a, b):
     out = list(a) + [field.zero()] * (len(b) - len(a))
     for i, x in enumerate(b):
         out[i] = sub(out[i], x)
-    return tp_trim(field, out)
+    return tp_trim(out)
 
 
 def tp_mul(field, a, b):
     if not a or not b:
         return []
-    xs, d1 = field.as_integers(a)
-    ys, d2 = field.as_integers(b)
-    d, lower = d1 * d2, field.from_integer
-    return tp_trim(field, [lower(v, d) for v in convolve(xs, ys)])
+    add, mul = field.add, field.mul
+    out = [field.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = add(out[i + j], mul(x, y))
+    return tp_trim(out)
 
 
 def tp_scalar(field, a, s):
     mul = field.mul
-    return tp_trim(field, [mul(x, s) for x in a])
+    return tp_trim([mul(x, s) for x in a])
 
 
 def tp_divmod(field, a, b):
@@ -59,7 +61,7 @@ def tp_divmod(field, a, b):
         q[i] = c
         for j, y in enumerate(b):
             r[i + j] = sub(r[i + j], mul(c, y))
-    return tp_trim(field, q), tp_trim(field, r)
+    return tp_trim(q), tp_trim(r)
 
 
 def tp_gcd(field, a, b):
@@ -104,8 +106,8 @@ class FractionRatFunc:
         if den is None:
             den = [field.one()]
         to_scalar = field.coerce
-        num = tp_trim(field, [to_scalar(x) for x in num])
-        den = tp_trim(field, [to_scalar(x) for x in den])
+        num = tp_trim([to_scalar(x) for x in num])
+        den = tp_trim([to_scalar(x) for x in den])
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
@@ -184,10 +186,10 @@ class FractionRatFunc:
         return hash((self.field, tuple(self.num), tuple(self.den)))
 
     def val(self):
-        on = tp_ord(self.field, self.num)
+        on = tp_ord(self.num)
         if on is None:
             return GroupVal.posinf()
-        return GroupVal.fin(on - tp_ord(self.field, self.den))
+        return GroupVal.fin(on - tp_ord(self.den))
 
     def to_series(self, prec=None):
         if len(self.den) == 1:

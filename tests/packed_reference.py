@@ -42,13 +42,13 @@ def old_packed_values(field: BaseField, coeffs, a) -> tuple:
     rows keep the caps of the series path, and a pole c_j is known to O(t^P)."""
     n, p = len(coeffs) - 1, field.char
     e, prec, terms, pq = (  # pq: a = p/q in K, when known
-        (1, None, {k: x for k, x in enumerate(a.nq[0], -tp_ord(field, a.dq[0])) if x}, a)
+        (1, None, {k: x for k, x in enumerate(a.nq[0], -tp_ord(a.dq[0])) if x}, a)
         if isinstance(a, RatFunc) else (a.ram, a.prec, a.coeffs, a.source))
     pole = P = None
-    ords = [tp_ord(field, c.nq[0]) for c in coeffs]  # v(c_j)
+    ords = [tp_ord(c.nq[0]) for c in coeffs]  # v(c_j)
     if any(len(c.dq[0]) > 1 for c in coeffs):
         pole = [len(c.dq[0]) > 1 for c in coeffs]
-        ords = [o - tp_ord(field, c.dq[0]) if pl else o for o, c, pl in zip(ords, coeffs, pole)]
+        ords = [o - tp_ord(c.dq[0]) if pl else o for o, c, pl in zip(ords, coeffs, pole)]
         if not isinstance(a, RatFunc):
             P = expansion_prec(prec)
     # a row without terms is c_i; a pole c_i is an unknown zero from P on
@@ -81,7 +81,7 @@ def old_packed_values(field: BaseField, coeffs, a) -> tuple:
     nums, _ = common_denominator([c.nq for c in coeffs])  # the N_j over one denominator
     shift = dm = 0  # dm bounds deg M_j Q^(n-j) - deg N_j
     if exact := pq is not None and not pq.is_polynomial():  # a pole: one pass, no window
-        tq = tp_ord(field, pq.dq[0])  # t^(ord q) moves into lo; A and Q at one scale
+        tq = tp_ord(pq.dq[0])  # t^(ord q) moves into lo; A and Q at one scale
         terms = {k: x for k, x in enumerate(pq.nq[0], -tq) if x}
         (ys, zs), _ = common_denominator([(list(terms.values()), pq.nq[1]),
                                           (pq.dq[0][tq:], pq.dq[1])])
@@ -92,7 +92,7 @@ def old_packed_values(field: BaseField, coeffs, a) -> tuple:
     l1 = (n + 1) * sum(sum(map(abs, m)) for m in nums) * q1**n * (1 + sum(map(abs, ys)))**n
     if pole:  # M_j = N_j L/D_j, ord M_j = v(c_j) + shift
         cofs, L = _over_lcm(field, coeffs)
-        l1, shift = l1 * max(sum(map(abs, c)) for c in cofs), tp_ord(field, L)
+        l1, shift = l1 * max(sum(map(abs, c)) for c in cofs), tp_ord(L)
         dm += e * len(L) - e
     b = l1.bit_length() // 8 * 8 + 8  # l1 bounds every output
     Q = _pack(zs, b * e) if exact else q1

@@ -1,8 +1,8 @@
 """Every module of the package uses every name it imports and imports nothing
 inside a function, every module-level function of the package, private or
-public, is referenced somewhere in it, every functools cache in it is bounded,
-and every WorkbenchError it catches without raising again is caught for a
-named reason."""
+public, is referenced somewhere in it, every function in it reads every
+parameter it takes, every functools cache in it is bounded, and every
+WorkbenchError it catches without raising again is caught for a named reason."""
 
 import ast
 import sys
@@ -234,6 +234,54 @@ def test_the_scan_sees_reads_of_the_scalar_views(tmp_path):
     series = tmp_path / "series.py"
     series.write_text(src.read_text())
     assert scalar_view_reads(series) == []
+
+
+# Parameters kept on purpose though the function does not read them:
+# PuiseuxSeries.to_series(prec) keeps RatFunc.to_series's signature, so a coefficient of
+# either kind answers c.to_series(prec).
+UNREAD_ALLOWED = {("series.py", "to_series", "prec")}
+
+
+def unread_parameters(path: Path) -> list:
+    """(module, function, parameter, line) of each parameter, self and cls aside, that
+    its function's body never reads; a read in a nested function counts."""
+    found = []
+    for fn in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = fn.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        read = {node.id for stmt in body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        name = getattr(fn, "name", "<lambda>")
+        found += [(path.name, name, p.arg, fn.lineno) for p in params
+                  if p.arg not in read and p.arg not in ("self", "cls")
+                  and (path.name, name, p.arg) not in UNREAD_ALLOWED]
+    return sorted(found, key=lambda hit: hit[3])
+
+
+def test_no_function_has_a_parameter_it_never_reads():
+    modules = sorted(Path(valwb.__file__).parent.glob("*.py"))
+    found = [hit for path in modules for hit in unread_parameters(path)]
+    assert not found, found
+
+
+def test_the_scan_sees_unread_and_read_parameters(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "def f(field, c, *args, key=None, **kw):\n    c = c + 1\n    return key, kw\n\n"
+        "def g(a, b):\n    def inner():\n        return a\n    b = 1\n    return inner\n\n"
+        "class C:\n    def m(self, x, /, y):\n        return y\n\n"
+        "    @classmethod\n    def k(cls):\n        return 1\n\n"
+        "h = lambda u, v: u\n\n"
+        "def to_series(self, prec=None):\n    return self\n")
+    assert unread_parameters(src) == [
+        ("m.py", "f", "field", 1), ("m.py", "f", "args", 1), ("m.py", "g", "b", 5),
+        ("m.py", "m", "x", 12), ("m.py", "<lambda>", "v", 19), ("m.py", "to_series", "prec", 21)]
+    series = tmp_path / "series.py"
+    series.write_text(src.read_text())
+    assert ("series.py", "to_series", "prec", 21) not in unread_parameters(series)
 
 
 SERIES_FIELDS = {"ram", "coeffs", "prec", "source", "plan"}

@@ -78,6 +78,23 @@ def test_mul_precision_rule():
     assert (a * b).val() == GroupVal.fin(3)
 
 
+@pytest.mark.parametrize("field, a, b, want", [
+    (QQ, {0: 1, 1: 1}, {0: 1, 1: -1}, {0: 1, 2: -1}),  # (1 + t)(1 - t): the t sum is 0
+    (GF(3), {0: 1, 1: 1}, {0: 1, 1: 2}, {0: 1, 2: 2}),  # (1 + t)(1 + 2t): the t sum is 3
+])
+def test_mul_builds_no_scalar_for_a_cancelling_key(monkeypatch, field, a, b, want):
+    built, real = [], field.from_integer
+
+    def spy(n, d):
+        built.append(n)
+        return real(n, d)
+
+    monkeypatch.setattr(field, "from_integer", spy)
+    product = S(field, a) * S(field, b)
+    assert product.coeffs == want and product.prec is None
+    assert len(built) == len(want), built  # one scalar per key that survives
+
+
 def test_invert():
     s = invert(S(QQ, {0: 1, 1: -1}, 4))
     assert [s.coeff_at(Fraction(n)) for n in range(4)] == [1, 1, 1, 1]
@@ -658,7 +675,7 @@ def test_integer_ratfunc_matches_the_fraction_reference():
         for _ in range(2):
             num, den = scalar_lists(field, rng, pole=rng.random() < 0.4)
             pairs.append((RatFunc(field, num, den), FractionRatFunc(field, num, den)))
-            reduced = den is not None and len(pairs[-1][1].den) < len(tp_trim(field, list(den)))
+            reduced = den is not None and len(pairs[-1][1].den) < len(tp_trim(list(den)))
             seen["gcd"] += reduced
         (a, fa), (b, fb) = pairs
         shape = rng.random()

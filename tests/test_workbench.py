@@ -192,6 +192,19 @@ def test_cli_eval_and_delta(tmp_path):
     assert code2 == 0 and "outcome: 0" in out2
 
 
+@pytest.mark.parametrize("cfg_text, argv, want", [
+    ("spec.kind = gauss\n", ["eval", "--poly", "[t^(201/2)]*X + 1"], "0"),
+    ("spec.kind = gauss\n", ["eval", "--prec", "1", "--poly", "[t^(201/2)]*X + 1"], "0"),
+    ("spec.kind = monomial\nspec.center = 1\nspec.gamma = 1/2\n",
+     ["delta", "--poly", "[t^(1/2)]*X - [t^(1/2)]"], "1/2"),
+], ids=["eval-default-prec", "eval-prec-1", "delta"])
+def test_cli_reads_series_text_exactly_at_any_precision(tmp_path, cfg_text, argv, want):
+    # an exact series coefficient is no truncation: t^(201/2) lies past O(t^64) and
+    # t^(1/2) (X - 1) vanishes at the center, both still exact
+    code, out, err = run_cli([argv[0], "--config", write_cfg(tmp_path, cfg_text)] + argv[1:])
+    assert (code, err) == (0, "") and f"[{argv[0]}] {want}\n" in out, out
+
+
 def test_cli_delta_refuses_a_window_wider_than_the_horizon(tmp_path):
     # horizon 3 materializes three deltas; a window of six used to read them
     # all and print "[delta] 0", while eval refused the same config
