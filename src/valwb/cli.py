@@ -314,10 +314,7 @@ def main(argv=None) -> int:
         rep.check(args.command, digest(args.command), False, str(exc), citation)
         _emit(rep, args)
         return VERDICT_FAILURE
-    except WorkbenchError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return INPUT_ERROR
-    except OSError as exc:
+    except (WorkbenchError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return INPUT_ERROR
     _emit(rep, args)

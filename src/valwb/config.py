@@ -89,14 +89,16 @@ def parse_number(kind, text: str, what: str):
 
 
 def k_then_series(as_k, as_series):
-    """as_k(), or as_series() where K text fails to parse; the K error leads the message."""
+    """as_k(), or as_series() where K text fails to parse; the K error leads the message,
+    and a series error that says the same is not repeated."""
     try:
         return as_k()
     except WorkbenchError as exc:
         try:
             return as_series()
         except WorkbenchError as series_exc:
-            raise ParseError(f"{exc}; as series: {series_exc}") from None
+            same = str(series_exc) == str(exc)
+            raise ParseError(str(exc) if same else f"{exc}; as series: {series_exc}") from None
 
 
 def build_config(entries: dict, env) -> WorkbenchConfig:

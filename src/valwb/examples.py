@@ -42,43 +42,55 @@ from .pcs import (
     mixed_radix_generator,
 )
 from .polyx import PolyX
-from .report import Evidence, Report, digest
-from .sampling import _redraw, random_polyx
-from .series import DEFAULT_PREC, PuiseuxSeries, RatFunc
+from .report import Report, digest
+from .sampling import _redraws, random_polyx
+from .series import DENSE_SIZE, PuiseuxSeries, RatFunc
 from .valuation import ValuationSpec, delta
 from .errors import WorkbenchError
 
 GAMMA_TOP = GroupVal.lex(1, 0)
+TOWER_MMAX = 5  # the sequence's linear entries are X - a_m for m = 0..TOWER_MMAX
+TOWER_DEPTH = 7  # the tower's a is its partial sum up to n = TOWER_DEPTH
+TOWER_BUDGET = Fraction(64)  # the root search's precision on the tower's certificate
 
 
-def artin_schreier_data(p: int, mmax: int = 5, depth: int = 7) -> dict:
+def artin_schreier_data(p: int) -> dict:
     """Shared fixture: the char-p tower a = sum of t^(p^n).
 
-    ``depth`` extra partial-sum terms keep every delta up to m = mmax
+    TOWER_DEPTH extra partial-sum terms keep every delta up to m = TOWER_MMAX
     decidable while the certificate X^p - X + t stays indistinguishable
-    from zero at the chosen precision p^(depth+1) - p.
+    from zero at the chosen precision p^(TOWER_DEPTH+1) - p.  A p above DENSE_SIZE
+    is refused before the dense certificate is built.
     """
+    if p > DENSE_SIZE:
+        raise WorkbenchError(f"characteristic {p} exceeds the dense-size bound {DENSE_SIZE}")
     field = GF(p)
-    prec = Fraction(p**(depth + 1) - p)
+    prec = Fraction(p**(TOWER_DEPTH + 1) - p)
     a = PuiseuxSeries.from_terms(
-        field, {Fraction(p**n): 1 for n in range(depth + 1)}, prec)
+        field, {Fraction(p**n): 1 for n in range(TOWER_DEPTH + 1)}, prec)
     coeffs = [RatFunc.t_power(field, 1), -RatFunc.one(field)]
     coeffs += [RatFunc.zero(field)] * (p - 2) + [RatFunc.one(field)]
     Q = PolyX.from_ratfuncs(field, coeffs)  # X^p - X + t
     a_alg = attach_minpoly(a, Q, irreducible=True)
     spec = ValuationSpec.monomial(a, GAMMA_TOP)
     entries = []
-    for m in range(mmax + 1):
+    for m in range(TOWER_MMAX + 1):
         am = PuiseuxSeries.from_terms(field, {Fraction(p**n): 1 for n in range(m + 1)})
-        qm = PolyX.from_series(field, [-am, PuiseuxSeries.one(field)])
-        entries.append((qm, GroupVal.fin(p**(m + 1))))
+        entries.append((_linear_at(field, am), GroupVal.fin(p**(m + 1))))
     seq = CskpSeq(entries + [(Q, GAMMA_TOP)])
-    return {"field": field, "a": a, "a_alg": a_alg, "Q": Q, "spec": spec,
-            "seq": seq, "mmax": mmax, "p": p}
+    return {"field": field, "a": a, "a_alg": a_alg, "spec": spec, "seq": seq,
+            "mmax": TOWER_MMAX}
 
 
 def _linear_at(field, center) -> PolyX:
     return PolyX.from_series(field, [-center, PuiseuxSeries.one(field)])
+
+
+def _check_table(rep: Report, operation: str, inp: str, table, citation: str) -> None:
+    """One verdict on a table of (got, want) values, m = 0, 1, ...: every got must be its want."""
+    rows = [f"m={m}: {got.to_text()}" for m, (got, _) in enumerate(table)]
+    rep.check(operation, inp, all(got == want for got, want in table), "; ".join(rows),
+              citation)
 
 
 def run_example(ident: str, p: int = None, q: int = None,
@@ -90,59 +102,43 @@ def run_example(ident: str, p: int = None, q: int = None,
             raise WorkbenchError("this pipeline takes no parameters")
         return _example_factorial()
     if ident == "6.3":
-        p = 2 if p is None else p
-        q = 3 if q is None else q
-        return _example_mixed_radix(p, q)
+        return _example_mixed_radix(2 if p is None else p, 3 if q is None else q)
     raise WorkbenchError(f"unknown example {ident!r}; choose 6.1, 6.2 or 6.3")
 
 
 def _example_tower(p: int, witness_samples: int, seed: int) -> Report:
     rep = Report(f"pipeline 6.1 (char {p} tower)")
     data = artin_schreier_data(p)
-    spec, seq, mmax = data["spec"], data["seq"], data["mmax"]
-    field = data["field"]
+    spec, seq, field = data["spec"], data["seq"], data["field"]
     inp = digest("6.1", p, seed)
-    ok = True
-    rows = []
-    for m in range(mmax + 1):
-        d = delta(spec, seq[m][0])
-        want = GroupVal.fin(p**(m + 1))
-        rows.append(f"m={m}: {d.to_text()}")
-        ok = ok and d == want
-    rep.check("delta table", inp, ok, "; ".join(rows),
-              "delta(X - a_m) = v(a - a_m) = p^(m+1), the next gap exponent")
+    _check_table(rep, "delta table", inp,
+                 [(delta(spec, seq[m][0]), GroupVal.fin(p**(m + 1)))
+                  for m in range(TOWER_MMAX + 1)],
+                 "delta(X - a_m) = v(a - a_m) = p^(m+1), the next gap exponent")
     kind = classify_extension(spec)
     rep.check("classify", inp, kind == VALUE_TRANSCENDENTAL_UNIQUE_PAIR, kind,
               "the weight (1, 0) exceeds every rational, so the pair is unique")
-    res = minpoly_over_completion(data["a_alg"], DEFAULT_PREC)
+    res = minpoly_over_completion(data["a_alg"], TOWER_BUDGET)
     root_ok = isinstance(res, Linear) and not (res.root - data["a"]).coeffs
     rep.check("root in completion", inp, root_ok,
               res.root.to_text() if isinstance(res, Linear) else "no root",
               "digit recursion on the certificate finds the tower itself")
-    lifted, note = lift_cskp(seq, spec, center=data["a_alg"], budget=DEFAULT_PREC)
+    lifted, note = lift_cskp(seq, spec, center=data["a_alg"], budget=TOWER_BUDGET)
     qhat, dhat = lifted[-1]
     rep.check("lift sequence", inp,
               qhat.degree() == 1 and dhat == GAMMA_TOP and len(lifted) == len(seq),
               f"final entry {qhat.to_text()} @ {dhat.to_text()} ({note})",
               "over the completion the certificate factors; X - a replaces it")
     rng = random.Random(seed)
-
-    def draw():
-        return random_polyx(field, rng, rng.randint(1, max(1, p - 1)),
-                            domain="series", prec=Fraction(40))
-
-    def use(f):
-        return isinstance(cskp_check(seq, f, spec), Witness)
-
-    found = redraws_total = 0
-    for _ in range(witness_samples):
-        ok, redraws = _redraw(draw, use)
-        redraws_total += redraws
-        found += ok
-    rep.check("witness search", inp, found == witness_samples,
-              f"{found}/{witness_samples} sampled polynomials got a witness",
+    failures, evidence = _redraws(
+        witness_samples,
+        lambda: random_polyx(field, rng, rng.randint(1, max(1, p - 1)), domain="series",
+                             prec=Fraction(40)),
+        lambda f: isinstance(cskp_check(seq, f, spec), Witness))
+    rep.check("witness search", inp, failures == 0,
+              f"{witness_samples - failures}/{witness_samples} sampled polynomials got a witness",
               "the linear entries already compute v on low degrees",
-              caveats=Evidence(witness_samples, redraws_total).caveats("redraws"))
+              caveats=evidence.caveats("redraws"))
     return rep
 
 
@@ -164,17 +160,10 @@ def _example_factorial() -> Report:
               induced.kind == "monomial" and induced.gamma == GAMMA_TOP and limit_ok,
               f"monomial at {limit.to_text()} with weight {GAMMA_TOP.to_text()} ({note})",
               "a Cauchy sequence hands its limit to the completion as the new center")
-    ok = True
-    rows = []
-    for m in range(mmax + 1):
-        d = delta(induced, _linear_at(QQ, gen.element(m)))
-        rows.append(f"m={m}: {d.to_text()}")
-        ok = ok and d == GroupVal.fin(m + 1)
-    rep.check("delta table", inp, ok, "; ".join(rows),
-              "delta(X - a_m) = v(a - a_m) = m + 1, the next support exponent")
-    entries = [(_linear_at(QQ, gen.element(m)), GroupVal.fin(m + 1))
-               for m in range(mmax + 1)]
-    seq = CskpSeq(entries)
+    seq = CskpSeq([(_linear_at(QQ, gen.element(m)), GroupVal.fin(m + 1))
+                   for m in range(mmax + 1)])
+    _check_table(rep, "delta table", inp, [(delta(induced, q), d) for q, d in seq],
+                 "delta(X - a_m) = v(a - a_m) = m + 1, the next support exponent")
     lifted, note = lift_cskp(seq, spec)
     qhat, dhat = lifted[-1]
     rep.check("lift sequence", inp,
@@ -191,14 +180,10 @@ def _example_mixed_radix(p: int, q: int) -> Report:
     spec = ValuationSpec.pcslimit(gen)
     inp = digest("6.3", p, q)
     gammas = gen.gammas()
-    ok = True
-    rows = []
-    for m in range(min(9, len(gammas))):
-        want = GroupVal.fin(Fraction(q**(m + 1), p**(m + 1)))
-        rows.append(f"m={m}: {gammas[m].to_text()}")
-        ok = ok and gammas[m] == want
-    rep.check("gamma table", inp, ok, "; ".join(rows),
-              "v(a_m - a_(m+1)) is the next exponent (q/p)^(m+1)")
+    _check_table(rep, "gamma table", inp,
+                 [(g, GroupVal.fin(Fraction(q**(m + 1), p**(m + 1))))
+                  for m, g in enumerate(gammas[:9])],
+                 "v(a_m - a_(m+1)) is the next exponent (q/p)^(m+1)")
     verdict = classify_generator(gen)
     is_t1 = isinstance(verdict, TranscendentalTypeEvidence)
     rep.check("classify", inp,
@@ -210,8 +195,7 @@ def _example_mixed_radix(p: int, q: int) -> Report:
     rep.check("extension kind", inp, kind == VALUATION_ALGEBRAIC_TYPE_I, kind,
               "transcendental-type sequences stay valuation-algebraic over "
               "the completion")
-    entries = [(_linear_at(QQ, gen.element(m)), gammas[m]) for m in range(4)]
-    seq = CskpSeq(entries)
+    seq = CskpSeq([(_linear_at(QQ, gen.element(m)), gammas[m]) for m in range(4)])
     lifted, note = lift_cskp(seq, spec)
     rep.check("lift sequence", inp, lifted == seq, note,
               "an immediate extension keeps its key-polynomial sequence")

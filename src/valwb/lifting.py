@@ -35,7 +35,7 @@ from .pcs import (
 )
 from .polyx import RATFUNC, PolyX, _packed_values
 from .report import Evidence, search
-from .series import DEFAULT_PREC, PuiseuxSeries, RatFunc, truncate_to_ratfunc
+from .series import DEFAULT_PREC, PuiseuxSeries, RatFunc, min_prec, truncate_to_ratfunc
 from .valuation import (OVER_KHAT, ValuationSpec, _min_weighted, _profile_delta, delta, eval_spec,
                         is_pair_equivalent)
 
@@ -216,17 +216,18 @@ def verify_root_matching(f: PolyX, f2: PolyX, alpha: GroupVal, paired_roots=None
 
     The Newton polygons of f and f2 at 0 must agree; when pre-factored roots
     are supplied, they must pair off with differences of value above alpha.
+    A pair that agrees up to a cap at or below alpha decides nothing, and
+    raises PrecisionExhausted.
     """
     if f.newton_polygon() != f2.newton_polygon():
         return False
-    if paired_roots is not None:
-        for z1, z2 in paired_roots:
-            d = z1 - z2
-            if d.coeffs:
-                if not d.val() > alpha:
-                    return False
-            elif d.prec is not None and not GroupVal.fin(Fraction(d.prec)) > alpha:
+    for z1, z2 in paired_roots or ():
+        try:
+            if not z1.val_sub(z2) > alpha:
                 return False
+        except PrecisionExhausted:  # agreement up to a cap above alpha keeps the promise
+            if not GroupVal.fin(min_prec(z1.prec, z2.prec)) > alpha:
+                raise
     return True
 
 

@@ -35,9 +35,9 @@ from itertools import compress, count
 from .errors import ParseError, PrecisionExhausted, WorkbenchError, ZeroPolynomial
 from .field import BaseField
 from .groupval import GroupVal
-from .series import (PuiseuxSeries, RatFunc, _divide, _gcd, _mul, _pack, _pair, _parse_term,
-                     _split_terms, _unpack, common_denominator, expansion_prec, lattice_cap,
-                     lattice_product, min_prec, product_prec, tp_ord)
+from .series import (PuiseuxSeries, RatFunc, _bounded, _divide, _gcd, _mul, _pack, _pair,
+                     _parse_term, _split_terms, _unpack, common_denominator, expansion_prec,
+                     lattice_cap, lattice_product, min_prec, product_prec, tp_ord)
 from .series import coerce  # noqa: F401  perfbench's tracer rebinds this name here
 
 RATFUNC = "ratfunc"
@@ -698,7 +698,7 @@ def polyx_from_text(field: BaseField, text: str, domain: str = RATFUNC) -> PolyX
         body = body.strip()
         m = _XPART_RE.search(body)
         if m:
-            k = int(m.group(1)) if m.group(1) else 1
+            k = int(_bounded(m.group(1), "X-degree")) if m.group(1) else 1
             coef_body = body[: m.start()].strip()
         else:
             k, coef_body = 0, body

@@ -13,11 +13,13 @@ from fractions import Fraction
 
 from .field import BaseField
 from .polyx import PolyX
-from .report import UNDECIDABLE
+from .report import UNDECIDABLE, Evidence
 from .series import PuiseuxSeries, RatFunc, _lowest, _pair
 
+REDRAW_LIMIT = 2000  # redraws of one sample before its undecidability is raised
 
-def _redraw(draw, use, limit: int = 2000):
+
+def _redraw(draw, use):
     """Run use(draw()) redrawing on undecidability; returns (result, redraws)."""
     redraws = 0
     while True:
@@ -25,8 +27,19 @@ def _redraw(draw, use, limit: int = 2000):
             return use(draw()), redraws
         except UNDECIDABLE:
             redraws += 1
-            if redraws > limit:
+            if redraws > REDRAW_LIMIT:
                 raise
+
+
+def _redraws(samples: int, draw, use) -> tuple:
+    """(failures, Evidence) of use on ``samples`` draws, each redrawn while
+    its verdict is undecidable; the redraws are the undecidable count."""
+    failures = undecidable = 0
+    for _ in range(samples):
+        ok, redraws = _redraw(draw, use)
+        failures += not ok
+        undecidable += redraws
+    return failures, Evidence(samples, undecidable)
 
 
 def _scalar_draw(field: BaseField, rng, nonzero: bool = False) -> tuple:

@@ -24,13 +24,25 @@ from .lifting import (
     roots_matching_threshold,
     verify_root_matching,
 )
-from .examples import artin_schreier_data, run_example
+from .examples import _linear_at, artin_schreier_data, run_example
 from .pcs import exponential_generator, mixed_radix_generator
-from .polyx import PolyX, RATFUNC, SERIES
+from .polyx import PolyX, RATFUNC, SERIES, polyx_from_text
 from .report import UNDECIDABLE, Evidence, Report, digest, search
-from .sampling import _redraw, random_polyx, random_series
-from .series import DEFAULT_PREC, PuiseuxSeries, RatFunc
+from .sampling import _redraws, random_polyx, random_series
+from .sampling import _redraw  # noqa: F401  perfbench's tracer wraps this name here
+from .series import PuiseuxSeries, RatFunc
 from .valuation import ValuationSpec, delta, eval_spec, is_pair_equivalent
+
+DRAW_CAP = Fraction(64)  # the cap of the series coefficients density and same-delta draw
+AXIOM_PAIRS = 1000  # pairs per spec family
+LAW_SAMPLES = 500  # pool draws per comparison-law case
+SAME_DELTA_SAMPLES = 100
+ROOT_SAMPLES = 50  # polygon-stability perturbations
+ROOT_FIXTURES = 10  # pre-factored root-pairing fixtures
+
+HALF = PuiseuxSeries.t_power(QQ, Fraction(1, 2))  # t^(1/2)
+MINSQ = polyx_from_text(QQ, "X^2 - t")  # the minimal polynomial of HALF
+HALF_SPEC = ValuationSpec.monomial(HALF, GroupVal.fin(Fraction(3, 4)))  # t^(1/2) @ 3/4
 
 
 def run_all(seed: int = 0) -> Report:
@@ -58,33 +70,23 @@ def run_all(seed: int = 0) -> Report:
 
 def _spec_families():
     """(name, spec, field) for the five pinned evaluation families."""
-    half = PuiseuxSeries.t_power(QQ, Fraction(1, 2))
     tower = artin_schreier_data(2)
     keypoly = ValuationSpec.keypoly(
-        PolyX.from_ratfuncs(QQ, [-RatFunc.t_power(QQ, 1), RatFunc.zero(QQ),
-                                 RatFunc.one(QQ)]),
-        GroupVal.fin(1),
-        ValuationSpec.monomial(half, GroupVal.fin(Fraction(1, 2))))
+        MINSQ, GroupVal.fin(1), ValuationSpec.monomial(HALF, GroupVal.fin(Fraction(1, 2))))
     return [
         ("gauss", ValuationSpec.gauss(QQ), QQ),
         ("monomial 0 @ 1/3", ValuationSpec.monomial(
             PuiseuxSeries.zero(QQ), GroupVal.fin(Fraction(1, 3))), QQ),
-        ("monomial t^(1/2) @ 3/4", ValuationSpec.monomial(
-            half, GroupVal.fin(Fraction(3, 4))), QQ),
+        ("monomial t^(1/2) @ 3/4", HALF_SPEC, QQ),
         ("monomial tower @ (1, 0)", tower["spec"], tower["field"]),
         ("keypoly X^2 - t @ 1", keypoly, QQ),
     ]
 
 
-def _redraws(samples: int, draw, use) -> tuple:
-    """(failures, Evidence) of use on ``samples`` draws, each redrawn while
-    its verdict is undecidable; the redraws are the undecidable count."""
-    failures = undecidable = 0
-    for _ in range(samples):
-        ok, redraws = _redraw(draw, use)
-        failures += not ok
-        undecidable += redraws
-    return failures, Evidence(samples, undecidable)
+def _monic_series_draw(rng, least: int) -> PolyX:
+    """A monic polynomial over Q of degree least..2, its coefficients capped at DRAW_CAP."""
+    return random_polyx(QQ, rng, rng.randint(least, 2), domain=SERIES, monic=True,
+                        prec=DRAW_CAP)
 
 
 def _tally(samples: int, trial) -> tuple:
@@ -105,7 +107,7 @@ def _tally(samples: int, trial) -> tuple:
 # valuation axioms
 # ---------------------------------------------------------------------------
 
-def check_valuation_axioms(rep: Report, seed: int, pairs: int = 1000) -> None:
+def check_valuation_axioms(rep: Report, seed: int) -> None:
     """eval(f*g) = eval f + eval g; eval(f+g) >= min, equal when evals differ."""
     for name, spec, field in _spec_families():
         rng = random.Random((seed, "axioms", name).__repr__())
@@ -129,10 +131,10 @@ def check_valuation_axioms(rep: Report, seed: int, pairs: int = 1000) -> None:
                 add_ok = add_ok and vs == min(vf, vg)
             return mult_ok and add_ok
 
-        failures, evidence = _redraws(pairs, draw, use)
-        rep.check("valuation axioms", digest("axioms", name, seed, pairs),
+        failures, evidence = _redraws(AXIOM_PAIRS, draw, use)
+        rep.check("valuation axioms", digest("axioms", name, seed, AXIOM_PAIRS),
                   failures == 0,
-                  f"{name}: {pairs} pairs, {failures} failures",
+                  f"{name}: {AXIOM_PAIRS} pairs, {failures} failures",
                   "multiplicativity and the ultrametric law on random pairs",
                   caveats=evidence.caveats("redraws"))
 
@@ -141,7 +143,7 @@ def check_valuation_axioms(rep: Report, seed: int, pairs: int = 1000) -> None:
 # comparison laws (coarsening and key-polynomial digit valuations)
 # ---------------------------------------------------------------------------
 
-def check_value_comparison_laws(rep: Report, seed: int, samples: int = 500) -> None:
+def check_value_comparison_laws(rep: Report, seed: int) -> None:
     """Two biconditionals, each in both directions on seeded pools.
 
     Coarsening: for gamma below the spec's weight, eval under the spec equals
@@ -150,15 +152,10 @@ def check_value_comparison_laws(rep: Report, seed: int, samples: int = 500) -> N
     under the spec equals eval under the key-polynomial valuation iff delta(f)
     is at most delta(Q).
     """
-    half = PuiseuxSeries.t_power(QQ, Fraction(1, 2))
-    v_a = ValuationSpec.monomial(half, GroupVal.fin(Fraction(3, 4)))
-    qq_minsq = PolyX.from_ratfuncs(QQ, [-RatFunc.t_power(QQ, 1), RatFunc.zero(QQ),
-                                        RatFunc.one(QQ)])  # X^2 - t
-
     def pool_a(rng):
         f = random_polyx(QQ, rng, rng.randint(1, 2))
         if rng.random() < 0.4:
-            f = qq_minsq * random_polyx(QQ, rng, rng.randint(0, 1))
+            f = MINSQ * random_polyx(QQ, rng, rng.randint(0, 1))
         return f
 
     tower = artin_schreier_data(2)
@@ -175,7 +172,7 @@ def check_value_comparison_laws(rep: Report, seed: int, samples: int = 500) -> N
         return f
 
     cases = [
-        ("char 0", v_a, GroupVal.fin(Fraction(1, 2)),
+        ("char 0", HALF_SPEC, GroupVal.fin(Fraction(1, 2)),
          ValuationSpec.keypoly(PolyX.x_power(QQ, 1), GroupVal.fin(Fraction(1, 2)),
                                ValuationSpec.gauss(QQ)), pool_a),
         ("char 2", v_b, GroupVal.fin(4),
@@ -198,10 +195,10 @@ def check_value_comparison_laws(rep: Report, seed: int, samples: int = 500) -> N
             branches[0 if d <= gamma else 1] += 1
             return ok
 
-        failures, evidence = _redraws(samples, lambda: pool(rng), use)
-        rep.check("comparison laws", digest("laws", name, seed, samples),
+        failures, evidence = _redraws(LAW_SAMPLES, lambda: pool(rng), use)
+        rep.check("comparison laws", digest("laws", name, seed, LAW_SAMPLES),
                   failures == 0 and min(branches) > 0,
-                  f"{name}: {samples} samples, {failures} failures",
+                  f"{name}: {LAW_SAMPLES} samples, {failures} failures",
                   "value agreement under coarsening and digit valuations is "
                   "equivalent to the polygon delta comparison",
                   caveats=(f"branch split {branches[0]}/{branches[1]}",
@@ -219,6 +216,15 @@ def _tower_partial_rf(field, p: int, m: int) -> RatFunc:
 # pair equivalence
 # ---------------------------------------------------------------------------
 
+def _pair_center(rng, i: int, least: int) -> tuple:
+    """(field, g, prec, a) of triple i: Q at even i and F_5 at odd, a weight g in
+    least..6, the cap g + 14 and a center a drawn at that cap."""
+    field = QQ if i % 2 == 0 else GF(5)
+    g = rng.randint(least, 6)
+    prec = Fraction(g + 14)
+    return field, g, prec, random_series(field, rng, prec, depth=5)
+
+
 def check_pair_equivalence(rep: Report, seed: int, triples: int = 100,
                            polys: int = 50) -> None:
     """Centers within gamma of each other value every polynomial alike;
@@ -226,11 +232,8 @@ def check_pair_equivalence(rep: Report, seed: int, triples: int = 100,
     rng = random.Random((seed, "pairs").__repr__())
     failures = tested = undecidable = 0
     for i in range(triples):
-        field = QQ if i % 2 == 0 else GF(5)
-        g_int = rng.randint(1, 6)
+        field, g_int, prec, a = _pair_center(rng, i, 1)
         gamma = GroupVal.fin(g_int)
-        prec = Fraction(g_int + 14)
-        a = random_series(field, rng, prec, depth=5)
         tail = random_series(field, rng, prec, depth=3, min_exp=g_int, nonzero=True)
         b = a + tail
         if not is_pair_equivalent(a, b, gamma):
@@ -253,19 +256,15 @@ def check_pair_equivalence(rep: Report, seed: int, triples: int = 100,
               caveats=Evidence(tested, undecidable).caveats())
     failures = 0
     for i in range(triples):
-        field = QQ if i % 2 == 0 else GF(5)
-        g_int = rng.randint(2, 6)
+        field, g_int, prec, a = _pair_center(rng, i, 2)
         gamma = GroupVal.fin(g_int)
-        prec = Fraction(g_int + 14)
-        a = random_series(field, rng, prec, depth=5)
         tail = (PuiseuxSeries.t_power(field, g_int - 1)
                 + random_series(field, rng, prec, depth=2, min_exp=g_int))
         b = a + tail  # v(a - b) = gamma - 1 < gamma
         sa = ValuationSpec.monomial(a, gamma)
         sb = ValuationSpec.monomial(b, gamma)
-        disc = PolyX.from_series(field, [-b, PuiseuxSeries.one(field)])
-        if eval_spec(sa, disc) == eval_spec(sb, disc):
-            failures += 1
+        disc = _linear_at(field, b)
+        failures += eval_spec(sa, disc) == eval_spec(sb, disc)
     rep.check("pair separation", digest("pairs-neg", seed, triples),
               failures == 0,
               f"{triples} non-equivalent triples, {failures} failures",
@@ -277,21 +276,16 @@ def check_pair_equivalence(rep: Report, seed: int, triples: int = 100,
 # ---------------------------------------------------------------------------
 
 def check_density(rep: Report, seed: int) -> None:
-    half = PuiseuxSeries.t_power(QQ, Fraction(1, 2))
     specs = [
         ("gauss", ValuationSpec.gauss(QQ), 100),
-        ("monomial t^(1/2) @ 3/4",
-         ValuationSpec.monomial(half, GroupVal.fin(Fraction(3, 4))), 100),
+        ("monomial t^(1/2) @ 3/4", HALF_SPEC, 100),
         ("mixed-radix limit", ValuationSpec.pcslimit(mixed_radix_generator(2, 3, 8)), 25),
     ]
     for name, spec, n in specs:
         rng = random.Random((seed, "density", name).__repr__())
 
         def trial():
-            f = random_polyx(QQ, rng, rng.randint(1, 2), domain=SERIES,
-                             monic=True, prec=DEFAULT_PREC)
-            g = random_polyx(QQ, rng, rng.randint(0, 2), domain=SERIES,
-                             monic=True, prec=DEFAULT_PREC)
+            f, g = _monic_series_draw(rng, 1), _monic_series_draw(rng, 0)
             alpha = GroupVal.fin(rng.randint(1, 3))
             res = approximate_density(f, g, alpha, spec)
             # independent re-check of the quotient inequality
@@ -310,7 +304,7 @@ def check_density(rep: Report, seed: int) -> None:
     f = random_polyx(QQ, rng, 1, domain=SERIES, monic=True, prec=Fraction(32))
     g = PolyX.x_power(QQ, 0, domain=SERIES)
     blocked = 0
-    for spec in (ValuationSpec.monomial(half, GroupVal.lex(1, 0)),
+    for spec in (ValuationSpec.monomial(HALF, GroupVal.lex(1, 0)),
                  ValuationSpec.pcslimit(exponential_generator(12))):
         try:
             approximate_density(f, g, GroupVal.fin(2), spec)
@@ -326,22 +320,21 @@ def check_density(rep: Report, seed: int) -> None:
 # same-delta approximation
 # ---------------------------------------------------------------------------
 
-def check_same_delta(rep: Report, seed: int, samples: int = 100) -> None:
+def check_same_delta(rep: Report, seed: int) -> None:
     spec = ValuationSpec.monomial(PuiseuxSeries.zero(QQ), GroupVal.fin(4))
     alpha = GroupVal.fin(6)
     rng = random.Random((seed, "same-delta").__repr__())
 
     def trial():
-        f = random_polyx(QQ, rng, rng.randint(1, 2), domain=SERIES,
-                         monic=True, prec=DEFAULT_PREC)
+        f = _monic_series_draw(rng, 1)
         out = approximate_same_delta(f, alpha, spec)
         return (out.domain == RATFUNC and out.degree() == f.degree()
                 and eval_spec(spec, out) == eval_spec(spec, f)
                 and delta(spec, out) == delta(spec, f))
 
-    failures, evidence = _tally(samples, trial)
-    rep.check("same-delta approximation", digest("same-delta", seed, samples),
-              failures == 0, f"{samples} samples, {failures} failures",
+    failures, evidence = _tally(SAME_DELTA_SAMPLES, trial)
+    rep.check("same-delta approximation", digest("same-delta", seed, SAME_DELTA_SAMPLES),
+              failures == 0, f"{SAME_DELTA_SAMPLES} samples, {failures} failures",
               "truncating above the root-matching threshold preserves degree, "
               "value and delta",
               caveats=evidence.caveats())
@@ -351,21 +344,26 @@ def check_same_delta(rep: Report, seed: int, samples: int = 100) -> None:
 # continuity of roots
 # ---------------------------------------------------------------------------
 
+def _product_of_linears(roots) -> PolyX:
+    """The product of the X - r over Q, with series coefficients."""
+    f = PolyX.x_power(QQ, 0, domain=SERIES)
+    for r in roots:
+        f = f * _linear_at(QQ, r)
+    return f
+
+
 def _distinct_slope_poly(rng, deg: int):
     """Monic product of X - c_i t^(e_i) with pairwise distinct exponents."""
     exps = rng.sample(range(6), deg)
     roots = [PuiseuxSeries.from_terms(QQ, {Fraction(e): Fraction(rng.randint(1, 5))})
              for e in exps]
-    f = PolyX.x_power(QQ, 0, domain=SERIES)
-    for r in roots:
-        f = f * PolyX.from_series(QQ, [-r, PuiseuxSeries.one(QQ)])
-    return f, roots, max(exps)
+    return _product_of_linears(roots), roots, max(exps)
 
-def check_root_continuity(rep: Report, seed: int, samples: int = 50,
-                          fixtures: int = 10) -> None:
+
+def check_root_continuity(rep: Report, seed: int) -> None:
     rng = random.Random((seed, "roots").__repr__())
     failures = 0
-    for _ in range(samples):
+    for _ in range(ROOT_SAMPLES):
         deg = rng.randint(1, 3)
         f, _, emax = _distinct_slope_poly(rng, deg)
         alpha = GroupVal.fin(emax + 1)
@@ -374,14 +372,12 @@ def check_root_continuity(rep: Report, seed: int, samples: int = 50,
         pert = random_polyx(QQ, rng, rng.randint(0, deg - 1)).scale(
             RatFunc.t_power(QQ, k)) if deg > 1 else PolyX.from_ratfuncs(
             QQ, [RatFunc.t_power(QQ, k)])
-        f2 = f + pert
-        if not verify_root_matching(f, f2, alpha):
-            failures += 1
-    rep.check("polygon stability", digest("roots", seed, samples),
-              failures == 0, f"{samples} perturbations, {failures} failures",
+        failures += not verify_root_matching(f, f + pert, alpha)
+    rep.check("polygon stability", digest("roots", seed, ROOT_SAMPLES),
+              failures == 0, f"{ROOT_SAMPLES} perturbations, {failures} failures",
               "perturbing above the threshold cannot move any polygon vertex")
     failures = 0
-    for _ in range(fixtures):
+    for _ in range(ROOT_FIXTURES):
         deg = rng.randint(2, 3)
         f, roots, emax = _distinct_slope_poly(rng, deg)
         alpha = GroupVal.fin(emax + 1)
@@ -390,13 +386,10 @@ def check_root_continuity(rep: Report, seed: int, samples: int = 50,
         roots2 = [r + PuiseuxSeries.from_terms(
             QQ, {Fraction(k + j): Fraction(rng.randint(1, 3))})
             for j, r in enumerate(roots)]
-        f2 = PolyX.x_power(QQ, 0, domain=SERIES)
-        for r in roots2:
-            f2 = f2 * PolyX.from_series(QQ, [-r, PuiseuxSeries.one(QQ)])
-        if not verify_root_matching(f, f2, alpha, paired_roots=list(zip(roots, roots2))):
-            failures += 1
-    rep.check("root pairing", digest("roots-paired", seed, fixtures),
-              failures == 0, f"{fixtures} pre-factored fixtures, {failures} failures",
+        failures += not verify_root_matching(f, _product_of_linears(roots2), alpha,
+                                             paired_roots=list(zip(roots, roots2)))
+    rep.check("root pairing", digest("roots-paired", seed, ROOT_FIXTURES),
+              failures == 0, f"{ROOT_FIXTURES} pre-factored fixtures, {failures} failures",
               "paired root differences exceed alpha when the perturbation "
               "exceeds the threshold")
 
@@ -406,28 +399,19 @@ def check_root_continuity(rep: Report, seed: int, samples: int = 50,
 # ---------------------------------------------------------------------------
 
 def check_conjugacy(rep: Report) -> None:
-    fixtures = []
-    root_half = attach_minpoly(
-        PuiseuxSeries.t_power(QQ, Fraction(1, 2)),
-        PolyX.from_ratfuncs(QQ, [-RatFunc.t_power(QQ, 1), RatFunc.zero(QQ),
-                                 RatFunc.one(QQ)]), irreducible=True)
-    fixtures.append(("t^(1/2) over Q", root_half, GroupVal.fin(Fraction(3, 4)), [1]))
     F7 = GF(7)
-    root_third = attach_minpoly(
-        PuiseuxSeries.t_power(F7, Fraction(1, 3)),
-        PolyX.from_ratfuncs(F7, [-RatFunc.t_power(F7, 1), RatFunc.zero(F7),
-                                 RatFunc.zero(F7), RatFunc.one(F7)]), irreducible=True)
-    fixtures.append(("t^(1/3) over F_7", root_third, GroupVal.fin(Fraction(1, 2)), [1, 2]))
-    failures = 0
-    details = []
+    root_third = attach_minpoly(PuiseuxSeries.t_power(F7, Fraction(1, 3)),
+                                polyx_from_text(F7, "X^3 - t"), irreducible=True)
+    fixtures = [("t^(1/2) over Q", attach_minpoly(HALF, MINSQ, irreducible=True),
+                 GroupVal.fin(Fraction(3, 4)), [1]),
+                ("t^(1/3) over F_7", root_third, GroupVal.fin(Fraction(1, 2)), [1, 2])]
+    failures, details = 0, []
     for name, a, gamma, twists in fixtures:
         for m in twists:
             out = conjugacy_check(a, gamma, m)
-            ok = (out["shared_minpoly"] and out["kinds_match"]
-                  and out["kind"] == RESIDUE_TRANSCENDENTAL)
+            failures += not (out["shared_minpoly"] and out["kinds_match"]
+                             and out["kind"] == RESIDUE_TRANSCENDENTAL)
             details.append(f"{name} m={m}: {out['twisted_center']}")
-            if not ok:
-                failures += 1
     rep.check("conjugacy", digest("conjugacy"), failures == 0,
               f"{failures} failures; " + "; ".join(details),
               "twisting the center by a root of unity gives a conjugate with "

@@ -39,6 +39,9 @@ from .field import BaseField
 from .groupval import GroupVal
 
 DEFAULT_PREC = Fraction(64)
+# The largest t-exponent numerator or denominator, X-degree or characteristic an input may
+# ask for: each unit costs about one dense slot, so more is refused where it is read.
+DENSE_SIZE = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +251,15 @@ def _split_terms(text: str):
     return terms
 
 
+def _bounded(numeral: str, what: str) -> Fraction:
+    """The value of a numeral "n", "-n" or "n/d" read from text, refused with a ParseError
+    when a part exceeds DENSE_SIZE; its digits are counted before any int is built."""
+    for digits in numeral.lstrip("-").split("/"):
+        if len(digits.lstrip("0")) > len(str(DENSE_SIZE)) or int(digits) > DENSE_SIZE:
+            raise ParseError(f"{what} {numeral} exceeds the dense-size bound {DENSE_SIZE}")
+    return Fraction(numeral)
+
+
 def _parse_term(field, sign, body):
     """Parse one product term into (exponent: Fraction, scalar)."""
     m = _TERM_RE.match(body)
@@ -255,7 +267,8 @@ def _parse_term(field, sign, body):
         raise ParseError(f"bad term {body!r}")
     try:
         coef = Fraction(m.group("coef") or 1)
-        exp = Fraction(m.group("pexp") or m.group("exp") or int("t" in body))
+        numeral = m.group("pexp") or m.group("exp")
+        exp = _bounded(numeral, "t-exponent") if numeral else Fraction(int("t" in body))
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in term {body!r}") from None
     return exp, field.coerce(sign * coef)
@@ -779,7 +792,7 @@ class PuiseuxSeries:
         m = re.search(r"O\(\s*t(?:\^\(?(-?\d+(?:/\d+)?)\)?)?\s*\)\s*$", text)
         if m:
             try:
-                prec = Fraction(m.group(1)) if m.group(1) else Fraction(1)
+                prec = _bounded(m.group(1), "cap exponent") if m.group(1) else Fraction(1)
             except ZeroDivisionError:
                 raise ParseError(f"zero denominator in {m.group(0)!r}") from None
             text = text[: m.start()].rstrip().rstrip("+").rstrip()

@@ -1,10 +1,12 @@
 """Every module of the package uses every name it imports and imports nothing
 inside a function, every module-level function of the package, private or
 public, is referenced somewhere in it, every function in it reads every
-parameter it takes, every functools cache in it is bounded, and every
-WorkbenchError it catches without raising again is caught for a named reason."""
+parameter it takes and has a call that passes each defaulted one, every functools
+cache in it is bounded, and every WorkbenchError it catches without raising again is
+caught for a named reason."""
 
 import ast
+import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -14,8 +16,9 @@ from valwb.errors import WorkbenchError
 
 # Names kept on purpose though the module does not use them:
 # perfbench/test_perfbench.py::test_install_rebinds_names_imported_elsewhere_and_restores_them
-# reads valwb.polyx.coerce to check that the tracer rebinds it there too.
-ALLOWED = {("polyx.py", "coerce")}
+# reads valwb.polyx.coerce to check that the tracer rebinds it there too, and
+# perfbench/tracer.py looks the redraw loop's _redraw up in valwb.selftest to wrap it.
+ALLOWED = {("polyx.py", "coerce"), ("selftest.py", "_redraw")}
 
 
 def unused_imports(path: Path) -> list:
@@ -284,6 +287,96 @@ def test_the_scan_sees_unread_and_read_parameters(tmp_path):
     assert ("series.py", "to_series", "prec", 21) not in unread_parameters(series)
 
 
+# Defaulted parameters that no call passes by name, and why they stay parameters:
+NEVER_PASSED_ALLOWED = {
+    ("selftest.py", "check_pair_equivalence", "triples"):
+        "tests/test_acceptance.py passes (6, 10) through fresh(checker, *args)",
+    ("selftest.py", "check_pair_equivalence", "polys"):
+        "tests/test_acceptance.py passes (6, 10) through fresh(checker, *args)",
+    ("series.py", "invert", "prec"):
+        "tests/test_series.py checks it against the Fraction recursion at nine targets "
+        "through outcome(invert, s, target)",
+}
+
+
+def defaults_never_passed(sources, callers) -> list:
+    """(module, function, parameter, line) of each defaulted parameter of a function in
+    ``sources`` that no call in ``callers`` passes, by position or by keyword.  Calls are
+    matched by the callee's name, a class's name calling its __init__; a call that spreads
+    *args or **kwargs passes every parameter.  Dunder methods but __init__ are left out,
+    since operators call them."""
+    calls = {}  # callee name -> [(positional count, keyword names or None for all)]
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                n = math.inf if any(isinstance(a, ast.Starred) for a in node.args) \
+                    else len(node.args)
+                kws = None if any(k.arg is None for k in node.keywords) \
+                    else {k.arg for k in node.keywords}
+                calls.setdefault(name, []).append((n, kws))
+    found = []
+    for path in sources:
+        tree = ast.parse(path.read_text())
+        owner = {id(fn): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for fn in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or (
+                    fn.name.startswith("__") and fn.name != "__init__"):
+                continue
+            cls = owner.get(id(fn))
+            name = cls.name if cls and fn.name == "__init__" else fn.name
+            bound = cls is not None and not any(  # self or cls comes first
+                getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+            a = fn.args
+            positional = a.posonlyargs + a.args
+            defaulted = [(i - bound, p) for i, p in enumerate(positional)
+                         if i >= len(positional) - len(a.defaults)]
+            defaulted += [(math.inf, p) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d]
+            for slot, p in defaulted:
+                by_name = p not in a.posonlyargs
+                if not any(n > slot or kws is None or (by_name and p.arg in kws)
+                           for n, kws in calls.get(name, ())) \
+                        and (path.name, fn.name, p.arg) not in NEVER_PASSED_ALLOWED:
+                    found.append((path.name, fn.name, p.arg, fn.lineno))
+    return sorted(found, key=lambda hit: (hit[0], hit[3]))
+
+
+def test_every_default_is_overridden_somewhere():
+    # a default that no call in src/, tests/ or perfbench/ passes is a constant in disguise
+    root = Path(__file__).resolve().parents[1]
+    modules = sorted(Path(valwb.__file__).parent.glob("*.py"))
+    callers = modules + sorted(root.glob("tests/**/*.py")) + sorted(root.glob("perfbench/**/*.py"))
+    found = defaults_never_passed(modules, callers)
+    assert not found, found
+
+
+def test_the_scan_sees_defaults_passed_and_never_passed(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def f(x, y=1, *, z=2):\n    return x, y, z\n\n"
+        "def g(u, v=0, w=0):\n    return u, v, w\n\n"
+        "def h(a=1, b=2):\n    return a, b\n\n"
+        "def k(q=1):\n    return q\n\n"
+        "def _posonly(p=7, /):\n    return p\n\n"
+        "class C:\n    def __init__(self, n=3, m=4):\n        self.n = n + m\n\n"
+        "    def meth(self, j=5):\n        return j\n\n"
+        "    @staticmethod\n    def s(i=6):\n        return i\n\n"
+        "    def __add__(self, other=None):\n        return self\n\n"
+        "def check_pair_equivalence(rep, triples=100):\n    return rep, triples\n")
+    (tmp_path / "b.py").write_text(
+        "from a import C, _posonly, f, g, h, k\n\n"
+        "f(1, 2)\ng(1, w=3)\nh(*[1])\nk(**{})\n_posonly()\nC(1).meth()\nC.s(0)\n")
+    paths = sorted(tmp_path.glob("*.py"))
+    assert defaults_never_passed(paths, paths) == [
+        ("a.py", "f", "z", 1), ("a.py", "g", "v", 4), ("a.py", "_posonly", "p", 13),
+        ("a.py", "__init__", "m", 17), ("a.py", "meth", "j", 20),
+        ("a.py", "check_pair_equivalence", "triples", 30)]
+    selftest = tmp_path / "selftest.py"
+    selftest.write_text((tmp_path / "a.py").read_text())
+    assert ("selftest.py", "check_pair_equivalence", "triples", 30) not in \
+        defaults_never_passed([selftest], paths)
+
+
 SERIES_FIELDS = {"ram", "coeffs", "prec", "source", "plan"}
 
 
@@ -405,6 +498,7 @@ SWALLOWED = {
     ("algnum.py", "krasner_constant"): "without conjugates the polygon route answers",
     ("lifting.py", "_density_monomial"): "an undecidable delta only drops a cutoff guess",
     ("lifting.py", "conjugacy_check"): "0 at the twist's precision shares the minimal polynomial",
+    ("lifting.py", "verify_root_matching"): "roots equal up to a cap above alpha keep the promise",
     ("config.py", "k_then_series"): "text that is no element of K is read again as a series",
     ("cli.py", "main"): "an error ends the command as an error line or a failed verdict",
 }

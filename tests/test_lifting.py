@@ -185,6 +185,26 @@ def test_verify_root_matching():
     assert not verify_root_matching(f2, f2bad, GroupVal.fin(3))
 
 
+@pytest.mark.parametrize("z1, z2, want", [
+    ("t", "t + t^7", True),
+    ("t", "t + t^3", False),
+    ("t + t^2", "t + t^2", True),
+    ("t + O(t^8)", "t + O(t^9)", True),
+    ("t + O(t^3)", "t + O(t^3)", PrecisionExhausted),
+    ("t + O(t^5)", "t + t^6", PrecisionExhausted),
+], ids=["decided-above", "decided-below", "exact-coincidence", "capped-above",
+        "capped-below", "capped-at"])
+def test_verify_root_matching_reads_paired_roots_to_their_caps(z1, z2, want):
+    # at alpha = 5, a pair agreeing up to a cap at or below alpha decides nothing
+    f = polyx_from_text(QQ, "X^2 + t")
+    pairs = [(PuiseuxSeries.from_text(QQ, z1), PuiseuxSeries.from_text(QQ, z2))]
+    if want is PrecisionExhausted:
+        with pytest.raises(PrecisionExhausted):
+            verify_root_matching(f, f, GroupVal.fin(5), paired_roots=pairs)
+    else:
+        assert verify_root_matching(f, f, GroupVal.fin(5), paired_roots=pairs) is want
+
+
 def test_approximate_same_delta():
     spec = ValuationSpec.monomial(PuiseuxSeries.zero(QQ), GroupVal.fin(10))
     c0 = PuiseuxSeries.from_terms(

@@ -8,6 +8,7 @@ import pytest
 from valwb.errors import (
     NegativeSupport,
     NegativeValuation,
+    ParseError,
     PrecisionExhausted,
     RamifiedInput,
     WorkbenchError,
@@ -16,6 +17,7 @@ from valwb.field import GF, QQ
 from valwb.groupval import GroupVal
 from valwb import sampling, series
 from valwb.series import (
+    DENSE_SIZE,
     PuiseuxSeries,
     RatFunc,
     _pack,
@@ -205,6 +207,21 @@ def test_ratfunc_round_trip_and_val():
     assert RatFunc.from_text(QQ, r.to_text()) == r
     assert RatFunc.t_power(QQ, -2).val() == GroupVal.fin(-2)
     assert RatFunc.zero(QQ).val().is_inf
+
+
+def test_text_exponents_are_read_up_to_the_dense_size_bound():
+    # numerators and denominators of t-exponents and caps up to DENSE_SIZE are read as
+    # written; one digit more is refused, a numeral too long for int() included
+    assert DENSE_SIZE == 10**6
+    s = PuiseuxSeries.from_text(QQ, "t^(1/1000000) + t^(-1000000/999999) + O(t^0001000000)")
+    assert s.val() == GroupVal.fin(Fraction(-1000000, 999999)) and s.prec == 10**6
+    assert RatFunc.from_text(QQ, "1 / t^1000000").val() == GroupVal.fin(-10**6)
+    for text in ("t^1000001", "t^(-1000001)", "t^(1/1000001)", "t + O(t^1000001)",
+                 "t + O(t^(1/1000001))", "t^" + "9" * 5000):
+        with pytest.raises(ParseError, match="exceeds the dense-size bound 1000000"):
+            PuiseuxSeries.from_text(QQ, text)
+    with pytest.raises(ParseError, match="exceeds the dense-size bound"):
+        RatFunc.from_text(QQ, "1 + t^1000001")
 
 
 # -- kernels: integer lattice caps, shared scalars ---------------------------

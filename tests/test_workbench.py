@@ -2,6 +2,7 @@
 
 import io
 import random
+import time
 from contextlib import redirect_stdout, redirect_stderr
 from fractions import Fraction
 
@@ -471,6 +472,28 @@ def test_cli_refuses_a_zero_denominator_at_every_text_reader(tmp_path, cfg_text,
     code, out, err = run_cli([argv[0], "--config", write_cfg(tmp_path, cfg_text)] + argv[1:])
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+MONOMIAL_AT_T = "spec.kind = monomial\nspec.center = t\nspec.gamma = 1\n"
+
+
+@pytest.mark.parametrize("cfg_text, argv", [
+    ("spec.kind = gauss\n", ["eval", "--poly", "[t^99999999999999999999]*X + 1"]),
+    (MONOMIAL_AT_T, ["eval", "--poly", "[t^(1/99999999999999999999)]*X + 1"]),
+    (MONOMIAL_AT_T, ["eval", "--poly", "[t^1000000000]*X + 1"]),
+    ("spec.kind = gauss\n", ["eval", "--poly", "[1 + O(t^99999999999)]*X + 1"]),
+    ("spec.kind = gauss\n", ["eval", "--poly", "X^99999999999"]),
+    ("spec.kind = gauss\n", ["example", "6.1", "--p", "2147483647"]),
+], ids=["t-exponent", "t-exponent-denominator", "t-exponent-short", "cap", "X-degree",
+        "example-p"])
+def test_cli_refuses_a_size_above_the_dense_bound_where_it_is_read(tmp_path, cfg_text, argv):
+    # each is refused before anything dense is built, so it ends fast with one error line
+    start = time.perf_counter()
+    code, out, err = run_cli([argv[0], "--config", write_cfg(tmp_path, cfg_text)] + argv[1:])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "exceeds the dense-size bound 1000000" in err
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("poly, k_error", [
