@@ -4,11 +4,11 @@ Config files are line-oriented ``key = value`` text with ``#`` comments.
 Grammar (all keys optional unless a spec kind requires them):
 
     char = 0 | <prime p>                  # base field: Q or F_p
-    precision = <p/q>                     # lift-cskp's default budget (default 64)
+    precision = <p/q>                     # lift-cskp's budget (default 64)
     ram_cap = <int>                       # a limit spec's ramification cap (default 64)
     horizon = <int>                       # sequence horizon (default 12)
     window = <int>                        # stabilization window (default 3)
-    seed = <int>                          # RNG seed for sampled harnesses
+    seed = <int>                          # selftest's seed
     spec.kind = gauss | monomial | keypoly | pcslimit
     spec.center = <K or series text>      # monomial; K text is tried first
     spec.gamma = <value text>             # monomial; "p/q" or "(z, p/q)"
@@ -19,13 +19,14 @@ Grammar (all keys optional unless a spec kind requires them):
     spec.generator = <generator name>     # pcslimit; e.g. "exponential"
     spec.over = K | Khat
 
-VALWB_PREC overrides ``precision``, which sets only lift-cskp's default --budget:
-series text in --poly, --seq, --f and --g is read exactly, as spec.center is.
+Each key has one source, this text, and no environment variable is read.  Two keys
+have one CLI override each: ``precision``, only lift-cskp's root search budget, by its
+--budget, and ``seed``, only selftest's seed, by its --seed.  Series text in --poly,
+--seq, --f and --g is read exactly, as spec.center is.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -54,10 +55,13 @@ class WorkbenchConfig:
             raise WorkbenchError("precision must be positive")
         check_bounds(self.horizon, self.window, self.ram_cap)
 
+    def generator(self, name: str):
+        """The built-in generator ``name`` at this config's horizon, window and ram_cap."""
+        return builtin_generator(name, self.horizon, window=self.window, ram_cap=self.ram_cap)
 
-def parse_config(text: str, env=None) -> WorkbenchConfig:
-    """Parse config text; ``env`` defaults to ``os.environ``."""
-    env = os.environ if env is None else env
+
+def parse_config(text: str) -> WorkbenchConfig:
+    """Parse config text; the text is the config's one source."""
     entries = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -72,7 +76,7 @@ def parse_config(text: str, env=None) -> WorkbenchConfig:
         if key in entries:
             raise ParseError(f"line {lineno}: duplicate key {key!r}")
         entries[key] = (lineno, value)
-    return build_config(entries, env)
+    return build_config(entries)
 
 
 def load_config(path: str) -> WorkbenchConfig:
@@ -101,15 +105,20 @@ def k_then_series(as_k, as_series):
             raise ParseError(str(exc) if same else f"{exc}; as series: {series_exc}") from None
 
 
-def build_config(entries: dict, env) -> WorkbenchConfig:
+def parse_center(field: BaseField, text: str):
+    """A center read as an element of K first, which stays its series' source, else as a
+    series."""
+    return k_then_series(lambda: RatFunc.from_text(field, text),
+                         lambda: PuiseuxSeries.from_text(field, text))
+
+
+def build_config(entries: dict) -> WorkbenchConfig:
     entries = dict(entries)
     char = parse_number(int, entries.pop("char")[1], "char") if "char" in entries else 0
     field = QQ if char == 0 else GF(char)
     kinds = {"precision": Fraction, "ram_cap": int, "horizon": int, "window": int, "seed": int}
     given = {key: parse_number(kind, entries.pop(key)[1], key)  # an absent key keeps
              for key, kind in kinds.items() if key in entries}  # the WorkbenchConfig default
-    if "VALWB_PREC" in env:
-        given["precision"] = parse_number(Fraction, env["VALWB_PREC"], "VALWB_PREC")
     cfg = WorkbenchConfig(field, **given)
     spec_entries = {k: v for k, v in entries.items() if k.startswith("spec.")}
     for k in spec_entries:
@@ -136,9 +145,7 @@ def build_spec(fields: dict, cfg: WorkbenchConfig) -> ValuationSpec:
     if kind == "gauss":
         spec = ValuationSpec.gauss(cfg.field, over=over)
     elif kind == "monomial":
-        text = fields.pop("center", "0")  # an element of K stays the spec center's source
-        center = k_then_series(lambda: RatFunc.from_text(cfg.field, text),
-                               lambda: PuiseuxSeries.from_text(cfg.field, text))
+        center = parse_center(cfg.field, fields.pop("center", "0"))
         gamma = GroupVal.from_text(_require(fields, "gamma"))
         spec = ValuationSpec.monomial(center, gamma, over=over)
     elif kind == "keypoly":
@@ -153,9 +160,7 @@ def build_spec(fields: dict, cfg: WorkbenchConfig) -> ValuationSpec:
         base = build_spec(base_fields, cfg)
         spec = ValuationSpec.keypoly(Q, vQ, base, over=over)
     elif kind == "pcslimit":
-        gen = builtin_generator(_require(fields, "generator"), cfg.horizon, window=cfg.window,
-                                ram_cap=cfg.ram_cap)
-        spec = ValuationSpec.pcslimit(gen, over=over)
+        spec = ValuationSpec.pcslimit(cfg.generator(_require(fields, "generator")), over=over)
     else:
         raise ParseError(f"unknown spec.kind {kind!r}")
     if fields:

@@ -96,6 +96,8 @@ def _check_table(rep: Report, operation: str, inp: str, table, citation: str) ->
 def run_example(ident: str, p: int = None, q: int = None,
                 witness_samples: int = 20, seed: int = 0) -> Report:
     if ident == "6.1":
+        if q is not None:
+            raise WorkbenchError("this pipeline takes no q")
         return _example_tower(2 if p is None else p, witness_samples, seed)
     if ident == "6.2":
         if p is not None or q is not None:

@@ -271,6 +271,8 @@ def _parse_term(field, sign, body):
         exp = _bounded(numeral, "t-exponent") if numeral else Fraction(int("t" in body))
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in term {body!r}") from None
+    except ValueError:  # a numeral past Python's limit on digits read into an int
+        raise ParseError(f"coefficient numeral too long in term {body!r}") from None
     return exp, field.coerce(sign * coef)
 
 

@@ -205,7 +205,7 @@ def test_the_generator_refuses_its_bounds_with_the_config_messages():
         with pytest.raises(WorkbenchError, match=f"^{message}$"):
             PcsGenerator("explicit", QQ, items, **{"horizon": 3, key: bad})
         with pytest.raises(WorkbenchError, match=f"^{message}$"):
-            parse_config(f"{key} = {bad}\n", env={})
+            parse_config(f"{key} = {bad}\n")
     with pytest.raises(WorkbenchError, match="^window must be at least 1$"):
         exponential_generator(6, window=0)  # refused before stabilized_delta can read it
     with pytest.raises(WorkbenchError, match="^ram_cap must be at least 1$"):

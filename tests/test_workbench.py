@@ -1,14 +1,18 @@
 """Report format, config parsing, CLI exit codes, and the worked pipelines."""
 
+import argparse
+import ast
+import inspect
 import io
 import random
+import textwrap
 import time
 from contextlib import redirect_stdout, redirect_stderr
 from fractions import Fraction
 
 import pytest
 
-from valwb.cli import build_parser, main
+from valwb.cli import COMMANDS, build_parser, main
 from valwb.config import WorkbenchConfig, parse_config
 from valwb.errors import HorizonExceeded, ParseError, PrecisionExhausted, WorkbenchError
 from valwb.examples import run_example
@@ -112,7 +116,7 @@ def test_evidence_words_only_an_undecidable_count():
 # -- config ------------------------------------------------------------------
 
 def test_parse_config_defaults():
-    cfg = parse_config("", env={})
+    cfg = parse_config("")
     assert cfg.field is QQ
     assert cfg.precision == Fraction(64)
     assert cfg.spec is None
@@ -128,7 +132,7 @@ def test_parse_config_full():
     spec.center = t + t^2
     spec.gamma = (1, 0)
     """
-    cfg = parse_config(text, env={})
+    cfg = parse_config(text)
     assert cfg.field.char == 2
     assert cfg.precision == Fraction(100)
     assert cfg.seed == 3
@@ -144,27 +148,21 @@ def test_parse_config_keypoly_and_pcslimit():
     spec.base.kind = monomial
     spec.base.center = t^(1/2)
     spec.base.gamma = 1/2
-    """, env={})
+    """)
     assert kp.spec.kind == "keypoly" and kp.spec.base.kind == "monomial"
-    pc = parse_config("spec.kind = pcslimit\nspec.generator = exponential\n",
-                      env={})
+    pc = parse_config("spec.kind = pcslimit\nspec.generator = exponential\n")
     assert pc.spec.kind == "pcslimit" and pc.spec.gen.name == "exponential"
-
-
-def test_parse_config_env_override():
-    cfg = parse_config("precision = 10\n", env={"VALWB_PREC": "33/2"})
-    assert cfg.precision == Fraction(33, 2)
 
 
 def test_parse_config_errors():
     with pytest.raises(ParseError, match="line 2"):
-        parse_config("char = 0\nbogus line\n", env={})
+        parse_config("char = 0\nbogus line\n")
     with pytest.raises(ParseError, match="duplicate"):
-        parse_config("seed = 1\nseed = 2\n", env={})
+        parse_config("seed = 1\nseed = 2\n")
     with pytest.raises(ParseError, match="unknown key"):
-        parse_config("colour = red\n", env={})
+        parse_config("colour = red\n")
     with pytest.raises(ParseError):
-        parse_config("spec.kind = monomial\n", env={})  # gamma missing
+        parse_config("spec.kind = monomial\n")  # gamma missing
     with pytest.raises(WorkbenchError):
         WorkbenchConfig(field=QQ, precision=Fraction(-1))
 
@@ -195,7 +193,7 @@ def test_cli_eval_and_delta(tmp_path):
 
 @pytest.mark.parametrize("cfg_text, argv, want", [
     ("spec.kind = gauss\n", ["eval", "--poly", "[t^(201/2)]*X + 1"], "0"),
-    ("spec.kind = gauss\n", ["eval", "--prec", "1", "--poly", "[t^(201/2)]*X + 1"], "0"),
+    ("spec.kind = gauss\nprecision = 1\n", ["eval", "--poly", "[t^(201/2)]*X + 1"], "0"),
     ("spec.kind = monomial\nspec.center = 1\nspec.gamma = 1/2\n",
      ["delta", "--poly", "[t^(1/2)]*X - [t^(1/2)]"], "1/2"),
 ], ids=["eval-default-prec", "eval-prec-1", "delta"])
@@ -327,6 +325,17 @@ def test_run_example_unknown():
         run_example("9.9")
 
 
+@pytest.mark.parametrize("ident, param, message", [
+    ("6.1", "q", "this pipeline takes no q"),
+    ("6.2", "p", "this pipeline takes no parameters"),
+    ("6.2", "q", "this pipeline takes no parameters"),
+])
+def test_run_example_refuses_a_parameter_its_pipeline_does_not_read(ident, param, message):
+    with pytest.raises(WorkbenchError, match=f"^{message}$"):
+        run_example(ident, **{param: 5})
+    assert run_cli(["example", ident, f"--{param}", "5"]) == (1, "", f"error: {message}\n")
+
+
 # -- CLI robustness: malformed input ends as "error: ...", never a traceback --
 
 CLI_BASELINE = {  # valid arguments for every subcommand
@@ -356,7 +365,6 @@ CLI_FAULTS = [
     ("config", "spec.kind = pcslimit\nspec.generator = mixed-radix(2)"),
     ("config", "spec.kind = pcslimit\nspec.generator = artin-schreier(x)"),
     ("config", "spec.kind = keypoly\nspec.Q = X^^2\nspec.vQ = 1"),
-    ("env", "abc"), ("env", "1/0"), ("env", ""),
     ("--prec", "zz"), ("--prec", "0"), ("--prec", "1/0"), ("--seed", "x"),
     ("--config", "missing.cfg"), ("--format", "xml"), ("--budget", "zz"),
     ("--budget", "1/0"), ("--generator", "mixed-radix(2)"),
@@ -367,10 +375,12 @@ CLI_FAULTS = [
     ("config", "char = -7"), ("--poly", "X^"), ("--poly", "X^(1/2)"),
     ("--poly", "(("), ("--seq", "X @"), ("--seq", "junk"), ("--alpha", "q"),
     ("--alpha", "(1,"), ("--center", "t^(1/0)"), ("--center", "t^x"),
-    ("--minpoly", "X^2 -- "), ("--f", "X^^"), ("--p", "x"), ("--q", "0"),
+    ("--minpoly", "X^2 -- "), ("--minpoly", ""), ("--f", "X^^"), ("--p", "x"), ("--q", "0"),
+    ("--poly", f"[{'7' * 5000}]*X + 1"), ("--f", f"X + [{'7' * 5000} * t]"),
 ]
 
 
+# flags tried on every subcommand: those it does not take end as parser rejections
 COMMON_FLAGS = ("--config", "--prec", "--seed", "--out", "--format")
 
 # optional flags, read by the subcommands named here besides those above
@@ -378,19 +388,16 @@ CLI_OPTIONAL = {"--budget": ["lift-cskp"], "--center": ["lift-cskp"],
                 "--minpoly": ["lift-cskp"], "--p": ["example"], "--q": ["example"]}
 
 
-def run_faulty_cli(tmp_path, monkeypatch, command, faults):
+def run_faulty_cli(tmp_path, command, faults):
     cfg_text, argv = "spec.kind = gauss\n", list(CLI_BASELINE[command])
-    monkeypatch.delenv("VALWB_PREC", raising=False)
     for key, value in faults:
         if key == "config":
             cfg_text = value + "\n"
-        elif key == "env":
-            monkeypatch.setenv("VALWB_PREC", value)
         elif key in argv:
             argv[argv.index(key) + 1] = value
         else:
             argv += [key, str(tmp_path / value) if key == "--config" else value]
-    if "--config" not in argv:
+    if "--config" not in argv and command != "example":  # example reads no config
         argv += ["--config", write_cfg(tmp_path, cfg_text)]
     err = io.StringIO()
     try:  # (code, out, err) and whether the parser rejected the command line
@@ -401,13 +408,13 @@ def run_faulty_cli(tmp_path, monkeypatch, command, faults):
     return (*run_cli([command] + argv), False)
 
 
-def test_cli_malformed_input_never_leaks_a_traceback(tmp_path, monkeypatch):
+def test_cli_malformed_input_never_leaks_a_traceback(tmp_path):
     rng = random.Random(0)
     commands = list(CLI_BASELINE)
     runs = []
     for fault in CLI_FAULTS:
-        if fault[0] in ("config", "env") or fault[0] in COMMON_FLAGS:
-            readers = commands  # every subcommand reads the config and common flags
+        if fault[0] == "config" or fault[0] in COMMON_FLAGS:
+            readers = commands
         else:  # the commands that read the flag, and two more that reject it
             readers = [c for c in commands if fault[0] in CLI_BASELINE[c]]
             readers += CLI_OPTIONAL.get(fault[0], []) + rng.sample(commands, 2)
@@ -416,7 +423,7 @@ def test_cli_malformed_input_never_leaks_a_traceback(tmp_path, monkeypatch):
         runs += [(command, rng.sample(CLI_FAULTS, 2)) for _ in range(2)]
     rejected = 0
     for command, faults in runs:
-        code, _, err, parser = run_faulty_cli(tmp_path, monkeypatch, command, faults)
+        code, _, err, parser = run_faulty_cli(tmp_path, command, faults)
         assert code in (0, 1, 2), (command, faults)
         assert "Traceback" not in err, (command, faults)
         if code == 1:
@@ -432,12 +439,38 @@ def test_cli_malformed_input_never_leaks_a_traceback(tmp_path, monkeypatch):
     (["bogus"], "argument command: invalid choice: 'bogus'"),
     (["eval", "--poly", "X", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
     (["eval", "--poly", "X", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+    (["eval", "--poly", "X", "--prec", "1"], "unrecognized arguments: --prec 1"),
+    (["eval", "--poly", "X", "--seed", "1"], "unrecognized arguments: --seed 1"),
+    (["example", "6.2", "--config", "x"], "unrecognized arguments: --config x"),
 ])
 def test_cli_parser_rejections_end_as_input_errors(argv, message):
     with pytest.raises(SystemExit) as exc, redirect_stderr(err := io.StringIO()):
         main(argv)
     assert exc.value.code == 1 and err.getvalue().startswith(f"error: {message}")
     assert err.getvalue().count("\n") == 1
+
+
+def handler_reads(handler) -> set:
+    """The args.<dest> names a CLI handler reads, with "config" for a _load_cfg(args) call."""
+    reads = set()
+    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(handler)))):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "args":
+            reads.add(node.attr)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_load_cfg" \
+                and node.args and getattr(node.args[0], "id", None) == "args":
+            reads.add("config")
+    return reads
+
+
+def test_every_subcommand_reads_every_flag_it_accepts():
+    # a flag that no handler reads changes nothing, so the parser must refuse it;
+    # --out and --format are read once for every subcommand, by main
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(COMMANDS)
+    for name, (_, handler, _) in COMMANDS.items():
+        accepted = {a.dest for a in sub.choices[name]._actions} - {"help", "out", "format"}
+        assert handler_reads(handler) == accepted, name
 
 
 @pytest.mark.parametrize("cfg_text", [
@@ -483,13 +516,14 @@ MONOMIAL_AT_T = "spec.kind = monomial\nspec.center = t\nspec.gamma = 1\n"
     (MONOMIAL_AT_T, ["eval", "--poly", "[t^1000000000]*X + 1"]),
     ("spec.kind = gauss\n", ["eval", "--poly", "[1 + O(t^99999999999)]*X + 1"]),
     ("spec.kind = gauss\n", ["eval", "--poly", "X^99999999999"]),
-    ("spec.kind = gauss\n", ["example", "6.1", "--p", "2147483647"]),
+    (None, ["example", "6.1", "--p", "2147483647"]),
 ], ids=["t-exponent", "t-exponent-denominator", "t-exponent-short", "cap", "X-degree",
         "example-p"])
 def test_cli_refuses_a_size_above_the_dense_bound_where_it_is_read(tmp_path, cfg_text, argv):
     # each is refused before anything dense is built, so it ends fast with one error line
     start = time.perf_counter()
-    code, out, err = run_cli([argv[0], "--config", write_cfg(tmp_path, cfg_text)] + argv[1:])
+    config = ["--config", write_cfg(tmp_path, cfg_text)] if cfg_text else []  # example reads none
+    code, out, err = run_cli([argv[0]] + config + argv[1:])
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "exceeds the dense-size bound 1000000" in err
@@ -520,7 +554,7 @@ def test_config_center_of_k_answers_as_the_spec_at_the_element(tmp_path):
                "spec.base.kind = monomial\nspec.base.center = 1 / (1+t)\nspec.base.gamma = 2\n")
     want = ValuationSpec.monomial(a, GroupVal.fin(2))
     for text in (monomial, keypoly):
-        spec = parse_config(text, env={}).spec
+        spec = parse_config(text).spec
         center = (spec.base if spec.kind == "keypoly" else spec).center
         assert center.source == a and center == a.to_series()
         want_spec = ValuationSpec.keypoly(polyx_from_text(QQ, "X^2 - t"), GroupVal.fin(3), want) \
@@ -580,15 +614,14 @@ def test_cli_kras_certifies_a_minpoly_only_of_the_centers_degree_with_an_exact_r
 def test_config_refuses_a_declared_cofinal_kind(tmp_path, flag):
     text = f"spec.kind = monomial\nspec.center = t\nspec.gamma = 1\nspec.declared_cofinal = {flag}\n"
     with pytest.raises(ParseError, match="needs an irrational weight"):
-        parse_config(text, env={})
+        parse_config(text)
     code, out, err = run_cli(["classify", "--config", write_cfg(tmp_path, text)])
     assert (code, out) == (1, "") and err.startswith("error: spec.declared_cofinal"), err
 
 
 @pytest.mark.parametrize("center", ["t^(1/2)", "2*t", "1 + t + O(t^5)", "0", "t^(-1) + 3/2"])
 def test_config_center_reads_series_text_as_before(center):
-    spec = parse_config(f"spec.kind = monomial\nspec.center = {center}\nspec.gamma = 1\n",
-                        env={}).spec
+    spec = parse_config(f"spec.kind = monomial\nspec.center = {center}\nspec.gamma = 1\n").spec
     before = ValuationSpec.monomial(PuiseuxSeries.from_text(QQ, center), GroupVal.fin(1))
     assert spec.to_text().encode() == before.to_text().encode()
 
