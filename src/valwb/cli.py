@@ -45,7 +45,7 @@ from .lifting import (
 from .pcs import CauchyWithLimit, classify_generator
 from .polyx import RATFUNC, SERIES, PolyX, polyx_from_text
 from .report import Report, digest
-from .series import PuiseuxSeries
+from .series import PuiseuxSeries, check_span
 from .valuation import delta, eval_spec
 from . import selftest as selftest_mod
 
@@ -58,6 +58,13 @@ class _Parser(argparse.ArgumentParser):  # a rejected command line ends as any b
         self.exit(INPUT_ERROR, f"error: {message}\n")
 
 
+def _given(text: str) -> str:
+    """An optional flag's value: an empty one is refused, not read as the flag's absence."""
+    if not text.strip():
+        raise argparse.ArgumentTypeError("empty value")
+    return text
+
+
 def _load_cfg(args, need_spec=True) -> WorkbenchConfig:
     cfg = load_config(args.config) if args.config else parse_config("")
     if need_spec and cfg.spec is None:
@@ -65,12 +72,25 @@ def _load_cfg(args, need_spec=True) -> WorkbenchConfig:
     return cfg
 
 
-def _parse_poly(cfg: WorkbenchConfig, text: str) -> PolyX:
-    return k_then_series(lambda: polyx_from_text(cfg.field, text, RATFUNC),
-                         lambda: polyx_from_text(cfg.field, text, SERIES))
+def _spec_elements(spec) -> list:
+    """The elements of K and series a spec holds: its center, its key polynomial's
+    coefficients and those of its base spec."""
+    if spec is None:
+        return []
+    held = [] if spec.center is None else [spec.center]
+    return held + list(spec.Q.coeffs if spec.Q else ()) + _spec_elements(spec.base)
 
 
-def _parse_seq(cfg: WorkbenchConfig, text: str) -> CskpSeq:
+def _parse_poly(cfg: WorkbenchConfig, text: str, *joint) -> PolyX:
+    """The polynomial of text, refused if its coefficients, the elements joint with it and the
+    spec's span more than the dense-size bound on their common lattice."""
+    f = k_then_series(lambda: polyx_from_text(cfg.field, text, RATFUNC),
+                      lambda: polyx_from_text(cfg.field, text, SERIES))
+    check_span([*f.coeffs, *joint, *_spec_elements(cfg.spec)])
+    return f
+
+
+def _parse_seq(cfg: WorkbenchConfig, text: str, *joint) -> CskpSeq:
     entries = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -79,7 +99,7 @@ def _parse_seq(cfg: WorkbenchConfig, text: str) -> CskpSeq:
         if "@" not in chunk:
             raise ParseError(f"sequence entry {chunk!r} needs 'POLY @ DELTA'")
         poly, _, d = chunk.rpartition("@")
-        entries.append((_parse_poly(cfg, poly.strip()), GroupVal.from_text(d.strip())))
+        entries.append((_parse_poly(cfg, poly.strip(), *joint), GroupVal.from_text(d.strip())))
     if not entries:
         raise ParseError("empty key-polynomial sequence")
     return CskpSeq(entries)
@@ -87,9 +107,10 @@ def _parse_seq(cfg: WorkbenchConfig, text: str) -> CskpSeq:
 
 def _parse_center(cfg: WorkbenchConfig, center: str, minpoly) -> AlgElement:
     s = parse_center(cfg.field, center).to_series()
-    if minpoly is not None:  # a root of Q, not yet certified as its minimal polynomial
-        return attach_minpoly(s, polyx_from_text(cfg.field, minpoly, RATFUNC))
-    return AlgElement(s)
+    Q = None if minpoly is None else polyx_from_text(cfg.field, minpoly, RATFUNC)
+    check_span([s, *(Q.coeffs if Q else ()), *_spec_elements(cfg.spec)])
+    # a root of Q, not yet certified as its minimal polynomial
+    return AlgElement(s) if Q is None else attach_minpoly(s, Q)
 
 
 def _is_minpoly(Q: PolyX, s: PuiseuxSeries) -> bool:
@@ -158,9 +179,12 @@ def _cskp_check(args) -> Report:
 
 def _lift_cskp(args) -> Report:
     cfg = _load_cfg(args)
-    seq = _parse_seq(cfg, args.seq)
-    center = _parse_center(cfg, args.center, args.minpoly) if args.center else None
-    budget = parse_number(Fraction, args.budget, "--budget") if args.budget else cfg.precision
+    if args.minpoly is not None and args.center is None:
+        raise ParseError("--minpoly is read only with --center")
+    center = None if args.center is None else _parse_center(cfg, args.center, args.minpoly)
+    seq = _parse_seq(cfg, args.seq, *([center.expansion] if center else []))
+    budget = cfg.precision if args.budget is None else \
+        parse_number(Fraction, args.budget, "--budget")
     if budget <= 0:  # also where the spec never reads it
         raise WorkbenchError(f"root search budget must be positive, got {budget}")
     lifted, note = lift_cskp(seq, cfg.spec, center=center, budget=budget)
@@ -171,7 +195,8 @@ def _lift_cskp(args) -> Report:
 
 def _density(args) -> Report:
     cfg = _load_cfg(args)
-    f, g = _parse_poly(cfg, args.f), _parse_poly(cfg, args.g)
+    f = _parse_poly(cfg, args.f)
+    g = _parse_poly(cfg, args.g, *f.coeffs)
     res = approximate_density(f, g, GroupVal.from_text(args.alpha), cfg.spec)
     return _report("density", digest(cfg.spec.to_text(), args.f, args.g, args.alpha),
                    f"f' = {res.f_prime.to_text()} ; g' = {res.g_prime.to_text()}",
@@ -196,10 +221,10 @@ def _threshold(args) -> Report:
 
 
 def _pcs_classify(args) -> Report:
-    cfg = _load_cfg(args, need_spec=not args.generator)
-    if not args.generator and cfg.spec.kind != "pcslimit":
+    cfg = _load_cfg(args, need_spec=args.generator is None)
+    if args.generator is None and cfg.spec.kind != "pcslimit":
         raise ParseError("config spec is not a limit spec; pass --generator")
-    gen = cfg.generator(args.generator) if args.generator else cfg.spec.gen
+    gen = cfg.spec.gen if args.generator is None else cfg.generator(args.generator)
     verdict = classify_generator(gen)
     if isinstance(verdict, CauchyWithLimit):
         return _report("pcs-classify", digest(gen.name, gen.horizon),
@@ -230,6 +255,7 @@ def _selftest(args) -> Report:
 
 CONFIG = ("--config", {"help": "config file path"})
 REQUIRED = {"required": True}
+OPTIONAL = {"type": _given}
 
 # subcommand: (help, handler, the flags the handler reads as (flag, add_argument options))
 COMMANDS = {
@@ -242,9 +268,9 @@ COMMANDS = {
     "cskp-check": ("find a key-polynomial witness computing the value", _cskp_check,
                    [CONFIG, ("--poly", REQUIRED), ("--seq", REQUIRED)]),
     "lift-cskp": ("lift a key-polynomial sequence over the completion", _lift_cskp,
-                  [CONFIG, ("--seq", REQUIRED), ("--center", {}), ("--minpoly", {}),
-                   ("--budget", {"help": "root search budget; the config's precision "
-                                         "by default"})]),
+                  [CONFIG, ("--seq", REQUIRED), ("--center", OPTIONAL), ("--minpoly", OPTIONAL),
+                   ("--budget", {**OPTIONAL, "help": "root search budget; the config's "
+                                                     "precision by default"})]),
     "density": ("approximate f/g by a quotient over K", _density,
                 [CONFIG, ("--f", REQUIRED), ("--g", REQUIRED), ("--alpha", REQUIRED)]),
     "same-delta": ("approximate f over K preserving degree, value, delta", _same_delta,
@@ -252,7 +278,7 @@ COMMANDS = {
     "threshold": ("root-matching perturbation threshold", _threshold,
                   [CONFIG, ("--poly", REQUIRED), ("--alpha", REQUIRED)]),
     "pcs-classify": ("Cauchy / transcendental-type dichotomy of a generator", _pcs_classify,
-                     [CONFIG, ("--generator", {})]),
+                     [CONFIG, ("--generator", OPTIONAL)]),
     "kras": ("maximal valuation of differences of distinct conjugates", _kras,
              [CONFIG, ("--center", REQUIRED), ("--minpoly", REQUIRED)]),
     "example": ("run a built-in worked pipeline", _example,

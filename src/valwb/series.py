@@ -160,23 +160,42 @@ def _mul(x, y, p) -> list:
 
 
 def _divide(a, b, p):
-    """a/b on integer images if b, primitive over Q (monic over F_p), divides a, else None."""
-    r, m, q = list(a), len(b) - 1, []
-    for i in range(len(a) - 1 - m, -1, -1):
-        q.append(r[i + m] % p if p else r[i + m] // b[-1])
-        r[i:i + m + 1] = [x - q[-1] * y for x, y in zip(r[i:i + m + 1], b)]
-    return None if any(x % p if p else x for x in r) else q[::-1]
+    """a/b on integer images (residues over F_p) if b divides a, else None; b primitive over Q,
+    monic over F_p.  A window of deg b coefficients slides down a from the top, one quotient
+    digit a step; over Q the first digit lead(b) does not divide ends it (Gauss's lemma)."""
+    c, rows, tail, q = b[-1], a[::-1], b[-2::-1], []
+    w = rows[:len(tail)]
+    for x in rows[len(tail):]:
+        w.append(x)
+        top = w[0]
+        if p:
+            w = [(u - top * y) % p for u, y in zip(w[1:], tail)] if top else w[1:]
+        elif top % c:
+            return None
+        else:
+            top //= c
+            w = [u - top * y for u, y in zip(w[1:], tail)]
+        q.append(top)
+    return None if any(w) else q[::-1]
 
 
 def _gcd(a, b, p) -> list:
-    """A gcd of integer images, primitive over Q (monic over F_p), by pseudo-remainders:
-    b itself if it divides a, so b enters primitive (monic)."""
+    """A gcd of integer images (residues over F_p), primitive with a positive top over Q (monic
+    over F_p): b itself if it divides a, so b enters primitive (monic).  Each remainder slides
+    _divide's window down a; over Q a step is lead(b) w - top b, and a coefficient enters scaled
+    by the running power of lead(b) (Knuth's Algorithm R, its scaling deferred as by Collins)."""
     while b:
-        r = a
-        while len(r) >= len(b):  # b_top r - r_top t^s b has a lower degree
-            s, top = len(r) - len(b), r[-1]
-            r = [x * b[-1] - (top * b[i - s] if i >= s else 0) for i, x in enumerate(r[:-1])]
-            r = tp_trim([x % p for x in r] if p else r)
+        c, rows, tail = b[-1], a[::-1], b[-2::-1]
+        w, scale = rows[:len(tail)], 1
+        for x in rows[len(tail):]:
+            w.append(x * scale)
+            top = w[0]
+            if p:
+                w = [(u - top * y) % p for u, y in zip(w[1:], tail)] if top else w[1:]
+            else:
+                w = [c * u - top * y for u, y in zip(w[1:], tail)]
+                scale *= c
+        r = tp_trim(w[::-1])
         if r:  # the primitive part, or the monic associate
             g = pow(r[-1], -1, p) if p else math.gcd(*r) * (1 if r[-1] > 0 else -1)
             r = [x * g % p for x in r] if p else [x // g for x in r]
@@ -258,6 +277,24 @@ def _bounded(numeral: str, what: str) -> Fraction:
         if len(digits.lstrip("0")) > len(str(DENSE_SIZE)) or int(digits) > DENSE_SIZE:
             raise ParseError(f"{what} {numeral} exceeds the dense-size bound {DENSE_SIZE}")
     return Fraction(numeral)
+
+
+def check_span(elements) -> None:
+    """Refuse, with a ParseError, elements of K and series whose exponents and O(t^...) caps
+    span more than DENSE_SIZE slots of their common lattice (1/E)Z, E the lcm of their
+    ramifications: a dense form built from them holds an integer per slot.  Only the ends of
+    each support are read, so nothing dense is built to decide it."""
+    e, ends = 1, []
+    for a in elements:
+        if isinstance(a, RatFunc):  # its integer lists run from t^0 to the larger degree
+            ends += [0, max(len(a.nq[0]), len(a.dq[0])) - 1]
+            continue
+        e = math.lcm(e, a.ram)
+        ends += [Fraction(k, a.ram) for k in (min(a.coeffs), max(a.coeffs))] if a.coeffs else []
+        ends += [a.prec] if a.prec is not None else []
+    if ends and (span := math.ceil((max(ends) - min(ends)) * e)) > DENSE_SIZE:
+        raise ParseError(f"exponents and caps span {span} slots of the lattice (1/{e})Z, "
+                         f"above the dense-size bound {DENSE_SIZE}")
 
 
 def _parse_term(field, sign, body):

@@ -29,7 +29,8 @@ from valwb.series import (
     truncate_to_ratfunc,
 )
 
-from fraction_ratfunc import FractionRatFunc, fraction_coerce, tp_add, tp_mul
+from fraction_ratfunc import FractionRatFunc, fraction_coerce, tp_add, tp_divmod, tp_mul
+import remainder_reference
 
 F2 = GF(2)
 
@@ -741,6 +742,72 @@ def test_integer_ratfunc_raises_what_the_fraction_reference_raises():
                 build(field, [1], [1, 1]) / build.zero(field)
         for num in (["1/3", 2], [Fraction(2, 7), "-5"], [10**20, "3/2"]):
             assert ratfunc_view(RatFunc, field, num) == ratfunc_view(FractionRatFunc, field, num)
+
+
+# -- the remainder kernels at large degree gaps ----------------------------------
+#
+# The reference (tests/remainder_reference.py) is _gcd and _divide as they were before the
+# window; tp_gcd and tp_divmod of tests/fraction_ratfunc.py give the normal forms on scalars.
+
+REMAINDER_FIELDS = [QQ, F2, GF(3), GF(7), GF(101), GF(2**31 - 1)]
+
+
+def int_poly(p, rng, deg, lead=None):
+    """Integer images of degree deg: residues over F_p, mostly small integers over Q."""
+    def draw():
+        if p:
+            return rng.randrange(p)
+        return rng.randint(-2**70, 2**70) if rng.random() < 0.01 else rng.randint(-9, 9)
+    top = lead if lead is not None else (rng.randrange(1, p) if p else rng.choice((-7, -1, 1, 3)))
+    return [draw() for _ in range(deg)] + [top]
+
+
+def divisor(p, rng, deg):
+    """b as the kernels take it: monic over F_p; over Q primitive, its lead often neither
+    1 nor -1 and often negative."""
+    if p:
+        return int_poly(p, rng, deg, lead=1)
+    b = int_poly(p, rng, deg, lead=rng.choice((-12, -5, -3, -2, -1, 1, 2, 4, 6, 9)))
+    g = math.gcd(*b)
+    return [y // g for y in b]
+
+
+def test_remainder_kernels_match_the_reference_at_large_degree_gaps():
+    rng = random.Random(3131)
+    seen = {"divides": 0, "not": 0, "gcd > 1": 0, "coprime": 0, "deg >= 120": 0}
+    for i in range(240):
+        field = REMAINDER_FIELDS[i % len(REMAINDER_FIELDS)]
+        p, m = field.char, rng.randint(1, 12)
+        n = rng.randint(120, 130) if rng.random() < 0.7 else rng.randint(m, 40)
+        b = divisor(p, rng, m)
+        shape = i // len(REMAINDER_FIELDS) % 4  # each shape over each field
+        if shape == 0:  # b | a
+            a = series._mul(int_poly(p, rng, n - m), b, p)
+        elif shape == 1:  # a planted common factor of degree 1-4
+            g = divisor(p, rng, rng.randint(1, 4))
+            a = series._mul(int_poly(p, rng, n - len(g) + 1), g, p)
+            b = series._mul(divisor(p, rng, max(1, m - len(g) + 1)), g, p)
+        else:  # likely coprime; a perturbed multiple of b, at its top or its bottom
+            a = int_poly(p, rng, n) if shape == 2 else series._mul(int_poly(p, rng, n - m), b, p)
+            a[-1 if rng.random() < 0.5 else 0] += 1
+            a = tp_trim([x % p for x in a] if p else a)
+        got = series._gcd(a, b, p)
+        assert got == remainder_reference._gcd(a, b, p), i
+        assert series._divide(a, b, p) == remainder_reference._divide(a, b, p), i
+        assert series._divide(a, got, p) == remainder_reference._divide(a, got, p), i
+        num, den = [field.coerce(x) for x in a], [field.coerce(y) for y in b]
+        fraction = FractionRatFunc(field, num, den)  # num and den over their tp_gcd
+        assert view(RatFunc(field, num, den)) == view(fraction), i
+        monic = tp_divmod(field, den, fraction.den)[0]  # tp_gcd(field, num, den), up to a unit
+        assert [field.div(field.coerce(x), field.coerce(got[-1])) for x in got] == \
+            [field.div(x, monic[-1]) for x in monic], i
+        quotient, rest = tp_divmod(field, num, den)
+        quot = series._divide(a, b, p)
+        assert (quot and [field.coerce(x) for x in quot]) == (None if rest else quotient), i
+        seen["divides" if quot is not None else "not"] += 1
+        seen["gcd > 1" if len(got) > 1 else "coprime"] += 1
+        seen["deg >= 120"] += len(a) > 120
+    assert min(seen.values()) >= 40, seen
 
 
 def test_ratfunc_views_are_copies_of_its_scalars():

@@ -18,6 +18,7 @@ from valwb.errors import HorizonExceeded, ParseError, PrecisionExhausted, Workbe
 from valwb.examples import run_example
 from valwb.field import GF, QQ
 from valwb.groupval import GroupVal
+from valwb import polyx
 from valwb.polyx import polyx_from_text
 from valwb.report import Evidence, Report, Verdict, digest, search
 from valwb.series import PuiseuxSeries, RatFunc
@@ -448,6 +449,53 @@ def test_cli_parser_rejections_end_as_input_errors(argv, message):
         main(argv)
     assert exc.value.code == 1 and err.getvalue().startswith(f"error: {message}")
     assert err.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["lift-cskp", "--seq", "X @ 0", "--minpoly", "junk ]]"], "--minpoly is read only with --center"),
+    (["lift-cskp", "--seq", "X @ 0", "--minpoly", "X - t"], "--minpoly is read only with --center"),
+    (["lift-cskp", "--seq", "X @ 0", "--center", ""], "argument --center: empty value"),
+    (["lift-cskp", "--seq", "X @ 0", "--budget", ""], "argument --budget: empty value"),
+    (["lift-cskp", "--seq", "X @ 0", "--center", "t", "--minpoly", " "],
+     "argument --minpoly: empty value"),
+    (["pcs-classify", "--generator", ""], "argument --generator: empty value"),
+])
+def test_cli_refuses_an_empty_or_unread_optional_value(tmp_path, argv, message):
+    # an optional flag that this call does not read, or an empty value, is not taken as absent
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv + ["--config", write_cfg(tmp_path, "spec.kind = gauss\n")])
+        except SystemExit as exc:
+            code = exc.code
+    assert (code, out.getvalue(), err.getvalue()) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("center, argv, span, lattice", [
+    ("t", ["eval", "--poly", "[t^(999999/1000) + t^(1/999)]*X + 1"], 998999001, 999000),
+    ("t^(1/1000)", ["delta", "--poly", "[t^(1/999) + t^1000]*X + 1"], 999000000, 999000),
+    ("t", ["eval", "--poly", "[t^(1/999) + O(t^1002)]*X + 1"], 1000998, 999),
+    ("t^(1/1000) + O(t^1001)", ["eval", "--poly", "X + 1"], 1001000, 1000),
+    ("t", ["density", "--f", "[t^(1/1000)]*X", "--g", "[t^(999998/999)]*X + 1", "--alpha", "1"],
+     999998000, 999000),
+    ("t", ["lift-cskp", "--seq", "X + [t^(1/999)] @ 1", "--center", "t^(2001/1000)"],
+     1998999, 999000),
+])
+def test_cli_refuses_a_common_lattice_span_above_the_dense_size_bound(
+        tmp_path, monkeypatch, center, argv, span, lattice):
+    # each number is at most DENSE_SIZE, but their common lattice spans more slots: refused
+    # where the text is read, before any dense form (a packed value row) is built
+    def packed(*args):
+        raise AssertionError("the dense form was built")
+
+    monkeypatch.setattr(polyx, "_packed_values", packed)
+    cfg = write_cfg(tmp_path, f"spec.kind = monomial\nspec.center = {center}\nspec.gamma = 1\n")
+    start = time.perf_counter()
+    code, out, err = run_cli(argv + ["--config", cfg])
+    assert (code, out) == (1, "") and err == (
+        f"error: exponents and caps span {span} slots of the lattice (1/{lattice})Z, "
+        f"above the dense-size bound 1000000\n")
+    assert time.perf_counter() - start < 1
 
 
 def handler_reads(handler) -> set:
