@@ -160,7 +160,7 @@ def _induce(args) -> Report:
 def _cskp_check(args) -> Report:
     cfg = _load_cfg(args)
     f = _parse_poly(cfg, args.poly)
-    seq = _parse_seq(cfg, args.seq)
+    seq = _parse_seq(cfg, args.seq, *f.coeffs)  # f is expanded in powers of each entry
     out = cskp_check(seq, f, cfg.spec)
     inputs = digest(cfg.spec.to_text(), args.poly, args.seq)
     if isinstance(out, Witness):

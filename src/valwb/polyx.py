@@ -686,13 +686,11 @@ def polyx_from_text(field: BaseField, text: str, domain: str = RATFUNC) -> PolyX
 
     Bracketed coefficients are parsed in the requested domain ("ratfunc" or
     "series"); unbracketed factors must be rational scalars or t-monomials.
+    Empty or sign-only text is the zero polynomial.
     """
     if domain not in (RATFUNC, SERIES):
         raise WorkbenchError(f"unknown coefficient domain {domain!r}")
-    text = text.strip()
-    if text == "0" or not text:
-        return PolyX.zero(field)
-    one = PuiseuxSeries.one(field) if domain == SERIES else RatFunc.one(field)
+    ring = PuiseuxSeries if domain == SERIES else RatFunc
     terms = {}
     for sign, body in _split_terms(text):
         body = body.strip()
@@ -703,26 +701,18 @@ def polyx_from_text(field: BaseField, text: str, domain: str = RATFUNC) -> PolyX
         else:
             k, coef_body = 0, body
         if coef_body.startswith("[") and coef_body.endswith("]"):
-            inner = coef_body[1:-1]
-            if domain == SERIES:
-                c = PuiseuxSeries.from_text(field, inner)
-            else:
-                c = RatFunc.from_text(field, inner)
+            c = ring.from_text(field, coef_body[1:-1])
         else:
-            # plain factor: rational scalar and/or t-power products
-            c = one
-            for factor in coef_body.split("*"):
-                factor = factor.strip()
-                if not factor:
-                    continue
-                exp, sc = _parse_term(field, 1, factor)
-                if domain == RATFUNC:
-                    if exp.denominator != 1:
-                        raise ParseError(f"fractional t-exponent needs series domain: {factor!r}")
-                    c = c * RatFunc.t_power(field, int(exp)) * RatFunc.constant(field, sc)
-                else:
-                    c = c.shift(exp).scalar_mul(sc)
+            # plain factors, rational scalars and t-powers, folded into one monomial
+            exp, sc = 0, field.one()
+            for factor in filter(None, map(str.strip, coef_body.split("*"))):
+                e, s = _parse_term(field, 1, factor)
+                if ring is RatFunc and e.denominator != 1:
+                    raise ParseError(f"fractional t-exponent needs series domain: {factor!r}")
+                exp, sc = exp + e, field.mul(sc, s)
+            c = ring.t_power(field, exp) * ring.constant(field, sc)
         if sign < 0:
             c = -c
         terms[k] = terms[k] + c if k in terms else c
-    return PolyX(field, [terms.get(i, one.zero(field)) for i in range(max(terms) + 1)])
+    zero = ring.zero(field)
+    return PolyX(field, [terms.get(i, zero) for i in range(max(terms, default=-1) + 1)])

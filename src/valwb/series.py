@@ -217,33 +217,6 @@ def tp_ord(a) -> Optional[int]:
     return None
 
 
-def _join_signed(parts) -> str:
-    out = parts[0]
-    for p in parts[1:]:
-        if p.startswith("-"):
-            out += " - " + p[1:]
-        else:
-            out += " + " + p
-    return out
-
-
-def tp_text(field, a) -> str:
-    if not a:
-        return "0"
-    parts = []
-    for i, x in enumerate(a):
-        if field.is_zero(x):
-            continue
-        cs = field.scalar_text(x)
-        if i == 0:
-            parts.append(cs)
-        elif cs == "1":
-            parts.append("t" if i == 1 else f"t^{i}")
-        else:
-            parts.append(f"{cs}*t" if i == 1 else f"{cs}*t^{i}")
-    return _join_signed(parts)
-
-
 _TERM_RE = re.compile(
     r"^\s*(?P<coef>-?\d+(?:/\d+)?)?\s*\*?\s*(?:t(?:\^(?:\((?P<pexp>-?\d+(?:/\d+)?)\)|(?P<exp>-?\d+(?:/\d+)?)))?)?\s*$"
 )
@@ -322,9 +295,6 @@ def _strip_parens(text: str) -> str:
 
 def tp_parse(field, text: str):
     """Parse a polynomial in t with integer exponents."""
-    text = text.strip()
-    if text == "0" or not text:
-        return []
     coeffs = {}
     for sign, body in _split_terms(text):
         exp, sc = _parse_term(field, sign, body)
@@ -332,9 +302,7 @@ def tp_parse(field, text: str):
             raise ParseError(f"polynomial exponent must be a nonnegative integer: {body!r}")
         n = int(exp)
         coeffs[n] = field.add(coeffs.get(n, field.zero()), sc)
-    if not coeffs:
-        return []
-    out = [field.zero()] * (max(coeffs) + 1)
+    out = [field.zero()] * (max(coeffs, default=-1) + 1)
     for n, sc in coeffs.items():
         out[n] = sc
     return tp_trim(out)
@@ -415,7 +383,8 @@ class RatFunc:
         return RatFunc(field, [field.coerce(c)])
 
     @staticmethod
-    def t_power(field: BaseField, n: int) -> "RatFunc":
+    def t_power(field: BaseField, n) -> "RatFunc":
+        n = int(n)  # an int or an integral Fraction
         return RatFunc._of(field, ([0] * max(n, 0) + [1], 1), ([0] * max(-n, 0) + [1], 1))
 
     @staticmethod
@@ -533,17 +502,19 @@ class RatFunc:
         exactly, its scalars built from the integers; a fraction with a pole is expanded
         to O(t^prec), by default O(t^DEFAULT_PREC), and kept as its ``source``."""
         if self.is_polynomial():
-            xs, d = self.nq
-            return PuiseuxSeries(self.field, 1, {i: x if self.field.char else Fraction(x, d)
-                                                 for i, x in enumerate(xs) if x}, None)
+            return self._exact_series(*self.nq)
         out = coerce(self, expansion_prec(prec))
         out.source = self
         return out
 
+    def _exact_series(self, xs, d) -> "PuiseuxSeries":
+        """The polynomial of a stored pair (xs, d), embedded exactly."""
+        return PuiseuxSeries(self.field, 1, {i: x if self.field.char else Fraction(x, d)
+                                             for i, x in enumerate(xs) if x}, None)
+
     def to_text(self) -> str:
-        if self.is_polynomial():
-            return tp_text(self.field, self.num)
-        return f"({tp_text(self.field, self.num)}) / ({tp_text(self.field, self.den)})"
+        num, den = (self._exact_series(*pair).to_text() for pair in (self.nq, self.dq))
+        return num if self.is_polynomial() else f"({num}) / ({den})"
 
     def __repr__(self):
         return f"RatFunc({self.to_text()})"
@@ -615,17 +586,13 @@ class PuiseuxSeries:
     @staticmethod
     def from_terms(field: BaseField, terms: dict, prec=None) -> "PuiseuxSeries":
         """Build from {exponent (Fraction-like): scalar-like}."""
-        exps = {Fraction(e): field.coerce(c) for e, c in terms.items()}
-        ram = 1
-        for e in exps:
-            ram = ram * e.denominator // math.gcd(ram, e.denominator)
-        coeffs = {}
-        for e, c in exps.items():
-            n = int(e * ram)
-            if n in coeffs:
-                c = field.add(coeffs[n], c)
-            coeffs[n] = c
-        return PuiseuxSeries(field, ram, coeffs, None if prec is None else Fraction(prec))
+        exps = {}
+        for e, c in terms.items():  # keys that spell one exponent are summed
+            e, c = Fraction(e), field.coerce(c)
+            exps[e] = field.add(exps[e], c) if e in exps else c
+        ram = math.lcm(*(e.denominator for e in exps))
+        return PuiseuxSeries(field, ram, {int(e * ram): c for e, c in exps.items()},
+                             None if prec is None else Fraction(prec))
 
     @staticmethod
     def t_power(field: BaseField, exp, prec=None) -> "PuiseuxSeries":
@@ -789,24 +756,17 @@ class PuiseuxSeries:
     # -- text ------------------------------------------------------------------
 
     def to_text(self) -> str:
-        f = self.field
+        def power(e):
+            return f"t^{e}" if e.denominator == 1 else f"t^({e})"
+
         parts = []
-        for e in self.support():
-            cs = f.scalar_text(self.coeff_at(e))
-            if e == 0:
-                parts.append(cs)
-                continue
-            if e == 1:
-                tpart = "t"
-            elif e.denominator == 1:
-                tpart = f"t^{e}"
-            else:
-                tpart = f"t^({e})"
-            parts.append(tpart if cs == "1" else f"{cs}*{tpart}")
+        for n, c in sorted(self.coeffs.items()):
+            e, cs = Fraction(n, self.ram), self.field.scalar_text(c)
+            tpart = "t" if e == 1 else power(e)
+            parts.append(cs if e == 0 else tpart if cs == "1" else f"{cs}*{tpart}")
         if self.prec is not None:
-            p = self.prec
-            parts.append(f"O(t^({p}))" if p.denominator != 1 else f"O(t^{p})")
-        return _join_signed(parts) if parts else "0"
+            parts.append(f"O({power(self.prec)})")
+        return " + ".join(parts).replace(" + -", " - ") or "0"  # no part holds a space
 
     def to_series(self, prec=None) -> "PuiseuxSeries":
         """Already in the completion."""
@@ -824,10 +784,7 @@ class PuiseuxSeries:
 
     @staticmethod
     def from_text(field: BaseField, text: str) -> "PuiseuxSeries":
-        text = text.strip()
-        if text == "0":
-            return PuiseuxSeries.zero(field)
-        prec = None
+        text, prec = text.strip(), None
         m = re.search(r"O\(\s*t(?:\^\(?(-?\d+(?:/\d+)?)\)?)?\s*\)\s*$", text)
         if m:
             try:
@@ -836,12 +793,9 @@ class PuiseuxSeries:
                 raise ParseError(f"zero denominator in {m.group(0)!r}") from None
             text = text[: m.start()].rstrip().rstrip("+").rstrip()
         terms = {}
-        if text:
-            for sign, body in _split_terms(text):
-                exp, sc = _parse_term(field, sign, body)
-                if exp in terms:
-                    sc = field.add(terms[exp], sc)
-                terms[exp] = sc
+        for sign, body in _split_terms(text):
+            exp, sc = _parse_term(field, sign, body)
+            terms[exp] = field.add(terms[exp], sc) if exp in terms else sc
         return PuiseuxSeries.from_terms(field, terms, prec)
 
 

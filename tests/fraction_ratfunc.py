@@ -9,8 +9,7 @@ from fractions import Fraction
 
 from valwb.errors import WorkbenchError
 from valwb.groupval import GroupVal
-from valwb.series import (PuiseuxSeries, expansion_prec, square_multiply, tp_ord, tp_text,
-                          tp_trim)
+from valwb.series import PuiseuxSeries, expansion_prec, square_multiply, tp_ord, tp_trim
 
 
 def tp_add(field, a, b):
@@ -199,6 +198,6 @@ class FractionRatFunc:
         return out
 
     def to_text(self):
-        if self.is_polynomial():
-            return tp_text(self.field, self.num)
-        return f"({tp_text(self.field, self.num)}) / ({tp_text(self.field, self.den)})"
+        num, den = (PuiseuxSeries(self.field, 1, dict(enumerate(a)), None).to_text()
+                    for a in (self.num, self.den))
+        return num if self.is_polynomial() else f"({num}) / ({den})"

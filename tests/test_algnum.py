@@ -128,6 +128,18 @@ def test_krasner_constant():
                                     irreducible_certified=True))
 
 
+def test_krasner_constant_skips_an_exactly_coinciding_pair(monkeypatch):
+    # the supported twists never repeat a conjugate, so a repeated one is fed in: an exact
+    # coincidence is not a distinct pair, and alone it leaves no pair to measure
+    a = attach_minpoly(sqrt_t(), X2_MINUS_T, irreducible=True)
+    x, y = sqrt_t(), -sqrt_t()
+    monkeypatch.setattr(algnum, "conjugates", lambda a: [x, x, y])
+    assert krasner_constant(a) == GroupVal.fin(Fraction(1, 2))
+    monkeypatch.setattr(algnum, "conjugates", lambda a: [x, x])
+    with pytest.raises(Uncertified, match="no distinct conjugate pairs found"):
+        krasner_constant(a)
+
+
 def test_krasner_routes_agree():
     # cube root of t over GF(7): both the twist route and the polygon
     # route are available and must agree

@@ -138,6 +138,18 @@ def test_lift_cskp_unique_pair():
     assert root.support()[:4] == [Fraction(1), Fraction(2), Fraction(4), Fraction(8)]
 
 
+def test_lift_cskp_leaves_the_sequence_when_no_root_of_ramification_one_is_found():
+    # X^2 - t has no root in k((t)): the final certificate stays, and the note says so
+    sqrt_t = PuiseuxSeries.t_power(QQ, Fraction(1, 2))
+    Q = polyx_from_text(QQ, "X^2 - t")
+    seq = CskpSeq([(polyx_from_text(QQ, "X"), GroupVal.fin(Fraction(1, 2))), (Q, GAMMA_TOP)])
+    spec = ValuationSpec.monomial(sqrt_t, GAMMA_TOP)
+    lifted, note = lift_cskp(seq, spec, center=attach_minpoly(sqrt_t, Q, irreducible=True),
+                             budget=Fraction(8))
+    assert lifted is seq
+    assert note == "inconclusive at budget 8: no ram-1 root; final certificate left in place"
+
+
 def test_lift_cskp_type_ii_appends_limit():
     gen = exponential_generator(12)
     spec = ValuationSpec.pcslimit(gen)

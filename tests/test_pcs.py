@@ -68,6 +68,16 @@ def test_is_limit():
     assert not is_limit(gen.element(0), gen)
 
 
+def test_is_limit_reads_an_undecided_difference_against_the_cap():
+    # y = a_3 + O(t^cap): v(y - a_m) is undecided for m >= 3, which is consistent with a
+    # limit where gamma_m = m + 1 lies at or beyond the cap, and refutes it where it lies below
+    gen = exponential_generator(8)
+    a3 = gen.element(3)
+    assert is_limit(a3.truncate(4), gen)  # gamma_3 at the cap
+    assert is_limit(a3.truncate(Fraction(7, 2)), gen)  # gamma_3 above the cap
+    assert not is_limit(a3.truncate(5), gen)  # gamma_3 below it: y lacks t^4/4!
+
+
 def test_values_along_trends():
     gen = exponential_generator(10)
     # X - a_1 stabilizes at gamma_1 = 2 from index 2 on

@@ -187,6 +187,50 @@ def test_from_text_forms():
     assert (zero + s) == s and (zero * s).is_zero() and (f + zero) == f
 
 
+def test_sign_only_text_reads_as_the_zero_polynomial():
+    # as RatFunc.from_text and PuiseuxSeries.from_text read it; a bare max() raised before
+    for field in (QQ, F2):
+        for domain in (RATFUNC, SERIES):
+            for text in ("+", "-", " - + ", ""):
+                assert polyx_from_text(field, text, domain) == PolyX.zero(field)
+
+
+# term soups of a fixed atom list: signs, scalars, t-powers, brackets, caps, " / " and X^k
+SOUP_FACTORS = ["0", "1", "2", "-3", "3/4", "1/2", "5/3", "t", "t^2", "t^(1/2)", "t^(-1)",
+                "t^(2/3)", "t^-2", "[1 + t]", "[t^(1/3) - 2]", "[O(t^2)]", "[1 / t]",
+                "[t + O(t^(7/2))]", "(t + 1)", "(", ")", "O(t^3)", "O(t)", "O(t^(5/2))", "X",
+                "X^2", "X^3", "[", "]", "", " "]
+SOUP_JOINS = ["+", "-", " + ", " - ", "", " / ", "- -", "+ -"]
+TEXT_READERS = [RatFunc.from_text, PuiseuxSeries.from_text,
+                lambda field, text: polyx_from_text(field, text, RATFUNC),
+                lambda field, text: polyx_from_text(field, text, SERIES)]
+
+
+def term_soup(rng) -> str:
+    terms = ["*".join(rng.choice(SOUP_FACTORS) for _ in range(rng.randint(0, 3)))
+             for _ in range(rng.randint(0, 4))]
+    text = rng.choice(["", "-", "+", " "])
+    for i, term in enumerate(terms):
+        text += (rng.choice(SOUP_JOINS) if i else "") + term
+    return text
+
+
+def test_text_readers_return_an_element_or_a_workbench_error():
+    rng = random.Random(32)
+    read = 0
+    for _ in range(500):
+        text = term_soup(rng)
+        for field in (QQ, F2, GF(3), GF(7)):
+            for reader in TEXT_READERS:
+                try:
+                    x = reader(field, text)
+                except WorkbenchError:
+                    continue
+                assert isinstance(x.to_text(), str), (text, field)
+                read += 1
+    assert read > 2000, read  # the soups are not all refused
+
+
 def test_mixed_coefficients_are_refused():
     t, one = RatFunc.t_power(QQ, 1), PuiseuxSeries.one(QQ)
     s = PolyX(QQ, [PuiseuxSeries.t_power(QQ, 1), one])

@@ -194,6 +194,12 @@ def test_ram_normalization():
     assert t.ram == 1
 
 
+def test_from_terms_sums_keys_that_spell_one_exponent():
+    s = PuiseuxSeries.from_terms(QQ, {"1/2": 1, Fraction(1, 2): 2, "2/4": 3, 1: 1})
+    assert s == S(QQ, {Fraction(1, 2): 6, 1: 1})
+    assert PuiseuxSeries.from_terms(F2, {"1/2": 1, Fraction(1, 2): 1}).is_exact_zero()
+
+
 def test_text_round_trip():
     for s in (S(QQ, {Fraction(1, 2): Fraction(3, 2), 2: -1}, 7),
               PuiseuxSeries.zero(QQ),

@@ -17,6 +17,7 @@ from valwb.valuation import (
     Smaller,
     ValuationSpec,
     _min_weighted,
+    _pool_degree,
     delta,
     eval_rational,
     eval_spec,
@@ -220,6 +221,16 @@ def test_minimal_pair_search():
     assert isinstance(res2, Evidence)
     assert res2.tested >= 2
     assert (res2.undecidable, res2.notes) == (0, ())
+
+
+def test_pool_degree_is_certified_only_for_exact_sums_with_their_roots_of_unity():
+    # an exact sum of ramification e has degree e where k holds the e-th roots of unity;
+    # a capped candidate, or one whose conjugates k cannot reach, has no certified degree
+    assert _pool_degree(PuiseuxSeries.from_text(QQ, "1 + t")) == 1
+    assert _pool_degree(PuiseuxSeries.from_text(QQ, "1 + t + O(t^5)")) is None
+    assert _pool_degree(PuiseuxSeries.from_text(QQ, "t^(1/2) + t")) == 2
+    assert _pool_degree(PuiseuxSeries.from_text(QQ, "t^(1/3)")) is None
+    assert _pool_degree(PuiseuxSeries.from_text(GF(7), "t^(1/3)")) == 3
 
 
 def test_spec_text():

@@ -378,6 +378,8 @@ CLI_FAULTS = [
     ("--alpha", "(1,"), ("--center", "t^(1/0)"), ("--center", "t^x"),
     ("--minpoly", "X^2 -- "), ("--minpoly", ""), ("--f", "X^^"), ("--p", "x"), ("--q", "0"),
     ("--poly", f"[{'7' * 5000}]*X + 1"), ("--f", f"X + [{'7' * 5000} * t]"),
+    ("--poly", "+"), ("--poly", "- +"), ("--seq", "- @ 1"), ("--minpoly", "+"), ("--f", "-"),
+    ("config", "spec.kind = keypoly\nspec.Q = +\nspec.vQ = 1"),
 ]
 
 
@@ -480,6 +482,8 @@ def test_cli_refuses_an_empty_or_unread_optional_value(tmp_path, argv, message):
      999998000, 999000),
     ("t", ["lift-cskp", "--seq", "X + [t^(1/999)] @ 1", "--center", "t^(2001/1000)"],
      1998999, 999000),
+    ("t", ["cskp-check", "--poly", "[t^(999999/1000)]*X^2 + 1", "--seq", "X^2 + [t^(1/999)]*X @ 1"],
+     998999001, 999000),
 ])
 def test_cli_refuses_a_common_lattice_span_above_the_dense_size_bound(
         tmp_path, monkeypatch, center, argv, span, lattice):
