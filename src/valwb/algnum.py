@@ -12,7 +12,6 @@ from __future__ import annotations
 import bisect
 import contextlib
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,10 +44,6 @@ class AlgElement:
     @property
     def field(self) -> BaseField:
         return self.expansion.field
-
-    @property
-    def ram(self) -> int:
-        return self.expansion.ram
 
     def __repr__(self):
         tag = ""
@@ -145,38 +140,30 @@ def conjugates(a: AlgElement) -> list:
 
 
 def krasner_constant(a: AlgElement) -> GroupVal:
-    """max v(sigma a - tau a) over distinct conjugates.
+    """omega(a) = max v(sigma a - tau a) over distinct conjugates.
 
-    Prefers explicit conjugate enumeration; falls back to the shifted-
-    polygon route (slopes of the certificate recentered at a are exactly
-    the v(sigma a - a)).
+    Where :func:`conjugates` enumerates them, by the closed form of its family: the p
+    translates a + c differ by the nonzero constants of F_p, so omega(a) = 0 (refused when
+    a's cap hides t^0); two twists whose index difference has order d > 1 in Z/e differ at
+    exactly the keys n with d not dividing n, so omega(a) is the max over d | e of the least
+    such n/e, reached at a prime d (a's characteristic exponents).  No min is empty: the
+    keys of a series of ramification e share no factor with e.  Otherwise the slopes of the
+    certificate recentered at a, which are the v(sigma a - a).
     """
-    deg = a.degree()
-    if deg < 2:
+    if a.degree() < 2:
         raise Uncertified("the Krasner constant needs an element of degree >= 2")
-    try:
-        conj = conjugates(a)
-    except Uncertified:
-        conj = None
-    if conj is not None:
-        best = None
-        for x, y in itertools.combinations(conj, 2):
-            d = x - y
-            if not d.coeffs:
-                if d.prec is None:
-                    continue  # exact coincidence; not a distinct pair
-                raise PrecisionExhausted(
-                    "conjugate difference indistinguishable from 0 at this precision")
-            v = d.val()
-            if best is None or v > best:
-                best = v
-        if best is None:
-            raise Uncertified("no distinct conjugate pairs found")
-        return best
-    # polygon route: slopes at center a are the v(sigma a - a)
+    f, s = a.field, a.expansion
+    if f.char > 0 and a.minpoly is not None and _is_artin_schreier(a.minpoly, f.char):
+        if s.prec is not None and s.prec <= 0:
+            raise PrecisionExhausted(
+                "conjugate difference indistinguishable from 0 at this precision")
+        return GroupVal.fin(0)
+    if s.ram > 1 and f.root_of_unity(s.ram) is not None:
+        return GroupVal.fin(Fraction(max(min(n for n in s.coeffs if n % d)
+                                         for d in _divisors(s.ram)[1:]), s.ram))
     if a.minpoly is None:
         raise Uncertified("no conjugates and no certificate available")
-    slopes = [s for s, _ in a.minpoly.newton_polygon(a.expansion) if not s.is_inf]
+    slopes = [sl for sl, _ in a.minpoly.newton_polygon(s) if not sl.is_inf]
     if not slopes:
         raise Uncertified("all certificate roots coincide with the element")
     return max(slopes)

@@ -37,7 +37,7 @@ from .polyx import RATFUNC, PolyX, _packed_values
 from .report import Evidence, search
 from .series import DEFAULT_PREC, PuiseuxSeries, RatFunc, min_prec, truncate_to_ratfunc
 from .valuation import (OVER_KHAT, ValuationSpec, _min_weighted, _profile_delta, delta, eval_spec,
-                        is_pair_equivalent)
+                        is_pair_equivalent, require_key_polynomial)
 
 # extension kinds
 RESIDUE_TRANSCENDENTAL = "ResidueTranscendental"
@@ -95,11 +95,13 @@ def induce(spec: ValuationSpec):
 # ---------------------------------------------------------------------------
 
 class CskpSeq:
-    """An ordered sequence of (key polynomial, delta) with distinct,
-    increasing deltas."""
+    """An ordered sequence of (key polynomial, delta) with monic key polynomials of
+    degree >= 1 and distinct, increasing deltas."""
 
     def __init__(self, entries):
         entries = list(entries)
+        for q, _ in entries:
+            require_key_polynomial(q)
         for (q1, d1), (q2, d2) in zip(entries, entries[1:]):
             if not d1 < d2:
                 raise WorkbenchError(

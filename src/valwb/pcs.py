@@ -20,7 +20,7 @@ from .errors import HorizonExceeded, NotPcs, ParseError, PrecisionExhausted, Wor
 from .field import GF, QQ, BaseField
 from .groupval import GroupVal
 from .polyx import PolyX
-from .series import PuiseuxSeries, min_prec
+from .series import DENSE_SIZE, PuiseuxSeries, min_prec
 
 DEFAULT_HORIZON = 12
 DEFAULT_WINDOW = 3
@@ -28,11 +28,16 @@ DEFAULT_RAM_CAP = 64
 
 
 def check_bounds(horizon: int, window: int, ram_cap: int) -> None:
-    """Refuse sequence bounds no verdict can be read under: the one check of all three."""
+    """Refuse sequence bounds no verdict can be read under, or whose prefix a_0..a_h is too
+    large to materialize: the one check of all three.  Each a_m of a built-in generator
+    holds m + 1 terms, so the prefix holds (h+1)(h+2)/2, at most DENSE_SIZE."""
     if ram_cap < 1:
         raise WorkbenchError("ram_cap must be at least 1")
     if horizon < 3:
         raise WorkbenchError("horizon must be at least 3")
+    if (terms := (horizon + 1) * (horizon + 2) // 2) > DENSE_SIZE:
+        raise WorkbenchError(f"horizon {horizon} materializes {terms} terms, "
+                             f"above the dense-size bound {DENSE_SIZE}")
     if window < 1:
         raise WorkbenchError("window must be at least 1")
 

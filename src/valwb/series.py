@@ -223,14 +223,15 @@ _TERM_RE = re.compile(
 
 
 def _split_terms(text: str):
-    """Split on top-level + and -, keeping signs; (...) and [...] are respected."""
+    """Split on top-level + and -, keeping signs; (...) and [...] are respected, and a sign
+    right after ^ belongs to the exponent, as PuiseuxSeries.to_text writes t^-2."""
     terms, depth, cur, sign = [], 0, "", 1
     for ch in text:
         if ch in "([":
             depth += 1
         elif ch in ")]":
             depth -= 1
-        if depth == 0 and ch in "+-":
+        if depth == 0 and ch in "+-" and not cur.endswith("^"):
             if cur.strip():
                 terms.append((sign, cur))
                 cur, sign = "", (1 if ch == "+" else -1)
@@ -712,25 +713,6 @@ class PuiseuxSeries:
         d, p, lower = d1 * d2, f.char, f.from_integer  # a sum ≡ 0 (mod p) builds no scalar
         return PuiseuxSeries(f, e, {k: lower(v, d) for k, v in acc.items() if (v % p if p else v)},
                              prec)
-
-    def scalar_mul(self, c) -> "PuiseuxSeries":
-        f = self.field
-        c = f.coerce(c)
-        if not c:
-            return PuiseuxSeries.zero(f)
-        mul = f.mul
-        return PuiseuxSeries(f, self.ram, {n: mul(x, c) for n, x in self.coeffs.items()},
-                             self.prec)
-
-    def shift(self, exp) -> "PuiseuxSeries":
-        """Multiply by the exact monomial t^exp."""
-        exp = Fraction(exp)
-        e = self.ram * exp.denominator // math.gcd(self.ram, exp.denominator)
-        s = e // self.ram
-        d = int(exp * e)
-        coeffs = {n * s + d: c for n, c in self.coeffs.items()}
-        prec = None if self.prec is None else self.prec + exp
-        return PuiseuxSeries(self.field, e, coeffs, prec)
 
     def __pow__(self, n: int) -> "PuiseuxSeries":
         if n < 0:

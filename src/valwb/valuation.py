@@ -68,8 +68,7 @@ class ValuationSpec:
 
     @staticmethod
     def keypoly(Q: PolyX, vQ: GroupVal, base: "ValuationSpec", over=OVER_K) -> "ValuationSpec":
-        if not Q.is_monic() or Q.degree() < 1:
-            raise WorkbenchError("key polynomial must be monic of degree >= 1")
+        require_key_polynomial(Q)
         _require_finite(vQ)
         return ValuationSpec("keypoly", Q.field, Q=Q, vQ=vQ, base=base, over=over)
 
@@ -96,6 +95,12 @@ class ValuationSpec:
 
     def __repr__(self):
         return f"ValuationSpec({self.to_text()})"
+
+
+def require_key_polynomial(Q: PolyX) -> None:
+    """Refuse Q as a key polynomial, of a spec or of a sequence, unless monic of degree >= 1."""
+    if not Q.is_monic() or Q.degree() < 1:
+        raise WorkbenchError("key polynomial must be monic of degree >= 1")
 
 
 def _require_finite(weight: GroupVal) -> None:

@@ -1,3 +1,5 @@
+import collections
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -19,7 +21,7 @@ from valwb.algnum import (
     krasner_constant,
     minpoly_over_completion,
 )
-from valwb.errors import NotARoot, Uncertified, WorkbenchError
+from valwb.errors import NotARoot, PrecisionExhausted, Uncertified, WorkbenchError
 from valwb.field import GF, QQ
 from valwb.groupval import GroupVal
 from valwb.polyx import PolyX, polyx_from_text
@@ -128,16 +130,69 @@ def test_krasner_constant():
                                     irreducible_certified=True))
 
 
-def test_krasner_constant_skips_an_exactly_coinciding_pair(monkeypatch):
-    # the supported twists never repeat a conjugate, so a repeated one is fed in: an exact
-    # coincidence is not a distinct pair, and alone it leaves no pair to measure
-    a = attach_minpoly(sqrt_t(), X2_MINUS_T, irreducible=True)
-    x, y = sqrt_t(), -sqrt_t()
-    monkeypatch.setattr(algnum, "conjugates", lambda a: [x, x, y])
-    assert krasner_constant(a) == GroupVal.fin(Fraction(1, 2))
-    monkeypatch.setattr(algnum, "conjugates", lambda a: [x, x])
-    with pytest.raises(Uncertified, match="no distinct conjugate pairs found"):
-        krasner_constant(a)
+def pairwise_constant(a):
+    """The Krasner constant as it was computed by enumeration: the degree gate, then the
+    largest v(x - y) over the pairs of ``conjugates(a)``."""
+    if a.degree() < 2:
+        raise Uncertified("the Krasner constant needs an element of degree >= 2")
+    best = None
+    for x, y in itertools.combinations(conjugates(a), 2):
+        d = x - y
+        if not d.coeffs:
+            if d.prec is None:
+                continue  # exact coincidence; not a distinct pair
+            raise PrecisionExhausted(
+                "conjugate difference indistinguishable from 0 at this precision")
+        if best is None or d.val() > best:
+            best = d.val()
+    if best is None:
+        raise Uncertified("no distinct conjugate pairs found")
+    return best
+
+
+def outcome(fn, a):
+    try:
+        return fn(a)
+    except WorkbenchError as exc:
+        return type(exc), str(exc)
+
+
+def krasner_cases(rng):
+    """(kind, AlgElement): twisted expansions over Q (e = 2), F_5 (e = 2, 4), F_7 (e = 3, 6)
+    and F_13 (e = 3, 4, 6, 12), and expansions under an X^p - X - u certificate over F_2,
+    F_3, F_5 and F_7 at caps none, 1/2, 0 and -1; support from t^(-2) up."""
+    def expansion(field, e, cap):
+        keys = rng.sample(range(-2 * e, 6 * e), rng.randint(1, 6))
+        return PuiseuxSeries(field, e, {n: small_scalar(field, rng) for n in keys}, cap)
+
+    twists = [(QQ, 2), (GF(5), 2), (GF(5), 4), (GF(7), 3), (GF(7), 6),
+              (GF(13), 3), (GF(13), 4), (GF(13), 6), (GF(13), 12)]
+    for i in range(2700):
+        field, e = twists[i % len(twists)]
+        cap = None if i % 2 else Fraction(rng.randint(-2 * e, 6 * e), e)
+        yield "twist", AlgElement(expansion(field, e, cap))
+    for i in range(320):
+        field = GF((2, 3, 5, 7)[i % 4])
+        p, cap = field.char, (None, Fraction(1, 2), Fraction(0), Fraction(-1))[i // 4 % 4]
+        u = RatFunc(field, [small_scalar(field, rng) for _ in range(rng.randint(1, 3))],
+                    [0] * rng.randint(0, 2) + [1])
+        Q = PolyX.from_ratfuncs(field, [-u, -RatFunc.one(field)] + [RatFunc.zero(field)] * (p - 2)
+                                + [RatFunc.one(field)])
+        e = rng.choice([1] + [d for d in (2, 3, 6) if (p - 1) % d == 0])
+        yield "translate", AlgElement(expansion(field, e, cap), Q, rng.random() < 0.8)
+
+
+def test_krasner_constant_is_the_largest_difference_of_enumerated_conjugates():
+    # the closed forms answer as the pairwise enumeration of conjugates(a) did: the same
+    # value, or the same exception class and message
+    seen = collections.Counter()
+    for kind, a in krasner_cases(random.Random(33)):
+        got = outcome(krasner_constant, a)
+        assert got == outcome(pairwise_constant, a), (kind, a)
+        seen[kind, "value" if isinstance(got, GroupVal) else got[0].__name__] += 1
+    assert sum(seen.values()) >= 3000
+    assert seen["twist", "value"] > 2000 and seen["translate", "value"] > 100
+    assert seen["translate", "PrecisionExhausted"] > 50 and seen["twist", "Uncertified"]
 
 
 def test_krasner_routes_agree():
@@ -486,7 +541,8 @@ def negative_cases():
         c = small_scalar(field, rng)
         Q = PolyX.from_ratfuncs(field, [-RatFunc(field, [1, c], [0, 0, 1]), RatFunc.zero(field),
                                         RatFunc.one(field)])
-        s = PuiseuxSeries.from_terms(field, sqrt_terms(field, c, 12)).shift(-1)
+        s = (PuiseuxSeries.from_terms(field, sqrt_terms(field, c, 12))
+             * PuiseuxSeries.t_power(field, -1))
         yield "negative", AlgElement(s, Q, True), 10
         r = RatFunc(field, [small_scalar(field, rng) for _ in range(5)], [0, 0, 1])
         Q = PolyX.from_ratfuncs(field, [-r, RatFunc.one(field)]) * random_k_poly(field, rng, 2)

@@ -1,9 +1,9 @@
 """Every module of the package uses every name it imports and imports nothing
-inside a function, every module-level function of the package, private or
-public, is referenced somewhere in it, every function in it reads every
-parameter it takes and has a call that passes each defaulted one, every functools
-cache in it is bounded, and every WorkbenchError it catches without raising again is
-caught for a named reason."""
+inside a function, every module-level function and method of the package, private
+or public, is referenced somewhere in it or kept for a named reason, every function
+in it reads every parameter it takes and has a call that passes each defaulted one,
+every functools cache in it is bounded, and every WorkbenchError it catches without
+raising again is caught for a named reason."""
 
 import ast
 import math
@@ -80,9 +80,10 @@ def test_the_scan_sees_imports_in_function_bodies(tmp_path):
 
 
 def dead_functions(paths, public: bool = False) -> list:
-    """Module-level functions named _x (with ``public``, the other names) that
-    no code in ``paths`` references, an import of the name included, references
-    from the function's own body (recursion) not counted."""
+    """Module-level functions and methods of module-level classes named _x (with
+    ``public``, the other names) that no code in ``paths`` references, an import of
+    the name included, references from the function's own body (recursion) not
+    counted.  A method is named Class.name; any reference to its name counts."""
     trees = {path: ast.parse(path.read_text()) for path in paths}
 
     def names(tree):
@@ -94,23 +95,51 @@ def dead_functions(paths, public: bool = False) -> list:
             elif isinstance(node, ast.alias):
                 yield node.name
 
+    def functions(tree):
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                yield node.name, node
+            elif isinstance(node, ast.ClassDef):
+                yield from ((f"{node.name}.{fn.name}", fn) for fn in node.body
+                            if isinstance(fn, ast.FunctionDef))
+
     used = Counter(name for tree in trees.values() for name in names(tree))
-    return [(path.name, node.name, node.lineno) for path, tree in trees.items()
-            for node in tree.body
-            if isinstance(node, ast.FunctionDef) and node.name.startswith("_") != public
-            and not node.name.startswith("__")
+    return [(path.name, qualified, node.lineno) for path, tree in trees.items()
+            for qualified, node in functions(tree)
+            if node.name.startswith("_") != public and not node.name.startswith("__")
             and used[node.name] == Counter(names(node))[node.name]]
+
+
+# Methods kept though no code in the package references them, and why each stays:
+KEPT_METHODS = {
+    ("polyx.py", "PolyX.recenter_hasse"):
+        "perfbench's tracer wraps it, and the tests take it as the recentering reference",
+    ("field.py", "BaseField.div"): "perfbench's tracer wraps it",
+    ("cli.py", "_Parser.error"): "argparse calls it",
+    ("series.py", "PuiseuxSeries.residue"): "the residue map of ROADMAP item 11",
+    ("report.py", "Report.from_structured"):
+        "the documented round trip of the structured report, checked in test_workbench.py",
+}
 
 
 def test_no_private_function_is_left_unreferenced():
     modules = sorted(Path(valwb.__file__).parent.glob("*.py"))
-    assert not dead_functions(modules), dead_functions(modules)
+    found = [hit for hit in dead_functions(modules) if hit[:2] not in KEPT_METHODS]
+    assert not found, found
 
 
 def test_no_public_function_is_left_unreferenced():
     # a public function counts as used if the package itself calls or exports it
     modules = sorted(Path(valwb.__file__).parent.glob("*.py"))
-    assert not dead_functions(modules, public=True), dead_functions(modules, public=True)
+    found = [hit for hit in dead_functions(modules, public=True) if hit[:2] not in KEPT_METHODS]
+    assert not found, found
+
+
+def test_every_kept_method_is_still_unreferenced():
+    # a kept name that the package calls again needs no place on the list
+    modules = sorted(Path(valwb.__file__).parent.glob("*.py"))
+    found = {hit[:2] for public in (False, True) for hit in dead_functions(modules, public)}
+    assert found == set(KEPT_METHODS)
 
 
 def test_the_scan_sees_dead_and_live_helpers(tmp_path):
@@ -118,10 +147,13 @@ def test_the_scan_sees_dead_and_live_helpers(tmp_path):
         "def _called():\n    return 1\n\ndef _dead():\n    return _called()\n\n"
         "def _recursive(n):\n    return _recursive(n - 1) if n else 0\n\n"
         "def _attribute():\n    return 2\n\ndef __getattr__(name):\n    return name\n\n"
-        "def public():\n    return 3\n")
+        "def public():\n    return 3\n\n"
+        "class C:\n    def __init__(self):\n        self._live()\n\n"
+        "    def _live(self):\n        return 4\n\n"
+        "    def _idle(self):\n        return self._idle()\n")
     (tmp_path / "b.py").write_text("import a\n\nVALUE = a._attribute()\n")
     found = dead_functions(sorted(tmp_path.glob("*.py")))
-    assert found == [("a.py", "_dead", 4), ("a.py", "_recursive", 7)]
+    assert found == [("a.py", "_dead", 4), ("a.py", "_recursive", 7), ("a.py", "C._idle", 26)]
 
 
 def test_the_scan_sees_dead_and_live_public_functions(tmp_path):
@@ -129,11 +161,14 @@ def test_the_scan_sees_dead_and_live_public_functions(tmp_path):
         "def called():\n    return 1\n\ndef dead():\n    return called()\n\n"
         "def recursive(n):\n    return recursive(n - 1) if n else 0\n\n"
         "def exported():\n    return 2\n\ndef attribute():\n    return 3\n\n"
-        "def __getattr__(name):\n    return name\n\ndef _private():\n    return 4\n")
+        "def __getattr__(name):\n    return name\n\ndef _private():\n    return 4\n\n"
+        "class C:\n    def used(self):\n        return 5\n\n"
+        "    def unused(self):\n        return 6\n")
+    (tmp_path / "c.py").write_text("from a import C\n\nVALUE = C().used()\n")
     (tmp_path / "__init__.py").write_text("from .a import exported\n")
     (tmp_path / "b.py").write_text("import a as m\n\nVALUE = m.attribute()\n")
     found = dead_functions(sorted(tmp_path.glob("*.py")), public=True)
-    assert found == [("a.py", "dead", 4), ("a.py", "recursive", 7)]
+    assert found == [("a.py", "dead", 4), ("a.py", "recursive", 7), ("a.py", "C.unused", 26)]
 
 
 def unbounded_caches(path: Path) -> list:
@@ -495,7 +530,6 @@ SWALLOWED = {
     ("pcs.py", "values_along"): "f(a_m) vanishing past the precision is the increasing tail",
     ("valuation.py", "is_pair_equivalent"): "v(a - b) known to reach gamma decides it",
     ("algnum.py", "attach_minpoly"): "Q(s) indistinguishable from 0 at s's cap certifies",
-    ("algnum.py", "krasner_constant"): "without conjugates the polygon route answers",
     ("lifting.py", "_density_monomial"): "an undecidable delta only drops a cutoff guess",
     ("lifting.py", "conjugacy_check"): "0 at the twist's precision shares the minimal polynomial",
     ("lifting.py", "verify_root_matching"): "roots equal up to a cap above alpha keep the promise",

@@ -117,6 +117,15 @@ def test_cskp_seq_container():
     assert "X" in seq.to_text()
 
 
+def test_cskp_seq_refuses_an_entry_that_is_no_key_polynomial():
+    # the keypoly spec's own refusal: a zero, constant or non-monic entry has no digits
+    for text in ("0", "1", "t", "2*X", "X^2 + [1 / t]*X^3"):
+        with pytest.raises(WorkbenchError, match="^key polynomial must be monic of degree >= 1$"):
+            CskpSeq([(polyx_from_text(QQ, "X"), GroupVal.fin(0)),
+                     (polyx_from_text(QQ, text), GroupVal.fin(1))])
+    assert len(CskpSeq([(polyx_from_text(QQ, "X + [1 / t]"), GroupVal.fin(1))])) == 1
+
+
 def test_cskp_check_witness():
     _, spec, seq = tower_data()
     fX = polyx_from_text(F2, "X")

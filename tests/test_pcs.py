@@ -216,6 +216,12 @@ def test_the_generator_refuses_its_bounds_with_the_config_messages():
             PcsGenerator("explicit", QQ, items, **{"horizon": 3, key: bad})
         with pytest.raises(WorkbenchError, match=f"^{message}$"):
             parse_config(f"{key} = {bad}\n")
+    message = "horizon 1413 materializes 1000405 terms, above the dense-size bound 1000000"
+    with pytest.raises(WorkbenchError, match=f"^{message}$"):
+        PcsGenerator("explicit", QQ, items, horizon=1413)  # (h+1)(h+2)/2 prefix terms
+    with pytest.raises(WorkbenchError, match=f"^{message}$"):
+        parse_config("horizon = 1413\n")
+    assert parse_config("horizon = 1412\n").generator("exponential").horizon == 1412
     with pytest.raises(WorkbenchError, match="^window must be at least 1$"):
         exponential_generator(6, window=0)  # refused before stabilized_delta can read it
     with pytest.raises(WorkbenchError, match="^ram_cap must be at least 1$"):

@@ -5,10 +5,12 @@ import ast
 import inspect
 import io
 import random
+import shlex
 import textwrap
 import time
 from contextlib import redirect_stdout, redirect_stderr
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +20,7 @@ from valwb.errors import HorizonExceeded, ParseError, PrecisionExhausted, Workbe
 from valwb.examples import run_example
 from valwb.field import GF, QQ
 from valwb.groupval import GroupVal
-from valwb import polyx
+from valwb import polyx, selftest
 from valwb.polyx import polyx_from_text
 from valwb.report import Evidence, Report, Verdict, digest, search
 from valwb.series import PuiseuxSeries, RatFunc
@@ -379,8 +381,55 @@ CLI_FAULTS = [
     ("--minpoly", "X^2 -- "), ("--minpoly", ""), ("--f", "X^^"), ("--p", "x"), ("--q", "0"),
     ("--poly", f"[{'7' * 5000}]*X + 1"), ("--f", f"X + [{'7' * 5000} * t]"),
     ("--poly", "+"), ("--poly", "- +"), ("--seq", "- @ 1"), ("--minpoly", "+"), ("--f", "-"),
-    ("config", "spec.kind = keypoly\nspec.Q = +\nspec.vQ = 1"),
+    ("config", "spec.kind = keypoly\nspec.Q = +\nspec.vQ = 1"), ("config", "horizon = 100000"),
 ]
+
+
+GOLDEN_CLI = Path(__file__).parent / "golden" / "cli_baseline.txt"
+
+
+def test_every_subcommand_runs_its_baseline_line_to_completion(tmp_path, monkeypatch):
+    # each valid line runs under a config it reads, and its exit code and report are pinned;
+    # selftest runs a stub, which records the seed: --seed overrides the config's
+    seeds = []
+
+    def run_all(seed):
+        seeds.append(seed)
+        rep = Report("selftest")
+        rep.check("selftest", digest(seed), True, f"stub at seed {seed}")
+        return rep
+
+    monkeypatch.setattr(selftest, "run_all", run_all)
+    cfg = write_cfg(tmp_path, "spec.kind = gauss\nseed = 5\n")
+    lines = [[command] + argv for command, argv in CLI_BASELINE.items()]
+    transcript = ""
+    for argv in lines + [["selftest", "--seed", "9"]]:
+        code, out, err = run_cli(argv + ([] if argv[0] == "example" else ["--config", cfg]))
+        assert err == "", (argv, err)
+        transcript += f"$ valwb {shlex.join(argv)}\nexit {code}\n{out}"
+    assert seeds == [5, 9]
+    assert transcript == GOLDEN_CLI.read_text()
+
+
+def test_cli_refuses_a_horizon_whose_prefix_exceeds_the_dense_size_bound(tmp_path):
+    # the prefix a_0..a_h holds (h+1)(h+2)/2 terms; at horizon 1413 the exponential
+    # sequence took 13 s and 634 MB, and beyond it grew without bound
+    cfg = write_cfg(tmp_path, "horizon = 100000\n")
+    start = time.perf_counter()
+    assert run_cli(["pcs-classify", "--config", cfg, "--generator", "exponential"]) == (
+        1, "", "error: horizon 100000 materializes 5000150001 terms, "
+               "above the dense-size bound 1000000\n")
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("entry",
+                         ["0 @ 1", "1 @ 1", "[t] @ 1", "2*X @ 1", "X^2 + [1 / t]*X^3 @ 1"])
+def test_cli_refuses_a_sequence_entry_that_is_no_key_polynomial(tmp_path, entry):
+    # an entry is refused as spec.Q is, by both commands that read --seq
+    cfg = write_cfg(tmp_path, "spec.kind = gauss\n")
+    for argv in (["lift-cskp", "--seq", entry], ["cskp-check", "--poly", "X + t", "--seq", entry]):
+        assert run_cli(argv + ["--config", cfg]) == (
+            1, "", "error: key polynomial must be monic of degree >= 1\n")
 
 
 # flags tried on every subcommand: those it does not take end as parser rejections
