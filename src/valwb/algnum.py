@@ -31,7 +31,8 @@ from .series import PuiseuxSeries, RatFunc, min_prec
 
 
 class AlgElement:
-    """A series expansion plus an optional monic polynomial certificate."""
+    """A series expansion plus an optional monic polynomial certificate; its flag is None
+    where :func:`attach_minpoly` could not decide Q(s) = 0."""
 
     __slots__ = ("expansion", "minpoly", "irreducible_certified")
 
@@ -63,6 +64,8 @@ class AlgElement:
         """
         if self.minpoly is not None and self.irreducible_certified:
             return self.minpoly.degree()
+        if self.irreducible_certified is None:  # Q(s) = 0 undecided: raise its refusal
+            self.minpoly.value_at(self.expansion)
         e = self.expansion.ram
         if e > 1 and self.field.root_of_unity(e) is not None:
             return e
@@ -74,14 +77,24 @@ def attach_minpoly(s: PuiseuxSeries, Q: PolyX, irreducible: bool = False) -> Alg
 
     The validation evaluates Q at s; a decidable nonzero valuation of the
     result refutes the certificate, while an evaluation indistinguishable
-    from zero at the available precision certifies it.
+    from zero at the available precision certifies it.  Q is certified as s's
+    minimal polynomial (as ``irreducible`` asserts) when deg Q is s's degree and
+    Q(s) = 0 exactly: 1 for an element of K, e for an exact series of tame
+    ramification e (Q is its norm from K(t^(1/e))); undecided there, the flag is None.
     """
     if Q.domain != RATFUNC or not Q.is_monic():
         raise WorkbenchError("certificate must be a monic polynomial over K")
+    value = None
     with contextlib.suppress(PrecisionExhausted):  # Q(s) is not built; 0 at s's cap certifies
         if (value := Q.value_at(s)).is_fin:
             raise NotARoot(f"Q(s) has valuation {value.to_text()}, decidably nonzero")
-    return AlgElement(s, Q, irreducible_certified=irreducible)
+    p = s.field.char
+    if s.source is not None:  # an element of K, its expansion capped
+        minimal = Q.degree() == 1 and Q.evaluate(s.source).is_zero()
+    else:  # value is +inf at an exact root, None where undecided
+        minimal = s.prec is None and (not p or s.ram % p > 0) and Q.degree() == s.ram and \
+            (None if value is None else True)
+    return AlgElement(s, Q, irreducible_certified=irreducible or minimal)
 
 
 def galois_twist(a: AlgElement, m: int) -> AlgElement:
@@ -161,8 +174,7 @@ def krasner_constant(a: AlgElement) -> GroupVal:
     if s.ram > 1 and f.root_of_unity(s.ram) is not None:
         return GroupVal.fin(Fraction(max(min(n for n in s.coeffs if n % d)
                                          for d in _divisors(s.ram)[1:]), s.ram))
-    if a.minpoly is None:
-        raise Uncertified("no conjugates and no certificate available")
+    # off the twist route, degree >= 2 came from a certified minimal polynomial
     slopes = [sl for sl, _ in a.minpoly.newton_polygon(s) if not sl.is_inf]
     if not slopes:
         raise Uncertified("all certificate roots coincide with the element")

@@ -45,7 +45,7 @@ from .lifting import (
 from .pcs import CauchyWithLimit, classify_generator
 from .polyx import RATFUNC, SERIES, PolyX, polyx_from_text
 from .report import Report, digest
-from .series import PuiseuxSeries, check_span
+from .series import check_span
 from .valuation import delta, eval_spec
 from . import selftest as selftest_mod
 
@@ -109,18 +109,8 @@ def _parse_center(cfg: WorkbenchConfig, center: str, minpoly) -> AlgElement:
     s = parse_center(cfg.field, center).to_series()
     Q = None if minpoly is None else polyx_from_text(cfg.field, minpoly, RATFUNC)
     check_span([s, *(Q.coeffs if Q else ()), *_spec_elements(cfg.spec)])
-    # a root of Q, not yet certified as its minimal polynomial
+    # a root of Q, certified as its minimal polynomial where attach_minpoly can tell
     return AlgElement(s) if Q is None else attach_minpoly(s, Q)
-
-
-def _is_minpoly(Q: PolyX, s: PuiseuxSeries) -> bool:
-    """Whether Q is s's minimal polynomial over K: deg Q is s's degree, 1 in K and e for an exact
-    series of tame ramification e (its norm from K(t^(1/e))), and Q(s) = 0 exactly (or raises)."""
-    if s.source is not None:  # an element of K with a pole, its expansion capped
-        return Q.degree() == 1 and Q.evaluate(s.source).is_zero()
-    p = s.field.char
-    return s.prec is None and (not p or s.ram % p > 0) and Q.degree() == s.ram and \
-        Q.value_at(s).is_inf
 
 
 def _report(command: str, inputs: str, outcome: str, citation: str, caveats=()) -> Report:
@@ -239,7 +229,6 @@ def _pcs_classify(args) -> Report:
 def _kras(args) -> Report:
     cfg = _load_cfg(args, need_spec=False)
     a = _parse_center(cfg, args.center, args.minpoly)
-    a.irreducible_certified = _is_minpoly(a.minpoly, a.expansion)
     return _report("kras", digest(args.center, args.minpoly), krasner_constant(a).to_text(),
                    "maximal valuation of a difference of distinct conjugates")
 

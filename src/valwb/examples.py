@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import factorial
 
 from .algnum import Linear, attach_minpoly, minpoly_over_completion
-from .field import GF, QQ
+from .field import QQ
 from .groupval import GroupVal
 from .lifting import (
     VALUATION_ALGEBRAIC_TYPE_I,
@@ -37,6 +37,7 @@ from .lifting import (
 )
 from .pcs import (
     TranscendentalTypeEvidence,
+    artin_schreier_generator,
     classify_generator,
     exponential_generator,
     mixed_radix_generator,
@@ -55,30 +56,27 @@ TOWER_BUDGET = Fraction(64)  # the root search's precision on the tower's certif
 
 
 def artin_schreier_data(p: int) -> dict:
-    """Shared fixture: the char-p tower a = sum of t^(p^n).
+    """Shared fixture: the char-p tower a = sum of t^(p^n), built from its generator.
 
-    TOWER_DEPTH extra partial-sum terms keep every delta up to m = TOWER_MMAX
-    decidable while the certificate X^p - X + t stays indistinguishable
-    from zero at the chosen precision p^(TOWER_DEPTH+1) - p.  A p above DENSE_SIZE
-    is refused before the dense certificate is built.
+    a is the generator's a_TOWER_DEPTH at the cap p^(TOWER_DEPTH+1) - p: the extra
+    partial-sum terms keep every delta up to m = TOWER_MMAX decidable while the
+    certificate X^p - X + t stays indistinguishable from zero at that cap.  A p above
+    DENSE_SIZE is refused before the dense certificate is built.
     """
     if p > DENSE_SIZE:
         raise WorkbenchError(f"characteristic {p} exceeds the dense-size bound {DENSE_SIZE}")
-    field = GF(p)
-    prec = Fraction(p**(TOWER_DEPTH + 1) - p)
-    a = PuiseuxSeries.from_terms(
-        field, {Fraction(p**n): 1 for n in range(TOWER_DEPTH + 1)}, prec)
+    gen = artin_schreier_generator(p)
+    field = gen.field
+    a = gen.element(TOWER_DEPTH).truncate(p**(TOWER_DEPTH + 1) - p)
     coeffs = [RatFunc.t_power(field, 1), -RatFunc.one(field)]
     coeffs += [RatFunc.zero(field)] * (p - 2) + [RatFunc.one(field)]
     Q = PolyX.from_ratfuncs(field, coeffs)  # X^p - X + t
     a_alg = attach_minpoly(a, Q, irreducible=True)
     spec = ValuationSpec.monomial(a, GAMMA_TOP)
-    entries = []
-    for m in range(TOWER_MMAX + 1):
-        am = PuiseuxSeries.from_terms(field, {Fraction(p**n): 1 for n in range(m + 1)})
-        entries.append((_linear_at(field, am), GroupVal.fin(p**(m + 1))))
+    entries = [(_linear_at(field, gen.element(m)), GroupVal.fin(p**(m + 1)))
+               for m in range(TOWER_MMAX + 1)]
     seq = CskpSeq(entries + [(Q, GAMMA_TOP)])
-    return {"field": field, "a": a, "a_alg": a_alg, "spec": spec, "seq": seq,
+    return {"field": field, "gen": gen, "a": a, "a_alg": a_alg, "spec": spec, "seq": seq,
             "mmax": TOWER_MMAX}
 
 

@@ -49,6 +49,9 @@ class PcsGenerator:
     def __init__(self, name: str, field: BaseField, items, horizon: int = DEFAULT_HORIZON,
                  window: int = DEFAULT_WINDOW, ram_cap: int = DEFAULT_RAM_CAP):
         check_bounds(horizon, window, ram_cap)
+        if not callable(items) and len(items) <= horizon:
+            raise WorkbenchError(f"an explicit sequence of {len(items)} elements is shorter "
+                                 f"than the {horizon + 1} that horizon {horizon} materializes")
         self.name = name
         self.field = field
         self._items = items  # callable m -> PuiseuxSeries, or a list

@@ -22,16 +22,17 @@ from .lifting import (
     approximate_same_delta,
     conjugacy_check,
     roots_matching_threshold,
+    uniqueness_check,
     verify_root_matching,
 )
 from .examples import _linear_at, artin_schreier_data, run_example
 from .pcs import exponential_generator, mixed_radix_generator
 from .polyx import PolyX, RATFUNC, SERIES, polyx_from_text
-from .report import UNDECIDABLE, Evidence, Report, digest, search
+from .report import UNDECIDABLE, Evidence, Report, digest
 from .sampling import _redraws, random_polyx, random_series
 from .sampling import _redraw  # noqa: F401  perfbench's tracer wraps this name here
-from .series import PuiseuxSeries, RatFunc
-from .valuation import ValuationSpec, delta, eval_spec, is_pair_equivalent
+from .series import PuiseuxSeries, RatFunc, truncate_to_ratfunc
+from .valuation import ValuationSpec, delta, eval_spec
 
 DRAW_CAP = Fraction(64)  # the cap of the series coefficients density and same-delta draw
 AXIOM_PAIRS = 1000  # pairs per spec family
@@ -159,10 +160,11 @@ def check_value_comparison_laws(rep: Report, seed: int) -> None:
         return f
 
     tower = artin_schreier_data(2)
-    F2 = tower["field"]
+    F2, gen = tower["field"], tower["gen"]
     v_b = tower["spec"]
-    a_lin = {m: PolyX.from_ratfuncs(
-        F2, [-_tower_partial_rf(F2, 2, m), RatFunc.one(F2)]) for m in range(5)}
+    a_lin = {m: PolyX.from_ratfuncs(  # a_m is its own polynomial part below gamma_m = 2^(m+1)
+        F2, [-truncate_to_ratfunc(gen.element(m), 2**(m + 1)), RatFunc.one(F2)])
+        for m in range(5)}
 
     def pool_b(rng):
         f = random_polyx(F2, rng, rng.randint(1, 2))
@@ -205,13 +207,6 @@ def check_value_comparison_laws(rep: Report, seed: int) -> None:
                            *evidence.caveats("redraws")))
 
 
-def _tower_partial_rf(field, p: int, m: int) -> RatFunc:
-    coeffs = [field.zero()] * (p**m + 1)
-    for n in range(m + 1):
-        coeffs[p**n] = field.one()
-    return RatFunc(field, coeffs)
-
-
 # ---------------------------------------------------------------------------
 # pair equivalence
 # ---------------------------------------------------------------------------
@@ -235,19 +230,12 @@ def check_pair_equivalence(rep: Report, seed: int, triples: int = 100,
         field, g_int, prec, a = _pair_center(rng, i, 1)
         gamma = GroupVal.fin(g_int)
         tail = random_series(field, rng, prec, depth=3, min_exp=g_int, nonzero=True)
-        b = a + tail
-        if not is_pair_equivalent(a, b, gamma):
-            failures += 1
-            continue
-        sa = ValuationSpec.monomial(a, gamma)
-        sb = ValuationSpec.monomial(b, gamma)
-        found = search((random_polyx(field, rng, rng.randint(0, 2)) for _ in range(polys)),
-                       lambda f: eval_spec(sa, f) != eval_spec(sb, f))
-        if isinstance(found, Evidence):
-            tested += found.tested
-            undecidable += found.undecidable
-        else:
-            failures += 1
+        # v(tail) >= gamma below the cap, so uniqueness_check accepts the pair (a, a + tail)
+        evidence, discrepancies = uniqueness_check(
+            a, a + tail, gamma, (random_polyx(field, rng, rng.randint(0, 2)) for _ in range(polys)))
+        failures += bool(discrepancies)
+        tested += evidence.tested
+        undecidable += evidence.undecidable
     rep.check("pair equivalence", digest("pairs", seed, triples, polys),
               failures == 0,
               f"{triples} equivalent triples x {polys} polynomials, {failures} failures",

@@ -385,7 +385,9 @@ class RatFunc:
 
     @staticmethod
     def t_power(field: BaseField, n) -> "RatFunc":
-        n = int(n)  # an int or an integral Fraction
+        if n != int(n):  # an int or an integral Fraction
+            raise WorkbenchError(f"an element of K has no fractional power of t, got exponent {n}")
+        n = int(n)
         return RatFunc._of(field, ([0] * max(n, 0) + [1], 1), ([0] * max(-n, 0) + [1], 1))
 
     @staticmethod

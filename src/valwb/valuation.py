@@ -119,17 +119,8 @@ def eval_spec(spec: ValuationSpec, f: PolyX) -> GroupVal:
     if spec.kind in ("gauss", "monomial"):
         return _min_weighted(f.recentered_values(spec.center), spec.gamma)
     if spec.kind == "keypoly":
-        digits = f.qadic_expand(spec.Q)
-        best = None
-        for i, digit in enumerate(digits):
-            if digit.is_zero():
-                continue
-            term = eval_spec(spec.base, digit) + i * spec.vQ
-            if best is None or term < best:
-                best = term
-        if best is None:
-            raise ZeroPolynomial("all Q-adic digits vanish")
-        return best
+        return min(eval_spec(spec.base, digit) + i * spec.vQ  # f != 0 has a nonzero digit
+                   for i, digit in enumerate(f.qadic_expand(spec.Q)) if not digit.is_zero())
     if spec.kind == "pcslimit":
         _, trend = values_along(f, spec.gen)
         if isinstance(trend, UltimatelyConstant):

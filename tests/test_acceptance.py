@@ -182,15 +182,15 @@ def test_witness_search_redraws_undecidable_samples():
 def test_pair_equivalence_reports_undecidable_samples(monkeypatch):
     # samples whose values are undecidable count as neither agreement nor
     # failure; the verdict says how many there were
-    import valwb.selftest as selftest
-    real = selftest.eval_spec
+    import valwb.lifting as lifting  # the equivalence block evaluates through uniqueness_check
+    real = lifting.eval_spec
 
     def eval_spec(spec, f):
         if f.degree() == 2:  # only the equivalence block draws degree 2
             raise PrecisionExhausted("undecidable by construction")
         return real(spec, f)
 
-    monkeypatch.setattr(selftest, "eval_spec", eval_spec)
+    monkeypatch.setattr(lifting, "eval_spec", eval_spec)
     rep = fresh(check_pair_equivalence, 0, 6, 10)
     pairs = rep.verdicts[0]
     assert pairs.operation == "pair equivalence"
@@ -198,5 +198,5 @@ def test_pair_equivalence_reports_undecidable_samples(monkeypatch):
     n = int(caveat.split()[0])
     assert 0 < n < 60 and caveat == f"{n} undecidable samples"
     # with every sample decided there is no caveat
-    monkeypatch.setattr(selftest, "eval_spec", real)
+    monkeypatch.setattr(lifting, "eval_spec", real)
     assert fresh(check_pair_equivalence, 0, 6, 10).verdicts[0].caveats == ()

@@ -21,10 +21,11 @@ from valwb.algnum import (
     krasner_constant,
     minpoly_over_completion,
 )
+from valwb.config import parse_center
 from valwb.errors import NotARoot, PrecisionExhausted, Uncertified, WorkbenchError
 from valwb.field import GF, QQ
 from valwb.groupval import GroupVal
-from valwb.polyx import PolyX, polyx_from_text
+from valwb.polyx import RATFUNC, PolyX, polyx_from_text
 from valwb.series import PuiseuxSeries, RatFunc
 
 F2 = GF(2)
@@ -54,6 +55,31 @@ def test_attach_minpoly_accepts_exact_root():
 def test_attach_minpoly_rejects_nonroot():
     with pytest.raises(NotARoot):
         attach_minpoly(PuiseuxSeries.t_power(QQ, 1), X2_MINUS_T)
+
+
+@pytest.mark.parametrize("field, center, minpoly, certified", [
+    (QQ, "t^(1/3)", "X^3 - t", True),  # exact, tame, deg Q = ram: Q is the norm of X - s
+    (GF(7), "t^(1/2) + t", "X^2 - 2*t*X + [t^2 - t]", True),
+    (QQ, "t + t^2", "X - [t + t^2]", True),  # a polynomial of K, ram 1
+    (QQ, "1 / (1 - t)", "X - [1 / (1 - t)]", True),  # in K, decided in K, not at the cap
+    (QQ, "t^(1/3) + O(t^4)", "X^3 - t", False),  # a capped center has no known degree
+    (F3, "t^(1/3)", "X^3 - t", False),  # wild: (X - t^(1/3))^3
+    (QQ, "t^(1/3)", "X^6 - t^2", False),  # the wrong degree
+    (QQ, "t + t^2", "X^2 - [t^2 + 2*t^3 + t^4]", False),
+    (QQ, "t^(-1/3)", "X^3 - [1 / t]", None),  # 1/t expands to O(t^64): Q(s) = 0 undecided
+])
+def test_attach_minpoly_certifies_an_exact_root_of_the_centers_degree(
+        field, center, minpoly, certified):
+    s = parse_center(field, center).to_series()
+    a = attach_minpoly(s, polyx_from_text(field, minpoly, RATFUNC))
+    assert a.irreducible_certified is certified
+    if certified:
+        assert a.degree() == a.minpoly.degree()
+    elif certified is None:  # the evaluation's own refusal, where Q would give the degree
+        with pytest.raises(PrecisionExhausted, match="^series indistinguishable from 0 at "
+                                                     r"precision O\(t\^64\)$"):
+            a.degree()
+    assert attach_minpoly(s, a.minpoly, irreducible=True).irreducible_certified is True
 
 
 def test_attach_minpoly_truncated_root():

@@ -412,16 +412,20 @@ def test_the_scan_sees_defaults_passed_and_never_passed(tmp_path):
         defaults_never_passed([selftest], paths)
 
 
-SERIES_FIELDS = {"ram", "coeffs", "prec", "source", "plan"}
+# the module that alone writes each field: a series keeps the plan it built of itself, which
+# would go stale if its fields changed after it, and an AlgElement's certificate flag is the
+# one attach_minpoly decided for its expansion and minimal polynomial
+OWNED_FIELDS = {
+    "series.py": {"ram", "coeffs", "prec", "source", "plan"},
+    "algnum.py": {"expansion", "minpoly", "irreducible_certified"},
+}
 
 
-def series_field_writes(path: Path) -> list:
-    """Writes to a series' fields (ram, coeffs, prec, source, plan) outside series.py: by
-    assignment, augmented or item assignment, del, setattr or delattr.  A series keeps the
-    plan it built of itself, which would go stale if they changed after it.  A class whose own
-    __slots__ declares a field of the same name may write it on self."""
-    if path.name == "series.py":
-        return []
+def owned_field_writes(path: Path) -> list:
+    """Writes to a field of OWNED_FIELDS outside its owner module: by assignment, augmented or
+    item assignment, del, setattr or delattr.  A class whose own __slots__ declares a field of
+    the same name may write it on self."""
+    fields = set().union(*(names for owner, names in OWNED_FIELDS.items() if owner != path.name))
     tree = ast.parse(path.read_text())
     own = set()  # self.<name> in a class whose __slots__ declares name
     for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
@@ -435,24 +439,24 @@ def series_field_writes(path: Path) -> list:
         target = node if isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del)) else None
         if isinstance(target, ast.Subscript):  # s.coeffs[k] = x changes the series too
             target = target.value
-        if isinstance(target, ast.Attribute) and target.attr in SERIES_FIELDS \
+        if isinstance(target, ast.Attribute) and target.attr in fields \
                 and id(target) not in own:
             found.append((path.name, target.attr, node.lineno))
         if isinstance(node, ast.Call) and len(node.args) > 1 \
                 and getattr(node.func, "id", getattr(node.func, "attr", None)) in (
                     "setattr", "delattr", "__setattr__", "__delattr__") \
-                and isinstance(node.args[1], ast.Constant) and node.args[1].value in SERIES_FIELDS:
+                and isinstance(node.args[1], ast.Constant) and node.args[1].value in fields:
             found.append((path.name, node.args[1].value, node.lineno))
     return sorted(found, key=lambda hit: hit[2])
 
 
-def test_no_module_writes_the_fields_of_a_series():
+def test_no_module_writes_the_fields_another_module_owns():
     modules = sorted(Path(valwb.__file__).parent.glob("*.py"))
-    found = [hit for path in modules for hit in series_field_writes(path)]
+    found = [hit for path in modules for hit in owned_field_writes(path)]
     assert not found, found
 
 
-def test_the_scan_sees_writes_to_the_fields_of_a_series(tmp_path):
+def test_the_scan_sees_writes_to_fields_another_module_owns(tmp_path):
     src = tmp_path / "m.py"
     src.write_text(
         "class Poly:\n    __slots__ = ('field', 'coeffs')\n\n    def __init__(self, cs):\n"
@@ -460,14 +464,20 @@ def test_the_scan_sees_writes_to_the_fields_of_a_series(tmp_path):
         "def f(s, t):\n    s.coeffs = {}\n    s.prec += 1\n    a = s.ram + t.source.ram\n"
         "    t.ram, t.source = 1, None\n    s.coeffs[0] = 1\n    del s.plan\n"
         "    setattr(s, 'plan', None)\n    object.__setattr__(t, 'prec', 0)\n"
-        "    return s.coeffs[1], getattr(s, 'plan'), a, self.coeffs\n")
-    assert series_field_writes(src) == [
-        ("m.py", "prec", 6), ("m.py", "coeffs", 9), ("m.py", "prec", 10), ("m.py", "ram", 12),
-        ("m.py", "source", 12), ("m.py", "coeffs", 13), ("m.py", "plan", 14),
-        ("m.py", "plan", 15), ("m.py", "prec", 16)]
-    series = tmp_path / "series.py"
-    series.write_text(src.read_text())
-    assert series_field_writes(series) == []
+        "    return s.coeffs[1], getattr(s, 'plan'), a, self.coeffs\n\n"
+        "def g(a, b):\n    a.irreducible_certified = a.minpoly is not None\n"
+        "    b.expansion, b.minpoly = a.expansion, None\n    delattr(a, 'minpoly')\n"
+        "    return a.irreducible_certified\n")
+    series_hits = [("m.py", "prec", 6), ("m.py", "coeffs", 9), ("m.py", "prec", 10),
+                   ("m.py", "ram", 12), ("m.py", "source", 12), ("m.py", "coeffs", 13),
+                   ("m.py", "plan", 14), ("m.py", "plan", 15), ("m.py", "prec", 16)]
+    algnum_hits = [("irreducible_certified", 20), ("expansion", 21), ("minpoly", 21),
+                   ("minpoly", 22)]
+    assert owned_field_writes(src) == series_hits + [("m.py", *hit) for hit in algnum_hits]
+    for owner, hits in (("series.py", [("series.py", *hit) for hit in algnum_hits]),
+                        ("algnum.py", [("algnum.py", *hit[1:]) for hit in series_hits])):
+        (tmp_path / owner).write_text(src.read_text())
+        assert owned_field_writes(tmp_path / owner) == hits, owner
 
 
 SEQUENCE_BOUNDS = {"ram_cap", "horizon", "window"}

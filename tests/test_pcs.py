@@ -222,6 +222,11 @@ def test_the_generator_refuses_its_bounds_with_the_config_messages():
     with pytest.raises(WorkbenchError, match=f"^{message}$"):
         parse_config("horizon = 1413\n")
     assert parse_config("horizon = 1412\n").generator("exponential").horizon == 1412
+    message = "an explicit sequence of 4 elements is shorter than the 13 that horizon 12 " \
+              "materializes"
+    with pytest.raises(WorkbenchError, match=f"^{message}$"):  # was an IndexError in gammas()
+        PcsGenerator("short", QQ, items)
+    assert PcsGenerator("explicit", QQ, items[:4], horizon=3).gammas()[-1] == GroupVal.fin(3)
     with pytest.raises(WorkbenchError, match="^window must be at least 1$"):
         exponential_generator(6, window=0)  # refused before stabilized_delta can read it
     with pytest.raises(WorkbenchError, match="^ram_cap must be at least 1$"):

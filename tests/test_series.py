@@ -994,3 +994,13 @@ def prefix_pair(field, rng):
     cap = lambda: None if rng.random() < 0.5 else Fraction(  # noqa: E731
         rng.randint(keys[n // 2], 3 * n + 4), ram)
     return (PuiseuxSeries(field, ram * r, a, cap()), PuiseuxSeries(field, ram * r, b, cap()))
+
+
+def test_t_power_of_k_refuses_a_fractional_exponent():
+    # int() floored the exponent: 5/2 gave t^2, and 1/2 gave 1
+    for n in (Fraction(5, 2), Fraction(1, 2), Fraction(-3, 2)):
+        with pytest.raises(WorkbenchError, match=f"^an element of K has no fractional power "
+                                                 f"of t, got exponent {n}$"):
+            RatFunc.t_power(QQ, n)
+    for n, text in ((3, "t^3"), (Fraction(4, 2), "t^2"), (-2, "(1) / (t^2)")):
+        assert RatFunc.t_power(QQ, n).to_text() == text

@@ -5,6 +5,7 @@ import ast
 import inspect
 import io
 import random
+import re
 import shlex
 import textwrap
 import time
@@ -14,14 +15,15 @@ from pathlib import Path
 
 import pytest
 
+from valwb.algnum import attach_minpoly, krasner_constant
 from valwb.cli import COMMANDS, build_parser, main
-from valwb.config import WorkbenchConfig, parse_config
+from valwb.config import WorkbenchConfig, parse_center, parse_config
 from valwb.errors import HorizonExceeded, ParseError, PrecisionExhausted, WorkbenchError
 from valwb.examples import run_example
 from valwb.field import GF, QQ
 from valwb.groupval import GroupVal
 from valwb import polyx, selftest
-from valwb.polyx import polyx_from_text
+from valwb.polyx import RATFUNC, polyx_from_text
 from valwb.report import Evidence, Report, Verdict, digest, search
 from valwb.series import PuiseuxSeries, RatFunc
 from valwb.valuation import ValuationSpec, eval_spec
@@ -42,6 +44,13 @@ def test_report_round_trip():
     text = rep.to_structured()
     assert Report.from_structured(text) == rep
     assert not rep.failed()
+    head, block = "report x\nversion 1\n", "verdict\n  operation: op\n  inputs: in\n"
+    for body, message in (
+            ("stray\n", "line 3: expected 'verdict', got 'stray'"),
+            (block + "  outcome ok\nend\n", "line 6: expected '  key: value'"),
+            (block + "  outcome: ok\nend\n", "verdict missing field 'citation'")):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            Report.from_structured(head + body)
 
 
 def test_report_failure_and_human_form():
@@ -382,7 +391,26 @@ CLI_FAULTS = [
     ("--poly", f"[{'7' * 5000}]*X + 1"), ("--f", f"X + [{'7' * 5000} * t]"),
     ("--poly", "+"), ("--poly", "- +"), ("--seq", "- @ 1"), ("--minpoly", "+"), ("--f", "-"),
     ("config", "spec.kind = keypoly\nspec.Q = +\nspec.vQ = 1"), ("config", "horizon = 100000"),
+    ("--seq", ";"), ("--seq", " ; "), ("--generator", None), ("config", "= 1"),
+    ("config", "spec.gamma = 1"), ("config", "spec.kind = gauss\nspec.over = X"),
+    ("config", "spec.kind = gauss\nspec.foo = 1"),
 ]
+
+
+@pytest.mark.parametrize("command, fault, message", [
+    ("cskp-check", ("--seq", ";"), "empty key-polynomial sequence"),
+    ("lift-cskp", ("--seq", " ; "), "empty key-polynomial sequence"),
+    ("pcs-classify", ("--generator", None), "config spec is not a limit spec; pass --generator"),
+    ("eval", ("config", "= 1"), "line 1: empty key"),
+    ("eval", ("config", "spec.gamma = 1"),
+     "spec.kind is required when any spec.* key is present"),
+    ("eval", ("config", "spec.kind = gauss\nspec.over = X"),
+     "spec.over must be K or Khat, got 'X'"),
+    ("eval", ("config", "spec.kind = gauss\nspec.foo = 1"), "unknown spec key 'spec.foo'"),
+])
+def test_cli_fault_ends_with_its_message(tmp_path, command, fault, message):
+    assert fault in CLI_FAULTS
+    assert run_faulty_cli(tmp_path, command, [fault]) == (1, "", f"error: {message}\n", False)
 
 
 GOLDEN_CLI = Path(__file__).parent / "golden" / "cli_baseline.txt"
@@ -445,6 +473,9 @@ def run_faulty_cli(tmp_path, command, faults):
     for key, value in faults:
         if key == "config":
             cfg_text = value + "\n"
+        elif value is None:  # the flag and its value left out
+            if key in argv:
+                del argv[argv.index(key):argv.index(key) + 2]
         elif key in argv:
             argv[argv.index(key) + 1] = value
         else:
@@ -686,29 +717,70 @@ def test_cli_center_reads_k_text_first_as_the_config_does(tmp_path):
     assert (code, err) == (1, "error: bad term '(1+'; as series: bad term '1 / (1+'\n")
 
 
+NO_CERTIFICATE = "error: no certified minimal polynomial and no pure-ramification route\n"
+BELOW_DEGREE_2 = "error: the Krasner constant needs an element of degree >= 2\n"
+
+
 @pytest.mark.parametrize("char, center, minpoly, want", [
     # t + t^2 lies in K: a reducible Q of degree 2 certifies nothing, though a is its root
-    (0, "t + t^2", "X^2 - [t^2 + 2*t^3 + t^4]",
-     "error: no certified minimal polynomial and no pure-ramification route\n"),
-    (0, "t + t^2", "X - [t + t^2]",
-     "error: the Krasner constant needs an element of degree >= 2\n"),
-    # a capped expansion has no known degree
-    (0, "t^(1/3) + O(t^4)", "X^3 - t",
-     "error: no certified minimal polynomial and no pure-ramification route\n"),
+    (0, "t + t^2", "X^2 - [t^2 + 2*t^3 + t^4]", NO_CERTIFICATE),
+    (0, "t + t^2", "X - [t + t^2]", BELOW_DEGREE_2),
+    # a capped expansion has no known degree; F_7's twists still answer
+    (0, "t^(1/3) + O(t^4)", "X^3 - t", NO_CERTIFICATE),
+    (7, "t^(1/3) + O(t^4)", "X^3 - t", "[kras] 1/3\n"),
     # over F_3, X^3 - t = (X - t^(1/3))^3: a ramification of p is no degree
-    (3, "t^(1/3)", "X^3 - t",
-     "error: no certified minimal polynomial and no pure-ramification route\n"),
+    (3, "t^(1/3)", "X^3 - t", NO_CERTIFICATE),
     (0, "t^(1/3)", "X^3 - t", "[kras] 1/3\n"),
     (0, "t^(1/3) + t^(5/3)", "X^3 - 3*t^2*X - [t + t^5]", "[kras] 1/3\n"),
+    # exact tame centers over F_p: the twists answer
+    (7, "t^(1/3)", "X^3 - t", "[kras] 1/3\n"), (7, "t^(1/2)", "X^2 - t", "[kras] 1/2\n"),
+    (5, "t^(1/2) + t", "X^2 - 2*t*X + [t^2 - t]", "[kras] 1/2\n"),
+    # 1/t expands to O(t^64): Q(a) = 0 is undecided, and so is the certificate
+    (0, "t^(-1/3)", "X^3 - [1 / t]",
+     "error: series indistinguishable from 0 at precision O(t^64)\n"),
+    (7, "t^(-1/3)", "X^3 - [1 / t]",
+     "error: series indistinguishable from 0 at precision O(t^64)\n"),
+    (2, "t^(1/2)", "X^2 - t", NO_CERTIFICATE),  # wild
+    # centers in K have degree 1
+    (0, "1 / (1 - t)", "X - [1 / (1 - t)]", BELOW_DEGREE_2),
+    (0, "1 / t", "X - [1 / t]", BELOW_DEGREE_2),
+    # a certificate of the wrong degree certifies nothing; the twists answer where k has them
+    (0, "t^(1/3)", "X^6 - t^2", NO_CERTIFICATE), (7, "t^(1/3)", "X^6 - t^2", "[kras] 1/3\n"),
+    (0, "t^(1/2)", "X^4 - t^2", "[kras] 1/2\n"),
+    # not a root
+    (0, "1 / (1 - t)", "X^2 - t", "error: Q(s) has valuation 0, decidably nonzero\n"),
+    (0, "t^(1/3)", "X^3 - t - t^9", "error: Q(s) has valuation 9, decidably nonzero\n"),
 ])
 def test_cli_kras_certifies_a_minpoly_only_of_the_centers_degree_with_an_exact_root(
         tmp_path, char, center, minpoly, want):
+    # kras prints the library's answer: krasner_constant(attach_minpoly(a, Q)) or its error
     code, out, err = run_cli(["kras", "--config", write_cfg(tmp_path, f"char = {char}\n"),
                               "--center", center, "--minpoly", minpoly])
     if want.startswith("error: "):
         assert (code, out, err) == (1, "", want)
     else:
-        assert (code, err) == (0, "") and want in out, (code, out, err)
+        assert (code, out, err) == (0, (
+            f"== kras ==\n{want}    because: maximal valuation of a difference of distinct "
+            f"conjugates  (inputs {digest(center, minpoly)})\n-- ok: 1 verdicts --\n"), "")
+    field = parse_config(f"char = {char}\n").field
+    try:
+        got = krasner_constant(attach_minpoly(parse_center(field, center).to_series(),
+                                              polyx_from_text(field, minpoly, RATFUNC)))
+        got = f"[kras] {got.to_text()}\n"
+    except WorkbenchError as exc:
+        got = f"error: {exc}\n"
+    assert got == want
+
+
+def test_lift_cskp_reads_a_center_whose_certificate_is_undecided(tmp_path):
+    # kras refuses t^(-1/3) with X^3 - [1 / t] (its degree is undecided at O(t^64)); the
+    # unique-pair root search reads no degree, and answers as before
+    cfg = write_cfg(tmp_path, "spec.kind = monomial\nspec.center = 0\nspec.gamma = (1, 0)\n")
+    code, out, err = run_cli(["lift-cskp", "--config", cfg, "--seq", "X @ 0",
+                              "--center", "t^(-1/3)", "--minpoly", "X^3 - [1 / t]"])
+    assert (code, err) == (0, "") and "[lift-cskp] X @ 0\n    because:" in out
+    assert "caveat: inconclusive at budget 64: no ram-1 root; final certificate left in place\n" \
+        in out
 
 
 @pytest.mark.parametrize("flag", ["true", "false"])
