@@ -121,20 +121,19 @@ def artin_schreier_translate(a: AlgElement, c) -> AlgElement:
     Valid when the certificate has the shape X^p - X - u with p = char k:
     the roots differ by the prime-field constants.
     """
-    f = a.field
-    p = f.char
-    if p == 0 or a.minpoly is None or not _is_artin_schreier(a.minpoly, p):
+    if not _is_artin_schreier(a):
         raise Uncertified("translate conjugation needs an X^p - X - u certificate")
-    shifted = a.expansion + PuiseuxSeries.constant(f, c)
+    shifted = a.expansion + PuiseuxSeries.constant(a.field, c)
     return AlgElement(shifted, a.minpoly, a.irreducible_certified)
 
 
-def _is_artin_schreier(Q: PolyX, p: int) -> bool:
-    if Q.degree() != p:
+def _is_artin_schreier(a: AlgElement) -> bool:
+    """True iff a's certificate has the shape X^p - X - u with p = char k > 0."""
+    Q, p = a.minpoly, a.field.char
+    if not p or Q is None or Q.degree() != p:
         return False
-    f = Q.field
     mid = all(Q.coeff(i).is_zero() for i in range(2, p))
-    return mid and Q.coeff(1) == -RatFunc.one(f)
+    return mid and Q.coeff(1) == -RatFunc.one(Q.field)
 
 
 def conjugates(a: AlgElement) -> list:
@@ -145,7 +144,7 @@ def conjugates(a: AlgElement) -> list:
     """
     f = a.field
     e = a.expansion.ram
-    if f.char > 0 and a.minpoly is not None and _is_artin_schreier(a.minpoly, f.char):
+    if _is_artin_schreier(a):
         return [artin_schreier_translate(a, c).expansion for c in range(f.char)]
     if e > 1 and f.root_of_unity(e) is not None:
         return [galois_twist(a, m).expansion for m in range(e)]
@@ -166,7 +165,7 @@ def krasner_constant(a: AlgElement) -> GroupVal:
     if a.degree() < 2:
         raise Uncertified("the Krasner constant needs an element of degree >= 2")
     f, s = a.field, a.expansion
-    if f.char > 0 and a.minpoly is not None and _is_artin_schreier(a.minpoly, f.char):
+    if _is_artin_schreier(a):
         if s.prec is not None and s.prec <= 0:
             raise PrecisionExhausted(
                 "conjugate difference indistinguishable from 0 at this precision")
@@ -275,8 +274,6 @@ def _residue_roots(field: BaseField, phi: list) -> list:
 
 
 def _divisors(n: int) -> list:
-    if n == 0:
-        return []
     out = []
     d = 1
     while d * d <= n:

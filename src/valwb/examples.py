@@ -10,9 +10,9 @@ compares every computed quantity against its closed form:
   unique pair; the final certificate X^p - X + t lifts to X - a.
 * "6.2" -- char 0, a = sum of t^n/n!: Cauchy, the limit spec becomes the
   monomial spec at the limit over the completion; delta(X - a_m) = m + 1.
-* "6.3" -- char 0, a = sum of t^(q^n/p^n): gamma_m = (q/p)^(m+1) with
-  support denominators growing without bound; transcendental type, the
-  sequence lifts unchanged.
+* "6.3" -- char 0, a = sum of t^(q^n/p^n) with 0 < p < q and p not dividing q:
+  gamma_m = (q/p)^(m+1) with support denominators growing without bound;
+  transcendental type, the sequence lifts unchanged.
 """
 
 from __future__ import annotations
@@ -177,6 +177,8 @@ def _example_factorial() -> Report:
 def _example_mixed_radix(p: int, q: int) -> Report:
     rep = Report(f"pipeline 6.3 (mixed radix {p},{q})")
     gen = mixed_radix_generator(p, q, horizon=10)
+    if q % p == 0:  # every exponent (q/p)^n is an integer: a Cauchy sequence with a limit
+        raise WorkbenchError(f"pipeline 6.3 needs p not dividing q, got p = {p}, q = {q}")
     spec = ValuationSpec.pcslimit(gen)
     inp = digest("6.3", p, q)
     gammas = gen.gammas()

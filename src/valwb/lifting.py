@@ -50,8 +50,8 @@ DENSITY_KINDS = (RESIDUE_TRANSCENDENTAL, VALUE_TRANSCENDENTAL_COFINAL,
                  VALUATION_ALGEBRAIC_TYPE_I)
 
 
-def classify_extension(spec: ValuationSpec) -> str:
-    """Map a spec to its extension kind.
+def _kind(spec: ValuationSpec) -> tuple:
+    """(extension kind, the generator's Cauchy verdict or None); the kind is decided only here.
 
     Monomial weights in the embedded rationals give residue-transcendental
     extensions; a weight with nonzero lex component exceeds every rational,
@@ -60,14 +60,19 @@ def classify_extension(spec: ValuationSpec) -> str:
     """
     if spec.kind in ("gauss", "monomial"):
         if spec.gamma.is_torsion_mod_base():
-            return RESIDUE_TRANSCENDENTAL
-        return VALUE_TRANSCENDENTAL_UNIQUE_PAIR
+            return RESIDUE_TRANSCENDENTAL, None
+        return VALUE_TRANSCENDENTAL_UNIQUE_PAIR, None
     if spec.kind == "pcslimit":
         verdict = classify_generator(spec.gen)
         if isinstance(verdict, CauchyWithLimit):
-            return VALUATION_ALGEBRAIC_TYPE_II
-        return VALUATION_ALGEBRAIC_TYPE_I
+            return VALUATION_ALGEBRAIC_TYPE_II, verdict
+        return VALUATION_ALGEBRAIC_TYPE_I, None
     raise WorkbenchError(f"cannot classify a spec of kind {spec.kind!r}")
+
+
+def classify_extension(spec: ValuationSpec) -> str:
+    """Map a spec to its extension kind."""
+    return _kind(spec)[0]
 
 
 def induce(spec: ValuationSpec):
@@ -78,51 +83,37 @@ def induce(spec: ValuationSpec):
     generator becomes the monomial spec at the limit with the lex weight
     (1, 0); a transcendental-type generator stays a limit spec.
     """
-    if spec.kind in ("gauss", "monomial"):
-        return spec.retag(OVER_KHAT), "same pair of definition, retagged over the completion"
-    if spec.kind == "pcslimit":
-        verdict = classify_generator(spec.gen)
-        if isinstance(verdict, CauchyWithLimit):
-            ind = ValuationSpec.monomial(verdict.limit, GroupVal.lex(1, 0), over=OVER_KHAT)
-            return ind, "Cauchy generator: unique-pair monomial spec at the limit"
+    kind, cauchy = _kind(spec)
+    if cauchy is not None:
+        ind = ValuationSpec.monomial(cauchy.limit, GroupVal.lex(1, 0), over=OVER_KHAT)
+        return ind, "Cauchy generator: unique-pair monomial spec at the limit"
+    if kind == VALUATION_ALGEBRAIC_TYPE_I:
         return spec.retag(OVER_KHAT), ("transcendental-type generator: immediate "
                                        "extension, limit spec retagged")
-    raise WorkbenchError(f"cannot induce from a spec of kind {spec.kind!r}")
+    return spec.retag(OVER_KHAT), "same pair of definition, retagged over the completion"
 
 
 # ---------------------------------------------------------------------------
 # key-polynomial sequences
 # ---------------------------------------------------------------------------
 
-class CskpSeq:
+class CskpSeq(tuple):
     """An ordered sequence of (key polynomial, delta) with monic key polynomials of
     degree >= 1 and distinct, increasing deltas."""
 
-    def __init__(self, entries):
-        entries = list(entries)
+    def __new__(cls, entries):
+        entries = tuple(entries)
         for q, _ in entries:
             require_key_polynomial(q)
-        for (q1, d1), (q2, d2) in zip(entries, entries[1:]):
+        for (_, d1), (_, d2) in zip(entries, entries[1:]):
             if not d1 < d2:
                 raise WorkbenchError(
                     f"sequence deltas must strictly increase: {d1.to_text()} "
                     f"then {d2.to_text()}")
-        self.entries = entries
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def __eq__(self, other):
-        return isinstance(other, CskpSeq) and self.entries == other.entries
+        return super().__new__(cls, entries)
 
     def to_text(self) -> str:
-        return "; ".join(f"{q.to_text()} @ {d.to_text()}" for q, d in self.entries)
+        return "; ".join(f"{q.to_text()} @ {d.to_text()}" for q, d in self)
 
 
 @dataclass
@@ -154,35 +145,29 @@ def lift_cskp(seq: CskpSeq, spec: ValuationSpec, center: Optional[AlgElement] = 
               budget=DEFAULT_PREC):
     """Lift a complete sequence over K to one over the completion.
 
-    Cofinal and transcendental-type cases pass through unchanged.  In the
-    unique-pair case the final certificate polynomial is replaced: the
-    degree filter keeps entries of degree at most deg of the root's minimal
-    polynomial over the completion, and X - root is appended when a ram-1
-    root is found.  A Cauchy limit spec appends X - limit directly.
+    Cofinal and transcendental-type cases pass through unchanged.  Otherwise the
+    linear entries stay and X - c becomes the final center: c is the center's ram-1
+    root for a unique pair (with no root found, the sequence stays) or the Cauchy limit.
     Returns (lifted sequence, note).
     """
-    kind = classify_extension(spec)
+    kind, cauchy = _kind(spec)
     if kind in (RESIDUE_TRANSCENDENTAL, VALUE_TRANSCENDENTAL_COFINAL,
                 VALUATION_ALGEBRAIC_TYPE_I):
         return seq, f"{kind}: sequence lifts unchanged"
-    if kind == VALUE_TRANSCENDENTAL_UNIQUE_PAIR:
+    if cauchy is None:  # unique pair: the center's root in the completion
         if center is None:
             raise Uncertified("unique-pair lifting needs the certified center")
         res = minpoly_over_completion(center, budget)
         if isinstance(res, NoRootFound):
             return seq, (f"inconclusive at budget {res.budget}: no ram-1 root; "
                          "final certificate left in place")
-        root = res.root
-        qhat = PolyX.from_series(root.field,
-                                 [-root, PuiseuxSeries.one(root.field)])
-        kept = [(q, d) for q, d in seq if q.degree() <= qhat.degree()]
-        return CskpSeq(kept + [(qhat, spec.gamma)]), "unique pair: root found in the completion"
-    # type II: the limit is the new final center
-    verdict = classify_generator(spec.gen)
-    limit = verdict.limit
-    qhat = PolyX.from_series(limit.field, [-limit, PuiseuxSeries.one(limit.field)])
+        root, gamma, note = res.root, spec.gamma, "unique pair: root found in the completion"
+    else:  # type II: the limit is the new final center
+        root, gamma = cauchy.limit, GroupVal.lex(1, 0)
+        note = "Cauchy limit appended as final center"
+    qhat = PolyX.from_series(root.field, [-root, PuiseuxSeries.one(root.field)])
     kept = [(q, d) for q, d in seq if q.degree() <= 1]
-    return CskpSeq(kept + [(qhat, GroupVal.lex(1, 0))]), "Cauchy limit appended as final center"
+    return CskpSeq(kept + [(qhat, gamma)]), note
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +315,7 @@ def approximate_density(f: PolyX, g: PolyX, alpha: GroupVal,
             UNIQUE_PAIR_DENSITY_OBSTRUCTION)
     if g.is_zero():
         raise ZeroPolynomial("the denominator g must be nonzero")
-    if spec.kind == "pcslimit":
+    if kind == VALUATION_ALGEBRAIC_TYPE_I:
         return _density_via_stabilized_pair(f, g, alpha, spec)
     return _density_monomial(f, g, alpha, spec)
 

@@ -389,8 +389,8 @@ def check_root_continuity(rep: Report, seed: int) -> None:
 def check_conjugacy(rep: Report) -> None:
     F7 = GF(7)
     root_third = attach_minpoly(PuiseuxSeries.t_power(F7, Fraction(1, 3)),
-                                polyx_from_text(F7, "X^3 - t"), irreducible=True)
-    fixtures = [("t^(1/2) over Q", attach_minpoly(HALF, MINSQ, irreducible=True),
+                                polyx_from_text(F7, "X^3 - t"))
+    fixtures = [("t^(1/2) over Q", attach_minpoly(HALF, MINSQ),
                  GroupVal.fin(Fraction(3, 4)), [1]),
                 ("t^(1/3) over F_7", root_third, GroupVal.fin(Fraction(1, 2)), [1, 2])]
     failures, details = 0, []

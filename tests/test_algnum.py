@@ -22,7 +22,7 @@ from valwb.algnum import (
     minpoly_over_completion,
 )
 from valwb.config import parse_center
-from valwb.errors import NotARoot, PrecisionExhausted, Uncertified, WorkbenchError
+from valwb.errors import NoRootOfUnity, NotARoot, PrecisionExhausted, Uncertified, WorkbenchError
 from valwb.field import GF, QQ
 from valwb.groupval import GroupVal
 from valwb.polyx import RATFUNC, PolyX, polyx_from_text
@@ -116,6 +116,9 @@ def test_galois_twist():
     assert b.expansion.val() == a.expansion.val()
     # identity twist
     assert galois_twist(a, 0).expansion == a.expansion
+    with pytest.raises(NoRootOfUnity, match="^base field Q has no primitive root of unity of "
+                                            "order 3$"):
+        galois_twist(AlgElement(PuiseuxSeries.t_power(QQ, Fraction(1, 3))), 1)
 
 
 def test_artin_schreier_translate():
@@ -272,6 +275,8 @@ def test_minpoly_over_completion_refuses_a_budget_that_is_not_positive():
         with pytest.raises(WorkbenchError, match="root search budget must be positive"):
             minpoly_over_completion(a, budget)
     assert minpoly_over_completion(a, 3).root.to_text() == "t + t^2 + O(t^3)"
+    with pytest.raises(Uncertified, match="^root search needs a polynomial certificate$"):
+        minpoly_over_completion(AlgElement(tower_series(2, 3)), 3)
 
 
 def test_minpoly_over_completion_rational_element():

@@ -58,6 +58,17 @@ def test_scalar_multiple_and_negation():
         -GroupVal.posinf()
 
 
+def test_undefined_operations_with_posinf_are_refused():
+    inf = GroupVal.posinf()
+    for op, message in ((lambda: inf - inf, "PosInf - PosInf is undefined"),
+                        (lambda: GroupVal.fin(1) - inf, "cannot subtract PosInf"),
+                        (lambda: 0 * inf, r"0 \* PosInf is undefined"),
+                        (lambda: -1 * inf, "negative multiple of PosInf is undefined")):
+        with pytest.raises(WorkbenchError, match=f"^{message}$"):
+            op()
+    assert inf - GroupVal.fin(1) == 2 * inf == inf
+
+
 def test_text_round_trip():
     for g in (GroupVal.fin(Fraction(7, 3)), GroupVal.lex(-2, Fraction(1, 2)),
               GroupVal.posinf(), FIN0):

@@ -414,10 +414,13 @@ def test_the_scan_sees_defaults_passed_and_never_passed(tmp_path):
 
 # the module that alone writes each field: a series keeps the plan it built of itself, which
 # would go stale if its fields changed after it, and an AlgElement's certificate flag is the
-# one attach_minpoly decided for its expansion and minimal polynomial
+# one attach_minpoly decided for its expansion and minimal polynomial; a GroupVal and a
+# ValuationSpec are immutable (a spec is retagged into a new one), and a GroupVal is hashed
 OWNED_FIELDS = {
     "series.py": {"ram", "coeffs", "prec", "source", "plan"},
     "algnum.py": {"expansion", "minpoly", "irreducible_certified"},
+    "groupval.py": {"z", "q", "inf"},
+    "valuation.py": {"kind", "center", "gamma", "Q", "vQ", "base", "gen", "over"},
 }
 
 
@@ -467,17 +470,18 @@ def test_the_scan_sees_writes_to_fields_another_module_owns(tmp_path):
         "    return s.coeffs[1], getattr(s, 'plan'), a, self.coeffs\n\n"
         "def g(a, b):\n    a.irreducible_certified = a.minpoly is not None\n"
         "    b.expansion, b.minpoly = a.expansion, None\n    delattr(a, 'minpoly')\n"
-        "    return a.irreducible_certified\n")
-    series_hits = [("m.py", "prec", 6), ("m.py", "coeffs", 9), ("m.py", "prec", 10),
-                   ("m.py", "ram", 12), ("m.py", "source", 12), ("m.py", "coeffs", 13),
-                   ("m.py", "plan", 14), ("m.py", "plan", 15), ("m.py", "prec", 16)]
-    algnum_hits = [("irreducible_certified", 20), ("expansion", 21), ("minpoly", 21),
-                   ("minpoly", 22)]
-    assert owned_field_writes(src) == series_hits + [("m.py", *hit) for hit in algnum_hits]
-    for owner, hits in (("series.py", [("series.py", *hit) for hit in algnum_hits]),
-                        ("algnum.py", [("algnum.py", *hit[1:]) for hit in series_hits])):
-        (tmp_path / owner).write_text(src.read_text())
-        assert owned_field_writes(tmp_path / owner) == hits, owner
+        "    return a.irreducible_certified\n\n"
+        "def h(v, s):\n    v.q += 1\n    s.gamma, s.over = v, None\n    return v.z, s.kind\n")
+    hits = {"series.py": [("prec", 6), ("coeffs", 9), ("prec", 10), ("ram", 12), ("source", 12),
+                          ("coeffs", 13), ("plan", 14), ("plan", 15), ("prec", 16)],
+            "algnum.py": [("irreducible_certified", 20), ("expansion", 21), ("minpoly", 21),
+                          ("minpoly", 22)],
+            "groupval.py": [("q", 26)],
+            "valuation.py": [("gamma", 27), ("over", 27)]}
+    for name in ("m.py", *hits):  # the owner's own writes are no hits
+        (tmp_path / name).write_text(src.read_text())
+        assert owned_field_writes(tmp_path / name) == [
+            (name, *hit) for owner, owned in hits.items() if owner != name for hit in owned], name
 
 
 SEQUENCE_BOUNDS = {"ram_cap", "horizon", "window"}

@@ -108,6 +108,24 @@ def test_induce():
     assert indg.over == "Khat" and indg.kind == "gauss"
 
 
+def test_the_kind_of_a_limit_spec_is_decided_once_per_call(monkeypatch):
+    # the generator's dichotomy is the costly half of the kind: each entry point runs it once
+    calls = []
+
+    def spy(gen):
+        calls.append(gen)
+        return classify_generator(gen)
+
+    monkeypatch.setattr(lifting, "classify_generator", spy)
+    gen = exponential_generator(12)
+    spec = ValuationSpec.pcslimit(gen)
+    seq = CskpSeq([(x_minus(QQ, gen.element(0)), GroupVal.fin(1))])
+    for call in (classify_extension, induce, lambda spec: lift_cskp(seq, spec)):
+        calls.clear()
+        call(spec)
+        assert calls == [gen]
+
+
 def test_cskp_seq_container():
     _, _, seq = tower_data()
     assert len(seq) == 4

@@ -120,6 +120,10 @@ def test_divmod_monic():
     assert q == P(QQ, 1, -1, 1) and r.is_zero()
     q2, r2 = P(QQ, 1, 1).divmod_monic(P(QQ, 0, 0, 1))
     assert q2.is_zero() and r2 == P(QQ, 1, 1)
+    with pytest.raises(WorkbenchError, match="^divisor must be monic$"):
+        f.divmod_monic(P(QQ, 1, 2))
+    with pytest.raises(WorkbenchError, match="^Q must be monic of degree >= 1$"):
+        f.qadic_expand(P(QQ, 1, 2))
 
 
 def test_newton_polygon():
@@ -185,6 +189,8 @@ def test_from_text_forms():
     assert zero == PolyX.from_series(QQ, []) == PolyX.zero(QQ) and zero.domain == RATFUNC
     assert hash(zero) == hash(PolyX.zero(QQ)) and polyx_from_text(QQ, "0", SERIES) == zero
     assert (zero + s) == s and (zero * s).is_zero() and (f + zero) == f
+    with pytest.raises(WorkbenchError, match="^unknown coefficient domain 'laurent'$"):
+        polyx_from_text(QQ, "X", "laurent")
 
 
 def test_sign_only_text_reads_as_the_zero_polynomial():

@@ -332,6 +332,18 @@ def test_run_example_mixed_radix():
     assert not rep.failed()
 
 
+def test_example_mixed_radix_passes_where_p_does_not_divide_q_and_refuses_the_rest():
+    # where p | q every exponent (q/p)^n is an integer: the sequence has a limit in k((t))
+    for q in range(2, 9):
+        for p in range(1, q):
+            code, out, err = run_cli(["example", "6.3", "--p", str(p), "--q", str(q)])
+            if q % p:
+                assert (code, err) == (0, "") and "FAIL" not in out, (p, q)
+            else:
+                assert (code, out, err) == (
+                    1, "", f"error: pipeline 6.3 needs p not dividing q, got p = {p}, q = {q}\n")
+
+
 def test_run_example_unknown():
     with pytest.raises(WorkbenchError):
         run_example("9.9")
@@ -394,6 +406,9 @@ CLI_FAULTS = [
     ("--seq", ";"), ("--seq", " ; "), ("--generator", None), ("config", "= 1"),
     ("config", "spec.gamma = 1"), ("config", "spec.kind = gauss\nspec.over = X"),
     ("config", "spec.kind = gauss\nspec.foo = 1"),
+    ("config", "spec.kind = keypoly\nspec.Q = X^2 - t\nspec.vQ = 1"),
+    ("config", "spec.kind = monomial\nspec.center = t\nspec.gamma = (1, 0)"),
+    ("--seq", "X @ 1; X + [t] @ 0"), ("--alpha", "(1, 0)"), ("--g", "0"),
 ]
 
 
@@ -407,6 +422,18 @@ CLI_FAULTS = [
     ("eval", ("config", "spec.kind = gauss\nspec.over = X"),
      "spec.over must be K or Khat, got 'X'"),
     ("eval", ("config", "spec.kind = gauss\nspec.foo = 1"), "unknown spec key 'spec.foo'"),
+    ("classify", ("config", "spec.kind = keypoly\nspec.Q = X^2 - t\nspec.vQ = 1"),
+     "cannot classify a spec of kind 'keypoly'"),
+    ("induce", ("config", "spec.kind = keypoly\nspec.Q = X^2 - t\nspec.vQ = 1"),
+     "cannot classify a spec of kind 'keypoly'"),
+    ("lift-cskp", ("config", "spec.kind = monomial\nspec.center = t\nspec.gamma = (1, 0)"),
+     "unique-pair lifting needs the certified center"),
+    ("cskp-check", ("--seq", "X @ 1; X + [t] @ 0"),
+     "sequence deltas must strictly increase: 1 then 0"),
+    ("threshold", ("--alpha", "(1, 0)"), "the threshold needs a rational alpha"),
+    ("same-delta", ("--alpha", "(1, 0)"), "alpha must be a rational value"),
+    ("density", ("--alpha", "(1, 0)"), "alpha must be a rational value"),
+    ("density", ("--g", "0"), "the denominator g must be nonzero"),
 ])
 def test_cli_fault_ends_with_its_message(tmp_path, command, fault, message):
     assert fault in CLI_FAULTS
@@ -491,7 +518,9 @@ def run_faulty_cli(tmp_path, command, faults):
     return (*run_cli([command] + argv), False)
 
 
-def test_cli_malformed_input_never_leaks_a_traceback(tmp_path):
+def test_cli_malformed_input_never_leaks_a_traceback(tmp_path, monkeypatch):
+    # a valid config fault reaches selftest, whose suite reads no spec: a stub stands in for it
+    monkeypatch.setattr(selftest, "run_all", lambda seed: Report("selftest"))
     rng = random.Random(0)
     commands = list(CLI_BASELINE)
     runs = []
