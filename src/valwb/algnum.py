@@ -24,7 +24,7 @@ from .errors import (
     Uncertified,
     WorkbenchError,
 )
-from .field import BaseField
+from .field import BaseField, prime_factors
 from .groupval import GroupVal
 from .polyx import RATFUNC, PolyX, ShiftRows, _polygon
 from .series import PuiseuxSeries, RatFunc, min_prec
@@ -171,8 +171,8 @@ def krasner_constant(a: AlgElement) -> GroupVal:
                 "conjugate difference indistinguishable from 0 at this precision")
         return GroupVal.fin(0)
     if s.ram > 1 and f.root_of_unity(s.ram) is not None:
-        return GroupVal.fin(Fraction(max(min(n for n in s.coeffs if n % d)
-                                         for d in _divisors(s.ram)[1:]), s.ram))
+        return GroupVal.fin(Fraction(max(min(n for n in s.coeffs if n % q)
+                                         for q in prime_factors(s.ram)), s.ram))
     # off the twist route, degree >= 2 came from a certified minimal polynomial
     slopes = [sl for sl, _ in a.minpoly.newton_polygon(s) if not sl.is_inf]
     if not slopes:
@@ -274,12 +274,8 @@ def _residue_roots(field: BaseField, phi: list) -> list:
 
 
 def _divisors(n: int) -> list:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
+    """The positive divisors of n >= 1, ascending, built from its prime factors."""
+    out = {1}
+    for q in prime_factors(n):
+        out |= {d * q for d in out}
     return sorted(out)

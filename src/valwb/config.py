@@ -155,8 +155,9 @@ def build_spec(fields: dict, cfg: WorkbenchConfig) -> ValuationSpec:
                        if k.startswith("base.")}
         for k in base_fields:
             fields.pop("base." + k)
-        if not base_fields:
-            base_fields = {"kind": "gauss"}
+        base_fields = base_fields or {"kind": "gauss"}
+        if (base_kind := base_fields.get("kind", "gauss")) not in ("gauss", "monomial"):
+            raise ParseError(f"spec.base.kind must be gauss or monomial, got {base_kind!r}")
         base = build_spec(base_fields, cfg)
         spec = ValuationSpec.keypoly(Q, vQ, base, over=over)
     elif kind == "pcslimit":

@@ -73,15 +73,11 @@ def artin_schreier_data(p: int) -> dict:
     Q = PolyX.from_ratfuncs(field, coeffs)  # X^p - X + t
     a_alg = attach_minpoly(a, Q, irreducible=True)
     spec = ValuationSpec.monomial(a, GAMMA_TOP)
-    entries = [(_linear_at(field, gen.element(m)), GroupVal.fin(p**(m + 1)))
+    entries = [(PolyX.x_minus(gen.element(m)), GroupVal.fin(p**(m + 1)))
                for m in range(TOWER_MMAX + 1)]
     seq = CskpSeq(entries + [(Q, GAMMA_TOP)])
     return {"field": field, "gen": gen, "a": a, "a_alg": a_alg, "spec": spec, "seq": seq,
             "mmax": TOWER_MMAX}
-
-
-def _linear_at(field, center) -> PolyX:
-    return PolyX.from_series(field, [-center, PuiseuxSeries.one(field)])
 
 
 def _check_table(rep: Report, operation: str, inp: str, table, citation: str) -> None:
@@ -160,7 +156,7 @@ def _example_factorial() -> Report:
               induced.kind == "monomial" and induced.gamma == GAMMA_TOP and limit_ok,
               f"monomial at {limit.to_text()} with weight {GAMMA_TOP.to_text()} ({note})",
               "a Cauchy sequence hands its limit to the completion as the new center")
-    seq = CskpSeq([(_linear_at(QQ, gen.element(m)), GroupVal.fin(m + 1))
+    seq = CskpSeq([(PolyX.x_minus(gen.element(m)), GroupVal.fin(m + 1))
                    for m in range(mmax + 1)])
     _check_table(rep, "delta table", inp, [(delta(induced, q), d) for q, d in seq],
                  "delta(X - a_m) = v(a - a_m) = m + 1, the next support exponent")
@@ -197,7 +193,7 @@ def _example_mixed_radix(p: int, q: int) -> Report:
     rep.check("extension kind", inp, kind == VALUATION_ALGEBRAIC_TYPE_I, kind,
               "transcendental-type sequences stay valuation-algebraic over "
               "the completion")
-    seq = CskpSeq([(_linear_at(QQ, gen.element(m)), gammas[m]) for m in range(4)])
+    seq = CskpSeq([(PolyX.x_minus(gen.element(m)), gammas[m]) for m in range(4)])
     lifted, note = lift_cskp(seq, spec)
     rep.check("lift sequence", inp, lifted == seq, note,
               "an immediate extension keeps its key-polynomial sequence")

@@ -15,17 +15,16 @@ from .errors import WorkbenchError
 MAX_PRIME = 2**31  # configured bound on positive characteristic
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
+def prime_factors(n: int) -> list:
+    """The prime factors of n with multiplicity, least first; [] for n < 2.  The package's
+    one trial division, read for primality, roots of unity, Krasner constants and divisors."""
+    out, d = [], 2
     while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+        while n % d == 0:
+            out.append(d)
+            n //= d
+        d += 1
+    return out + [n] if n > 1 else out
 
 
 class BaseField:
@@ -35,7 +34,7 @@ class BaseField:
         if char != 0:
             if char >= MAX_PRIME:
                 raise WorkbenchError(f"characteristic {char} exceeds the bound {MAX_PRIME}")
-            if not _is_prime(char):
+            if prime_factors(char) != [char]:
                 raise WorkbenchError(f"characteristic {char} is not prime")
         self.char = char
         # scalars are immutable, so one zero and one one serve every caller
@@ -132,14 +131,12 @@ class BaseField:
         p = self.char
         if (p - 1) % e != 0:
             return None
-        # find a generator-power of exact order e
+        # z = g^((p-1)/e) has order e iff z^(e/q) != 1 for each prime q | e; a generator g gives one
+        primes = set(prime_factors(e))
         for g in range(2, p):
             z = pow(g, (p - 1) // e, p)
-            if z == 1:
-                continue
-            if _order_divisor_check(z, e, p):
+            if all(pow(z, e // q, p) != 1 for q in primes):
                 return z
-        return None
 
     # -- text ----------------------------------------------------------
 
@@ -154,20 +151,6 @@ class BaseField:
 
     def __repr__(self):
         return "Q" if self.char == 0 else f"F_{self.char}"
-
-
-def _order_divisor_check(z: int, e: int, p: int) -> bool:
-    # z has order dividing e; primitive iff z^(e/q) != 1 for each prime q | e
-    m, q, rest = e, 2, []
-    while q * q <= m:
-        if m % q == 0:
-            rest.append(q)
-            while m % q == 0:
-                m //= q
-        q += 1
-    if m > 1:
-        rest.append(m)
-    return all(pow(z, e // q, p) != 1 for q in rest)
 
 
 QQ = BaseField(0)

@@ -35,7 +35,7 @@ from .pcs import (
 )
 from .polyx import RATFUNC, PolyX, _packed_values
 from .report import Evidence, search
-from .series import DEFAULT_PREC, PuiseuxSeries, RatFunc, min_prec, truncate_to_ratfunc
+from .series import DEFAULT_PREC, RatFunc, min_prec, truncate_to_ratfunc
 from .valuation import (OVER_KHAT, ValuationSpec, _min_weighted, _profile_delta, delta, eval_spec,
                         is_pair_equivalent, require_key_polynomial)
 
@@ -165,7 +165,7 @@ def lift_cskp(seq: CskpSeq, spec: ValuationSpec, center: Optional[AlgElement] = 
     else:  # type II: the limit is the new final center
         root, gamma = cauchy.limit, GroupVal.lex(1, 0)
         note = "Cauchy limit appended as final center"
-    qhat = PolyX.from_series(root.field, [-root, PuiseuxSeries.one(root.field)])
+    qhat = PolyX.x_minus(root)
     kept = [(q, d) for q, d in seq if q.degree() <= 1]
     return CskpSeq(kept + [(qhat, gamma)]), note
 

@@ -83,6 +83,11 @@ class PolyX:
         return PolyX(field, coeffs)
 
     @staticmethod
+    def x_minus(c) -> "PolyX":
+        """X - c over c's own ring: K for a RatFunc c, the series for a PuiseuxSeries one."""
+        return PolyX(c.field, [-c, c.one(c.field)])
+
+    @staticmethod
     def x_power(field: BaseField, k: int, domain: str = RATFUNC) -> "PolyX":
         one = PuiseuxSeries.one(field) if domain == SERIES else RatFunc.one(field)
         return PolyX(field, [one.zero(field)] * k + [one])

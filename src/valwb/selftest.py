@@ -25,7 +25,7 @@ from .lifting import (
     uniqueness_check,
     verify_root_matching,
 )
-from .examples import _linear_at, artin_schreier_data, run_example
+from .examples import artin_schreier_data, run_example
 from .pcs import exponential_generator, mixed_radix_generator
 from .polyx import PolyX, RATFUNC, SERIES, polyx_from_text
 from .report import UNDECIDABLE, Evidence, Report, digest
@@ -162,9 +162,8 @@ def check_value_comparison_laws(rep: Report, seed: int) -> None:
     tower = artin_schreier_data(2)
     F2, gen = tower["field"], tower["gen"]
     v_b = tower["spec"]
-    a_lin = {m: PolyX.from_ratfuncs(  # a_m is its own polynomial part below gamma_m = 2^(m+1)
-        F2, [-truncate_to_ratfunc(gen.element(m), 2**(m + 1)), RatFunc.one(F2)])
-        for m in range(5)}
+    # a_m is its own polynomial part below gamma_m = 2^(m+1)
+    a_lin = {m: PolyX.x_minus(truncate_to_ratfunc(gen.element(m), 2**(m + 1))) for m in range(5)}
 
     def pool_b(rng):
         f = random_polyx(F2, rng, rng.randint(1, 2))
@@ -251,7 +250,7 @@ def check_pair_equivalence(rep: Report, seed: int, triples: int = 100,
         b = a + tail  # v(a - b) = gamma - 1 < gamma
         sa = ValuationSpec.monomial(a, gamma)
         sb = ValuationSpec.monomial(b, gamma)
-        disc = _linear_at(field, b)
+        disc = PolyX.x_minus(b)
         failures += eval_spec(sa, disc) == eval_spec(sb, disc)
     rep.check("pair separation", digest("pairs-neg", seed, triples),
               failures == 0,
@@ -336,7 +335,7 @@ def _product_of_linears(roots) -> PolyX:
     """The product of the X - r over Q, with series coefficients."""
     f = PolyX.x_power(QQ, 0, domain=SERIES)
     for r in roots:
-        f = f * _linear_at(QQ, r)
+        f = f * PolyX.x_minus(r)
     return f
 
 

@@ -238,8 +238,7 @@ def is_key_polynomial(spec: ValuationSpec, Q: PolyX, samples: int,
     field = Q.field
     pool = []
     if Q.degree() > 1:
-        pool = [PolyX(field, [-c, c.one(field)])
-                for c in [*_center_truncations(spec), *extra_pool]]
+        pool = [PolyX.x_minus(c) for c in [*_center_truncations(spec), *extra_pool]]
     draws = (random_polyx(field, rng, d, monic=True)
              for d in range(1, Q.degree()) for _ in range(samples))
     found = search(itertools.chain(pool, draws), lambda f: delta(spec, f) >= dQ)

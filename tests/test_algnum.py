@@ -12,7 +12,6 @@ from valwb.algnum import (
     AlgElement,
     Linear,
     NoRootFound,
-    _divisors,
     _residue_roots,
     artin_schreier_translate,
     attach_minpoly,
@@ -307,9 +306,12 @@ def fraction_residue_roots(field, phi):
     den = math.lcm(*(c.denominator for c in phi))
     ints = [int(c * den) for c in phi]
     ints = ints[next(i for i, c in enumerate(ints) if c):]
+    def divisors(n):
+        return sorted({x for d in range(1, math.isqrt(n) + 1) if n % d == 0 for x in (d, n // d)})
+
     roots = []
-    for P in _divisors(abs(ints[0])):
-        for Q in _divisors(abs(ints[-1])):
+    for P in divisors(abs(ints[0])):
+        for Q in divisors(abs(ints[-1])):
             for cand in (Fraction(P, Q), Fraction(-P, Q)):
                 if len(ints) > 1 and cand not in roots and at(cand) == 0:
                     roots.append(cand)

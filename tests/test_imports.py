@@ -115,6 +115,8 @@ KEPT_METHODS = {
     ("polyx.py", "PolyX.recenter_hasse"):
         "perfbench's tracer wraps it, and the tests take it as the recentering reference",
     ("field.py", "BaseField.div"): "perfbench's tracer wraps it",
+    ("polyx.py", "PolyX.from_series"):
+        "perfbench's inputs and the tests build series polynomials with it",
     ("cli.py", "_Parser.error"): "argparse calls it",
     ("series.py", "PuiseuxSeries.residue"): "the residue map of ROADMAP item 11",
     ("report.py", "Report.from_structured"):

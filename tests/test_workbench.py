@@ -243,6 +243,24 @@ def test_cli_verdict_failure_exit_2(tmp_path):
     assert "FAIL" in out
 
 
+def test_cli_same_delta_at_a_delta_not_below_alpha_is_a_failed_verdict(tmp_path):
+    # at the monomial spec at t of weight 1, delta(X^2 - t^3) = 1: no target distance 1
+    cfg = write_cfg(tmp_path, "spec.kind = monomial\nspec.center = t\nspec.gamma = 1\n")
+    assert run_cli(["same-delta", "--config", cfg, "--poly", "X^2 - [t^3]", "--alpha", "1"]) == (
+        2, "== same-delta ==\n[same-delta] FAIL: delta(f) = 1 is not below alpha = 1\n"
+           "    because: the target distance must exceed the polynomial's delta  "
+           "(inputs 6810a83e86cc3663)\n-- FAIL: 1 verdicts --\n", "")
+
+
+def test_cli_lift_cskp_refuses_a_residue_search_over_a_large_prime_field(tmp_path):
+    # the unique pair's root search would try every residue of F_1000003
+    cfg = write_cfg(tmp_path, "char = 1000003\nspec.kind = monomial\nspec.center = t\n"
+                              "spec.gamma = (1, 0)\n")
+    assert run_cli(["lift-cskp", "--config", cfg, "--seq", "X @ 1", "--center", "t",
+                    "--minpoly", "X^2 - [t^2]"]) == (
+        1, "", "error: residue-root search infeasible for this characteristic\n")
+
+
 def test_cli_cskp_check_decided_miss_is_a_verdict_failure(tmp_path):
     # under the monomial spec at t of weight 2, v(X - t) = 2 while the digits of X - t in
     # X give 1: the one admissible entry is decided and no witness
@@ -409,6 +427,10 @@ CLI_FAULTS = [
     ("config", "spec.kind = keypoly\nspec.Q = X^2 - t\nspec.vQ = 1"),
     ("config", "spec.kind = monomial\nspec.center = t\nspec.gamma = (1, 0)"),
     ("--seq", "X @ 1; X + [t] @ 0"), ("--alpha", "(1, 0)"), ("--g", "0"),
+    ("config", "spec.kind = keypoly\nspec.Q = X^3 - t\nspec.vQ = 1\n"
+               "spec.base.kind = pcslimit\nspec.base.generator = exponential"),
+    ("config", "spec.kind = keypoly\nspec.Q = X^3 - t\nspec.vQ = 1\n"
+               "spec.base.kind = keypoly\nspec.base.Q = X^2 - t\nspec.base.vQ = 1"),
 ]
 
 
@@ -434,6 +456,12 @@ CLI_FAULTS = [
     ("same-delta", ("--alpha", "(1, 0)"), "alpha must be a rational value"),
     ("density", ("--alpha", "(1, 0)"), "alpha must be a rational value"),
     ("density", ("--g", "0"), "the denominator g must be nonzero"),
+    ("eval", ("config", "spec.kind = keypoly\nspec.Q = X^3 - t\nspec.vQ = 1\n"
+                        "spec.base.kind = pcslimit\nspec.base.generator = exponential"),
+     "spec.base.kind must be gauss or monomial, got 'pcslimit'"),
+    ("eval", ("config", "spec.kind = keypoly\nspec.Q = X^3 - t\nspec.vQ = 1\n"
+                        "spec.base.kind = keypoly\nspec.base.Q = X^2 - t\nspec.base.vQ = 1"),
+     "spec.base.kind must be gauss or monomial, got 'keypoly'"),
 ])
 def test_cli_fault_ends_with_its_message(tmp_path, command, fault, message):
     assert fault in CLI_FAULTS
